@@ -33,7 +33,11 @@ import numpy as np
 from repro.core.base import RangeQueryMechanism
 from repro.core.cache import MISS
 from repro.exceptions import ConfigurationError, InvalidQueryError
-from repro.frequency_oracles.hadamard import HadamardAccumulator, HadamardRandomizedResponse
+from repro.frequency_oracles.hadamard import (
+    HadamardAccumulator,
+    HadamardRandomizedResponse,
+    dyadic_estimates,
+)
 from repro.transforms.haar import haar_inverse, haar_range_weights
 from repro.transforms.hadamard import is_power_of_two
 
@@ -219,14 +223,25 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             self._accumulate_aggregate(counts, rng)
 
     def _refresh_estimates(self) -> None:
-        coefficients = np.zeros(self._padded_size, dtype=np.float64)
+        """Decode every level at once, then invert the Haar transform.
+
+        Level ``l``'s HRR estimates land in the dyadic block
+        ``[D'/2^l, D'/2^(l-1))`` — the Haar layout — through
+        :func:`~repro.frequency_oracles.hadamard.dyadic_estimates`, whose
+        multi-level butterfly runs each stage once over all unfinished
+        levels (``log2 D' - 1`` passes instead of ``~log2^2(D')/2``);
+        each block is then rescaled by ``2^{-l/2}``.  Bit-identical to
+        decoding the levels one by one.
+        """
+        coefficients = dyadic_estimates(
+            [self._accumulators[level] for level in range(1, self._height + 1)]
+        )
         # The scaling coefficient of a probability vector over the padded
         # domain is the known constant 1/sqrt(D'); the paper hard-codes it.
         coefficients[0] = 1.0 / np.sqrt(self._padded_size)
         for level in range(1, self._height + 1):
             start = self._padded_size >> level
-            level_mean = self._accumulators[level].estimate()
-            coefficients[start : 2 * start] = level_mean / (2.0 ** (level / 2.0))
+            coefficients[start : 2 * start] /= 2.0 ** (level / 2.0)
         self._coefficients = coefficients
         reconstructed = haar_inverse(coefficients)
         self._frequencies = reconstructed[: self._domain_size]
@@ -234,9 +249,7 @@ class HaarWaveletMechanism(RangeQueryMechanism):
 
     def _user_blocks_and_signs(self, items: np.ndarray, level: int) -> tuple:
         """Block index and coefficient sign of every item at ``level``."""
-        blocks = items >> level
-        signs = np.where(((items >> (level - 1)) & 1) == 1, -1, 1)
-        return blocks.astype(np.int64), signs.astype(np.int64)
+        return items >> level, 1 - 2 * ((items >> (level - 1)) & 1)
 
     def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
         """Run the real local protocol with each user sampling a level.
@@ -260,9 +273,14 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         """Aggregate mode: partition the counts across levels, then run the
         exact (vectorised) HRR protocol per level.
 
-        HRR has no closed-form per-item aggregate to sample from, so the
-        level populations are expanded to item vectors; the expansion is the
-        only O(N) cost and is shared with the per-user path.
+        HRR has no closed-form per-item aggregate to sample from, so every
+        level's users are expanded — but as runs of ``(block, sign)`` pairs,
+        not items: the items of block ``b`` at level ``l`` are the left
+        half (sign ``+1``) then the right half (sign ``-1``), so summing the
+        level's counts over each half gives run lengths whose expansion
+        (:meth:`HadamardAccumulator.add_runs`) is exactly the per-user
+        sequence of the expanded items, in the same order.  The expansion
+        is the only ``O(N)`` memory.
         """
         padded_counts = np.zeros(self._padded_size, dtype=np.int64)
         padded_counts[: self._domain_size] = counts
@@ -283,12 +301,11 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             self._level_user_counts[level - 1] += batch_users
             if batch_users == 0:
                 continue
-            level_items = np.repeat(
-                np.arange(self._padded_size, dtype=np.int64), level_counts
+            pair_counts = level_counts.reshape(-1, 2, 1 << (level - 1)).sum(axis=2).ravel()
+            pairs = np.arange(pair_counts.shape[0], dtype=np.int64)
+            self._accumulators[level].add_runs(
+                pairs >> 1, pair_counts, rng, signs=1 - 2 * (pairs & 1)
             )
-            blocks, signs = self._user_blocks_and_signs(level_items, level)
-            oracle = self._oracles[level]
-            self._accumulators[level].add(oracle.encode_batch(blocks, rng, signs=signs))
 
     # ------------------------------------------------------------------
     # Query answering

@@ -20,22 +20,25 @@ coefficients, so the same perturbation and decoding apply unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import InvalidQueryError
+from repro.exceptions import ConfigurationError, InvalidQueryError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.mechanisms import binary_rr_probability
 from repro.privacy.randomness import RandomState, as_generator
 from repro.transforms.hadamard import (
-    hadamard_entries,
+    dyadic_fast_walsh_hadamard_transform,
+    entries_from_parities,
+    hadamard_entry,
+    hadamard_parities,
     inverse_fast_walsh_hadamard_transform,
     is_power_of_two,
 )
 
-__all__ = ["HadamardAccumulator", "HadamardRandomizedResponse"]
+__all__ = ["HadamardAccumulator", "HadamardRandomizedResponse", "dyadic_estimates"]
 
 
 class HadamardAccumulator(OracleAccumulator):
@@ -51,21 +54,79 @@ class HadamardAccumulator(OracleAccumulator):
         self._sums = np.zeros(oracle.padded_size, dtype=np.float64)
 
     def _add_reports(self, reports: OracleReports) -> None:
-        indices = np.asarray(reports.payload["indices"], dtype=np.int64)
-        values = np.asarray(reports.payload["values"], dtype=np.float64)
-        if indices.shape != values.shape:
-            raise InvalidQueryError("indices and values must have the same shape")
+        # Reports may come from outside the process, so every field is
+        # checked before the statistic changes: a rejected batch leaves the
+        # sums and the user count untouched.
+        padded_size = self._oracle.padded_size
+        indices = np.asarray(reports.payload["indices"])
+        values = np.asarray(reports.payload["values"])
+        if indices.shape != (reports.n_users,) or values.shape != (reports.n_users,):
+            raise InvalidQueryError(
+                f"indices and values must be one-dimensional with one entry per "
+                f"user ({reports.n_users}), got shapes {indices.shape} and {values.shape}"
+            )
+        if indices.dtype.kind not in "iu" and not (
+            indices.dtype.kind == "f" and np.array_equal(indices, np.trunc(indices))
+        ):
+            raise InvalidQueryError("Hadamard indices must be integers")
+        if indices.size and (indices.min() < 0 or indices.max() >= padded_size):
+            raise InvalidQueryError(f"Hadamard indices must be in [0, {padded_size})")
+        if values.dtype.kind not in "iuf" or not np.all(np.abs(values) == 1):
+            raise InvalidQueryError("report values must be -1 or +1")
+        self._fold(indices.astype(np.int64, copy=False), values)
+
+    def _fold(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Add validated reports (int64 indices, +-1 values) to the sums."""
         self._sums += np.bincount(
             indices, weights=values, minlength=self._oracle.padded_size
         )
 
+    def add_runs(
+        self,
+        values: np.ndarray,
+        counts: np.ndarray,
+        random_state: RandomState = None,
+        signs: Optional[np.ndarray] = None,
+    ) -> "HadamardAccumulator":
+        """Accumulate ``counts[k]`` users holding ``signs[k] * e_{values[k]}``.
+
+        Run ``k``'s users come before run ``k + 1``'s, and each user runs
+        the exact batched protocol (:meth:`HadamardRandomizedResponse.encode_batch`
+        on the expanded arrays, with the same random draws).  Only the
+        run arrays are validated — ``O(runs)``, not ``O(users)`` — because
+        the expanded reports are generated here and need no re-checking.
+        The expansion is the only ``O(N)`` memory: one int64 and (when
+        signed) one byte per user.
+        """
+        oracle = self._oracle
+        values = oracle._check_values(values)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != values.shape or (counts.size and counts.min() < 0):
+            raise InvalidQueryError("counts must be non-negative, one per run")
+        negative = None if signs is None else oracle._negative_mask(signs, values.shape[0])
+        rng = as_generator(random_state)
+        self._add_runs(values, counts, rng, negative)
+        self._n_users += int(counts.sum())
+        return self
+
+    def _add_runs(
+        self,
+        values: np.ndarray,
+        counts: np.ndarray,
+        rng: np.random.Generator,
+        negative: Optional[np.ndarray] = None,
+    ) -> None:
+        users_negative = None if negative is None else np.repeat(negative, counts)
+        reports = self._oracle._encode(np.repeat(values, counts), users_negative, rng)
+        self._fold(reports.payload["indices"], reports.payload["values"])
+
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         # HRR couples the sampled index with the user's item, so there is no
-        # per-item closed form; expand the counts and run the exact batched
-        # protocol (the same trick as ``simulate_aggregate``).
-        values = np.repeat(np.arange(self._oracle.domain_size, dtype=np.int64), counts)
-        reports = self._oracle.encode_batch(values, rng)
-        self._add_reports(reports)
+        # per-item closed form; the counts are runs of items 0..D-1, and the
+        # exact batched protocol runs on their expansion.
+        self._add_runs(
+            np.arange(self._oracle.domain_size, dtype=np.int64), counts, rng
+        )
 
     def _merge_statistic(self, other: "HadamardAccumulator") -> None:
         self._sums += other._sums
@@ -76,17 +137,44 @@ class HadamardAccumulator(OracleAccumulator):
     def _load_statistic_arrays(self, arrays: dict) -> None:
         self._sums = arrays["sums"]
 
+    def _coefficient_estimates(self) -> np.ndarray:
+        # Each coefficient was sampled with probability 1/D', so the sum over
+        # the users that picked index j estimates N/D' * (2p-1) * C_j.
+        oracle = self._oracle
+        return self._sums * oracle.padded_size / (self._n_users * oracle.unbiasing_factor)
+
     def estimate(self) -> np.ndarray:
         oracle = self._oracle
         if self._n_users == 0:
             return np.zeros(oracle.domain_size)
-        # Each coefficient was sampled with probability 1/D', so the sum over
-        # the users that picked index j estimates N/D' * (2p-1) * C_j.
-        coefficient_estimates = (
-            self._sums * oracle.padded_size / (self._n_users * oracle.unbiasing_factor)
-        )
-        estimates = inverse_fast_walsh_hadamard_transform(coefficient_estimates)
+        estimates = inverse_fast_walsh_hadamard_transform(self._coefficient_estimates())
         return estimates[: oracle.domain_size]
+
+
+def dyadic_estimates(accumulators: Sequence[HadamardAccumulator]) -> np.ndarray:
+    """Decode a stack of HRR accumulators in the dyadic (Haar) layout.
+
+    ``accumulators`` must have domain sizes ``D/2, D/4, ..., 1`` (powers of
+    two, so no padding).  Returns a length-``D`` vector whose block
+    ``[s, 2s)`` holds the estimates of the accumulator of size ``s`` —
+    bit-identical to its :meth:`~HadamardAccumulator.estimate` — and whose
+    index ``0`` is ``0``.  All blocks are inverted together by
+    :func:`~repro.transforms.hadamard.dyadic_fast_walsh_hadamard_transform`,
+    i.e. one butterfly pass per stage instead of one transform per level.
+    """
+    size = 2 * accumulators[0].oracle.domain_size
+    blocks = [size >> level for level in range(1, len(accumulators) + 1)]
+    domains = [accumulator.oracle.domain_size for accumulator in accumulators]
+    if blocks[-1] != 1 or domains != blocks:
+        raise ConfigurationError(f"dyadic decoding needs domain sizes {blocks}, got {domains}")
+    coefficient_estimates = np.zeros(size, dtype=np.float64)
+    for block, accumulator in zip(blocks, accumulators):
+        if accumulator.n_users:
+            coefficient_estimates[block : 2 * block] = accumulator._coefficient_estimates()
+    estimates = dyadic_fast_walsh_hadamard_transform(coefficient_estimates)
+    for block in blocks:
+        estimates[block : 2 * block] /= float(block)
+    return estimates
 
 
 def _next_power_of_two(value: int) -> int:
@@ -148,7 +236,7 @@ class HadamardRandomizedResponse(FrequencyOracle):
             raise InvalidQueryError(f"sign must be -1 or +1, got {sign!r}")
         rng = as_generator(random_state)
         index = int(rng.integers(0, self._padded_size))
-        coefficient = sign * int(hadamard_entries(np.array([value]), np.array([index]))[0])
+        coefficient = sign * hadamard_entry(value, index)
         if rng.random() >= self._keep_probability:
             coefficient = -coefficient
         return {"index": index, "value": coefficient}
@@ -160,22 +248,38 @@ class HadamardRandomizedResponse(FrequencyOracle):
         signs: Optional[np.ndarray] = None,
     ) -> OracleReports:
         values = self._check_values(values)
-        rng = as_generator(random_state)
+        negative = None if signs is None else self._negative_mask(signs, values.shape[0])
+        return self._encode(values, negative, as_generator(random_state))
+
+    @staticmethod
+    def _negative_mask(signs: np.ndarray, n_users: int) -> np.ndarray:
+        signs = np.asarray(signs, dtype=np.int64)
+        if signs.shape != (n_users,):
+            raise InvalidQueryError("signs must have one entry per user")
+        if not np.all(np.abs(signs) == 1):
+            raise InvalidQueryError("signs must be -1 or +1")
+        return signs < 0
+
+    def _encode(
+        self,
+        values: np.ndarray,
+        negative: Optional[np.ndarray],
+        rng: np.random.Generator,
+    ) -> OracleReports:
+        """The batched protocol on validated int64 ``values``.
+
+        ``negative`` marks users whose input is ``-e_v``.  The entry's
+        parity, the sign and the randomized-response flip are combined as
+        bits (``^=``, one byte per user) and turned into ``+-1`` once.
+        """
         n_users = values.shape[0]
-        if signs is None:
-            signs = np.ones(n_users, dtype=np.int64)
-        else:
-            signs = np.asarray(signs, dtype=np.int64)
-            if signs.shape != (n_users,):
-                raise InvalidQueryError("signs must have one entry per user")
-            if signs.size and not np.all(np.isin(signs, (-1, 1))):
-                raise InvalidQueryError("signs must be -1 or +1")
         indices = rng.integers(0, self._padded_size, size=n_users)
-        coefficients = signs * hadamard_entries(values, indices)
-        flip = rng.random(n_users) >= self._keep_probability
-        coefficients = np.where(flip, -coefficients, coefficients)
+        parities = hadamard_parities(values, indices)
+        if negative is not None:
+            parities ^= negative
+        parities ^= rng.random(n_users) >= self._keep_probability
         return OracleReports(
-            payload={"indices": indices.astype(np.int64), "values": coefficients.astype(np.int64)},
+            payload={"indices": indices, "values": entries_from_parities(parities)},
             n_users=n_users,
         )
 
@@ -202,9 +306,11 @@ class HadamardRandomizedResponse(FrequencyOracle):
 
         HRR reports couple the sampled index with the user's item, so there
         is no per-item closed-form aggregate to sample from; instead the
-        users' items are expanded from the counts (``O(N)`` memory) and the
-        exact batched protocol is run.  This is still dramatically faster
-        than Python-level per-user loops and is exact, not approximate.
+        counts are taken as runs of the items ``0..D-1`` and expanded to one
+        item per user (``O(N)`` memory, see
+        :meth:`HadamardAccumulator.add_runs`), and the exact batched protocol
+        runs on the expansion: a constant number of ``O(N)`` NumPy passes,
+        the random draws among them.  Exact, not approximate.
         """
         return self.accumulator().add_counts(true_counts, random_state).estimate()
 

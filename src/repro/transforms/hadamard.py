@@ -13,11 +13,16 @@ where ``<i, j>`` counts the positions on which the binary representations of
 Two access patterns are needed:
 
 * *users* need a single entry ``phi[v][j]`` — provided in vectorised form by
-  :func:`hadamard_entries` using a popcount, O(1) per user and O(N) for a
-  whole population without materialising any matrix;
+  :func:`hadamard_entries` (and, as parity bits, :func:`hadamard_parities`):
+  one ``np.bitwise_count`` pass over ``v & j``, so a population of ``N``
+  users costs a constant number of O(N) NumPy passes, independent of
+  ``D``, without materialising any matrix;
 * the *aggregator* needs to invert the transform over the whole domain —
-  provided by the in-place butterfly :func:`fast_walsh_hadamard_transform`
-  in ``O(D log D)``.
+  provided by the constant-geometry butterfly
+  :func:`fast_walsh_hadamard_transform` in ``O(D log D)`` (two NumPy calls
+  per stage), and for the Haar mechanism's stack of per-level transforms by
+  :func:`dyadic_fast_walsh_hadamard_transform`, which runs every level's
+  stage ``s`` in the same two calls.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ __all__ = [
     "hadamard_matrix",
     "hadamard_entry",
     "hadamard_entries",
+    "hadamard_parities",
+    "entries_from_parities",
     "fast_walsh_hadamard_transform",
+    "dyadic_fast_walsh_hadamard_transform",
     "inverse_fast_walsh_hadamard_transform",
 ]
 
@@ -78,16 +86,6 @@ def hadamard_matrix(size: int, normalized: bool = False) -> np.ndarray:
     return matrix
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    """Vectorised popcount for unsigned 64-bit integers."""
-    values = values.astype(np.uint64, copy=True)
-    count = np.zeros(values.shape, dtype=np.uint64)
-    while np.any(values):
-        count += values & np.uint64(1)
-        values >>= np.uint64(1)
-    return count
-
-
 def hadamard_entry(row: int, col: int) -> int:
     """Return the (unnormalised) Hadamard matrix entry ``phi[row][col]``.
 
@@ -99,41 +97,120 @@ def hadamard_entry(row: int, col: int) -> int:
     return 1 if bin(row & col).count("1") % 2 == 0 else -1
 
 
+def hadamard_parities(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Parity of ``<rows[i], cols[i]>`` as ``uint8`` bits (``1`` where the
+    entry ``phi[rows[i]][cols[i]]`` is ``-1``).
+
+    One popcount pass (``np.bitwise_count``) over ``rows & cols``.  Parity
+    bits let callers fold further sign flips in with ``^=`` on one byte per
+    user before converting once with :func:`entries_from_parities`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if (rows.size and rows.min() < 0) or (cols.size and cols.min() < 0):
+        raise InvalidDomainError("Hadamard indices must be non-negative")
+    parities = np.bitwise_count(rows & cols)
+    parities &= 1
+    return parities
+
+
+def entries_from_parities(parities: np.ndarray) -> np.ndarray:
+    """Map parity bits ``0`` / ``1`` to the int64 entries ``+1`` / ``-1``."""
+    entries = parities.astype(np.int64)
+    entries *= -2
+    entries += 1
+    return entries
+
+
 def hadamard_entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Vectorised :func:`hadamard_entry` for arrays of indices.
 
-    Used by the HRR oracle to evaluate one coefficient per user in a single
-    NumPy pass: ``phi[rows[i]][cols[i]]`` for every ``i``.
+    Evaluates ``phi[rows[i]][cols[i]]`` for every ``i`` in a constant
+    number of NumPy passes (see :func:`hadamard_parities`).
     """
-    rows = np.asarray(rows, dtype=np.uint64)
-    cols = np.asarray(cols, dtype=np.uint64)
-    if np.any(rows.astype(np.int64) < 0) or np.any(cols.astype(np.int64) < 0):
-        raise InvalidDomainError("Hadamard indices must be non-negative")
-    parity = _popcount(rows & cols) & np.uint64(1)
-    return np.where(parity == 0, 1, -1).astype(np.int64)
+    return entries_from_parities(hadamard_parities(rows, cols))
 
 
 def fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
     """Unnormalised fast Walsh–Hadamard transform.
 
     Computes ``H @ vector`` where ``H`` is the ``+-1`` Hadamard matrix, in
-    ``O(D log D)`` time using the standard butterfly.  The input is not
-    modified; a float64 copy is returned.
+    ``O(D log D)`` time.  The input is not modified; a float64 copy is
+    returned.
+
+    Each of the ``log2 D`` stages is the constant-geometry butterfly
+    ``[x[0::2] + x[1::2], x[0::2] - x[1::2]]`` written into a second buffer:
+    stage ``s`` combines the same pairs (indices differing in bit ``s``),
+    with the same operands in the same order, as the textbook in-place
+    butterfly of stride ``2^s`` — so the result is bit-identical to it — but
+    needs two NumPy calls per stage and no temporaries.
     """
     data = np.array(vector, dtype=np.float64, copy=True)
     if data.ndim != 1:
         raise InvalidDomainError("expected a one-dimensional vector")
     size = _require_power_of_two(data.shape[0])
-    step = 1
-    while step < size:
-        reshaped = data.reshape(-1, 2 * step)
-        left = reshaped[:, :step].copy()
-        right = reshaped[:, step:].copy()
-        reshaped[:, :step] = left + right
-        reshaped[:, step:] = left - right
-        data = reshaped.reshape(-1)
-        step *= 2
+    half = size // 2
+    other = np.empty_like(data)
+    for _ in range(size.bit_length() - 1):
+        np.add(data[0::2], data[1::2], out=other[:half])
+        np.subtract(data[0::2], data[1::2], out=other[half:])
+        data, other = other, data
     return data
+
+
+def dyadic_fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
+    """Transform every dyadic block ``[2^k, 2^(k+1))`` of ``vector`` at once.
+
+    Returns a float64 copy of the length-``D`` (power of two) input in
+    which each block ``[s, 2s)`` for ``s = 1, 2, ..., D/2`` is replaced by
+    :func:`fast_walsh_hadamard_transform` of that block, bit for bit;
+    index ``0`` is copied unchanged.  This is the Haar coefficient layout,
+    one block per level.
+
+    Instead of ``log2 D`` separate transforms (``~log2^2(D)/2`` stages in
+    all) it runs ``log2 D - 1`` stages, each over every block that is not
+    yet finished.  After ``k`` stages, a block of size ``s`` consists of
+    ``2^k`` contiguous segments of length ``s / 2^k``; the active blocks are
+    kept as a matrix whose row ``r`` is the concatenation of every active
+    block's segment ``r``, smallest block first.  A stage is the
+    constant-geometry butterfly on each row (sums to the top half of the
+    rows, differences to the bottom half), after which the smallest block
+    has segments of length one: column ``0``, read top to bottom, is its
+    transform in natural order.  Rows start few and long and end many and
+    short, so once there are at least as many rows as columns the matrix
+    is transposed once to keep the long axis innermost.
+    """
+    data = np.asarray(vector, dtype=np.float64)
+    if data.ndim != 1:
+        raise InvalidDomainError("expected a one-dimensional vector")
+    size = _require_power_of_two(data.shape[0])
+    out = np.empty(size, dtype=np.float64)
+    out[: min(size, 2)] = data[: min(size, 2)]
+    buffers = (np.empty(size, dtype=np.float64), np.empty(size, dtype=np.float64))
+    rows = data[2:].reshape(1, -1)
+    n_rows, block = 1, 2
+    while rows.shape[1] > n_rows:
+        half = rows.shape[1] // 2
+        stage = buffers[0][: rows.size].reshape(2 * n_rows, half)
+        np.add(rows[:, 0::2], rows[:, 1::2], out=stage[:n_rows])
+        np.subtract(rows[:, 0::2], rows[:, 1::2], out=stage[n_rows:])
+        buffers = buffers[::-1]
+        n_rows *= 2
+        out[block : 2 * block] = stage[:, 0]
+        block *= 2
+        rows = stage[:, 1:]
+    columns = rows.T.copy()
+    while columns.shape[0]:
+        half = columns.shape[0] // 2
+        stage = buffers[0][: columns.size].reshape(half, 2 * n_rows)
+        np.add(columns[0::2], columns[1::2], out=stage[:, :n_rows])
+        np.subtract(columns[0::2], columns[1::2], out=stage[:, n_rows:])
+        buffers = buffers[::-1]
+        n_rows *= 2
+        out[block : 2 * block] = stage[0]
+        block *= 2
+        columns = stage[1:]
+    return out
 
 
 def inverse_fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:

@@ -107,3 +107,101 @@ class TestAggregation:
         n_users = int(counts.sum())
         samples = np.array([oracle.simulate_aggregate(counts, rng)[0] for _ in range(300)])
         assert samples.var() == pytest.approx(oracle.theoretical_variance(n_users), rel=0.35)
+
+
+class TestReportValidation:
+    """``add`` rejects malformed reports with a typed error and leaves the
+    accumulator exactly as it was."""
+
+    @staticmethod
+    def _loaded_accumulator(rng):
+        oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=6)
+        accumulator = oracle.accumulator()
+        accumulator.add(oracle.encode_batch(rng.integers(0, 6, 100), rng))
+        return accumulator
+
+    @staticmethod
+    def _reports(indices, values):
+        from repro.frequency_oracles.base import OracleReports
+
+        return OracleReports(
+            payload={"indices": np.asarray(indices), "values": np.asarray(values)},
+            n_users=len(indices),
+        )
+
+    def _assert_rejected(self, rng, indices, values):
+        accumulator = self._loaded_accumulator(rng)
+        sums = accumulator.state_dict()["sums"]
+        with pytest.raises(InvalidQueryError):
+            accumulator.add(self._reports(indices, values))
+        np.testing.assert_array_equal(accumulator.state_dict()["sums"], sums)
+        assert accumulator.n_users == 100
+
+    def test_negative_index(self, rng):
+        self._assert_rejected(rng, [0, -1], [1, 1])
+
+    def test_index_equal_to_padded_size(self, rng):
+        # domain 6 pads to 8: index 8 is one past the last coefficient.
+        self._assert_rejected(rng, [0, 8], [1, -1])
+
+    def test_value_outside_plus_minus_one(self, rng):
+        self._assert_rejected(rng, [0, 1], [1, 7])
+
+    def test_zero_value(self, rng):
+        self._assert_rejected(rng, [0, 1], [0, 1])
+
+    def test_fractional_index(self, rng):
+        self._assert_rejected(rng, [0.0, 2.5], [1, 1])
+
+    def test_non_finite_index(self, rng):
+        self._assert_rejected(rng, [0.0, np.nan], [1, 1])
+
+    def test_mismatched_lengths(self, rng):
+        from repro.frequency_oracles.base import OracleReports
+
+        accumulator = self._loaded_accumulator(rng)
+        reports = OracleReports(payload={"indices": [0, 1, 2], "values": [1, 1]}, n_users=2)
+        with pytest.raises(InvalidQueryError):
+            accumulator.add(reports)
+        assert accumulator.n_users == 100
+
+    def test_valid_float_reports_are_accepted(self, rng):
+        # JSON-decoded reports may arrive as floats; integral ones are fine.
+        accumulator = self._loaded_accumulator(rng)
+        before = accumulator.state_dict()["sums"]
+        accumulator.add(self._reports([3.0, 7.0], [1.0, -1.0]))
+        expected = before.copy()
+        expected[3] += 1
+        expected[7] -= 1
+        np.testing.assert_array_equal(accumulator.state_dict()["sums"], expected)
+        assert accumulator.n_users == 102
+
+
+class TestRunExpansion:
+    def test_runs_match_expanded_encode_batch(self):
+        oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=16)
+        values = np.array([0, 3, 3, 9])
+        counts = np.array([5, 0, 7, 2])
+        signs = np.array([1, -1, -1, 1])
+        via_runs = oracle.accumulator().add_runs(values, counts, 11, signs=signs)
+        reports = oracle.encode_batch(
+            np.repeat(values, counts), 11, signs=np.repeat(signs, counts)
+        )
+        via_batch = oracle.accumulator().add(reports)
+        np.testing.assert_array_equal(via_runs.estimate(), via_batch.estimate())
+        assert via_runs.n_users == via_batch.n_users == 14
+
+    @pytest.mark.parametrize(
+        "values, counts, signs",
+        [
+            ([0, 16], [1, 1], None),
+            ([0, 1], [1, -1], None),
+            ([0, 1], [1], None),
+            ([0, 1], [1, 1], [1, 0]),
+        ],
+    )
+    def test_invalid_runs_are_rejected(self, values, counts, signs):
+        accumulator = HadamardRandomizedResponse(epsilon=1.0, domain_size=16).accumulator()
+        with pytest.raises(InvalidQueryError):
+            accumulator.add_runs(np.array(values), np.array(counts), 0, signs=signs)
+        assert accumulator.n_users == 0
