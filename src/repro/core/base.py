@@ -39,7 +39,7 @@ that mutates their sufficient statistics without refreshing.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -198,6 +198,77 @@ class RangeQueryMechanism(abc.ABC):
     def answer_cache_stats(self) -> dict:
         """Hit/miss/eviction counters and size/bound of the answer cache."""
         return self._answer_cache.stats()
+
+    def _cached(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The one answer-cache hook of every read surface.
+
+        Returns the answer cached under ``key`` at the current ingest
+        generation, or computes it with ``compute()`` and stores it.
+        Callers run :meth:`_require_fitted` first, which settles the
+        generation.
+        """
+        generation = self._ingest_generation
+        value = self._answer_cache.get(generation, key)
+        if value is MISS:
+            value = compute()
+            self._answer_cache.put(generation, key, value)
+        return value
+
+    @staticmethod
+    def _batch_key(surface: str, queries: np.ndarray) -> tuple:
+        """Canonical cache key of one batch of a batched surface: the
+        surface name, the row count and the ``int64`` query bytes."""
+        return (surface, queries.shape[0], queries.tobytes())
+
+    def _answer_batch(
+        self,
+        surface: str,
+        queries: np.ndarray,
+        compute: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Template of the batched surfaces (``answer_ranges``,
+        ``answer_boxes``): the cached answer of this exact batch, or
+        ``compute(queries)`` stored under the batch's canonical key."""
+        return self._cached(self._batch_key(surface, queries), lambda: compute(queries))
+
+    def answer_requests(
+        self, surface: str, requests: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """Answer several requests of one batched surface with at most one
+        batched call, caching per request.
+
+        ``surface`` names a batched surface (``"answer_ranges"`` or
+        ``"answer_boxes"``) and each request is an ``int64`` query array
+        for it.  Every request is looked up under its own canonical key;
+        only the misses are stacked into a single ``surface`` call, and
+        each miss's slice of the stacked answers is stored under its own
+        key.  The stacked batch itself is neither looked up nor stored —
+        it will not be asked again.  Because the batched surfaces answer
+        every row independently, the result is bit-identical to calling
+        ``surface`` once per request.  Used by
+        :class:`repro.service.QueryCoalescer`.
+        """
+        self._require_fitted()
+        generation = self._ingest_generation
+        keys = [self._batch_key(surface, queries) for queries in requests]
+        answers = [self._answer_cache.get(generation, key) for key in keys]
+        missing = [index for index, answer in enumerate(answers) if answer is MISS]
+        if not missing:
+            return answers
+        cache, self._answer_cache = self._answer_cache, AnswerCache(maxsize=0)
+        try:
+            stacked = getattr(self, surface)(
+                np.concatenate([requests[index] for index in missing])
+            )
+        finally:
+            self._answer_cache = cache
+        offset = 0
+        for index in missing:
+            count = int(requests[index].shape[0])
+            answers[index] = stacked[offset : offset + count]
+            cache.put(generation, keys[index], answers[index])
+            offset += count
+        return answers
 
     # ------------------------------------------------------------------
     # Collection phase
@@ -500,29 +571,47 @@ class RangeQueryMechanism(abc.ABC):
         """Estimated fraction of users whose item lies in ``[start, end]``."""
         self._require_fitted()
         start, end = self._check_range(start, end)
-        key = ("range", start, end)
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        value = float(self._answer_range(start, end))
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        return self._cached(
+            ("range", start, end), lambda: float(self._answer_range(start, end))
+        )
 
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`answer_range` over an ``(n, 2)`` query array."""
+        return self._answer_batch(
+            "answer_ranges", self._range_batch(queries), self._answer_range_rows
+        )
+
+    def _range_batch(self, queries: np.ndarray) -> np.ndarray:
+        """Read gate of ``answer_ranges``: fitted check plus the ``(n, 2)``
+        shape check; returns the queries as ``int64``."""
         self._require_fitted()
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim != 2 or queries.shape[1] != 2:
             raise InvalidQueryError("queries must be an (n, 2) array")
-        key = ("ranges", queries.shape[0], queries.tobytes())
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        value = np.array(
+        return queries
+
+    def _answer_range_rows(self, queries: np.ndarray) -> np.ndarray:
+        """Answer a range batch one query at a time — the generic path, and
+        the precise-error path of the vectorised overrides."""
+        return np.array(
             [self._answer_range(*self._check_range(int(a), int(b))) for a, b in queries]
         )
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+
+    def _ranges_in_domain(self, queries: np.ndarray) -> bool:
+        """Whether every row of an ``(n, 2)`` batch is a valid range."""
+        return not queries.size or not (
+            queries.min() < 0
+            or queries[:, 1].max() >= self._domain_size
+            or np.any(queries[:, 0] > queries[:, 1])
+        )
+
+    def _prefix_ranges(self, queries: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+        """Range answers as differences of one prefix-sum array (O(1) per
+        query); a batch with an invalid row takes the per-query path for
+        its precise error."""
+        if not self._ranges_in_domain(queries):
+            return self._answer_range_rows(queries)
+        return prefix[queries[:, 1] + 1] - prefix[queries[:, 0]]
 
     def answer_workload(self, workload: RangeWorkload) -> np.ndarray:
         """Answer every query of a :class:`~repro.data.workloads.RangeWorkload`."""
@@ -578,12 +667,7 @@ class RangeQueryMechanism(abc.ABC):
             # Unkeyable targets bypass the cache; estimate_quantiles owns
             # the precise validation error.
             return estimate_quantiles(self, phis)
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return list(cached)
-        value = estimate_quantiles(self, phis)
-        self._answer_cache.put(self._ingest_generation, key, tuple(value))
-        return value
+        return list(self._cached(key, lambda: tuple(estimate_quantiles(self, phis))))
 
     @abc.abstractmethod
     def _answer_range(self, start: int, end: int) -> float:

@@ -16,8 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.cache import MISS
-from repro.exceptions import InvalidQueryError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 
@@ -152,24 +150,11 @@ class FlatMechanism(RangeQueryMechanism):
 
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised evaluation via prefix sums (O(1) per query)."""
-        self._require_fitted()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise InvalidQueryError("queries must be an (n, 2) array")
-        if queries.size and (
-            queries.min() < 0
-            or queries[:, 1].max() >= self._domain_size
-            or np.any(queries[:, 0] > queries[:, 1])
-        ):
-            # Fall back to the base implementation for its precise errors.
-            return super().answer_ranges(queries)
-        key = ("ranges", queries.shape[0], queries.tobytes())
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        value = self._prefix[queries[:, 1] + 1] - self._prefix[queries[:, 0]]
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        return self._answer_batch(
+            "answer_ranges",
+            self._range_batch(queries),
+            lambda batch: self._prefix_ranges(batch, self._prefix),
+        )
 
     def per_query_variance(self, range_length: int) -> float:
         """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1)."""

@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.cache import MISS
-from repro.exceptions import ConfigurationError, InvalidQueryError
+from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
@@ -379,28 +378,16 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         the tree once per level for the whole workload instead of once per
         query.
         """
-        self._require_fitted()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise InvalidQueryError("queries must be an (n, 2) array")
-        if queries.size and (
-            queries.min() < 0
-            or queries[:, 1].max() >= self._domain_size
-            or np.any(queries[:, 0] > queries[:, 1])
-        ):
-            # Fall back to the base implementation for its precise errors.
-            return super().answer_ranges(queries)
-        key = ("ranges", queries.shape[0], queries.tobytes())
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        if not self._consistency:
-            value = batched_range_sums(self._tree, self._level_prefix, queries)
-        else:
-            leaf_prefix = self._level_prefix[self._tree.height]
-            value = leaf_prefix[queries[:, 1] + 1] - leaf_prefix[queries[:, 0]]
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        return self._answer_batch(
+            "answer_ranges", self._range_batch(queries), self._batched_ranges
+        )
+
+    def _batched_ranges(self, queries: np.ndarray) -> np.ndarray:
+        if self._consistency:
+            return self._prefix_ranges(queries, self._level_prefix[self._tree.height])
+        if not self._ranges_in_domain(queries):
+            return self._answer_range_rows(queries)
+        return batched_range_sums(self._tree, self._level_prefix, queries)
 
     def estimate_frequencies(self) -> np.ndarray:
         """Leaf-level estimates restricted to the original domain."""

@@ -43,12 +43,12 @@ with bit-identical answers, names, persist signatures and snapshot layout.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.cache import MISS
 from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
@@ -74,6 +74,11 @@ LevelPair = Tuple[int, int]
 #: Largest flattened domain the row-major item encoding can address without
 #: risking int64 overflow in the flatten / unflatten arithmetic.
 _MAX_FLAT_DOMAIN = 1 << 62
+
+#: Gathered prefix-sum entries per chunk of ``answer_boxes``: a batch is
+#: answered in chunks of ``max(1, _GATHER_ENTRIES // (h^d 4^d))`` queries,
+#: which bounds the gather's index and value temporaries (~0.5 MB each).
+_GATHER_ENTRIES = 1 << 16
 
 
 def validate_points(points: np.ndarray, dims: int, side: int) -> np.ndarray:
@@ -186,6 +191,31 @@ class HierarchicalGridND(RangeQueryMechanism):
         self._accumulators: Optional[Dict[LevelTuple, OracleAccumulator]] = None
         self._tuple_user_counts: Optional[np.ndarray] = None
         self._estimates: Optional[Dict[LevelTuple, np.ndarray]] = None
+        self._init_prefix_layout()
+
+    def _init_prefix_layout(self) -> None:
+        """Where each level tuple's prefix-sum grid lives in one flat buffer.
+
+        Tuple ``t``'s grid of shape ``(n_1 + 1, ..., n_d + 1)`` occupies
+        ``[offset[t], offset[t] + size)`` row-major, so its entry at
+        ``(i_1, ..., i_d)`` is ``flat[offset[t] + sum(i_a * stride[t, a])]``
+        — the addressing :meth:`answer_boxes` gathers with.
+        """
+        shapes = [
+            tuple(self._tree.nodes_at_level(level) + 1 for level in levels)
+            for levels in self._tuples
+        ]
+        sizes = [math.prod(shape) for shape in shapes]
+        self._prefix_shapes = shapes
+        self._prefix_offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self._prefix_strides = np.array(
+            [[math.prod(shape[axis + 1 :]) for axis in range(self._dims)] for shape in shapes],
+            dtype=np.int64,
+        )
+        self._prefix_size = sum(sizes)
+        # Row of each tuple's per-axis level in a batched_axis_runs array.
+        self._tuple_level_rows = np.array(self._tuples, dtype=np.int64) - 1
+        self._prefix_flat: Optional[np.ndarray] = None
         self._tuple_prefix: Optional[Dict[LevelTuple, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -488,6 +518,7 @@ class HierarchicalGridND(RangeQueryMechanism):
             self._accumulators = None
             self._tuple_user_counts = None
             self._estimates = None
+            self._prefix_flat = None
             self._tuple_prefix = None
             self._mark_clean()
         self._n_users = n_users
@@ -496,19 +527,23 @@ class HierarchicalGridND(RangeQueryMechanism):
     def _refresh_estimates(self) -> None:
         estimates: Dict[LevelTuple, np.ndarray] = {}
         prefixes: Dict[LevelTuple, np.ndarray] = {}
-        for levels in self._tuples:
-            shape = tuple(self._tree.nodes_at_level(level) for level in levels)
+        flat = np.zeros(self._prefix_size, dtype=np.float64)
+        for levels, offset, shape in zip(
+            self._tuples, self._prefix_offsets, self._prefix_shapes
+        ):
             grid = np.asarray(
                 self._accumulators[levels].estimate(), dtype=np.float64
-            ).reshape(shape)
+            ).reshape(tuple(n - 1 for n in shape))
             estimates[levels] = grid
-            prefix = np.zeros(tuple(n + 1 for n in shape))
+            # Each tuple's prefix grid is a view into the flat buffer.
+            prefix = flat[offset : offset + math.prod(shape)].reshape(shape)
             inner = np.cumsum(grid, axis=0)
             for axis in range(1, self._dims):
                 inner = np.cumsum(inner, axis=axis)
             prefix[(slice(1, None),) * self._dims] = inner
             prefixes[levels] = prefix
         self._estimates = estimates
+        self._prefix_flat = flat
         self._tuple_prefix = prefixes
 
     # ------------------------------------------------------------------
@@ -531,23 +566,21 @@ class HierarchicalGridND(RangeQueryMechanism):
             # Unkeyable bounds bypass the cache; the decomposition owns
             # the precise validation error.
             return self._sum_runs(decompose_box_to_runs(self._tree, ranges))
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        value = self._sum_runs(decompose_box_to_runs(self._tree, ranges))
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        return self._cached(
+            key, lambda: self._sum_runs(decompose_box_to_runs(self._tree, ranges))
+        )
 
     def answer_boxes(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`answer_box` over ``(n, 2d)`` rows holding the
         per-axis inclusive bounds ``(a_1, b_1, ..., a_d, b_d)``.
 
         All queries are decomposed together per axis
-        (:func:`~repro.hierarchy.decomposition.batched_axis_runs`); each
-        level tuple then contributes through fancy-indexed ``2^d``-corner
-        inclusion–exclusion gathers from its d-dimensional prefix-sum grid,
-        so a workload of ``n`` boxes costs ``O(h^d)`` numpy passes over
-        length-``n`` arrays instead of ``n`` Python-level run products.
+        (:func:`~repro.hierarchy.decomposition.batched_axis_runs`, two run
+        slots per level), and every inclusion–exclusion corner of every
+        (level tuple, slot combination) is then fetched from the flat
+        prefix-sum buffer with one gather per chunk of queries, so a batch
+        costs a fixed handful of numpy passes instead of ``O(h^d 4^d)``
+        small fancy-index calls or ``n`` Python-level run products.
         """
         self._require_fitted()
         queries = np.asarray(queries, dtype=np.int64)
@@ -558,10 +591,18 @@ class HierarchicalGridND(RangeQueryMechanism):
             )
         if queries.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
-        key = ("boxes", queries.shape[0], queries.tobytes())
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
+        return self._answer_batch("answer_boxes", queries, self._gather_boxes)
+
+    def _gather_boxes(self, queries: np.ndarray) -> np.ndarray:
+        """Uncached body of :meth:`answer_boxes` for a non-empty batch.
+
+        Per query the answer is the sum, in level-tuple order and within
+        it ``itertools.product`` slot-combination order, of one ``2^d``
+        corner inclusion–exclusion per combination (``A - B - C + D`` for
+        ``d = 2``, corners in ascending bit order), starting from ``0.0``.
+        That fixed evaluation order is what keeps answers bit-identical
+        across chunkings and coalesced batches, and what the goldens pin.
+        """
         starts = queries[:, 0::2]
         ends = queries[:, 1::2]
         if (
@@ -581,31 +622,46 @@ class HierarchicalGridND(RangeQueryMechanism):
                     for row in queries
                 ]
             )
+        dims = self._dims
+        n_tuples = len(self._tuples)
+        corners = 1 << dims
         axis_runs = [
             batched_axis_runs(self._tree, queries[:, 2 * axis], queries[:, 2 * axis + 1])
-            for axis in range(self._dims)
+            for axis in range(dims)
         ]
-        answers = np.zeros(queries.shape[0], dtype=np.float64)
-        for levels in self._tuples:
-            prefix = self._tuple_prefix[levels]
-            slot_lists = [axis_runs[axis][levels[axis]] for axis in range(self._dims)]
-            for combo in itertools.product(*slot_lists):
-                # combo[axis] = (first, last_exclusive) index arrays; empty
-                # run slots (first == last) cancel to exactly 0.  Corner
-                # order and float evaluation order match the historical 2-D
-                # expression A - B - C + D, so d = 2 stays bit-identical.
-                value = prefix[tuple(slot[1] for slot in combo)]
-                for corner in range(1, 1 << self._dims):
-                    index = tuple(
-                        combo[axis][0] if (corner >> axis) & 1 else combo[axis][1]
-                        for axis in range(self._dims)
-                    )
-                    if bin(corner).count("1") % 2:
-                        value = value - prefix[index]
-                    else:
-                        value = value + prefix[index]
-                answers += value
-        self._answer_cache.put(self._ingest_generation, key, answers)
+        # Index dims: (tuple, slot_1..slot_d, bit_d..bit_1, query).  Slots
+        # enumerate like itertools.product (first axis slowest); corner
+        # ``c`` takes axis ``a``'s run start when bit ``a`` of ``c`` is set
+        # and its exclusive end otherwise, hence the reversed bound axis.
+        layouts = []
+        for axis in range(dims):
+            layout = [n_tuples] + [1] * (2 * dims)
+            layout[1 + axis] = 2
+            layout[2 * dims - axis] = 2
+            layouts.append(tuple(layout))
+        offsets = self._prefix_offsets.reshape((n_tuples,) + (1,) * (2 * dims + 1))
+        answers = np.empty(queries.shape[0], dtype=np.float64)
+        chunk = max(1, _GATHER_ENTRIES // (n_tuples * corners * corners))
+        for low in range(0, queries.shape[0], chunk):
+            high = min(low + chunk, queries.shape[0])
+            index = offsets
+            for axis, runs in enumerate(axis_runs):
+                bounds = runs[self._tuple_level_rows[:, axis], :, ::-1, low:high]
+                bounds = bounds * self._prefix_strides[:, axis, None, None, None]
+                index = index + bounds.reshape(layouts[axis] + (high - low,))
+            values = self._prefix_flat[index].reshape(
+                n_tuples * corners, corners, high - low
+            )
+            terms = values[:, 0]
+            for corner in range(1, corners):
+                if bin(corner).count("1") % 2:
+                    terms = terms - values[:, corner]
+                else:
+                    terms = terms + values[:, corner]
+            # add.accumulate is a strictly sequential sum over (tuple,
+            # combo); adding it to 0.0 reproduces `answers = 0; answers +=
+            # term` exactly, signed zeros included.
+            answers[low:high] = 0.0 + np.add.accumulate(terms, axis=0)[-1]
         return answers
 
     def _sum_runs(self, axis_runs: Sequence[List[NodeRun]]) -> float:
@@ -773,15 +829,14 @@ class HierarchicalGrid2D(HierarchicalGridND):
         Both ranges are inclusive ``[start, end]`` pairs.
         """
         self._require_fitted()
-        key = ("rect", int(x_range[0]), int(x_range[1]), int(y_range[0]), int(y_range[1]))
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        x_runs = decompose_to_runs(self._tree, int(x_range[0]), int(x_range[1]))
-        y_runs = decompose_to_runs(self._tree, int(y_range[0]), int(y_range[1]))
-        value = self._sum_runs([x_runs, y_runs])
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        x0, x1 = int(x_range[0]), int(x_range[1])
+        y0, y1 = int(y_range[0]), int(y_range[1])
+        return self._cached(
+            ("rect", x0, x1, y0, y1),
+            lambda: self._sum_runs(
+                [decompose_to_runs(self._tree, x0, x1), decompose_to_runs(self._tree, y0, y1)]
+            ),
+        )
 
     def answer_rectangles(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`answer_rectangle` over ``(n, 4)`` rows

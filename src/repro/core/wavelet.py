@@ -31,8 +31,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.cache import MISS
-from repro.exceptions import ConfigurationError, InvalidQueryError
+from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.hadamard import (
     HadamardAccumulator,
     HadamardRandomizedResponse,
@@ -339,23 +338,11 @@ class HaarWaveletMechanism(RangeQueryMechanism):
 
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised evaluation via prefix sums (O(1) per query)."""
-        self._require_fitted()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise InvalidQueryError("queries must be an (n, 2) array")
-        if queries.size and (
-            queries.min() < 0
-            or queries[:, 1].max() >= self._domain_size
-            or np.any(queries[:, 0] > queries[:, 1])
-        ):
-            return super().answer_ranges(queries)
-        key = ("ranges", queries.shape[0], queries.tobytes())
-        cached = self._answer_cache.get(self._ingest_generation, key)
-        if cached is not MISS:
-            return cached
-        value = self._prefix[queries[:, 1] + 1] - self._prefix[queries[:, 0]]
-        self._answer_cache.put(self._ingest_generation, key, value)
-        return value
+        return self._answer_batch(
+            "answer_ranges",
+            self._range_batch(queries),
+            lambda batch: self._prefix_ranges(batch, self._prefix),
+        )
 
     def per_query_variance_bound(self) -> float:
         """Equation (3): ``log2^2(D) V_F / 2`` independent of the range."""

@@ -124,26 +124,32 @@ def batched_axis_runs(
     tree: DomainTree,
     starts: np.ndarray,
     ends: np.ndarray,
-) -> Dict[int, List[tuple]]:
+) -> np.ndarray:
     """Per-level node runs of many 1-D B-adic decompositions at once.
 
     Vectorised counterpart of grouping :func:`decompose_to_runs` output with
-    :func:`runs_per_level` for a whole workload.  For every tree level the
-    result holds a small fixed number of *run slots*; each slot is a pair of
-    integer arrays ``(first, last_exclusive)`` giving, per query, the
-    node-index bounds of one contiguous run at that level in prefix-sum
-    coordinates (``first == last_exclusive`` marks an empty run for that
-    query, which contributes zero through any prefix-difference evaluation).
+    :func:`runs_per_level` for a whole workload.  Returns an ``int64``
+    array of shape ``(h, 2, 2, n)``: ``runs[level - 1, slot]`` is the pair
+    ``(first, last_exclusive)`` of per-query node-index bounds, in
+    prefix-sum coordinates, of one contiguous run at that tree level
+    (``first == last_exclusive`` marks an empty run for that query, which
+    contributes zero through any prefix-difference evaluation).  Every
+    level has exactly two slots.
 
-    This is the single authoritative peeling schedule: one left and one
-    right peel per level (up to the next coarser alignment and down from
-    the last one), with queries that survive every level (the whole padded
-    domain, the implicit root) charged as the full level-1 run — the same
-    convention as :func:`decompose_to_runs`.  :func:`batched_range_sums`
+    This is the single authoritative peeling schedule: slot 0 holds the
+    left peel of a level (up to the next coarser alignment) and slot 1 the
+    right peel (down from the last one).  A query that survives every level
+    covers the whole padded domain — the implicit root — and is charged as
+    the full level-1 run, the same convention as :func:`decompose_to_runs`.
+    That run takes level-1 slot 1.  Slot 0 takes the survivor's right peel:
+    it is empty, but it sits at the far edge of the prefix grid, where a
+    d-dimensional inclusion–exclusion can leave a rounding residue, so it
+    stays ahead of the root run in every sum.  The survivor's left peel is
+    dropped: it is empty at the prefix origin and contributes exactly
+    ``+0.0`` in any dimension.  :func:`batched_range_sums`
     evaluates the slots as 1-D prefix differences, and
-    :meth:`repro.core.multidim.HierarchicalGrid2D.answer_rectangles`
-    combines *pairs* of axis decompositions into B-adic rectangle products
-    without a Python loop per query.
+    :meth:`repro.core.multidim.HierarchicalGridND.answer_boxes` combines
+    ``d`` axis decompositions into B-adic box products with one gather.
 
     Parameters
     ----------
@@ -157,25 +163,15 @@ def batched_axis_runs(
     ends = np.asarray(ends, dtype=np.int64)
     # The peel itself is a pure int64 computation and dispatches to the
     # active repro.kernels backend; every backend returns bit-identical
-    # bounds, this wrapper only reshapes them into the per-level dict.
+    # bounds, finest level first, which this wrapper views level-ascending.
     bounds, survivors = kernels.badic_axis_runs(
         starts, ends, tree.branching, tree.height
     )
-    runs: Dict[int, List[tuple]] = {}
-    for index, level in enumerate(range(tree.height, 0, -1)):
-        runs[level] = [
-            (bounds[index, 0], bounds[index, 1]),
-            (bounds[index, 2], bounds[index, 3]),
-        ]
-    # Only the full padded domain survives every level: charge the implicit
-    # root as the full level-1 run, exactly like decompose_to_runs.
+    runs = bounds[::-1].reshape(tree.height, 2, 2, starts.shape[0])
     if np.any(survivors):
-        runs[1].append(
-            (
-                np.zeros(starts.shape[0], dtype=np.int64),
-                np.where(survivors, tree.nodes_at_level(1), 0),
-            )
-        )
+        top = runs[0]
+        top[0] = np.where(survivors, top[1], top[0])
+        top[1, 0] = np.where(survivors, 0, top[1, 0])
     return runs
 
 
@@ -192,8 +188,8 @@ def batched_range_sums(
     arrays instead of ``n`` Python-level decompositions.
 
     The decomposition itself lives in :func:`batched_axis_runs` (the single
-    authoritative peel, shared with the 2-D rectangle path); this function
-    just evaluates each run slot as a prefix difference.
+    authoritative peel, shared with the box path); this function just
+    evaluates each run slot as a prefix difference.
 
     Parameters
     ----------
@@ -219,6 +215,6 @@ def batched_range_sums(
     runs = batched_axis_runs(tree, queries[:, 0], queries[:, 1])
     for level in range(tree.height, 0, -1):
         prefix = level_prefix[level]
-        for first, last in runs[level]:
+        for first, last in runs[level - 1]:
             answers += prefix[last] - prefix[first]
     return answers

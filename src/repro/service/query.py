@@ -1,27 +1,31 @@
 """Coalesced query execution for the read-serving tier.
 
-The batched answer paths (``answer_boxes``, ``answer_ranges``) are ~14x
-cheaper per query than the per-query loop because every query in a batch
-shares one run-decomposition pass per axis (PR 5).  HTTP traffic, though,
-arrives as many small concurrent requests — each carrying a handful of
-queries — and answering them one request at a time forfeits the batching
-win exactly where it matters most.
+The batched answer paths (``answer_boxes``, ``answer_ranges``) cost a
+fixed handful of numpy passes per batch — one run decomposition per axis
+and one gather — so their per-query cost falls steeply with batch size.
+HTTP traffic, though, arrives as many small concurrent requests — each
+carrying a handful of queries — and answering them one request at a time
+forfeits the batching win exactly where it matters most.
 
 :class:`QueryCoalescer` recovers it: concurrent in-flight queries against
-the *same* mechanism are micro-batched into a single batched call per
-event-loop drain.  Each caller awaits its own future; a flush callback —
-scheduled at most once per drain via ``loop.call_soon`` — concatenates
-every pending query array, issues one batched call per ``(mechanism,
-surface)`` group, and slices the stacked answers back to the waiters.
+the *same* mechanism are micro-batched per event-loop drain.  Each caller
+awaits its own future; a flush callback — scheduled at most once per drain
+via ``loop.call_soon`` — groups the pending requests per ``(mechanism,
+surface)`` and hands each group to
+:meth:`~repro.core.base.RangeQueryMechanism.answer_requests`.  That looks
+every request up in the answer cache under its own key (a hot panel that
+shares a drain with a fresh one is still a hit), answers only the misses
+with one stacked batched call, and caches each miss's slice under its own
+key.
 
-Coalescing is invisible in the results: the batched paths accumulate each
-answer row independently (element-wise ``answers += value`` per level
-tuple), so slicing a concatenated batch is bit-identical to answering each
-sub-batch — or each query — separately.  If a batched call fails, the
-flush falls back to answering each waiter individually so every caller
-receives the precise error its own queries earn (and correct answers are
-still delivered to the blameless waiters that were merely sharing the
-batch).
+Coalescing is invisible in the results: every answer row of a batched
+path is a function of that row's query alone — the same terms, summed in
+the same order, whatever else shares the batch — so slicing a stacked
+batch is bit-identical to answering each sub-batch, or each query,
+separately.  If a batched call fails, the flush falls back to answering
+each waiter individually so every caller receives the precise error its
+own queries earn (and correct answers are still delivered to the
+blameless waiters that were merely sharing the batch).
 """
 
 from __future__ import annotations
@@ -133,23 +137,21 @@ class QueryCoalescer:
             if len(waiters) == 1:
                 self._answer_individually(waiters)
                 continue
-            stacked = np.concatenate([entry[2] for entry in waiters])
-            self._coalesced_queries += int(stacked.shape[0])
+            self._coalesced_queries += sum(int(entry[2].shape[0]) for entry in waiters)
             self._coalesced_calls += 1
             try:
-                answers = getattr(mechanism, surface)(stacked)
+                answers = mechanism.answer_requests(
+                    surface, [entry[2] for entry in waiters]
+                )
             except BaseException:  # noqa: BLE001 - refined per waiter below
                 # One bad waiter must not fail the whole batch with an
                 # error about rows it never submitted: re-answer each
-                # sub-batch alone so every future gets its own outcome.
+                # request alone so every future gets its own outcome.
                 self._answer_individually(waiters)
                 continue
-            offset = 0
-            for _, _, queries, future in waiters:
-                count = int(queries.shape[0])
+            for (_, _, _, future), answer in zip(waiters, answers):
                 if not future.cancelled():
-                    future.set_result(answers[offset : offset + count])
-                offset += count
+                    future.set_result(answer)
 
     @staticmethod
     def _answer_individually(waiters) -> None:

@@ -178,3 +178,52 @@ class TestCoalescedVsSerialBitIdentity:
         )
         second = asyncio.run(drain())
         np.testing.assert_array_equal(second, mechanism.answer_boxes(boxes))
+
+
+class TestPerRequestCachingUnderCoalescing:
+    """Coalescing caches per request: whatever subset of the waiters is
+    already cached, and however the batch is split, each waiter gets
+    exactly the answers a serial, uncached call would give it."""
+
+    @given(
+        spec=specs,
+        seed=seeds,
+        cuts=st.lists(st.integers(min_value=1, max_value=23), max_size=5, unique=True),
+        cached_parts=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_partition_with_any_cached_subset(self, spec, seed, cuts, cached_parts):
+        mechanism = _make(spec, cache=64)
+        twin = _make(spec, cache=0)
+        rng = np.random.default_rng(seed)
+        if spec.startswith("grid"):
+            side = mechanism.domain_size
+            points = rng.integers(0, side, size=(2000, 2))
+            for target in (mechanism, twin):
+                target.fit_points(points, random_state=seed)
+            queries = np.sort(rng.integers(0, side, size=(24, 2, 2)), axis=2).reshape(24, 4)
+            surface = "answer_boxes"
+        else:
+            items = rng.integers(0, DOMAIN, size=2000)
+            for target in (mechanism, twin):
+                target.fit_items(items, random_state=seed)
+            queries = np.sort(rng.integers(0, DOMAIN, size=(24, 2)), axis=1)
+            surface = "answer_ranges"
+        parts = np.split(queries, sorted(cuts))
+        for part, cached in zip(parts, cached_parts):
+            if cached:
+                getattr(mechanism, surface)(part)
+        coalescer = QueryCoalescer()
+
+        async def main():
+            return await asyncio.gather(
+                *(getattr(coalescer, surface)(mechanism, part) for part in parts)
+            )
+
+        for part, answers in zip(parts, asyncio.run(main())):
+            np.testing.assert_array_equal(answers, getattr(twin, surface)(part))
+        # Every part is now cached under its own key.
+        hits = mechanism.answer_cache_stats()["hits"]
+        for part in parts:
+            getattr(mechanism, surface)(part)
+        assert mechanism.answer_cache_stats()["hits"] == hits + len(parts)

@@ -84,7 +84,7 @@ class TestBatchedAxisRuns:
     def _slot_nodes(self, runs, query_index):
         """Node set per level covered by one query's run slots."""
         covered = {}
-        for level, slots in runs.items():
+        for level, slots in enumerate(runs, start=1):
             nodes = []
             for first, last in slots:
                 nodes.extend(range(int(first[query_index]), int(last[query_index])))
@@ -115,8 +115,22 @@ class TestBatchedAxisRuns:
         runs = batched_axis_runs(tree, np.array([10]), np.array([10]))
         total = sum(
             int(last[0] - first[0])
-            for slots in runs.values()
+            for slots in runs
             for first, last in slots
         )
         # A point query covers exactly one leaf node.
         assert total == 1
+
+    @pytest.mark.parametrize("domain,branching", [(64, 2), (64, 4), (81, 3)])
+    def test_full_domain_folds_into_level_one(self, domain, branching):
+        """The implicit root of a full-padded-domain query is the whole
+        level-1 run in slot 1; every other slot of it is empty, and every
+        level always has exactly two slots."""
+        tree = DomainTree(domain, branching)
+        runs = batched_axis_runs(tree, np.array([0, 3]), np.array([domain - 1, 9]))
+        assert runs.shape == (tree.height, 2, 2, 2)
+        first, last = runs[..., 0][:, :, 0], runs[..., 0][:, :, 1]
+        widths = last - first
+        assert widths[0, 1] == tree.nodes_at_level(1)
+        widths[0, 1] = 0
+        assert not widths.any()
