@@ -278,8 +278,11 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         half (sign ``+1``) then the right half (sign ``-1``), so summing the
         level's counts over each half gives run lengths whose expansion
         (:meth:`HadamardAccumulator.add_runs`) is exactly the per-user
-        sequence of the expanded items, in the same order.  The expansion
-        is the only ``O(N)`` memory.
+        sequence of the expanded items, in the same order.  ``add_runs``
+        carries each run's sign in bit 0 of its repeated key, so the
+        expansion is one narrow array (at most two bytes per user while
+        ``D' <= 2^16``), and folds the users' reports into the sums with one
+        unweighted ``bincount``.
         """
         padded_counts = np.zeros(self._padded_size, dtype=np.int64)
         padded_counts[: self._domain_size] = counts

@@ -28,12 +28,10 @@ from repro.exceptions import ConfigurationError, InvalidQueryError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.mechanisms import binary_rr_probability
-from repro.privacy.randomness import RandomState, as_generator
+from repro.privacy.randomness import RandomState, as_generator, power_of_two_integers
 from repro.transforms.hadamard import (
     dyadic_fast_walsh_hadamard_transform,
-    entries_from_parities,
     hadamard_entry,
-    hadamard_parities,
     inverse_fast_walsh_hadamard_transform,
     is_power_of_two,
 )
@@ -81,6 +79,18 @@ class HadamardAccumulator(OracleAccumulator):
             indices, weights=values, minlength=self._oracle.padded_size
         )
 
+    def _fold_codes(self, codes: np.ndarray) -> None:
+        """Add reports coded as ``2 * index + [value == +1]`` to the sums.
+
+        One unweighted ``bincount`` tallies both values of every index;
+        ``+1`` tallies minus ``-1`` tallies is exact integer arithmetic, so
+        it equals :meth:`_fold`'s weighted ``+-1.0`` ``bincount`` bit for
+        bit.  (For reports that arrive as index/value arrays the weighted
+        ``bincount`` is the cheaper of the two.)
+        """
+        tallies = np.bincount(codes, minlength=2 * self._oracle.padded_size)
+        self._sums += tallies[1::2] - tallies[0::2]
+
     def add_runs(
         self,
         values: np.ndarray,
@@ -95,8 +105,13 @@ class HadamardAccumulator(OracleAccumulator):
         on the expanded arrays, with the same random draws).  Only the
         run arrays are validated — ``O(runs)``, not ``O(users)`` — because
         the expanded reports are generated here and need no re-checking.
-        The expansion is the only ``O(N)`` memory: one int64 and (when
-        signed) one byte per user.
+        Each run's sign rides in bit 0 of its key (see
+        :meth:`HadamardRandomizedResponse._perturbed_codes`), so a single
+        ``np.repeat`` expands values and signs together, in the narrowest
+        unsigned dtype holding ``2 D'`` (two bytes per user up to
+        ``D' = 2^15``); the user's code takes the same width.  The largest
+        ``O(N)`` buffers are the float64 uniforms of the flips and
+        ``bincount``'s intp copy of the codes.
         """
         oracle = self._oracle
         values = oracle._check_values(values)
@@ -116,9 +131,9 @@ class HadamardAccumulator(OracleAccumulator):
         rng: np.random.Generator,
         negative: Optional[np.ndarray] = None,
     ) -> None:
-        users_negative = None if negative is None else np.repeat(negative, counts)
-        reports = self._oracle._encode(np.repeat(values, counts), users_negative, rng)
-        self._fold(reports.payload["indices"], reports.payload["values"])
+        oracle = self._oracle
+        keys = np.repeat(oracle._keys(values, negative), counts)
+        self._fold_codes(oracle._perturbed_codes(keys, rng))
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         # HRR couples the sampled index with the user's item, so there is no
@@ -209,6 +224,9 @@ class HadamardRandomizedResponse(FrequencyOracle):
             else _next_power_of_two(int(domain_size))
         )
         self._keep_probability = binary_rr_probability(epsilon)
+        self._index_bits = self._padded_size.bit_length() - 1
+        #: Narrowest unsigned dtype holding a user's key or code (< 2 D').
+        self._code_dtype = np.min_scalar_type(2 * self._padded_size - 1)
 
     @property
     def padded_size(self) -> int:
@@ -268,20 +286,50 @@ class HadamardRandomizedResponse(FrequencyOracle):
     ) -> OracleReports:
         """The batched protocol on validated int64 ``values``.
 
-        ``negative`` marks users whose input is ``-e_v``.  The entry's
-        parity, the sign and the randomized-response flip are combined as
-        bits (``^=``, one byte per user) and turned into ``+-1`` once.
+        ``negative`` marks users whose input is ``-e_v``.  Works in the
+        narrow code dtype and emits int64 indices and int64 ``+-1`` values.
         """
-        n_users = values.shape[0]
-        indices = rng.integers(0, self._padded_size, size=n_users)
-        parities = hadamard_parities(values, indices)
-        if negative is not None:
-            parities ^= negative
-        parities ^= rng.random(n_users) >= self._keep_probability
+        codes = self._perturbed_codes(self._keys(values, negative), rng)
+        reported = np.bitwise_and(codes, 1, dtype=np.int64)
+        reported <<= 1
+        reported -= 1
         return OracleReports(
-            payload={"indices": indices, "values": entries_from_parities(parities)},
-            n_users=n_users,
+            payload={"indices": np.right_shift(codes, 1, dtype=np.int64), "values": reported},
+            n_users=values.shape[0],
         )
+
+    def _keys(self, values: np.ndarray, negative: Optional[np.ndarray]) -> np.ndarray:
+        """``2 v + [input negated]`` in the code dtype: each user's (or
+        run's) item with its sign in bit 0."""
+        keys = values.astype(self._code_dtype)
+        keys <<= 1
+        if negative is not None:
+            keys |= negative
+        return keys
+
+    def _perturbed_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Run HRR for the users with ``keys``; return ``2 j + [reported +1]``.
+
+        Draws every user's index ``j`` (the values of
+        ``rng.integers(0, D', size=n)``, via
+        :func:`~repro.privacy.randomness.power_of_two_integers`), then the
+        randomized-response flips from ``rng.random(n)``.  The code
+        ``2 j + 1`` carries a ``1`` in bit 0 to meet the key's sign bit, so
+        one ``np.bitwise_count`` of ``key & code`` is ``<v, j>`` plus the
+        sign: the parity of the reported ``-1``.  The flip is XORed into
+        that parity, which then clears bit 0 of the code where the report
+        is ``-1``.  ``keys`` is overwritten; codes share its dtype.
+        """
+        n_users = keys.shape[0]
+        codes = power_of_two_integers(rng, self._index_bits, n_users, keys.dtype)
+        codes <<= 1
+        codes |= 1
+        keys &= codes
+        parities = np.bitwise_count(keys)
+        parities ^= rng.random(n_users) >= self._keep_probability
+        parities &= 1
+        codes ^= parities
+        return codes
 
     # ------------------------------------------------------------------
     # Aggregator side
@@ -306,11 +354,13 @@ class HadamardRandomizedResponse(FrequencyOracle):
 
         HRR reports couple the sampled index with the user's item, so there
         is no per-item closed-form aggregate to sample from; instead the
-        counts are taken as runs of the items ``0..D-1`` and expanded to one
-        item per user (``O(N)`` memory, see
-        :meth:`HadamardAccumulator.add_runs`), and the exact batched protocol
-        runs on the expansion: a constant number of ``O(N)`` NumPy passes,
-        the random draws among them.  Exact, not approximate.
+        counts are taken as runs of the items ``0..D-1`` and the exact
+        batched protocol runs on their expansion
+        (:meth:`HadamardAccumulator.add_runs`): one ``np.repeat`` into a
+        narrow dtype, the index draws read straight from the generator's
+        words, one popcount and one unweighted ``bincount`` — a constant
+        number of ``O(N)`` NumPy passes, the same random draws as
+        encoding every user.  Exact, not approximate.
         """
         return self.accumulator().add_counts(true_counts, random_state).estimate()
 

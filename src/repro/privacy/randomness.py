@@ -12,10 +12,17 @@ from __future__ import annotations
 from typing import Iterable, List, Union
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["RandomState", "as_generator", "as_seed_sequence", "spawn_generators"]
+__all__ = [
+    "RandomState",
+    "as_generator",
+    "as_seed_sequence",
+    "power_of_two_integers",
+    "spawn_generators",
+]
 
 #: Anything accepted as a source of randomness by the library.
 RandomState = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
@@ -34,6 +41,59 @@ def as_generator(random_state: RandomState = None) -> np.random.Generator:
     if random_state is None:
         return np.random.default_rng()
     return np.random.default_rng(int(random_state))
+
+
+#: Draw count below which :func:`power_of_two_integers` delegates to
+#: ``rng.integers``: reading and writing the PCG64 state costs a few
+#: microseconds, which only larger draws win back.
+RAW_WORDS_MIN_SIZE = 1024
+
+
+def power_of_two_integers(
+    rng: np.random.Generator, bits: int, size: int, dtype: DTypeLike = np.int64
+) -> np.ndarray:
+    """``rng.integers(0, 2**bits, size=size)`` as ``dtype``, from raw PCG64 words.
+
+    Returns the same values and leaves ``rng`` in the same state as that
+    call, but skips numpy's per-draw bounded-integer step.  For a range
+    below ``2^32`` numpy draws one 32-bit word per value and keeps the top
+    bits of ``word * 2^bits``; for a power-of-two range Lemire's method
+    never rejects (Lemire, "Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019), so each value is simply the top ``bits``
+    bits of its word.  PCG64 serves a 64-bit word as its low then its high
+    half and parks an unused high half in the state (``has_uint32`` /
+    ``uinteger``); the parked half is consumed first here and the state is
+    left exactly as numpy leaves it.
+
+    Any other bit generator, ``bits`` outside ``1..31``, or fewer than
+    :data:`RAW_WORDS_MIN_SIZE` values delegates to ``rng.integers``.  The state is read, advanced and written back in
+    separate steps, so another thread must not draw from ``rng`` meanwhile.
+    This is the one place in the library that reads generator words
+    directly (lint rule LDP-R001).
+    """
+    bit_generator = rng.bit_generator
+    if (
+        type(bit_generator) is not np.random.PCG64
+        or not 1 <= bits <= 31
+        or size < RAW_WORDS_MIN_SIZE
+    ):
+        return rng.integers(0, 1 << bits, size=size).astype(dtype, copy=False)
+    out = np.empty(size, dtype=dtype)
+    shift = 32 - bits
+    state = bit_generator.state
+    parked = state["has_uint32"]
+    if parked:
+        out[0] = state["uinteger"] >> shift
+    remaining = size - parked
+    raw = bit_generator.random_raw((remaining + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")[:remaining]
+    np.right_shift(words, shift, out=out[parked:])
+    state = bit_generator.state
+    state["has_uint32"] = remaining % 2
+    if remaining:
+        state["uinteger"] = int(raw[-1] >> np.uint64(32))
+    bit_generator.state = state
+    return out
 
 
 def as_seed_sequence(random_state: RandomState) -> np.random.SeedSequence:

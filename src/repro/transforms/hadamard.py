@@ -13,10 +13,13 @@ where ``<i, j>`` counts the positions on which the binary representations of
 Two access patterns are needed:
 
 * *users* need a single entry ``phi[v][j]`` — provided in vectorised form by
-  :func:`hadamard_entries` (and, as parity bits, :func:`hadamard_parities`):
-  one ``np.bitwise_count`` pass over ``v & j``, so a population of ``N``
-  users costs a constant number of O(N) NumPy passes, independent of
-  ``D``, without materialising any matrix;
+  :func:`hadamard_entries`: one ``np.bitwise_count`` pass over ``v & j``, so
+  a population of ``N`` users costs a constant number of O(N) NumPy passes,
+  independent of ``D``, without materialising any matrix.  The HRR oracle
+  runs the same popcount on narrow packed integers instead — the user's
+  item with the sign in bit 0, against the sampled index with a ``1`` in
+  bit 0 (see :mod:`repro.frequency_oracles.hadamard`) — so the entry and
+  the sign come out of one pass;
 * the *aggregator* needs to invert the transform over the whole domain —
   provided by the constant-geometry butterfly
   :func:`fast_walsh_hadamard_transform` in ``O(D log D)`` (two NumPy calls
@@ -36,8 +39,6 @@ __all__ = [
     "hadamard_matrix",
     "hadamard_entry",
     "hadamard_entries",
-    "hadamard_parities",
-    "entries_from_parities",
     "fast_walsh_hadamard_transform",
     "dyadic_fast_walsh_hadamard_transform",
     "inverse_fast_walsh_hadamard_transform",
@@ -97,38 +98,19 @@ def hadamard_entry(row: int, col: int) -> int:
     return 1 if bin(row & col).count("1") % 2 == 0 else -1
 
 
-def hadamard_parities(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Parity of ``<rows[i], cols[i]>`` as ``uint8`` bits (``1`` where the
-    entry ``phi[rows[i]][cols[i]]`` is ``-1``).
+def hadamard_entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`hadamard_entry` for arrays of indices.
 
-    One popcount pass (``np.bitwise_count``) over ``rows & cols``.  Parity
-    bits let callers fold further sign flips in with ``^=`` on one byte per
-    user before converting once with :func:`entries_from_parities`.
+    Evaluates ``phi[rows[i]][cols[i]]`` for every ``i`` with one popcount
+    pass (``np.bitwise_count``) over ``rows & cols``, whose low bit is the
+    parity of ``<rows[i], cols[i]>``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if (rows.size and rows.min() < 0) or (cols.size and cols.min() < 0):
         raise InvalidDomainError("Hadamard indices must be non-negative")
-    parities = np.bitwise_count(rows & cols)
-    parities &= 1
-    return parities
-
-
-def entries_from_parities(parities: np.ndarray) -> np.ndarray:
-    """Map parity bits ``0`` / ``1`` to the int64 entries ``+1`` / ``-1``."""
-    entries = parities.astype(np.int64)
-    entries *= -2
-    entries += 1
-    return entries
-
-
-def hadamard_entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`hadamard_entry` for arrays of indices.
-
-    Evaluates ``phi[rows[i]][cols[i]]`` for every ``i`` in a constant
-    number of NumPy passes (see :func:`hadamard_parities`).
-    """
-    return entries_from_parities(hadamard_parities(rows, cols))
+    parities = np.bitwise_count(rows & cols) & 1
+    return 1 - 2 * parities.astype(np.int64)
 
 
 def fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
