@@ -14,7 +14,9 @@ Rule      Contract
 ========= ==================================================================
 LDP-R001  RNG hygiene: no legacy ``np.random`` global-state calls and no
           hard-coded ``default_rng(<literal>)`` seeds in library code
-          (``experiments``/``data`` are exempt — they *own* their seeds).
+          (``experiments``/``data`` are exempt — they *own* their seeds);
+          raw generator words (``.random_raw``) are read nowhere but the
+          audited ``repro/privacy/randomness.py``, with no exempt dirs.
 LDP-R002  Epsilon flow: raw ``exp(epsilon)`` arithmetic is confined to
           ``repro.privacy``; constructors that accept ``epsilon`` must
           validate it (``validate_epsilon``/``PrivacyBudget``) or forward
@@ -61,7 +63,8 @@ __all__ = ["Finding", "RULES", "lint_paths", "main"]
 #: Rule identifiers and the one-line contract each one enforces.
 RULES: Dict[str, str] = {
     "LDP-R001": "randomness flows through explicit Generators (no legacy "
-    "np.random global state, no hard-coded default_rng seeds)",
+    "np.random global state, no hard-coded default_rng seeds, raw words "
+    "only in repro/privacy/randomness.py)",
     "LDP-R002": "exp(epsilon) arithmetic confined to repro.privacy; "
     "constructors validate epsilon",
     "LDP-R003": "write paths touch only sufficient statistics (no "
@@ -83,6 +86,10 @@ PARSE_RULE = "LDP-R000"
 #: (experiments and data generators legitimately own literal seeds and are
 #: not part of the query/ingest surface; devtools is the linter itself).
 EXEMPT_LIBRARY_DIRS = frozenset({"experiments", "data", "devtools"})
+
+#: The one module allowed to read raw bit-generator words (LDP-R001): it
+#: reproduces numpy's draws exactly and is pinned by property tests.
+RAW_WORDS_MODULE = ("privacy", "randomness.py")
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*)\])?", re.IGNORECASE)
 
@@ -265,7 +272,20 @@ def _mentions_epsilon(node: ast.AST) -> bool:
 # Rule passes (one generator of findings per rule family)
 # ----------------------------------------------------------------------
 def _check_rng_hygiene(ctx: _FileContext) -> Iterator[Finding]:
-    """LDP-R001 — legacy global-state RNG calls and hard-coded seeds."""
+    """LDP-R001 — legacy global-state RNG calls, hard-coded seeds and raw
+    generator words outside the audited helper module."""
+    if ctx.parts != RAW_WORDS_MODULE:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random_raw":
+                yield Finding(
+                    "LDP-R001",
+                    ctx.display,
+                    node.lineno,
+                    node.col_offset,
+                    "raw generator words ('random_raw') outside "
+                    "repro/privacy/randomness.py — draw through its audited "
+                    "helpers so the numpy stream stays bit-identical",
+                )
     if _is_exempt(ctx, EXEMPT_LIBRARY_DIRS):
         return
     for node in ast.walk(ctx.tree):

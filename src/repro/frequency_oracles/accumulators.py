@@ -34,13 +34,37 @@ from typing import TYPE_CHECKING, Dict, Mapping
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvalidQueryError
 from repro.privacy.randomness import RandomState, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 
-__all__ = ["OracleAccumulator"]
+__all__ = ["OracleAccumulator", "checked_report_symbols"]
+
+
+def checked_report_symbols(symbols, n_users: int, upper: int, what: str) -> np.ndarray:
+    """Validate one untrusted per-user integer field of a report batch.
+
+    ``symbols`` must be one-dimensional with one entry per user, integral
+    (an integer dtype, or floats with integral values as JSON may deliver
+    them) and in ``[0, upper)``.  Returns them as int64; raises
+    :class:`~repro.exceptions.InvalidQueryError` otherwise, before any
+    statistic changes.
+    """
+    array = np.asarray(symbols)
+    if array.shape != (n_users,):
+        raise InvalidQueryError(
+            f"{what} must be one-dimensional with one entry per user ({n_users}), "
+            f"got shape {array.shape}"
+        )
+    if array.dtype.kind not in "iu" and not (
+        array.dtype.kind == "f" and np.array_equal(array, np.trunc(array))
+    ):
+        raise InvalidQueryError(f"{what} must be integers")
+    if array.size and (array.min() < 0 or array.max() >= upper):
+        raise InvalidQueryError(f"{what} must be in [0, {upper})")
+    return array.astype(np.int64, copy=False)
 
 
 class OracleAccumulator(abc.ABC):

@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, InvalidQueryError
-from repro.frequency_oracles.accumulators import OracleAccumulator
+from repro.frequency_oracles.accumulators import OracleAccumulator, checked_report_symbols
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.mechanisms import binary_rr_probability
 from repro.privacy.randomness import RandomState, as_generator, power_of_two_integers
@@ -55,23 +55,19 @@ class HadamardAccumulator(OracleAccumulator):
         # Reports may come from outside the process, so every field is
         # checked before the statistic changes: a rejected batch leaves the
         # sums and the user count untouched.
-        padded_size = self._oracle.padded_size
-        indices = np.asarray(reports.payload["indices"])
+        indices = checked_report_symbols(
+            reports.payload["indices"], reports.n_users, self._oracle.padded_size,
+            "Hadamard indices",
+        )
         values = np.asarray(reports.payload["values"])
-        if indices.shape != (reports.n_users,) or values.shape != (reports.n_users,):
+        if values.shape != indices.shape:
             raise InvalidQueryError(
-                f"indices and values must be one-dimensional with one entry per "
-                f"user ({reports.n_users}), got shapes {indices.shape} and {values.shape}"
+                f"values must have one entry per user ({reports.n_users}), "
+                f"got shape {values.shape}"
             )
-        if indices.dtype.kind not in "iu" and not (
-            indices.dtype.kind == "f" and np.array_equal(indices, np.trunc(indices))
-        ):
-            raise InvalidQueryError("Hadamard indices must be integers")
-        if indices.size and (indices.min() < 0 or indices.max() >= padded_size):
-            raise InvalidQueryError(f"Hadamard indices must be in [0, {padded_size})")
         if values.dtype.kind not in "iuf" or not np.all(np.abs(values) == 1):
             raise InvalidQueryError("report values must be -1 or +1")
-        self._fold(indices.astype(np.int64, copy=False), values)
+        self._fold(indices, values)
 
     def _fold(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add validated reports (int64 indices, +-1 values) to the sums."""

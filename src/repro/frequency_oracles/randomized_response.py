@@ -19,7 +19,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.exceptions import ConfigurationError, InvalidDomainError, InvalidQueryError
-from repro.frequency_oracles.accumulators import OracleAccumulator
+from repro.frequency_oracles.accumulators import OracleAccumulator, checked_report_symbols
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.mechanisms import binary_rr_probability, grr_probabilities
@@ -82,10 +82,13 @@ class DirectEncodingAccumulator(OracleAccumulator):
         self._noisy_counts = np.zeros(oracle.domain_size, dtype=np.float64)
 
     def _add_reports(self, reports: OracleReports) -> None:
-        reported = np.asarray(reports.payload["values"], dtype=np.int64)
-        self._noisy_counts += np.bincount(
-            reported, minlength=self._oracle.domain_size
-        ).astype(np.float64)
+        # Reports may come from outside the process: a rejected batch
+        # leaves the counts and the user count untouched.
+        domain_size = self._oracle.domain_size
+        reported = checked_report_symbols(
+            reports.payload["values"], reports.n_users, domain_size, "reported values"
+        )
+        self._noisy_counts += np.bincount(reported, minlength=domain_size).astype(np.float64)
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         oracle = self._oracle

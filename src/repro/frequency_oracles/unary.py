@@ -88,6 +88,23 @@ def packed_column_sums(packed: np.ndarray, n_bits: int) -> np.ndarray:
     return kernels.unary_column_sums(packed, n_bits, UNARY_SUM_BLOCK_TARGET_BYTES)
 
 
+def _checked_bit_rows(rows, n_users: int, top: int, what: str) -> np.ndarray:
+    """Validate untrusted report rows: one per user, integer or bool entries
+    in ``[0, top]``.  Bool entries, and uint8 entries when ``top`` is 255,
+    cannot be out of range, so they are not scanned."""
+    array = np.asarray(rows)
+    if array.dtype.kind not in "biu":
+        raise InvalidQueryError(f"{what} must be integers or booleans, got dtype {array.dtype}")
+    if array.ndim < 1 or array.shape[0] != n_users:
+        raise InvalidQueryError(
+            f"{what} must have one row per user ({n_users}), got shape {array.shape}"
+        )
+    unscanned = array.dtype.kind == "b" or (top == 255 and array.dtype == np.uint8)
+    if not unscanned and array.size and (array.min() < 0 or array.max() > top):
+        raise InvalidQueryError(f"{what} entries must be in [0, {top}]")
+    return array
+
+
 class UnaryAccumulator(OracleAccumulator):
     """Sufficient statistic of a unary encoding: per-item "1"-bit sums.
 
@@ -101,6 +118,9 @@ class UnaryAccumulator(OracleAccumulator):
         self._ones = np.zeros(oracle.domain_size, dtype=np.float64)
 
     def _add_reports(self, reports: OracleReports) -> None:
+        # Reports may come from outside the process: every entry is checked
+        # before the statistic changes, so a rejected batch leaves the sums
+        # and the user count untouched.
         domain_size = self._oracle.domain_size
         payload = reports.payload
         if "packed_bits" in payload:
@@ -110,9 +130,10 @@ class UnaryAccumulator(OracleAccumulator):
                     f"packed reports carry {n_bits} bits per user, expected "
                     f"{domain_size}"
                 )
-            self._ones += packed_column_sums(payload["packed_bits"], domain_size)
+            packed = _checked_bit_rows(payload["packed_bits"], reports.n_users, 255, "packed_bits")
+            self._ones += packed_column_sums(packed, domain_size)
             return
-        bits = np.asarray(payload["bits"])
+        bits = _checked_bit_rows(payload["bits"], reports.n_users, 1, "bits")
         if bits.ndim != 2 or bits.shape[1] != domain_size:
             raise InvalidQueryError(
                 f"expected a reports matrix with {domain_size} columns"

@@ -79,6 +79,41 @@ class TestRngHygieneR001:
         findings, _ = lint_source(tmp_path, bad, name="repro/core/mech.py")
         assert rules_of(findings) == ["LDP-R001"]
 
+    RAW_WORDS = """
+    import numpy as np
+
+    def draw(rng, n):
+        return rng.bit_generator.random_raw(n) >> 40
+    """
+
+    def test_raw_generator_words_flagged_in_library_code(self, tmp_path):
+        findings, _ = lint_source(tmp_path, self.RAW_WORDS, name="repro/frequency_oracles/x.py")
+        assert rules_of(findings) == ["LDP-R001"]
+        assert "random_raw" in findings[0].message
+
+    def test_raw_generator_words_flagged_even_in_exempt_dirs(self, tmp_path):
+        for name in ("repro/experiments/gen.py", "repro/data/synth.py", "mod.py"):
+            root = tmp_path / name.replace("/", "_")
+            findings, _ = lint_source(root, self.RAW_WORDS, name=name)
+            assert rules_of(findings) == ["LDP-R001"], name
+
+    def test_raw_generator_words_allowed_in_the_audited_helper(self, tmp_path):
+        findings, _ = lint_source(tmp_path, self.RAW_WORDS, name="repro/privacy/randomness.py")
+        assert findings == []
+        findings, _ = lint_source(tmp_path / "other", self.RAW_WORDS, name="repro/privacy/budget.py")
+        assert rules_of(findings) == ["LDP-R001"]
+
+    def test_other_generator_attributes_are_clean(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            """
+            def draw(rng, n):
+                state = rng.bit_generator.state
+                return rng.random(n), state["has_uint32"]
+            """,
+        )
+        assert findings == []
+
 
 class TestEpsilonFlowR002:
     def test_raw_exp_epsilon_flagged_outside_privacy(self, tmp_path):

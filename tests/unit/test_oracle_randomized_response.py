@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import InvalidQueryError
+from repro.frequency_oracles.base import OracleReports
 from repro.frequency_oracles.randomized_response import (
     BinaryRandomizedResponse,
     GeneralizedRandomizedResponse,
@@ -88,3 +90,48 @@ class TestGeneralizedRandomizedResponse:
         np.testing.assert_array_equal(
             oracle.simulate_aggregate(np.zeros(4, dtype=int), rng), np.zeros(4)
         )
+
+
+class TestGeneralizedReportValidation:
+    """``add`` accepts only 1-D integral symbols in ``[0, D)``, one per
+    user; anything else raises a typed error and leaves the state alone."""
+
+    DOMAIN = 5
+
+    def _loaded_accumulator(self, rng):
+        oracle = GeneralizedRandomizedResponse(epsilon=1.0, domain_size=self.DOMAIN)
+        accumulator = oracle.accumulator()
+        accumulator.add(oracle.encode_batch(rng.integers(0, self.DOMAIN, 40), rng))
+        return accumulator
+
+    def _assert_rejected(self, rng, values, n_users=2):
+        accumulator = self._loaded_accumulator(rng)
+        counts = accumulator.state_dict()["noisy_counts"].copy()
+        with pytest.raises(InvalidQueryError):
+            accumulator.add(OracleReports(payload={"values": values}, n_users=n_users))
+        np.testing.assert_array_equal(accumulator.state_dict()["noisy_counts"], counts)
+        assert accumulator.n_users == 40
+
+    def test_value_equal_to_domain(self, rng):
+        self._assert_rejected(rng, np.array([0, self.DOMAIN]))
+
+    def test_negative_value(self, rng):
+        self._assert_rejected(rng, np.array([-1, 0]))
+
+    def test_fractional_value(self, rng):
+        self._assert_rejected(rng, np.array([2.7, 1.0]))
+
+    def test_two_dimensional_values(self, rng):
+        self._assert_rejected(rng, np.array([[0], [1]]))
+
+    def test_one_value_per_user(self, rng):
+        self._assert_rejected(rng, [0, 1, 2], n_users=2)
+
+    def test_valid_integral_values_are_accepted(self, rng):
+        accumulator = self._loaded_accumulator(rng)
+        before = accumulator.state_dict()["noisy_counts"].copy()
+        accumulator.add(OracleReports(payload={"values": np.array([4.0, 1.0])}, n_users=2))
+        expected = before.copy()
+        expected[[1, 4]] += 1
+        np.testing.assert_array_equal(accumulator.state_dict()["noisy_counts"], expected)
+        assert accumulator.n_users == 42

@@ -205,3 +205,67 @@ class TestAggregation:
         observed = samples.var()
         expected = oracle.theoretical_variance(n_users)
         assert observed == pytest.approx(expected, rel=0.35)
+
+
+class TestReportValidation:
+    """``add`` rejects out-of-range or non-integral report bits with a typed
+    error and leaves the accumulator exactly as it was."""
+
+    DOMAIN = 12
+
+    def _loaded_accumulator(self, rng):
+        oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=self.DOMAIN)
+        accumulator = oracle.accumulator()
+        accumulator.add(oracle.encode_batch(rng.integers(0, self.DOMAIN, 50), rng))
+        return accumulator
+
+    def _assert_rejected(self, rng, payload, n_users=2):
+        accumulator = self._loaded_accumulator(rng)
+        ones = accumulator.state_dict()["ones"].copy()
+        with pytest.raises(InvalidQueryError):
+            accumulator.add(OracleReports(payload=payload, n_users=n_users))
+        np.testing.assert_array_equal(accumulator.state_dict()["ones"], ones)
+        assert accumulator.n_users == 50
+
+    @pytest.mark.parametrize("bad", [7, -1, 2])
+    def test_dense_bit_outside_zero_one(self, rng, bad):
+        bits = np.zeros((2, self.DOMAIN), dtype=np.int64)
+        bits[1, 3] = bad
+        self._assert_rejected(rng, {"bits": bits})
+
+    def test_dense_uint8_bit_of_two(self, rng):
+        bits = np.zeros((2, self.DOMAIN), dtype=np.uint8)
+        bits[0, 0] = 2
+        self._assert_rejected(rng, {"bits": bits})
+
+    def test_dense_float_bits(self, rng):
+        self._assert_rejected(rng, {"bits": np.ones((2, self.DOMAIN))})
+
+    @pytest.mark.parametrize("bad", [300.0, -1, 256])
+    def test_packed_byte_outside_uint8(self, rng, bad):
+        packed = np.zeros((2, 2), dtype=np.asarray(bad).dtype)
+        packed[1, 0] = bad
+        self._assert_rejected(rng, {"packed_bits": packed, "n_bits": self.DOMAIN})
+
+    def test_packed_float_bytes_in_range(self, rng):
+        packed = np.full((2, 2), 3.0)
+        self._assert_rejected(rng, {"packed_bits": packed, "n_bits": self.DOMAIN})
+
+    def test_rows_must_match_users(self, rng):
+        bits = [[0] * self.DOMAIN] * 3
+        self._assert_rejected(rng, {"bits": bits}, n_users=2)
+
+    def test_valid_int_and_bool_rows_are_accepted(self, rng):
+        accumulator = self._loaded_accumulator(rng)
+        before = accumulator.state_dict()["ones"].copy()
+        dense = np.zeros((2, self.DOMAIN), dtype=bool)
+        dense[:, 4] = True
+        accumulator.add(OracleReports(payload={"bits": dense}, n_users=2))
+        packed = np.packbits(dense, axis=1).astype(np.int64)
+        accumulator.add(
+            OracleReports(payload={"packed_bits": packed, "n_bits": self.DOMAIN}, n_users=2)
+        )
+        expected = before.copy()
+        expected[4] += 4
+        np.testing.assert_array_equal(accumulator.state_dict()["ones"], expected)
+        assert accumulator.n_users == 54
