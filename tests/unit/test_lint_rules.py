@@ -100,7 +100,8 @@ class TestRngHygieneR001:
     def test_raw_generator_words_allowed_in_the_audited_helper(self, tmp_path):
         findings, _ = lint_source(tmp_path, self.RAW_WORDS, name="repro/privacy/randomness.py")
         assert findings == []
-        findings, _ = lint_source(tmp_path / "other", self.RAW_WORDS, name="repro/privacy/budget.py")
+        other = tmp_path / "other"
+        findings, _ = lint_source(other, self.RAW_WORDS, name="repro/privacy/budget.py")
         assert rules_of(findings) == ["LDP-R001"]
 
     def test_other_generator_attributes_are_clean(self, tmp_path):
