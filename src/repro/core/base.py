@@ -39,7 +39,7 @@ that mutates their sufficient statistics without refreshing.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,10 +54,33 @@ from repro.exceptions import (
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 
-__all__ = ["RangeQueryMechanism", "SIMULATION_MODES"]
+__all__ = ["RangeQueryMechanism", "SIMULATION_MODES", "group_by_label"]
 
 #: Supported simulation modes for the collection phase.
 SIMULATION_MODES = ("per_user", "aggregate")
+
+
+def group_by_label(
+    items: np.ndarray, labels: np.ndarray, n_labels: int
+) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, slice]]]:
+    """Group a per-user batch by each user's sampled label (level or tuple).
+
+    Returns ``(counts, ordered, groups)``: the users per label, the items
+    reordered by one stable ``argsort`` of the labels, and ``(label,
+    slice)`` for every label that received users, in label order.
+    ``ordered[slice]`` is exactly ``items[labels == label]`` — the same
+    users in batch order — so the per-label protocol runs see the same
+    inputs as one mask scan per label would give them, and consume the
+    generator in the same order.
+    """
+    counts = np.bincount(labels, minlength=n_labels)
+    ordered = items[np.argsort(labels, kind="stable")]
+    stops = np.cumsum(counts).tolist()
+    groups = [
+        (label, slice(stops[label] - int(counts[label]), stops[label]))
+        for label in np.flatnonzero(counts).tolist()
+    ]
+    return counts, ordered, groups
 
 
 class RangeQueryMechanism(abc.ABC):

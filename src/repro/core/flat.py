@@ -91,7 +91,7 @@ class FlatMechanism(RangeQueryMechanism):
         mode: str,
     ) -> None:
         if mode == "per_user":
-            self._accumulator.add(self._oracle.encode_batch(items, rng))
+            self._accumulator._add_items(items, rng)
         else:
             self._accumulator.add_counts(counts, rng)
 

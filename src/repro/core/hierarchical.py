@@ -28,13 +28,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism
+from repro.core.base import RangeQueryMechanism, group_by_label
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
 from repro.hierarchy.decomposition import batched_range_sums, decompose_to_runs
 from repro.hierarchy.tree import DomainTree
+from repro.privacy.randomness import categorical
 
 __all__ = ["HierarchicalHistogramMechanism"]
 
@@ -259,22 +260,24 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
     ) -> None:
         """Each user samples one level and runs the real local protocol.
 
-        Only levels that actually received users are visited (they are also
-        the only ones that consume protocol randomness, so the skip changes
-        no random stream), keeping a tiny streaming batch at O(active
-        levels) instead of O(h) mask scans.
+        The level draw is :func:`~repro.privacy.randomness.categorical`
+        (``rng.choice``'s values and stream), and
+        :func:`~repro.core.base.group_by_label` groups the users with one
+        stable sort.  Each level's users go through the accumulator's
+        per-user hook (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`):
+        the report round trip for OUE/OLH/GRR, a direct fold for HRR.
+        Only levels that actually received users are visited (they are
+        also the only ones that consume protocol randomness, so the skip
+        changes no random stream).
         """
         height = self._tree.height
-        n_users = items.shape[0]
-        assignments = rng.choice(height, size=n_users, p=self._level_probabilities)
-        batch_level_counts = np.bincount(assignments, minlength=height)
-        self._level_user_counts += batch_level_counts
-        for level_index in np.flatnonzero(batch_level_counts):
-            level = int(level_index) + 1
-            level_items = items[assignments == level_index]
-            nodes = self._tree.nodes_of_items(level, level_items)
-            oracle = self._oracles[level]
-            self._accumulators[level].add(oracle.encode_batch(nodes, rng))
+        assignments = categorical(rng, self._level_probabilities, items.shape[0])
+        counts, ordered, groups = group_by_label(items, assignments, height)
+        self._level_user_counts += counts
+        for level_index, users in groups:
+            level = level_index + 1
+            nodes = self._tree.nodes_of_items(level, ordered[users])
+            self._accumulators[level]._add_items(nodes, rng)
 
     def _accumulate_sampling_aggregate(
         self, counts: np.ndarray, rng: np.random.Generator
@@ -332,10 +335,9 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         n_users = int(items.shape[0]) if counts is None else int(counts.sum())
         self._level_user_counts += n_users
         for level in self._tree.levels:
-            oracle = self._oracles[level]
             if mode == "per_user":
                 nodes = self._tree.nodes_of_items(level, items)
-                self._accumulators[level].add(oracle.encode_batch(nodes, rng))
+                self._accumulators[level]._add_items(nodes, rng)
             else:
                 node_counts = self._tree.level_histogram_from_counts(level, counts)
                 self._accumulators[level].add_counts(node_counts.astype(np.int64), rng)

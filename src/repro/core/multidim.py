@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism
+from repro.core.base import RangeQueryMechanism, group_by_label
 from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
@@ -388,19 +388,19 @@ class HierarchicalGridND(RangeQueryMechanism):
         self,
         levels: LevelTuple,
         axis_nodes: List[Dict[int, np.ndarray]],
-        mask: Optional[np.ndarray] = None,
+        users: Optional[slice] = None,
     ) -> np.ndarray:
         """Flattened cell indices of the resolution grid at a level tuple.
 
         ``axis_nodes[axis][level]`` caches the per-axis node indices of the
-        whole batch; ``mask`` (when given) restricts to the users assigned
+        whole batch; ``users`` (when given) restricts to the users assigned
         to this tuple.
         """
         nodes = axis_nodes[0][levels[0]]
-        cells = nodes[mask] if mask is not None else nodes
+        cells = nodes[users] if users is not None else nodes
         for axis in range(1, self._dims):
             nodes = axis_nodes[axis][levels[axis]]
-            part = nodes[mask] if mask is not None else nodes
+            part = nodes[users] if users is not None else nodes
             cells = cells * self._tree.nodes_at_level(levels[axis]) + part
         return cells
 
@@ -409,29 +409,31 @@ class HierarchicalGridND(RangeQueryMechanism):
     ) -> None:
         """Each user samples one level tuple and runs the real local protocol.
 
+        :func:`~repro.core.base.group_by_label` sorts the batch by tuple
+        once, so every tuple's users are one contiguous slice; per-axis
+        node indices are computed once per active axis level over the
+        sorted batch, and each tuple's cells go through the accumulator's
+        per-user hook (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`).
         Only tuples that actually received users are visited (they are the
         only ones that consume protocol randomness, so the skip changes no
-        random stream), and per-axis node indices are computed once per
-        active axis level rather than once per tuple — a tiny streaming
-        batch costs O(active tuples), not O(h^d) mask scans.
+        random stream) — a tiny streaming batch costs O(active tuples), not
+        O(h^d) mask scans.
         """
         n_tuples = len(self._tuples)
         assignments = rng.integers(0, n_tuples, size=items.shape[0])
-        batch_tuple_counts = np.bincount(assignments, minlength=n_tuples)
-        self._tuple_user_counts += batch_tuple_counts
-        coordinates = self._split_coordinates(items)
+        counts, ordered, groups = group_by_label(items, assignments, n_tuples)
+        self._tuple_user_counts += counts
+        coordinates = self._split_coordinates(ordered)
         axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
-        for tuple_index in np.flatnonzero(batch_tuple_counts):
+        for tuple_index, users in groups:
             levels = self._tuples[tuple_index]
             for axis, level in enumerate(levels):
                 if level not in axis_nodes[axis]:
                     axis_nodes[axis][level] = self._tree.nodes_of_items(
                         level, coordinates[axis]
                     )
-            mask = assignments == tuple_index
-            cells = self._cell_index(levels, axis_nodes, mask)
-            oracle = self._oracles[levels]
-            self._accumulators[levels].add(oracle.encode_batch(cells, rng))
+            cells = self._cell_index(levels, axis_nodes, users)
+            self._accumulators[levels]._add_items(cells, rng)
 
     def _accumulate_aggregate(
         self, counts: np.ndarray, rng: np.random.Generator

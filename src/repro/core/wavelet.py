@@ -30,13 +30,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism
+from repro.core.base import RangeQueryMechanism, group_by_label
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.hadamard import (
     HadamardAccumulator,
     HadamardRandomizedResponse,
     dyadic_estimates,
 )
+from repro.privacy.randomness import categorical
 from repro.transforms.haar import haar_inverse, haar_range_weights
 from repro.transforms.hadamard import is_power_of_two
 
@@ -246,27 +247,25 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         self._frequencies = reconstructed[: self._domain_size]
         self._prefix = np.concatenate([[0.0], np.cumsum(self._frequencies)])
 
-    def _user_blocks_and_signs(self, items: np.ndarray, level: int) -> tuple:
-        """Block index and coefficient sign of every item at ``level``."""
-        return items >> level, 1 - 2 * ((items >> (level - 1)) & 1)
-
     def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
         """Run the real local protocol with each user sampling a level.
 
-        Only levels that received users are visited (empty levels never
-        consumed randomness anyway), so tiny streaming batches cost
-        O(active levels) instead of O(h) mask scans.
+        The level draw is :func:`~repro.privacy.randomness.categorical`
+        (``rng.choice``'s values and stream) and
+        :func:`~repro.core.base.group_by_label` groups the users with one
+        stable sort.  A level-``l`` user's HRR key is ``item >> (l - 1)``:
+        the block ``item >> l`` in the high bits and the coefficient's
+        sign (set for the block's right half) in bit 0, so
+        :meth:`HadamardAccumulator._add_keys` perturbs and folds the group
+        straight into the level's sums.  Only levels that received users
+        are visited (empty levels never consumed randomness anyway).
         """
-        n_users = items.shape[0]
-        assignments = rng.choice(self._height, size=n_users, p=self._level_probabilities)
-        batch_level_counts = np.bincount(assignments, minlength=self._height)
-        self._level_user_counts += batch_level_counts
-        for level_index in np.flatnonzero(batch_level_counts):
-            level = int(level_index) + 1
-            level_items = items[assignments == level_index]
-            blocks, signs = self._user_blocks_and_signs(level_items, level)
-            oracle = self._oracles[level]
-            self._accumulators[level].add(oracle.encode_batch(blocks, rng, signs=signs))
+        assignments = categorical(rng, self._level_probabilities, items.shape[0])
+        counts, ordered, groups = group_by_label(items, assignments, self._height)
+        self._level_user_counts += counts
+        for level_index, users in groups:
+            level = level_index + 1
+            self._accumulators[level]._add_keys(ordered[users] >> (level - 1), rng)
 
     def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         """Aggregate mode: partition the counts across levels, then run the

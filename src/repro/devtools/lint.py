@@ -23,7 +23,9 @@ LDP-R002  Epsilon flow: raw ``exp(epsilon)`` arithmetic is confined to
           it to a constructor that does.
 LDP-R003  Write-path purity: ``partial_fit*``/``merge_from``/``fit_*``/
           ``submit*``/``load_state_dict`` must not materialize or read
-          estimates — writes touch only sufficient statistics.
+          estimates — writes touch only sufficient statistics; and
+          ``repro/core`` never calls ``.encode_batch(`` — per-user
+          simulation has one route, the accumulators' ``_add_items`` hook.
 LDP-R004  Asyncio discipline: no blocking calls inside ``async def``; no
           discarded ``create_task`` handles; no discarded
           ``gather(..., return_exceptions=True)`` results.
@@ -68,7 +70,8 @@ RULES: Dict[str, str] = {
     "LDP-R002": "exp(epsilon) arithmetic confined to repro.privacy; "
     "constructors validate epsilon",
     "LDP-R003": "write paths touch only sufficient statistics (no "
-    "materialize/_require_fitted/estimate reads)",
+    "materialize/_require_fitted/estimate reads; repro/core simulates users "
+    "through the accumulator hook, never encode_batch)",
     "LDP-R004": "async code never blocks the event loop or discards task "
     "handles / gathered exceptions",
     "LDP-R005": "state_dict/load_state_dict come in pairs and mechanisms "
@@ -389,7 +392,23 @@ def _check_init_epsilon(
 
 
 def _check_write_path_purity(ctx: _FileContext) -> Iterator[Finding]:
-    """LDP-R003 — write paths must not materialize or read estimates."""
+    """LDP-R003 — write paths must not materialize or read estimates, and
+    the mechanisms' per-user simulation goes through one route."""
+    if ctx.parts[:1] == ("core",):
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "encode_batch"
+            ):
+                yield Finding(
+                    "LDP-R003",
+                    ctx.display,
+                    node.lineno,
+                    node.col_offset,
+                    "repro/core calls 'encode_batch()' — per-user simulation "
+                    "goes through the accumulator hook _add_items (one route)",
+                )
     for node in ast.walk(ctx.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue

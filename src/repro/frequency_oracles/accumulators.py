@@ -43,12 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["OracleAccumulator", "checked_report_symbols"]
 
 
-def checked_report_symbols(symbols, n_users: int, upper: int, what: str) -> np.ndarray:
+def checked_report_symbols(
+    symbols, n_users: int, upper: int, what: str, lower: int = 0
+) -> np.ndarray:
     """Validate one untrusted per-user integer field of a report batch.
 
     ``symbols`` must be one-dimensional with one entry per user, integral
     (an integer dtype, or floats with integral values as JSON may deliver
-    them) and in ``[0, upper)``.  Returns them as int64; raises
+    them) and in ``[lower, upper)``.  Returns them as int64; raises
     :class:`~repro.exceptions.InvalidQueryError` otherwise, before any
     statistic changes.
     """
@@ -62,8 +64,8 @@ def checked_report_symbols(symbols, n_users: int, upper: int, what: str) -> np.n
         array.dtype.kind == "f" and np.array_equal(array, np.trunc(array))
     ):
         raise InvalidQueryError(f"{what} must be integers")
-    if array.size and (array.min() < 0 or array.max() >= upper):
-        raise InvalidQueryError(f"{what} must be in [0, {upper})")
+    if array.size and (array.min() < lower or array.max() >= upper):
+        raise InvalidQueryError(f"{what} must be in [{lower}, {upper})")
     return array.astype(np.int64, copy=False)
 
 
@@ -104,9 +106,27 @@ class OracleAccumulator(abc.ABC):
     def add_items(
         self, values: np.ndarray, random_state: RandomState = None
     ) -> "OracleAccumulator":
-        """Encode a batch of private items and accumulate their reports."""
-        rng = as_generator(random_state)
-        return self.add(self._oracle.encode_batch(np.asarray(values), rng))
+        """Encode a batch of private items and accumulate their reports.
+
+        Validates ``values`` once, then runs the per-user hook
+        :meth:`_add_items`.
+        """
+        self._add_items(self._oracle._check_values(values), as_generator(random_state))
+        return self
+
+    def _add_items(self, values: np.ndarray, rng: np.random.Generator) -> None:
+        """Run the local protocol for every user and fold the result in.
+
+        The trusted per-user hook: ``values`` are int64 items already
+        checked against the domain (the mechanisms validate a batch once,
+        at ``partial_fit`` entry, and call this for each level's users).
+        The default is the report round trip, ``add(encode_batch(...))``;
+        an oracle whose perturbation can feed its statistic directly
+        overrides it (HRR).  Either way the user count grows by
+        ``len(values)`` and the generator advances exactly as encoding the
+        batch does.
+        """
+        self.add(self._oracle.encode_batch(values, rng))
 
     def add_counts(
         self, true_counts: np.ndarray, random_state: RandomState = None

@@ -78,14 +78,36 @@ class HadamardAccumulator(OracleAccumulator):
     def _fold_codes(self, codes: np.ndarray) -> None:
         """Add reports coded as ``2 * index + [value == +1]`` to the sums.
 
-        One unweighted ``bincount`` tallies both values of every index;
-        ``+1`` tallies minus ``-1`` tallies is exact integer arithmetic, so
-        it equals :meth:`_fold`'s weighted ``+-1.0`` ``bincount`` bit for
-        bit.  (For reports that arrive as index/value arrays the weighted
-        ``bincount`` is the cheaper of the two.)
+        Codes fold where they are generated: :meth:`add_runs` (aggregate
+        fits) and :meth:`_add_keys` (per-user writes) pass the output of
+        :meth:`HadamardRandomizedResponse._perturbed_codes` straight here,
+        with no report arrays in between.  One unweighted ``bincount``
+        tallies both values of every index; ``+1`` tallies minus ``-1``
+        tallies is exact integer arithmetic, so it equals :meth:`_fold`'s
+        weighted ``+-1.0`` ``bincount`` bit for bit.  (For reports that
+        arrive as index/value arrays the weighted ``bincount`` is the
+        cheaper of the two.)
         """
         tallies = np.bincount(codes, minlength=2 * self._oracle.padded_size)
         self._sums += tallies[1::2] - tallies[0::2]
+
+    def _add_items(self, values: np.ndarray, rng: np.random.Generator) -> None:
+        self._add_keys(values << 1, rng)
+
+    def _add_keys(self, keys: np.ndarray, rng: np.random.Generator) -> None:
+        """Run HRR for users keyed ``2 v + [input negated]`` and fold them.
+
+        The trusted per-user fold: exactly the sums, user count and
+        generator state of ``add(encode_batch(v, rng, signs=...))``, but
+        no :class:`OracleReports` or int64 index/value arrays are built
+        and nothing the server generated itself is re-checked.  ``keys``
+        may have any integer dtype (the codes take the same one) and is
+        overwritten.  The Haar mechanism keys a level-``l`` user as
+        ``item >> (l - 1)``: the block in the high bits, the sign in
+        bit 0.
+        """
+        self._fold_codes(self._oracle._perturbed_codes(keys, rng))
+        self._n_users += keys.shape[0]
 
     def add_runs(
         self,

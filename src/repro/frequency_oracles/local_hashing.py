@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import kernels
 from repro.exceptions import ConfigurationError
-from repro.frequency_oracles.accumulators import OracleAccumulator
+from repro.frequency_oracles.accumulators import OracleAccumulator, checked_report_symbols
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.randomness import RandomState, as_generator
 
@@ -112,10 +112,17 @@ class LocalHashingAccumulator(OracleAccumulator):
         self._support = np.zeros(oracle.domain_size, dtype=np.float64)
 
     def _add_reports(self, reports: OracleReports) -> None:
+        # Reports may come from outside the process, so every field is
+        # checked before the statistic changes: a rejected batch leaves the
+        # support tallies and the user count untouched.
         oracle = self._oracle
-        a = np.asarray(reports.payload["a"], dtype=np.int64)
-        b = np.asarray(reports.payload["b"], dtype=np.int64)
-        values = np.asarray(reports.payload["values"], dtype=np.int64)
+        n_users = reports.n_users
+        payload = reports.payload
+        a = checked_report_symbols(payload["a"], n_users, _PRIME, "hash multipliers a", lower=1)
+        b = checked_report_symbols(payload["b"], n_users, _PRIME, "hash offsets b")
+        values = checked_report_symbols(
+            payload["values"], n_users, oracle.hash_range, "hashed report values"
+        )
         # The O(N * D) hash-match inner loop dispatches to the active
         # kernel backend; on numpy it is blocked over users so the
         # intermediate hash/match buffers stay inside the

@@ -248,6 +248,38 @@ class TestWritePathPurityR003:
         )
         assert findings == []
 
+    PER_USER_ROUND_TRIP = """
+    class Mechanism:
+        def _accumulate_per_user(self, items, rng):
+            oracle = self._oracles[1]
+            self._accumulators[1].add(oracle.encode_batch(items, rng))
+    """
+
+    def test_encode_batch_in_core_flagged(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path, self.PER_USER_ROUND_TRIP, name="repro/core/mechanism.py"
+        )
+        assert rules_of(findings) == ["LDP-R003"]
+        assert "encode_batch" in findings[0].message
+
+    def test_accumulator_hook_in_core_is_clean(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            """
+            class Mechanism:
+                def _accumulate_per_user(self, items, rng):
+                    self._accumulators[1]._add_items(items, rng)
+            """,
+            name="repro/core/mechanism.py",
+        )
+        assert findings == []
+
+    def test_encode_batch_outside_core_is_clean(self, tmp_path):
+        for name in ("repro/frequency_oracles/base.py", "repro/service/client.py", "mod.py"):
+            root = tmp_path / name.replace("/", "_")
+            findings, _ = lint_source(root, self.PER_USER_ROUND_TRIP, name=name)
+            assert findings == [], name
+
 
 class TestAsyncioDisciplineR004:
     def test_blocking_sleep_and_result_flagged(self, tmp_path):

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.frequency_oracles.local_hashing import OptimalLocalHashing, UniversalHashFamily
+from repro.exceptions import ConfigurationError, InvalidQueryError
+from repro.frequency_oracles.base import OracleReports
+from repro.frequency_oracles.local_hashing import (
+    _PRIME,
+    OptimalLocalHashing,
+    UniversalHashFamily,
+)
 
 
 class TestUniversalHashFamily:
@@ -116,3 +121,70 @@ class TestBlockedDecode:
 
         assert isinstance(olh_module.OLH_DECODE_TARGET_BYTES, int)
         assert olh_module.OLH_DECODE_TARGET_BYTES > 0
+
+
+class TestLocalHashingReportValidation:
+    """``add`` accepts only one integral ``(a, b, value)`` per user with
+    ``a`` in ``[1, P)``, ``b`` in ``[0, P)`` and ``value`` in ``[0, g)``;
+    anything else raises a typed error and leaves the state alone."""
+
+    DOMAIN = 6
+
+    def _loaded_accumulator(self, rng):
+        oracle = OptimalLocalHashing(epsilon=1.0, domain_size=self.DOMAIN)
+        accumulator = oracle.accumulator()
+        accumulator.add(oracle.encode_batch(rng.integers(0, self.DOMAIN, 40), rng))
+        return accumulator
+
+    def _assert_rejected(self, rng, a=(1, 2), b=(0, 5), values=(0, 1), n_users=2):
+        accumulator = self._loaded_accumulator(rng)
+        support = accumulator.state_dict()["support"].copy()
+        payload = {"a": np.array(a), "b": np.array(b), "values": np.array(values)}
+        with pytest.raises(InvalidQueryError):
+            accumulator.add(OracleReports(payload=payload, n_users=n_users))
+        np.testing.assert_array_equal(accumulator.state_dict()["support"], support)
+        assert accumulator.n_users == 40
+
+    def test_zero_multiplier(self, rng):
+        self._assert_rejected(rng, a=(0, 2))
+
+    def test_multiplier_equal_to_prime(self, rng):
+        self._assert_rejected(rng, a=(1, _PRIME))
+
+    def test_negative_offset(self, rng):
+        self._assert_rejected(rng, b=(-1, 0))
+
+    def test_offset_equal_to_prime(self, rng):
+        self._assert_rejected(rng, b=(_PRIME, 0))
+
+    def test_value_equal_to_hash_range(self, rng):
+        g = OptimalLocalHashing(epsilon=1.0, domain_size=self.DOMAIN).hash_range
+        self._assert_rejected(rng, values=(0, g))
+
+    def test_negative_value(self, rng):
+        self._assert_rejected(rng, values=(-1, 0))
+
+    def test_fractional_fields(self, rng):
+        self._assert_rejected(rng, a=(1.5, 2.0))
+        self._assert_rejected(rng, b=(0.0, 0.25))
+        self._assert_rejected(rng, values=(0.0, 1.5))
+
+    def test_one_entry_per_user(self, rng):
+        self._assert_rejected(rng, a=[[1], [2]])
+        self._assert_rejected(rng, values=(0, 1, 1), n_users=2)
+
+    def test_valid_integral_fields_are_accepted(self, rng):
+        oracle = OptimalLocalHashing(epsilon=1.0, domain_size=self.DOMAIN)
+        payload = {
+            "a": np.array([3.0, 7.0]),
+            "b": np.array([0.0, 11.0]),
+            "values": np.array([1.0, 0.0]),
+        }
+        as_floats = oracle.accumulator().add(OracleReports(payload=payload, n_users=2))
+        as_ints = oracle.accumulator().add(
+            OracleReports(payload={k: v.astype(np.int64) for k, v in payload.items()}, n_users=2)
+        )
+        np.testing.assert_array_equal(
+            as_floats.state_dict()["support"], as_ints.state_dict()["support"]
+        )
+        assert as_floats.n_users == 2
