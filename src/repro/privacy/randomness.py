@@ -107,8 +107,9 @@ def categorical(
     ``searchsorted(side="right")`` — so the values, the int64 dtype and the
     generator state match it exactly, zero-probability entries included
     (their flat CDF step is never landed on).  It skips ``choice``'s
-    validation of ``p`` (~40 µs per call), so ``probabilities`` must
-    already be a non-negative float64 vector with a positive sum.
+    checks of ``p`` (a 14-level, 500-user draw took 43 µs through
+    ``choice`` and 25 µs here on a 2-core x86 VM), so ``probabilities``
+    must already be a non-negative float64 vector with a positive sum.
     """
     cdf = probabilities.cumsum()
     cdf /= cdf[-1]
