@@ -38,6 +38,10 @@ LDP-R007  Kernel pairing: every kernel registered under a compiled backend
           (``register_kernel("numba", ...)``) has a numpy twin registered
           under the same name, so the library never depends on optional
           compiled code for correctness.
+LDP-R008  One HTTP transport: nothing imports ``http.client`` or
+          ``urllib.request`` — the service speaks HTTP through
+          ``ServiceClient`` and ``ReproHttpServer`` only, so the retry
+          rule and strict framing live in one client and one server.
 ========= ==================================================================
 
 Suppressions: append ``# repro: noqa[LDP-R00X]`` (or a blanket
@@ -80,6 +84,8 @@ RULES: Dict[str, str] = {
     "ValueError/RuntimeError/Exception",
     "LDP-R007": "every compiled kernel registration has a numpy twin "
     "(register_kernel pairing; optional backends never own correctness)",
+    "LDP-R008": "one HTTP transport: no http.client or urllib.request "
+    "imports (ServiceClient and ReproHttpServer own the wire)",
 }
 
 #: Rule used for files the parser cannot read at all.
@@ -152,6 +158,9 @@ _ESTIMATE_ATTRS = frozenset({"_frequencies", "_prefix", "_estimates"})
 _BLOCKING_IO_ATTRS = frozenset({"read_text", "write_text", "read_bytes", "write_bytes"})
 
 _BARE_EXCEPTIONS = frozenset({"ValueError", "RuntimeError", "Exception"})
+
+#: Second HTTP stacks (LDP-R008), as ``package -> submodule``.
+_HTTP_STACKS = {"http": "client", "urllib": "request"}
 
 _MECHANISM_BASE = "RangeQueryMechanism"
 
@@ -618,6 +627,30 @@ def _check_exception_discipline(ctx: _FileContext) -> Iterator[Finding]:
             )
 
 
+def _check_http_transport(ctx: _FileContext) -> Iterator[Finding]:
+    """LDP-R008 — imports of a second HTTP stack."""
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            package, _, submodule = module.partition(".")
+            if _HTTP_STACKS.get(package) == submodule.partition(".")[0]:
+                yield Finding(
+                    "LDP-R008",
+                    ctx.display,
+                    node.lineno,
+                    node.col_offset,
+                    f"imports '{package}.{_HTTP_STACKS[package]}' — the service "
+                    "has one HTTP transport (ServiceClient, ReproHttpServer); "
+                    "a second stack would bypass its retry rule and strict framing",
+                )
+                break
+
+
 def _check_kernel_pairing(facts: _ProjectFacts) -> Iterator[Finding]:
     """LDP-R007 — compiled kernel registrations without a numpy twin.
 
@@ -817,6 +850,7 @@ def lint_paths(
         findings.extend(_check_asyncio_discipline(ctx))
         findings.extend(_check_persist_coverage(ctx, facts))
         findings.extend(_check_exception_discipline(ctx))
+        findings.extend(_check_http_transport(ctx))
     findings.extend(_check_persist_registration(facts))
     findings.extend(_check_kernel_pairing(facts))
 

@@ -33,7 +33,9 @@ class NotFittedError(ReproError, RuntimeError):
 
 class ProtocolError(ReproError, RuntimeError):
     """Raised when user reports are malformed or inconsistent with the
-    mechanism configuration (wrong level id, wrong report length, ...)."""
+    mechanism configuration (wrong level id, wrong report length, ...), or
+    when a service response breaks HTTP framing (bad status line, missing
+    or non-digit ``Content-Length``, oversized head)."""
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -32,7 +32,10 @@ rule is stdlib + numpy:
 Error mapping is deliberate: malformed JSON / bad report payloads → 400,
 ``epsilon`` or ``domain_size`` claims that contradict the served spec →
 409 (the producer and server disagree about the protocol — retrying won't
-help), backpressure → 503 + ``Retry-After``.
+help), backpressure → 503 + ``Retry-After``.  Bodies are framed by
+``Content-Length`` alone (RFC 9112 section 6): a non-digit or conflicting
+length → 400, any ``Transfer-Encoding`` → 411; a framing error is
+answered once and the connection closed.
 
 When an :class:`~repro.service.autoscale.ShardAutoscaler` is attached,
 every accepted batch ticks its submission counter and a due check runs
@@ -51,8 +54,10 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
 import threading
 import time
+from tokenize import TokenError
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -91,6 +96,12 @@ _PROM = "text/plain; version=0.0.4; charset=utf-8"
 #: as a request Content-Type on the submit endpoints and negotiated as a
 #: response type on the query endpoints via the Accept header.
 _NPY = "application/x-npy"
+#: npy format versions whose header the server reads itself (``np.save``
+#: writes 1.0 for integer arrays; 2.0 only for headers over 64 KiB).
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 #: Path label used for unknown routes so 404 floods cannot mint unbounded
 #: label cardinality in the request counter.
@@ -137,6 +148,7 @@ class _HttpResponse:
         404: "Not Found",
         405: "Method Not Allowed",
         409: "Conflict",
+        411: "Length Required",
         413: "Payload Too Large",
         500: "Internal Server Error",
         503: "Service Unavailable",
@@ -329,35 +341,50 @@ class ReproHttpServer:
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one request; ``None`` on clean EOF, an error response on
-        malformed framing."""
+        malformed framing (the connection loop answers it and closes).
+
+        Framing follows RFC 9112 section 6 strictly, because a lenient
+        parser and a strict peer that disagree on where a body ends can be
+        made to read a body's bytes as a second request: ``Content-Length``
+        must be ASCII digits and agree across duplicates, and any
+        ``Transfer-Encoding`` is answered 411 (the service reads
+        ``Content-Length`` bodies only).
+        """
         try:
             request_line = await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError):
-            return _HttpResponse.error(400, "request line too long")
-        if not request_line or request_line in (b"\r\n", b"\n"):
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            return _HttpResponse.error(400, "malformed request line")
-        method, raw_path, version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
+            if not request_line or request_line in (b"\r\n", b"\n"):
                 return None
-            if line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if not _:
-                return _HttpResponse.error(400, "malformed header line")
-            headers[name.strip().lower()] = value.strip()
+            parts = request_line.decode("latin-1").strip().split()
+            if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+                return _HttpResponse.error(400, "malformed request line")
+            method, raw_path, version = parts
+            headers: Dict[str, str] = {}
+            lengths = set()
+            while True:
+                line = await reader.readline()
+                if not line:
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                name, colon, value = line.decode("latin-1").partition(":")
+                if not colon or not name or name != name.strip():
+                    return _HttpResponse.error(400, "malformed header line")
+                name = name.lower()
+                headers[name] = value.strip()
+                if name == "content-length":
+                    lengths.add(headers[name])
+        except (asyncio.LimitOverrunError, ValueError):
+            return _HttpResponse.error(400, "request head line too long")
+        if "transfer-encoding" in headers:
+            return _HttpResponse.error(
+                411, "Transfer-Encoding is not supported; send Content-Length"
+            )
+        if len(lengths) > 1:
+            return _HttpResponse.error(400, "conflicting Content-Length fields")
         raw_length = headers.get("content-length", "0")
-        try:
-            length = int(raw_length)
-        except ValueError:
+        if not (raw_length.isascii() and raw_length.isdigit()):
             return _HttpResponse.error(400, f"bad Content-Length {raw_length!r}")
-        if length < 0:
-            return _HttpResponse.error(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self._max_body_bytes:
             return _HttpResponse.error(
                 413, f"body of {length} bytes exceeds {self._max_body_bytes}"
@@ -454,18 +481,43 @@ class ReproHttpServer:
     @staticmethod
     def _decode_npy_body(body: bytes):
         """``(array, None)`` or ``(None, error response)`` for a binary
-        request body."""
+        request body.
+
+        The header is checked against the bytes that follow it before any
+        array is allocated: ``numpy.load`` would first allocate whatever
+        shape a forged header claims.
+        """
+        stream = io.BytesIO(body)
         try:
-            array = np.load(io.BytesIO(body), allow_pickle=False)
-        except (ValueError, OSError, EOFError) as error:
+            version = np.lib.format.read_magic(stream)
+            read_header = _NPY_HEADER_READERS.get(version)
+            if read_header is None:
+                return None, _HttpResponse.error(
+                    400, f"unsupported npy format version {version}"
+                )
+            shape, fortran, dtype = read_header(stream)
+        except (
+            ValueError, TypeError, SyntaxError, OSError, EOFError, TokenError
+        ) as error:
             return None, _HttpResponse.error(400, f"malformed npy body: {error}")
-        if not isinstance(array, np.ndarray) or not np.issubdtype(
-            array.dtype, np.integer
-        ):
+        if any(side < 0 for side in shape):
+            return None, _HttpResponse.error(
+                400, f"malformed npy body: negative shape {shape}"
+            )
+        if not np.issubdtype(dtype, np.integer):
             return None, _HttpResponse.error(
                 400, "npy body must be an integer array"
             )
-        return array.astype(np.int64, copy=False), None
+        count = math.prod(shape)
+        data = memoryview(body)[stream.tell():]
+        if len(data) != count * dtype.itemsize:
+            return None, _HttpResponse.error(
+                400,
+                f"malformed npy body: header shape {shape} needs "
+                f"{count * dtype.itemsize} data bytes, got {len(data)}",
+            )
+        array = np.frombuffer(data, dtype=dtype, count=count)
+        return array.reshape(shape, order="F" if fortran else "C").astype(np.int64), None
 
     def _handle_submit(self, request: _HttpRequest, points: bool) -> _HttpResponse:
         field = "points" if points else "items"
@@ -540,7 +592,7 @@ class ReproHttpServer:
         if "epsilon" in payload:
             try:
                 epsilon = float(payload["epsilon"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return _HttpResponse.error(400, "'epsilon' must be a number")
             if not np.isclose(epsilon, collector.epsilon, rtol=1e-9, atol=0.0):
                 return _HttpResponse.error(
@@ -551,7 +603,7 @@ class ReproHttpServer:
         if "domain_size" in payload:
             try:
                 domain = int(payload["domain_size"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return _HttpResponse.error(400, "'domain_size' must be an integer")
             if domain != collector.domain_size:
                 return _HttpResponse.error(
@@ -659,7 +711,7 @@ class ReproHttpServer:
             return _HttpResponse.error(400, "missing required field 'phis'")
         try:
             phis = [float(phi) for phi in np.asarray(raw, dtype=np.float64).reshape(-1)]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return _HttpResponse.error(400, "'phis' must be an array of numbers")
         view, error = await self._query_view()
         if error is not None:

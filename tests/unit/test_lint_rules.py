@@ -535,6 +535,46 @@ class TestExceptionDisciplineR006:
         assert findings == []
 
 
+class TestHttpTransportR008:
+    def test_second_http_stacks_flagged(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            """
+            import http.client
+            import urllib.request as fetch
+            from http.client import HTTPConnection
+            from http import client
+            from urllib import parse, request
+            """,
+        )
+        assert rules_of(findings) == ["LDP-R008"]
+        assert [finding.line for finding in findings] == [2, 3, 4, 5, 6]
+        assert "http.client" in findings[0].message
+        assert "urllib.request" in findings[1].message
+
+    def test_other_http_and_urllib_modules_are_clean(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            """
+            import http
+            import urllib.parse
+            from http import HTTPStatus
+            from urllib.parse import quote
+            from .http import client
+            from repro.service.http import HttpServerThread
+            """,
+        )
+        assert findings == []
+
+    def test_noqa_suppresses(self, tmp_path):
+        findings, stats = lint_source(
+            tmp_path,
+            "import http.client  # repro: noqa[LDP-R008]\n",
+        )
+        assert findings == []
+        assert stats["suppressed"] == 1
+
+
 class TestKernelPairingR007:
     def test_compiled_only_registration_flagged(self, tmp_path):
         findings, _ = lint_source(
@@ -745,5 +785,6 @@ def test_every_rule_has_a_description():
         "LDP-R005",
         "LDP-R006",
         "LDP-R007",
+        "LDP-R008",
     }
     assert all(lintmod.RULES.values())
