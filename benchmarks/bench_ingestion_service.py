@@ -15,10 +15,6 @@ at benchmark scale:
   within noise of a one-shot fit (the service feeds the same mergeable
   accumulators, so concurrency must be invisible to accuracy).
 
-A final section times :func:`repro.service.collect_across_processes`,
-whose workers exchange shard state as :mod:`repro.persist` snapshot bytes —
-the cross-process transport path.
-
 Run with ``pytest benchmarks/bench_ingestion_service.py --benchmark-only -s``.
 """
 
@@ -33,7 +29,7 @@ from repro.core.factory import mechanism_from_spec
 from repro.data.synthetic import cauchy_probabilities, sample_items
 from repro.data.workloads import random_range_queries
 from repro.experiments.reporting import format_table
-from repro.service import collect_across_processes, run_ingestion
+from repro.service import run_ingestion
 from repro.streaming import ShardedCollector
 
 SPEC = "hhc_4"
@@ -114,37 +110,3 @@ def test_throughput_vs_producers_and_router(run_once, bench_config):
         rates = {row[1]: row[2] for row in service_rows if row[0] == router}
         assert max(rates[p] for p in PRODUCER_COUNTS[1:]) > 0.5 * rates[1], router
 
-
-@pytest.mark.benchmark(group="ingestion")
-def test_cross_process_collection(run_once, bench_config):
-    """Worker processes exchanging persist snapshots match one-shot accuracy."""
-    domain = 1 << 8
-    items, workload, truth = _population(bench_config, domain)
-    batches = np.array_split(items, 16)
-
-    def collect():
-        rows = []
-        for n_workers in (0, 2, 4):
-            start = time.perf_counter()
-            mechanism = collect_across_processes(
-                SPEC,
-                batches,
-                epsilon=EPSILON,
-                domain_size=domain,
-                n_workers=n_workers,
-                random_state=bench_config.seed,
-            )
-            seconds = time.perf_counter() - start
-            mse = float(
-                np.mean((mechanism.answer_workload(workload) - truth) ** 2)
-            )
-            label = "in-process" if n_workers == 0 else f"{n_workers} procs"
-            rows.append([label, n_workers, seconds, mse * 1000.0])
-        return rows
-
-    rows = run_once(collect)
-    print(f"\n=== Cross-process | {SPEC} | D = {domain} | N = {bench_config.n_users} ===")
-    print(format_table(["executor", "workers", "seconds", "mse x1000"], rows))
-
-    errors = [row[3] for row in rows]
-    assert max(errors) < 3.0 * min(errors) + 1e-6

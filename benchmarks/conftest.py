@@ -4,9 +4,9 @@ Every benchmark regenerates one table or figure of the paper's evaluation at
 laptop scale and prints it in the paper's layout.  The scale can be raised
 towards the paper's original parameters through environment variables:
 
-``REPRO_BENCH_USERS``        population size N (default 2^16)
-``REPRO_BENCH_REPETITIONS``  repetitions per cell (default 2; the paper uses 5)
-``REPRO_BENCH_MAX_QUERIES``  per-workload query cap (default 4000)
+``REPRO_BENCH_USERS``        population size N (default 2^17)
+``REPRO_BENCH_REPETITIONS``  repetitions per cell (default 3; the paper uses 5)
+``REPRO_BENCH_MAX_QUERIES``  per-workload query cap (default 6000)
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 """

@@ -38,7 +38,7 @@ from repro.exceptions import (
 from repro.planner import Plan, PlanCandidate, plan
 from repro.privacy.budget import PrivacyBudget
 from repro import persist
-from repro.service import IngestionService, collect_across_processes, run_ingestion
+from repro.service import IngestionService, run_ingestion
 from repro.streaming import (
     HashRouter,
     LeastLoadedRouter,
@@ -74,7 +74,6 @@ __all__ = [
     "RoundRobinRouter",
     "HashRouter",
     "LeastLoadedRouter",
-    "collect_across_processes",
     "run_ingestion",
     "persist",
     # Quantiles

@@ -18,9 +18,6 @@ Examples
     python -m repro streaming --checkpoint /tmp/collector.snap
     python -m repro serve-demo --producers 1 2 4 8 --router least-loaded
     python -m repro table5 --domain 1024 --workers 4
-    python -m repro bench --suite smoke
-    python -m repro bench --suite smoke --compare BENCH_smoke.json
-    python -m repro bench --suite smoke --backend numba --transport shm
     python -m repro grid2d --side 32 --shards 4 --checkpoint /tmp/grid.snap
     python -m repro grid2d --side 16 --dims 3 --rectangles 100
     python -m repro plan --domain 1024 --users 200000 --queries 500
@@ -72,7 +69,6 @@ EXPERIMENTS = (
     "ablation-consistency",
     "streaming",
     "serve-demo",
-    "bench",
     "grid2d",
 )
 
@@ -177,36 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker processes for the (epsilon, spec, repetition) fan-out of "
-            "table5/table6 and the bench grid (default: serial for tables, "
-            "4 for bench); results are bit-identical to serial"
-        ),
-    )
-    parser.add_argument(
-        "--suite",
-        type=str,
-        default="smoke",
-        choices=["smoke", "full"],
-        help="bench only: which benchmark suite to run",
-    )
-    parser.add_argument(
-        "--backend",
-        type=str,
-        default=None,
-        choices=["auto", "numpy", "numba"],
-        help=(
-            "bench only: kernel backend the suite runs under (default: "
-            "auto-detect; explicitly requesting 'numba' fails when the "
-            "[compiled] extra is not installed)"
-        ),
-    )
-    parser.add_argument(
-        "--transport",
-        type=str,
-        default="auto",
-        choices=["auto", "shm", "pickle"],
-        help=(
-            "bench only: worker transport of the parallel grid benchmark "
-            "(default: shared memory when available, else pickle)"
+            "table5/table6 (default: serial); results are bit-identical to "
+            "serial"
         ),
     )
     parser.add_argument(
@@ -226,36 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="grid2d only: number of grid axes d (d > 2 runs the N-d grid)",
-    )
-    parser.add_argument(
-        "--out",
-        type=str,
-        default=".",
-        metavar="DIR",
-        help="bench only: directory receiving BENCH_<suite>.json",
-    )
-    parser.add_argument(
-        "--compare",
-        type=str,
-        default=None,
-        metavar="BASELINE.json",
-        help=(
-            "bench only: diff this run's records against a stored "
-            "BENCH_<suite>.json and exit non-zero when any record's "
-            "throughput regresses past --fail-threshold"
-        ),
-    )
-    parser.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help=(
-            "bench --compare only: maximum tolerated fractional throughput "
-            "drop per record before the comparison fails (default 0.5 = "
-            "flag >2x slowdowns; lenient on purpose for cross-machine CI "
-            "comparisons)"
-        ),
     )
     return parser
 
@@ -633,144 +571,6 @@ def _run_grid2d_recovery(config, args, spec, side, batches) -> str:
     )
 
 
-def _format_check(value) -> str:
-    """Render a bench check value for the per-check delta table."""
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
-def _run_bench(config: ExperimentConfig, args: argparse.Namespace):
-    """Run a benchmark suite, persist BENCH_<suite>.json and (optionally)
-    diff the records against a stored baseline, failing on regressions."""
-    from repro import kernels
-    from repro.experiments.bench import compare_payloads, load_payload, run_suite
-
-    # Read the baseline *before* running the suite: run_suite writes
-    # BENCH_<suite>.json into --out, which may be the very file --compare
-    # points at (the documented default invocation runs from the repo root)
-    # — loading afterwards would silently compare the run against itself.
-    # This also fails fast on a bad baseline path instead of after minutes
-    # of benchmarking.
-    baseline = None if args.compare is None else load_payload(args.compare)
-
-    if args.backend is not None:
-        kernels.set_backend(args.backend)
-    payload = run_suite(
-        suite=args.suite,
-        workers=args.workers,
-        out_dir=args.out,
-        transport=args.transport,
-    )
-    rows = [
-        [
-            record["name"],
-            round(record["wall_seconds"], 4),
-            round(record["throughput"], 1),
-            record["unit"],
-            record["rss_max_kb"],
-        ]
-        for record in payload["results"]
-    ]
-    checks = payload["checks"]
-    lines = [
-        f"Benchmark suite '{args.suite}' | workers = {payload['workers']} | "
-        f"kernel backend = {checks['kernel_backend']}",
-        format_table(["benchmark", "best wall s", "throughput", "unit", "rss KB"], rows),
-        "",
-        f"packed payload ratio (dense/packed bytes): {checks['packed_payload_ratio']:.1f}x",
-        f"packed aggregate speedup vs dense:         {checks['packed_aggregate_speedup']:.2f}x",
-        f"parallel grid speedup vs serial:           {checks['parallel_grid_speedup']:.2f}x"
-        f" (gate {'passed' if checks['parallel_grid_speedup_ok'] else 'FAILED'})",
-        f"parallel grid bit-identical to serial:     {checks['parallel_grid_bit_identical']}",
-        f"http ingest latency p50/p99:               "
-        f"{checks['http_ingest_p50_ms']:.2f}/{checks['http_ingest_p99_ms']:.2f} ms",
-        f"http query latency p50/p99:                "
-        f"{checks['query_p50_ms']:.2f}/{checks['query_p99_ms']:.2f} ms",
-        f"answer-cache speedup (repeated workload):  {checks['query_cache_speedup']:.2f}x",
-        f"answer-cache hit ratio (served reads):     {checks['query_cache_hit_ratio']:.2f}",
-        f"binary wire speedup vs JSON:               {checks['binary_wire_speedup']:.2f}x",
-        f"cached answers bit-identical:              {checks['cache_bit_identical']}",
-        f"coalesced answers bit-identical:           {checks['coalesce_bit_identical']}",
-        f"autoscaled reduce bit-identical to static: {checks['autoscale_bit_identical']}",
-        f"grid2d restore bit-identical:              {checks['grid2d_restore_bit_identical']}",
-        f"gridnd restore bit-identical:              {checks['gridnd_restore_bit_identical']}",
-        f"gridnd(d=2) bit-identical to grid2d:       {checks['gridnd_d2_bit_identical']}",
-        f"planner pick beats worst candidate:        {checks['planner_pick_beats_worst']}",
-        f"hh stream-ingest speedup (lazy vs eager):  {checks['hh_stream_ingest_speedup']:.2f}x",
-        f"grid2d stream-ingest speedup:              {checks['grid2d_stream_ingest_speedup']:.2f}x",
-        f"lazy vs eager bit-identical:               {checks['lazy_vs_eager_bit_identical']}",
-        f"grid2d rectangle batch speedup:            {checks['grid2d_rectangle_batch_speedup']:.2f}x",
-        f"kernels bit-identical across backends:     {checks['kernels_bit_identical']}",
-        f"kernel speedups vs numpy (unary/olh/runs): "
-        f"{checks['kernel_unary_speedup']:.2f}x/"
-        f"{checks['kernel_olh_decode_speedup']:.2f}x/"
-        f"{checks['kernel_badic_runs_speedup']:.2f}x",
-        f"shm transport speedup vs pickle:           {checks['shm_transport_speedup']:.2f}x",
-        f"shm transport bit-identical to pickle:     {checks['transport_bit_identical']}",
-        "",
-        f"wrote {payload.get('path', '(no file)')}",
-    ]
-    if baseline is None:
-        return "\n".join(lines)
-
-    diff = compare_payloads(payload, baseline, fail_threshold=args.fail_threshold)
-    diff_rows = []
-    for row in diff["rows"]:
-        if row["status"] == "new":
-            diff_rows.append([row["name"], "-", round(row["current_throughput"], 1), "-", "new"])
-            continue
-        diff_rows.append(
-            [
-                row["name"],
-                round(row["baseline_throughput"], 1),
-                round(row["current_throughput"], 1),
-                f"{row['throughput_ratio']:.2f}x",
-                row["status"],
-            ]
-        )
-    lines += [
-        "",
-        f"Comparison vs {args.compare} (fail below "
-        f"{1.0 - diff['fail_threshold']:.2f}x of baseline throughput)",
-        format_table(
-            ["benchmark", "baseline thr", "current thr", "ratio", "status"], diff_rows
-        ),
-    ]
-    check_rows = [
-        [
-            row["name"],
-            _format_check(row["baseline"]),
-            _format_check(row["current"]),
-            f"{row['delta']:+.3f}" if row["delta"] is not None else "-",
-            row["status"],
-        ]
-        for row in diff.get("check_rows", [])
-    ]
-    if check_rows:
-        lines += [
-            "",
-            "Per-check deltas vs baseline (informational; gating is per-record):",
-            format_table(
-                ["check", "baseline", "current", "delta", "status"], check_rows
-            ),
-        ]
-    if diff["missing"]:
-        lines.append(f"baseline-only records (not run): {', '.join(diff['missing'])}")
-    if diff["regressions"]:
-        lines.append(
-            f"REGRESSION: {len(diff['regressions'])} record(s) regressed: "
-            f"{', '.join(diff['regressions'])}"
-        )
-        return "\n".join(lines), 1
-    lines.append("no regressions")
-    return "\n".join(lines)
-
-
 def build_plan_parser() -> argparse.ArgumentParser:
     """Parser for ``python -m repro plan`` (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1047,16 +847,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ablation-consistency": _run_ablation_consistency,
         "streaming": _run_streaming,
         "serve-demo": _run_serve_demo,
-        "bench": _run_bench,
         "grid2d": _run_grid2d,
     }
-    result = runners[args.experiment](config, args)
-    if isinstance(result, tuple):
-        output, exit_code = result
-    else:
-        output, exit_code = result, 0
-    print(output)
-    return int(exit_code)
+    print(runners[args.experiment](config, args))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

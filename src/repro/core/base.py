@@ -39,7 +39,7 @@ that mutates their sufficient statistics without refreshing.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.exceptions import (
     InvalidQueryError,
     NotFittedError,
 )
+from repro.frequency_oracles.accumulators import checked_state_count
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 
@@ -535,11 +536,11 @@ class RangeQueryMechanism(abc.ABC):
         return np.asarray(-1 if self._n_users is None else int(self._n_users), dtype=np.int64)
 
     def _unpack_n_users(self, state: dict) -> Optional[int]:
+        if not isinstance(state, Mapping):
+            raise ConfigurationError("mechanism state must be a mapping of arrays")
         if "n_users" not in state:
             raise ConfigurationError("mechanism state is missing 'n_users'")
-        n_users = int(np.asarray(state["n_users"]))
-        if n_users < -1:
-            raise ConfigurationError(f"invalid snapshotted n_users {n_users}")
+        n_users = checked_state_count(state["n_users"], "snapshotted n_users", lower=-1)
         return None if n_users == -1 else n_users
 
     def _pack_level_state(self, accumulators, level_user_counts) -> dict:
@@ -566,6 +567,8 @@ class RangeQueryMechanism(abc.ABC):
         stored = state["accumulators"]
         levels = list(levels)
         expected = {str(level) for level in levels}
+        if not isinstance(stored, Mapping):
+            raise ConfigurationError("snapshot accumulators must be a mapping of levels")
         if set(stored) != expected:
             raise ConfigurationError(
                 f"snapshot holds levels {sorted(stored)}, this mechanism has "
@@ -575,17 +578,21 @@ class RangeQueryMechanism(abc.ABC):
             raise ConfigurationError(
                 "snapshot with accumulators is missing level_user_counts"
             )
-        counts = np.asarray(state["level_user_counts"], dtype=np.int64)
+        counts = np.asarray(state["level_user_counts"])
         if counts.shape != (len(levels),):
             raise ConfigurationError(
                 "snapshot level_user_counts do not match the level count"
+            )
+        if counts.dtype.kind not in "iu" or np.any(counts.astype(np.int64) < 0):
+            raise ConfigurationError(
+                "snapshot level_user_counts must be non-negative integers"
             )
         accumulators = {}
         for level in levels:
             accumulator = accumulator_for(level)
             accumulator.load_state_dict(stored[str(level)])
             accumulators[level] = accumulator
-        return n_users, accumulators, counts.copy()
+        return n_users, accumulators, counts.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Query answering

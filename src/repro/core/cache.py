@@ -30,9 +30,9 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["AnswerCache", "DEFAULT_ANSWER_CACHE_SIZE", "MISS"]
 
-#: Default entry bound of a mechanism's answer cache.  Sized for the
-#: workload shapes the bench suite serves (hundreds of distinct repeated
-#: queries between writes) while keeping worst-case memory trivial.
+#: Default entry bound of a mechanism's answer cache.  Sized for dashboard
+#: workloads (hundreds of distinct repeated queries between writes) while
+#: keeping worst-case memory trivial.
 DEFAULT_ANSWER_CACHE_SIZE = 256
 
 

@@ -135,8 +135,10 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             raise ConfigurationError(
                 f"level_probabilities must have {self._height} entries, got {array.shape}"
             )
-        if np.any(array < 0) or array.sum() <= 0:
-            raise ConfigurationError("level_probabilities must be non-negative and sum > 0")
+        if not np.all(np.isfinite(array)) or np.any(array < 0) or array.sum() <= 0:
+            raise ConfigurationError(
+                "level_probabilities must be finite, non-negative and sum > 0"
+            )
         return array / array.sum()
 
     # ------------------------------------------------------------------

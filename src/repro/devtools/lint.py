@@ -34,15 +34,14 @@ LDP-R005  Persist coverage: ``state_dict`` and ``load_state_dict`` come in
           registered with a persist config kind.
 LDP-R006  Exception discipline: library raises use ``repro.exceptions``
           types, not bare ``ValueError``/``RuntimeError``/``Exception``.
-LDP-R007  Kernel pairing: every kernel registered under a compiled backend
-          (``register_kernel("numba", ...)``) has a numpy twin registered
-          under the same name, so the library never depends on optional
-          compiled code for correctness.
 LDP-R008  One HTTP transport: nothing imports ``http.client`` or
           ``urllib.request`` — the service speaks HTTP through
           ``ServiceClient`` and ``ReproHttpServer`` only, so the retry
           rule and strict framing live in one client and one server.
 ========= ==================================================================
+
+LDP-R007 (kernel-backend pairing) is retired with the compiled backend it
+policed; its ID is not reused.
 
 Suppressions: append ``# repro: noqa[LDP-R00X]`` (or a blanket
 ``# repro: noqa``) to the offending line.  Grandfathered findings can live
@@ -82,8 +81,6 @@ RULES: Dict[str, str] = {
     "are registered with a persist config kind",
     "LDP-R006": "query/ingest paths raise repro.exceptions types, not bare "
     "ValueError/RuntimeError/Exception",
-    "LDP-R007": "every compiled kernel registration has a numpy twin "
-    "(register_kernel pairing; optional backends never own correctness)",
     "LDP-R008": "one HTTP transport: no http.client or urllib.request "
     "imports (ServiceClient and ReproHttpServer own the wire)",
 }
@@ -198,17 +195,6 @@ class _ClassInfo:
     line: int
 
 
-@dataclass(frozen=True)
-class _KernelRegistration:
-    """One ``register_kernel("<backend>", "<name>")`` call site."""
-
-    backend: str
-    kernel: str
-    path: str
-    line: int
-    col: int
-
-
 @dataclass
 class _ProjectFacts:
     """Cross-file knowledge gathered before the per-file rule passes."""
@@ -216,7 +202,6 @@ class _ProjectFacts:
     classes: Dict[str, _ClassInfo] = field(default_factory=dict)
     persist_registry_names: Set[str] = field(default_factory=set)
     has_persist_registry: bool = False
-    kernel_registrations: List[_KernelRegistration] = field(default_factory=list)
 
 
 @dataclass
@@ -651,64 +636,9 @@ def _check_http_transport(ctx: _FileContext) -> Iterator[Finding]:
                 break
 
 
-def _check_kernel_pairing(facts: _ProjectFacts) -> Iterator[Finding]:
-    """LDP-R007 — compiled kernel registrations without a numpy twin.
-
-    The :mod:`repro.kernels` registry enforces this pairing at import time
-    (``verify_registry``), but only along the import paths that actually
-    load the compiled backend; this pass proves it statically over every
-    ``register_kernel("<backend>", "<name>")`` call in the tree, flagging
-    the compiled registration site itself.
-    """
-    reference = {
-        registration.kernel
-        for registration in facts.kernel_registrations
-        if registration.backend == "numpy"
-    }
-    for registration in facts.kernel_registrations:
-        if registration.backend == "numpy":
-            continue
-        if registration.kernel not in reference:
-            yield Finding(
-                "LDP-R007",
-                registration.path,
-                registration.line,
-                registration.col,
-                f"kernel '{registration.kernel}' is registered for backend "
-                f"'{registration.backend}' without a numpy twin — compiled "
-                "backends are optional and must never own a kernel alone",
-            )
-
-
 # ----------------------------------------------------------------------
 # Project fact collection
 # ----------------------------------------------------------------------
-def _kernel_registration(
-    ctx: _FileContext, node: ast.Call
-) -> Optional[_KernelRegistration]:
-    """Parse one ``register_kernel`` call; ``None`` when not statically
-    resolvable (non-literal arguments are the registry's problem, not ours)."""
-    if _last_component(_dotted(node.func)) != "register_kernel":
-        return None
-    if len(node.args) < 2:
-        return None
-    backend, kernel = node.args[0], node.args[1]
-    if not (
-        isinstance(backend, ast.Constant)
-        and isinstance(backend.value, str)
-        and isinstance(kernel, ast.Constant)
-        and isinstance(kernel.value, str)
-    ):
-        return None
-    return _KernelRegistration(
-        backend=backend.value,
-        kernel=kernel.value,
-        path=ctx.display,
-        line=node.lineno,
-        col=node.col_offset,
-    )
-
-
 def _is_abstract_class(node: ast.ClassDef) -> bool:
     for base in node.bases:
         if _last_component(_dotted(base)) in _ABSTRACT_BASES:
@@ -732,10 +662,6 @@ def _collect_facts(contexts: Sequence[_FileContext]) -> _ProjectFacts:
     facts = _ProjectFacts()
     for ctx in contexts:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                registration = _kernel_registration(ctx, node)
-                if registration is not None:
-                    facts.kernel_registrations.append(registration)
             if isinstance(node, ast.ClassDef):
                 methods = {
                     item.name
@@ -852,7 +778,6 @@ def lint_paths(
         findings.extend(_check_exception_discipline(ctx))
         findings.extend(_check_http_transport(ctx))
     findings.extend(_check_persist_registration(facts))
-    findings.extend(_check_kernel_pairing(facts))
 
     stats = {"files": len(contexts), "suppressed": 0, "baselined": 0}
     remaining: List[Finding] = []

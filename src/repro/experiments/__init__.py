@@ -9,11 +9,11 @@
   Section 5 (Figure 4, Tables 5 and 6, Figure 7, Figure 8, Figure 9) plus
   the design-choice ablations called out in DESIGN.md;
 * :mod:`repro.experiments.reporting` — plain-text rendering of result
-  tables in the same layout as the paper;
-* :mod:`repro.experiments.bench` — the repo-wide benchmark harness behind
-  ``python -m repro bench``, writing ``BENCH_<suite>.json`` perf records
-  (imported lazily — ``from repro.experiments.bench import run_suite`` —
-  so non-bench users don't pay for its streaming/persist dependencies).
+  tables in the same layout as the paper.
+
+Performance is measured by the repository benchmark, ``perfbench/``
+(``python3 perfbench/run.py``), whose ``paper_sweep`` workload drives
+:func:`~repro.experiments.runner.run_epsilon_grid`.
 """
 
 from repro.experiments.config import DataConfig, ExperimentConfig, PAPER_SCALE, LAPTOP_SCALE

@@ -16,22 +16,15 @@ bit-identical to the serial one for any seed and worker count (the tests
 verify this).
 
 The shared inputs of a sweep — the counts vector, the workload query matrix
-and its exact answers — travel to workers over a ``transport``: ``"shm"``
-packs them into one :mod:`multiprocessing.shared_memory` segment that
-workers attach to by name (the pool initializer receives only a tiny
-descriptor), ``"pickle"`` ships them through the pool initializer the
-classic way, and ``"auto"`` (the default) prefers shared memory and falls
-back to pickle when it is unavailable or segment creation fails.  The
-transported bytes are identical either way, so results never depend on the
-transport.  The parent owns the segment and unlinks it in a ``finally``, so
-even a hard worker crash (``BrokenProcessPool``) leaks nothing.
+and its exact answers — reach each worker once, through the pool
+initializer, rather than being pickled into every task.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +32,6 @@ from repro.analysis.metrics import mean_squared_error
 from repro.core.factory import mechanism_from_spec
 from repro.data.workloads import RangeWorkload
 from repro.exceptions import ConfigurationError
-from repro.experiments.transport import SharedArrayPack, resolve_transport
 from repro.privacy.randomness import RandomState, spawn_generators
 
 __all__ = ["CellResult", "evaluate_mechanism", "run_epsilon_grid"]
@@ -108,57 +100,10 @@ def _repetition_mse(
 #: initializer rather than pickled into every repetition task.
 _WORKER_SHARED: Optional[tuple] = None
 
-#: The worker's attached shared-memory pack.  Kept alive for the process
-#: lifetime because ``_WORKER_SHARED`` holds views into its buffer.
-_WORKER_PACK: Optional[SharedArrayPack] = None
-
 
 def _init_worker(shared: tuple) -> None:
     global _WORKER_SHARED
     _WORKER_SHARED = shared
-
-
-def _init_worker_shm(descriptor: dict, domain_size: int, workload_name: str) -> None:
-    """Rebuild ``_WORKER_SHARED`` from views into the parent's segment."""
-    global _WORKER_SHARED, _WORKER_PACK
-    _WORKER_PACK = SharedArrayPack.attach(descriptor)
-    arrays = _WORKER_PACK.arrays()
-    # RangeWorkload validation copies the query matrix out of the segment
-    # (astype); counts and true_answers stay zero-copy read-only views.
-    workload = RangeWorkload(
-        domain_size=domain_size, queries=arrays["queries"], name=workload_name
-    )
-    _WORKER_SHARED = (arrays["counts"], workload, arrays["true_answers"])
-
-
-def _transport_spec(
-    transport: str,
-    counts: np.ndarray,
-    workload: RangeWorkload,
-    true_answers: np.ndarray,
-) -> Tuple[Callable, tuple, Optional[SharedArrayPack]]:
-    """Pool ``(initializer, initargs, owned_pack)`` for the chosen transport.
-
-    A returned pack is owned by the caller, which must ``close()`` and
-    ``unlink()`` it once the pool is done (in a ``finally``, so a crashed
-    worker cannot leak the segment).  Creation failures fall back to the
-    pickle transport rather than failing the sweep.
-    """
-    if resolve_transport(transport) == "shm":
-        try:
-            pack = SharedArrayPack.create(
-                {
-                    "counts": counts,
-                    "queries": workload.queries,
-                    "true_answers": true_answers,
-                }
-            )
-        except OSError:
-            pack = None
-        if pack is not None:
-            initargs = (pack.descriptor, workload.domain_size, workload.name)
-            return _init_worker_shm, initargs, pack
-    return _init_worker, ((counts, workload, true_answers),), None
 
 
 def _chunk_mses(chunk: Sequence[tuple]) -> List[List[float]]:
@@ -194,6 +139,22 @@ def _partition(rows: Sequence, n_chunks: int) -> List[List]:
     return [list(rows[bounds[i] : bounds[i + 1]]) for i in range(n_chunks)]
 
 
+def _pool_map(
+    chunks: Sequence[List],
+    counts: np.ndarray,
+    workload: RangeWorkload,
+    true_answers: np.ndarray,
+) -> List[List[float]]:
+    """Run each chunk in its own worker; per-cell errors in chunk order."""
+    with ProcessPoolExecutor(
+        max_workers=len(chunks),
+        initializer=_init_worker,
+        initargs=((counts, workload, true_answers),),
+    ) as pool:
+        futures = [pool.submit(_chunk_mses, chunk) for chunk in chunks]
+        return [errors for future in futures for errors in future.result()]
+
+
 def _summarise(
     spec: str,
     counts: np.ndarray,
@@ -224,7 +185,6 @@ def evaluate_mechanism(
     mode: str = "aggregate",
     mechanism_kwargs: Optional[dict] = None,
     workers: int = 1,
-    transport: str = "auto",
 ) -> CellResult:
     """Fit one mechanism ``repetitions`` times and summarise its workload MSE.
 
@@ -243,17 +203,12 @@ def evaluate_mechanism(
     workers:
         Process count for the repetition fan-out.  ``1`` (the default) runs
         serially in-process; any value produces bit-identical results.
-    transport:
-        How the shared inputs reach workers when ``workers > 1``:
-        ``"shm"`` (shared memory), ``"pickle"``, or ``"auto"`` (shared
-        memory with pickle fallback).  Results are transport-independent.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions!r}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-    resolve_transport(transport)  # validate eagerly, even on the serial path
     true_answers = workload.true_answers(counts)
     generators = spawn_generators(random_state, repetitions)
     kwargs = dict(mechanism_kwargs or {})
@@ -272,26 +227,11 @@ def evaluate_mechanism(
             [(spec, epsilon, [rng], mode, kwargs) for rng in generators],
             workers,
         )
-        initializer, initargs, pack = _transport_spec(
-            transport, counts, workload, true_answers
-        )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                futures = [pool.submit(_chunk_mses, chunk) for chunk in chunks]
-                errors = [
-                    error
-                    for future in futures
-                    for cell_errors in future.result()
-                    for error in cell_errors
-                ]
-        finally:
-            if pack is not None:
-                pack.close()
-                pack.unlink()
+        errors = [
+            error
+            for cell_errors in _pool_map(chunks, counts, workload, true_answers)
+            for error in cell_errors
+        ]
     return _summarise(spec, counts, workload, epsilon, errors)
 
 
@@ -304,7 +244,6 @@ def run_epsilon_grid(
     random_state: RandomState = None,
     mode: str = "aggregate",
     workers: int = 1,
-    transport: str = "auto",
 ) -> List[CellResult]:
     """Evaluate every mechanism at every epsilon (the Table 5/6 grid).
 
@@ -320,8 +259,6 @@ def run_epsilon_grid(
     first (epsilon outer, mechanism inner — the serial order) and each
     cell's repetition streams are derived from its seed exactly as the
     serial path derives them, so the grid is bit-identical to ``workers=1``.
-    ``transport`` selects how the shared inputs reach those workers (see
-    :func:`evaluate_mechanism`); it never affects the results.
     """
     specs = list(specs)
     epsilons = list(epsilons)
@@ -329,7 +266,6 @@ def run_epsilon_grid(
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions!r}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-    resolve_transport(transport)  # validate eagerly, even on the serial path
     counts = np.asarray(counts, dtype=np.int64)
     seeds = spawn_generators(random_state, len(epsilons) * len(specs))
     pairs = [(epsilon, spec) for epsilon in epsilons for spec in specs]
@@ -357,23 +293,8 @@ def run_epsilon_grid(
         (spec, epsilon, spawn_generators(seed, repetitions), mode, None)
         for epsilon, spec, seed in cells
     ]
-    chunks = _partition(rows, workers)
-    results: List[CellResult] = []
-    initializer, initargs, pack = _transport_spec(
-        transport, counts, workload, true_answers
-    )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            futures = [pool.submit(_chunk_mses, chunk) for chunk in chunks]
-            cell_errors = [errors for future in futures for errors in future.result()]
-    finally:
-        if pack is not None:
-            pack.close()
-            pack.unlink()
-    for (epsilon, spec, _seed), errors in zip(cells, cell_errors):
-        results.append(_summarise(spec, counts, workload, epsilon, errors))
-    return results
+    cell_errors = _pool_map(_partition(rows, workers), counts, workload, true_answers)
+    return [
+        _summarise(spec, counts, workload, epsilon, errors)
+        for (epsilon, spec, _seed), errors in zip(cells, cell_errors)
+    ]

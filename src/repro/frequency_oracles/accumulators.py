@@ -40,7 +40,7 @@ from repro.privacy.randomness import RandomState, as_generator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 
-__all__ = ["OracleAccumulator", "checked_report_symbols"]
+__all__ = ["OracleAccumulator", "checked_report_symbols", "checked_state_count"]
 
 
 def checked_report_symbols(
@@ -67,6 +67,21 @@ def checked_report_symbols(
     if array.size and (array.min() < lower or array.max() >= upper):
         raise InvalidQueryError(f"{what} must be in [{lower}, {upper})")
     return array.astype(np.int64, copy=False)
+
+
+def checked_state_count(value, what: str, lower: int = 0) -> int:
+    """Validate one snapshotted count: an integer scalar ``>= lower``.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` otherwise (a
+    vector, a float, a string or a nested mapping).
+    """
+    array = np.asarray(value)
+    if array.shape != () or array.dtype.kind not in "iu":
+        raise ConfigurationError(f"{what} must be an integer scalar")
+    count = int(array)
+    if count < lower:
+        raise ConfigurationError(f"{what} must be >= {lower}, got {count}")
+    return count
 
 
 class OracleAccumulator(abc.ABC):
@@ -175,8 +190,8 @@ class OracleAccumulator(abc.ABC):
 
         The returned dictionary, fed back through :meth:`load_state_dict` on
         an identically configured accumulator, reproduces the estimates
-        bit-for-bit.  Used by :mod:`repro.persist` for crash recovery and
-        cross-process shard transport.
+        bit-for-bit.  Used by :mod:`repro.persist` for snapshots and crash
+        recovery.
         """
         state: Dict[str, np.ndarray] = {
             "n_users": np.asarray(self._n_users, dtype=np.int64)
@@ -188,17 +203,18 @@ class OracleAccumulator(abc.ABC):
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> "OracleAccumulator":
         """Replace this accumulator's state with a :meth:`state_dict`.
 
-        Array shapes are validated against this accumulator's configuration;
-        a mismatch (e.g. a snapshot taken over a different domain size)
+        Arrays are validated against this accumulator's configuration: a
+        wrong shape (e.g. a snapshot taken over a different domain size), a
+        non-numeric dtype, a non-finite entry or a non-integer user count
         raises :class:`~repro.exceptions.ConfigurationError` without
         modifying the accumulator.
         """
+        if not isinstance(state, Mapping):
+            raise ConfigurationError("accumulator state must be a mapping of arrays")
         state = dict(state)
         if "n_users" not in state:
             raise ConfigurationError("accumulator state is missing 'n_users'")
-        n_users = int(np.asarray(state.pop("n_users")))
-        if n_users < 0:
-            raise ConfigurationError(f"n_users must be >= 0, got {n_users}")
+        n_users = checked_state_count(state.pop("n_users"), "n_users")
         template = self._statistic_arrays()
         if set(state) != set(template):
             raise ConfigurationError(
@@ -207,13 +223,23 @@ class OracleAccumulator(abc.ABC):
             )
         loaded = {}
         for key, current in template.items():
-            value = np.asarray(state[key], dtype=current.dtype)
+            value = np.asarray(state[key])
+            if value.dtype.kind not in "biuf" or not np.can_cast(
+                value.dtype, current.dtype, "same_kind"
+            ):
+                raise ConfigurationError(
+                    f"statistic {key!r} has dtype {value.dtype}, expected "
+                    f"{current.dtype}"
+                )
             if value.shape != current.shape:
                 raise ConfigurationError(
                     f"statistic {key!r} has shape {value.shape}, expected "
                     f"{current.shape} for this configuration"
                 )
-            loaded[key] = value.copy()
+            value = value.astype(current.dtype)
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"statistic {key!r} holds non-finite values")
+            loaded[key] = value
         self._load_statistic_arrays(loaded)
         self._n_users = n_users
         return self

@@ -123,11 +123,10 @@ class LocalHashingAccumulator(OracleAccumulator):
         values = checked_report_symbols(
             payload["values"], n_users, oracle.hash_range, "hashed report values"
         )
-        # The O(N * D) hash-match inner loop dispatches to the active
-        # kernel backend; on numpy it is blocked over users so the
+        # The O(N * D) hash-match inner loop is blocked over users so the
         # intermediate hash/match buffers stay inside the
         # OLH_DECODE_TARGET_BYTES working-set budget.  Support counts are
-        # exact integers, so the backend cannot change the estimate.
+        # exact integers, so the block size cannot change the estimate.
         self._support += kernels.olh_decode(
             a,
             b,

@@ -60,22 +60,20 @@ __all__ = [
 PACK_UNARY_REPORTS: bool = True
 
 #: Working-set target (bytes of unpacked bits per block) for the packed
-#: column-sum decode on the numpy backend.  Per-block sums accumulate in
-#: uint16, so the block size is governed by this budget alone (the historic
-#: uint8 accumulator additionally capped blocks at 255 rows, throttling
-#: large-``n_bits`` decodes for no accuracy gain).  The compiled backend
-#: never materialises the blocked intermediate and ignores the knob.
+#: column-sum decode.  Per-block sums accumulate in uint16, so the block
+#: size is governed by this budget alone (the historic uint8 accumulator
+#: additionally capped blocks at 255 rows, throttling large-``n_bits``
+#: decodes for no accuracy gain).
 UNARY_SUM_BLOCK_TARGET_BYTES: int = 1 << 18
 
 
 def packed_column_sums(packed: np.ndarray, n_bits: int) -> np.ndarray:
     """Column sums of a bit matrix packed along axis 1 with :func:`np.packbits`.
 
-    Dispatches to the active :mod:`repro.kernels` backend.  The numpy
-    reference processes the rows in blocks sized by
-    :data:`UNARY_SUM_BLOCK_TARGET_BYTES`, unpacking each block contiguously
-    and reducing it with a uint16 accumulator before widening; the numba
-    backend histograms byte columns instead.  Both are bit-identical to
+    :func:`repro.kernels.unary_column_sums` processes the rows in blocks
+    sized by :data:`UNARY_SUM_BLOCK_TARGET_BYTES`, unpacking each block
+    contiguously and reducing it with a uint16 accumulator before widening.
+    The result is bit-identical to
     ``np.unpackbits(packed, axis=1, count=n_bits).sum(axis=0)`` without ever
     materialising the dense matrix.
     """

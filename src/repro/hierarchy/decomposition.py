@@ -161,9 +161,8 @@ def batched_axis_runs(
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    # The peel itself is a pure int64 computation and dispatches to the
-    # active repro.kernels backend; every backend returns bit-identical
-    # bounds, finest level first, which this wrapper views level-ascending.
+    # The peel itself is a pure int64 kernel returning bounds finest level
+    # first, which this wrapper views level-ascending.
     bounds, survivors = kernels.badic_axis_runs(
         starts, ends, tree.branching, tree.height
     )

@@ -1,16 +1,16 @@
-"""Pure-numpy reference implementations of the hot kernels.
+"""``repro.kernels`` — the library's three hot integer loops.
 
-These are the always-available, always-correct fallbacks: every compiled
-kernel is validated bit-for-bit against the functions in this module (see
-``tests/property/test_kernel_backends.py``).  All three are pure integer
-functions of their inputs — no randomness, no global state — which is what
-makes cross-backend bit-identity a meaningful contract rather than a
-tolerance.
+Blocked packed-bit column sums (the SUE/OUE aggregate path), the OLH
+hash-match decode, and B-adic run enumeration (batched range answering and
+the box path).  All three are pure integer functions of their inputs — no
+randomness, no global state — checked bit-for-bit against naive references
+in ``tests/property/test_kernel_backends.py``.
 
-All tunable block sizes arrive as explicit arguments (the module-level
-knobs live with the callers, e.g. ``UNARY_SUM_BLOCK_TARGET_BYTES`` in
-:mod:`repro.frequency_oracles.unary`), so the kernels stay stateless and
-the registry can swap implementations freely.
+Callers reach them through the module attribute
+(``kernels.unary_column_sums(...)``) rather than importing the names, so a
+profiler that rebinds these names sees every call.  All tunable block sizes
+arrive as explicit arguments (the module-level knobs live with the callers,
+e.g. ``UNARY_SUM_BLOCK_TARGET_BYTES`` in :mod:`repro.frequency_oracles.unary`).
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.registry import register_kernel
-
 __all__ = ["unary_column_sums", "olh_decode", "badic_axis_runs"]
 
 
-@register_kernel("numpy", "unary_column_sums")
 def unary_column_sums(
     packed: np.ndarray, n_bits: int, block_target_bytes: int
 ) -> np.ndarray:
@@ -47,7 +44,6 @@ def unary_column_sums(
     return totals
 
 
-@register_kernel("numpy", "olh_decode")
 def olh_decode(
     a: np.ndarray,
     b: np.ndarray,
@@ -87,7 +83,6 @@ def olh_decode(
     return support
 
 
-@register_kernel("numpy", "badic_axis_runs")
 def badic_axis_runs(
     starts: np.ndarray, ends: np.ndarray, branching: int, height: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,7 +94,7 @@ def badic_axis_runs(
     of the level's left/right peel in prefix-sum coordinates (``first ==
     end`` marks an empty run).  ``survivors`` flags queries covering the
     whole padded domain, which the caller charges as the full level-1 run.
-    All arithmetic is exact int64, so every backend agrees bit-for-bit.
+    All arithmetic is exact int64.
     """
     n_queries = int(starts.shape[0])
     lo = starts.astype(np.int64, copy=True)

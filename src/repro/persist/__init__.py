@@ -11,7 +11,7 @@ self-describing container (JSON schema header + npz array payload, see
   (:meth:`repro.streaming.ShardedCollector.checkpoint` /
   :meth:`~repro.streaming.ShardedCollector.restore`);
 * accumulator state travels between machines or processes as plain bytes
-  (the transport of :mod:`repro.service`'s multiprocessing executor);
+  (:func:`to_bytes` / :func:`from_bytes`);
 * an analyst saves a fitted mechanism today and answers new range queries
   from the file tomorrow without re-collecting
   (:meth:`repro.core.session.LdpRangeQuerySession.save` / ``load``).

@@ -165,12 +165,20 @@ def flatten_arrays(
 
 
 def nest_arrays(flat: Mapping[str, np.ndarray]) -> Dict[str, Any]:
-    """Invert :func:`flatten_arrays`."""
+    """Invert :func:`flatten_arrays`.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` when one path is
+    both an array and a prefix of another (``"a"`` next to ``"a/b"``).
+    """
     nested: Dict[str, Any] = {}
     for path, value in flat.items():
         parts = path.split("/")
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigurationError(f"snapshot array path {path!r} is ambiguous")
+        if parts[-1] in node:
+            raise ConfigurationError(f"snapshot array path {path!r} is ambiguous")
         node[parts[-1]] = value
     return nested

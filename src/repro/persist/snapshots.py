@@ -2,8 +2,9 @@
 
 The public surface is four symmetric functions —
 
-* :func:`to_bytes` / :func:`from_bytes` for in-memory transport (what the
-  multiprocessing executor ships between worker processes);
+* :func:`to_bytes` / :func:`from_bytes` for in-memory bytes (what
+  :meth:`~repro.streaming.ShardedCollector.checkpoint_bytes` and the
+  session's ``to_bytes`` build on);
 * :func:`save` / :func:`load` for durable files (what crash recovery and
   the :meth:`~repro.core.session.LdpRangeQuerySession.save` API use);
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.core.wavelet import HaarWaveletMechanism
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.base import FrequencyOracle
 from repro.frequency_oracles.registry import make_oracle
@@ -59,6 +60,7 @@ from repro.persist.format import (
 )
 
 __all__ = [
+    "build_from_header",
     "clone_unfitted",
     "from_bytes",
     "load",
@@ -71,6 +73,23 @@ __all__ = [
 ]
 
 Snapshotable = Union[OracleAccumulator, RangeQueryMechanism]
+
+_Built = TypeVar("_Built")
+
+
+def build_from_header(build: Callable[[], _Built], what: str) -> _Built:
+    """Run a constructor fed by untrusted header JSON.
+
+    A wrongly typed or out-of-range value makes the constructor raise a
+    builtin error; it surfaces as :class:`~repro.exceptions.ConfigurationError`
+    instead, so every malformed snapshot fails with a typed error.
+    """
+    try:
+        return build()
+    except ReproError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as error:
+        raise ConfigurationError(f"{what} is malformed: {error!r}") from error
 
 
 def normalize_signature(signature: Any) -> Any:
@@ -174,8 +193,16 @@ def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
 
 
 def mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
-    """Rebuild an unfitted mechanism from :func:`mechanism_config` output."""
-    config = dict(config)
+    """Rebuild an unfitted mechanism from :func:`mechanism_config` output.
+
+    ``config`` may come from an untrusted snapshot header: anything that is
+    not a well-formed configuration raises
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
+    return build_from_header(lambda: _mechanism_from_config(dict(config)), "mechanism config")
+
+
+def _mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
     kind = config.pop("kind", None)
     name = config.pop("name", None)
     try:
@@ -247,9 +274,8 @@ def resolve_mechanism(
 ) -> RangeQueryMechanism:
     """Resolve a spec-string-or-instance into a prototype mechanism.
 
-    The shared front door of every surface that accepts either form
-    (:class:`~repro.streaming.ShardedCollector`,
-    :func:`repro.service.collect_across_processes`): with an instance,
+    The front door of :class:`~repro.streaming.ShardedCollector`, which
+    accepts either form: with an instance,
     ``mechanism_kwargs`` are rejected and any explicit ``epsilon`` /
     ``domain_size`` must agree with it; with a spec string both are
     required.  The returned prototype is a configuration donor — callers
@@ -348,7 +374,9 @@ def from_bytes(
     state = nest_arrays(flat)
     if kind == "accumulator":
         if template is None:
-            oracle = make_oracle(**header["oracle"])
+            oracle = build_from_header(
+                lambda: make_oracle(**header["oracle"]), "oracle configuration"
+            )
         elif isinstance(template, FrequencyOracle):
             oracle = template
         elif isinstance(template, OracleAccumulator):

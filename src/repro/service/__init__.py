@@ -4,9 +4,9 @@ The paper's collection model is a fleet of millions of one-shot reporters;
 a deployed pipeline also needs the *server side* of that fleet: many
 producers submitting report batches concurrently, shards absorbing them
 under backpressure, a routing policy spreading (or pinning) the load, and
-state that can cross process boundaries.  This package is that tier,
+state that survives a restart.  This package is that tier,
 layered on :mod:`repro.streaming` (mergeable shards) and
-:mod:`repro.persist` (durable, transportable shard state):
+:mod:`repro.persist` (durable shard state):
 
 * :class:`IngestionService` — an ``asyncio`` service with one bounded
   queue + worker per shard; concurrent producers ``await submit(batch)``
@@ -15,16 +15,13 @@ layered on :mod:`repro.streaming` (mergeable shards) and
   sticky placement), :class:`LeastLoadedRouter` (load-aware), pluggable
   into both the async service and the synchronous
   :class:`~repro.streaming.ShardedCollector` via ``router=``.
-* :func:`collect_across_processes` — a multiprocessing executor whose
-  workers receive and return shard state as :mod:`repro.persist` snapshot
-  bytes, demonstrating cross-process shard transport end-to-end.
 * :func:`run_ingestion` — synchronous driver used by the
   ``python -m repro serve-demo`` CLI and
   ``benchmarks/bench_ingestion_service.py``.
 
 None of it changes the estimates' distribution: every path feeds the same
-mergeable accumulators, so producer count, queue sizes, routing policy and
-process placement are pure operational knobs.
+mergeable accumulators, so producer count, queue sizes and routing policy
+are pure operational knobs.
 
 Example
 -------
@@ -48,7 +45,6 @@ Example
 
 from repro.service.autoscale import AutoscalePolicy, LoadSignal, ShardAutoscaler
 from repro.service.client import ServiceClient, ServiceResponse
-from repro.service.executor import collect_across_processes
 from repro.service.http import HttpServerThread, ReproHttpServer
 from repro.service.ingestion import (
     IngestionReport,
@@ -93,7 +89,6 @@ __all__ = [
     "ShardAutoscaler",
     "ShardQueueStats",
     "ShardRouter",
-    "collect_across_processes",
     "make_router",
     "register_router",
     "render_ingestion_stats",

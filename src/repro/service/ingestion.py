@@ -34,7 +34,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -248,17 +248,12 @@ class IngestionService:
                     "materializations_deferred": max(0, ingest - performed),
                 }
             )
-        from repro import kernels
-
         return {
             "started": self.started,
             "scaling": bool(self._scaling),
             "n_shards": self._collector.n_shards,
             "queue_size": int(self._queue_size),
             "router": self._collector.router.name,
-            # Which repro.kernels backend decodes this service's reports —
-            # operators comparing throughput across deployments need it.
-            "kernel_backend": kernels.active_backend(),
             "submitted_batches": int(self._submitted_batches),
             "submitted_users": int(self._submitted_users),
             "absorbed_batches": sum(entry["batches"] for entry in per_shard),

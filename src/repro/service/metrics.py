@@ -218,8 +218,8 @@ class Histogram(_Instrument):
 
     def quantile(self, q: float, labels: Optional[Mapping[str, str]] = None) -> float:
         """Bucket-resolution quantile estimate (upper bound of the bucket
-        containing the ``q``-th observation); used by the bench harness for
-        p50/p99 without keeping raw samples."""
+        containing the ``q``-th observation): p50/p99 without keeping raw
+        samples."""
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0, 1], got {q!r}")
         key = self._key(labels)
@@ -337,15 +337,6 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
         "# TYPE repro_ingest_queue_capacity gauge",
         _sample_line(
             "repro_ingest_queue_capacity", {}, int(stats.get("queue_size", 0))
-        ),
-        "# HELP repro_ingest_kernel_backend_info Active repro.kernels "
-        "backend decoding this service's reports (constant 1, label carries "
-        "the identity).",
-        "# TYPE repro_ingest_kernel_backend_info gauge",
-        _sample_line(
-            "repro_ingest_kernel_backend_info",
-            {"backend": str(stats.get("kernel_backend", "numpy"))},
-            1,
         ),
     ]
     lines += counter(

@@ -46,6 +46,7 @@ from repro.persist.format import (
     write_atomic,
 )
 from repro.persist.snapshots import (
+    build_from_header,
     mechanism_config,
     mechanism_from_config,
     resolve_mechanism,
@@ -69,9 +70,11 @@ def _generator_state(generator: np.random.Generator) -> Dict[str, Any]:
 def _generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
     """Rebuild a generator whose stream continues from a saved state."""
     name = state.get("bit_generator", "PCG64")
-    try:
-        bit_generator_class = getattr(np.random, name)
-    except AttributeError:
+    bit_generator_class = getattr(np.random, str(name), None)
+    if not (
+        isinstance(bit_generator_class, type)
+        and issubclass(bit_generator_class, np.random.BitGenerator)
+    ):
         raise ConfigurationError(f"unknown bit generator {name!r} in checkpoint")
     bit_generator = bit_generator_class()
     bit_generator.state = state
@@ -553,6 +556,24 @@ class ShardedCollector:
         for field in ("n_shards", "config"):
             if field not in header:
                 raise ConfigurationError(f"collector checkpoint is missing {field!r}")
+        collector = build_from_header(
+            lambda: cls._from_header(header), "collector checkpoint header"
+        )
+        states = nest_arrays(flat)
+        shards = []
+        for index in range(len(collector._generators)):
+            shard = mechanism_from_config(collector._config)
+            shard_state = states.get(f"shard{index}")
+            if shard_state is None:
+                raise ConfigurationError(f"checkpoint is missing shard {index}")
+            shard.load_state_dict(shard_state)
+            shards.append(shard)
+        collector._shards = shards
+        return collector
+
+    @classmethod
+    def _from_header(cls, header: Dict[str, Any]) -> "ShardedCollector":
+        """Everything but the shards, from a checkpoint's JSON header."""
         n_shards = int(header["n_shards"])
         generator_states = header.get("generators", [])
         if len(generator_states) != n_shards:
@@ -599,16 +620,6 @@ class ShardedCollector:
             # for the existing shards, but post-restore growth draws fresh
             # entropy instead of the original seed's next children.
             collector._seed_sequence = np.random.SeedSequence()
-        states = nest_arrays(flat)
-        shards = []
-        for index in range(n_shards):
-            shard = mechanism_from_config(collector._config)
-            shard_state = states.get(f"shard{index}")
-            if shard_state is None:
-                raise ConfigurationError(f"checkpoint is missing shard {index}")
-            shard.load_state_dict(shard_state)
-            shards.append(shard)
-        collector._shards = shards
         return collector
 
     @classmethod

@@ -12,6 +12,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.factory import mechanism_from_spec
 from repro.core.multidim import HierarchicalGridND
 from repro.core.session import GridNDSession
 from repro.data.synthetic import clustered_grid_points
@@ -166,3 +167,27 @@ class TestPlannerDrivenPipeline:
         mse = float(np.mean((mechanism.answer_boxes(boxes) - truth) ** 2))
         assert mse < chosen.predicted_variance
         assert mse < float(mechanism.theoretical_variance_bound(SIDE))
+
+    def test_planner_pick_beats_worst_candidate(self):
+        """The closed-form ranking's best candidate measures a lower box MSE
+        than its worst one, fitted on the same points with the same seed."""
+        side, n_users, epsilon = 16, 40_000, 1.1
+        points = clustered_grid_points(side, n_users, random_state=21, dims=DIMS)
+        boxes = random_boxes(side, 400, dims=DIMS, random_state=22)
+        counts = np.zeros((side,) * DIMS)
+        np.add.at(counts, tuple(points.T), 1)
+        exact = evaluate_exact_boxes(counts, boxes, dims=DIMS)
+        chosen = plan(
+            BoxWorkload(side, DIMS, boxes),
+            n_users=n_users,
+            epsilon=epsilon,
+            branchings=(2, 4, 16),
+        )
+        assert chosen.best.spec != chosen.worst.spec
+
+        def measured_mse(spec):
+            mechanism = mechanism_from_spec(spec, epsilon=epsilon, domain_size=side)
+            mechanism.fit_points(points, random_state=28)
+            return float(np.mean((mechanism.answer_boxes(boxes) - exact) ** 2))
+
+        assert measured_mse(chosen.best.spec) < measured_mse(chosen.worst.spec)

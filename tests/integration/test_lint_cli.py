@@ -53,13 +53,6 @@ SEEDED_VIOLATIONS = {
         def answer(start, end):
             raise ValueError("bad range")
         """,
-    "LDP-R007": """
-        from repro.kernels import register_kernel
-
-        @register_kernel("numba", "orphan_kernel")
-        def orphan_kernel(x):
-            return x
-        """,
 }
 
 

@@ -1,13 +1,10 @@
-"""Property tests: every kernel backend is bit-identical to naive numpy.
+"""Property tests: the :mod:`repro.kernels` loops are bit-identical to naive
+references.
 
-The registry contract (see :mod:`repro.kernels.registry`) is *exact*
-equality, not tolerance: all three hot kernels are pure integer functions,
-so a compiled backend may change wall time but never a single output bit.
-Each test therefore compares every backend in
-:func:`repro.kernels.available_backends` against an independent naive
-reference — locally that exercises the numpy implementation against the
-naive formula; in the numba-enabled CI job the same tests additionally pin
-the compiled kernels to it.
+The contract is *exact* equality, not tolerance: all three hot kernels are
+pure integer functions, so blocking and vectorisation may change wall time
+but never a single output bit.  Each test compares the kernel against an
+independent naive formula.
 """
 
 import numpy as np
@@ -23,10 +20,6 @@ _PRIME = (1 << 31) - 1
 block_targets = st.sampled_from([1, 8, 64, 4096, 1 << 22])
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def _backends():
-    return kernels.available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +44,9 @@ def test_unary_column_sums_matches_unpackbits(seed, n_rows, n_bits, density, blo
         if n_rows
         else np.zeros(n_bits, dtype=np.int64)
     )
-    for backend in _backends():
-        result = kernels.get_kernel("unary_column_sums", backend=backend)(
-            packed, n_bits, block_target
-        )
-        assert result.dtype == np.int64, backend
-        assert np.array_equal(result, expected), backend
+    result = kernels.unary_column_sums(packed, n_bits, block_target)
+    assert result.dtype == np.int64
+    assert np.array_equal(result, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +75,9 @@ def test_olh_decode_matches_direct_formula(seed, n_users, domain_size, hash_rang
         if n_users
         else np.zeros(domain_size, dtype=np.int64)
     )
-    for backend in _backends():
-        result = kernels.get_kernel("olh_decode", backend=backend)(
-            a, b, values, domain_size, hash_range, _PRIME, block_target
-        )
-        assert result.dtype == np.int64, backend
-        assert np.array_equal(result, expected), backend
+    result = kernels.olh_decode(a, b, values, domain_size, hash_range, _PRIME, block_target)
+    assert result.dtype == np.int64
+    assert np.array_equal(result, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +87,7 @@ def test_olh_decode_matches_direct_formula(seed, n_users, domain_size, hash_rang
 
 def _scalar_axis_runs(start, end, branching, height):
     """Per-query plain-Python peel: the reference the vectorised kernel
-    (and any compiled twin) must reproduce exactly."""
+    must reproduce exactly."""
     lo, hi = int(start), int(end) + 1
     rows = []
     block = 1
@@ -142,14 +129,11 @@ def test_badic_axis_runs_matches_scalar_peel(seed, geometry, n_queries):
             expected_runs[level, :, q] = row
         expected_survivors[q] = survived
 
-    for backend in _backends():
-        runs, survivors = kernels.get_kernel("badic_axis_runs", backend=backend)(
-            starts, ends, branching, height
-        )
-        assert runs.shape == (height, 4, n_queries), backend
-        assert runs.dtype == np.int64, backend
-        assert np.array_equal(runs, expected_runs), backend
-        assert np.array_equal(survivors, expected_survivors), backend
+    runs, survivors = kernels.badic_axis_runs(starts, ends, branching, height)
+    assert runs.shape == (height, 4, n_queries)
+    assert runs.dtype == np.int64
+    assert np.array_equal(runs, expected_runs)
+    assert np.array_equal(survivors, expected_survivors)
 
 
 @given(seed=seeds, geometry=geometries)
@@ -183,24 +167,18 @@ def test_degenerate_queries_single_point_and_full_domain():
     domain = branching**height
     starts = np.array([0, domain - 1, 0, 5], dtype=np.int64)
     ends = np.array([0, domain - 1, domain - 1, 5], dtype=np.int64)
-    for backend in _backends():
-        runs, survivors = kernels.get_kernel("badic_axis_runs", backend=backend)(
-            starts, ends, branching, height
-        )
-        # Only the full-domain query survives every peel.
-        assert survivors.tolist() == [False, False, True, False], backend
-        # Single points cover one leaf at the finest level (left or right
-        # peel depending on alignment): exactly one unit-length run.
-        assert runs[0, :, 0].tolist() == [0, 0, 0, 1], backend
-        assert runs[0, :, 3].tolist() == [5, 6, 6, 6], backend
+    runs, survivors = kernels.badic_axis_runs(starts, ends, branching, height)
+    # Only the full-domain query survives every peel.
+    assert survivors.tolist() == [False, False, True, False]
+    # Single points cover one leaf at the finest level (left or right
+    # peel depending on alignment): exactly one unit-length run.
+    assert runs[0, :, 0].tolist() == [0, 0, 0, 1]
+    assert runs[0, :, 3].tolist() == [5, 6, 6, 6]
 
 
 def test_empty_query_batch():
     starts = np.empty(0, dtype=np.int64)
     ends = np.empty(0, dtype=np.int64)
-    for backend in _backends():
-        runs, survivors = kernels.get_kernel("badic_axis_runs", backend=backend)(
-            starts, ends, 2, 4
-        )
-        assert runs.shape == (4, 4, 0), backend
-        assert survivors.shape == (0,), backend
+    runs, survivors = kernels.badic_axis_runs(starts, ends, 2, 4)
+    assert runs.shape == (4, 4, 0)
+    assert survivors.shape == (0,)

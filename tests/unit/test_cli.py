@@ -66,24 +66,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table99"])
 
-    def test_bench_backend_and_transport_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.backend is None  # None = leave auto-detection alone
-        assert args.transport == "auto"
-
-    def test_bench_backend_and_transport_overrides(self):
-        args = build_parser().parse_args(
-            ["bench", "--backend", "numpy", "--transport", "shm"]
-        )
-        assert args.backend == "numpy"
-        assert args.transport == "shm"
-
-    def test_bench_backend_and_transport_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--backend", "cuda"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--transport", "tcp"])
-
 
 TINY = ["--users", "20000", "--repetitions", "1", "--max-queries", "400", "--domain", "64"]
 
@@ -179,107 +161,6 @@ class TestMain:
         assert main([*argv, "--workers", "2"]) == 0
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
-
-    def test_bench_runs_and_writes_json(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        from repro.experiments import bench as bench_module
-
-        tiny = dict(
-            repeats=1,
-            encode_users=200,
-            encode_domain=32,
-            unary_users=300,
-            unary_domain=64,
-            olh_users=100,
-            olh_domain=16,
-            shard_users=500,
-            shard_domain=64,
-            shards=2,
-            consistency_branching=2,
-            consistency_height=4,
-            grid_users=500,
-            grid_domain=16,
-            grid_specs=("hhc_4",),
-            grid_epsilons=(1.1,),
-            grid_repetitions=1,
-            grid2d_users=400,
-            grid2d_side=8,
-            grid2d_branching=2,
-            grid2d_shards=2,
-            grid2d_batches=4,
-            grid2d_rectangles=50,
-            stream_batch_users=4,
-            stream_hh_domain=64,
-            stream_hh_branching=2,
-            stream_hh_batches=8,
-            stream_grid_side=8,
-            stream_grid_branching=2,
-            stream_grid_batches=8,
-        )
-        tiny_suites = {"smoke": dict(bench_module.SUITES["smoke"], **tiny)}
-        monkeypatch.setattr(bench_module, "SUITES", tiny_suites)
-        assert main(["bench", "--suite", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "Benchmark suite 'smoke'" in output
-        assert "bit-identical to serial:     True" in output
-        assert "grid2d restore bit-identical:              True" in output
-        assert "lazy vs eager bit-identical:               True" in output
-        written = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-        assert written["suite"] == "smoke"
-        assert written["results"]
-
-        # Comparing a run against its own record is clean (exit 0) ...
-        baseline = tmp_path / "BENCH_smoke.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--suite",
-                    "smoke",
-                    "--out",
-                    str(tmp_path),
-                    "--workers",
-                    "2",
-                    "--compare",
-                    str(baseline),
-                    "--fail-threshold",
-                    "0.99",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "no regressions" in output
-
-        # ... and an impossible baseline fails with a non-zero exit code —
-        # written over BENCH_smoke.json itself, so this also pins that the
-        # baseline is read *before* run_suite overwrites the file (reading
-        # afterwards would compare the run against itself and pass).
-        inflated = json.loads(baseline.read_text())
-        for record in inflated["results"]:
-            record["throughput"] = record["throughput"] * 1e9
-        baseline.write_text(json.dumps(inflated))
-        assert (
-            main(
-                [
-                    "bench",
-                    "--suite",
-                    "smoke",
-                    "--out",
-                    str(tmp_path),
-                    "--workers",
-                    "2",
-                    "--compare",
-                    str(baseline),
-                    "--fail-threshold",
-                    "0.5",
-                ]
-            )
-            == 1
-        )
-        output = capsys.readouterr().out
-        assert "REGRESSION" in output
 
     def test_grid2d_runs(self, capsys):
         assert (

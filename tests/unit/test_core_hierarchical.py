@@ -37,6 +37,9 @@ class TestConfiguration:
             HierarchicalHistogramMechanism(
                 1.0, 16, branching=4, level_probabilities=[-1.0, 2.0]
             )
+        for bad in ([float("nan"), 1.0], [float("inf"), 1.0]):
+            with pytest.raises(ConfigurationError):
+                HierarchicalHistogramMechanism(1.0, 16, branching=4, level_probabilities=bad)
 
     def test_invalid_budget_strategy(self):
         with pytest.raises(ConfigurationError):

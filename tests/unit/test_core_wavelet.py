@@ -29,6 +29,9 @@ class TestConfiguration:
     def test_invalid_level_probabilities(self):
         with pytest.raises(ConfigurationError):
             HaarWaveletMechanism(1.0, 64, level_probabilities=[1.0, 2.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                HaarWaveletMechanism(1.0, 64, level_probabilities=[bad] + [1.0] * 5)
 
 
 class TestCollection:

@@ -146,16 +146,18 @@ class TestParallelRunner:
             repetitions=2,
             random_state=42,
         )
-        serial = run_epsilon_grid(["hhc_4", "haar"], workers=1, **kwargs)
-        parallel = run_epsilon_grid(["hhc_4", "haar"], workers=4, **kwargs)
+        specs = ["flat_oue", "hhc_4", "haar"]
+        serial = run_epsilon_grid(specs, workers=1, **kwargs)
+        parallel = run_epsilon_grid(specs, workers=4, **kwargs)
         assert serial == parallel  # CellResults compare field-exact
 
-    def test_parallel_evaluate_bit_identical_to_serial(self, counts, workload):
+    @pytest.mark.parametrize("spec", ["hhc_4", "flat_oue"])
+    def test_parallel_evaluate_bit_identical_to_serial(self, spec, counts, workload):
         serial = evaluate_mechanism(
-            "hhc_4", counts, workload, 1.0, repetitions=3, random_state=5, workers=1
+            spec, counts, workload, 1.0, repetitions=3, random_state=5, workers=1
         )
         parallel = evaluate_mechanism(
-            "hhc_4", counts, workload, 1.0, repetitions=3, random_state=5, workers=3
+            spec, counts, workload, 1.0, repetitions=3, random_state=5, workers=3
         )
         assert serial == parallel
 

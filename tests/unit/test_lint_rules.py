@@ -575,85 +575,6 @@ class TestHttpTransportR008:
         assert stats["suppressed"] == 1
 
 
-class TestKernelPairingR007:
-    def test_compiled_only_registration_flagged(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            """
-            from repro.kernels import register_kernel
-
-            @register_kernel("numba", "column_sums")
-            def fast_column_sums(packed):
-                return packed
-            """,
-        )
-        assert rules_of(findings) == ["LDP-R007"]
-        assert "column_sums" in findings[0].message
-
-    def test_paired_registration_is_clean_across_files(self, tmp_path):
-        (tmp_path / "numpy_backend.py").write_text(
-            "from repro.kernels import register_kernel\n\n"
-            '@register_kernel("numpy", "column_sums")\n'
-            "def column_sums(packed):\n"
-            "    return packed\n",
-            encoding="utf-8",
-        )
-        findings, _ = lint_source(
-            tmp_path,
-            """
-            from repro.kernels import register_kernel
-
-            @register_kernel("numba", "column_sums")
-            def fast_column_sums(packed):
-                return packed
-            """,
-            name="numba_backend.py",
-        )
-        assert findings == []
-
-    def test_plain_call_form_and_dotted_name_flagged(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            """
-            from repro.kernels import registry
-
-            def decode(values):
-                return values
-
-            registry.register_kernel("numba", "decode")(decode)
-            """,
-        )
-        assert rules_of(findings) == ["LDP-R007"]
-
-    def test_non_literal_arguments_are_ignored(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            """
-            from repro.kernels import register_kernel
-
-            BACKEND = "numba"
-
-            @register_kernel(BACKEND, "decode")
-            def decode(values):
-                return values
-            """,
-        )
-        assert findings == []
-
-    def test_numpy_only_registration_is_clean(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            """
-            from repro.kernels import register_kernel
-
-            @register_kernel("numpy", "decode")
-            def decode(values):
-                return values
-            """,
-        )
-        assert findings == []
-
-
 class TestSuppressionAndBaseline:
     BAD = """
     import numpy as np
@@ -784,7 +705,6 @@ def test_every_rule_has_a_description():
         "LDP-R004",
         "LDP-R005",
         "LDP-R006",
-        "LDP-R007",
         "LDP-R008",
     }
     assert all(lintmod.RULES.values())

@@ -1,4 +1,4 @@
-"""Unit tests for repro.service: routers, async ingestion, cross-process."""
+"""Unit tests for repro.service: routers and async ingestion."""
 
 import asyncio
 
@@ -11,7 +11,6 @@ from repro.service import (
     IngestionService,
     LeastLoadedRouter,
     RoundRobinRouter,
-    collect_across_processes,
     make_router,
     run_ingestion,
 )
@@ -403,72 +402,3 @@ class TestRunIngestion:
         fitted = [shard for shard in collector.shards if shard.is_fitted]
         assert len(fitted) == 1
         assert fitted[0].n_users == items.size
-
-
-class TestCollectAcrossProcesses:
-    def test_inline_executor_matches_accuracy(self, items):
-        mechanism = collect_across_processes(
-            "hhc_4",
-            np.array_split(items, 6),
-            epsilon=EPSILON,
-            domain_size=DOMAIN,
-            n_workers=0,
-            random_state=5,
-        )
-        assert mechanism.n_users == items.size
-        truth = np.mean((items >= 10) & (items <= 50))
-        assert mechanism.answer_range(10, 50) == pytest.approx(truth, abs=0.08)
-
-    def test_worker_processes_round_trip(self, items):
-        mechanism = collect_across_processes(
-            "flat_oue",
-            np.array_split(items, 6),
-            epsilon=EPSILON,
-            domain_size=DOMAIN,
-            n_workers=2,
-            random_state=5,
-        )
-        assert mechanism.n_users == items.size
-        truth = np.mean(items <= 31)
-        assert mechanism.answer_range(0, 31) == pytest.approx(truth, abs=0.05)
-
-    def test_deterministic_for_fixed_seed(self, items):
-        def run():
-            return collect_across_processes(
-                "flat_oue",
-                np.array_split(items, 5),
-                epsilon=EPSILON,
-                domain_size=DOMAIN,
-                n_workers=0,
-                random_state=11,
-            ).estimate_frequencies()
-
-        np.testing.assert_array_equal(run(), run())
-
-    def test_accepts_template_instance(self, items):
-        from repro.core.wavelet import HaarWaveletMechanism
-
-        template = HaarWaveletMechanism(EPSILON, DOMAIN)
-        mechanism = collect_across_processes(
-            template, np.array_split(items, 4), n_workers=0, random_state=1
-        )
-        assert mechanism.n_users == items.size
-        assert not template.is_fitted  # the template itself is untouched
-
-    def test_validates_inputs(self, items):
-        with pytest.raises(ConfigurationError):
-            collect_across_processes("flat", [items], n_workers=-1,
-                                     epsilon=EPSILON, domain_size=DOMAIN)
-        with pytest.raises(ConfigurationError):
-            collect_across_processes("flat", [items])  # missing epsilon/domain
-        with pytest.raises(ConfigurationError):
-            collect_across_processes("flat", [], epsilon=EPSILON, domain_size=DOMAIN)
-
-    def test_template_conflicting_parameters_rejected(self, items):
-        from repro.core.flat import FlatMechanism
-
-        template = FlatMechanism(EPSILON, DOMAIN)
-        with pytest.raises(ConfigurationError):
-            collect_across_processes(template, [items], epsilon=2.0)
-        with pytest.raises(ConfigurationError):
-            collect_across_processes(template, [items], domain_size=2 * DOMAIN)
