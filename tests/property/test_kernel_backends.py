@@ -8,6 +8,7 @@ independent naive formula.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,3 +183,66 @@ def test_empty_query_batch():
     runs, survivors = kernels.badic_axis_runs(starts, ends, 2, 4)
     assert runs.shape == (4, 4, 0)
     assert survivors.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Example-based edges the random draws rarely reach
+# ---------------------------------------------------------------------------
+
+
+def test_module_holds_exactly_the_three_kernels():
+    assert sorted(kernels.__all__) == ["badic_axis_runs", "olh_decode", "unary_column_sums"]
+    assert all(callable(getattr(kernels, name)) for name in kernels.__all__)
+    # A plain module, not a package of interchangeable backends.
+    assert not hasattr(kernels, "__path__")
+
+
+@pytest.mark.parametrize("n_rows", [65535, 65536, 131071])
+def test_unary_column_sums_past_the_uint16_block_cap(n_rows):
+    # Blocks cap at 65535 rows so the uint16 accumulator cannot wrap; the
+    # int64 totals must still count every row of an all-ones matrix.
+    packed = np.packbits(np.ones((n_rows, 3), dtype=np.uint8), axis=1)
+    result = kernels.unary_column_sums(packed, 3, 1 << 30)
+    assert result.tolist() == [n_rows] * 3
+
+
+def test_unary_column_sums_ignores_padding_bits():
+    # Only the first n_bits columns count, whatever the padding holds.
+    packed = np.full((6, 1), 0xFF, dtype=np.uint8)
+    result = kernels.unary_column_sums(packed, 5, 64)
+    assert result.tolist() == [6] * 5
+
+
+def test_olh_decode_exact_at_the_largest_coefficients():
+    domain_size, hash_range = 4096, 7
+    a = np.array([_PRIME - 1, _PRIME - 2], dtype=np.int64)
+    b = np.array([_PRIME - 1, 0], dtype=np.int64)
+    values = np.array([3, 0], dtype=np.int64)
+    expected = [
+        sum(((int(a_u) * j + int(b_u)) % _PRIME) % hash_range == int(v_u)
+            for a_u, b_u, v_u in zip(a, b, values))
+        for j in range(domain_size)
+    ]
+    result = kernels.olh_decode(a, b, values, domain_size, hash_range, _PRIME, 1 << 16)
+    assert result.tolist() == expected
+
+
+def test_olh_decode_value_outside_hash_range_supports_nothing():
+    a = np.array([1, 5, 9], dtype=np.int64)
+    b = np.array([0, 2, 4], dtype=np.int64)
+    values = np.full(3, 4, dtype=np.int64)  # == hash_range: never a match
+    result = kernels.olh_decode(a, b, values, 10, 4, _PRIME, 1 << 16)
+    assert result.tolist() == [0] * 10
+
+
+def test_badic_axis_runs_accepts_int32_and_leaves_inputs_untouched():
+    starts = np.array([0, 3, 7], dtype=np.int32)
+    ends = np.array([5, 3, 15], dtype=np.int32)
+    before = (starts.copy(), ends.copy())
+    runs, survivors = kernels.badic_axis_runs(starts, ends, 2, 4)
+    expected_runs, expected_survivors = kernels.badic_axis_runs(
+        starts.astype(np.int64), ends.astype(np.int64), 2, 4
+    )
+    assert np.array_equal(runs, expected_runs)
+    assert np.array_equal(survivors, expected_survivors)
+    assert np.array_equal(starts, before[0]) and np.array_equal(ends, before[1])

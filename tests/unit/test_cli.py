@@ -66,6 +66,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table99"])
 
+    def test_bench_subcommand_removed(self):
+        assert "bench" not in EXPERIMENTS
+        with pytest.raises(SystemExit):
+            main(["bench"])
+
+    @pytest.mark.parametrize(
+        "flag", ["--suite", "--backend", "--transport", "--out", "--compare", "--fail-threshold"]
+    )
+    def test_bench_only_flags_removed(self, flag):
+        # Perf records come from perfbench; no experiment takes these.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table5", flag, "1"])
+
 
 TINY = ["--users", "20000", "--repetitions", "1", "--max-queries", "400", "--domain", "64"]
 

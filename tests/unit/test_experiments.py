@@ -119,6 +119,17 @@ class TestRunner:
                 ["haar"], counts, workload, epsilons=[1.0], workers=0
             )
 
+    def test_transport_keyword_removed_from_evaluate(self, counts, workload):
+        # One worker transport (the pickle initializer): nothing to choose.
+        with pytest.raises(TypeError):
+            evaluate_mechanism("haar", counts, workload, 1.0, workers=2, transport="shm")
+
+    def test_transport_keyword_removed_from_grid(self, counts, workload):
+        with pytest.raises(TypeError):
+            run_epsilon_grid(
+                ["haar"], counts, workload, epsilons=[1.0], workers=2, transport="shm"
+            )
+
     def test_error_decreases_with_epsilon(self, counts, workload):
         results = run_epsilon_grid(
             ["hhc_4"], counts, workload, epsilons=[0.2, 1.4], repetitions=3, random_state=1

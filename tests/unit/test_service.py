@@ -1,6 +1,7 @@
 """Unit tests for repro.service: routers and async ingestion."""
 
 import asyncio
+import importlib
 
 import numpy as np
 import pytest
@@ -197,6 +198,10 @@ class TestIngestionService:
         stats = asyncio.run(scenario())
         assert sum(s.batches for s in stats) == len(batches)
         assert all(s.queue_peak <= 2 for s in stats)
+
+    def test_stats_carry_no_kernel_backend(self):
+        # One kernel implementation: no backend identity to report.
+        assert "kernel_backend" not in IngestionService(make_collector()).stats()
 
     def test_stats_exposes_queue_and_materialization_counters(self, items):
         collector = make_collector(spec="hhc_4")
@@ -402,3 +407,11 @@ class TestRunIngestion:
         fitted = [shard for shard in collector.shards if shard.is_fitted]
         assert len(fitted) == 1
         assert fitted[0].n_users == items.size
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.service"])
+def test_collect_across_processes_not_exported(module):
+    # The in-process ShardedCollector is the one collection fan-out.
+    package = importlib.import_module(module)
+    assert not hasattr(package, "collect_across_processes")
+    assert "collect_across_processes" not in getattr(package, "__all__", ())

@@ -177,6 +177,12 @@ class TestIngestionStatsRendering:
         assert 'repro_ingest_queue_depth{shard="1",stream="2"} 1' in text
         assert 'repro_ingest_shard_rejected{shard="0",stream="0"} 1' in text
 
+    def test_no_kernel_backend_gauge(self):
+        # Even a stale stats dict that still carries the field renders no
+        # backend-identity series.
+        text = render_ingestion_stats({**self.stats(), "kernel_backend": "numpy"})
+        assert "kernel_backend" not in text
+
     def test_totals_survive_missing_keys(self):
         lines = ingestion_stats_lines({"started": False})
         text = "\n".join(lines)
