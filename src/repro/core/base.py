@@ -34,12 +34,35 @@ class provides validation, workload evaluation and the quantile search.
 Accumulator-backed subclasses additionally implement
 :meth:`_refresh_estimates` and call :meth:`_mark_dirty` from every path
 that mutates their sufficient statistics without refreshing.
+
+:class:`LevelSampledMechanism` is the skeleton of the hierarchical
+histograms, the Haar wavelet and the N-d grids, whose users each sample one
+*label* (a tree level, or a tuple of per-axis levels) and report through
+that label's oracle.  It owns the label-keyed accumulators, the per-label
+user counts, collection, merging and snapshots.  A subclass calls
+``_init_labels`` with one oracle per label, in label order; implements
+``_accumulate_per_user`` (draw each user's label, fold the groups of
+``_group_by_label``) and ``_accumulate_aggregate`` (fold each label's share
+of the counts as split by ``_thinned``); and implements
+:meth:`_refresh_estimates` and the read paths.  A subclass whose users
+report several labels (HH budget splitting) also overrides ``_accumulate``
+and ``_label_counts_fit``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -55,33 +78,38 @@ from repro.frequency_oracles.accumulators import checked_state_count
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 
-__all__ = ["RangeQueryMechanism", "SIMULATION_MODES", "group_by_label"]
+__all__ = [
+    "LevelSampledMechanism",
+    "RangeQueryMechanism",
+    "SIMULATION_MODES",
+    "normalize_level_probabilities",
+]
 
 #: Supported simulation modes for the collection phase.
 SIMULATION_MODES = ("per_user", "aggregate")
 
 
-def group_by_label(
-    items: np.ndarray, labels: np.ndarray, n_labels: int
-) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, slice]]]:
-    """Group a per-user batch by each user's sampled label (level or tuple).
+def normalize_level_probabilities(
+    probabilities: Optional[Sequence[float]], n_levels: int
+) -> np.ndarray:
+    """Validate a level-sampling distribution and scale it to sum to one.
 
-    Returns ``(counts, ordered, groups)``: the users per label, the items
-    reordered by one stable ``argsort`` of the labels, and ``(label,
-    slice)`` for every label that received users, in label order.
-    ``ordered[slice]`` is exactly ``items[labels == label]`` — the same
-    users in batch order — so the per-label protocol runs see the same
-    inputs as one mask scan per label would give them, and consume the
-    generator in the same order.
+    ``None`` gives the uniform distribution, the variance-optimal choice of
+    Lemma 4.4.  Anything else must be ``n_levels`` finite, non-negative
+    numbers with a positive sum.
     """
-    counts = np.bincount(labels, minlength=n_labels)
-    ordered = items[np.argsort(labels, kind="stable")]
-    stops = np.cumsum(counts).tolist()
-    groups = [
-        (label, slice(stops[label] - int(counts[label]), stops[label]))
-        for label in np.flatnonzero(counts).tolist()
-    ]
-    return counts, ordered, groups
+    if probabilities is None:
+        return np.full(n_levels, 1.0 / n_levels)
+    array = np.asarray(probabilities, dtype=np.float64)
+    if array.shape != (n_levels,):
+        raise ConfigurationError(
+            f"level_probabilities must have {n_levels} entries, got shape {array.shape}"
+        )
+    if not np.all(np.isfinite(array)) or np.any(array < 0) or array.sum() <= 0:
+        raise ConfigurationError(
+            "level_probabilities must be finite, non-negative and sum > 0"
+        )
+    return array / array.sum()
 
 
 class RangeQueryMechanism(abc.ABC):
@@ -543,57 +571,6 @@ class RangeQueryMechanism(abc.ABC):
         n_users = checked_state_count(state["n_users"], "snapshotted n_users", lower=-1)
         return None if n_users == -1 else n_users
 
-    def _pack_level_state(self, accumulators, level_user_counts) -> dict:
-        """Shared ``state_dict`` body of per-level mechanisms (HH, Haar)."""
-        state = {"n_users": self._pack_n_users()}
-        if accumulators is not None:
-            state["level_user_counts"] = level_user_counts.copy()
-            state["accumulators"] = {
-                str(level): accumulator.state_dict()
-                for level, accumulator in accumulators.items()
-            }
-        return state
-
-    def _unpack_level_state(self, state: dict, levels, accumulator_for) -> tuple:
-        """Shared ``load_state_dict`` validation of per-level mechanisms.
-
-        Returns ``(n_users, accumulators, level_user_counts)`` with the last
-        two ``None`` for an unfitted snapshot; ``accumulator_for(level)``
-        builds a fresh accumulator for one level.
-        """
-        n_users = self._unpack_n_users(state)
-        if "accumulators" not in state:
-            return n_users, None, None
-        stored = state["accumulators"]
-        levels = list(levels)
-        expected = {str(level) for level in levels}
-        if not isinstance(stored, Mapping):
-            raise ConfigurationError("snapshot accumulators must be a mapping of levels")
-        if set(stored) != expected:
-            raise ConfigurationError(
-                f"snapshot holds levels {sorted(stored)}, this mechanism has "
-                f"{sorted(expected)}"
-            )
-        if "level_user_counts" not in state:
-            raise ConfigurationError(
-                "snapshot with accumulators is missing level_user_counts"
-            )
-        counts = np.asarray(state["level_user_counts"])
-        if counts.shape != (len(levels),):
-            raise ConfigurationError(
-                "snapshot level_user_counts do not match the level count"
-            )
-        if counts.dtype.kind not in "iu" or np.any(counts.astype(np.int64) < 0):
-            raise ConfigurationError(
-                "snapshot level_user_counts must be non-negative integers"
-            )
-        accumulators = {}
-        for level in levels:
-            accumulator = accumulator_for(level)
-            accumulator.load_state_dict(stored[str(level)])
-            accumulators[level] = accumulator
-        return n_users, accumulators, counts.astype(np.int64)
-
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
@@ -759,3 +736,210 @@ class RangeQueryMechanism(abc.ABC):
             f"{type(self).__name__}(epsilon={self.epsilon:.4g}, "
             f"domain_size={self.domain_size}, fitted={self.is_fitted})"
         )
+
+
+class LevelSampledMechanism(RangeQueryMechanism):
+    """Base of the mechanisms whose users each report one sampled label
+    (see the module docstring for the subclass contract)."""
+
+    def _init_labels(self, oracles: Mapping[Hashable, Any]) -> None:
+        """Declare the labels, in label order, with one oracle each."""
+        self._oracles = dict(oracles)
+        self._labels = list(self._oracles)
+        self._accumulators: Optional[dict] = None
+        self._label_user_counts: Optional[np.ndarray] = None
+
+    def _user_counts(self) -> Optional[np.ndarray]:
+        """A copy of the per-label user counts (``None`` unfitted)."""
+        if self._label_user_counts is None:
+            return None
+        return self._label_user_counts.copy()
+
+    # ------------------------------------------------------------------
+    # Collection
+    # ------------------------------------------------------------------
+    def _reset_accumulators(self) -> None:
+        self._accumulators = {
+            label: oracle.accumulator() for label, oracle in self._oracles.items()
+        }
+        self._label_user_counts = np.zeros(len(self._labels), dtype=np.int64)
+
+    def _collect(
+        self,
+        items: Optional[np.ndarray],
+        counts: Optional[np.ndarray],
+        rng: np.random.Generator,
+        mode: str,
+    ) -> None:
+        self._reset_accumulators()
+        self._accumulate(items, counts, rng, mode)
+        self._mark_dirty()
+
+    def _partial_collect(
+        self,
+        items: np.ndarray,
+        counts: Optional[np.ndarray],
+        rng: np.random.Generator,
+        mode: str,
+    ) -> None:
+        if self._accumulators is None:
+            self._reset_accumulators()
+        self._accumulate(items, counts, rng, mode)
+
+    def _accumulate(
+        self,
+        items: Optional[np.ndarray],
+        counts: Optional[np.ndarray],
+        rng: np.random.Generator,
+        mode: str,
+    ) -> None:
+        """Fold one batch into the accumulators and the per-label counts."""
+        if mode == "per_user":
+            self._accumulate_per_user(items, rng)
+        else:
+            self._accumulate_aggregate(counts, rng)
+
+    @abc.abstractmethod
+    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Run the local protocol: each user draws a label and her report
+        is folded into that label's accumulator."""
+
+    @abc.abstractmethod
+    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample the aggregator's view: split the per-item counts across
+        the labels with :meth:`_thinned` and fold each label's share."""
+
+    def _group_by_label(
+        self, items: np.ndarray, assignments: np.ndarray
+    ) -> Tuple[np.ndarray, List[Tuple[Hashable, slice]]]:
+        """Group a per-user batch by each user's sampled label index.
+
+        Records the users per label and returns ``(ordered, groups)``: the
+        items reordered by one stable ``argsort`` of the assignments, and
+        ``(label, slice)`` for every label that received users, in label
+        order.  ``ordered[slice]`` is exactly ``items[assignments ==
+        index]``, the same users in batch order, so the per-label protocol
+        runs consume the generator as one mask scan per label would.
+        """
+        counts = np.bincount(assignments, minlength=len(self._labels))
+        self._label_user_counts += counts
+        ordered = items[np.argsort(assignments, kind="stable")]
+        stops = np.cumsum(counts).tolist()
+        groups = [
+            (self._labels[index], slice(stops[index] - int(counts[index]), stops[index]))
+            for index in np.flatnonzero(counts).tolist()
+        ]
+        return ordered, groups
+
+    def _thinned(
+        self, counts: np.ndarray, probabilities: np.ndarray, rng: np.random.Generator
+    ) -> Iterator[Tuple[Hashable, np.ndarray]]:
+        """Split per-item counts across the labels, one label at a time.
+
+        A multinomial split realised as sequential binomial thinning (the
+        last label takes what remains): the exact distribution of how
+        label sampling partitions the users, and splits of separate
+        batches add up to the split of their union, which is what makes
+        the aggregate paths incremental.  Records the users per label and
+        yields ``(label, label_counts)`` for every label that received
+        users, in label order.  A label's binomial is drawn only when the
+        caller asks for the next label, so the draws interleave with the
+        caller's per-label noise exactly as one loop doing both would.
+        """
+        remaining = counts
+        remaining_probability = 1.0
+        last = len(self._labels) - 1
+        for index, (label, probability) in enumerate(zip(self._labels, probabilities)):
+            if index == last:
+                label_counts = remaining
+            else:
+                share = 0.0 if remaining_probability <= 0 else min(
+                    1.0, probability / remaining_probability
+                )
+                label_counts = rng.binomial(remaining, share)
+                remaining = remaining - label_counts
+                remaining_probability -= probability
+            users = int(label_counts.sum())
+            self._label_user_counts[index] += users
+            if users:
+                yield label, label_counts
+
+    def _merge_state(self, other: "LevelSampledMechanism") -> None:
+        if self._accumulators is None:
+            self._reset_accumulators()
+        for label in self._labels:
+            self._accumulators[label].merge(other._accumulators[label])
+        self._label_user_counts += other._label_user_counts
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        state = {"n_users": self._pack_n_users()}
+        if self._accumulators is not None:
+            state["level_user_counts"] = self._label_user_counts.copy()
+            state["accumulators"] = {
+                str(label): accumulator.state_dict()
+                for label, accumulator in self._accumulators.items()
+            }
+        return state
+
+    def load_state_dict(self, state: dict) -> "LevelSampledMechanism":
+        """Replace the collected state with a :meth:`state_dict`.
+
+        Everything is validated before any state is touched: the label
+        set, each accumulator's arrays, and the user counts.  Each label's
+        count must equal its accumulator's users, and the counts must
+        account for ``n_users`` (:meth:`_label_counts_fit`).
+        """
+        n_users = self._unpack_n_users(state)
+        if "accumulators" not in state:
+            self._accumulators = None
+            self._label_user_counts = None
+            self._mark_clean()
+            self._n_users = n_users
+            return self
+        stored = state["accumulators"]
+        expected = {str(label) for label in self._labels}
+        if not isinstance(stored, Mapping):
+            raise ConfigurationError("snapshot accumulators must be a mapping of levels")
+        if set(stored) != expected:
+            raise ConfigurationError(
+                f"snapshot holds levels {sorted(stored)}, this mechanism has "
+                f"{sorted(expected)}"
+            )
+        if "level_user_counts" not in state:
+            raise ConfigurationError(
+                "snapshot with accumulators is missing level_user_counts"
+            )
+        counts = np.asarray(state["level_user_counts"])
+        if counts.shape != (len(self._labels),) or counts.dtype.kind not in "iu":
+            raise ConfigurationError(
+                "snapshot level_user_counts must hold one integer per level"
+            )
+        accumulators = {}
+        for label in self._labels:
+            accumulator = self._oracles[label].accumulator()
+            accumulator.load_state_dict(stored[str(label)])
+            accumulators[label] = accumulator
+        # Accumulator user counts are validated non-negative integers, so
+        # this exact comparison also rejects negative or wrapped counts.
+        if counts.tolist() != [accumulator.n_users for accumulator in accumulators.values()]:
+            raise ConfigurationError(
+                "snapshot level_user_counts disagree with the users its "
+                "accumulators hold"
+            )
+        if not self._label_counts_fit(counts, n_users):
+            raise ConfigurationError(
+                f"snapshot level_user_counts do not account for its {n_users} users"
+            )
+        self._accumulators = accumulators
+        self._label_user_counts = counts.astype(np.int64)
+        self._mark_dirty()
+        self._n_users = n_users
+        return self
+
+    def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
+        """Whether per-label user counts account for ``n_users`` users who
+        each report exactly one label."""
+        return sum(counts.tolist()) == n_users

@@ -28,9 +28,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism, group_by_label
+from repro.core.base import LevelSampledMechanism, normalize_level_probabilities
 from repro.exceptions import ConfigurationError
-from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
 from repro.hierarchy.decomposition import batched_range_sums, decompose_to_runs
@@ -42,7 +41,7 @@ __all__ = ["HierarchicalHistogramMechanism"]
 _BUDGET_STRATEGIES = ("sampling", "splitting")
 
 
-class HierarchicalHistogramMechanism(RangeQueryMechanism):
+class HierarchicalHistogramMechanism(LevelSampledMechanism):
     """The ``HH_B`` framework instantiated with a pluggable frequency oracle.
 
     Parameters
@@ -93,27 +92,29 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         self._oracle_kwargs = dict(oracle_kwargs)
         self._consistency = bool(consistency)
         self._budget_strategy = budget_strategy
-        self._level_probabilities = self._normalize_level_probabilities(level_probabilities)
+        self._level_probabilities = normalize_level_probabilities(
+            level_probabilities, self._tree.height
+        )
         # Per-level oracles: the report budget depends on the strategy.
         per_level_epsilon = (
             self.epsilon
             if budget_strategy == "sampling"
             else self.epsilon / self._tree.height
         )
-        self._oracles = {
-            level: make_oracle(
-                self._oracle_name,
-                epsilon=per_level_epsilon,
-                domain_size=self._tree.nodes_at_level(level),
-                **self._oracle_kwargs,
-            )
-            for level in self._tree.levels
-        }
-        self._accumulators: Optional[Dict[int, OracleAccumulator]] = None
+        self._init_labels(
+            {
+                level: make_oracle(
+                    self._oracle_name,
+                    epsilon=per_level_epsilon,
+                    domain_size=self._tree.nodes_at_level(level),
+                    **self._oracle_kwargs,
+                )
+                for level in self._tree.levels
+            }
+        )
         self._raw_levels: Optional[List[np.ndarray]] = None
         self._levels: Optional[List[np.ndarray]] = None
         self._level_prefix: Optional[Dict[int, np.ndarray]] = None
-        self._level_user_counts: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -145,8 +146,11 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
 
     @property
     def level_user_counts(self) -> Optional[np.ndarray]:
-        """Number of users that reported each level in the last collection."""
-        return None if self._level_user_counts is None else self._level_user_counts.copy()
+        """Users that reported each level so far, counted since the
+        last one-shot fit and cumulative across ``partial_fit`` and
+        ``merge_from`` (``None`` unfitted).
+        Under ``splitting`` every user reports every level."""
+        return self._user_counts()
 
     def level_estimates(self, raw: bool = False) -> List[np.ndarray]:
         """Per-level node estimates (after consistency unless ``raw``)."""
@@ -154,61 +158,9 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         source = self._raw_levels if raw else self._levels
         return [level.copy() for level in source]
 
-    def _normalize_level_probabilities(
-        self, probabilities: Optional[Sequence[float]]
-    ) -> np.ndarray:
-        height = self._tree.height
-        if probabilities is None:
-            return np.full(height, 1.0 / height)
-        array = np.asarray(probabilities, dtype=np.float64)
-        if array.shape != (height,):
-            raise ConfigurationError(
-                f"level_probabilities must have {height} entries, got shape {array.shape}"
-            )
-        if not np.all(np.isfinite(array)) or np.any(array < 0) or array.sum() <= 0:
-            raise ConfigurationError(
-                "level_probabilities must be finite, non-negative and sum > 0"
-            )
-        return array / array.sum()
-
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _reset_accumulators(self) -> None:
-        self._accumulators = {
-            level: self._oracles[level].accumulator() for level in self._tree.levels
-        }
-        self._level_user_counts = np.zeros(self._tree.height, dtype=np.int64)
-
-    def _collect(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-        self._mark_dirty()
-
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-
-    def _merge_state(self, other: "HierarchicalHistogramMechanism") -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        for level in self._tree.levels:
-            self._accumulators[level].merge(other._accumulators[level])
-        self._level_user_counts += other._level_user_counts
-
     def _merge_signature(self) -> tuple:
         return super()._merge_signature() + (
             self._oracle_name,
@@ -219,123 +171,20 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
             tuple(sorted(self._oracle_kwargs.items())),
         )
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return self._pack_level_state(self._accumulators, self._level_user_counts)
-
-    def load_state_dict(self, state: dict) -> "HierarchicalHistogramMechanism":
-        n_users, accumulators, counts = self._unpack_level_state(
-            state, self._tree.levels, lambda level: self._oracles[level].accumulator()
-        )
-        if accumulators is not None:
-            self._accumulators = accumulators
-            self._level_user_counts = counts
-            self._mark_dirty()
-        else:
-            self._accumulators = None
-            self._raw_levels = None
-            self._levels = None
-            self._level_prefix = None
-            self._level_user_counts = None
-            self._mark_clean()
-        self._n_users = n_users
-        return self
-
-    def _accumulate_batch(
+    def _accumulate(
         self,
         items: Optional[np.ndarray],
-        counts: np.ndarray,
+        counts: Optional[np.ndarray],
         rng: np.random.Generator,
         mode: str,
     ) -> None:
-        if self._budget_strategy == "splitting":
-            self._accumulate_splitting(items, counts, rng, mode)
-        elif mode == "per_user":
-            self._accumulate_sampling_per_user(items, rng)
-        else:
-            self._accumulate_sampling_aggregate(counts, rng)
-
-    def _accumulate_sampling_per_user(
-        self, items: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Each user samples one level and runs the real local protocol.
-
-        The level draw is :func:`~repro.privacy.randomness.categorical`
-        (``rng.choice``'s values and stream), and
-        :func:`~repro.core.base.group_by_label` groups the users with one
-        stable sort.  Each level's users go through the accumulator's
-        per-user hook (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`):
-        the report round trip for OUE/OLH/GRR, a direct fold for HRR.
-        Only levels that actually received users are visited (they are
-        also the only ones that consume protocol randomness, so the skip
-        changes no random stream).
-        """
-        height = self._tree.height
-        assignments = categorical(rng, self._level_probabilities, items.shape[0])
-        counts, ordered, groups = group_by_label(items, assignments, height)
-        self._level_user_counts += counts
-        for level_index, users in groups:
-            level = level_index + 1
-            nodes = self._tree.nodes_of_items(level, ordered[users])
-            self._accumulators[level]._add_items(nodes, rng)
-
-    def _accumulate_sampling_aggregate(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Aggregate-mode collection: partition counts across levels exactly.
-
-        Each item's count is split across the ``h`` levels with a
-        multinomial (realised as sequential binomial thinning), which is the
-        exact distribution of how the level-sampling protocol partitions the
-        population; multinomial splits of separate batches add up to the
-        split of the union, which is what makes this path incremental.  Each
-        level's node counts then drive the oracle accumulator's fast
-        simulated-aggregate path.
-
-        The thinning and the node histograms operate on the batch's
-        *support* (items with non-zero count) only — a small streaming batch
-        touches O(nnz · h) entries instead of O(D · h), leaving the
-        per-level noise sampling inside ``add_counts`` as the only
-        full-domain work.
-        """
-        height = self._tree.height
-        support = np.flatnonzero(counts)
-        remaining = counts[support].astype(np.int64)  # fancy indexing copies
-        remaining_probability = 1.0
-        for level in self._tree.levels:
-            probability = self._level_probabilities[level - 1]
-            if level == height:
-                level_counts = remaining
-            else:
-                share = 0.0 if remaining_probability <= 0 else min(
-                    1.0, probability / remaining_probability
-                )
-                level_counts = rng.binomial(remaining, share)
-                remaining = remaining - level_counts
-                remaining_probability -= probability
-            batch_users = int(level_counts.sum())
-            self._level_user_counts[level - 1] += batch_users
-            if batch_users == 0:
-                continue
-            node_counts = np.bincount(
-                self._tree.nodes_of_items(level, support),
-                weights=level_counts,
-                minlength=self._tree.nodes_at_level(level),
-            ).astype(np.int64)
-            self._accumulators[level].add_counts(node_counts, rng)
-
-    def _accumulate_splitting(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        """Ablation path: every user reports every level with ``eps / h``."""
+        """Under ``splitting`` (the ablation path) every user reports every
+        level with ``eps / h``; ``sampling`` takes the shared path."""
+        if self._budget_strategy == "sampling":
+            super()._accumulate(items, counts, rng, mode)
+            return
         n_users = int(items.shape[0]) if counts is None else int(counts.sum())
-        self._level_user_counts += n_users
+        self._label_user_counts += n_users
         for level in self._tree.levels:
             if mode == "per_user":
                 nodes = self._tree.nodes_of_items(level, items)
@@ -343,6 +192,47 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
             else:
                 node_counts = self._tree.level_histogram_from_counts(level, counts)
                 self._accumulators[level].add_counts(node_counts.astype(np.int64), rng)
+
+    def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
+        if self._budget_strategy == "splitting":
+            return all(count == n_users for count in counts.tolist())
+        return super()._label_counts_fit(counts, n_users)
+
+    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Each user samples one level and runs the real local protocol.
+
+        The level draw is :func:`~repro.privacy.randomness.categorical`
+        (``rng.choice``'s values and stream).  Each level's users go
+        through the accumulator's per-user hook
+        (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`):
+        the report round trip for OUE/OLH/GRR, a direct fold for HRR.
+        """
+        assignments = categorical(rng, self._level_probabilities, items.shape[0])
+        ordered, groups = self._group_by_label(items, assignments)
+        for level, users in groups:
+            nodes = self._tree.nodes_of_items(level, ordered[users])
+            self._accumulators[level]._add_items(nodes, rng)
+
+    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Each level's share of the counts drives the oracle accumulator's
+        fast simulated-aggregate path.
+
+        The thinning and the node histograms operate on the batch's
+        *support* (items with non-zero count) only — a small streaming batch
+        touches O(nnz · h) entries instead of O(D · h), leaving the
+        per-level noise sampling inside ``add_counts`` as the only
+        full-domain work.
+        """
+        support = np.flatnonzero(counts)
+        for level, level_counts in self._thinned(
+            counts[support], self._level_probabilities, rng
+        ):
+            node_counts = np.bincount(
+                self._tree.nodes_of_items(level, support),
+                weights=level_counts,
+                minlength=self._tree.nodes_at_level(level),
+            ).astype(np.int64)
+            self._accumulators[level].add_counts(node_counts, rng)
 
     def _refresh_estimates(self) -> None:
         raw = [

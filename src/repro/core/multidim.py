@@ -48,12 +48,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism, group_by_label
+from repro.core.base import LevelSampledMechanism, RangeQueryMechanism
 from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
 )
-from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.decomposition import (
     NodeRun,
@@ -115,7 +114,7 @@ def validate_points(points: np.ndarray, dims: int, side: int) -> np.ndarray:
     return points.astype(np.int64, copy=False)
 
 
-class HierarchicalGridND(RangeQueryMechanism):
+class HierarchicalGridND(LevelSampledMechanism):
     """LDP box-query mechanism over a ``d``-dimensional grid domain.
 
     Parameters
@@ -179,17 +178,19 @@ class HierarchicalGridND(RangeQueryMechanism):
         self._tuples: List[LevelTuple] = list(
             itertools.product(self._tree.levels, repeat=dims)
         )
-        self._oracles = {
-            levels: make_oracle(
-                self._oracle_name,
-                epsilon=self.epsilon,
-                domain_size=self._cells_at(levels),
-                **self._oracle_kwargs,
-            )
-            for levels in self._tuples
-        }
-        self._accumulators: Optional[Dict[LevelTuple, OracleAccumulator]] = None
-        self._tuple_user_counts: Optional[np.ndarray] = None
+        self._init_labels(
+            {
+                levels: make_oracle(
+                    self._oracle_name,
+                    epsilon=self.epsilon,
+                    domain_size=self._cells_at(levels),
+                    **self._oracle_kwargs,
+                )
+                for levels in self._tuples
+            }
+        )
+        # Level tuples are sampled uniformly.
+        self._tuple_probabilities = np.full(len(self._tuples), 1.0 / len(self._tuples))
         self._estimates: Optional[Dict[LevelTuple, np.ndarray]] = None
         self._init_prefix_layout()
 
@@ -268,9 +269,7 @@ class HierarchicalGridND(RangeQueryMechanism):
     @property
     def tuple_user_counts(self) -> Optional[np.ndarray]:
         """Users that reported each level tuple so far (``None`` unfitted)."""
-        return (
-            None if self._tuple_user_counts is None else self._tuple_user_counts.copy()
-        )
+        return self._user_counts()
 
     def tuple_estimates(self) -> Dict[LevelTuple, np.ndarray]:
         """Per-level-tuple cell estimates as d-dimensional grids."""
@@ -344,108 +343,52 @@ class HierarchicalGridND(RangeQueryMechanism):
             self.flatten_points(points), random_state=random_state, mode=mode
         )
 
-    def _reset_accumulators(self) -> None:
-        self._accumulators = {
-            levels: self._oracles[levels].accumulator() for levels in self._tuples
-        }
-        self._tuple_user_counts = np.zeros(len(self._tuples), dtype=np.int64)
-
-    def _collect(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-        self._mark_dirty()
-
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-
-    def _accumulate_batch(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if mode == "per_user":
-            self._accumulate_per_user(items, rng)
-        else:
-            self._accumulate_aggregate(counts, rng)
-
     def _cell_index(
         self,
         levels: LevelTuple,
+        coordinates: List[np.ndarray],
         axis_nodes: List[Dict[int, np.ndarray]],
         users: Optional[slice] = None,
     ) -> np.ndarray:
         """Flattened cell indices of the resolution grid at a level tuple.
 
         ``axis_nodes[axis][level]`` caches the per-axis node indices of the
-        whole batch; ``users`` (when given) restricts to the users assigned
+        whole batch (computed from ``coordinates`` on first use, once per
+        axis level); ``users`` (when given) restricts to the users assigned
         to this tuple.
         """
-        nodes = axis_nodes[0][levels[0]]
-        cells = nodes[users] if users is not None else nodes
-        for axis in range(1, self._dims):
-            nodes = axis_nodes[axis][levels[axis]]
-            part = nodes[users] if users is not None else nodes
-            cells = cells * self._tree.nodes_at_level(levels[axis]) + part
+        cells = 0
+        for axis, level in enumerate(levels):
+            nodes = axis_nodes[axis].get(level)
+            if nodes is None:
+                nodes = self._tree.nodes_of_items(level, coordinates[axis])
+                axis_nodes[axis][level] = nodes
+            part = nodes if users is None else nodes[users]
+            cells = cells * self._tree.nodes_at_level(level) + part
         return cells
 
-    def _accumulate_per_user(
-        self, items: np.ndarray, rng: np.random.Generator
-    ) -> None:
+    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
         """Each user samples one level tuple and runs the real local protocol.
 
-        :func:`~repro.core.base.group_by_label` sorts the batch by tuple
-        once, so every tuple's users are one contiguous slice; per-axis
-        node indices are computed once per active axis level over the
-        sorted batch, and each tuple's cells go through the accumulator's
-        per-user hook (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`).
-        Only tuples that actually received users are visited (they are the
-        only ones that consume protocol randomness, so the skip changes no
-        random stream) — a tiny streaming batch costs O(active tuples), not
-        O(h^d) mask scans.
+        Sorting the batch by tuple once makes every tuple's users one
+        contiguous slice; per-axis node indices are computed once per
+        active axis level over the sorted batch, and each tuple's cells go
+        through the accumulator's per-user hook
+        (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`).
+        Only tuples that actually received users are visited, so a tiny
+        streaming batch costs O(active tuples), not O(h^d) mask scans.
         """
-        n_tuples = len(self._tuples)
-        assignments = rng.integers(0, n_tuples, size=items.shape[0])
-        counts, ordered, groups = group_by_label(items, assignments, n_tuples)
-        self._tuple_user_counts += counts
+        assignments = rng.integers(0, len(self._tuples), size=items.shape[0])
+        ordered, groups = self._group_by_label(items, assignments)
         coordinates = self._split_coordinates(ordered)
         axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
-        for tuple_index, users in groups:
-            levels = self._tuples[tuple_index]
-            for axis, level in enumerate(levels):
-                if level not in axis_nodes[axis]:
-                    axis_nodes[axis][level] = self._tree.nodes_of_items(
-                        level, coordinates[axis]
-                    )
-            cells = self._cell_index(levels, axis_nodes, users)
+        for levels, users in groups:
+            cells = self._cell_index(levels, coordinates, axis_nodes, users)
             self._accumulators[levels]._add_items(cells, rng)
 
-    def _accumulate_aggregate(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Aggregate-mode collection: partition counts across tuples exactly.
-
-        Each cell's count is split across the ``h^d`` level tuples with a
-        multinomial (realised as sequential binomial thinning), the exact
-        distribution of how tuple sampling partitions the population;
-        multinomial splits of separate batches add up to the split of the
-        union, which is what makes this path incremental.  Each tuple's cell
-        counts then drive the oracle accumulator's simulated-aggregate path.
+    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Each tuple's share of the counts drives the oracle accumulator's
+        simulated-aggregate path.
 
         The thinning and the per-tuple cell histograms operate on the
         batch's *support* (cells with non-zero count) only — a small
@@ -453,49 +396,22 @@ class HierarchicalGridND(RangeQueryMechanism):
         ``(B^h)^d`` reshape and block-sum per tuple, leaving the per-tuple
         noise sampling inside ``add_counts`` as the only full-grid work.
         """
-        n_tuples = len(self._tuples)
         support = np.flatnonzero(counts)
-        remaining = counts[support].astype(np.int64)  # fancy indexing copies
-        support_coordinates = self._split_coordinates(support)
+        coordinates = self._split_coordinates(support)
         axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
-        remaining_probability = 1.0
-        probability = 1.0 / n_tuples
-        for tuple_index, levels in enumerate(self._tuples):
-            if tuple_index == n_tuples - 1:
-                tuple_counts = remaining
-            else:
-                share = 0.0 if remaining_probability <= 0 else min(
-                    1.0, probability / remaining_probability
-                )
-                tuple_counts = rng.binomial(remaining, share)
-                remaining = remaining - tuple_counts
-                remaining_probability -= probability
-            batch_users = int(tuple_counts.sum())
-            self._tuple_user_counts[tuple_index] += batch_users
-            if batch_users == 0:
-                continue
-            for axis, level in enumerate(levels):
-                if level not in axis_nodes[axis]:
-                    axis_nodes[axis][level] = self._tree.nodes_of_items(
-                        level, support_coordinates[axis]
-                    )
+        for levels, tuple_counts in self._thinned(
+            counts[support], self._tuple_probabilities, rng
+        ):
             node_counts = np.bincount(
-                self._cell_index(levels, axis_nodes),
+                self._cell_index(levels, coordinates, axis_nodes),
                 weights=tuple_counts,
                 minlength=self._cells_at(levels),
             ).astype(np.int64)
             self._accumulators[levels].add_counts(node_counts, rng)
 
     # ------------------------------------------------------------------
-    # Merging / persistence
+    # Merging / estimates
     # ------------------------------------------------------------------
-    def _merge_state(self, other: "HierarchicalGridND") -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        for levels in self._tuples:
-            self._accumulators[levels].merge(other._accumulators[levels])
-        self._tuple_user_counts += other._tuple_user_counts
-
     def _merge_signature(self) -> tuple:
         return super()._merge_signature() + (
             self._side,
@@ -504,27 +420,6 @@ class HierarchicalGridND(RangeQueryMechanism):
             self.branching,
             tuple(sorted(self._oracle_kwargs.items())),
         )
-
-    def state_dict(self) -> dict:
-        return self._pack_level_state(self._accumulators, self._tuple_user_counts)
-
-    def load_state_dict(self, state: dict) -> "HierarchicalGridND":
-        n_users, accumulators, counts = self._unpack_level_state(
-            state, self._tuples, lambda levels: self._oracles[levels].accumulator()
-        )
-        if accumulators is not None:
-            self._accumulators = accumulators
-            self._tuple_user_counts = counts
-            self._mark_dirty()
-        else:
-            self._accumulators = None
-            self._tuple_user_counts = None
-            self._estimates = None
-            self._prefix_flat = None
-            self._tuple_prefix = None
-            self._mark_clean()
-        self._n_users = n_users
-        return self
 
     def _refresh_estimates(self) -> None:
         estimates: Dict[LevelTuple, np.ndarray] = {}

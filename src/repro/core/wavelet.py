@@ -26,14 +26,12 @@ the paper bounds the variance of *any* range query by ``log2^2(D) V_F / 2``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism, group_by_label
-from repro.exceptions import ConfigurationError
+from repro.core.base import LevelSampledMechanism, normalize_level_probabilities
 from repro.frequency_oracles.hadamard import (
-    HadamardAccumulator,
     HadamardRandomizedResponse,
     dyadic_estimates,
 )
@@ -51,7 +49,7 @@ def _next_power_of_two(value: int) -> int:
     return power
 
 
-class HaarWaveletMechanism(RangeQueryMechanism):
+class HaarWaveletMechanism(LevelSampledMechanism):
     """The ``HaarHRR`` range-query mechanism.
 
     Parameters
@@ -83,19 +81,19 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         if self._padded_size < 2:
             self._padded_size = 2
         self._height = self._padded_size.bit_length() - 1
-        self._level_probabilities = self._normalize_level_probabilities(level_probabilities)
+        self._level_probabilities = normalize_level_probabilities(
+            level_probabilities, self._height
+        )
         # One HRR oracle per level, over that level's coefficient positions.
-        self._oracles: Dict[int, HadamardRandomizedResponse] = {
-            level: HadamardRandomizedResponse(
-                epsilon, self._padded_size >> level
-            )
-            for level in range(1, self._height + 1)
-        }
-        self._accumulators: Optional[Dict[int, HadamardAccumulator]] = None
+        self._init_labels(
+            {
+                level: HadamardRandomizedResponse(epsilon, self._padded_size >> level)
+                for level in range(1, self._height + 1)
+            }
+        )
         self._coefficients: Optional[np.ndarray] = None
         self._frequencies: Optional[np.ndarray] = None
         self._prefix: Optional[np.ndarray] = None
-        self._level_user_counts: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -117,112 +115,24 @@ class HaarWaveletMechanism(RangeQueryMechanism):
 
     @property
     def level_user_counts(self) -> Optional[np.ndarray]:
-        """Users assigned to each level in the last collection."""
-        return None if self._level_user_counts is None else self._level_user_counts.copy()
+        """Users that reported each level so far, counted since the
+        last one-shot fit and cumulative across ``partial_fit`` and
+        ``merge_from`` (``None`` unfitted)."""
+        return self._user_counts()
 
     def coefficients(self) -> np.ndarray:
         """Estimated Haar coefficients of the population frequency vector."""
         self._require_fitted()
         return self._coefficients.copy()
 
-    def _normalize_level_probabilities(
-        self, probabilities: Optional[Sequence[float]]
-    ) -> np.ndarray:
-        if probabilities is None:
-            return np.full(self._height, 1.0 / self._height)
-        array = np.asarray(probabilities, dtype=np.float64)
-        if array.shape != (self._height,):
-            raise ConfigurationError(
-                f"level_probabilities must have {self._height} entries, got {array.shape}"
-            )
-        if not np.all(np.isfinite(array)) or np.any(array < 0) or array.sum() <= 0:
-            raise ConfigurationError(
-                "level_probabilities must be finite, non-negative and sum > 0"
-            )
-        return array / array.sum()
-
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _reset_accumulators(self) -> None:
-        self._accumulators = {
-            level: self._oracles[level].accumulator()
-            for level in range(1, self._height + 1)
-        }
-        self._level_user_counts = np.zeros(self._height, dtype=np.int64)
-
-    def _collect(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-        self._mark_dirty()
-
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        self._accumulate_batch(items, counts, rng, mode)
-
-    def _merge_state(self, other: "HaarWaveletMechanism") -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        for level in range(1, self._height + 1):
-            self._accumulators[level].merge(other._accumulators[level])
-        self._level_user_counts += other._level_user_counts
-
     def _merge_signature(self) -> tuple:
         return super()._merge_signature() + (
             self._padded_size,
             tuple(np.round(self._level_probabilities, 12)),
         )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return self._pack_level_state(self._accumulators, self._level_user_counts)
-
-    def load_state_dict(self, state: dict) -> "HaarWaveletMechanism":
-        n_users, accumulators, counts = self._unpack_level_state(
-            state,
-            range(1, self._height + 1),
-            lambda level: self._oracles[level].accumulator(),
-        )
-        if accumulators is not None:
-            self._accumulators = accumulators
-            self._level_user_counts = counts
-            self._mark_dirty()
-        else:
-            self._accumulators = None
-            self._coefficients = None
-            self._frequencies = None
-            self._prefix = None
-            self._level_user_counts = None
-            self._mark_clean()
-        self._n_users = n_users
-        return self
-
-    def _accumulate_batch(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if mode == "per_user":
-            self._accumulate_per_user(items, rng)
-        else:
-            self._accumulate_aggregate(counts, rng)
 
     def _refresh_estimates(self) -> None:
         """Decode every level at once, then invert the Haar transform.
@@ -253,20 +163,15 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         """Run the real local protocol with each user sampling a level.
 
         The level draw is :func:`~repro.privacy.randomness.categorical`
-        (``rng.choice``'s values and stream) and
-        :func:`~repro.core.base.group_by_label` groups the users with one
-        stable sort.  A level-``l`` user's HRR key is ``item >> (l - 1)``:
-        the block ``item >> l`` in the high bits and the coefficient's
-        sign (set for the block's right half) in bit 0, so
-        :meth:`HadamardAccumulator._add_keys` perturbs and folds the group
-        straight into the level's sums.  Only levels that received users
-        are visited (empty levels never consumed randomness anyway).
+        (``rng.choice``'s values and stream).  A level-``l`` user's HRR key
+        is ``item >> (l - 1)``: the block ``item >> l`` in the high bits and
+        the coefficient's sign (set for the block's right half) in bit 0,
+        so :meth:`HadamardAccumulator._add_keys` perturbs and folds the
+        group straight into the level's sums.
         """
         assignments = categorical(rng, self._level_probabilities, items.shape[0])
-        counts, ordered, groups = group_by_label(items, assignments, self._height)
-        self._level_user_counts += counts
-        for level_index, users in groups:
-            level = level_index + 1
+        ordered, groups = self._group_by_label(items, assignments)
+        for level, users in groups:
             self._accumulators[level]._add_keys(ordered[users] >> (level - 1), rng)
 
     def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
@@ -287,23 +192,9 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         """
         padded_counts = np.zeros(self._padded_size, dtype=np.int64)
         padded_counts[: self._domain_size] = counts
-        remaining = padded_counts.copy()
-        remaining_probability = 1.0
-        for level in range(1, self._height + 1):
-            probability = self._level_probabilities[level - 1]
-            if level == self._height:
-                level_counts = remaining.copy()
-            else:
-                share = 0.0 if remaining_probability <= 0 else min(
-                    1.0, probability / remaining_probability
-                )
-                level_counts = rng.binomial(remaining, share)
-                remaining -= level_counts
-                remaining_probability -= probability
-            batch_users = int(level_counts.sum())
-            self._level_user_counts[level - 1] += batch_users
-            if batch_users == 0:
-                continue
+        for level, level_counts in self._thinned(
+            padded_counts, self._level_probabilities, rng
+        ):
             pair_counts = level_counts.reshape(-1, 2, 1 << (level - 1)).sum(axis=2).ravel()
             pairs = np.arange(pair_counts.shape[0], dtype=np.int64)
             self._accumulators[level].add_runs(

@@ -30,8 +30,9 @@ LDP-R004  Asyncio discipline: no blocking calls inside ``async def``; no
           discarded ``create_task`` handles; no discarded
           ``gather(..., return_exceptions=True)`` results.
 LDP-R005  Persist coverage: ``state_dict`` and ``load_state_dict`` come in
-          pairs, and every concrete mechanism that snapshots state is
-          registered with a persist config kind.
+          pairs, and every concrete mechanism that snapshots state (its own
+          ``state_dict`` or an inherited one) is registered with a persist
+          config kind.
 LDP-R006  Exception discipline: library raises use ``repro.exceptions``
           types, not bare ``ValueError``/``RuntimeError``/``Exception``.
 LDP-R008  One HTTP transport: nothing imports ``http.client`` or
@@ -563,21 +564,24 @@ def _check_persist_coverage(ctx: _FileContext, facts: _ProjectFacts) -> Iterator
 def _check_persist_registration(facts: _ProjectFacts) -> Iterator[Finding]:
     if not facts.has_persist_registry:
         return
-    descendants: Set[str] = set()
-    frontier = [_MECHANISM_BASE]
+    # A mechanism snapshots state when it, or a mechanism class between it
+    # and the root, defines state_dict (the root's default only refuses).
+    snapshots: Dict[str, bool] = {}
+    frontier = [(_MECHANISM_BASE, False)]
     children: Dict[str, List[str]] = {}
     for info in facts.classes.values():
         for base in info.bases:
             children.setdefault(base, []).append(info.name)
     while frontier:
-        base = frontier.pop()
+        base, inherited = frontier.pop()
         for child in children.get(base, ()):
-            if child not in descendants:
-                descendants.add(child)
-                frontier.append(child)
-    for name in sorted(descendants):
+            snapshotting = inherited or facts.classes[child].defines_state_dict
+            if child not in snapshots or (snapshotting and not snapshots[child]):
+                snapshots[child] = snapshotting
+                frontier.append((child, snapshotting))
+    for name in sorted(snapshots):
         info = facts.classes[name]
-        if info.is_abstract or not info.defines_state_dict:
+        if info.is_abstract or not snapshots[name]:
             continue
         if name not in facts.persist_registry_names:
             yield Finding(

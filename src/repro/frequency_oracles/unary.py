@@ -18,11 +18,13 @@ in Section 5 of the paper).
 
 Report payloads come in two interchangeable layouts:
 
-* **packed** (the default): ``{"packed_bits": uint8 (N, ceil(D / 8)),
-  "n_bits": D}`` — each user's bit vector run through :func:`np.packbits`,
-  8x smaller than the dense matrix and decoded by a blocked
-  unpack-and-popcount column sum that never materialises the full matrix;
-* **dense** (legacy): ``{"bits": uint8 (N, D)}``.
+* **packed** (what :meth:`~_UnaryEncodingOracle.encode_batch` emits):
+  ``{"packed_bits": uint8 (N, ceil(D / 8)), "n_bits": D}`` — each user's
+  bit vector run through :func:`np.packbits`, 8x smaller than the dense
+  matrix and decoded by a blocked unpack-and-popcount column sum that never
+  materialises the full matrix;
+* **dense**: ``{"bits": uint8 (N, D)}`` — the layout of a single
+  :meth:`~_UnaryEncodingOracle.encode` report, accepted from outside input.
 
 Both layouts decode to bit-identical column sums, so accumulators (and
 their persisted snapshots) are agnostic to which layout fed them.
@@ -30,7 +32,7 @@ their persisted snapshots) are agnostic to which layout fed them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
@@ -46,18 +48,12 @@ from repro.privacy.mechanisms import (
 from repro.privacy.randomness import RandomState, as_generator
 
 __all__ = [
-    "PACK_UNARY_REPORTS",
     "UNARY_SUM_BLOCK_TARGET_BYTES",
     "packed_column_sums",
     "UnaryAccumulator",
     "SymmetricUnaryEncoding",
     "OptimizedUnaryEncoding",
 ]
-
-#: Default report layout produced by :meth:`_UnaryEncodingOracle.encode_batch`.
-#: ``True`` packs each user's bit vector with :func:`np.packbits` (8x less
-#: report memory); set to ``False`` to restore the legacy dense matrices.
-PACK_UNARY_REPORTS: bool = True
 
 #: Working-set target (bytes of unpacked bits per block) for the packed
 #: column-sum decode.  Per-block sums accumulate in uint16, so the block
@@ -189,17 +185,11 @@ class _UnaryEncodingOracle(FrequencyOracle):
         return {"bits": bits}
 
     def encode_batch(
-        self,
-        values: np.ndarray,
-        random_state: RandomState = None,
-        packed: Optional[bool] = None,
+        self, values: np.ndarray, random_state: RandomState = None
     ) -> OracleReports:
-        """Encode a population; ``packed`` overrides :data:`PACK_UNARY_REPORTS`.
-
-        The random draws are identical in both layouts, so a packed batch and
-        a dense batch produced from the same generator state decode to
-        bit-identical estimates.
-        """
+        """Encode a population into one packed batch (``{"packed_bits",
+        "n_bits"}``); its dense unpacking decodes to bit-identical
+        estimates."""
         values = self._check_values(values)
         rng = as_generator(random_state)
         n_users = values.shape[0]
@@ -208,17 +198,10 @@ class _UnaryEncodingOracle(FrequencyOracle):
             bits[np.arange(n_users), values] = (
                 rng.random(n_users) < self.p
             ).astype(np.uint8)
-        if packed is None:
-            packed = PACK_UNARY_REPORTS
-        if packed:
-            return OracleReports(
-                payload={
-                    "packed_bits": np.packbits(bits, axis=1),
-                    "n_bits": self._domain_size,
-                },
-                n_users=n_users,
-            )
-        return OracleReports(payload={"bits": bits}, n_users=n_users)
+        return OracleReports(
+            payload={"packed_bits": np.packbits(bits, axis=1), "n_bits": self._domain_size},
+            n_users=n_users,
+        )
 
     # ------------------------------------------------------------------
     # Aggregator side

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frequency_oracles.base import OracleReports
 from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
 from repro.frequency_oracles.local_hashing import OptimalLocalHashing
 from repro.frequency_oracles.randomized_response import GeneralizedRandomizedResponse
@@ -116,8 +117,9 @@ def test_packed_and_dense_unary_payloads_decode_identically(
     for oracle_class in (OptimizedUnaryEncoding, SymmetricUnaryEncoding):
         oracle = oracle_class(epsilon, domain)
         values = np.random.default_rng(seed).integers(0, domain, size=n_users)
-        packed = oracle.encode_batch(values, np.random.default_rng(seed), packed=True)
-        dense = oracle.encode_batch(values, np.random.default_rng(seed), packed=False)
+        packed = oracle.encode_batch(values, np.random.default_rng(seed))
+        bits = np.unpackbits(packed.payload["packed_bits"], axis=1, count=domain)
+        dense = OracleReports(payload={"bits": bits}, n_users=n_users)
         from_packed = oracle.accumulator().add(packed).estimate()
         from_dense = oracle.accumulator().add(dense).estimate()
         np.testing.assert_array_equal(from_packed, from_dense)

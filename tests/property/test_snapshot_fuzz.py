@@ -255,3 +255,66 @@ def test_malformed_state_is_a_configuration_error(case):
         snapshots.from_bytes(corrupted, template=template)
     assert template.n_users == 3000
     assert np.array_equal(template.estimate_frequencies(), answers)
+
+
+def _label_counts(corrupt_counts, n_users=None):
+    """Set a snapshot's per-label user counts (and optionally its n_users)."""
+
+    def corrupt(arrays, prefix=""):
+        key = prefix + "level_user_counts"
+        arrays[key] = corrupt_counts(arrays[key])
+        if n_users is not None:
+            arrays[prefix + "n_users"] = np.int64(n_users)
+
+    return corrupt
+
+
+def _move_one_user(counts):
+    moved = counts.copy()
+    source = int(np.flatnonzero(moved)[0])
+    moved[source] -= 1
+    moved[(source + 1) % moved.shape[0]] += 1
+    return moved
+
+
+# Snapshots whose user counts contradict each other used to restore
+# silently: the per-label counts must equal the users each label's
+# accumulator holds, and they must add up to n_users.
+INCONSISTENT_COUNTS = {
+    "inflated-counts-and-tiny-n-users": _label_counts(
+        lambda counts: np.full_like(counts, 10**9), n_users=7
+    ),
+    "counts-not-matching-accumulators": _label_counts(_move_one_user),
+    "n-users-not-matching-counts": _label_counts(lambda counts: counts, n_users=7),
+    "unfitted-n-users-with-accumulators": _label_counts(lambda counts: counts, n_users=-1),
+}
+
+
+@pytest.mark.parametrize("spec", ["hhc_4", "haar", "grid2d_2", "hh_4_splitting"])
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_COUNTS))
+def test_inconsistent_user_counts_are_rejected(spec, case):
+    if spec == "hh_4_splitting":
+        template = mechanism_from_spec(
+            "hh_4", epsilon=EPSILON, domain_size=DOMAIN, budget_strategy="splitting"
+        )
+        template.fit_items(np.random.default_rng(1).integers(0, DOMAIN, 3000), random_state=2)
+    else:
+        template = _fitted(spec)
+    header, arrays = _unpacked(snapshots.to_bytes(template))
+    INCONSISTENT_COUNTS[case](arrays)
+    corrupted = _container(header, arrays)
+    answers = template.estimate_frequencies().copy()
+    with pytest.raises(ConfigurationError):
+        snapshots.from_bytes(corrupted)
+    with pytest.raises(ConfigurationError):
+        snapshots.from_bytes(corrupted, template=template)
+    assert template.n_users == 3000
+    assert np.array_equal(template.estimate_frequencies(), answers)
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_COUNTS))
+def test_inconsistent_checkpoint_shard_is_rejected(case):
+    header, arrays = _unpacked(_checkpoint())
+    INCONSISTENT_COUNTS[case](arrays, prefix="shard0/")
+    with pytest.raises(ConfigurationError):
+        ShardedCollector.from_checkpoint_bytes(_container(header, arrays))

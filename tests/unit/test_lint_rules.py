@@ -464,6 +464,43 @@ class TestPersistCoverageR005:
         )
         assert findings == []
 
+    def test_inherited_snapshot_hooks_need_registration(self, tmp_path):
+        mech = tmp_path / "repro" / "core" / "mech.py"
+        mech.parent.mkdir(parents=True)
+        mech.write_text(
+            textwrap.dedent(
+                """
+                import abc
+
+                class TemplateMechanism(RangeQueryMechanism):
+                    def state_dict(self):
+                        return {}
+
+                    def load_state_dict(self, state):
+                        return self
+
+                    @abc.abstractmethod
+                    def _hook(self):
+                        pass
+
+                class RegisteredMechanism(TemplateMechanism):
+                    def _hook(self):
+                        pass
+
+                class ForgottenMechanism(TemplateMechanism):
+                    def _hook(self):
+                        pass
+                """
+            ),
+            encoding="utf-8",
+        )
+        snap = tmp_path / "repro" / "persist" / "snapshots.py"
+        snap.parent.mkdir(parents=True)
+        snap.write_text("REGISTRY = {RegisteredMechanism: 'registered'}\n", encoding="utf-8")
+        findings, _ = lintmod.lint_paths([tmp_path])
+        assert rules_of(findings) == ["LDP-R005"]
+        assert "ForgottenMechanism" in findings[0].message
+
     def test_abstract_mechanisms_need_no_registration(self, tmp_path):
         mech = tmp_path / "repro" / "core" / "mech.py"
         mech.parent.mkdir(parents=True)

@@ -13,6 +13,14 @@ from repro.frequency_oracles.unary import (
 )
 
 
+def dense(reports):
+    """The dense ``{"bits"}`` layout of a packed batch: the layout of one
+    ``encode()`` report, which accumulators accept from outside input."""
+    payload = reports.payload
+    bits = np.unpackbits(payload["packed_bits"], axis=1, count=payload["n_bits"])
+    return OracleReports(payload={"bits": bits}, n_users=reports.n_users)
+
+
 class TestConfiguration:
     def test_oue_probabilities(self):
         oracle = OptimizedUnaryEncoding(epsilon=np.log(3.0), domain_size=16)
@@ -49,11 +57,11 @@ class TestEncoding:
         assert reports.payload["n_bits"] == 10
         assert reports.n_users == 50
 
-    def test_encode_batch_dense_layout(self, rng):
+    def test_dense_layout_is_accepted(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=10)
-        reports = oracle.encode_batch(rng.integers(0, 10, size=50), rng, packed=False)
+        reports = dense(oracle.encode_batch(rng.integers(0, 10, size=50), rng))
         assert reports.payload["bits"].shape == (50, 10)
-        assert reports.n_users == 50
+        assert oracle.accumulator().add(reports).n_users == 50
 
     def test_encode_rejects_out_of_domain(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=10)
@@ -65,13 +73,13 @@ class TestEncoding:
     def test_own_bit_distribution(self, rng):
         # The user's own bit must be reported "1" with probability ~p = 0.5.
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=4)
-        reports = oracle.encode_batch(np.zeros(4000, dtype=int), rng, packed=False)
+        reports = dense(oracle.encode_batch(np.zeros(4000, dtype=int), rng))
         own_bit_rate = reports.payload["bits"][:, 0].mean()
         assert own_bit_rate == pytest.approx(oracle.p, abs=0.03)
 
     def test_other_bit_distribution(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=4)
-        reports = oracle.encode_batch(np.zeros(4000, dtype=int), rng, packed=False)
+        reports = dense(oracle.encode_batch(np.zeros(4000, dtype=int), rng))
         other_bit_rate = reports.payload["bits"][:, 1].mean()
         assert other_bit_rate == pytest.approx(oracle.q, abs=0.03)
 
@@ -81,39 +89,36 @@ class TestPackedReports:
 
     def _paired_reports(self, oracle, n_users=500, seed=17):
         values = np.random.default_rng(3).integers(0, oracle.domain_size, size=n_users)
-        packed = oracle.encode_batch(values, np.random.default_rng(seed), packed=True)
-        dense = oracle.encode_batch(values, np.random.default_rng(seed), packed=False)
-        return packed, dense
+        packed = oracle.encode_batch(values, np.random.default_rng(seed))
+        return packed, dense(packed)
 
     def test_packed_and_dense_estimates_identical(self):
         oracle = OptimizedUnaryEncoding(epsilon=1.1, domain_size=37)
-        packed, dense = self._paired_reports(oracle)
+        packed, unpacked = self._paired_reports(oracle)
         from_packed = oracle.accumulator().add(packed).estimate()
-        from_dense = oracle.accumulator().add(dense).estimate()
+        from_dense = oracle.accumulator().add(unpacked).estimate()
         np.testing.assert_array_equal(from_packed, from_dense)
 
     def test_mixed_packed_and_dense_batches(self):
         oracle = SymmetricUnaryEncoding(epsilon=1.0, domain_size=12)
-        packed, dense = self._paired_reports(oracle, n_users=200)
-        other = oracle.encode_batch(
-            np.arange(200) % 12, np.random.default_rng(5), packed=False
-        )
+        packed, unpacked = self._paired_reports(oracle, n_users=200)
+        other = dense(oracle.encode_batch(np.arange(200) % 12, np.random.default_rng(5)))
         mixed = oracle.accumulator().add(packed).add(other).estimate()
-        all_dense = oracle.accumulator().add(dense).add(other).estimate()
+        all_dense = oracle.accumulator().add(unpacked).add(other).estimate()
         np.testing.assert_array_equal(mixed, all_dense)
 
     def test_packed_payload_is_at_least_4x_smaller(self, rng):
         domain = 1024
         oracle = OptimizedUnaryEncoding(epsilon=1.1, domain_size=domain)
         values = rng.integers(0, domain, size=64)
-        packed = oracle.encode_batch(values, rng, packed=True)
-        dense = oracle.encode_batch(values, rng, packed=False)
-        assert dense.payload["bits"].nbytes >= 4 * packed.payload["packed_bits"].nbytes
+        packed = oracle.encode_batch(values, rng)
+        unpacked = dense(packed)
+        assert unpacked.payload["bits"].nbytes >= 4 * packed.payload["packed_bits"].nbytes
 
     def test_block_size_invariance(self, monkeypatch):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=50)
-        packed, dense = self._paired_reports(oracle, n_users=300)
-        expected = oracle.accumulator().add(dense).estimate()
+        packed, unpacked = self._paired_reports(oracle, n_users=300)
+        expected = oracle.accumulator().add(unpacked).estimate()
         for target_bytes in (1, 64, 1 << 20):
             monkeypatch.setattr(
                 unary_module, "UNARY_SUM_BLOCK_TARGET_BYTES", target_bytes
