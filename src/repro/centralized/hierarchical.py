@@ -18,9 +18,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.exceptions import InvalidDomainError, InvalidQueryError, NotFittedError
+from repro.core.base import validate_queries
+from repro.exceptions import InvalidDomainError, NotFittedError
 from repro.hierarchy.consistency import enforce_consistency
-from repro.hierarchy.decomposition import decompose_to_runs
+from repro.hierarchy.decomposition import batched_range_sums
 from repro.hierarchy.tree import DomainTree
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
@@ -136,24 +137,20 @@ class CentralHierarchicalHistogram:
     # Query answering
     # ------------------------------------------------------------------
     def answer_range(self, start: int, end: int, normalized: bool = True) -> float:
-        """Range estimate; normalized to a population fraction by default."""
-        if self._levels is None:
-            raise NotFittedError("fit_counts must be called first")
-        if not 0 <= start <= end < self._domain_size:
-            raise InvalidQueryError(f"invalid range [{start}, {end}]")
-        answer = 0.0
-        for run in decompose_to_runs(self._tree, start, end):
-            prefix = self._level_prefix[run.level]
-            answer += prefix[run.last + 1] - prefix[run.first]
-        if normalized:
-            if not self._n_users:
-                return 0.0
-            answer /= float(self._n_users)
-        return float(answer)
+        """Range estimate; normalized to a population fraction by default.
+        Row 0 of :meth:`answer_ranges` on the one-row batch."""
+        return float(self.answer_ranges([[start, end]], normalized=normalized)[0])
 
     def answer_ranges(self, queries: np.ndarray, normalized: bool = True) -> np.ndarray:
-        """Vectorised :meth:`answer_range`."""
-        queries = np.asarray(queries, dtype=np.int64)
-        return np.array(
-            [self.answer_range(int(a), int(b), normalized=normalized) for a, b in queries]
-        )
+        """Range estimates of an ``(n, 2)`` array of inclusive ranges, all
+        B-adic decompositions evaluated together
+        (:func:`~repro.hierarchy.decomposition.batched_range_sums`)."""
+        if self._levels is None:
+            raise NotFittedError("fit_counts must be called first")
+        queries = validate_queries(queries, 2, self._domain_size)
+        answers = batched_range_sums(self._tree, self._level_prefix, queries)
+        if normalized:
+            if not self._n_users:
+                return np.zeros_like(answers)
+            answers /= float(self._n_users)
+        return answers

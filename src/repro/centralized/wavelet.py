@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.base import validate_queries
 from repro.exceptions import InvalidDomainError, InvalidQueryError, NotFittedError
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
@@ -134,26 +135,21 @@ class PriveletWavelet:
     # Query answering
     # ------------------------------------------------------------------
     def answer_range(self, start: int, end: int, normalized: bool = True) -> float:
-        """Range estimate; normalized to a population fraction by default."""
-        if self._coefficients is None:
-            raise NotFittedError("fit_counts must be called first")
-        if not 0 <= start <= end < self._domain_size:
-            raise InvalidQueryError(f"invalid range [{start}, {end}]")
-        answer = float(self._prefix[end + 1] - self._prefix[start])
-        if normalized:
-            if not self._n_users:
-                return 0.0
-            answer /= float(self._n_users)
-        return answer
+        """Range estimate; normalized to a population fraction by default.
+        Row 0 of :meth:`answer_ranges` on the one-row batch."""
+        return float(self.answer_ranges([[start, end]], normalized=normalized)[0])
 
     def answer_ranges(self, queries: np.ndarray, normalized: bool = True) -> np.ndarray:
-        """Vectorised :meth:`answer_range` via the prefix sums."""
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise InvalidQueryError("queries must be an (n, 2) array")
+        """Range estimates of an ``(n, 2)`` array of inclusive ranges, via
+        the prefix sums."""
+        if self._coefficients is None:
+            raise NotFittedError("fit_counts must be called first")
+        queries = validate_queries(queries, 2, self._domain_size)
         answers = self._prefix[queries[:, 1] + 1] - self._prefix[queries[:, 0]]
-        if normalized and self._n_users:
-            answers = answers / float(self._n_users)
+        if normalized:
+            if not self._n_users:
+                return np.zeros_like(answers)
+            answers /= float(self._n_users)
         return answers
 
     def range_query_variance(self, start: int, end: int, normalized: bool = True) -> float:

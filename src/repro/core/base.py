@@ -12,10 +12,13 @@ A mechanism's lifecycle has two phases:
    combination* (:meth:`merge_from`, folding another instance's accumulated
    state into this one) — the substrate of
    :class:`repro.streaming.ShardedCollector`.
-2. **Query answering** — once fitted, :meth:`answer_range`,
-   :meth:`answer_prefix`, :meth:`estimate_frequencies`, :meth:`estimate_cdf`
-   and :meth:`quantile` are available.  All answers are *fractions of the
-   population*, matching the problem definition in Section 4.1 of the paper.
+2. **Query answering** — once fitted, :meth:`answer_ranges`,
+   :meth:`answer_range`, :meth:`answer_prefix`,
+   :meth:`estimate_frequencies`, :meth:`estimate_cdf` and :meth:`quantile`
+   are available.  All answers are *fractions of the population*, matching
+   the problem definition in Section 4.1 of the paper.  There is one read
+   path: a scalar surface is a one-row call of its batched surface, so one
+   query gets one float (and one cache entry) whatever the surface.
 
 The two phases are decoupled by **lazy estimate materialization**: the
 collection entry points only accumulate sufficient statistics and bump a
@@ -29,8 +32,10 @@ batch because the estimates are a deterministic function of the accumulated
 statistics (no randomness is consumed by a refresh).
 
 Subclasses implement :meth:`_collect` (store aggregate state) and
-:meth:`_answer_range` (answer a single validated range query); the base
-class provides validation, workload evaluation and the quantile search.
+:meth:`_range_answers` (answer a validated ``(n, 2)`` ``int64`` batch of
+ranges, every row independently); the base class provides the one
+validation gate (:func:`validate_queries`), the answer
+cache, the scalar surfaces, workload evaluation and the quantile search.
 Accumulator-backed subclasses additionally implement
 :meth:`_refresh_estimates` and call :meth:`_mark_dirty` from every path
 that mutates their sufficient statistics without refreshing.
@@ -82,7 +87,9 @@ __all__ = [
     "LevelSampledMechanism",
     "RangeQueryMechanism",
     "SIMULATION_MODES",
+    "integer_queries",
     "normalize_level_probabilities",
+    "validate_queries",
 ]
 
 #: Supported simulation modes for the collection phase.
@@ -110,6 +117,68 @@ def normalize_level_probabilities(
             "level_probabilities must be finite, non-negative and sum > 0"
         )
     return array / array.sum()
+
+
+def integer_queries(queries: Any) -> np.ndarray:
+    """A query batch as an array, refusing every bound that is not an integer.
+
+    The dtype policy of every read surface, and of the HTTP decoder, which
+    applies it before refreshing its view.  Float, bool and string bounds
+    raise :class:`~repro.exceptions.InvalidQueryError` instead of being
+    cast: an ``int64`` cast would answer ``[0.5, 10.9]`` as ``[0, 10]`` and
+    ``true`` as ``1`` without any error.  Python bools mixed into integer
+    lists hide in an ``int64`` array, so the entries of a 2-D list that
+    read 0 or 1 (the only values a bool becomes) are checked too.  Empty
+    batches pass whatever their dtype.
+    """
+    try:
+        array = np.asarray(queries)
+    except (TypeError, ValueError) as error:
+        raise InvalidQueryError(
+            f"queries must be a rectangular array of integer bounds: {error}"
+        ) from None
+    if not array.size:
+        return array
+    dtype = array.dtype
+    if dtype.kind in "iu" and array.ndim == 2 and not isinstance(queries, np.ndarray):
+        width = array.shape[1]
+        for index in np.flatnonzero((array == 0) | (array == 1)).tolist():
+            if type(queries[index // width][index % width]) in _BOOL_TYPES:
+                dtype = np.dtype(np.bool_)
+                break
+    if dtype.kind not in "iu":
+        raise InvalidQueryError(
+            f"query bounds must be integers, got {dtype}; "
+            "round or cast explicitly before querying"
+        )
+    return array
+
+
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def validate_queries(queries: Any, width: int, size: int) -> np.ndarray:
+    """The one validation gate of the batched read surfaces.
+
+    ``queries`` must pass :func:`integer_queries` and have shape ``(n,
+    width)``; each consecutive column pair is an inclusive ``[start, end]``
+    range that must lie inside ``[0, size)``.  The first bad pair, in
+    row-major order, is reported.  Returns the queries as ``int64``.
+    """
+    queries = integer_queries(queries)
+    if queries.ndim != 2 or queries.shape[1] != width:
+        raise InvalidQueryError(
+            f"queries must be an (n, {width}) array of (start, end) pairs"
+        )
+    queries = queries.astype(np.int64, copy=False)
+    pairs = queries.reshape(-1, 2)
+    bad = (pairs[:, 0] < 0) | (pairs[:, 0] > pairs[:, 1]) | (pairs[:, 1] >= size)
+    if bad.any():
+        start, end = pairs[int(np.argmax(bad))].tolist()
+        raise InvalidQueryError(
+            f"invalid range [{start}, {end}] for domain of size {size}"
+        )
+    return queries
 
 
 class RangeQueryMechanism(abc.ABC):
@@ -575,49 +644,27 @@ class RangeQueryMechanism(abc.ABC):
     # Query answering
     # ------------------------------------------------------------------
     def answer_range(self, start: int, end: int) -> float:
-        """Estimated fraction of users whose item lies in ``[start, end]``."""
-        self._require_fitted()
-        start, end = self._check_range(start, end)
-        return self._cached(
-            ("range", start, end), lambda: float(self._answer_range(start, end))
-        )
+        """Estimated fraction of users whose item lies in ``[start, end]``:
+        row 0 of :meth:`answer_ranges` on the one-row batch, sharing its
+        cache entry."""
+        return float(self.answer_ranges([[start, end]])[0])
 
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`answer_range` over an ``(n, 2)`` query array."""
+        """Answer an ``(n, 2)`` array of inclusive ``[start, end]`` ranges."""
         return self._answer_batch(
-            "answer_ranges", self._range_batch(queries), self._answer_range_rows
+            "answer_ranges", self._range_batch(queries), self._range_answers
         )
 
     def _range_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Read gate of ``answer_ranges``: fitted check plus the ``(n, 2)``
-        shape check; returns the queries as ``int64``."""
+        """Read gate of ``answer_ranges``: fitted check, then
+        :func:`validate_queries` over the item domain."""
         self._require_fitted()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise InvalidQueryError("queries must be an (n, 2) array")
-        return queries
+        return validate_queries(queries, 2, self._domain_size)
 
-    def _answer_range_rows(self, queries: np.ndarray) -> np.ndarray:
-        """Answer a range batch one query at a time — the generic path, and
-        the precise-error path of the vectorised overrides."""
-        return np.array(
-            [self._answer_range(*self._check_range(int(a), int(b))) for a, b in queries]
-        )
-
-    def _ranges_in_domain(self, queries: np.ndarray) -> bool:
-        """Whether every row of an ``(n, 2)`` batch is a valid range."""
-        return not queries.size or not (
-            queries.min() < 0
-            or queries[:, 1].max() >= self._domain_size
-            or np.any(queries[:, 0] > queries[:, 1])
-        )
-
-    def _prefix_ranges(self, queries: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _prefix_ranges(queries: np.ndarray, prefix: np.ndarray) -> np.ndarray:
         """Range answers as differences of one prefix-sum array (O(1) per
-        query); a batch with an invalid row takes the per-query path for
-        its precise error."""
-        if not self._ranges_in_domain(queries):
-            return self._answer_range_rows(queries)
+        query)."""
         return prefix[queries[:, 1] + 1] - prefix[queries[:, 0]]
 
     def answer_workload(self, workload: RangeWorkload) -> np.ndarray:
@@ -635,11 +682,13 @@ class RangeQueryMechanism(abc.ABC):
     def estimate_frequencies(self) -> np.ndarray:
         """Estimated per-item fractions (point queries for every item).
 
-        The default implementation issues one range query per item;
+        The default implementation answers one point range per item;
         subclasses override it with their natural reconstruction.
         """
         self._require_fitted()
-        return np.array([self._answer_range(i, i) for i in range(self._domain_size)])
+        return self._range_answers(
+            np.repeat(np.arange(self._domain_size, dtype=np.int64), 2).reshape(-1, 2)
+        )
 
     def estimate_cdf(self) -> np.ndarray:
         """Estimated cumulative distribution ``F(b) = R[0, b]`` for every b."""
@@ -677,8 +726,9 @@ class RangeQueryMechanism(abc.ABC):
         return list(self._cached(key, lambda: tuple(estimate_quantiles(self, phis))))
 
     @abc.abstractmethod
-    def _answer_range(self, start: int, end: int) -> float:
-        """Answer a single validated range query (bounds already checked)."""
+    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
+        """Answer a validated ``(n, 2)`` ``int64`` batch of ranges (bounds
+        already checked), every row independently of the others."""
 
     # ------------------------------------------------------------------
     # Helpers
@@ -717,13 +767,6 @@ class RangeQueryMechanism(abc.ABC):
         # the streaming hot path.
         return items.astype(np.int64, copy=False)
 
-    def _check_range(self, start: int, end: int) -> tuple:
-        if not 0 <= start <= end < self._domain_size:
-            raise InvalidQueryError(
-                f"invalid range [{start}, {end}] for domain of size {self._domain_size}"
-            )
-        return int(start), int(end)
-
     @staticmethod
     def _check_mode(mode: str) -> None:
         if mode not in SIMULATION_MODES:
@@ -748,6 +791,21 @@ class LevelSampledMechanism(RangeQueryMechanism):
         self._labels = list(self._oracles)
         self._accumulators: Optional[dict] = None
         self._label_user_counts: Optional[np.ndarray] = None
+
+    def _init_level_probabilities(
+        self, probabilities: Optional[Sequence[float]], n_levels: int
+    ) -> None:
+        """Set the level-sampling distribution
+        (:func:`normalize_level_probabilities`), keeping the argument as
+        given (``None`` for uniform) for the snapshot config.  Normalizing
+        an already normalized array can move its last bit, so only the
+        original argument rebuilds the identical array on restore."""
+        self._level_probabilities = normalize_level_probabilities(probabilities, n_levels)
+        self._level_probabilities_config = (
+            None
+            if probabilities is None
+            else np.asarray(probabilities, dtype=np.float64).tolist()
+        )
 
     def _user_counts(self) -> Optional[np.ndarray]:
         """A copy of the per-label user counts (``None`` unfitted)."""

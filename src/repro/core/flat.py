@@ -134,8 +134,9 @@ class FlatMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def _answer_range(self, start: int, end: int) -> float:
-        return float(self._prefix[end + 1] - self._prefix[start])
+    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
+        """Differences of the materialized prefix sums (O(1) per query)."""
+        return self._prefix_ranges(queries, self._prefix)
 
     def estimate_frequencies(self) -> np.ndarray:
         """Per-item estimates straight from the frequency oracle."""
@@ -147,14 +148,6 @@ class FlatMechanism(RangeQueryMechanism):
         CDF from per-item frequencies (bit-identical, zero extra work)."""
         self._require_fitted()
         return self._prefix[1:].copy()
-
-    def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation via prefix sums (O(1) per query)."""
-        return self._answer_batch(
-            "answer_ranges",
-            self._range_batch(queries),
-            lambda batch: self._prefix_ranges(batch, self._prefix),
-        )
 
     def per_query_variance(self, range_length: int) -> float:
         """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1)."""

@@ -28,11 +28,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import LevelSampledMechanism, normalize_level_probabilities
+from repro.core.base import LevelSampledMechanism
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
-from repro.hierarchy.decomposition import batched_range_sums, decompose_to_runs
+from repro.hierarchy.decomposition import batched_range_sums
 from repro.hierarchy.tree import DomainTree
 from repro.privacy.randomness import categorical
 
@@ -92,9 +92,7 @@ class HierarchicalHistogramMechanism(LevelSampledMechanism):
         self._oracle_kwargs = dict(oracle_kwargs)
         self._consistency = bool(consistency)
         self._budget_strategy = budget_strategy
-        self._level_probabilities = normalize_level_probabilities(
-            level_probabilities, self._tree.height
-        )
+        self._init_level_probabilities(level_probabilities, self._tree.height)
         # Per-level oracles: the report budget depends on the strategy.
         per_level_epsilon = (
             self.epsilon
@@ -252,14 +250,6 @@ class HierarchicalHistogramMechanism(LevelSampledMechanism):
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def _answer_range(self, start: int, end: int) -> float:
-        runs = decompose_to_runs(self._tree, start, end)
-        answer = 0.0
-        for run in runs:
-            prefix = self._level_prefix[run.level]
-            answer += prefix[run.last + 1] - prefix[run.first]
-        return float(answer)
-
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised workload evaluation.
 
@@ -270,17 +260,16 @@ class HierarchicalHistogramMechanism(LevelSampledMechanism):
         decomposition; all decompositions are evaluated together with
         :func:`~repro.hierarchy.decomposition.batched_range_sums`, walking
         the tree once per level for the whole workload instead of once per
-        query.
+        query.  (The inherited template, bound on this class too so that a
+        profiler can wrap the hierarchical read path under its own name.)
         """
         return self._answer_batch(
-            "answer_ranges", self._range_batch(queries), self._batched_ranges
+            "answer_ranges", self._range_batch(queries), self._range_answers
         )
 
-    def _batched_ranges(self, queries: np.ndarray) -> np.ndarray:
+    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
         if self._consistency:
             return self._prefix_ranges(queries, self._level_prefix[self._tree.height])
-        if not self._ranges_in_domain(queries):
-            return self._answer_range_rows(queries)
         return batched_range_sums(self._tree, self._level_prefix, queries)
 
     def estimate_frequencies(self) -> np.ndarray:

@@ -48,18 +48,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import LevelSampledMechanism, RangeQueryMechanism
+from repro.core.base import (
+    LevelSampledMechanism,
+    RangeQueryMechanism,
+    validate_queries,
+)
 from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
 )
 from repro.frequency_oracles.registry import make_oracle
-from repro.hierarchy.decomposition import (
-    NodeRun,
-    batched_axis_runs,
-    decompose_box_to_runs,
-    decompose_to_runs,
-)
+from repro.hierarchy.decomposition import batched_axis_runs
 from repro.hierarchy.tree import DomainTree
 from repro.privacy.randomness import RandomState
 
@@ -449,23 +448,16 @@ class HierarchicalGridND(LevelSampledMechanism):
     def answer_box(self, ranges: Sequence[Tuple[int, int]]) -> float:
         """Estimated fraction of users inside an axis-aligned box.
 
-        ``ranges`` holds one inclusive ``[start, end]`` pair per axis.
+        ``ranges`` holds one inclusive ``[start, end]`` pair per axis.  The
+        answer is row 0 of :meth:`answer_boxes` on the one-row batch, and
+        shares its cache entry.
         """
-        self._require_fitted()
         if len(ranges) != self._dims:
             raise InvalidQueryError(
                 f"box queries need one (start, end) pair per axis; "
                 f"got {len(ranges)} pairs for {self._dims} axes"
             )
-        try:
-            key = ("box", tuple((int(a), int(b)) for a, b in ranges))
-        except (TypeError, ValueError):
-            # Unkeyable bounds bypass the cache; the decomposition owns
-            # the precise validation error.
-            return self._sum_runs(decompose_box_to_runs(self._tree, ranges))
-        return self._cached(
-            key, lambda: self._sum_runs(decompose_box_to_runs(self._tree, ranges))
-        )
+        return float(self.answer_boxes([[bound for pair in ranges for bound in pair]])[0])
 
     def answer_boxes(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`answer_box` over ``(n, 2d)`` rows holding the
@@ -480,18 +472,14 @@ class HierarchicalGridND(LevelSampledMechanism):
         small fancy-index calls or ``n`` Python-level run products.
         """
         self._require_fitted()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 2 * self._dims:
-            raise InvalidQueryError(
-                f"box queries must be an (n, {2 * self._dims}) array of "
-                "per-axis (start, end) pairs"
-            )
+        queries = validate_queries(queries, 2 * self._dims, self._side)
         if queries.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
         return self._answer_batch("answer_boxes", queries, self._gather_boxes)
 
     def _gather_boxes(self, queries: np.ndarray) -> np.ndarray:
-        """Uncached body of :meth:`answer_boxes` for a non-empty batch.
+        """Uncached body of :meth:`answer_boxes` for a validated,
+        non-empty batch.
 
         Per query the answer is the sum, in level-tuple order and within
         it ``itertools.product`` slot-combination order, of one ``2^d``
@@ -500,25 +488,6 @@ class HierarchicalGridND(LevelSampledMechanism):
         That fixed evaluation order is what keeps answers bit-identical
         across chunkings and coalesced batches, and what the goldens pin.
         """
-        starts = queries[:, 0::2]
-        ends = queries[:, 1::2]
-        if (
-            queries.min() < 0
-            or ends.max() >= self._side
-            or np.any(starts > ends)
-        ):
-            # Fall back to the per-query path for its precise errors.
-            return np.array(
-                [
-                    self.answer_box(
-                        [
-                            (int(row[2 * axis]), int(row[2 * axis + 1]))
-                            for axis in range(self._dims)
-                        ]
-                    )
-                    for row in queries
-                ]
-            )
         dims = self._dims
         n_tuples = len(self._tuples)
         corners = 1 << dims
@@ -561,24 +530,6 @@ class HierarchicalGridND(LevelSampledMechanism):
             answers[low:high] = 0.0 + np.add.accumulate(terms, axis=0)[-1]
         return answers
 
-    def _sum_runs(self, axis_runs: Sequence[List[NodeRun]]) -> float:
-        """Sum a product of per-axis run decompositions via 2^d corners."""
-        answer = 0.0
-        for combo in itertools.product(*axis_runs):
-            prefix = self._tuple_prefix[tuple(run.level for run in combo)]
-            value = prefix[tuple(run.last + 1 for run in combo)]
-            for corner in range(1, 1 << self._dims):
-                index = tuple(
-                    run.first if (corner >> axis) & 1 else run.last + 1
-                    for axis, run in enumerate(combo)
-                )
-                if bin(corner).count("1") % 2:
-                    value = value - prefix[index]
-                else:
-                    value = value + prefix[index]
-            answer += value
-        return float(answer)
-
     def _flat_range_boxes(
         self, start: int, end: int, dims: int
     ) -> List[List[Tuple[int, int]]]:
@@ -588,7 +539,7 @@ class HierarchicalGridND(LevelSampledMechanism):
         rows, partial last row": the leading coordinate splits the range
         into a partial first slab, a partial last slab and full middle
         slabs, with the partial slabs recursing into ``d - 1`` dimensions.
-        At most ``2d - 1`` boxes result.
+        At most ``2^d - 1`` boxes result.
         """
         if dims == 1:
             return [[(start, end)]]
@@ -614,14 +565,29 @@ class HierarchicalGridND(LevelSampledMechanism):
             )
         return boxes
 
-    def _answer_range(self, start: int, end: int) -> float:
-        """A flattened row-major range is a union of at most ``2d - 1``
-        axis-aligned boxes (partial first slab, full middle, partial last
-        slab, recursively per axis)."""
-        answer = 0.0
-        for box in self._flat_range_boxes(start, end, self._dims):
-            answer += self._sum_runs(decompose_box_to_runs(self._tree, box))
-        return answer
+    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
+        """Flattened row-major ranges: each is a union of axis-aligned boxes
+        (:meth:`_flat_range_boxes`).  Every box of the batch is answered by
+        one :meth:`_gather_boxes`, and each range sums its boxes in order,
+        starting from ``0.0``."""
+        per_range = [
+            self._flat_range_boxes(start, end, self._dims)
+            for start, end in queries.tolist()
+        ]
+        if not per_range:
+            return np.zeros(0, dtype=np.float64)
+        rows = [[bound for pair in box for bound in pair] for boxes in per_range for box in boxes]
+        owners = [index for index, boxes in enumerate(per_range) for _ in boxes]
+        positions = [position for boxes in per_range for position in range(len(boxes))]
+        slots = np.zeros((len(per_range), max(positions) + 1), dtype=np.float64)
+        slots[owners, positions] = self._gather_boxes(np.array(rows, dtype=np.int64))
+        # The zero padding of ranges with fewer boxes adds exactly +0.0 to a
+        # sum that starts at 0.0, so each range reproduces `answer = 0.0;
+        # answer += box` over its own boxes.
+        answers = np.zeros(len(per_range), dtype=np.float64)
+        for column in slots.T:
+            answers += column
+        return answers
 
     def estimate_heatmap(self) -> np.ndarray:
         """Leaf-resolution estimate of the d-dimensional density
@@ -723,28 +689,15 @@ class HierarchicalGrid2D(HierarchicalGridND):
     ) -> float:
         """Estimated fraction of users inside an axis-aligned rectangle.
 
-        Both ranges are inclusive ``[start, end]`` pairs.
+        Both ranges are inclusive ``[start, end]`` pairs; the answer is
+        :meth:`answer_box` of ``(x_range, y_range)``.
         """
-        self._require_fitted()
-        x0, x1 = int(x_range[0]), int(x_range[1])
-        y0, y1 = int(y_range[0]), int(y_range[1])
-        return self._cached(
-            ("rect", x0, x1, y0, y1),
-            lambda: self._sum_runs(
-                [decompose_to_runs(self._tree, x0, x1), decompose_to_runs(self._tree, y0, y1)]
-            ),
-        )
+        return self.answer_box((x_range, y_range))
 
     def answer_rectangles(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`answer_rectangle` over ``(n, 4)`` rows
-        ``(x_start, x_end, y_start, y_end)`` — :meth:`answer_boxes` with the
-        historical argument validation."""
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 2 or queries.shape[1] != 4:
-            raise InvalidQueryError(
-                "rectangle queries must be an (n, 4) array of "
-                "(x_start, x_end, y_start, y_end) rows"
-            )
+        ``(x_start, x_end, y_start, y_end)``: :meth:`answer_boxes` under
+        its historical name."""
         return self.answer_boxes(queries)
 
     def _merge_signature(self) -> tuple:

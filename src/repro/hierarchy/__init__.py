@@ -3,9 +3,11 @@
 * :mod:`repro.hierarchy.tree` — a complete B-ary tree laid over the item
   domain (Section 4.3 of the paper): level layouts, node ranges and the
   leaf-to-root path of an individual item.
-* :mod:`repro.hierarchy.decomposition` — translation of a range query into
-  tree nodes via the B-adic decomposition, returned as per-level contiguous
-  runs so that many queries can be evaluated with per-level prefix sums.
+* :mod:`repro.hierarchy.decomposition` — the one B-adic decomposer
+  (Facts 2 and 3): a whole batch of range queries becomes per-level
+  contiguous node runs (:func:`batched_axis_runs`), evaluated with
+  per-level prefix sums (:func:`batched_range_sums`) or combined per axis
+  into box products.  A single query is a one-row batch.
 * :mod:`repro.hierarchy.consistency` — the constrained-inference
   post-processing of Section 4.5 (weighted averaging followed by mean
   consistency), plus an exact least-squares reference implementation used to
@@ -17,13 +19,10 @@ from repro.hierarchy.consistency import (
     least_squares_consistency,
     subtree_counts,
 )
-from repro.hierarchy.decomposition import NodeRun, decompose_to_runs
 from repro.hierarchy.tree import DomainTree
 
 __all__ = [
     "DomainTree",
-    "NodeRun",
-    "decompose_to_runs",
     "enforce_consistency",
     "least_squares_consistency",
     "subtree_counts",

@@ -151,7 +151,7 @@ def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
             "oracle": mechanism._oracle_name,
             "consistency": bool(mechanism.consistency),
             "budget_strategy": mechanism.budget_strategy,
-            "level_probabilities": [float(p) for p in mechanism.level_probabilities],
+            "level_probabilities": mechanism._level_probabilities_config,
             "oracle_kwargs": dict(mechanism._oracle_kwargs),
             "name": mechanism._name,
         }
@@ -160,7 +160,7 @@ def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
             "kind": "haar",
             "epsilon": float(mechanism.epsilon),
             "domain_size": int(mechanism.domain_size),
-            "level_probabilities": [float(p) for p in mechanism.level_probabilities],
+            "level_probabilities": mechanism._level_probabilities_config,
             "name": mechanism._name,
         }
     if isinstance(mechanism, HierarchicalGrid2D):

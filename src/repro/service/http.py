@@ -62,9 +62,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.base import integer_queries
 from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE
 from repro.exceptions import (
     ConfigurationError,
+    InvalidQueryError,
     NotFittedError,
     ReproError,
     ServiceOverloadedError,
@@ -675,13 +677,13 @@ class ReproHttpServer:
                 400, "provide exactly one of 'boxes' or 'ranges'"
             )
         try:
-            queries = np.asarray(
-                raw_boxes if raw_boxes is not None else raw_ranges, dtype=np.int64
+            # Float, bool and string bounds are refused here, before any
+            # view refresh, instead of being truncated to integers.
+            queries = integer_queries(
+                raw_boxes if raw_boxes is not None else raw_ranges
             )
-        except (TypeError, ValueError, OverflowError):
-            return _HttpResponse.error(
-                400, "queries must be an array of integer bounds"
-            )
+        except InvalidQueryError as error:
+            return _HttpResponse.error(400, str(error))
         view, error = await self._query_view()
         if error is not None:
             return error

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import RangeQueryMechanism
+from repro.core.base import RangeQueryMechanism, integer_queries
 from repro.exceptions import ConfigurationError, InvalidQueryError
 
 __all__ = ["QueryCoalescer"]
@@ -108,12 +108,13 @@ class QueryCoalescer:
             raise InvalidQueryError(
                 f"{mechanism.name} has no {surface} surface"
             )
-        queries = np.asarray(queries, dtype=np.int64)
+        queries = integer_queries(queries)
         if queries.ndim != 2 or (columns is not None and queries.shape[1] != columns):
             # Shape errors surface immediately — a malformed array must not
             # poison the concatenation other waiters share.
             width = columns if columns is not None else "2d"
             raise InvalidQueryError(f"queries must be an (n, {width}) array")
+        queries = queries.astype(np.int64, copy=False)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((mechanism, surface, queries, future))

@@ -3,17 +3,12 @@
 * :mod:`repro.transforms.hadamard` — the (scaled) Walsh–Hadamard transform
   underlying Hadamard Randomized Response (Section 3.2 of the paper);
 * :mod:`repro.transforms.haar` — the Discrete Haar wavelet Transform (DHT)
-  used by the ``HaarHRR`` mechanism (Section 4.6);
-* :mod:`repro.transforms.badic` — B-adic interval decomposition of ranges,
-  the combinatorial backbone of the hierarchical histogram methods
-  (Facts 2 and 3, Section 4.3).
+  used by the ``HaarHRR`` mechanism (Section 4.6).
+
+The B-adic decomposition of ranges (Facts 2 and 3, Section 4.3) lives in
+:mod:`repro.hierarchy.decomposition`, batched over whole workloads.
 """
 
-from repro.transforms.badic import (
-    badic_decompose,
-    badic_node_count_bound,
-    is_badic_interval,
-)
 from repro.transforms.hadamard import (
     fast_walsh_hadamard_transform,
     hadamard_entry,
@@ -31,9 +26,6 @@ from repro.transforms.haar import (
 )
 
 __all__ = [
-    "badic_decompose",
-    "badic_node_count_bound",
-    "is_badic_interval",
     "fast_walsh_hadamard_transform",
     "inverse_fast_walsh_hadamard_transform",
     "hadamard_entry",

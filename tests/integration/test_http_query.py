@@ -276,6 +276,40 @@ class TestErrorPaths:
         assert missing_phis == 400
         assert bad_phis == 400
 
+    def test_non_integer_bounds_are_400_before_any_view_refresh(self, rng):
+        """Float, bool and string bounds are refused by the decoder, not
+        truncated: ``[[0.5, 10.9]]`` used to be answered as ``[0, 10]`` and
+        ``true`` as ``1``.  The refusal comes before the view refresh, so
+        it is a 400 even before any data lands (not the 409 of an empty
+        server) and builds no view."""
+        bad = [
+            ("ranges", [[0.5, 10.9]]),
+            ("ranges", [[2.0, 10]]),
+            ("ranges", [[True, 10]]),
+            ("ranges", [[True, False]]),
+            ("ranges", [["0", "1"]]),
+            ("boxes", [[0, 3, 1.5, 4]]),
+        ]
+
+        def ask(server, field, bounds):
+            status, _, body = raw_request(
+                server, "POST", "/v1/query",
+                body=json.dumps({field: bounds}).encode(),
+            )
+            return status, json.loads(body)["error"]
+
+        with HttpServerThread(make_collector(seed=50)) as server:
+            before_data = [ask(server, *case) for case in bad]
+            with ServiceClient(*server.address) as client:
+                client.post_batch_retrying(rng.integers(0, DOMAIN, size=200))
+            wait_absorbed(server, 1)
+            with_data = [ask(server, *case) for case in bad]
+            stats = server.stats()
+        for status, message in before_data + with_data:
+            assert status == 400
+            assert "query bounds must be integers" in message
+        assert stats["query"]["views_built"] == 0
+
     def test_spec_mismatch_on_query_is_409(self, rng):
         with HttpServerThread(make_collector(seed=47)) as server:
             with ServiceClient(*server.address) as client:

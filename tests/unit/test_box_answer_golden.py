@@ -20,6 +20,7 @@ change only).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -158,14 +159,71 @@ def test_non_consistent_range_answers_match_golden(golden, spec, domain):
     assert _hexes(answers) == golden[f"{spec}_D{domain}_ranges"]
 
 
+def per_axis_runs(tree, start, end):
+    """Plain-Python B-adic peel of one axis range, independent of the
+    batched decomposer: ``{level: [(first node, end node), ...]}`` with the
+    node indices of each fringe run at that level (half-open).  Each level,
+    finest first, gives up its left fringe up to the next coarser
+    alignment, then its right fringe; a range left after the top level is
+    the whole padded axis, all level-1 nodes."""
+    runs = {level: [] for level in range(1, tree.height + 1)}
+    lo, hi = int(start), int(end) + 1
+    block = 1
+    for level in range(tree.height, 0, -1):
+        coarse = block * tree.branching
+        left_end = min(hi, -(-lo // coarse) * coarse)
+        right_start = max(left_end, hi // coarse * coarse)
+        if lo < left_end:
+            runs[level].append((lo // block, left_end // block))
+        if right_start < hi:
+            runs[level].append((right_start // block, hi // block))
+        lo, hi = left_end, right_start
+        block = coarse
+    if lo < hi:
+        runs[1].append((0, tree.nodes_at_level(1)))
+    return runs
+
+
+def per_box_run_product_sum(grid, estimates, row):
+    """Reference box answer: per level tuple, every product of the axes'
+    runs at that tuple's levels, each summed straight from the tuple's cell
+    estimates (no prefix sums, no inclusion–exclusion)."""
+    runs = [
+        per_axis_runs(grid.tree, row[2 * axis], row[2 * axis + 1])
+        for axis in range(grid.dims)
+    ]
+    answer = 0.0
+    for levels in grid.level_tuples:
+        axis_runs = [runs[axis][level] for axis, level in enumerate(levels)]
+        for product in itertools.product(*axis_runs):
+            cells = tuple(slice(first, end) for first, end in product)
+            answer += estimates[levels][cells].sum()
+    return answer
+
+
+@pytest.mark.parametrize("dims,side,branching", GRIDS)
+def test_box_answers_match_a_per_box_run_product_reference(dims, side, branching):
+    """The batched gather against an independent per-box decomposition:
+    a different summation order, so equal up to rounding only."""
+    grid = _fitted_grid(dims, side, branching)
+    estimates = grid.tuple_estimates()
+    boxes = np.concatenate([structured_boxes(dims, side), long_boxes(dims, side)[:150]])
+    np.testing.assert_allclose(
+        grid.answer_boxes(boxes),
+        [per_box_run_product_sum(grid, estimates, row) for row in boxes.tolist()],
+        rtol=0,
+        atol=1e-12,
+    )
+
+
 def test_boxes_agree_with_the_per_box_path():
-    """The batched gather and the per-box run products are the same sums."""
+    """Every scalar box answer is its batched row, bit for bit."""
     grid = _fitted_grid(2, 64, 2)
     boxes = structured_boxes(2, 64)
     per_box = [
         grid.answer_box([(row[0], row[1]), (row[2], row[3])]) for row in boxes
     ]
-    np.testing.assert_allclose(grid.answer_boxes(boxes), per_box, atol=1e-12)
+    np.testing.assert_array_equal(grid.answer_boxes(boxes), per_box)
 
 
 if __name__ == "__main__":  # pragma: no cover - re-pinning helper

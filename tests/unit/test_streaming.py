@@ -145,8 +145,9 @@ class TestMergeFrom:
             def _collect(self, items, counts, rng, mode):
                 self._fractions = counts / max(1, counts.sum())
 
-            def _answer_range(self, start, end):
-                return float(self._fractions[start : end + 1].sum())
+            def _range_answers(self, queries):
+                prefix = np.concatenate([[0.0], np.cumsum(self._fractions)])
+                return self._prefix_ranges(queries, prefix)
 
         a = OneShotOnly(1.0, DOMAIN).fit_counts(
             np.ones(DOMAIN, dtype=np.int64), random_state=0
