@@ -1,16 +1,15 @@
-"""Async ingestion service — throughput vs producer count and router policy.
+"""Async ingestion service — throughput vs producer count.
 
-Not a paper figure: this benchmark characterises the serving tier added on
-top of the PR-1 streaming engine.  It answers three operational questions
-at benchmark scale:
+Not a paper figure: this benchmark characterises the serving tier on top of
+the streaming engine.  It answers two operational questions at benchmark
+scale:
 
 * **throughput vs producers** — how ingestion rate behaves as concurrent
-  producers are added in front of a fixed shard pool (the event loop
-  serialises aggregation, so the point of more producers is saturating the
-  shards under backpressure, not CPU parallelism — the table shows whether
-  the service sustains its single-producer rate as concurrency grows);
-* **router policy cost** — round-robin vs hash-by-user vs least-loaded
-  placement, same population, same shards;
+  producers are added in front of a fixed pool of round-robin shards (the
+  event loop serialises aggregation, so the point of more producers is
+  saturating the shards under backpressure, not using more cores — the
+  table shows whether the service sustains its single-producer rate as
+  concurrency grows);
 * **accuracy invariance** — every configuration's reduced estimates stay
   within noise of a one-shot fit (the service feeds the same mergeable
   accumulators, so concurrency must be invisible to accuracy).
@@ -36,7 +35,6 @@ SPEC = "hhc_4"
 EPSILON = 1.1
 N_SHARDS = 4
 PRODUCER_COUNTS = (1, 2, 4, 8)
-ROUTERS = ("round-robin", "hash", "least-loaded")
 
 
 def _population(bench_config, domain):
@@ -55,7 +53,7 @@ def _population(bench_config, domain):
 
 
 @pytest.mark.benchmark(group="ingestion")
-def test_throughput_vs_producers_and_router(run_once, bench_config):
+def test_throughput_vs_producers(run_once, bench_config):
     """Multi-producer async ingestion sustains throughput and accuracy."""
     domain = 1 << 10
     items, workload, truth = _population(bench_config, domain)
@@ -63,24 +61,20 @@ def test_throughput_vs_producers_and_router(run_once, bench_config):
 
     def sweep():
         rows = []
-        for router in ROUTERS:
-            for n_producers in PRODUCER_COUNTS:
-                collector = ShardedCollector(
-                    SPEC,
-                    epsilon=EPSILON,
-                    domain_size=domain,
-                    n_shards=N_SHARDS,
-                    random_state=bench_config.seed + n_producers,
-                    router=router,
-                )
-                report = run_ingestion(
-                    collector, batches, n_producers=n_producers, queue_size=4
-                )
-                estimates = collector.reduce().answer_workload(workload)
-                mse = float(np.mean((estimates - truth) ** 2))
-                rows.append(
-                    [router, n_producers, report.users_per_second / 1e6, mse * 1000.0]
-                )
+        for n_producers in PRODUCER_COUNTS:
+            collector = ShardedCollector(
+                SPEC,
+                epsilon=EPSILON,
+                domain_size=domain,
+                n_shards=N_SHARDS,
+                random_state=bench_config.seed + n_producers,
+            )
+            report = run_ingestion(
+                collector, batches, n_producers=n_producers, queue_size=4
+            )
+            estimates = collector.reduce().answer_workload(workload)
+            mse = float(np.mean((estimates - truth) ** 2))
+            rows.append([n_producers, report.users_per_second / 1e6, mse * 1000.0])
         return rows
 
     rows = run_once(sweep)
@@ -90,23 +84,24 @@ def test_throughput_vs_producers_and_router(run_once, bench_config):
     one_shot.fit_items(items, random_state=bench_config.seed)
     one_shot_seconds = time.perf_counter() - start
     baseline = float(np.mean((one_shot.answer_workload(workload) - truth) ** 2))
-    rows.append(["one-shot", 0, items.size / one_shot_seconds / 1e6, baseline * 1000.0])
 
     print(
         f"\n=== Ingestion | {SPEC} | D = {domain} | N = {bench_config.n_users} | "
         f"{len(batches)} batches across {N_SHARDS} shards ==="
     )
-    print(format_table(["router", "producers", "Musers/s", "mse x1000"], rows))
+    print(
+        format_table(
+            ["producers", "Musers/s", "mse x1000"],
+            rows + [["one-shot", items.size / one_shot_seconds / 1e6, baseline * 1000.0]],
+        )
+    )
 
-    service_rows = rows[:-1]
-    # Accuracy invariance: every router x producer configuration within
-    # noise of the one-shot baseline.
-    for row in service_rows:
-        assert row[3] < 3.0 * rows[-1][3] + 1e-6, row
-    # Concurrency sustains throughput: for each router, the best
-    # multi-producer rate is not materially below the single-producer rate
-    # (producers only add coordination; backpressure must not collapse it).
-    for router in ROUTERS:
-        rates = {row[1]: row[2] for row in service_rows if row[0] == router}
-        assert max(rates[p] for p in PRODUCER_COUNTS[1:]) > 0.5 * rates[1], router
-
+    # Accuracy invariance: every producer count within noise of the
+    # one-shot baseline.
+    for row in rows:
+        assert row[2] < 3.0 * baseline * 1000.0 + 1e-6, row
+    # Concurrency sustains throughput: the best multi-producer rate is not
+    # materially below the single-producer rate (producers only add
+    # coordination; backpressure must not collapse it).
+    rates = {row[0]: row[1] for row in rows}
+    assert max(rates[p] for p in PRODUCER_COUNTS[1:]) > 0.5 * rates[1]

@@ -39,13 +39,7 @@ from repro.planner import Plan, PlanCandidate, plan
 from repro.privacy.budget import PrivacyBudget
 from repro import persist
 from repro.service import IngestionService, run_ingestion
-from repro.streaming import (
-    HashRouter,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    ShardedCollector,
-    ShardRouter,
-)
+from repro.streaming import ShardedCollector
 
 __version__ = "1.1.0"
 
@@ -70,10 +64,6 @@ __all__ = [
     "plan",
     # Streaming / service / persistence
     "IngestionService",
-    "ShardRouter",
-    "RoundRobinRouter",
-    "HashRouter",
-    "LeastLoadedRouter",
     "run_ingestion",
     "persist",
     # Quantiles

@@ -16,7 +16,6 @@ Examples
     python -m repro ablation-consistency --domain 1024
     python -m repro streaming --domain 1024 --shards 1 4 16 --batches 32
     python -m repro streaming --checkpoint /tmp/collector.snap
-    python -m repro serve-demo --producers 1 2 4 8 --router least-loaded
     python -m repro table5 --domain 1024 --workers 4
     python -m repro grid2d --side 32 --shards 4 --checkpoint /tmp/grid.snap
     python -m repro grid2d --side 16 --dims 3 --rectangles 100
@@ -25,7 +24,6 @@ Examples
     python -m repro lint --format json
     python -m repro lint --baseline LINT_BASELINE.json
     python -m repro serve --shards 4 --port 8080
-    python -m repro serve --shards 2 --autoscale --max-shards 8
 
 ``lint``, ``serve`` and ``plan`` are the odd ones out: instead of an
 experiment, ``lint`` runs the AST-based DP-contract linter of
@@ -68,7 +66,6 @@ EXPERIMENTS = (
     "ablation-sampling",
     "ablation-consistency",
     "streaming",
-    "serve-demo",
     "grid2d",
 )
 
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism",
         type=str,
         default="hhc_4",
-        help="mechanism spec collected by the streaming/serve demos",
+        help="mechanism spec collected by the streaming/grid2d demos",
     )
     parser.add_argument(
         "--checkpoint",
@@ -140,32 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
             "simulate a crash, restore, finish, and verify the resumed run "
             "matches the uninterrupted one bit-for-bit"
         ),
-    )
-    parser.add_argument(
-        "--producers",
-        type=int,
-        nargs="+",
-        default=None,
-        help="producer counts swept by serve-demo (default 1 2 4 8)",
-    )
-    parser.add_argument(
-        "--router",
-        type=str,
-        default=None,
-        choices=["round-robin", "hash", "least-loaded"],
-        help="routing policy for serve-demo (default: sweep all three)",
-    )
-    parser.add_argument(
-        "--queue-size",
-        type=int,
-        default=8,
-        help="per-shard ingestion queue capacity (serve-demo backpressure)",
-    )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=0,
-        help="aggregation thread-pool size for serve-demo (0 = event loop)",
     )
     parser.add_argument(
         "--workers",
@@ -409,72 +380,6 @@ def _run_crash_recovery(config, args: argparse.Namespace, items) -> str:
     )
 
 
-def _run_serve_demo(config: ExperimentConfig, args: argparse.Namespace) -> str:
-    """Async ingestion demo: throughput vs producer count and router policy."""
-    import numpy as np
-
-    from repro.data.synthetic import cauchy_probabilities, sample_items
-    from repro.data.workloads import random_range_queries
-    from repro.service import run_ingestion
-    from repro.streaming import ShardedCollector
-
-    domain = args.domain
-    items = sample_items(
-        cauchy_probabilities(domain), config.n_users, random_state=config.seed
-    )
-    workload = random_range_queries(
-        domain,
-        min(config.max_queries_per_workload, 4000),
-        random_state=config.seed,
-        name="serve-demo",
-    )
-    truth = workload.true_answers(np.bincount(items, minlength=domain))
-    batches = np.array_split(items, max(int(args.batches), 1))
-    n_shards = (args.shards or (4,))[0]
-    routers = [args.router] if args.router else ["round-robin", "hash", "least-loaded"]
-    producer_counts = args.producers or (1, 2, 4, 8)
-
-    rows = []
-    for router in routers:
-        for n_producers in producer_counts:
-            collector = ShardedCollector(
-                args.mechanism,
-                epsilon=config.epsilon,
-                domain_size=domain,
-                n_shards=n_shards,
-                random_state=config.seed + n_producers,
-                router=router,
-            )
-            report = run_ingestion(
-                collector,
-                batches,
-                n_producers=n_producers,
-                queue_size=args.queue_size,
-                parallelism=args.parallelism,
-            )
-            estimates = collector.reduce().answer_workload(workload)
-            mse = float(np.mean((estimates - truth) ** 2))
-            rows.append(
-                [
-                    router,
-                    n_producers,
-                    n_shards,
-                    report.n_batches,
-                    report.users_per_second / 1e6,
-                    mse * 1000.0,
-                ]
-            )
-    return (
-        f"Ingestion service | {args.mechanism} | D = {domain} | N = {config.n_users} | "
-        f"{len(batches)} batches, queue={args.queue_size}, "
-        f"parallelism={args.parallelism}\n"
-        + format_table(
-            ["router", "producers", "shards", "batches", "Musers/s", "mse x1000"],
-            rows,
-        )
-    )
-
-
 def _run_grid2d(config: ExperimentConfig, args: argparse.Namespace) -> str:
     """d-dimensional box queries: one-shot vs sharded collection, plus
     recovery (``--dims 2`` is the historical rectangle demo)."""
@@ -662,8 +567,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Run the HTTP service front in the foreground: POST /v1/batches "
             "and /v1/points feed a sharded LDP collector, POST /v1/query and "
             "/v1/quantiles answer over the live state, GET /metrics serves "
-            "Prometheus text, and --autoscale lets the shard set follow the "
-            "load without changing the estimates."
+            "Prometheus text.  Batches go round-robin across a fixed set of "
+            "shards; merging is exact, so the shard count never changes an "
+            "estimate."
         ),
     )
     parser.add_argument("--host", type=str, default="127.0.0.1", help="bind address")
@@ -675,52 +581,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--epsilon", type=float, default=1.1, help="privacy budget")
     parser.add_argument("--domain", type=int, default=1 << 10, help="domain size D")
-    parser.add_argument("--shards", type=int, default=2, help="initial shard count")
+    parser.add_argument("--shards", type=int, default=2, help="shard count")
     parser.add_argument("--seed", type=int, default=20190630, help="random seed")
     parser.add_argument(
-        "--router",
-        type=str,
-        default="least-loaded",
-        choices=["round-robin", "hash", "least-loaded"],
-        help="shard routing policy (least-loaded feeds the autoscaler signal)",
-    )
-    parser.add_argument(
         "--queue-size", type=int, default=8, help="per-shard queue capacity"
-    )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=0,
-        help="aggregation thread-pool size (0 = event loop)",
-    )
-    parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="grow/shrink the shard set from queue pressure",
-    )
-    parser.add_argument(
-        "--min-shards", type=int, default=1, help="autoscale floor"
-    )
-    parser.add_argument(
-        "--max-shards", type=int, default=8, help="autoscale ceiling"
-    )
-    parser.add_argument(
-        "--grow-at",
-        type=float,
-        default=0.75,
-        help="mean queue-fill fraction that triggers growth",
-    )
-    parser.add_argument(
-        "--shrink-at",
-        type=float,
-        default=0.10,
-        help="mean queue-fill fraction that triggers shrinking",
-    )
-    parser.add_argument(
-        "--check-interval",
-        type=int,
-        default=16,
-        help="accepted batches between autoscale checks",
     )
     parser.add_argument(
         "--readonly",
@@ -744,7 +608,7 @@ def _serve_main(argv: Sequence[str]) -> int:
     import signal
     import threading
 
-    from repro.service import AutoscalePolicy, HttpServerThread
+    from repro.service import HttpServerThread
     from repro.streaming import ShardedCollector
 
     args = build_serve_parser().parse_args(list(argv))
@@ -764,16 +628,7 @@ def _serve_main(argv: Sequence[str]) -> int:
         domain_size=args.domain,
         n_shards=args.shards,
         random_state=args.seed,
-        router=args.router,
     )
-    policy = None
-    if args.autoscale:
-        policy = AutoscalePolicy(
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
-            grow_at=args.grow_at,
-            shrink_at=args.shrink_at,
-        )
     server_kwargs = {}
     if args.query_cache_size is not None:
         server_kwargs["query_cache_size"] = args.query_cache_size
@@ -782,10 +637,6 @@ def _serve_main(argv: Sequence[str]) -> int:
         host=args.host,
         port=args.port,
         queue_size=args.queue_size,
-        parallelism=args.parallelism,
-        autoscale=args.autoscale,
-        policy=policy,
-        check_interval=args.check_interval,
         readonly=args.readonly,
         **server_kwargs,
     )
@@ -794,7 +645,6 @@ def _serve_main(argv: Sequence[str]) -> int:
         print(
             f"serving {args.mechanism} (epsilon={args.epsilon}, D={args.domain}, "
             f"{args.shards} shard{'s' if args.shards != 1 else ''}"
-            f"{', autoscaling' if args.autoscale else ''}"
             f"{', read-only' if args.readonly else ''}) "
             f"on http://{server.host}:{server.port} — Ctrl-C to stop",
             flush=True,
@@ -815,7 +665,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
     if arguments and arguments[0] == "serve":
-        # The HTTP front owns its flags (--port, --autoscale, ...); hand
+        # The HTTP front owns its flags (--port, --readonly, ...); hand
         # over before the experiment parser rejects them.
         return _serve_main(arguments[1:])
     if arguments and arguments[0] == "lint":
@@ -846,7 +696,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ablation-sampling": _run_ablation_sampling,
         "ablation-consistency": _run_ablation_consistency,
         "streaming": _run_streaming,
-        "serve-demo": _run_serve_demo,
         "grid2d": _run_grid2d,
     }
     print(runners[args.experiment](config, args))

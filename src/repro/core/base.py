@@ -122,14 +122,15 @@ def normalize_level_probabilities(
 def integer_queries(queries: Any) -> np.ndarray:
     """A query batch as an array, refusing every bound that is not an integer.
 
-    The dtype policy of every read surface, and of the HTTP decoder, which
-    applies it before refreshing its view.  Float, bool and string bounds
-    raise :class:`~repro.exceptions.InvalidQueryError` instead of being
-    cast: an ``int64`` cast would answer ``[0.5, 10.9]`` as ``[0, 10]`` and
-    ``true`` as ``1`` without any error.  Python bools mixed into integer
-    lists hide in an ``int64`` array, so the entries of a 2-D list that
-    read 0 or 1 (the only values a bool becomes) are checked too.  Empty
-    batches pass whatever their dtype.
+    The dtype policy of every read surface, and of the HTTP decoders, which
+    apply it to query bounds before refreshing their view and to submitted
+    ``items`` and ``points`` before any batch is queued.  Float, bool and
+    string values raise :class:`~repro.exceptions.InvalidQueryError`
+    instead of being cast: an ``int64`` cast would answer ``[0.5, 10.9]``
+    as ``[0, 10]`` and ``true`` as ``1`` without any error.  Python bools
+    mixed into integer lists hide in an ``int64`` array, so the entries of
+    a 1-D or 2-D list that read 0 or 1 (the only values a bool becomes) are
+    checked too.  Empty batches pass whatever their dtype.
     """
     try:
         array = np.asarray(queries)
@@ -140,10 +141,15 @@ def integer_queries(queries: Any) -> np.ndarray:
     if not array.size:
         return array
     dtype = array.dtype
-    if dtype.kind in "iu" and array.ndim == 2 and not isinstance(queries, np.ndarray):
-        width = array.shape[1]
+    if dtype.kind in "iu" and array.ndim in (1, 2) and not isinstance(queries, np.ndarray):
+        width = array.shape[-1]
         for index in np.flatnonzero((array == 0) | (array == 1)).tolist():
-            if type(queries[index // width][index % width]) in _BOOL_TYPES:
+            entry = (
+                queries[index]
+                if array.ndim == 1
+                else queries[index // width][index % width]
+            )
+            if type(entry) in _BOOL_TYPES:
                 dtype = np.dtype(np.bool_)
                 break
     if dtype.kind not in "iu":

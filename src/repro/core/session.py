@@ -145,11 +145,9 @@ class LdpRangeQuerySession:
         batches: Sequence[np.ndarray],
         n_shards: int = 4,
         n_producers: int = 2,
-        router: "Union[None, str]" = None,
         random_state: RandomState = None,
         mode: str = "aggregate",
         queue_size: int = 8,
-        parallelism: int = 0,
     ) -> "LdpRangeQuerySession":
         """Collect ``batches`` through the async multi-producer ingestion tier.
 
@@ -173,14 +171,9 @@ class LdpRangeQuerySession:
             n_shards=n_shards,
             random_state=random_state,
             mode=mode,
-            router=router,
         )
         self.last_ingestion_report = run_ingestion(
-            collector,
-            batches,
-            n_producers=n_producers,
-            queue_size=queue_size,
-            parallelism=parallelism,
+            collector, batches, n_producers=n_producers, queue_size=queue_size
         )
         self._mechanism.merge_from(collector.reduce())
         return self
@@ -392,7 +385,7 @@ class GridNDSession(LdpRangeQuerySession):
 
         Each batch is validated and flattened to row-major items, then fed
         through :meth:`LdpRangeQuerySession.collect_async` (same sharding,
-        routing, backpressure and accuracy contract).
+        backpressure and accuracy contract).
         """
         flattened = [self._mechanism.flatten_points(batch) for batch in point_batches]
         self.collect_async(flattened, **kwargs)

@@ -45,6 +45,6 @@ class ConfigurationError(ReproError, ValueError):
 
 class ServiceOverloadedError(ReproError, RuntimeError):
     """Raised when a non-blocking submission finds the target shard's queue
-    full (or the service mid-scale).  The network tier maps this to HTTP
-    ``503 Service Unavailable`` with a ``Retry-After`` hint — the batch was
-    *not* absorbed and should be retried by the producer."""
+    full.  The network tier maps this to HTTP ``503 Service Unavailable``
+    with a ``Retry-After`` hint — the batch was *not* absorbed and should be
+    retried by the producer."""

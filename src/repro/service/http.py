@@ -4,17 +4,19 @@ The network tier the ROADMAP asked for, built on ``asyncio.start_server``
 only — no web framework, because the surface is four routes and the repo's
 rule is stdlib + numpy:
 
-* ``POST /v1/batches`` — JSON ``{"items": [...], "mode"?, "key"?,
-  "epsilon"?, "domain_size"?}``; routed into the
+* ``POST /v1/batches`` — JSON ``{"items": [...], "mode"?, "epsilon"?,
+  "domain_size"?}``; queued on the next round-robin shard of the
   :class:`~repro.service.IngestionService` via the non-blocking
-  :meth:`~repro.service.IngestionService.try_submit` path.  A full shard
-  queue (or an in-progress scale event) surfaces as ``503`` with a
-  ``Retry-After`` hint instead of parking the remote producer.
-* ``POST /v1/points`` — JSON ``{"points": [[x, y], ...]}`` for 2-D grid
+  :meth:`~repro.service.IngestionService.try_submit` path and answered
+  ``202 {"accepted", "shard"}``.  A full shard queue surfaces as ``503``
+  with a ``Retry-After`` hint instead of parking the remote producer.
+* ``POST /v1/points`` — JSON ``{"points": [[x, y], ...]}`` for grid
   mechanisms; the collector's mechanism flattens to row-major items before
-  any routing decision is consumed.  Both submit endpoints also accept a
+  a round-robin decision is spent.  Both submit endpoints also accept a
   raw ``application/x-npy`` body (the batch array itself, no JSON
-  envelope) — the binary fast path that skips JSON encode/decode.
+  envelope) — the binary fast path that skips JSON encode/decode.  Either
+  way a batch must hold integers: JSON floats and bools get a 400 instead
+  of being truncated.
 * ``POST /v1/query`` — JSON ``{"boxes": [[a1, b1, ...], ...]}`` or
   ``{"ranges": [[a, b], ...]}``; answered from the service's reduced +
   materialized read view (rebuilt only when the collector's generation
@@ -37,14 +39,8 @@ help), backpressure → 503 + ``Retry-After``.  Bodies are framed by
 length → 400, any ``Transfer-Encoding`` → 411; a framing error is
 answered once and the connection closed.
 
-When an :class:`~repro.service.autoscale.ShardAutoscaler` is attached,
-every accepted batch ticks its submission counter and a due check runs
-*after* the response is queued for write — the accept/503 decision stays
-on the hot path, the quiesce-and-rebalance happens between requests, and
-the scale schedule is a deterministic function of the request sequence.
-
-:class:`HttpServerThread` packages service + server + autoscaler on a
-dedicated event-loop thread so synchronous tests, benchmarks and the
+:class:`HttpServerThread` packages service + server on a dedicated
+event-loop thread so synchronous tests, benchmarks and the
 ``python -m repro serve`` CLI can stand up a real localhost endpoint with
 two lines.
 """
@@ -58,7 +54,7 @@ import math
 import threading
 import time
 from tokenize import TokenError
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +67,6 @@ from repro.exceptions import (
     ReproError,
     ServiceOverloadedError,
 )
-from repro.service.autoscale import AutoscalePolicy, ShardAutoscaler
 from repro.service.ingestion import IngestionService
 from repro.service.metrics import (
     MetricsRegistry,
@@ -207,7 +202,6 @@ class ReproHttpServer:
     def __init__(
         self,
         service: IngestionService,
-        autoscaler: Optional[ShardAutoscaler] = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         readonly: bool = False,
     ) -> None:
@@ -216,12 +210,7 @@ class ReproHttpServer:
                 f"ReproHttpServer fronts an IngestionService, got "
                 f"{type(service).__name__}"
             )
-        if autoscaler is not None and autoscaler.service is not service:
-            raise ConfigurationError(
-                "the autoscaler must drive the same service the server fronts"
-            )
         self._service = service
-        self._autoscaler = autoscaler
         self._max_body_bytes = int(max_body_bytes)
         self._readonly = bool(readonly)
         self._coalescer = QueryCoalescer()
@@ -315,14 +304,6 @@ class ReproHttpServer:
                 self._record(
                     request.method, request.path, response.status, started
                 )
-                # A due autoscale check runs after the reply is on the wire:
-                # the producer is never parked behind a quiesce.
-                if (
-                    self._autoscaler is not None
-                    and response.status == 202
-                    and self._autoscaler.note_submission(0)
-                ):
-                    await self._autoscaler.maybe_scale()
                 if not request.keep_alive:
                     break
         except (
@@ -454,7 +435,6 @@ class ReproHttpServer:
             {
                 "status": "ok" if stats["started"] else "starting",
                 "shards": stats["n_shards"],
-                "scaling": stats["scaling"],
                 "spec": self._service.collector.spec,
                 "epsilon": self._service.collector.epsilon,
                 "domain_size": self._service.collector.domain_size,
@@ -524,10 +504,9 @@ class ReproHttpServer:
     def _handle_submit(self, request: _HttpRequest, points: bool) -> _HttpResponse:
         field = "points" if points else "items"
         mode = None
-        key = None
         if self._is_npy(request):
             # Binary fast path: the body is the batch array itself — no
-            # JSON envelope, so no mode/key/spec claims to check.
+            # JSON envelope, so no mode/spec claims to check.
             batch, error = self._decode_npy_body(request.body)
             if error is not None:
                 return error
@@ -547,15 +526,14 @@ class ReproHttpServer:
             if raw is None:
                 return _HttpResponse.error(400, f"missing required field {field!r}")
             try:
-                batch = np.asarray(raw, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
+                # The read side's dtype policy: floats and bools are refused,
+                # not truncated, before a round-robin decision is spent.
+                batch = integer_queries(raw).astype(np.int64, copy=False)
+            except InvalidQueryError as error:
                 return _HttpResponse.error(
-                    400, f"{field!r} must be an array of integers"
+                    400, f"{field!r} must be an array of integers: {error}"
                 )
             mode = payload.get("mode")
-            key = payload.get("key")
-            if key is not None and not isinstance(key, (int, str)):
-                return _HttpResponse.error(400, "'key' must be an integer or string")
 
         collector = self._service.collector
         try:
@@ -568,23 +546,15 @@ class ReproHttpServer:
                         "POST flattened items to /v1/batches instead",
                     )
                 batch = flatten(batch)
-            shard = self._service.try_submit(batch, mode=mode, key=key)
+            shard = self._service.try_submit(batch, mode=mode)
         except ServiceOverloadedError as error:
             return _HttpResponse.error(
                 503, str(error), {"Retry-After": str(RETRY_AFTER_SECONDS)}
             )
         except ReproError as error:
             return _HttpResponse.error(400, str(error))
-        if self._autoscaler is not None:
-            self._autoscaler.note_submission()
-        stream = collector.stream_ids[shard]
         return _HttpResponse.json(
-            202,
-            {
-                "accepted": int(batch.shape[0]),
-                "shard": int(shard),
-                "stream": int(stream),
-            },
+            202, {"accepted": int(batch.shape[0]), "shard": int(shard)}
         )
 
     def _spec_mismatch(self, payload: Mapping[str, Any]) -> Optional[_HttpResponse]:
@@ -739,7 +709,7 @@ class ReproHttpServer:
 
 
 class HttpServerThread:
-    """Service + server + (optional) autoscaler on a dedicated loop thread.
+    """Service + server on a dedicated event-loop thread.
 
     The synchronous world's handle on the network tier: tests, benchmarks
     and the CLI construct one, call :meth:`start` (which blocks until the
@@ -754,10 +724,6 @@ class HttpServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_size: int = 8,
-        parallelism: int = 0,
-        autoscale: bool = False,
-        policy: Optional[AutoscalePolicy] = None,
-        check_interval: int = 16,
         readonly: bool = False,
         query_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE,
     ) -> None:
@@ -765,10 +731,6 @@ class HttpServerThread:
         self._host = str(host)
         self._requested_port = int(port)
         self._queue_size = int(queue_size)
-        self._parallelism = int(parallelism)
-        self._autoscale = bool(autoscale) or policy is not None
-        self._policy = policy
-        self._check_interval = int(check_interval)
         self._readonly = bool(readonly)
         self._query_cache_size = int(query_cache_size)
         self._thread: Optional[threading.Thread] = None
@@ -779,7 +741,6 @@ class HttpServerThread:
         self._port: Optional[int] = None
         self.service: Optional[IngestionService] = None
         self.server: Optional[ReproHttpServer] = None
-        self.autoscaler: Optional[ShardAutoscaler] = None
 
     # ------------------------------------------------------------------
     # Lifecycle (called from the synchronous owner thread)
@@ -848,24 +809,6 @@ class HttpServerThread:
         future = asyncio.run_coroutine_threadsafe(_snapshot(), self._loop)
         return future.result(timeout=10.0)
 
-    def scale_to(self, n_shards: int, timeout: float = 30.0) -> dict:
-        """Drive a shard scale event from the owner thread.
-
-        Blocks until the service has quiesced, reshaped and reopened the
-        gate (the operator's / benchmark's handle on explicit scaling —
-        load-driven scaling goes through the attached autoscaler instead).
-        Returns a fresh stats snapshot.
-        """
-        if self._loop is None or self.service is None:
-            raise ConfigurationError("HTTP server is not running")
-
-        async def _scale() -> dict:
-            await self.service.scale_to(int(n_shards))
-            return self.service.stats()
-
-        future = asyncio.run_coroutine_threadsafe(_scale(), self._loop)
-        return future.result(timeout=timeout)
-
     def reduce(self):
         """Merge the shards into one queryable mechanism.
 
@@ -893,26 +836,15 @@ class HttpServerThread:
         service = IngestionService(
             self._collector,
             queue_size=self._queue_size,
-            parallelism=self._parallelism,
             query_cache_size=self._query_cache_size,
         )
         await service.start()
-        autoscaler = None
-        if self._autoscale:
-            autoscaler = ShardAutoscaler(
-                service,
-                policy=self._policy or AutoscalePolicy(),
-                check_interval=self._check_interval,
-            )
-        server = ReproHttpServer(
-            service, autoscaler=autoscaler, readonly=self._readonly
-        )
+        server = ReproHttpServer(service, readonly=self._readonly)
         try:
             await server.start(self._host, self._requested_port)
             self._port = server.port
             self.service = service
             self.server = server
-            self.autoscaler = autoscaler
             self._ready.set()
             await self._stop_requested.wait()
         finally:

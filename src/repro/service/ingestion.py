@@ -2,25 +2,23 @@
 
 :class:`IngestionService` turns :class:`~repro.streaming.ShardedCollector`
 into a concurrent service: any number of ``asyncio`` producers submit
-report batches, a router assigns each batch to a shard, and one worker task
-per shard drains that shard's queue in arrival order.  The moving parts:
+report batches, each batch goes to the collector's next round-robin shard,
+and one worker task per shard drains that shard's queue in arrival order.
+The moving parts:
 
 * **per-shard worker queues** — each shard owns a bounded
   :class:`asyncio.Queue`; ordering *within a shard* is preserved, which is
   what keeps a fixed-seed run reproducible per shard;
 * **backpressure** — ``submit`` awaits queue capacity, so producers slow
   down instead of buffering unboundedly when aggregation falls behind;
-* **pluggable routing** — the collector's
-  :class:`~repro.streaming.routing.ShardRouter` (round-robin, hash-by-user,
-  least-loaded) decides placement at submit time, before queueing;
-* **optional thread parallelism** — with ``parallelism > 0`` shard
-  aggregation runs on a thread pool, overlapping the numpy work of
-  different shards (shards share no mutable state, so this is safe).
+  ``try_submit`` refuses instead (the HTTP front's 503);
+* **a read view** — :meth:`IngestionService.refresh_query_view` drains the
+  queues, reduces and materializes once per generation change.
 
 Accuracy is untouched by any of it: the service feeds the same
 ``partial_fit`` path as synchronous collection, so the reduced estimates
-follow the one-shot distribution regardless of producer count, queue sizes
-or routing policy.
+follow the one-shot distribution regardless of producer count or queue
+sizes.
 
 :func:`run_ingestion` is the synchronous convenience wrapper (CLI,
 benchmarks): it spins up the service, fans a list of batches across ``P``
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -42,7 +39,6 @@ from repro.core.base import RangeQueryMechanism
 from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE
 from repro.core.session import LdpRangeQuerySession
 from repro.exceptions import ConfigurationError, ServiceOverloadedError
-from repro.streaming.routing import RoutingKey
 from repro.streaming.sharded import ShardedCollector
 
 __all__ = ["IngestionReport", "IngestionService", "ShardQueueStats", "run_ingestion"]
@@ -68,13 +64,6 @@ class ShardQueueStats:
     #: was full — the backpressure signal the HTTP front turns into 503s.
     rejected: int = 0
 
-    def fold(self, other: "ShardQueueStats") -> None:
-        """Absorb a retired shard's counters (shrink rebalancing)."""
-        self.batches += other.batches
-        self.users += other.users
-        self.rejected += other.rejected
-        self.queue_peak = max(self.queue_peak, other.queue_peak)
-
 
 @dataclass
 class IngestionReport:
@@ -84,7 +73,6 @@ class IngestionReport:
     n_users: int
     n_producers: int
     n_shards: int
-    router: str
     seconds: float
     shard_stats: List[ShardQueueStats] = field(default_factory=list)
 
@@ -100,16 +88,12 @@ class IngestionService:
     ----------
     collector:
         The sharded collector that owns the mechanisms, random streams and
-        routing policy.  The service never bypasses it, so synchronous
+        round-robin cursor.  The service never bypasses it, so synchronous
         ``submit`` calls may be mixed in (e.g. replaying a backlog) as long
         as they happen on the event-loop thread.
     queue_size:
         Capacity of each shard's queue; ``submit`` blocks (asynchronously)
         when the target shard is this far behind — the backpressure knob.
-    parallelism:
-        ``0`` (default) aggregates on the event-loop thread; ``> 0`` runs
-        shard aggregation on a thread pool of that size so distinct shards
-        overlap.
     query_cache_size:
         Entry bound of the answer cache installed on each materialized
         :meth:`query_view` (``0`` disables caching — every query recomputes).
@@ -127,7 +111,6 @@ class IngestionService:
         self,
         collector: ShardedCollector,
         queue_size: int = 8,
-        parallelism: int = 0,
         query_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE,
     ) -> None:
         if not isinstance(collector, ShardedCollector):
@@ -138,10 +121,6 @@ class IngestionService:
             raise ConfigurationError(
                 f"queue_size must be a positive integer, got {queue_size!r}"
             )
-        if not isinstance(parallelism, (int, np.integer)) or parallelism < 0:
-            raise ConfigurationError(
-                f"parallelism must be a non-negative integer, got {parallelism!r}"
-            )
         if not isinstance(query_cache_size, (int, np.integer)) or query_cache_size < 0:
             raise ConfigurationError(
                 f"query_cache_size must be a non-negative integer, "
@@ -149,11 +128,10 @@ class IngestionService:
             )
         self._collector = collector
         self._queue_size = int(queue_size)
-        self._parallelism = int(parallelism)
         self._query_cache_size = int(query_cache_size)
         # Read-serving state: the latest reduced + materialized view of the
         # sharded statistics, keyed by the collector's generation signature
-        # so a new batch (or scale event) forces a rebuild on the next read.
+        # so a new batch forces a rebuild on the next read.
         self._query_view: Optional[RangeQueryMechanism] = None
         self._query_view_signature: Optional[tuple] = None
         self._query_views_built = 0
@@ -162,29 +140,13 @@ class IngestionService:
         self._retired_cache_counters = {"hits": 0, "misses": 0, "evictions": 0}
         self._queues: Optional[List[asyncio.Queue]] = None
         self._workers: List[asyncio.Task] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._errors: List[BaseException] = []
         self._stats = [ShardQueueStats() for _ in range(collector.n_shards)]
         self._submitted_batches = 0
         self._submitted_users = 0
-        # Monotonic totals: unlike the per-shard counters, these survive
-        # shrink events (a retired shard's history must not vanish from the
-        # metrics surface), so /metrics can export them as Prometheus
-        # counters without ever going backwards.
-        self._absorbed_batches_total = 0
-        self._absorbed_users_total = 0
-        self._rejected_batches_total = 0
-        self._rejected_users_total = 0
-        self._grow_events = 0
-        self._shrink_events = 0
-        # Scaling happens at generation boundaries: the gate parks blocking
-        # submitters (and bounces non-blocking ones) while the shard set is
-        # being reshaped, and the pending-put counter lets the quiesce loop
-        # prove that no batch is still in flight toward a queue.  The gate is
-        # created in start() so it binds to the serving loop (Python 3.9
-        # binds primitives to a loop at construction time).
-        self._scale_gate: Optional[asyncio.Event] = None
-        self._scaling = False
+        self._rejected_users = 0
+        # Blocking submitters parked on a full queue: the read view's drain
+        # loop waits for them, so no batch is still travelling to a queue.
         self._pending_puts = 0
 
     # ------------------------------------------------------------------
@@ -228,7 +190,6 @@ class IngestionService:
         mid-shard).
         """
         per_shard = []
-        stream_ids = self._collector.stream_ids
         for index, shard in enumerate(self._collector.shards):
             stat = self._stats[index]
             queue = self._queues[index] if self._queues is not None else None
@@ -237,7 +198,6 @@ class IngestionService:
             per_shard.append(
                 {
                     "shard": index,
-                    "stream": int(stream_ids[index]),
                     "batches": int(stat.batches),
                     "users": int(stat.users),
                     "rejected": int(stat.rejected),
@@ -248,16 +208,16 @@ class IngestionService:
                     "materializations_deferred": max(0, ingest - performed),
                 }
             )
+        absorbed_batches = sum(entry["batches"] for entry in per_shard)
+        absorbed_users = sum(entry["users"] for entry in per_shard)
         return {
             "started": self.started,
-            "scaling": bool(self._scaling),
             "n_shards": self._collector.n_shards,
             "queue_size": int(self._queue_size),
-            "router": self._collector.router.name,
             "submitted_batches": int(self._submitted_batches),
             "submitted_users": int(self._submitted_users),
-            "absorbed_batches": sum(entry["batches"] for entry in per_shard),
-            "absorbed_users": sum(entry["users"] for entry in per_shard),
+            "absorbed_batches": absorbed_batches,
+            "absorbed_users": absorbed_users,
             "queue_depths": [entry["queue_depth"] for entry in per_shard],
             "queue_peaks": [entry["queue_peak"] for entry in per_shard],
             "materializations_performed": sum(
@@ -269,13 +229,10 @@ class IngestionService:
             "totals": {
                 "submitted_batches": int(self._submitted_batches),
                 "submitted_users": int(self._submitted_users),
-                "absorbed_batches": int(self._absorbed_batches_total),
-                "absorbed_users": int(self._absorbed_users_total),
-                "rejected_batches": int(self._rejected_batches_total),
-                "rejected_users": int(self._rejected_users_total),
-                "grow_events": int(self._grow_events),
-                "shrink_events": int(self._shrink_events),
-                "streams_spawned": int(self._collector.streams_spawned),
+                "absorbed_batches": absorbed_batches,
+                "absorbed_users": absorbed_users,
+                "rejected_batches": sum(entry["rejected"] for entry in per_shard),
+                "rejected_users": int(self._rejected_users),
             },
             "query": self._query_stats(),
             "per_shard": per_shard,
@@ -314,13 +271,6 @@ class IngestionService:
         """Create the shard queues and spawn one worker task per shard."""
         if self.started:
             raise ConfigurationError("ingestion service is already started")
-        if self._parallelism:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._parallelism,
-                thread_name_prefix="repro-ingest",
-            )
-        self._scale_gate = asyncio.Event()
-        self._scale_gate.set()
         self._queues = [
             asyncio.Queue(maxsize=self._queue_size)
             for _ in range(self._collector.n_shards)
@@ -332,7 +282,7 @@ class IngestionService:
         return self
 
     async def stop(self) -> None:
-        """Cancel the workers and release the thread pool (no draining).
+        """Cancel the workers (no draining).
 
         A worker task is only ever supposed to end via cancellation; any
         other exception that killed one (a bug in the queue plumbing, a
@@ -345,9 +295,6 @@ class IngestionService:
         results = await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         self._queues = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         failures = [
             result
             for result in results
@@ -367,90 +314,6 @@ class IngestionService:
         await asyncio.gather(*(queue.join() for queue in self._queues))
         self._raise_pending_error()
 
-    # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
-    async def _quiesce(self) -> None:
-        """Drain every queue *and* every in-flight put — a generation
-        boundary: no batch is queued, being absorbed, or travelling toward
-        a queue.  Only meaningful with the scale gate closed (otherwise new
-        submissions keep arriving and the boundary never materialises)."""
-        while True:
-            await asyncio.gather(*(queue.join() for queue in self._queues))
-            if self._pending_puts == 0 and all(
-                queue.qsize() == 0 for queue in self._queues
-            ):
-                return
-            # A producer that was already blocked on a full queue when the
-            # gate closed may still land its batch; yield and re-drain.
-            await asyncio.sleep(0)
-
-    async def scale_to(self, n_shards: int) -> "IngestionService":
-        """Grow or shrink the shard set to ``n_shards`` at a generation
-        boundary.
-
-        The service closes the scale gate (blocking submitters park,
-        non-blocking ones get backpressure), drains every queue, then asks
-        the collector to reshape: growth spawns fresh mechanisms on the
-        seed's next random streams, shrink rebalances each retired shard's
-        sufficient statistics into the least-loaded survivor via
-        ``merge_from``.  Because merging is exact and happens while no batch
-        is in flight, the eventual ``reduce()`` is bit-identical to a static
-        run that pinned every batch to the same streams — shard count
-        remains a pure throughput knob even when it changes mid-run.
-        """
-        self._require_started()
-        if not isinstance(n_shards, (int, np.integer)) or n_shards < 1:
-            raise ConfigurationError(
-                f"n_shards must be a positive integer, got {n_shards!r}"
-            )
-        if self._scaling:
-            raise ConfigurationError("a scale event is already in progress")
-        target = int(n_shards)
-        current = self._collector.n_shards
-        if target == current:
-            return self
-        self._scaling = True
-        self._scale_gate.clear()
-        try:
-            await self._quiesce()
-            self._raise_pending_error()
-            if target > current:
-                for index in self._collector.add_shards(target - current):
-                    self._queues.append(asyncio.Queue(maxsize=self._queue_size))
-                    self._stats.append(ShardQueueStats())
-                    self._workers.append(
-                        asyncio.create_task(
-                            self._worker(index), name=f"repro-shard-{index}"
-                        )
-                    )
-                self._grow_events += 1
-            else:
-                # Retire the tail workers first — their queues are drained,
-                # so cancellation cannot lose a batch.
-                doomed = self._workers[target:]
-                del self._workers[target:]
-                for task in doomed:
-                    task.cancel()
-                results = await asyncio.gather(*doomed, return_exceptions=True)
-                failures = [
-                    result
-                    for result in results
-                    if isinstance(result, BaseException)
-                    and not isinstance(result, asyncio.CancelledError)
-                ]
-                if failures:
-                    self._errors.extend(failures)
-                for _stream, survivor in self._collector.shrink_to(target):
-                    self._stats[survivor].fold(self._stats.pop())
-                    self._queues.pop()
-                self._shrink_events += 1
-                self._raise_pending_error()
-        finally:
-            self._scaling = False
-            self._scale_gate.set()
-        return self
-
     async def __aenter__(self) -> "IngestionService":
         return await self.start()
 
@@ -464,28 +327,20 @@ class IngestionService:
     # ------------------------------------------------------------------
     # Producing
     # ------------------------------------------------------------------
-    async def submit(
-        self,
-        items: np.ndarray,
-        mode: Optional[str] = None,
-        key: RoutingKey = None,
-    ) -> int:
-        """Route one batch and enqueue it, awaiting shard capacity.
+    async def submit(self, items: np.ndarray, mode: Optional[str] = None) -> int:
+        """Enqueue one batch on the next round-robin shard, awaiting
+        capacity.
 
-        Returns the shard index the batch was routed to.  Many producers
-        may call this concurrently; the router is consulted on the
-        event-loop thread, so routing decisions are serialised even when
-        aggregation runs on a thread pool.
+        Returns the shard index the batch went to.  Many producers may call
+        this concurrently; the round-robin cursor is read on the event-loop
+        thread, so placement decisions are serialised.
         """
         self._require_started()
         self._raise_pending_error()
-        # Park while a scale event reshapes the shard set; routing against a
-        # shard list that is about to change would race the autoscaler.
-        await self._scale_gate.wait()
-        # Validate before routing: a rejected batch must not consume an
-        # irreversible routing decision or reserve least-loaded capacity.
+        # Validate first: a rejected batch must not spend a round-robin
+        # decision.
         items = self._collector.validate_batch(items, mode=mode)
-        shard = self._collector.route(int(items.shape[0]), key=key)
+        shard = self._collector.next_shard()
         queue = self._queues[shard]
         self._pending_puts += 1
         try:
@@ -498,41 +353,32 @@ class IngestionService:
         self._submitted_users += int(items.shape[0]) if items.ndim else 0
         return shard
 
-    def try_submit(
-        self,
-        items: np.ndarray,
-        mode: Optional[str] = None,
-        key: RoutingKey = None,
-    ) -> int:
-        """Route one batch and enqueue it *without waiting* for capacity.
+    def try_submit(self, items: np.ndarray, mode: Optional[str] = None) -> int:
+        """Enqueue one batch on the next round-robin shard *without
+        waiting* for capacity.
 
         The network front's variant of :meth:`submit`: where producers
         inside the process can simply be slowed down by an ``await``, a
-        remote producer must instead be *told* to back off.  When the routed
-        shard's queue is full (or the service is mid-scale) the batch is
-        dropped, the shard's ``rejected`` counter increments, the routed
-        load is handed back to the router, and
+        remote producer must instead be *told* to back off.  When the
+        shard's queue is full the batch is dropped, the shard's
+        ``rejected`` counter increments, and
         :class:`~repro.exceptions.ServiceOverloadedError` is raised — the
-        HTTP layer maps it to ``503`` + ``Retry-After``.  Synchronous (no
-        ``await``), so it can only be called from the event-loop thread.
+        HTTP layer maps it to ``503`` + ``Retry-After``.  The round-robin
+        decision stays spent: it is placement history, and a retry goes to
+        the next shard.  Synchronous (no ``await``), so it can only be
+        called from the event-loop thread.
         """
         self._require_started()
         self._raise_pending_error()
-        if not self._scale_gate.is_set():
-            raise ServiceOverloadedError(
-                "service is rebalancing shards; retry shortly"
-            )
         items = self._collector.validate_batch(items, mode=mode)
         n_items = int(items.shape[0])
-        shard = self._collector.route(n_items, key=key)
+        shard = self._collector.next_shard()
         queue = self._queues[shard]
         try:
             queue.put_nowait(_Job(items=items, shard=shard, mode=mode))
         except asyncio.QueueFull:
-            self._collector.release_route(shard, n_items)
             self._stats[shard].rejected += 1
-            self._rejected_batches_total += 1
-            self._rejected_users_total += n_items
+            self._rejected_users += n_items
             raise ServiceOverloadedError(
                 f"shard {shard} queue is full ({queue.maxsize} batches); "
                 "retry later"
@@ -544,18 +390,15 @@ class IngestionService:
         return shard
 
     async def submit_points(
-        self,
-        points: np.ndarray,
-        mode: Optional[str] = None,
-        key: RoutingKey = None,
+        self, points: np.ndarray, mode: Optional[str] = None
     ) -> int:
-        """Route one batch of ``(n, d)`` coordinate points and enqueue it.
+        """Enqueue one batch of ``(n, d)`` coordinate points.
 
         The async counterpart of
         :meth:`~repro.streaming.ShardedCollector.submit_points`: points are
         validated (column count against the grid mechanism's
-        dimensionality, integer dtype, bounds) and flattened *before* any
-        routing decision is consumed, then follow the normal :meth:`submit`
+        dimensionality, integer dtype, bounds) and flattened *before* a
+        round-robin decision is spent, then follow the normal :meth:`submit`
         path (backpressure included).
         """
         flatten = getattr(self._collector.shards[0], "flatten_points", None)
@@ -564,7 +407,7 @@ class IngestionService:
                 "the collector's mechanism has no grid point surface; "
                 "submit flattened items with submit() instead"
             )
-        return await self.submit(flatten(points), mode=mode, key=key)
+        return await self.submit(flatten(points), mode=mode)
 
     # ------------------------------------------------------------------
     # Reduction
@@ -613,9 +456,8 @@ class IngestionService:
         if self._query_view is not None and signature == self._query_view_signature:
             return self._query_view
         # Drain to a generation boundary before the synchronous reduce: a
-        # queue.join() only returns once every in-flight absorb (including
-        # thread-pool ones) has called task_done, so no worker can be
-        # mutating a shard's statistics while reduce() reads them.
+        # queue.join() only returns once every in-flight absorb has called
+        # task_done, so no worker can be mutating a shard's statistics while reduce() reads them.
         while True:
             await asyncio.gather(*(queue.join() for queue in self._queues))
             if self._pending_puts == 0 and all(
@@ -652,21 +494,13 @@ class IngestionService:
 
     async def _worker(self, shard: int) -> None:
         queue = self._queues[shard]
-        loop = asyncio.get_running_loop()
         while True:
             job = await queue.get()
             try:
-                if self._pool is None:
-                    self._collector.submit(job.items, shard=shard, mode=job.mode)
-                else:
-                    await loop.run_in_executor(
-                        self._pool, self._collector.submit, job.items, shard, job.mode
-                    )
+                self._collector.submit(job.items, shard=shard, mode=job.mode)
                 stats = self._stats[shard]
                 stats.batches += 1
                 stats.users += int(job.items.shape[0])
-                self._absorbed_batches_total += 1
-                self._absorbed_users_total += int(job.items.shape[0])
             except asyncio.CancelledError:  # pragma: no cover - stop() path
                 queue.task_done()
                 raise
@@ -679,12 +513,10 @@ class IngestionService:
 async def _produce(
     service: IngestionService,
     batches: Sequence[np.ndarray],
-    keys: Optional[Sequence[RoutingKey]],
     mode: Optional[str],
 ) -> None:
-    for index, batch in enumerate(batches):
-        key = keys[index] if keys is not None else None
-        await service.submit(batch, mode=mode, key=key)
+    for batch in batches:
+        await service.submit(batch, mode=mode)
 
 
 def run_ingestion(
@@ -692,8 +524,6 @@ def run_ingestion(
     batches: Sequence[np.ndarray],
     n_producers: int = 1,
     queue_size: int = 8,
-    parallelism: int = 0,
-    keys: Optional[Sequence[RoutingKey]] = None,
     mode: Optional[str] = None,
 ) -> IngestionReport:
     """Drive a full async ingestion of ``batches`` and report throughput.
@@ -711,10 +541,6 @@ def run_ingestion(
             f"n_producers must be a positive integer, got {n_producers!r}"
         )
     batches = list(batches)
-    if keys is not None and len(keys) != len(batches):
-        raise ConfigurationError(
-            f"got {len(keys)} routing keys for {len(batches)} batches"
-        )
     try:
         asyncio.get_running_loop()
     except RuntimeError:
@@ -727,19 +553,13 @@ def run_ingestion(
 
     async def _main() -> IngestionReport:
         start = time.perf_counter()
-        async with IngestionService(
-            collector, queue_size=queue_size, parallelism=parallelism
-        ) as service:
-            producers = [
-                _produce(
-                    service,
-                    batches[producer::n_producers],
-                    None if keys is None else keys[producer::n_producers],
-                    mode,
+        async with IngestionService(collector, queue_size=queue_size) as service:
+            await asyncio.gather(
+                *(
+                    _produce(service, batches[producer::n_producers], mode)
+                    for producer in range(int(n_producers))
                 )
-                for producer in range(int(n_producers))
-            ]
-            await asyncio.gather(*producers)
+            )
             await service.join()
             stats = service.shard_stats
         seconds = time.perf_counter() - start
@@ -748,7 +568,6 @@ def run_ingestion(
             n_users=sum(int(np.asarray(batch).shape[0]) for batch in batches),
             n_producers=int(n_producers),
             n_shards=collector.n_shards,
-            router=collector.router.name,
             seconds=seconds,
             shard_stats=stats,
         )

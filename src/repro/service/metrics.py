@@ -15,9 +15,7 @@ Two layers live here:
   a registry for its request counters and latency histogram.
 * **Stats mapping** — :func:`ingestion_stats_lines` turns one
   :meth:`IngestionService.stats() <repro.service.IngestionService.stats>`
-  snapshot into metric families: monotonic totals become counters
-  (``repro_ingest_absorbed_users_total`` never goes backwards across
-  shrink events — that is what the service-level totals are for), live
+  snapshot into metric families: monotonic totals become counters, live
   queue state becomes gauges with a ``shard`` label.
 
 Everything renders deterministically (insertion order, stable label
@@ -307,9 +305,7 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
     """Render one ``IngestionService.stats()`` snapshot as exposition lines.
 
     Monotonic service totals map to counters; live queue/shard state maps
-    to gauges labelled by shard index (plus the shard's stable random
-    ``stream`` id where it aids debugging a scale event).  Stateless by
-    design: the service's stats dictionary *is* the state, so rendering
+    to gauges labelled by shard index.  Stateless by design: the service's stats dictionary *is* the state, so rendering
     twice never double-counts.
     """
     totals = dict(stats.get("totals") or {})
@@ -327,9 +323,6 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
         "# HELP repro_ingest_up Whether the ingestion service is started.",
         "# TYPE repro_ingest_up gauge",
         _sample_line("repro_ingest_up", {}, 1 if stats.get("started") else 0),
-        "# HELP repro_ingest_scaling Whether a shard scale event is in progress.",
-        "# TYPE repro_ingest_scaling gauge",
-        _sample_line("repro_ingest_scaling", {}, 1 if stats.get("scaling") else 0),
         "# HELP repro_ingest_shards Current shard count.",
         "# TYPE repro_ingest_shards gauge",
         _sample_line("repro_ingest_shards", {}, int(stats.get("n_shards", 0))),
@@ -351,42 +344,23 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
     )
     lines += counter(
         "repro_ingest_absorbed_batches_total",
-        "Batches folded into shard statistics (survives shrink events).",
+        "Batches folded into shard statistics.",
         totals.get("absorbed_batches", 0),
     )
     lines += counter(
         "repro_ingest_absorbed_users_total",
-        "User reports folded into shard statistics (survives shrink events).",
+        "User reports folded into shard statistics.",
         totals.get("absorbed_users", 0),
     )
     lines += counter(
         "repro_ingest_rejected_batches_total",
-        "Batches bounced with backpressure (full queue or mid-scale).",
+        "Batches bounced with backpressure (full shard queue).",
         totals.get("rejected_batches", 0),
     )
     lines += counter(
         "repro_ingest_rejected_users_total",
         "User reports bounced with backpressure.",
         totals.get("rejected_users", 0),
-    )
-    lines += [
-        "# HELP repro_ingest_scale_events_total Shard scale events by direction.",
-        "# TYPE repro_ingest_scale_events_total counter",
-        _sample_line(
-            "repro_ingest_scale_events_total",
-            {"direction": "grow"},
-            int(totals.get("grow_events", 0)),
-        ),
-        _sample_line(
-            "repro_ingest_scale_events_total",
-            {"direction": "shrink"},
-            int(totals.get("shrink_events", 0)),
-        ),
-    ]
-    lines += counter(
-        "repro_ingest_streams_spawned_total",
-        "Independent random streams ever spawned for shards.",
-        totals.get("streams_spawned", 0),
     )
     lines += counter(
         "repro_ingest_materializations_total",
@@ -445,17 +419,17 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
         ),
         (
             "repro_ingest_shard_batches",
-            "Batches absorbed by each live shard.",
+            "Batches absorbed by each shard.",
             "batches",
         ),
         (
             "repro_ingest_shard_users",
-            "User reports absorbed by each live shard.",
+            "User reports absorbed by each shard.",
             "users",
         ),
         (
             "repro_ingest_shard_rejected",
-            "Batches bounced off each live shard's full queue.",
+            "Batches bounced off each shard's full queue.",
             "rejected",
         ),
     ]
@@ -463,10 +437,7 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} gauge")
         for entry in per_shard:
-            labels = {
-                "shard": str(entry.get("shard")),
-                "stream": str(entry.get("stream")),
-            }
+            labels = {"shard": str(entry.get("shard"))}
             lines.append(_sample_line(name, labels, float(entry.get(field, 0))))
     return lines
 

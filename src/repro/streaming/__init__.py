@@ -25,8 +25,8 @@ underneath it:
   combination (:meth:`~repro.core.base.RangeQueryMechanism.merge_from`).
 
 :class:`ShardedCollector` ties the layers together: it fans report batches
-across ``K`` simulated shards, each accumulating independently with its own
-random stream, and reduces them into a single queryable mechanism (or
+round-robin across ``K`` simulated shards, each accumulating independently
+with its own random stream, and reduces them into a single queryable mechanism (or
 :class:`~repro.core.session.LdpRangeQuerySession`).
 
 Example
@@ -46,32 +46,13 @@ Privacy note: sharding changes nothing about the guarantee — each user still
 sends exactly one ``epsilon``-LDP report; only the aggregator's bookkeeping
 is distributed.
 
-Beyond this module: routing policies beyond round-robin live in
-:mod:`repro.streaming.routing` (hash-by-user, least-loaded) and plug into
-the collector via ``router=``; :meth:`ShardedCollector.checkpoint` /
+Beyond this module: :meth:`ShardedCollector.checkpoint` /
 :meth:`~ShardedCollector.restore` give crash recovery through
-:mod:`repro.persist`; and :mod:`repro.service` adds the asynchronous
-multi-producer ingestion tier (plus cross-process execution) on top.
+:mod:`repro.persist`, and :mod:`repro.service` adds the asynchronous
+multi-producer ingestion tier and its HTTP front on top.
 """
 
 from repro.streaming.evaluation import one_shot_vs_sharded
-from repro.streaming.routing import (
-    HashRouter,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    ShardRouter,
-    make_router,
-    register_router,
-)
 from repro.streaming.sharded import ShardedCollector
 
-__all__ = [
-    "HashRouter",
-    "LeastLoadedRouter",
-    "RoundRobinRouter",
-    "ShardRouter",
-    "ShardedCollector",
-    "make_router",
-    "one_shot_vs_sharded",
-    "register_router",
-]
+__all__ = ["ShardedCollector", "one_shot_vs_sharded"]

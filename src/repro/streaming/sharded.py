@@ -2,34 +2,31 @@
 
 :class:`ShardedCollector` models the ingestion tier of a deployed LDP
 pipeline: ``K`` shards each own one mechanism instance and an independent
-random stream, report batches are routed to shards (round-robin by default,
-by a pluggable :class:`~repro.streaming.routing.ShardRouter` policy, or
-explicitly by the caller), and a reduce step merges the shards' sufficient
-statistics into one queryable mechanism.  Because accumulator merging is
-exact (sums of sums), the reduced estimates follow the same distribution as
-a one-shot fit of the whole population — shard count and routing policy are
-pure throughput knobs, invisible to accuracy.
+random stream, report batches go to shards round-robin (or to a shard the
+caller names), and a reduce step merges the shards' sufficient statistics
+into one queryable mechanism.  Because accumulator merging is exact (sums
+of sums), the reduced estimates follow the same distribution as a one-shot
+fit of the whole population — the shard a batch lands on is invisible to
+accuracy.
 
 Durability: :meth:`checkpoint` captures the complete collector state —
 every shard's sufficient statistic, every shard's random-generator state,
-the router's position, and the batch counters — in one
-:mod:`repro.persist` container.  :meth:`restore` rebuilds a collector that
-continues *bit-for-bit* where the checkpoint left off: feeding it the
-remaining batches produces exactly the reduced estimates an uninterrupted
-run would have produced, which is the crash-recovery contract the tests
-verify.
+the round-robin cursor and the batch counter — in one :mod:`repro.persist`
+container.  :meth:`restore` rebuilds a collector that continues
+*bit-for-bit* where the checkpoint left off: feeding it the remaining
+batches produces exactly the reduced estimates an uninterrupted run would
+have produced, which is the crash-recovery contract the tests verify.
 
 Determinism contract (for a fixed ``random_state``): batches submitted with
-an explicit ``shard=`` index do not consult or advance the router, so
-explicit and policy-routed submissions interleave deterministically — the
-sequence of policy decisions depends only on the ordered sub-sequence of
-policy-routed batches, and each shard's randomness depends only on the
-ordered batches that landed on it.
+an explicit ``shard=`` index do not consult or advance the round-robin
+cursor, so explicit and round-robin submissions interleave
+deterministically — the round-robin placement depends only on the ordered
+sub-sequence of un-pinned batches, and each shard's randomness depends only
+on the ordered batches that landed on it.
 """
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -52,14 +49,20 @@ from repro.persist.snapshots import (
     resolve_mechanism,
 )
 from repro.privacy.randomness import RandomState, as_seed_sequence
-from repro.streaming.routing import (
-    RoutingKey,
-    ShardRouter,
-    is_registered_router,
-    make_router,
-)
 
 __all__ = ["ShardedCollector"]
+
+#: The one placement policy; checkpoints record it under ``router.name``.
+ROUND_ROBIN = "round-robin"
+
+
+def _check_router(router: Optional[str]) -> None:
+    """Refuse every placement policy but round-robin, by name."""
+    if router is not None and router != ROUND_ROBIN:
+        raise ConfigurationError(
+            f"unknown router policy {router!r}; batches are placed "
+            f"{ROUND_ROBIN!r} (pin a batch with shard= instead)"
+        )
 
 
 def _generator_state(generator: np.random.Generator) -> Dict[str, Any]:
@@ -99,16 +102,15 @@ class ShardedCollector:
     n_shards:
         Number of simulated shards ``K >= 1``.
     random_state:
-        Seed for the whole collection; each shard derives an independent
-        stream from it, so results are reproducible for a fixed seed,
-        routing and batch order.
+        Seed for the whole collection; shard ``i`` draws from spawn child
+        ``i`` of it, so results are reproducible for a fixed seed and batch
+        order.
     mode:
         Default simulation mode for submitted batches (``"aggregate"`` or
         ``"per_user"``), overridable per batch.
     router:
-        Routing policy for batches submitted without an explicit shard:
-        ``None``/"round-robin" (default), "hash", "least-loaded", or a
-        :class:`~repro.streaming.routing.ShardRouter` instance.
+        ``None`` or ``"round-robin"``, the only placement policy; anything
+        else raises :class:`~repro.exceptions.ConfigurationError`.
     mechanism_kwargs:
         Extra keyword arguments forwarded to every shard's constructor
         (spec-built collectors only).
@@ -122,13 +124,14 @@ class ShardedCollector:
         n_shards: int = 4,
         random_state: RandomState = None,
         mode: str = "aggregate",
-        router: Union[None, str, ShardRouter] = None,
+        router: Optional[str] = None,
         **mechanism_kwargs,
     ) -> None:
         if not isinstance(n_shards, (int, np.integer)) or n_shards < 1:
             raise ConfigurationError(
                 f"n_shards must be a positive integer, got {n_shards!r}"
             )
+        _check_router(router)
         prototype = resolve_mechanism(
             mechanism,
             epsilon=epsilon,
@@ -144,27 +147,15 @@ class ShardedCollector:
         self._epsilon = float(prototype.epsilon)
         self._domain_size = int(prototype.domain_size)
         self._mode = str(mode)
-        self._router = make_router(router).bind(int(n_shards))
+        self._cursor = 0
         self._shards: List[RangeQueryMechanism] = [
             self._make_mechanism() for _ in range(int(n_shards))
         ]
-        # The parent seed sequence is retained (not just its first K children)
-        # so the shard set can *grow* later: numpy's SeedSequence tracks how
-        # many children it has spawned, making incremental spawns identical
-        # to the tail of one up-front spawn — the property the autoscaler's
-        # bit-identity contract rests on.
-        self._seed_sequence = as_seed_sequence(random_state)
         self._generators = [
             np.random.default_rng(child)
-            for child in self._seed_sequence.spawn(int(n_shards))
+            for child in as_seed_sequence(random_state).spawn(int(n_shards))
         ]
-        self._streams_spawned = int(n_shards)
-        self._stream_ids = list(range(int(n_shards)))
         self._n_batches = 0
-        # Guards the batch counter: the ingestion service may run different
-        # shards' submissions on different threads (distinct shards never
-        # share mechanism or generator state, so only the counter is shared).
-        self._counter_lock = threading.Lock()
 
     def _make_mechanism(self) -> RangeQueryMechanism:
         return mechanism_from_config(self._config)
@@ -183,11 +174,6 @@ class ShardedCollector:
         return list(self._shards)
 
     @property
-    def router(self) -> ShardRouter:
-        """The routing policy deciding un-pinned submissions."""
-        return self._router
-
-    @property
     def epsilon(self) -> float:
         """Privacy budget shared by every shard (the served spec's epsilon)."""
         return self._epsilon
@@ -203,23 +189,6 @@ class ShardedCollector:
         return self._spec
 
     @property
-    def stream_ids(self) -> List[int]:
-        """Stable random-stream id of each current shard index.
-
-        Stream ``s`` is spawn child ``s`` of the collector's seed, for the
-        life of the collector: growth appends fresh ids, shrink retires ids
-        without reuse.  ``stream_ids[i]`` names the stream shard ``i``
-        currently draws report noise from, which is what a static replay
-        needs to pin batches onto the same streams.
-        """
-        return list(self._stream_ids)
-
-    @property
-    def streams_spawned(self) -> int:
-        """Total random streams ever spawned (= n_shards of a static replay)."""
-        return self._streams_spawned
-
-    @property
     def n_users(self) -> int:
         """Total number of users accumulated across all shards."""
         return sum(shard.n_users or 0 for shard in self._shards)
@@ -233,54 +202,35 @@ class ShardedCollector:
     # Ingestion
     # ------------------------------------------------------------------
     def validate_batch(self, items: np.ndarray, mode: Optional[str] = None) -> np.ndarray:
-        """Validate a batch *before* any routing state is consumed.
+        """Validate a batch *before* a round-robin decision is spent on it.
 
-        Routing decisions are irreversible (round-robin advances, load
-        counters grow), so a batch that the mechanisms would reject must
-        fail here first — otherwise a stream of bad batches would skew
-        placement without contributing a single user.
+        The cursor never moves back, so a batch that the mechanisms would
+        reject must fail here first — otherwise a stream of bad batches
+        would skew placement without contributing a single user.
         """
         items = self._shards[0]._validate_items(items)
         if mode is not None:
             RangeQueryMechanism._check_mode(mode)
         return items
 
-    def route(self, n_items: int, key: RoutingKey = None) -> int:
-        """Ask the router where a batch of ``n_items`` users would go.
+    def next_shard(self) -> int:
+        """Consume one round-robin decision: the shard of the next batch.
 
-        Does *not* submit anything, but does consume one routing decision
-        (advancing round-robin, reserving least-loaded capacity), so the
-        caller is expected to follow up with
-        ``submit(items, shard=<returned index>)`` — this is the two-step
-        dance the async ingestion service uses to route before queueing.
+        :meth:`submit` calls it for un-pinned batches; the async ingestion
+        service calls it to pick a queue and then submits with
+        ``shard=<returned index>``.
         """
-        index = int(self._router.route(int(n_items), key=key))
-        if not 0 <= index < len(self._shards):
-            raise ConfigurationError(
-                f"router returned shard {index} for {len(self._shards)} shards"
-            )
-        self._router.observe(index, int(n_items))
-        return index
-
-    def release_route(self, shard: int, n_items: int) -> None:
-        """Hand back the load accounting of a routed-but-rejected batch.
-
-        The non-blocking ingestion path (HTTP 503 backpressure) routes
-        before it knows whether the target queue has room; when it does not,
-        the batch never reaches a shard and load-aware policies must not
-        keep counting it.  Positional decisions (a round-robin cursor
-        advance) are *not* undone — they are placement history, not load.
-        """
-        self._router.release(int(shard), int(n_items))
+        shard = self._cursor % len(self._shards)
+        self._cursor = (shard + 1) % len(self._shards)
+        return shard
 
     def submit(
         self,
         items: np.ndarray,
         shard: Optional[int] = None,
         mode: Optional[str] = None,
-        key: RoutingKey = None,
     ) -> int:
-        """Route one batch of users to a shard and accumulate it.
+        """Place one batch of users on a shard and accumulate it.
 
         Parameters
         ----------
@@ -289,14 +239,10 @@ class ShardedCollector:
             must appear in exactly one submitted batch overall — the usual
             one-report-per-user LDP accounting.
         shard:
-            Target shard index; when omitted the router decides (round-robin
-            unless configured otherwise).  Explicit indices bypass the
-            router entirely and do not advance its state.
+            Target shard index; when omitted the batch goes round-robin.
+            Explicit indices do not advance the round-robin cursor.
         mode:
             Override of the collector's default simulation mode.
-        key:
-            Optional routing key (user/tenant id) consulted by key-aware
-            policies such as the hash router.
 
         Returns
         -------
@@ -304,13 +250,13 @@ class ShardedCollector:
             The index of the shard that absorbed the batch.
         """
         if shard is None:
-            # Policy routing is irreversible, so the batch must prove itself
-            # valid before a routing decision is spent on it.  Explicit-shard
-            # submissions touch no routing state and already hit partial_fit's
-            # own validation, so they skip the extra scan (this is also the
-            # path the async workers use after validating at submit time).
+            # The cursor never moves back, so the batch must prove itself
+            # valid first.  Explicit-shard submissions touch no placement
+            # state and already hit partial_fit's own validation, so they
+            # skip the extra scan (this is also the path the async workers
+            # use after validating at submit time).
             items = self.validate_batch(items, mode=mode)
-            index = self.route(items.shape[0], key=key)
+            index = self.next_shard()
         else:
             index = int(shard)
             if not 0 <= index < len(self._shards):
@@ -322,8 +268,7 @@ class ShardedCollector:
             random_state=self._generators[index],
             mode=self._mode if mode is None else mode,
         )
-        with self._counter_lock:
-            self._n_batches += 1
+        self._n_batches += 1
         return index
 
     def submit_points(
@@ -331,9 +276,8 @@ class ShardedCollector:
         points: np.ndarray,
         shard: Optional[int] = None,
         mode: Optional[str] = None,
-        key: RoutingKey = None,
     ) -> int:
-        """Route one batch of ``(n, d)`` coordinate points to a shard.
+        """Place one batch of ``(n, d)`` coordinate points on a shard.
 
         Only available when the collector's mechanism has a grid surface
         (e.g. a ``grid2d`` or ``grid3d_4`` spec): the points are validated —
@@ -347,90 +291,13 @@ class ShardedCollector:
                 f"mechanism {self._spec!r} has no grid point surface; "
                 "submit flattened items with submit() instead"
             )
-        return self.submit(flatten(points), shard=shard, mode=mode, key=key)
+        return self.submit(flatten(points), shard=shard, mode=mode)
 
     def extend(self, batches: Iterable[np.ndarray]) -> "ShardedCollector":
-        """Submit a stream of batches with policy routing."""
+        """Submit a stream of batches round-robin."""
         for batch in batches:
             self.submit(batch)
         return self
-
-    # ------------------------------------------------------------------
-    # Scaling (grow/shrink the shard set between batches)
-    # ------------------------------------------------------------------
-    def add_shards(self, count: int = 1) -> List[int]:
-        """Append ``count`` fresh shards and return their indices.
-
-        Each new shard gets an identically configured mechanism and the
-        *next* spawn children of the collector's seed sequence, so a run
-        that grows from ``K`` to ``K'`` shards uses exactly the random
-        streams a run constructed with ``K'`` shards would have used —
-        growth never perturbs existing streams and never reuses a retired
-        one.  Load-aware routers start the new shards at zero load, which is
-        precisely what makes them attractive to the least-loaded policy.
-        """
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise ConfigurationError(
-                f"count must be a positive integer, got {count!r}"
-            )
-        first = len(self._shards)
-        for child in self._seed_sequence.spawn(int(count)):
-            self._shards.append(self._make_mechanism())
-            self._generators.append(np.random.default_rng(child))
-            self._stream_ids.append(self._streams_spawned)
-            self._streams_spawned += 1
-        self._router.resize(len(self._shards))
-        return list(range(first, len(self._shards)))
-
-    def shrink_to(self, n_shards: int) -> List[tuple]:
-        """Retire the highest-indexed shards down to ``n_shards``.
-
-        Every retired shard's sufficient statistics are rebalanced into the
-        least-loaded surviving shard via ``merge_from`` — merging is exact,
-        so the eventual :meth:`reduce` still sums precisely the statistics
-        every stream ever accumulated and stays bit-identical to a static
-        run that pinned each batch to the same stream (see
-        ``tests/integration/test_http_service.py``).  The retired random
-        streams are gone for good: a later :meth:`add_shards` spawns fresh
-        ones rather than resuming a stream whose position can no longer be
-        trusted.  Returns ``(retired_stream_id, survivor_index)`` pairs,
-        highest-indexed shard first, so callers can fold their own per-shard
-        bookkeeping the same way.
-        """
-        if not isinstance(n_shards, (int, np.integer)) or n_shards < 1:
-            raise ConfigurationError(
-                f"n_shards must be a positive integer, got {n_shards!r}"
-            )
-        if n_shards > len(self._shards):
-            raise ConfigurationError(
-                f"cannot shrink to {n_shards} shards from {len(self._shards)}; "
-                "use add_shards to grow"
-            )
-        retired: List[tuple] = []
-        while len(self._shards) > int(n_shards):
-            index = len(self._shards) - 1
-            survivor = self._least_loaded_survivor(index)
-            removed = self._shards.pop(index)
-            if removed.is_fitted:
-                self._shards[survivor].merge_from(removed)
-            self._router.fold(index, survivor)
-            self._router.resize(len(self._shards))
-            self._generators.pop(index)
-            retired.append((self._stream_ids.pop(index), survivor))
-        return retired
-
-    def _least_loaded_survivor(self, removed_index: int) -> int:
-        """Lowest-indexed least-loaded shard below ``removed_index``.
-
-        Prefers the router's own load signal (the least-loaded policy's
-        routed-user counts); other policies fall back to absorbed users.
-        Deterministic — ties break toward the lowest index — so shrink
-        rebalancing is reproducible.
-        """
-        loads = getattr(self._router, "loads", None)
-        if not loads or len(loads) <= removed_index:
-            loads = [shard.n_users or 0 for shard in self._shards]
-        return int(np.argmin(np.asarray(loads[:removed_index], dtype=np.int64)))
 
     # ------------------------------------------------------------------
     # Reduction
@@ -438,18 +305,14 @@ class ShardedCollector:
     def generation_signature(self) -> tuple:
         """Fingerprint of the collected state a :meth:`reduce` would see.
 
-        Combines the live stream ids (which change on every scale event)
-        with each shard's monotone ``ingest_generation`` — two signatures
-        are equal exactly when no batch has been absorbed and no shard
-        added, retired or restored in between, so a cached ``reduce()``
-        result keyed by this tuple is fresh by construction.  Cheap (no
-        statistics are touched), so read paths may poll it per request.
+        Each shard's monotone ``ingest_generation``: two signatures are
+        equal exactly when no batch has been absorbed in between, so a
+        cached ``reduce()`` result keyed by this tuple is fresh by
+        construction.  Cheap (no statistics are touched), so read paths may
+        poll it per request.
         """
-        return (
-            tuple(int(stream) for stream in self._stream_ids),
-            tuple(
-                int(getattr(shard, "ingest_generation", 0)) for shard in self._shards
-            ),
+        return tuple(
+            int(getattr(shard, "ingest_generation", 0)) for shard in self._shards
         )
 
     def reduce(self) -> RangeQueryMechanism:
@@ -489,21 +352,8 @@ class ShardedCollector:
 
         Captures everything a resumed run needs to be indistinguishable
         from an uninterrupted one: shard statistics, shard random streams,
-        router state and counters.  Custom router policies must be
-        registered (:func:`repro.streaming.routing.register_router`) so the
-        restore side can resolve the stored policy name back to a class;
-        unregistered routers are rejected here rather than producing a
-        checkpoint that can never be loaded.
+        the round-robin cursor and the batch counter.
         """
-        if not is_registered_router(self._router):
-            raise ConfigurationError(
-                f"router {type(self._router).__name__} (name="
-                f"{self._router.name!r}) is not registered; decorate it with "
-                "repro.streaming.routing.register_router to make checkpoints "
-                "restorable"
-            )
-        seq = self._seed_sequence
-        entropy = seq.entropy
         header = {
             "kind": "collector",
             "spec": self._spec,
@@ -511,23 +361,8 @@ class ShardedCollector:
             "n_shards": self.n_shards,
             "mode": self._mode,
             "n_batches": int(self._n_batches),
-            "router": {
-                "name": self._router.name,
-                "state": self._router.state_dict(),
-            },
+            "router": {"name": ROUND_ROBIN, "state": {"cursor": int(self._cursor)}},
             "generators": [_generator_state(gen) for gen in self._generators],
-            # Scaling continuity: which spawn child each shard draws from,
-            # and the parent seed sequence mid-spawn, so a restored collector
-            # can keep growing with exactly the streams the original would
-            # have spawned next.
-            "stream_ids": [int(stream) for stream in self._stream_ids],
-            "streams_spawned": int(self._streams_spawned),
-            "seed_sequence": {
-                "entropy": list(entropy) if isinstance(entropy, (list, tuple)) else entropy,
-                "spawn_key": list(seq.spawn_key),
-                "pool_size": int(seq.pool_size),
-                "n_children_spawned": int(seq.n_children_spawned),
-            },
         }
         arrays = {}
         for index, shard in enumerate(self._shards):
@@ -573,7 +408,12 @@ class ShardedCollector:
 
     @classmethod
     def _from_header(cls, header: Dict[str, Any]) -> "ShardedCollector":
-        """Everything but the shards, from a checkpoint's JSON header."""
+        """Everything but the shards, from a checkpoint's JSON header.
+
+        Fields written by older releases for shard-set growth
+        (``stream_ids``, ``streams_spawned``, ``seed_sequence``) are not
+        read: a fixed shard set needs only each shard's generator state.
+        """
         n_shards = int(header["n_shards"])
         generator_states = header.get("generators", [])
         if len(generator_states) != n_shards:
@@ -582,7 +422,7 @@ class ShardedCollector:
                 f"for {n_shards} shards"
             )
         router_info = header.get("router", {})
-        router = make_router(router_info.get("name"))
+        _check_router(router_info.get("name"))
         collector = cls.__new__(cls)
         collector._spec = str(header.get("spec", "mechanism"))
         collector._config = dict(header["config"])
@@ -590,36 +430,11 @@ class ShardedCollector:
         collector._epsilon = float(prototype.epsilon)
         collector._domain_size = int(prototype.domain_size)
         collector._mode = str(header.get("mode", "aggregate"))
-        collector._router = router.bind(n_shards)
-        collector._router.load_state_dict(router_info.get("state", {}))
+        collector._cursor = int(router_info.get("state", {}).get("cursor", 0))
         collector._n_batches = int(header.get("n_batches", 0))
-        collector._counter_lock = threading.Lock()
         collector._generators = [
             _generator_from_state(state) for state in generator_states
         ]
-        collector._stream_ids = [
-            int(stream) for stream in header.get("stream_ids", range(n_shards))
-        ]
-        if len(collector._stream_ids) != n_shards:
-            raise ConfigurationError(
-                f"checkpoint holds {len(collector._stream_ids)} stream ids "
-                f"for {n_shards} shards"
-            )
-        collector._streams_spawned = int(header.get("streams_spawned", n_shards))
-        seed_info = header.get("seed_sequence")
-        if seed_info is not None:
-            entropy = seed_info.get("entropy")
-            collector._seed_sequence = np.random.SeedSequence(
-                entropy,
-                spawn_key=tuple(int(k) for k in seed_info.get("spawn_key", ())),
-                pool_size=int(seed_info.get("pool_size", 4)),
-                n_children_spawned=int(seed_info.get("n_children_spawned", 0)),
-            )
-        else:
-            # Legacy (pre-autoscale) checkpoint: resuming is still bit-exact
-            # for the existing shards, but post-restore growth draws fresh
-            # entropy instead of the original seed's next children.
-            collector._seed_sequence = np.random.SeedSequence()
         return collector
 
     @classmethod
@@ -630,6 +445,5 @@ class ShardedCollector:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedCollector(mechanism={self._spec!r}, n_shards={self.n_shards}, "
-            f"router={self._router.name!r}, n_users={self.n_users}, "
-            f"n_batches={self._n_batches})"
+            f"n_users={self.n_users}, n_batches={self._n_batches})"
         )

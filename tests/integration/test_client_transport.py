@@ -425,19 +425,12 @@ class TestEquivalenceWithHttpClient:
             reference_connection.close()
         assert statuses == {200, 202, 400, 404, 405, 409}
 
-    def test_backpressure_503_matches(self):
+    def test_backpressure_503_matches(self, parked_workers):
         collector = make_collector()
-        release = threading.Event()
-        original_submit = collector.submit
-
-        def blocked_submit(items, shard=None, mode=None, key=None):
-            release.wait(timeout=30)
-            return original_submit(items, shard=shard, mode=mode, key=key)
-
-        collector.submit = blocked_submit
+        release = parked_workers
         body = b'{"items":[1,2,3]}'
         try:
-            with HttpServerThread(collector, queue_size=1, parallelism=1) as server:
+            with HttpServerThread(collector, queue_size=1) as server:
                 reference_connection = HTTPConnection(*server.address, timeout=10)
                 with ServiceClient(*server.address) as client:
                     for _ in range(4):

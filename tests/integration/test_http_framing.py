@@ -50,7 +50,6 @@ def make_server(spec, domain, seed):
         domain_size=domain,
         n_shards=2,
         random_state=seed,
-        router="least-loaded",
     )
     return HttpServerThread(collector)
 

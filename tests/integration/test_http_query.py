@@ -36,7 +36,6 @@ def make_collector(n_shards=2, seed=7, spec="flat_oue", domain=DOMAIN):
         domain_size=domain,
         n_shards=n_shards,
         random_state=seed,
-        router="least-loaded",
     )
 
 

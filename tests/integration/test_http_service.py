@@ -1,22 +1,21 @@
 """Integration tests for the HTTP ingestion front.
 
 Each test boots a real :class:`HttpServerThread` (service + asyncio HTTP
-server + optional autoscaler on a dedicated loop thread) on an ephemeral
-port and talks to it over loopback TCP with :class:`ServiceClient` — or a
+server on a dedicated loop thread) on an ephemeral port and talks to it over loopback TCP with :class:`ServiceClient` — or a
 raw ``http.client`` connection when the test needs to send bytes the
 client refuses to produce (malformed JSON, wrong paths).
 
 Covered error paths, per the network-tier contract: malformed JSON → 400,
 epsilon/domain disagreement with the served spec → 409, queue overload →
-503 with ``Retry-After``, and submissions landing across an autoscale
-event — after which ``reduce()`` must stay bit-identical to a static run.
+503 with ``Retry-After``; and ``reduce()`` after a run over the wire must be
+bit-identical to an in-process replay pinned by each 202's ``shard``.
 """
 
+import json
 import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 from http.client import HTTPConnection
 
@@ -24,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ServiceOverloadedError
-from repro.service import AutoscalePolicy, HttpServerThread, ServiceClient
+from repro.service import HttpServerThread, ServiceClient
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
@@ -38,7 +37,6 @@ def make_collector(n_shards=2, seed=7, spec="flat_oue", domain=DOMAIN):
         domain_size=domain,
         n_shards=n_shards,
         random_state=seed,
-        router="least-loaded",
     )
 
 
@@ -76,7 +74,6 @@ class TestHappyPath:
                 health = client.healthz().json()
         assert health["status"] == "ok"
         assert health["shards"] == 2
-        assert health["scaling"] is False
         assert health["spec"] == "flat_oue"
         assert health["epsilon"] == pytest.approx(EPSILON)
         assert health["domain_size"] == DOMAIN
@@ -86,12 +83,10 @@ class TestHappyPath:
         server = HttpServerThread(make_collector(seed=13))
         with server:
             with ServiceClient(*server.address) as client:
-                for batch in batches:
+                for index, batch in enumerate(batches):
                     response = client.post_batch(batch)
                     assert response.status == 202
-                    body = response.json()
-                    assert body["shard"] in (0, 1)
-                    assert body["stream"] in (0, 1)
+                    assert response.json() == {"accepted": 500, "shard": index % 2}
             stats = server.stats()
         assert stats["totals"]["absorbed_batches"] == 6
         assert stats["totals"]["absorbed_users"] == 3000
@@ -194,6 +189,41 @@ class TestErrorPaths:
                 response = client.post_batch([0, 1, DOMAIN + 5])
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/batches", {"items": [0.5, 3.9]}),
+            ("/v1/batches", {"items": [True, False, 3]}),
+            ("/v1/batches", {"items": [3, 1.0]}),
+            ("/v1/batches", {"items": ["3"]}),
+            ("/v1/points", {"points": [[0.5, 1], [2, 3]]}),
+            ("/v1/points", {"points": [[True, 1], [2, 3]]}),
+        ],
+    )
+    def test_non_integer_json_batches_are_400_and_absorb_nothing(
+        self, rng, path, payload
+    ):
+        """JSON floats and bools are refused, not truncated to integers:
+        the batch gets a 400 before a round-robin decision is spent, and
+        no shard's generation or user count moves."""
+        collector = make_collector(spec="grid2d_2", domain=8)
+        with HttpServerThread(collector) as server:
+            with ServiceClient(*server.address) as client:
+                assert client.post_points([[1, 2]]).json()["shard"] == 0
+                before = stats_after_absorbing(server, 1)
+                status, _, body = raw_request(
+                    server, "POST", path, body=json.dumps(payload).encode()
+                )
+                assert status == 400, body
+                assert b"must be an array of integers" in body
+                after = server.stats()
+                assert client.post_points([[3, 4]]).json()["shard"] == 1
+        assert after["totals"] == before["totals"]
+        for field in ("ingest_generation", "users", "batches"):
+            assert [entry[field] for entry in after["per_shard"]] == [
+                entry[field] for entry in before["per_shard"]
+            ]
+
     def test_unknown_path_404_wrong_method_405(self):
         with HttpServerThread(make_collector()) as server:
             status_404, _, _ = raw_request(server, "GET", "/v1/nope")
@@ -210,23 +240,15 @@ class TestErrorPaths:
 
 
 class TestBackpressure:
-    def test_overload_is_503_with_retry_after(self, rng):
-        """Deterministic overload: absorption is parked on an event (the
-        worker blocks inside the thread pool, so the event loop keeps
-        answering), a 1-slot queue fills, and the next batch must bounce
-        with 503 + Retry-After.  Releasing the event drains the queue and
-        the same batch goes through on retry."""
+    def test_overload_is_503_with_retry_after(self, rng, parked_workers):
+        """Deterministic overload: the workers are parked while the event
+        loop keeps answering, a 1-slot queue fills, and the next batch must
+        bounce with 503 + Retry-After.  Releasing the workers drains the
+        queue and the same batch goes through on retry."""
         collector = make_collector(n_shards=1)
-        release = threading.Event()
-        original_submit = collector.submit
-
-        def blocked_submit(items, shard=None, mode=None, key=None):
-            release.wait(timeout=30)
-            return original_submit(items, shard=shard, mode=mode, key=key)
-
-        collector.submit = blocked_submit
+        release = parked_workers
         batch = rng.integers(0, DOMAIN, size=100)
-        server = HttpServerThread(collector, queue_size=1, parallelism=1)
+        server = HttpServerThread(collector, queue_size=1)
         try:
             with server:
                 with ServiceClient(*server.address) as client:
@@ -259,22 +281,15 @@ class TestBackpressure:
         assert stats["totals"]["absorbed_batches"] == accepted
         assert stats["per_shard"][0]["rejected"] == rejections
 
-    def test_retrying_client_gives_up_eventually(self, rng):
+    def test_retrying_client_gives_up_eventually(self, rng, parked_workers):
         collector = make_collector(n_shards=1)
-        release = threading.Event()
-        original_submit = collector.submit
-
-        def blocked_submit(items, shard=None, mode=None, key=None):
-            release.wait(timeout=30)
-            return original_submit(items, shard=shard, mode=mode, key=key)
-
-        collector.submit = blocked_submit
+        release = parked_workers
         batch = rng.integers(0, DOMAIN, size=50)
-        server = HttpServerThread(collector, queue_size=1, parallelism=1)
+        server = HttpServerThread(collector, queue_size=1)
         try:
             with server:
                 with ServiceClient(*server.address) as client:
-                    # Fill the absorption slot and the queue.
+                    # Fill the queue.
                     while client.post_batch(batch).status == 202:
                         pass
                     with pytest.raises(ServiceOverloadedError):
@@ -288,86 +303,33 @@ class TestBackpressure:
             release.set()
 
 
-class TestAutoscaleOverHttp:
-    def test_submissions_across_scale_events_reduce_bit_identically(self, rng):
-        """The acceptance contract over the wire: a run whose shard set
-        grows and shrinks mid-traffic reduces bit-identically to a static
-        collector with one shard per stream ever spawned, every batch
-        pinned to the stream the 202 response reported."""
+class TestStaticShardsOverHttp:
+    def test_http_run_reduces_bit_identically_to_pinned_replay(self, rng):
+        """The acceptance contract over the wire: a 2-shard run driven over
+        HTTP reduces bit-identically to an in-process collector with the
+        same seed, every batch pinned to the shard its 202 reported."""
         batches = [rng.integers(0, DOMAIN, size=400) for _ in range(18)]
         collector = make_collector(n_shards=2, seed=29)
         server = HttpServerThread(collector, queue_size=8)
         placements = []
         with server:
             with ServiceClient(*server.address) as client:
-                for index, batch in enumerate(batches):
-                    if index == 6:
-                        stats = server.scale_to(3)
-                        assert stats["n_shards"] == 3
-                    elif index == 12:
-                        stats = server.scale_to(2)
-                        assert stats["n_shards"] == 2
+                for batch in batches:
                     response = client.post_batch_retrying(batch)
                     assert response.status == 202
-                    placements.append(response.json()["stream"])
+                    placements.append(response.json()["shard"])
             final = server.stats()
 
-        assert final["totals"]["grow_events"] == 1
-        assert final["totals"]["shrink_events"] == 1
-        assert final["totals"]["streams_spawned"] == 3
         assert final["totals"]["absorbed_batches"] == len(batches)
+        assert placements == [index % 2 for index in range(len(batches))]
 
-        static = make_collector(n_shards=3, seed=29)
-        for batch, stream in zip(batches, placements):
-            static.submit(batch, shard=stream)
+        replay = make_collector(n_shards=2, seed=29)
+        for batch, shard in zip(batches, placements):
+            replay.submit(batch, shard=shard)
         assert np.array_equal(
             server.reduce().estimate_frequencies(),
-            static.reduce().estimate_frequencies(),
+            replay.reduce().estimate_frequencies(),
         )
-
-    def test_load_driven_autoscaler_grows_over_http(self, rng):
-        """With absorption parked, accepted batches pile up in the queues;
-        the submission-counted autoscaler sees the saturated signal on an
-        accepted request and grows the fleet.  The grow itself quiesces
-        (scale happens at a generation boundary), so a timer releases the
-        parked workers shortly after — the drain is what lets the scale
-        event complete."""
-        collector = make_collector(n_shards=2, seed=5)
-        release = threading.Event()
-        original_submit = collector.submit
-
-        def blocked_submit(items, shard=None, mode=None, key=None):
-            release.wait(timeout=30)
-            return original_submit(items, shard=shard, mode=mode, key=key)
-
-        collector.submit = blocked_submit
-        server = HttpServerThread(
-            collector,
-            queue_size=2,
-            parallelism=1,
-            policy=AutoscalePolicy(min_shards=2, max_shards=3),
-            check_interval=1,
-        )
-        try:
-            threading.Timer(0.5, release.set).start()
-            with server:
-                with ServiceClient(*server.address) as client:
-                    # Batches park in the single absorption slot and stack
-                    # up in the 2-deep queues until mean fill crosses the
-                    # grow threshold at one of the per-request checks.
-                    accepted = 0
-                    for _ in range(8):
-                        if client.post_batch(
-                            rng.integers(0, DOMAIN, size=64)
-                        ).status == 202:
-                            accepted = accepted + 1
-                    assert accepted >= 3
-                stats = server.stats()
-        finally:
-            release.set()
-        assert stats["totals"]["grow_events"] >= 1
-        assert server.autoscaler is not None
-        assert server.autoscaler.decisions[0] == (2, 3)
 
 
 class TestFraming:

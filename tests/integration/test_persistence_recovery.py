@@ -137,7 +137,6 @@ class TestAsyncCollection:
             np.array_split(population, 20),
             n_shards=4,
             n_producers=4,
-            router="least-loaded",
             random_state=13,
         )
         assert session.n_users == N_USERS

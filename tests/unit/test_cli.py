@@ -14,34 +14,51 @@ class TestServeParser:
         assert args.epsilon == pytest.approx(1.1)
         assert args.domain == 1 << 10
         assert args.shards == 2
-        assert args.router == "least-loaded"
         assert args.queue_size == 8
-        assert args.autoscale is False
-        assert args.min_shards == 1
-        assert args.max_shards == 8
-        assert args.grow_at == pytest.approx(0.75)
-        assert args.shrink_at == pytest.approx(0.10)
-        assert args.check_interval == 16
 
-    def test_autoscale_knobs(self):
-        args = build_serve_parser().parse_args(
-            [
-                "--port", "0", "--shards", "4", "--autoscale",
-                "--min-shards", "2", "--max-shards", "6",
-                "--grow-at", "0.5", "--shrink-at", "0.2",
-                "--check-interval", "8",
-            ]
-        )
-        assert args.port == 0
-        assert args.autoscale is True
-        assert args.min_shards == 2
-        assert args.max_shards == 6
-        assert args.grow_at == pytest.approx(0.5)
-        assert args.shrink_at == pytest.approx(0.2)
-        assert args.check_interval == 8
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--router", "round-robin"],
+            ["--parallelism", "1"],
+            ["--autoscale"],
+            ["--min-shards", "1"],
+            ["--max-shards", "8"],
+            ["--grow-at", "0.5"],
+            ["--shrink-at", "0.2"],
+            ["--check-interval", "8"],
+        ],
+    )
+    def test_removed_placement_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_serve_parser().parse_args(flag)
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestParser:
+    def test_serve_demo_is_gone(self, capsys):
+        assert "serve-demo" not in EXPERIMENTS
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve-demo"])
+        assert exit_info.value.code == 2
+        assert "serve-demo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--producers", "2"],
+            ["--router", "hash"],
+            ["--queue-size", "4"],
+            ["--parallelism", "1"],
+        ],
+    )
+    def test_removed_serve_demo_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["streaming", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_all_experiments_accepted(self):
         parser = build_parser()
         for experiment in EXPERIMENTS:
@@ -144,28 +161,6 @@ class TestMain:
         assert "Crash recovery" in output
         assert "bit-for-bit: True" in output
         assert path.exists()
-
-    def test_serve_demo_runs(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-demo",
-                    *TINY,
-                    "--batches",
-                    "4",
-                    "--producers",
-                    "1",
-                    "2",
-                    "--router",
-                    "least-loaded",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "Ingestion service" in output
-        assert "least-loaded" in output
-        assert "Musers/s" in output
 
     def test_table5_with_workers_matches_serial(self, capsys):
         argv = ["table5", *TINY, "--epsilons", "1.1"]

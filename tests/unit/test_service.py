@@ -1,4 +1,4 @@
-"""Unit tests for repro.service: routers and async ingestion."""
+"""Unit tests for repro.service: round-robin placement and async ingestion."""
 
 import asyncio
 import importlib
@@ -6,15 +6,12 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, InvalidQueryError
-from repro.service import (
-    HashRouter,
-    IngestionService,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    make_router,
-    run_ingestion,
+from repro.exceptions import (
+    ConfigurationError,
+    InvalidQueryError,
+    ServiceOverloadedError,
 )
+from repro.service import IngestionService, run_ingestion
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
@@ -26,118 +23,40 @@ def items(rng):
     return rng.integers(0, DOMAIN, size=40_000)
 
 
-def make_collector(router=None, n_shards=4, spec="flat_oue", seed=0):
+def make_collector(n_shards=4, spec="flat_oue", seed=0):
     return ShardedCollector(
         spec,
         epsilon=EPSILON,
         domain_size=DOMAIN,
         n_shards=n_shards,
         random_state=seed,
-        router=router,
     )
 
 
-class TestRouters:
-    def test_make_router_accepts_names_instances_and_none(self):
-        assert isinstance(make_router(None), RoundRobinRouter)
-        assert isinstance(make_router("round-robin"), RoundRobinRouter)
-        assert isinstance(make_router("rr"), RoundRobinRouter)
-        assert isinstance(make_router("hash"), HashRouter)
-        assert isinstance(make_router("least_loaded"), LeastLoadedRouter)
-        custom = LeastLoadedRouter()
-        assert make_router(custom) is custom
-
-    def test_make_router_rejects_unknown_policy(self):
-        with pytest.raises(ConfigurationError, match="unknown router"):
-            make_router("random-teleport")
-
-    def test_unbound_router_refuses_to_route(self):
-        with pytest.raises(ConfigurationError, match="not bound"):
-            RoundRobinRouter().route(10)
-
-    def test_bind_validates_and_rejects_rebinding(self):
-        router = RoundRobinRouter()
-        with pytest.raises(ConfigurationError):
-            router.bind(0)
-        router.bind(3)
-        router.bind(3)  # idempotent
-        with pytest.raises(ConfigurationError):
-            router.bind(5)
-
-    def test_round_robin_cycles(self):
-        router = RoundRobinRouter().bind(3)
-        assert [router.route(1) for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_hash_router_is_sticky_and_deterministic(self):
-        first = HashRouter().bind(8)
-        second = HashRouter().bind(8)
-        for key in ["user-1", "user-2", 12345, b"device"]:
-            assert first.route(10, key=key) == second.route(10, key=key)
-            assert first.route(10, key=key) == first.route(99, key=key)
-
-    def test_hash_router_spreads_keyless_batches(self):
-        router = HashRouter().bind(4)
-        shards = {router.route(1) for _ in range(64)}
-        assert len(shards) > 1
-
-    def test_hash_router_rejects_bad_key_type(self):
-        router = HashRouter().bind(2)
-        with pytest.raises(ConfigurationError):
-            router.route(1, key=3.14)
-
-    def test_least_loaded_balances_skewed_batches(self):
-        router = LeastLoadedRouter().bind(2)
-        shard = router.route(1000)
-        router.observe(shard, 1000)
-        other = router.route(10)
-        assert other != shard
-        router.observe(other, 10)
-        # Next batch goes to the lighter shard again.
-        assert router.route(10) == other
-
-    def test_router_state_round_trip(self):
-        router = RoundRobinRouter().bind(3)
-        router.route(1)
-        restored = RoundRobinRouter().bind(3).load_state_dict(router.state_dict())
-        assert restored.route(1) == router.route(1)
-
-        loaded = LeastLoadedRouter().bind(2)
-        loaded.observe(0, 500)
-        restored = LeastLoadedRouter().bind(2).load_state_dict(loaded.state_dict())
-        assert restored.loads == [500, 0]
-        with pytest.raises(ConfigurationError):
-            LeastLoadedRouter().bind(3).load_state_dict(loaded.state_dict())
-
-
-class TestCollectorRouting:
-    def test_least_loaded_avoids_heavy_shards(self, items):
-        collector = make_collector(router="least-loaded")
-        sizes = [5000, 100, 100, 100, 5000, 100]
-        start = 0
-        targets = []
-        for size in sizes:
-            targets.append(collector.submit(items[start : start + size]))
-            start += size
-        # The first heavy batch loads one shard; the second heavy batch and
-        # every later batch must land elsewhere.
-        assert targets[0] not in targets[1:]
-        # Equal-sized batches spread over the remaining shards before reuse.
-        assert len(set(targets[1:4])) == 3
-
-    def test_hash_routing_pins_keys_to_shards(self, items):
-        collector = make_collector(router="hash")
-        batches = np.array_split(items, 10)
-        first = [collector.submit(batch, key=f"tenant-{i % 2}") for i, batch in enumerate(batches)]
-        assert len({shard for i, shard in enumerate(first) if i % 2 == 0}) == 1
-        assert len({shard for i, shard in enumerate(first) if i % 2 == 1}) == 1
-
-    def test_route_reserves_a_decision(self):
+class TestRoundRobin:
+    def test_explicit_submission_does_not_move_the_cursor(self):
         collector = make_collector()
-        assert collector.route(10) == 0
-        assert collector.route(10) == 1
-        # Explicit submission does not consult the router.
+        assert collector.next_shard() == 0
+        assert collector.next_shard() == 1
         collector.submit(np.arange(10, dtype=np.int64) % DOMAIN, shard=3)
-        assert collector.route(10) == 2
+        assert collector.next_shard() == 2
+
+    @pytest.mark.parametrize("router", [None, "round-robin"])
+    def test_round_robin_is_the_accepted_router(self, router):
+        collector = ShardedCollector(
+            "flat_oue", epsilon=EPSILON, domain_size=DOMAIN, n_shards=2,
+            router=router,
+        )
+        assert collector.next_shard() == 0
+
+    @pytest.mark.parametrize(
+        "router", ["hash", "least-loaded", "least_loaded", "rr", "random-teleport"]
+    )
+    def test_other_routers_are_configuration_errors(self, router):
+        with pytest.raises(ConfigurationError, match=router):
+            ShardedCollector(
+                "flat_oue", epsilon=EPSILON, domain_size=DOMAIN, router=router
+            )
 
 
 class TestIngestionService:
@@ -145,12 +64,10 @@ class TestIngestionService:
         with pytest.raises(ConfigurationError):
             IngestionService("not a collector")
 
-    def test_validates_queue_size_and_parallelism(self):
+    def test_validates_queue_size(self):
         collector = make_collector()
         with pytest.raises(ConfigurationError):
             IngestionService(collector, queue_size=0)
-        with pytest.raises(ConfigurationError):
-            IngestionService(collector, parallelism=-1)
 
     def test_submit_requires_started_service(self, items):
         service = IngestionService(make_collector())
@@ -166,7 +83,7 @@ class TestIngestionService:
         asyncio.run(scenario())
 
     def test_concurrent_producers_collect_everything(self, items):
-        collector = make_collector(router="least-loaded", spec="hhc_4")
+        collector = make_collector(spec="hhc_4")
         batches = np.array_split(items, 16)
 
         async def producer(service, mine):
@@ -250,9 +167,10 @@ class TestIngestionService:
         shard.estimate_frequencies()
         assert service.stats()["materializations_performed"] == 1
 
-    def test_invalid_batch_rejected_at_submit_without_routing(self, items):
-        """Validation precedes routing: a bad batch costs no routing state."""
-        collector = make_collector(router="least-loaded")
+    def test_invalid_batch_rejected_at_submit_without_placement(self, items):
+        """Validation precedes placement: a bad batch spends no round-robin
+        decision."""
+        collector = make_collector()
 
         async def scenario():
             async with IngestionService(collector) as service:
@@ -260,9 +178,37 @@ class TestIngestionService:
                     await service.submit(np.array([DOMAIN + 7]))  # out of domain
                 with pytest.raises(InvalidQueryError):
                     await service.submit(np.array([1.5, 2.5]))    # float dtype
+                with pytest.raises(InvalidQueryError):
+                    service.try_submit(np.array([DOMAIN + 7]))
 
         asyncio.run(scenario())
-        assert collector.router.loads == [0, 0, 0, 0]
+        assert collector.next_shard() == 0
+
+    def test_try_submit_bounces_a_full_queue(self, items):
+        """With no await between submissions the workers never run, so a
+        1-slot queue per shard fills deterministically; the bounced batch
+        still spends its round-robin decision."""
+        collector = make_collector(n_shards=2)
+
+        async def scenario():
+            async with IngestionService(collector, queue_size=1) as service:
+                assert service.try_submit(items[:10]) == 0
+                assert service.try_submit(items[10:20]) == 1
+                with pytest.raises(ServiceOverloadedError, match="shard 0"):
+                    service.try_submit(items[20:50])
+                with pytest.raises(ServiceOverloadedError, match="shard 1"):
+                    service.try_submit(items[50:60])
+                stats = service.stats()
+                await service.join()
+                assert service.try_submit(items[60:70]) == 0
+            return stats
+
+        stats = asyncio.run(scenario())
+        assert [entry["rejected"] for entry in stats["per_shard"]] == [1, 1]
+        assert stats["totals"]["rejected_batches"] == 2
+        assert stats["totals"]["rejected_users"] == 40
+        assert stats["submitted_batches"] == 2
+        assert collector.n_batches == 3
 
     def test_worker_errors_surface_on_join(self, items, monkeypatch):
         """A batch failing *inside* a shard worker is re-raised on drain."""
@@ -335,7 +281,7 @@ class TestIngestionService:
         holder = {}
 
         async def scenario():
-            service = IngestionService(collector, parallelism=1)
+            service = IngestionService(collector)
             holder["service"] = service
             async with service:
                 await service.submit(items[:100])
@@ -344,24 +290,13 @@ class TestIngestionService:
             asyncio.run(scenario())
         service = holder["service"]
         assert not service.started
-        assert service._workers == [] and service._pool is None
-
-    def test_huge_integer_routing_keys(self, items):
-        """128-bit ids (UUID ints) must route, not overflow."""
-        import uuid
-
-        collector = make_collector(router="hash")
-        key = uuid.UUID("ffffffff-ffff-ffff-ffff-ffffffffffff").int
-        first = collector.submit(items[:100], key=key)
-        second = collector.submit(items[100:200], key=key)
-        assert first == second
+        assert service._workers == []
 
 
 class TestRunIngestion:
-    @pytest.mark.parametrize("router", ["round-robin", "hash", "least-loaded"])
     @pytest.mark.parametrize("n_producers", [1, 3])
-    def test_matches_population_and_accuracy(self, items, router, n_producers):
-        collector = make_collector(router=router, spec="hhc_4")
+    def test_matches_population_and_accuracy(self, items, n_producers):
+        collector = make_collector(spec="hhc_4")
         report = run_ingestion(
             collector,
             np.array_split(items, 12),
@@ -370,26 +305,15 @@ class TestRunIngestion:
         )
         assert report.n_users == items.size == collector.n_users
         assert report.n_producers == n_producers
-        assert report.router == router
         assert report.users_per_second > 0
         truth = np.mean((items >= 10) & (items <= 50))
         merged = collector.reduce()
         assert merged.answer_range(10, 50) == pytest.approx(truth, abs=0.08)
 
-    def test_thread_parallelism_path(self, items):
-        collector = make_collector(spec="hhc_4")
-        report = run_ingestion(
-            collector, np.array_split(items, 8), n_producers=2, parallelism=2
-        )
-        assert report.n_users == items.size
-        assert collector.n_batches == 8
-
     def test_validates_inputs(self, items):
         collector = make_collector()
         with pytest.raises(ConfigurationError):
             run_ingestion(collector, [items], n_producers=0)
-        with pytest.raises(ConfigurationError, match="routing keys"):
-            run_ingestion(collector, np.array_split(items, 4), keys=["only-one"])
 
     def test_rejected_inside_running_loop(self, items):
         async def scenario():
@@ -398,15 +322,38 @@ class TestRunIngestion:
         with pytest.raises(ConfigurationError, match="running event loop"):
             asyncio.run(scenario())
 
-    def test_routing_keys_reach_the_router(self, items):
-        collector = make_collector(router="hash")
-        batches = np.array_split(items, 8)
-        run_ingestion(
-            collector, batches, keys=["pin"] * len(batches), n_producers=1
-        )
-        fitted = [shard for shard in collector.shards if shard.is_fitted]
-        assert len(fitted) == 1
-        assert fitted[0].n_users == items.size
+
+class TestRemovedPlacementKnobs:
+    """Routers, the autoscaler and the aggregation thread pool are gone:
+    merging is exact, so placement never changes an estimate, and none of
+    them showed a measured win."""
+
+    @pytest.mark.parametrize(
+        "module", ["repro.streaming.routing", "repro.service.autoscale"]
+    )
+    def test_modules_are_not_importable(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_thread_pool_option_is_gone(self):
+        with pytest.raises(TypeError):
+            IngestionService(make_collector(), parallelism=1)
+        with pytest.raises(TypeError):
+            run_ingestion(make_collector(), [np.arange(4)], parallelism=1)
+
+    def test_routing_keys_are_gone(self, items):
+        collector = make_collector()
+        with pytest.raises(TypeError):
+            collector.submit(items[:10], key="tenant")
+        with pytest.raises(TypeError):
+            run_ingestion(collector, [items[:10]], keys=["tenant"])
+
+    def test_scaling_surfaces_are_gone(self):
+        collector = make_collector()
+        for name in ("route", "release_route", "add_shards", "shrink_to",
+                     "stream_ids", "streams_spawned", "router"):
+            assert not hasattr(collector, name), name
+        assert not hasattr(IngestionService, "scale_to")
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.service"])

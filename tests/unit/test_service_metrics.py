@@ -142,7 +142,6 @@ class TestIngestionStatsRendering:
     def stats(self):
         return {
             "started": True,
-            "scaling": False,
             "n_shards": 2,
             "queue_size": 8,
             "materializations_performed": 3,
@@ -153,14 +152,11 @@ class TestIngestionStatsRendering:
                 "absorbed_users": 4500,
                 "rejected_batches": 1,
                 "rejected_users": 500,
-                "grow_events": 1,
-                "shrink_events": 1,
-                "streams_spawned": 3,
             },
             "per_shard": [
-                {"shard": 0, "stream": 0, "batches": 5, "users": 2500,
+                {"shard": 0, "batches": 5, "users": 2500,
                  "rejected": 1, "queue_depth": 0, "queue_peak": 2},
-                {"shard": 1, "stream": 2, "batches": 4, "users": 2000,
+                {"shard": 1, "batches": 4, "users": 2000,
                  "rejected": 0, "queue_depth": 1, "queue_peak": 3},
             ],
         }
@@ -172,10 +168,14 @@ class TestIngestionStatsRendering:
         assert "repro_ingest_shards 2" in text
         assert "repro_ingest_absorbed_users_total 4500" in text
         assert "repro_ingest_rejected_batches_total 1" in text
-        assert 'repro_ingest_scale_events_total{direction="grow"} 1' in text
-        assert "repro_ingest_streams_spawned_total 3" in text
-        assert 'repro_ingest_queue_depth{shard="1",stream="2"} 1' in text
-        assert 'repro_ingest_shard_rejected{shard="0",stream="0"} 1' in text
+        assert 'repro_ingest_queue_depth{shard="1"} 1' in text
+        assert 'repro_ingest_shard_rejected{shard="0"} 1' in text
+        # Shard sets no longer grow or shrink, so the scaling families and
+        # the per-shard stream label are gone.
+        for removed in ("repro_ingest_scale_events_total",
+                        "repro_ingest_streams_spawned_total",
+                        "repro_ingest_scaling", "stream="):
+            assert removed not in text
 
     def test_no_kernel_backend_gauge(self):
         # Even a stale stats dict that still carries the field renders no

@@ -225,8 +225,8 @@ class TestShardedCollector:
         assert len(session.quantiles()) == 9
 
     def test_explicit_and_round_robin_interleave_deterministically(self, items):
-        """Explicit routing bypasses the router: for a fixed seed, mixing
-        pinned and policy-routed batches is fully reproducible and pinned
+        """Explicit placement bypasses the cursor: for a fixed seed, mixing
+        pinned and round-robin batches is fully reproducible and pinned
         batches never advance the round-robin cursor."""
 
         def run():
@@ -250,6 +250,22 @@ class TestShardedCollector:
         repeat_targets, repeat_estimates = run()
         assert repeat_targets == targets
         np.testing.assert_array_equal(estimates, repeat_estimates)
+
+    def test_shard_streams_do_not_depend_on_the_shard_count(self, items):
+        """Shard ``i`` draws from spawn child ``i`` of the seed, so the
+        first shards of a larger collector see exactly the noise of a
+        smaller one with the same seed."""
+        batches = np.array_split(items, 4)
+        small = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=7)
+        large = ShardedCollector("flat", 1.0, DOMAIN, n_shards=4, random_state=7)
+        for collector in (small, large):
+            collector.submit(batches[0], shard=0)
+            collector.submit(batches[1], shard=1)
+        for index in (0, 1):
+            np.testing.assert_array_equal(
+                small.shards[index].estimate_frequencies(),
+                large.shards[index].estimate_frequencies(),
+            )
 
     def test_template_mechanism_instead_of_spec(self, items):
         from repro.core.wavelet import HaarWaveletMechanism
@@ -337,47 +353,6 @@ class TestCollectorCheckpoint:
         mechanism = FlatMechanism(1.0, DOMAIN).fit_items(items, random_state=0)
         with pytest.raises(ConfigurationError, match="collector"):
             ShardedCollector.from_checkpoint_bytes(persist.to_bytes(mechanism))
-
-    def test_unregistered_custom_router_rejected_at_checkpoint_time(self, items):
-        from repro.streaming import ShardRouter
-
-        class TeleportRouter(ShardRouter):
-            name = "teleport"
-
-            def route(self, n_items, key=None):
-                return 0
-
-        collector = ShardedCollector(
-            "flat", 1.0, DOMAIN, n_shards=2, random_state=0,
-            router=TeleportRouter(),
-        )
-        collector.submit(items[:1000])
-        with pytest.raises(ConfigurationError, match="register_router"):
-            collector.checkpoint_bytes()
-
-    def test_registered_custom_router_round_trips(self, items):
-        from repro.streaming import ShardRouter, register_router
-        from repro.streaming.routing import _ROUTERS
-
-        @register_router
-        class SecondShardRouter(ShardRouter):
-            name = "second-shard"
-
-            def route(self, n_items, key=None):
-                return 1 % self.n_shards
-
-        try:
-            collector = ShardedCollector(
-                "flat", 1.0, DOMAIN, n_shards=3, random_state=0,
-                router=SecondShardRouter(),
-            )
-            collector.submit(items[:1000])
-            restored = ShardedCollector.from_checkpoint_bytes(
-                collector.checkpoint_bytes()
-            )
-            assert restored.submit(items[1000:2000]) == 1
-        finally:
-            _ROUTERS.pop("second-shard", None)
 
     def test_snapshot_missing_level_counts_raises_configuration_error(self, items):
         from repro.core.hierarchical import HierarchicalHistogramMechanism
