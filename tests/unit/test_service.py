@@ -102,6 +102,22 @@ class TestIngestionService:
         truth = np.mean((items >= 10) & (items <= 50))
         assert mechanism.answer_range(10, 50) == pytest.approx(truth, abs=0.08)
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_submit_places_batches_round_robin(self, items, n_shards):
+        collector = make_collector(n_shards=n_shards)
+        batches = np.array_split(items[:7000], 7)
+
+        async def scenario():
+            async with IngestionService(collector) as service:
+                return [await service.submit(batch) for batch in batches]
+
+        assert asyncio.run(scenario()) == [i % n_shards for i in range(7)]
+        expected = [
+            sum(batch.size for batch in batches[shard::n_shards])
+            for shard in range(n_shards)
+        ]
+        assert [shard.n_users for shard in collector.shards] == expected
+
     def test_backpressure_bounds_queue_depth(self, items):
         collector = make_collector()
         batches = np.array_split(items, 32)

@@ -267,6 +267,77 @@ class TestShardedCollector:
                 large.shards[index].estimate_frequencies(),
             )
 
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_next_shard_cycles_through_every_shard(self, n_shards):
+        collector = ShardedCollector(
+            "flat", 1.0, DOMAIN, n_shards=n_shards, random_state=0
+        )
+        picks = [collector.next_shard() for _ in range(2 * n_shards + 1)]
+        assert picks == [i % n_shards for i in range(2 * n_shards + 1)]
+
+    @pytest.mark.parametrize(
+        "bad_batch",
+        [np.array([DOMAIN]), np.array([-1, 3]), np.array([1.5, 2.0]),
+         np.zeros((2, 2), dtype=np.int64)],
+        ids=["out-of-domain", "negative", "float", "two-dimensional"],
+    )
+    def test_invalid_batch_spends_no_round_robin_decision(self, bad_batch):
+        from repro.exceptions import InvalidQueryError
+
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
+        assert collector.submit(np.arange(8)) == 0
+        with pytest.raises(InvalidQueryError):
+            collector.submit(bad_batch)
+        assert collector.n_batches == 1
+        assert collector.submit(np.arange(8)) == 1
+
+    def test_unknown_mode_spends_no_round_robin_decision(self, items):
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
+        with pytest.raises(ConfigurationError, match="mode"):
+            collector.submit(items[:100], mode="per-user")
+        assert collector.n_batches == 0
+        assert collector.submit(items[:100]) == 0
+
+    def test_negative_shard_index_is_rejected(self, items):
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            collector.submit(items[:100], shard=-1)
+        assert not any(shard.is_fitted for shard in collector.shards)
+
+    def test_shard_count_is_invisible_when_every_batch_lands_on_shard_zero(
+        self, items
+    ):
+        """Shard 0 draws from spawn child 0 whatever ``K`` is, so pinning
+        every batch to it reduces bit for bit like a one-shard collector."""
+        batches = np.array_split(items, 5)
+        single = ShardedCollector("hhc_4", 1.0, DOMAIN, n_shards=1, random_state=11)
+        wide = ShardedCollector("hhc_4", 1.0, DOMAIN, n_shards=4, random_state=11)
+        single.extend(batches)
+        for batch in batches:
+            wide.submit(batch, shard=0)
+        np.testing.assert_array_equal(
+            single.reduce().estimate_frequencies(),
+            wide.reduce().estimate_frequencies(),
+        )
+
+    def test_generation_signature_moves_only_on_ingest(self, items):
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
+        empty = collector.generation_signature()
+        assert len(empty) == 3
+        collector.submit(items[:1000], shard=1)
+        after_one = collector.generation_signature()
+        assert after_one[0] == empty[0] and after_one[2] == empty[2]
+        assert after_one[1] != empty[1]
+        collector.reduce().estimate_frequencies()
+        assert collector.generation_signature() == after_one
+
+    def test_submit_points_requires_a_grid_mechanism(self, items):
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=0)
+        with pytest.raises(ConfigurationError, match="grid point surface"):
+            collector.submit_points(np.zeros((4, 2), dtype=np.int64))
+        assert collector.n_batches == 0
+        assert collector.next_shard() == 0
+
     def test_template_mechanism_instead_of_spec(self, items):
         from repro.core.wavelet import HaarWaveletMechanism
 
@@ -339,6 +410,16 @@ class TestCollectorCheckpoint:
         restored = ShardedCollector.from_checkpoint_bytes(collector.checkpoint_bytes())
         assert restored.submit(items[1000:2000]) == collector.submit(items[1000:2000]) == 1
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_cursor_round_trips_at_every_position(self, position, items):
+        collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=1)
+        for _ in range(3 + position):
+            collector.next_shard()
+        restored = ShardedCollector.from_checkpoint_bytes(collector.checkpoint_bytes())
+        assert [restored.next_shard() for _ in range(3)] == [
+            (position + step) % 3 for step in range(3)
+        ]
+
     def test_checkpoint_preserves_unfitted_shards(self, items):
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=4, random_state=2)
         collector.submit(items[:1000])  # only shard 0 fitted
@@ -381,3 +462,57 @@ class TestCollectorCheckpoint:
                 collector.checkpoint_bytes(),
                 template=ShardedCollector("flat", 1.0, DOMAIN),
             )
+
+
+def _tampered_checkpoint(mutate, drop_array=None):
+    """A 2-shard checkpoint whose header ``mutate`` edited in place."""
+    from repro.persist.format import pack_snapshot, unpack_snapshot
+
+    collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=5)
+    collector.submit(np.arange(DOMAIN))
+    header, arrays = unpack_snapshot(collector.checkpoint_bytes())
+    mutate(header)
+    if drop_array is not None:
+        arrays = {
+            key: value for key, value in arrays.items()
+            if not key.startswith(drop_array)
+        }
+    return pack_snapshot(header, arrays)
+
+
+class TestCheckpointHeaderValidation:
+    """A malformed collector checkpoint fails with a ConfigurationError
+    that names the problem, never with a builtin error or a collector
+    that places batches wrongly."""
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda h: h.pop("n_shards"), "n_shards"),
+            (lambda h: h.pop("config"), "config"),
+            (lambda h: h.update(n_shards=3), "2 generator states for 3 shards"),
+            (lambda h: h["generators"].pop(), "1 generator states for 2 shards"),
+            (lambda h: h.update(n_shards="two"), "malformed"),
+            (lambda h: h["generators"][0].update(bit_generator="Turbo"), "Turbo"),
+            (lambda h: h["generators"][0].update(bit_generator="Generator"),
+             "Generator"),
+            (lambda h: h["generators"][0].update(bit_generator="MT19937"),
+             "malformed"),
+            (lambda h: h["router"]["state"].update(cursor="next"), "malformed"),
+            (lambda h: h.update(kind="mechanism"), "collector"),
+        ],
+        ids=[
+            "no-n_shards", "no-config", "too-few-generators",
+            "generator-missing", "non-integer-n_shards", "unknown-bit-generator",
+            "not-a-bit-generator", "state-of-another-bit-generator",
+            "non-integer-cursor", "wrong-kind",
+        ],
+    )
+    def test_malformed_header_is_a_configuration_error(self, mutate, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ShardedCollector.from_checkpoint_bytes(_tampered_checkpoint(mutate))
+
+    def test_missing_shard_arrays_are_named(self):
+        data = _tampered_checkpoint(lambda header: None, drop_array="shard1")
+        with pytest.raises(ConfigurationError, match="missing shard 1"):
+            ShardedCollector.from_checkpoint_bytes(data)
