@@ -29,7 +29,7 @@ nothing else:
 * ``503`` carries a ``Retry-After`` header — surfaced on the response and
   honoured by :meth:`ServiceClient.post_batch_retrying`;
 * payload fields mirror ``POST /v1/batches``: ``items``, optional
-  ``mode`` / ``key`` / ``epsilon`` / ``domain_size``.
+  ``mode`` / ``epsilon`` / ``domain_size``.
 """
 
 from __future__ import annotations
@@ -254,7 +254,6 @@ class ServiceClient:
         self,
         items: Union[Sequence[int], np.ndarray],
         mode: Optional[str] = None,
-        key: Union[None, int, str] = None,
         epsilon: Optional[float] = None,
         domain_size: Optional[int] = None,
     ) -> ServiceResponse:
@@ -263,8 +262,6 @@ class ServiceClient:
         payload: Dict[str, Any] = {"items": np.asarray(items).tolist()}
         if mode is not None:
             payload["mode"] = mode
-        if key is not None:
-            payload["key"] = key
         if epsilon is not None:
             payload["epsilon"] = float(epsilon)
         if domain_size is not None:
@@ -275,19 +272,18 @@ class ServiceClient:
         self,
         points: Union[Sequence[Sequence[int]], np.ndarray],
         mode: Optional[str] = None,
-        key: Union[None, int, str] = None,
         binary: bool = False,
     ) -> ServiceResponse:
         """``POST /v1/points`` — ``(n, d)`` coordinate rows for grid
         mechanisms (``d = 2`` for ``grid2d``, the mechanism's ``dims``
         otherwise).  ``binary=True`` ships the array as an
         ``application/x-npy`` body instead of JSON — the wire fast path;
-        ``mode``/``key`` cannot ride along (no envelope)."""
+        ``mode`` cannot ride along (no envelope)."""
         if binary:
-            if mode is not None or key is not None:
+            if mode is not None:
                 raise ConfigurationError(
                     "binary point submission carries no JSON envelope; "
-                    "mode/key are JSON-only fields"
+                    "mode is a JSON-only field"
                 )
             return self._request(
                 "POST",
@@ -298,8 +294,6 @@ class ServiceClient:
         payload: Dict[str, Any] = {"points": np.asarray(points).tolist()}
         if mode is not None:
             payload["mode"] = mode
-        if key is not None:
-            payload["key"] = key
         return self._request("POST", "/v1/points", payload)
 
     @staticmethod
@@ -312,7 +306,6 @@ class ServiceClient:
         self,
         items: Union[Sequence[int], np.ndarray],
         mode: Optional[str] = None,
-        key: Union[None, int, str] = None,
         max_attempts: int = 50,
         max_sleep: float = 0.05,
     ) -> ServiceResponse:
@@ -325,12 +318,12 @@ class ServiceClient:
             raise ConfigurationError(
                 f"max_attempts must be a positive integer, got {max_attempts!r}"
             )
-        response = self.post_batch(items, mode=mode, key=key)
+        response = self.post_batch(items, mode=mode)
         attempts = 1
         while response.status == 503 and attempts < int(max_attempts):
             hint = response.retry_after if response.retry_after is not None else max_sleep
             time.sleep(min(float(hint), float(max_sleep)))
-            response = self.post_batch(items, mode=mode, key=key)
+            response = self.post_batch(items, mode=mode)
             attempts += 1
         if response.status == 503:
             raise ServiceOverloadedError(

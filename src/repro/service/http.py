@@ -529,9 +529,11 @@ class ReproHttpServer:
                 # The read side's dtype policy: floats and bools are refused,
                 # not truncated, before a round-robin decision is spent.
                 batch = integer_queries(raw).astype(np.int64, copy=False)
-            except InvalidQueryError as error:
+            except InvalidQueryError:
                 return _HttpResponse.error(
-                    400, f"{field!r} must be an array of integers: {error}"
+                    400,
+                    f"{field!r} must be an array of integers; "
+                    "round or cast explicitly before submitting",
                 )
             mode = payload.get("mode")
 

@@ -457,7 +457,8 @@ class IngestionService:
             return self._query_view
         # Drain to a generation boundary before the synchronous reduce: a
         # queue.join() only returns once every in-flight absorb has called
-        # task_done, so no worker can be mutating a shard's statistics while reduce() reads them.
+        # task_done, so no worker can be mutating a shard's statistics
+        # while reduce() reads them.
         while True:
             await asyncio.gather(*(queue.join() for queue in self._queues))
             if self._pending_puts == 0 and all(

@@ -305,8 +305,8 @@ def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
     """Render one ``IngestionService.stats()`` snapshot as exposition lines.
 
     Monotonic service totals map to counters; live queue/shard state maps
-    to gauges labelled by shard index.  Stateless by design: the service's stats dictionary *is* the state, so rendering
-    twice never double-counts.
+    to gauges labelled by shard index.  Stateless by design: the service's
+    stats dictionary *is* the state, so rendering twice never double-counts.
     """
     totals = dict(stats.get("totals") or {})
     per_shard = list(stats.get("per_shard") or [])

@@ -26,8 +26,8 @@ underneath it:
 
 :class:`ShardedCollector` ties the layers together: it fans report batches
 round-robin across ``K`` simulated shards, each accumulating independently
-with its own random stream, and reduces them into a single queryable mechanism (or
-:class:`~repro.core.session.LdpRangeQuerySession`).
+with its own random stream, and reduces them into a single queryable
+mechanism (or :class:`~repro.core.session.LdpRangeQuerySession`).
 
 Example
 -------

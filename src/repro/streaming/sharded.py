@@ -415,6 +415,10 @@ class ShardedCollector:
         read: a fixed shard set needs only each shard's generator state.
         """
         n_shards = int(header["n_shards"])
+        if n_shards < 1:
+            raise ConfigurationError(
+                f"n_shards must be a positive integer, got {n_shards!r}"
+            )
         generator_states = header.get("generators", [])
         if len(generator_states) != n_shards:
             raise ConfigurationError(

@@ -1,9 +1,10 @@
 """Integration tests for the HTTP ingestion front.
 
 Each test boots a real :class:`HttpServerThread` (service + asyncio HTTP
-server on a dedicated loop thread) on an ephemeral port and talks to it over loopback TCP with :class:`ServiceClient` — or a
-raw ``http.client`` connection when the test needs to send bytes the
-client refuses to produce (malformed JSON, wrong paths).
+server on a dedicated loop thread) on an ephemeral port and talks to it
+over loopback TCP with :class:`ServiceClient` — or a raw ``http.client``
+connection when the test needs to send bytes the client refuses to
+produce (malformed JSON, wrong paths).
 
 Covered error paths, per the network-tier contract: malformed JSON → 400,
 epsilon/domain disagreement with the served spec → 409, queue overload →
@@ -216,6 +217,7 @@ class TestErrorPaths:
                 )
                 assert status == 400, body
                 assert b"must be an array of integers" in body
+                assert b"quer" not in body
                 after = server.stats()
                 assert client.post_points([[3, 4]]).json()["shard"] == 1
         assert after["totals"] == before["totals"]

@@ -11,7 +11,7 @@ from repro.exceptions import (
     InvalidQueryError,
     ServiceOverloadedError,
 )
-from repro.service import IngestionService, run_ingestion
+from repro.service import IngestionService, ServiceClient, run_ingestion
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
@@ -363,6 +363,13 @@ class TestRemovedPlacementKnobs:
             collector.submit(items[:10], key="tenant")
         with pytest.raises(TypeError):
             run_ingestion(collector, [items[:10]], keys=["tenant"])
+
+    def test_client_sends_no_routing_key(self, items):
+        # Arguments bind before any connection is opened, so no server is needed.
+        client = ServiceClient("127.0.0.1", 9)
+        for post in (client.post_batch, client.post_points, client.post_batch_retrying):
+            with pytest.raises(TypeError):
+                post(items[:10], key="tenant")
 
     def test_scaling_surfaces_are_gone(self):
         collector = make_collector()

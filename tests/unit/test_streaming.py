@@ -493,6 +493,8 @@ class TestCheckpointHeaderValidation:
             (lambda h: h.update(n_shards=3), "2 generator states for 3 shards"),
             (lambda h: h["generators"].pop(), "1 generator states for 2 shards"),
             (lambda h: h.update(n_shards="two"), "malformed"),
+            (lambda h: h.update(n_shards=0, generators=[]),
+             "n_shards must be a positive integer"),
             (lambda h: h["generators"][0].update(bit_generator="Turbo"), "Turbo"),
             (lambda h: h["generators"][0].update(bit_generator="Generator"),
              "Generator"),
@@ -503,7 +505,8 @@ class TestCheckpointHeaderValidation:
         ],
         ids=[
             "no-n_shards", "no-config", "too-few-generators",
-            "generator-missing", "non-integer-n_shards", "unknown-bit-generator",
+            "generator-missing", "non-integer-n_shards", "zero-shards",
+            "unknown-bit-generator",
             "not-a-bit-generator", "state-of-another-bit-generator",
             "non-integer-cursor", "wrong-kind",
         ],
