@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LdpRangeQuerySession
+from repro import DECILES, mechanism_from_spec
 from repro.data import cauchy_probabilities, sample_items
 
 
@@ -34,9 +34,10 @@ def main() -> None:
     #    consistent hierarchical histogram with branching factor 4; try
     #    "haar" (the wavelet method) or "flat_oue" to compare.
     # ------------------------------------------------------------------
-    session = LdpRangeQuerySession(epsilon=epsilon, domain_size=domain_size, mechanism="hhc_4")
-    session.collect(items, random_state=rng_seed)
-    print("collected:", session.summary())
+    mechanism = mechanism_from_spec("hhc_4", epsilon=epsilon, domain_size=domain_size)
+    mechanism.fit_items(items, random_state=rng_seed)
+    print(f"collected: {mechanism.name}, epsilon={mechanism.epsilon}, "
+          f"domain_size={mechanism.domain_size}, n_users={mechanism.n_users}")
 
     # ------------------------------------------------------------------
     # 3. Analyse: range queries, CDF, quantiles — all from the same reports.
@@ -44,18 +45,18 @@ def main() -> None:
     queries = [(0, 255), (256, 511), (300, 700), (900, 1023)]
     print("\nrange query estimates vs ground truth")
     for start, end in queries:
-        estimate = session.range_query(start, end)
+        estimate = mechanism.answer_range(start, end)
         truth = np.mean((items >= start) & (items <= end))
         print(f"  [{start:4d}, {end:4d}]  estimate={estimate:.4f}  truth={truth:.4f}  "
               f"error={abs(estimate - truth):.4f}")
 
-    deciles = session.quantiles()
+    deciles = mechanism.quantiles(DECILES)
     true_cdf = np.cumsum(np.bincount(items, minlength=domain_size)) / n_users
     true_deciles = np.searchsorted(true_cdf, np.arange(0.1, 1.0, 0.1))
     print("\ndecile estimates (item index)")
     print("  estimated:", deciles)
     print("  true:     ", [int(d) for d in true_deciles])
-    print("\nestimated median:", session.median(), " true median:", int(true_deciles[4]))
+    print("\nestimated median:", mechanism.quantile(0.5), " true median:", int(true_deciles[4]))
 
 
 if __name__ == "__main__":

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LdpRangeQuerySession
+from repro import DECILES, mechanism_from_spec
 from repro.analysis.metrics import quantile_errors
-from repro.core.quantiles import DECILES
 
 DOMAIN_SIZE = 512           # salary buckets of $500 up to $256k
 BUCKET_DOLLARS = 500
@@ -42,32 +41,31 @@ def main() -> None:
     salaries = synthetic_salaries()
     counts = np.bincount(salaries, minlength=DOMAIN_SIZE)
 
-    session = LdpRangeQuerySession(
-        epsilon=EPSILON, domain_size=DOMAIN_SIZE, mechanism="haar"
-    )
-    session.collect(salaries, random_state=3)
-    print("collected:", session.summary())
+    mechanism = mechanism_from_spec("haar", epsilon=EPSILON, domain_size=DOMAIN_SIZE)
+    mechanism.fit_items(salaries, random_state=3)
+    print(f"collected: {mechanism.name}, epsilon={mechanism.epsilon}, "
+          f"domain_size={mechanism.domain_size}, n_users={mechanism.n_users}")
 
     # ------------------------------------------------------------------
     # Threshold (prefix) queries: what fraction earns below $X?
     # ------------------------------------------------------------------
     print("\nfraction of employees earning below a threshold")
     for threshold_bucket in (80, 120, 200, 320):
-        estimate = session.mechanism.answer_prefix(threshold_bucket - 1)
+        estimate = mechanism.answer_prefix(threshold_bucket - 1)
         truth = counts[:threshold_bucket].sum() / counts.sum()
         print(f"  < {dollars(threshold_bucket):>9}: estimate={estimate:.4f}  truth={truth:.4f}")
 
     # ------------------------------------------------------------------
     # Quantiles: deciles of the salary distribution.
     # ------------------------------------------------------------------
-    estimated_deciles = session.quantiles(DECILES)
+    estimated_deciles = mechanism.quantiles(DECILES)
     errors = quantile_errors(counts, DECILES, estimated_deciles)
     print("\nestimated salary deciles")
     for phi, bucket, q_err in zip(DECILES, estimated_deciles, errors["quantile_error"]):
         print(f"  {int(phi * 100):2d}th percentile ~ {dollars(bucket):>9}  "
               f"(quantile error {q_err:.4f})")
 
-    median_bucket = session.median()
+    median_bucket = mechanism.quantile(0.5)
     print(f"\nestimated median salary: {dollars(median_bucket)}")
     print(f"average quantile error over the deciles: {errors['quantile_error'].mean():.4f}")
 

@@ -50,7 +50,7 @@ def main() -> None:
     }
     print("\nzone densities (fraction of all trips)")
     for name, (x_range, y_range) in zones.items():
-        estimate = grid.answer_rectangle(x_range, y_range)
+        estimate = grid.answer_box((x_range, y_range))
         truth = np.mean(
             (points[:, 0] >= x_range[0]) & (points[:, 0] <= x_range[1])
             & (points[:, 1] >= y_range[0]) & (points[:, 1] <= y_range[1])
@@ -67,8 +67,8 @@ def main() -> None:
     for by in range(GRID // block - 1, -1, -1):
         row = ""
         for bx in range(GRID // block):
-            value = grid.answer_rectangle(
-                (bx * block, (bx + 1) * block - 1), (by * block, (by + 1) * block - 1)
+            value = grid.answer_box(
+                ((bx * block, (bx + 1) * block - 1), (by * block, (by + 1) * block - 1))
             )
             densities[by, bx] = value
             shade = shades[int(np.clip(value / 0.35, 0, 0.999) * len(shades))]
@@ -92,7 +92,7 @@ def main() -> None:
     print(
         f"\nstreamed collection ({collector.n_shards} shards, "
         f"{collector.n_batches} batches): downtown core estimate="
-        f"{streamed.answer_rectangle(x_range, y_range):.4f}"
+        f"{streamed.answer_box((x_range, y_range)):.4f}"
     )
 
 

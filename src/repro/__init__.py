@@ -10,21 +10,21 @@ figure of the paper's evaluation.
 
 Quickstart
 ----------
->>> from repro import LdpRangeQuerySession
+>>> from repro import mechanism_from_spec
 >>> from repro.data import cauchy_probabilities, sample_items
 >>> items = sample_items(cauchy_probabilities(1024), n_users=200_000, random_state=0)
->>> session = LdpRangeQuerySession(epsilon=1.1, domain_size=1024, mechanism="hhc_4")
->>> _ = session.collect(items, random_state=0)
->>> answer = session.range_query(100, 500)
+>>> mechanism = mechanism_from_spec("hhc_4", epsilon=1.1, domain_size=1024)
+>>> _ = mechanism.fit_items(items, random_state=0)
+>>> answer = mechanism.answer_range(100, 500)
+>>> median = mechanism.quantile(0.5)
 """
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.factory import make_mechanism, mechanism_from_spec
+from repro.core.factory import mechanism_from_spec
 from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.core.quantiles import DECILES, estimate_cdf, estimate_quantiles
-from repro.core.session import Grid2DSession, GridNDSession, LdpRangeQuerySession
 from repro.core.wavelet import HaarWaveletMechanism
 from repro.exceptions import (
     ConfigurationError,
@@ -52,11 +52,7 @@ __all__ = [
     "HaarWaveletMechanism",
     "HierarchicalGrid2D",
     "HierarchicalGridND",
-    "Grid2DSession",
-    "GridNDSession",
-    "LdpRangeQuerySession",
     "ShardedCollector",
-    "make_mechanism",
     "mechanism_from_spec",
     # Planner
     "Plan",

@@ -11,17 +11,24 @@
   response.
 * :mod:`repro.core.quantiles` — prefix/CDF/quantile estimation on top of any
   mechanism (Section 4.7).
-* :class:`HierarchicalGrid2D` — the two-dimensional extension sketched in
-  Section 6.
+* :class:`HierarchicalGridND` — the multi-dimensional extension sketched
+  in Section 6: box queries over a ``[D]^d`` grid.
+  :class:`HierarchicalGrid2D` is its ``d = 2`` case under the name that
+  ``grid2d`` snapshots record.
+* :func:`mechanism_from_spec` — builds any of the above from a paper-style
+  spec string (``"hhc_4"``, ``"haar"``, ``"grid3d_2"``, ...).
+
+The fitted mechanism is the one object a caller holds: it collects
+(``fit_items`` / ``partial_fit`` / ``fit_points``), merges shards
+(``merge_from``) and answers ranges, boxes, prefixes and quantiles.
 """
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.factory import make_mechanism, mechanism_from_spec
+from repro.core.factory import mechanism_from_spec
 from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.core.quantiles import estimate_cdf, estimate_quantiles
-from repro.core.session import Grid2DSession, GridNDSession, LdpRangeQuerySession
 from repro.core.wavelet import HaarWaveletMechanism
 
 __all__ = [
@@ -31,10 +38,6 @@ __all__ = [
     "HaarWaveletMechanism",
     "HierarchicalGrid2D",
     "HierarchicalGridND",
-    "Grid2DSession",
-    "GridNDSession",
-    "LdpRangeQuerySession",
-    "make_mechanism",
     "mechanism_from_spec",
     "estimate_cdf",
     "estimate_quantiles",

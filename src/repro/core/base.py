@@ -981,11 +981,10 @@ class LevelSampledMechanism(RangeQueryMechanism):
             raise ConfigurationError(
                 "snapshot level_user_counts must hold one integer per level"
             )
-        accumulators = {}
-        for label in self._labels:
-            accumulator = self._oracles[label].accumulator()
-            accumulator.load_state_dict(stored[str(label)])
-            accumulators[label] = accumulator
+        accumulators = {
+            label: self._oracles[label].restore_accumulator(stored[str(label)])
+            for label in self._labels
+        }
         # Accumulator user counts are validated non-negative integers, so
         # this exact comparison also rejects negative or wrapped counts.
         if counts.tolist() != [accumulator.n_users for accumulator in accumulators.values()]:

@@ -26,14 +26,13 @@ strings modelled on the paper's naming:
                             ``kwargs`` and instantiates the winner
 =========================  ====================================================
 
-:func:`make_mechanism` is the programmatic entry point;
-:func:`mechanism_from_spec` parses the strings above.
+:func:`mechanism_from_spec` parses the strings above; the mechanism
+classes' constructors take the same options as keywords.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from repro.core.base import RangeQueryMechanism
 from repro.core.flat import FlatMechanism
@@ -42,7 +41,7 @@ from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.core.wavelet import HaarWaveletMechanism
 from repro.exceptions import ConfigurationError
 
-__all__ = ["make_mechanism", "mechanism_from_spec"]
+__all__ = ["mechanism_from_spec"]
 
 _HH_PATTERN = re.compile(
     r"^(?:hh|tree)(?P<consistent>c?)[_-](?P<branching>\d+)(?:[_-](?P<oracle>[a-z]+))?$"
@@ -53,78 +52,11 @@ _GRID2D_PATTERN = re.compile(
     r"^grid2d(?:[_-](?P<branching>\d+))?(?:[_-](?P<oracle>[a-z]+))?$"
 )
 # Checked after _GRID2D_PATTERN so "grid2d..." keeps constructing the 2-D
-# specialization (rectangle surface + historical persist identity).
+# class (its historical persist identity).
 _GRIDND_PATTERN = re.compile(
     r"^grid(?:nd|(?P<dims>\d+)d)(?:[_-](?P<branching>\d+))?(?:[_-](?P<oracle>[a-z]+))?$"
 )
 _AUTO_PATTERN = re.compile(r"^auto(?:[_-](?P<dims>\d+)d)?$")
-
-
-def make_mechanism(
-    kind: str,
-    epsilon: float,
-    domain_size: int,
-    branching: Optional[int] = None,
-    oracle: str = "oue",
-    consistency: bool = True,
-    name: Optional[str] = None,
-    **kwargs,
-) -> RangeQueryMechanism:
-    """Construct a range-query mechanism programmatically.
-
-    Parameters
-    ----------
-    kind:
-        ``"flat"``, ``"hierarchical"`` (alias ``"hh"``/``"tree"``),
-        ``"haar"`` (alias ``"wavelet"``) or ``"grid2d"`` (alias ``"grid"``,
-        where ``domain_size`` is the grid side length).
-    epsilon, domain_size:
-        Standard mechanism parameters.
-    branching, oracle, consistency:
-        Tree-shape options (``branching`` defaults to 4 for hierarchical
-        histograms and 2 per axis for the 2-D grid; ``consistency`` only
-        applies to hierarchical histograms).
-    kwargs:
-        Forwarded to the concrete constructor (e.g. ``level_probabilities``
-        or ``hash_range``).
-    """
-    key = str(kind).lower()
-    if key == "flat":
-        return FlatMechanism(epsilon, domain_size, oracle=oracle, name=name, **kwargs)
-    if key in ("hierarchical", "hh", "tree"):
-        return HierarchicalHistogramMechanism(
-            epsilon,
-            domain_size,
-            branching=4 if branching is None else branching,
-            oracle=oracle,
-            consistency=consistency,
-            name=name,
-            **kwargs,
-        )
-    if key in ("haar", "wavelet"):
-        return HaarWaveletMechanism(epsilon, domain_size, name=name, **kwargs)
-    if key in ("grid2d", "grid"):
-        return HierarchicalGrid2D(
-            epsilon,
-            domain_size,
-            branching=2 if branching is None else branching,
-            oracle=oracle,
-            name=name,
-            **kwargs,
-        )
-    if key == "gridnd":
-        return HierarchicalGridND(
-            epsilon,
-            domain_size,
-            branching=2 if branching is None else branching,
-            oracle=oracle,
-            name=name,
-            **kwargs,
-        )
-    raise ConfigurationError(
-        f"unknown mechanism kind {kind!r}; "
-        "expected flat / hierarchical / haar / grid2d / gridnd"
-    )
 
 
 def mechanism_from_spec(
@@ -162,8 +94,8 @@ def mechanism_from_spec(
         branching = int(gridnd_match.group("branching") or 2)
         oracle = gridnd_match.group("oracle") or "oue"
         if dims == 2:
-            # The 2-D grid keeps its specialized class (rectangle surface,
-            # historical persist identity) whichever spelling names it.
+            # The 2-D grid keeps its own class (historical persist
+            # identity) whichever spelling names it.
             return HierarchicalGrid2D(
                 epsilon,
                 domain_size,

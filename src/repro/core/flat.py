@@ -119,9 +119,7 @@ class FlatMechanism(RangeQueryMechanism):
     def load_state_dict(self, state: dict) -> "FlatMechanism":
         n_users = self._unpack_n_users(state)
         if "accumulator" in state:
-            accumulator = self._oracle.accumulator()
-            accumulator.load_state_dict(state["accumulator"])
-            self._accumulator = accumulator
+            self._accumulator = self._oracle.restore_accumulator(state["accumulator"])
             self._mark_dirty()
         else:
             self._accumulator = None

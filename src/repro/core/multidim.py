@@ -37,7 +37,7 @@ Internally the base class sees the *flattened* row-major domain of size
 
 :class:`HierarchicalGrid2D` is the ``d = 2`` specialization — the original
 two-dimensional mechanism, re-expressed on top of the generic machinery
-with bit-identical answers, names, persist signatures and snapshot layout.
+with bit-identical answers, persist signatures and snapshot layout.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ __all__ = ["HierarchicalGrid2D", "HierarchicalGridND", "validate_points"]
 
 #: A level tuple ``(l_1, ..., l_d)`` indexing one resolution grid.
 LevelTuple = Tuple[int, ...]
-#: Backwards-compatible alias for the d = 2 case.
-LevelPair = Tuple[int, int]
 
 #: Largest flattened domain the row-major item encoding can address without
 #: risking int64 overflow in the flatten / unflatten arithmetic.
@@ -637,15 +635,16 @@ class HierarchicalGridND(LevelSampledMechanism):
 
 
 class HierarchicalGrid2D(HierarchicalGridND):
-    """LDP rectangle-query mechanism over a two-dimensional grid domain.
+    """:class:`HierarchicalGridND` at ``d = 2``, kept for its persist identity.
 
-    The ``d = 2`` specialization of :class:`HierarchicalGridND`: identical
-    protocol, answers, snapshot layout and random streams (the generic
-    machinery preserves the historical level-pair enumeration and noise
-    order exactly), plus the original rectangle-flavoured surface —
-    :meth:`answer_rectangle` / :meth:`answer_rectangles`,
-    :attr:`level_pairs` and friends — and the original persist identity
-    (``grid2d`` config kind, unchanged merge signature).
+    Protocol, answers, snapshot layout and random streams are the generic
+    grid's (the generic machinery preserves the historical level-pair
+    enumeration and noise order exactly); rectangles are asked through
+    :meth:`~HierarchicalGridND.answer_box` /
+    :meth:`~HierarchicalGridND.answer_boxes`.  The class exists because
+    stored ``grid2d`` snapshots and checkpoints name it: its class name,
+    its ``grid2d`` config kind and its merge signature without a ``dims``
+    entry are what those files record.
     """
 
     def __init__(
@@ -666,39 +665,6 @@ class HierarchicalGrid2D(HierarchicalGridND):
             name=name,
             **oracle_kwargs,
         )
-
-    # ------------------------------------------------------------------
-    # Historical 2-D surface
-    # ------------------------------------------------------------------
-    @property
-    def level_pairs(self) -> List[LevelPair]:
-        """The ``h^2`` level pairs ``(l_x, l_y)``, one resolution grid each."""
-        return self.level_tuples
-
-    @property
-    def pair_user_counts(self) -> Optional[np.ndarray]:
-        """Users that reported each level pair so far (``None`` unfitted)."""
-        return self.tuple_user_counts
-
-    def pair_estimates(self) -> Dict[LevelPair, np.ndarray]:
-        """Per-level-pair cell estimates as ``(n_x, n_y)`` grids."""
-        return self.tuple_estimates()
-
-    def answer_rectangle(
-        self, x_range: Tuple[int, int], y_range: Tuple[int, int]
-    ) -> float:
-        """Estimated fraction of users inside an axis-aligned rectangle.
-
-        Both ranges are inclusive ``[start, end]`` pairs; the answer is
-        :meth:`answer_box` of ``(x_range, y_range)``.
-        """
-        return self.answer_box((x_range, y_range))
-
-    def answer_rectangles(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`answer_rectangle` over ``(n, 4)`` rows
-        ``(x_start, x_end, y_start, y_end)``: :meth:`answer_boxes` under
-        its historical name."""
-        return self.answer_boxes(queries)
 
     def _merge_signature(self) -> tuple:
         # Kept verbatim from before the ND refactor (no dims component) so

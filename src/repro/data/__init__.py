@@ -21,7 +21,6 @@ from repro.data.workloads import (
     prefix_queries,
     random_boxes,
     random_range_queries,
-    random_rectangles,
     sampled_range_queries,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "prefix_queries",
     "random_range_queries",
     "random_boxes",
-    "random_rectangles",
     "evaluate_exact",
     "evaluate_exact_boxes",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "prefix_queries",
     "random_range_queries",
     "random_boxes",
-    "random_rectangles",
     "evaluate_exact",
     "evaluate_exact_boxes",
 ]
@@ -148,8 +147,8 @@ class BoxWorkload:
         ``(start, end)`` pairs in axis order —
         ``(a_1, b_1, a_2, b_2, ..., a_d, b_d)``; for ``d = 2`` this is the
         ``(x_start, x_end, y_start, y_end)`` layout of
-        :func:`random_rectangles` and
-        :meth:`~repro.core.multidim.HierarchicalGrid2D.answer_rectangles`.
+        :func:`random_boxes` and
+        :meth:`~repro.core.multidim.HierarchicalGridND.answer_boxes`.
     name:
         Human-readable label used by experiment and planner reports.
     """
@@ -355,8 +354,7 @@ def random_boxes(
     independently and sorted) — the query format of
     :meth:`repro.core.multidim.HierarchicalGridND.answer_boxes` and
     :class:`BoxWorkload`.  Axes consume the random stream in order, so
-    ``dims=2`` reproduces the historical :func:`random_rectangles` draws
-    exactly.
+    ``dims=2`` reproduces the historical 2-D rectangle draws exactly.
     """
     side = int(side)
     if side < 1:
@@ -371,18 +369,3 @@ def random_boxes(
         for _ in range(int(dims))
     ]
     return np.concatenate(axes, axis=1)
-
-
-def random_rectangles(
-    side: int,
-    count: int,
-    random_state: RandomState = None,
-) -> np.ndarray:
-    """Uniformly random axis-aligned rectangles on a ``side x side`` grid —
-    :func:`random_boxes` at ``dims=2`` (kept as the historical name).
-
-    Returns an ``(count, 4)`` ``int64`` array of
-    ``(x_start, x_end, y_start, y_end)`` rows, the query format of
-    :meth:`repro.core.multidim.HierarchicalGrid2D.answer_rectangles`.
-    """
-    return random_boxes(side, count, dims=2, random_state=random_state)

@@ -142,10 +142,9 @@ _READ_SURFACE_CALLS = frozenset(
         "answer_ranges",
         "answer_prefix",
         "answer_workload",
-        "answer_rectangle",
-        "answer_rectangles",
-        "rectangle_query",
-        "rectangle_queries",
+        "answer_box",
+        "answer_boxes",
+        "estimate_heatmap",
         "quantile",
         "quantiles",
     }

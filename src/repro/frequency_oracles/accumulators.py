@@ -30,7 +30,7 @@ report matrices ever materialised.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -84,17 +84,81 @@ def checked_state_count(value, what: str, lower: int = 0) -> int:
     return count
 
 
+def _checked_state(
+    shapes: Dict[str, Tuple[int, ...]], state: Mapping[str, np.ndarray]
+) -> Tuple[int, Dict[str, np.ndarray]]:
+    """Validate an accumulator :meth:`~OracleAccumulator.state_dict` against
+    the statistic ``shapes``; returns the user count and float64 arrays.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` on a missing or
+    extra key, a non-numeric dtype, a wrong shape, a non-finite entry or a
+    non-integer user count.
+    """
+    if not isinstance(state, Mapping):
+        raise ConfigurationError("accumulator state must be a mapping of arrays")
+    state = dict(state)
+    if "n_users" not in state:
+        raise ConfigurationError("accumulator state is missing 'n_users'")
+    n_users = checked_state_count(state.pop("n_users"), "n_users")
+    if set(state) != set(shapes):
+        raise ConfigurationError(
+            f"accumulator state keys {sorted(state)} do not match the "
+            f"expected statistic {sorted(shapes)}"
+        )
+    loaded = {}
+    for key, shape in shapes.items():
+        value = np.asarray(state[key])
+        if value.dtype.kind not in "biuf" or not np.can_cast(
+            value.dtype, np.float64, "same_kind"
+        ):
+            raise ConfigurationError(
+                f"statistic {key!r} has dtype {value.dtype}, expected float64"
+            )
+        if value.shape != tuple(shape):
+            raise ConfigurationError(
+                f"statistic {key!r} has shape {value.shape}, expected "
+                f"{tuple(shape)} for this configuration"
+            )
+        value = value.astype(np.float64)
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"statistic {key!r} holds non-finite values")
+        loaded[key] = value
+    return n_users, loaded
+
+
 class OracleAccumulator(abc.ABC):
     """Mergeable aggregation state of one frequency oracle.
 
     Obtained from :meth:`FrequencyOracle.accumulator`; concrete subclasses
-    live next to their oracle and define the sufficient statistic.  All
-    mutating methods return ``self`` so calls can be chained.
+    live next to their oracle and define the sufficient statistic: float64
+    arrays whose shapes :meth:`statistic_shapes` names.  All mutating
+    methods return ``self`` so calls can be chained.
     """
 
     def __init__(self, oracle: "FrequencyOracle") -> None:
         self._oracle = oracle
         self._n_users = 0
+        self._load_statistic_arrays(
+            {key: np.zeros(shape) for key, shape in self.statistic_shapes(oracle).items()}
+        )
+
+    @classmethod
+    def from_state_dict(
+        cls, oracle: "FrequencyOracle", state: Mapping[str, np.ndarray]
+    ) -> "OracleAccumulator":
+        """A new accumulator of ``oracle`` holding a :meth:`state_dict`.
+
+        The stored arrays are checked against :meth:`statistic_shapes`
+        before any statistic is allocated, so a snapshot whose header
+        claims a larger domain than its arrays hold fails with
+        :class:`~repro.exceptions.ConfigurationError` at the size of its
+        arrays, not of the claimed domain.
+        """
+        n_users, arrays = _checked_state(cls.statistic_shapes(oracle), state)
+        accumulator = cls(oracle)
+        accumulator._load_statistic_arrays(arrays)
+        accumulator._n_users = n_users
+        return accumulator
 
     # ------------------------------------------------------------------
     # Introspection
@@ -209,40 +273,16 @@ class OracleAccumulator(abc.ABC):
         raises :class:`~repro.exceptions.ConfigurationError` without
         modifying the accumulator.
         """
-        if not isinstance(state, Mapping):
-            raise ConfigurationError("accumulator state must be a mapping of arrays")
-        state = dict(state)
-        if "n_users" not in state:
-            raise ConfigurationError("accumulator state is missing 'n_users'")
-        n_users = checked_state_count(state.pop("n_users"), "n_users")
-        template = self._statistic_arrays()
-        if set(state) != set(template):
-            raise ConfigurationError(
-                f"accumulator state keys {sorted(state)} do not match the "
-                f"expected statistic {sorted(template)}"
-            )
-        loaded = {}
-        for key, current in template.items():
-            value = np.asarray(state[key])
-            if value.dtype.kind not in "biuf" or not np.can_cast(
-                value.dtype, current.dtype, "same_kind"
-            ):
-                raise ConfigurationError(
-                    f"statistic {key!r} has dtype {value.dtype}, expected "
-                    f"{current.dtype}"
-                )
-            if value.shape != current.shape:
-                raise ConfigurationError(
-                    f"statistic {key!r} has shape {value.shape}, expected "
-                    f"{current.shape} for this configuration"
-                )
-            value = value.astype(current.dtype)
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"statistic {key!r} holds non-finite values")
-            loaded[key] = value
-        self._load_statistic_arrays(loaded)
+        n_users, arrays = _checked_state(self.statistic_shapes(self._oracle), state)
+        self._load_statistic_arrays(arrays)
         self._n_users = n_users
         return self
+
+    @staticmethod
+    @abc.abstractmethod
+    def statistic_shapes(oracle: "FrequencyOracle") -> Dict[str, Tuple[int, ...]]:
+        """Shape of every float64 statistic array for ``oracle``, keyed by
+        the stable schema names of :meth:`_statistic_arrays`."""
 
     @abc.abstractmethod
     def _statistic_arrays(self) -> Dict[str, np.ndarray]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Optional, Type
 
 import numpy as np
 
@@ -158,16 +158,28 @@ class FrequencyOracle(abc.ABC):
     # ------------------------------------------------------------------
     # Incremental aggregation
     # ------------------------------------------------------------------
-    def accumulator(self) -> OracleAccumulator:
-        """Fresh mergeable accumulator over this oracle's sufficient statistic.
+    #: The accumulator class over this oracle's sufficient statistic.
+    #: ``None`` lets a third-party oracle without one still collect one-shot.
+    accumulator_class: Optional[Type[OracleAccumulator]] = None
 
-        Concrete oracles override this; the base implementation refuses so
-        that third-party oracles without an accumulator still work for
-        one-shot collection.
+    def accumulator(self) -> OracleAccumulator:
+        """Fresh mergeable accumulator over this oracle's sufficient statistic."""
+        return self._accumulator_class()(self)
+
+    def restore_accumulator(self, state: Mapping[str, Any]) -> OracleAccumulator:
+        """An accumulator holding a saved :meth:`OracleAccumulator.state_dict`.
+
+        ``state`` is checked against this oracle's statistic shapes before
+        any statistic is allocated (:meth:`OracleAccumulator.from_state_dict`).
         """
-        raise ConfigurationError(
-            f"{type(self).__name__} does not provide a mergeable accumulator"
-        )
+        return self._accumulator_class().from_state_dict(self, state)
+
+    def _accumulator_class(self) -> Type[OracleAccumulator]:
+        if self.accumulator_class is None:
+            raise ConfigurationError(
+                f"{type(self).__name__} does not provide a mergeable accumulator"
+            )
+        return self.accumulator_class
 
     def merge_signature(self) -> tuple:
         """Configuration fingerprint deciding accumulator compatibility.

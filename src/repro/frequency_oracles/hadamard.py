@@ -47,9 +47,9 @@ class HadamardAccumulator(OracleAccumulator):
     determine the decoded estimates, and sums from shards simply add.
     """
 
-    def __init__(self, oracle: "HadamardRandomizedResponse") -> None:
-        super().__init__(oracle)
-        self._sums = np.zeros(oracle.padded_size, dtype=np.float64)
+    @staticmethod
+    def statistic_shapes(oracle: "HadamardRandomizedResponse") -> dict:
+        return {"sums": (oracle.padded_size,)}
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process, so every field is
@@ -352,9 +352,8 @@ class HadamardRandomizedResponse(FrequencyOracle):
     # ------------------------------------------------------------------
     # Aggregator side
     # ------------------------------------------------------------------
-    def accumulator(self) -> HadamardAccumulator:
-        """Mergeable accumulator over the per-index coefficient sums."""
-        return HadamardAccumulator(self)
+    #: Mergeable accumulator over the per-index coefficient sums.
+    accumulator_class = HadamardAccumulator
 
     def aggregate(self, reports: OracleReports) -> np.ndarray:
         """Decode reports into (possibly signed) frequency estimates.

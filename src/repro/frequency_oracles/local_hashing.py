@@ -107,9 +107,9 @@ class LocalHashingAccumulator(OracleAccumulator):
     so shards pay it locally and the reducer only adds vectors.
     """
 
-    def __init__(self, oracle: "OptimalLocalHashing") -> None:
-        super().__init__(oracle)
-        self._support = np.zeros(oracle.domain_size, dtype=np.float64)
+    @staticmethod
+    def statistic_shapes(oracle: "OptimalLocalHashing") -> dict:
+        return {"support": (oracle.domain_size,)}
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process, so every field is
@@ -242,9 +242,8 @@ class OptimalLocalHashing(FrequencyOracle):
     # ------------------------------------------------------------------
     # Aggregator side
     # ------------------------------------------------------------------
-    def accumulator(self) -> LocalHashingAccumulator:
-        """Mergeable accumulator over the per-item support tallies."""
-        return LocalHashingAccumulator(self)
+    #: Mergeable accumulator over the per-item support tallies.
+    accumulator_class = LocalHashingAccumulator
 
     def merge_signature(self) -> tuple:
         return super().merge_signature() + (self._hash_range,)

@@ -77,9 +77,9 @@ class BinaryRandomizedResponse:
 class DirectEncodingAccumulator(OracleAccumulator):
     """Sufficient statistic of k-RR: the histogram of reported symbols."""
 
-    def __init__(self, oracle: "GeneralizedRandomizedResponse") -> None:
-        super().__init__(oracle)
-        self._noisy_counts = np.zeros(oracle.domain_size, dtype=np.float64)
+    @staticmethod
+    def statistic_shapes(oracle: "GeneralizedRandomizedResponse") -> dict:
+        return {"noisy_counts": (oracle.domain_size,)}
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process: a rejected batch
@@ -170,9 +170,8 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
     # ------------------------------------------------------------------
     # Aggregator side
     # ------------------------------------------------------------------
-    def accumulator(self) -> DirectEncodingAccumulator:
-        """Mergeable accumulator over the reported-symbol histogram."""
-        return DirectEncodingAccumulator(self)
+    #: Mergeable accumulator over the reported-symbol histogram.
+    accumulator_class = DirectEncodingAccumulator
 
     def aggregate(self, reports: OracleReports) -> np.ndarray:
         return self.accumulator().add(reports).estimate()

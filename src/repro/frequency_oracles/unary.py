@@ -107,9 +107,9 @@ class UnaryAccumulator(OracleAccumulator):
     merged shard sums) follow exactly the one-shot distribution.
     """
 
-    def __init__(self, oracle: "_UnaryEncodingOracle") -> None:
-        super().__init__(oracle)
-        self._ones = np.zeros(oracle.domain_size, dtype=np.float64)
+    @staticmethod
+    def statistic_shapes(oracle: "_UnaryEncodingOracle") -> dict:
+        return {"ones": (oracle.domain_size,)}
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process: every entry is checked
@@ -206,9 +206,8 @@ class _UnaryEncodingOracle(FrequencyOracle):
     # ------------------------------------------------------------------
     # Aggregator side
     # ------------------------------------------------------------------
-    def accumulator(self) -> UnaryAccumulator:
-        """Mergeable accumulator over the per-item "1"-bit column sums."""
-        return UnaryAccumulator(self)
+    #: Mergeable accumulator over the per-item "1"-bit column sums.
+    accumulator_class = UnaryAccumulator
 
     def aggregate(self, reports: OracleReports) -> np.ndarray:
         return self.accumulator().add(reports).estimate()

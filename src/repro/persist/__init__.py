@@ -14,7 +14,7 @@ self-describing container (JSON schema header + npz array payload, see
   (:func:`to_bytes` / :func:`from_bytes`);
 * an analyst saves a fitted mechanism today and answers new range queries
   from the file tomorrow without re-collecting
-  (:meth:`repro.core.session.LdpRangeQuerySession.save` / ``load``).
+  (:func:`save` / :func:`load`).
 
 Compatibility is checked before any state moves: snapshots embed the merge
 signature (mechanism class and spec parameters, epsilon, domain size,
@@ -25,14 +25,13 @@ also carry a format version so newer files fail cleanly on older readers.
 Example
 -------
 >>> import numpy as np
->>> from repro import LdpRangeQuerySession
->>> from repro import persist
->>> session = LdpRangeQuerySession(epsilon=1.0, domain_size=256, mechanism="hhc_4")
->>> _ = session.collect(np.random.default_rng(0).integers(0, 256, 100_000))
->>> data = persist.to_bytes(session.mechanism)          # ship or store
+>>> from repro import mechanism_from_spec, persist
+>>> mechanism = mechanism_from_spec("hhc_4", epsilon=1.0, domain_size=256)
+>>> _ = mechanism.fit_items(np.random.default_rng(0).integers(0, 256, 100_000))
+>>> data = persist.to_bytes(mechanism)                  # ship or store
 >>> restored = persist.from_bytes(data)                 # fully self-contained
 >>> bool(np.array_equal(restored.estimate_frequencies(),
-...                     session.mechanism.estimate_frequencies()))
+...                     mechanism.estimate_frequencies()))
 True
 """
 
@@ -44,7 +43,6 @@ from repro.persist.format import (
     write_atomic,
 )
 from repro.persist.snapshots import (
-    clone_unfitted,
     describe,
     from_bytes,
     load,
@@ -59,7 +57,6 @@ from repro.persist.snapshots import (
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
-    "clone_unfitted",
     "describe",
     "from_bytes",
     "load",

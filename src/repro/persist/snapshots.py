@@ -3,10 +3,9 @@
 The public surface is four symmetric functions —
 
 * :func:`to_bytes` / :func:`from_bytes` for in-memory bytes (what
-  :meth:`~repro.streaming.ShardedCollector.checkpoint_bytes` and the
-  session's ``to_bytes`` build on);
+  :meth:`~repro.streaming.ShardedCollector.checkpoint_bytes` builds on);
 * :func:`save` / :func:`load` for durable files (what crash recovery and
-  the :meth:`~repro.core.session.LdpRangeQuerySession.save` API use);
+  an analyst keeping a fitted mechanism use);
 
 — accepting any :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
 or accumulator-backed :class:`~repro.core.base.RangeQueryMechanism` (flat,
@@ -61,7 +60,6 @@ from repro.persist.format import (
 
 __all__ = [
     "build_from_header",
-    "clone_unfitted",
     "from_bytes",
     "load",
     "mechanism_config",
@@ -257,15 +255,6 @@ def _mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
     raise ConfigurationError(f"unknown mechanism config kind {kind!r}")
 
 
-def clone_unfitted(mechanism: RangeQueryMechanism) -> RangeQueryMechanism:
-    """A fresh, unfitted mechanism configured identically to ``mechanism``.
-
-    The substrate of per-shard mechanism creation when the caller holds a
-    prebuilt instance instead of a spec string.
-    """
-    return mechanism_from_config(mechanism_config(mechanism))
-
-
 def resolve_mechanism(
     mechanism: Union[str, RangeQueryMechanism],
     epsilon: Optional[float] = None,
@@ -387,7 +376,7 @@ def from_bytes(
                 f"OracleAccumulator template, got {type(template).__name__}"
             )
         _check_signature(header.get("signature"), oracle.merge_signature(), "oracle")
-        return oracle.accumulator().load_state_dict(state)
+        return oracle.restore_accumulator(state)
     if kind == "mechanism":
         if template is None:
             config = header.get("config")

@@ -13,9 +13,10 @@ that tier, layered on :mod:`repro.streaming` (mergeable shards) and
   slow down automatically when aggregation falls behind.
 * :class:`ReproHttpServer` / :class:`HttpServerThread` — the HTTP front
   (``python -m repro serve``), with :class:`ServiceClient` as its client.
-* :func:`run_ingestion` — synchronous driver used by
-  :meth:`~repro.core.session.LdpRangeQuerySession.collect_async` and
-  ``benchmarks/bench_ingestion_service.py``.
+* :func:`run_ingestion` — synchronous driver: fans a list of batches
+  across producers into a :class:`~repro.streaming.ShardedCollector`
+  (``benchmarks/bench_ingestion_service.py`` uses it); call the
+  collector's ``reduce()`` afterwards for the merged mechanism.
 
 None of it changes the estimates' distribution: every path feeds the same
 mergeable accumulators, so producer count, shard count and queue sizes are

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.base import RangeQueryMechanism
 from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE
-from repro.core.session import LdpRangeQuerySession
 from repro.exceptions import ConfigurationError, ServiceOverloadedError
 from repro.streaming.sharded import ShardedCollector
 
@@ -416,10 +415,6 @@ class IngestionService:
         """Merge the shards into one queryable mechanism (queues must be
         drained first — call :meth:`join` or exit the context manager)."""
         return self._collector.reduce()
-
-    def session(self) -> LdpRangeQuerySession:
-        """Wrap :meth:`reduce` in a high-level analysis session."""
-        return self._collector.session()
 
     # ------------------------------------------------------------------
     # Read serving

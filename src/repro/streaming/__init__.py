@@ -27,7 +27,7 @@ underneath it:
 :class:`ShardedCollector` ties the layers together: it fans report batches
 round-robin across ``K`` simulated shards, each accumulating independently
 with its own random stream, and reduces them into a single queryable
-mechanism (or :class:`~repro.core.session.LdpRangeQuerySession`).
+mechanism.
 
 Example
 -------
@@ -39,8 +39,8 @@ Example
 ... )
 >>> for batch in np.array_split(items, 30):      # e.g. arrival order
 ...     _ = collector.submit(batch)
->>> session = collector.session()                # merged, ready to query
->>> answer = session.range_query(100, 500)
+>>> mechanism = collector.reduce()               # merged, ready to query
+>>> answer = mechanism.answer_range(100, 500)
 
 Privacy note: sharding changes nothing about the guarantee — each user still
 sends exactly one ``epsilon``-LDP report; only the aggregator's bookkeeping

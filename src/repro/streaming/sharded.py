@@ -33,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.core.session import LdpRangeQuerySession
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.persist.format import (
     flatten_arrays,
@@ -149,7 +148,7 @@ class ShardedCollector:
         self._mode = str(mode)
         self._cursor = 0
         self._shards: List[RangeQueryMechanism] = [
-            self._make_mechanism() for _ in range(int(n_shards))
+            self._fresh_mechanism() for _ in range(int(n_shards))
         ]
         self._generators = [
             np.random.default_rng(child)
@@ -157,7 +156,7 @@ class ShardedCollector:
         ]
         self._n_batches = 0
 
-    def _make_mechanism(self) -> RangeQueryMechanism:
+    def _fresh_mechanism(self) -> RangeQueryMechanism:
         return mechanism_from_config(self._config)
 
     # ------------------------------------------------------------------
@@ -331,18 +330,10 @@ class ShardedCollector:
         fitted = [shard for shard in self._shards if shard.is_fitted]
         if not fitted:
             raise NotFittedError("no shard has collected any reports yet")
-        reduced = self._make_mechanism()
+        reduced = self._fresh_mechanism()
         for shard in fitted:
             reduced.merge_from(shard)
         return reduced
-
-    def session(self) -> LdpRangeQuerySession:
-        """Wrap :meth:`reduce` in a high-level analysis session."""
-        return LdpRangeQuerySession(
-            epsilon=self._epsilon,
-            domain_size=self._domain_size,
-            mechanism=self.reduce(),
-        )
 
     # ------------------------------------------------------------------
     # Durability

@@ -1,4 +1,4 @@
-"""End-to-end 2-D pipeline: sharded collection, recovery, service, session.
+"""End-to-end 2-D pipeline: sharded collection, recovery, service, persist.
 
 This is the acceptance contract of bringing the 2-D grid onto the
 accumulator substrate: a :class:`~repro.streaming.ShardedCollector` run over
@@ -12,10 +12,10 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import persist
 from repro.core.multidim import HierarchicalGrid2D
-from repro.core.session import Grid2DSession
 from repro.data.synthetic import clustered_grid_points
-from repro.data.workloads import random_rectangles
+from repro.data.workloads import random_boxes
 from repro.exceptions import ConfigurationError
 from repro.service import IngestionService, run_ingestion
 from repro.streaming import ShardedCollector
@@ -33,7 +33,7 @@ def points():
 
 @pytest.fixture(scope="module")
 def rectangles():
-    return random_rectangles(SIDE, 48, random_state=52)
+    return random_boxes(SIDE, 48, dims=2, random_state=52)
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +73,15 @@ class TestShardedCollection:
             points, np.random.default_rng(54)
         )
         mse_sharded = float(
-            np.mean((reduced.answer_rectangles(rectangles) - truth) ** 2)
+            np.mean((reduced.answer_boxes(rectangles) - truth) ** 2)
         )
         mse_one_shot = float(
-            np.mean((one_shot.answer_rectangles(rectangles) - truth) ** 2)
+            np.mean((one_shot.answer_boxes(rectangles) - truth) ** 2)
         )
         # Shard count is invisible to accuracy: both estimators sit in the
         # same noise regime around the truth.
         assert mse_sharded < 20 * max(mse_one_shot, 1e-6)
-        assert reduced.answer_rectangle((0, SIDE - 1), (0, SIDE - 1)) == pytest.approx(
+        assert reduced.answer_box(((0, SIDE - 1), (0, SIDE - 1))) == pytest.approx(
             1.0, abs=0.2
         )
 
@@ -122,8 +122,8 @@ class TestCheckpointRecovery:
         actual = resumed.reduce()
 
         assert np.array_equal(
-            expected.answer_rectangles(rectangles),
-            actual.answer_rectangles(rectangles),
+            expected.answer_boxes(rectangles),
+            actual.answer_boxes(rectangles),
         )
         assert np.array_equal(expected.estimate_heatmap(), actual.estimate_heatmap())
 
@@ -140,7 +140,7 @@ class TestIngestionService:
 
         reduced = asyncio.run(run())
         assert reduced.n_users == N_USERS
-        mse = float(np.mean((reduced.answer_rectangles(rectangles) - truth) ** 2))
+        mse = float(np.mean((reduced.answer_boxes(rectangles) - truth) ** 2))
         assert mse < 0.05
 
     def test_run_ingestion_over_flattened_batches(self, points):
@@ -155,41 +155,42 @@ class TestIngestionService:
         assert collector.reduce().n_users == N_USERS
 
 
-class TestGrid2DSession:
-    def test_collect_save_load(self, points, tmp_path):
-        session = Grid2DSession(EPSILON, SIDE)
-        session.collect_points(points, random_state=58)
-        assert session.n_users == N_USERS
-        full = session.rectangle_query((0, SIDE - 1), (0, SIDE - 1))
+class TestGrid2DMechanism:
+    def test_fit_save_load(self, points, tmp_path):
+        grid = HierarchicalGrid2D(EPSILON, SIDE)
+        grid.fit_points(points, random_state=58)
+        assert grid.n_users == N_USERS
+        everything = ((0, SIDE - 1), (0, SIDE - 1))
+        full = grid.answer_box(everything)
         assert full == pytest.approx(1.0, abs=0.2)
 
-        path = session.save(tmp_path / "grid2d-session.snap")
-        loaded = Grid2DSession.load(path)
-        assert isinstance(loaded, Grid2DSession)
-        assert np.array_equal(loaded.heatmap(), session.heatmap())
-        assert loaded.rectangle_query((0, SIDE - 1), (0, SIDE - 1)) == full
+        path = persist.save(grid, tmp_path / "grid2d.snap")
+        loaded = persist.load(path)
+        assert isinstance(loaded, HierarchicalGrid2D)
+        assert np.array_equal(loaded.estimate_heatmap(), grid.estimate_heatmap())
+        assert loaded.answer_box(everything) == full
 
-    def test_collect_points_async_merges_into_session(self, points):
-        session = Grid2DSession(EPSILON, SIDE)
-        session.collect_points_async(
-            np.array_split(points, N_BATCHES),
-            n_shards=2,
-            n_producers=2,
-            random_state=59,
-        )
-        assert session.n_users == N_USERS
-        assert session.last_ingestion_report.n_users == N_USERS
-        assert session.rectangle_query((0, SIDE - 1), (0, SIDE - 1)) == pytest.approx(
+    def test_run_ingestion_then_reduce_and_merge(self, points):
+        """Points flattened through ``flatten_points``, ingested by
+        ``run_ingestion`` and reduced, fold into a fitted grid."""
+        grid = HierarchicalGrid2D(EPSILON, SIDE)
+        grid.fit_points(points[:10_000], random_state=59)
+        collector = _collector(2, seed=59)
+        batches = [
+            grid.flatten_points(batch)
+            for batch in np.array_split(points[10_000:], N_BATCHES)
+        ]
+        report = run_ingestion(collector, batches, n_producers=2)
+        assert report.n_users == N_USERS - 10_000
+        grid.merge_from(collector.reduce())
+        assert grid.n_users == N_USERS
+        assert grid.answer_box(((0, SIDE - 1), (0, SIDE - 1))) == pytest.approx(
             1.0, abs=0.25
         )
 
-    def test_rejects_non_grid_mechanism(self):
-        with pytest.raises(ConfigurationError):
-            Grid2DSession(EPSILON, 64, mechanism="hhc_4")
-
-    def test_merge_from_shard_session(self, points):
+    def test_merge_from_shard_mechanism(self, points):
         stream = np.random.default_rng(60)
-        first = Grid2DSession(EPSILON, SIDE).collect_points(points[:15_000], stream)
-        second = Grid2DSession(EPSILON, SIDE).collect_points(points[15_000:], stream)
+        first = HierarchicalGrid2D(EPSILON, SIDE).fit_points(points[:15_000], stream)
+        second = HierarchicalGrid2D(EPSILON, SIDE).fit_points(points[15_000:], stream)
         first.merge_from(second)
         assert first.n_users == N_USERS

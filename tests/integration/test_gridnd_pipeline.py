@@ -3,8 +3,8 @@
 The N-d acceptance demo from PR 9: a ``d = 3`` population flows through
 ``ShardedCollector.submit_points`` (now d-column aware), the reduced
 mechanism survives a snapshot round-trip bit-for-bit, box queries track
-the exact answers, and the planner's chosen configuration is the one the
-session actually runs when asked for an ``"auto"`` mechanism.
+the exact answers, and the planner's chosen configuration is the one that
+runs when asked for an ``"auto"`` mechanism.
 """
 
 import asyncio
@@ -14,10 +14,8 @@ import pytest
 
 from repro.core.factory import mechanism_from_spec
 from repro.core.multidim import HierarchicalGridND
-from repro.core.session import GridNDSession
 from repro.data.synthetic import clustered_grid_points
 from repro.data.workloads import BoxWorkload, evaluate_exact_boxes, random_boxes
-from repro.exceptions import ConfigurationError
 from repro.persist import snapshots
 from repro.planner import plan
 from repro.service import IngestionService
@@ -133,24 +131,20 @@ class TestPersistRoundTrip:
         )
 
 
-class TestGridNDSession:
-    def test_collect_save_load_query(self, points, boxes, tmp_path):
-        session = GridNDSession(EPSILON, SIDE, mechanism=f"grid{DIMS}d_2")
-        session.collect_points(points, random_state=77)
-        assert session.dims == DIMS
-        assert session.n_users == N_USERS
-        full = session.box_query(((0, SIDE - 1),) * DIMS)
+class TestGridNDMechanism:
+    def test_fit_save_load_query(self, points, boxes, tmp_path):
+        grid = mechanism_from_spec(f"grid{DIMS}d_2", epsilon=EPSILON, domain_size=SIDE)
+        grid.fit_points(points, random_state=77)
+        assert grid.dims == DIMS
+        assert grid.n_users == N_USERS
+        full = grid.answer_box(((0, SIDE - 1),) * DIMS)
         assert full == pytest.approx(1.0, abs=0.25)
 
-        path = session.save(tmp_path / "grid3d-session.snap")
-        loaded = GridNDSession.load(path)
-        assert isinstance(loaded, GridNDSession)
-        assert np.array_equal(loaded.box_queries(boxes), session.box_queries(boxes))
-        assert np.array_equal(loaded.heatmap(), session.heatmap())
-
-    def test_rejects_non_grid_mechanism(self):
-        with pytest.raises(ConfigurationError):
-            GridNDSession(EPSILON, 64, mechanism="hhc_4")
+        path = snapshots.save(grid, tmp_path / "grid3d.snap")
+        loaded = snapshots.load(path)
+        assert isinstance(loaded, HierarchicalGridND)
+        assert np.array_equal(loaded.answer_boxes(boxes), grid.answer_boxes(boxes))
+        assert np.array_equal(loaded.estimate_heatmap(), grid.estimate_heatmap())
 
 
 class TestPlannerDrivenPipeline:

@@ -374,7 +374,8 @@ class TestServeCommand:
         """`python -m repro serve` end to end: boot on an ephemeral port,
         parse the banner for the bound address, ingest a batch over the
         wire, then SIGINT for a clean drain-and-exit."""
-        process = subprocess.Popen(
+        # The with block closes the stdout pipe the banner is read from.
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0", "--domain", "64", "--shards", "2",
@@ -383,22 +384,22 @@ class TestServeCommand:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://([\d.]+):(\d+)", banner)
-            assert match, f"no address in banner: {banner!r}"
-            host, port = match.group(1), int(match.group(2))
-            with ServiceClient(host, port) as client:
-                assert client.healthz().json()["status"] == "ok"
-                response = client.post_batch(rng.integers(0, 64, size=200))
-                assert response.status == 202
-            process.send_signal(signal.SIGINT)
-            assert process.wait(timeout=30) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                match = re.search(r"http://([\d.]+):(\d+)", banner)
+                assert match, f"no address in banner: {banner!r}"
+                host, port = match.group(1), int(match.group(2))
+                with ServiceClient(host, port) as client:
+                    assert client.healthz().json()["status"] == "ok"
+                    response = client.post_batch(rng.integers(0, 64, size=200))
+                    assert response.status == 202
+                process.send_signal(signal.SIGINT)
+                assert process.wait(timeout=30) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)
 
 
 class TestClientRobustness:

@@ -1,17 +1,18 @@
-"""End-to-end persistence: crash recovery, session save/load, async collect.
+"""End-to-end persistence: crash recovery, mechanism save/load, async collect.
 
 The acceptance story of the persistence + service tier, exercised the way a
 deployment would: a shard fleet dies mid-collection and resumes from its
-checkpoint with no statistical trace; an analyst saves a fitted session and
-re-opens it later; a population arrives through the async multi-producer
+checkpoint with no statistical trace; an analyst saves a fitted mechanism
+and re-opens it later; a population arrives through the async multi-producer
 ingestion path and lands on the same answers as a one-shot fit.
 """
 
 import numpy as np
 import pytest
 
-from repro import LdpRangeQuerySession, persist
+from repro import DECILES, estimate_cdf, mechanism_from_spec, persist
 from repro.data.synthetic import cauchy_probabilities, sample_items
+from repro.service import run_ingestion
 from repro.streaming import ShardedCollector
 
 DOMAIN = 256
@@ -86,80 +87,57 @@ class TestCrashRecovery:
         )
 
 
-class TestSessionPersistence:
+class TestMechanismPersistence:
     def test_save_load_answers_identically(self, population, tmp_path):
-        session = LdpRangeQuerySession(
-            epsilon=EPSILON, domain_size=DOMAIN, mechanism="hhc_4"
-        )
-        session.collect(population, random_state=3)
-        path = session.save(tmp_path / "session.snap")
+        mechanism = mechanism_from_spec("hhc_4", epsilon=EPSILON, domain_size=DOMAIN)
+        mechanism.fit_items(population, random_state=3)
+        path = persist.save(mechanism, tmp_path / "mechanism.snap")
 
-        reopened = LdpRangeQuerySession.load(path)
-        assert reopened.epsilon == session.epsilon
-        assert reopened.domain_size == session.domain_size
-        assert reopened.n_users == session.n_users
-        np.testing.assert_array_equal(reopened.histogram(), session.histogram())
-        np.testing.assert_array_equal(reopened.cdf(), session.cdf())
-        assert reopened.quantiles() == session.quantiles()
-        assert reopened.median() == session.median()
+        reopened = persist.load(path)
+        assert reopened.epsilon == mechanism.epsilon
+        assert reopened.domain_size == mechanism.domain_size
+        assert reopened.n_users == mechanism.n_users
+        np.testing.assert_array_equal(
+            reopened.estimate_frequencies(), mechanism.estimate_frequencies()
+        )
+        np.testing.assert_array_equal(estimate_cdf(reopened), estimate_cdf(mechanism))
+        assert reopened.quantiles(DECILES) == mechanism.quantiles(DECILES)
+        assert reopened.quantile(0.5) == mechanism.quantile(0.5)
 
     def test_bytes_round_trip_continues_collection(self, population):
-        session = LdpRangeQuerySession(
-            epsilon=EPSILON, domain_size=DOMAIN, mechanism="haar"
-        )
-        session.collect_batch(population[:50_000], random_state=1)
-        reopened = LdpRangeQuerySession.from_bytes(session.to_bytes())
-        reopened.collect_batch(population[50_000:], random_state=2)
+        mechanism = mechanism_from_spec("haar", epsilon=EPSILON, domain_size=DOMAIN)
+        mechanism.partial_fit(population[:50_000], random_state=1)
+        reopened = persist.from_bytes(persist.to_bytes(mechanism))
+        reopened.partial_fit(population[50_000:], random_state=2)
         assert reopened.n_users == N_USERS
-
-    def test_accumulator_snapshot_rejected_by_session_load(self, population):
-        from repro.frequency_oracles.registry import make_oracle
-
-        oracle = make_oracle("oue", epsilon=EPSILON, domain_size=DOMAIN)
-        accumulator = oracle.accumulator().add_items(
-            population[:1000], np.random.default_rng(0)
-        )
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            LdpRangeQuerySession.from_bytes(persist.to_bytes(accumulator))
 
 
 class TestAsyncCollection:
-    def test_collect_async_matches_one_shot_accuracy(self, population):
+    def test_run_ingestion_matches_one_shot_accuracy(self, population):
         counts = np.bincount(population, minlength=DOMAIN)
         truth = counts / counts.sum()
 
-        session = LdpRangeQuerySession(
-            epsilon=EPSILON, domain_size=DOMAIN, mechanism="hhc_4"
+        collector = ShardedCollector(
+            "hhc_4", epsilon=EPSILON, domain_size=DOMAIN, n_shards=4, random_state=13
         )
-        session.collect_async(
-            np.array_split(population, 20),
-            n_shards=4,
-            n_producers=4,
-            random_state=13,
-        )
-        assert session.n_users == N_USERS
-        report = session.last_ingestion_report
-        assert report is not None and report.n_users == N_USERS
+        report = run_ingestion(collector, np.array_split(population, 20), n_producers=4)
+        assert report.n_users == N_USERS
+        reduced = collector.reduce()
+        assert reduced.n_users == N_USERS
 
-        one_shot = LdpRangeQuerySession(
-            epsilon=EPSILON, domain_size=DOMAIN, mechanism="hhc_4"
-        )
-        one_shot.collect(population, random_state=13)
+        one_shot = mechanism_from_spec("hhc_4", epsilon=EPSILON, domain_size=DOMAIN)
+        one_shot.fit_items(population, random_state=13)
 
-        async_mse = float(np.mean((session.histogram() - truth) ** 2))
-        one_shot_mse = float(np.mean((one_shot.histogram() - truth) ** 2))
+        async_mse = float(np.mean((reduced.estimate_frequencies() - truth) ** 2))
+        one_shot_mse = float(np.mean((one_shot.estimate_frequencies() - truth) ** 2))
         assert async_mse < 3.0 * one_shot_mse + 1e-9
 
-    def test_collect_async_on_top_of_prior_collection(self, population):
-        session = LdpRangeQuerySession(
-            epsilon=EPSILON, domain_size=DOMAIN, mechanism="flat_oue"
+    def test_run_ingestion_on_top_of_prior_collection(self, population):
+        mechanism = mechanism_from_spec("flat_oue", epsilon=EPSILON, domain_size=DOMAIN)
+        mechanism.fit_items(population[:40_000], random_state=1)
+        collector = ShardedCollector(
+            "flat_oue", epsilon=EPSILON, domain_size=DOMAIN, n_shards=2, random_state=2
         )
-        session.collect(population[:40_000], random_state=1)
-        session.collect_async(
-            np.array_split(population[40_000:], 6),
-            n_shards=2,
-            random_state=2,
-        )
-        assert session.n_users == N_USERS
+        run_ingestion(collector, np.array_split(population[40_000:], 6))
+        mechanism.merge_from(collector.reduce())
+        assert mechanism.n_users == N_USERS

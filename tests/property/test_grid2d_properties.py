@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.multidim import HierarchicalGrid2D
 from repro.data.synthetic import clustered_grid_points
-from repro.data.workloads import random_rectangles
+from repro.data.workloads import random_boxes
 from repro.exceptions import InvalidQueryError
 from repro.persist import snapshots
 
@@ -28,7 +28,7 @@ def points():
 
 @pytest.fixture(scope="module")
 def rectangles():
-    return random_rectangles(SIDE, 64, random_state=24)
+    return random_boxes(SIDE, 64, dims=2, random_state=24)
 
 
 def _truth(points, rectangles):
@@ -65,7 +65,7 @@ class TestShardCountInvariance:
         assert merged.n_users == N_USERS
         assert np.array_equal(merged.estimate_heatmap(), sequential.estimate_heatmap())
         assert np.array_equal(
-            merged.pair_user_counts, sequential.pair_user_counts
+            merged.tuple_user_counts, sequential.tuple_user_counts
         )
 
     def test_split_estimates_track_one_shot_accuracy(self, points, rectangles):
@@ -78,7 +78,7 @@ class TestShardCountInvariance:
             merged = HierarchicalGrid2D(EPSILON, SIDE)
             for batch in np.array_split(points, n_parts):
                 merged.partial_fit_points(batch, stream)
-            return float(np.mean((merged.answer_rectangles(rectangles) - truth) ** 2))
+            return float(np.mean((merged.answer_boxes(rectangles) - truth) ** 2))
 
         reference = np.median([mse(1, seed) for seed in range(5)])
         for n_parts in (2, 8):
@@ -96,7 +96,7 @@ class TestSnapshotRoundTrip:
         assert restored.branching == 4
         assert np.array_equal(restored.estimate_heatmap(), grid.estimate_heatmap())
         assert np.array_equal(
-            restored.answer_rectangles(rectangles), grid.answer_rectangles(rectangles)
+            restored.answer_boxes(rectangles), grid.answer_boxes(rectangles)
         )
 
     def test_restored_grid_keeps_collecting(self, points):
@@ -105,7 +105,7 @@ class TestSnapshotRoundTrip:
         restored = snapshots.from_bytes(snapshots.to_bytes(grid))
         restored.partial_fit_points(points[10_000:], stream)
         assert restored.n_users == N_USERS
-        assert restored.answer_rectangle((0, SIDE - 1), (0, SIDE - 1)) == pytest.approx(
+        assert restored.answer_box(((0, SIDE - 1), (0, SIDE - 1))) == pytest.approx(
             1.0, abs=0.25
         )
 

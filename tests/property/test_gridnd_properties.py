@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.data.synthetic import clustered_grid_points
-from repro.data.workloads import random_rectangles
+from repro.data.workloads import random_boxes
 from repro.persist import snapshots
 
 SIDE = 32
@@ -94,7 +94,7 @@ def _run_recipe(make):
     of what is being pinned.
     """
     points = clustered_grid_points(SIDE, 4000, random_state=7)
-    rects = random_rectangles(SIDE, 24, random_state=8)
+    rects = random_boxes(SIDE, 24, dims=2, random_state=8)
     out = {}
 
     one = make().fit_points(points, np.random.default_rng(11))
@@ -160,18 +160,6 @@ class TestGoldenRegression:
     )
     def test_scalar_outputs_match_golden(self, recipe_2d, key):
         assert float(recipe_2d[key]).hex() == GOLDEN[key]
-
-    def test_answer_rectangle_agrees_with_answer_box(self):
-        """The legacy rectangle spellings are the same arithmetic as the
-        generic box path, not a parallel implementation."""
-        points = clustered_grid_points(SIDE, 2000, random_state=7)
-        rects = random_rectangles(SIDE, 16, random_state=8)
-        grid = HierarchicalGrid2D(EPSILON, SIDE, branching=BRANCHING)
-        grid.fit_points(points, np.random.default_rng(11))
-        assert np.array_equal(grid.answer_rectangles(rects), grid.answer_boxes(rects))
-        assert grid.answer_rectangle((3, 19), (5, 30)) == grid.answer_box(
-            ((3, 19), (5, 30))
-        )
 
 
 class TestGridNDBitIdentity:

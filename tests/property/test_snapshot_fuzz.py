@@ -11,11 +11,13 @@ restores it through a public entry point.  Two things must hold:
   ``n_users`` exactly as they were.
 
 Header integers and floats are kept small: the fuzz probes types and
-values, not resource exhaustion (a huge ``domain_size`` or ``dims``).
+values.  Resource exhaustion is pinned by explicit cases at the end: a
+header that claims a huge ``domain_size`` over small arrays.
 """
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.factory import mechanism_from_spec
-from repro.core.session import LdpRangeQuerySession
 from repro.exceptions import ConfigurationError, ReproError
 from repro.frequency_oracles.registry import make_oracle
 from repro.persist import snapshots
@@ -84,9 +85,9 @@ def _accumulator(name):
     return accumulator
 
 
-def _checkpoint():
+def _checkpoint(spec="hhc_4"):
     collector = ShardedCollector(
-        "hhc_4", epsilon=EPSILON, domain_size=DOMAIN, n_shards=2, random_state=4
+        spec, epsilon=EPSILON, domain_size=DOMAIN, n_shards=2, random_state=4
     )
     for batch in np.array_split(np.random.default_rng(5).integers(0, DOMAIN, 2000), 3):
         collector.submit(batch)
@@ -177,7 +178,6 @@ class TestMechanismSnapshots:
     def test_restore_without_template_is_typed(self, spec, data):
         corrupted = _corrupt(data, snapshots.to_bytes(_fitted(spec)))
         _restore(lambda: snapshots.from_bytes(corrupted))
-        _restore(lambda: LdpRangeQuerySession.from_bytes(corrupted))
 
     @FUZZ
     @given(data=st.data())
@@ -318,3 +318,45 @@ def test_inconsistent_checkpoint_shard_is_rejected(case):
     INCONSISTENT_COUNTS[case](arrays, prefix="shard0/")
     with pytest.raises(ConfigurationError):
         ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
+
+
+def _claiming(kind, domain_size):
+    """A small ``flat_oue`` snapshot of ``kind`` whose header claims
+    ``domain_size``; its arrays still hold the ``DOMAIN``-sized statistic."""
+    if kind == "accumulator":
+        header, arrays = _unpacked(snapshots.to_bytes(_accumulator("oue")))
+        header["oracle"]["domain_size"] = domain_size
+        header["signature"][2] = domain_size
+        return _container(header, arrays)
+    if kind == "mechanism":
+        _, arrays = _unpacked(snapshots.to_bytes(_fitted("flat_oue")))
+        claimed = mechanism_from_spec("flat_oue", epsilon=EPSILON, domain_size=domain_size)
+        header, _ = _unpacked(snapshots.to_bytes(claimed))
+        return _container(header, arrays)
+    _, arrays = _unpacked(_checkpoint("flat_oue"))
+    claimed = ShardedCollector(
+        "flat_oue", epsilon=EPSILON, domain_size=domain_size, n_shards=2, random_state=4
+    )
+    header, _ = _unpacked(claimed.checkpoint_bytes())
+    return _container(header, arrays)
+
+
+# The stored arrays are compared with the configuration before any
+# statistic is allocated, so a header claiming a huge domain fails at the
+# size of the arrays it carries.
+@pytest.mark.parametrize("kind", ["mechanism", "accumulator", "collector"])
+def test_huge_claimed_domain_is_a_configuration_error(kind):
+    with pytest.raises(ConfigurationError):
+        snapshots.from_bytes(_claiming(kind, 2**40))
+
+
+def test_claimed_domain_is_not_allocated_before_the_check():
+    snapshot = _claiming("mechanism", 2**26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            snapshots.from_bytes(snapshot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

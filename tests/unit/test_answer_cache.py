@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE, MISS, AnswerCache
 from repro.core.factory import mechanism_from_spec
-from repro.core.session import LdpRangeQuerySession
 from repro.data.workloads import random_boxes
 from repro.exceptions import ConfigurationError
 
@@ -180,17 +179,13 @@ class TestMechanismCaching:
             mechanism.answer_range(10, 5)
         assert mechanism.answer_cache_stats()["size"] == 0
 
-    def test_session_delegates(self):
-        session = LdpRangeQuerySession(1.1, DOMAIN, "hhc_4")
-        session.collect(
-            np.random.default_rng(25).integers(0, DOMAIN, size=1000),
-            random_state=26,
-        )
-        session.set_answer_cache_size(7)
-        assert session.answer_cache_stats()["maxsize"] == 7
-        first = session.range_query(2, 30)
-        assert session.range_query(2, 30) == first
-        assert session.answer_cache_stats()["hits"] >= 1
+    def test_resized_cache_serves_repeats(self):
+        mechanism = _fitted("hhc_4")
+        mechanism.set_answer_cache_size(7)
+        assert mechanism.answer_cache_stats()["maxsize"] == 7
+        first = mechanism.answer_range(2, 30)
+        assert mechanism.answer_range(2, 30) == first
+        assert mechanism.answer_cache_stats()["hits"] >= 1
 
 
 class TestWritePathDiscipline:

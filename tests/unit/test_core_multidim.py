@@ -27,7 +27,7 @@ class TestConfiguration:
         assert grid.height == 4
         assert grid.domain_size == 16
         assert grid.flat_domain_size == 256
-        assert len(grid.level_pairs) == 16
+        assert len(grid.level_tuples) == 16
 
     def test_invalid_domain(self):
         with pytest.raises(InvalidDomainError):
@@ -36,7 +36,7 @@ class TestConfiguration:
     def test_not_fitted(self):
         grid = HierarchicalGrid2D(1.0, 16)
         with pytest.raises(NotFittedError):
-            grid.answer_rectangle((0, 3), (0, 3))
+            grid.answer_box(((0, 3), (0, 3)))
         with pytest.raises(NotFittedError):
             grid.estimate_heatmap()
 
@@ -75,16 +75,16 @@ class TestCollection:
         flat = grid.flatten_points(np.array([[0, 0], [1, 2], [15, 15]]))
         assert flat.tolist() == [0, 18, 255]
 
-    def test_pair_user_counts_sum_to_population(self, grid_points, rng):
+    def test_tuple_user_counts_sum_to_population(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
-        assert grid.pair_user_counts.sum() == grid_points.shape[0]
+        assert grid.tuple_user_counts.sum() == grid_points.shape[0]
 
     def test_per_user_mode(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.5, 16).fit_points(
             grid_points[:4000], rng, mode="per_user"
         )
         assert grid.n_users == 4000
-        assert grid.answer_rectangle((0, 15), (0, 15)) == pytest.approx(1.0, abs=0.4)
+        assert grid.answer_box(((0, 15), (0, 15))) == pytest.approx(1.0, abs=0.4)
 
 
 class TestStreamingSurface:
@@ -94,7 +94,7 @@ class TestStreamingSurface:
         assert grid.n_users == 20_000
         grid.partial_fit_points(grid_points[20_000:], rng)
         assert grid.n_users == grid_points.shape[0]
-        assert grid.answer_rectangle((0, 15), (0, 15)) == pytest.approx(1.0, abs=0.2)
+        assert grid.answer_box(((0, 15), (0, 15))) == pytest.approx(1.0, abs=0.2)
 
     def test_merge_equals_sequential_partial_fit(self, grid_points):
         """Merging shards fed from one stream == one mechanism, bit-for-bit."""
@@ -115,7 +115,7 @@ class TestStreamingSurface:
             merged.estimate_heatmap(), sequential.estimate_heatmap()
         )
         rect = ((2, 9), (6, 13))
-        assert merged.answer_rectangle(*rect) == sequential.answer_rectangle(*rect)
+        assert merged.answer_box(rect) == sequential.answer_box(rect)
 
     def test_merge_rejects_different_configuration(self, grid_points, rng):
         fitted = HierarchicalGrid2D(1.5, 16).fit_points(grid_points[:1000], rng)
@@ -129,8 +129,8 @@ class TestStreamingSurface:
         restored = HierarchicalGrid2D(1.5, 16).load_state_dict(grid.state_dict())
         assert restored.n_users == grid.n_users
         assert np.array_equal(restored.estimate_heatmap(), grid.estimate_heatmap())
-        assert restored.answer_rectangle((1, 9), (3, 12)) == grid.answer_rectangle(
-            (1, 9), (3, 12)
+        assert restored.answer_box(((1, 9), (3, 12))) == grid.answer_box(
+            ((1, 9), (3, 12))
         )
 
     def test_unfitted_state_dict_round_trip(self):
@@ -142,7 +142,7 @@ class TestStreamingSurface:
 class TestAnswers:
     def test_full_grid_close_to_one(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.5, 16).fit_points(grid_points, rng)
-        assert grid.answer_rectangle((0, 15), (0, 15)) == pytest.approx(1.0, abs=0.15)
+        assert grid.answer_box(((0, 15), (0, 15))) == pytest.approx(1.0, abs=0.15)
 
     def test_rectangle_close_to_truth(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.5, 16).fit_points(grid_points, rng)
@@ -152,7 +152,7 @@ class TestAnswers:
             & (grid_points[:, 1] >= 6)
             & (grid_points[:, 1] <= 13)
         )
-        assert grid.answer_rectangle((2, 9), (6, 13)) == pytest.approx(truth, abs=0.15)
+        assert grid.answer_box(((2, 9), (6, 13))) == pytest.approx(truth, abs=0.15)
 
     def test_heatmap_shape(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
@@ -163,7 +163,7 @@ class TestAnswers:
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
         heatmap = grid.estimate_heatmap()
         for x, y in [(0, 0), (5, 10), (15, 15), (7, 3)]:
-            assert grid.answer_rectangle((x, x), (y, y)) == pytest.approx(
+            assert grid.answer_box(((x, x), (y, y))) == pytest.approx(
                 heatmap[x, y], abs=1e-12
             )
 
@@ -173,22 +173,22 @@ class TestAnswers:
         heatmap = grid.estimate_heatmap()
         block = heatmap[2:10, 6:14].sum()
         cells = sum(
-            grid.answer_rectangle((x, x), (y, y))
+            grid.answer_box(((x, x), (y, y)))
             for x in range(2, 10)
             for y in range(6, 14)
         )
         assert cells == pytest.approx(block, abs=1e-9)
 
-    def test_answer_rectangles_vectorised(self, grid_points, rng):
+    def test_answer_boxes_vectorised(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
         queries = np.array([[0, 15, 0, 15], [2, 9, 6, 13], [5, 5, 10, 10]])
-        batched = grid.answer_rectangles(queries)
+        batched = grid.answer_boxes(queries)
         singles = [
-            grid.answer_rectangle((x0, x1), (y0, y1)) for x0, x1, y0, y1 in queries
+            grid.answer_box(((x0, x1), (y0, y1))) for x0, x1, y0, y1 in queries
         ]
         assert np.allclose(batched, singles)
         with pytest.raises(InvalidQueryError):
-            grid.answer_rectangles(np.array([[0, 1, 2]]))
+            grid.answer_boxes(np.array([[0, 1, 2]]))
 
     @pytest.mark.parametrize("side,branching", [(16, 2), (11, 3), (27, 4)])
     def test_batched_rectangles_match_per_query_path(self, rng, side, branching):
@@ -204,33 +204,33 @@ class TestAnswers:
         x1 = np.minimum(side - 1, x0 + spans[:, 0])
         y1 = np.minimum(side - 1, y0 + spans[:, 1])
         queries = np.stack([x0, x1, y0, y1], axis=1)
-        batched = grid.answer_rectangles(queries)
+        batched = grid.answer_boxes(queries)
         singles = np.array(
-            [grid.answer_rectangle((a, b), (c, d)) for a, b, c, d in queries]
+            [grid.answer_box(((a, b), (c, d))) for a, b, c, d in queries]
         )
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
-    def test_answer_rectangles_empty_and_invalid(self, grid_points, rng):
+    def test_answer_boxes_empty_and_invalid(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
-        assert grid.answer_rectangles(np.empty((0, 4), dtype=np.int64)).shape == (0,)
+        assert grid.answer_boxes(np.empty((0, 4), dtype=np.int64)).shape == (0,)
         with pytest.raises(InvalidQueryError):
-            grid.answer_rectangles(np.array([[0, 16, 0, 15]]))  # x_end out of range
+            grid.answer_boxes(np.array([[0, 16, 0, 15]]))  # x_end out of range
         with pytest.raises(InvalidQueryError):
-            grid.answer_rectangles(np.array([[5, 2, 0, 15]]))  # reversed x range
+            grid.answer_boxes(np.array([[5, 2, 0, 15]]))  # reversed x range
 
     def test_flattened_range_equals_rectangles(self, grid_points, rng):
         """A row-major item range is answered as its rectangle cover."""
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
         # One full row: items [16, 31] == rectangle x=1, y in [0, 15].
         assert grid.answer_range(16, 31) == pytest.approx(
-            grid.answer_rectangle((1, 1), (0, 15)), abs=1e-12
+            grid.answer_box(((1, 1), (0, 15))), abs=1e-12
         )
         # A range spanning rows decomposes into its three-rectangle cover
         # (partial first row, middle rows, partial last row).
         assert grid.answer_range(5, 250) == pytest.approx(
-            grid.answer_rectangle((0, 0), (5, 15))
-            + grid.answer_rectangle((1, 14), (0, 15))
-            + grid.answer_rectangle((15, 15), (0, 10)),
+            grid.answer_box(((0, 0), (5, 15)))
+            + grid.answer_box(((1, 14), (0, 15)))
+            + grid.answer_box(((15, 15), (0, 10))),
             abs=1e-12,
         )
 

@@ -171,12 +171,15 @@ class TestRandomBoxes:
             assert np.all(boxes[:, 2 * axis] <= boxes[:, 2 * axis + 1])
         assert boxes.min() >= 0 and boxes.max() < 32
 
-    def test_random_rectangles_is_the_2d_alias(self):
-        """Bit-for-bit RNG compatibility: the legacy name draws the same
-        rectangles as random_boxes(dims=2) from the same seed."""
-        from repro.data.workloads import random_boxes, random_rectangles
+    def test_two_dims_keep_the_rectangle_draws(self):
+        """Bit-for-bit RNG compatibility: dims=2 draws the x pairs, then the
+        y pairs, from one stream, as the 2-D rectangle workloads always did."""
+        from repro.data.workloads import random_boxes
 
+        rng = np.random.default_rng(14)
+        x_pairs = np.sort(rng.integers(0, 32, size=(25, 2)), axis=1)
+        y_pairs = np.sort(rng.integers(0, 32, size=(25, 2)), axis=1)
         np.testing.assert_array_equal(
-            random_rectangles(32, 25, random_state=14),
             random_boxes(32, 25, dims=2, random_state=14),
+            np.concatenate([x_pairs, y_pairs], axis=1),
         )

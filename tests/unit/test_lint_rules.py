@@ -10,6 +10,8 @@ which is exactly what these snippets want; the scoping tests build a fake
 import json
 import textwrap
 
+import pytest
+
 from repro.devtools import lint as lintmod
 
 
@@ -198,6 +200,20 @@ class TestWritePathPurityR003:
         )
         assert rules_of(findings) == ["LDP-R003"]
         assert "materialize" in findings[0].message
+
+    @pytest.mark.parametrize("call", ["answer_box", "answer_boxes", "estimate_heatmap"])
+    def test_box_read_surface_in_write_path_flagged(self, tmp_path, call):
+        findings, _ = lint_source(
+            tmp_path,
+            f"""
+            class Grid:
+                def partial_fit_points(self, points):
+                    self._collect(points)
+                    return self.{call}(points)
+            """,
+        )
+        assert rules_of(findings) == ["LDP-R003"]
+        assert call in findings[0].message
 
     def test_estimate_attribute_read_in_write_path_flagged(self, tmp_path):
         findings, _ = lint_source(

@@ -269,9 +269,9 @@ class TestMechanismConfig:
             lambda: HaarWaveletMechanism(EPSILON, DOMAIN),
         ],
     )
-    def test_clone_unfitted_preserves_signature(self, factory):
+    def test_config_round_trip_preserves_signature(self, factory):
         mechanism = factory()
-        clone = persist.clone_unfitted(mechanism)
+        clone = persist.mechanism_from_config(persist.mechanism_config(mechanism))
         assert clone is not mechanism
         assert not clone.is_fitted
         assert persist.normalize_signature(

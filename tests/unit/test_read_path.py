@@ -1,8 +1,7 @@
 """One read path: every scalar read surface is a one-row batched call.
 
 ``answer_range`` / ``answer_prefix`` are row 0 of ``answer_ranges`` on a
-one-row batch, and ``answer_box`` / ``answer_rectangle`` are row 0 of
-``answer_boxes``: one query gets one float, bit for bit, whatever the
+one-row batch, and ``answer_box`` is row 0 of ``answer_boxes``: one query gets one float, bit for bit, whatever the
 surface, and the scalar call shares the batch's cache entry.  The shared
 gate refuses non-integer bounds instead of truncating them.
 """
@@ -88,15 +87,13 @@ class TestScalarIsOneBatchedRow:
         for (start, end), row in zip(queries.tolist(), raw):
             _same_bits(central.answer_range(start, end, normalized=False), row)
 
-    def test_box_and_rectangle_are_batched_rows(self, grid):
+    def test_box_is_a_batched_row(self, grid):
         dims, side = grid.dims, grid.domain_size
         boxes = _boxes(side, dims, 100, 10)
         batch = grid.answer_boxes(boxes)
         for row, value in zip(boxes.tolist(), batch):
             pairs = [(row[2 * axis], row[2 * axis + 1]) for axis in range(dims)]
             _same_bits(grid.answer_box(pairs), value)
-            if dims == 2:
-                _same_bits(grid.answer_rectangle(*pairs), value)
 
     def test_grid_flat_ranges_are_batched_rows(self, grid):
         queries = _ranges(grid.flat_domain_size, 100, 11)
@@ -176,9 +173,8 @@ class TestIntegerBoundsOnly:
             grid.answer_box([(True, 3)] + [(0, 3)] * (dims - 1))
         with pytest.raises(InvalidQueryError, match="query bounds must be integers"):
             grid.answer_boxes(np.array([[0.0, 3.0] * dims]))
-        if dims == 2:
-            with pytest.raises(InvalidQueryError, match="query bounds must be integers"):
-                grid.answer_rectangle((0, 3.0), (1, 4))
+        with pytest.raises(InvalidQueryError, match="query bounds must be integers"):
+            grid.answer_box([(0, 3.0)] + [(1, 4)] * (dims - 1))
 
     def test_integer_dtypes_of_any_width_are_accepted(self, fitted):
         expected = fitted.answer_ranges(np.array([[3, 40]], dtype=np.int64))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import DECILES
 from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.wavelet import HaarWaveletMechanism
@@ -216,13 +217,13 @@ class TestShardedCollector:
         assert first.n_users == 30_000
         assert second.n_users == items.size
 
-    def test_session_wraps_reduction(self, items):
+    def test_reduction_answers_quantiles(self, items):
         collector = ShardedCollector("hhc_4", 1.1, DOMAIN, n_shards=2, random_state=3)
         collector.extend(np.array_split(items, 4))
-        session = collector.session()
-        assert session.epsilon == pytest.approx(1.1)
-        assert session.n_users == items.size
-        assert len(session.quantiles()) == 9
+        reduced = collector.reduce()
+        assert reduced.epsilon == pytest.approx(1.1)
+        assert reduced.n_users == items.size
+        assert len(reduced.quantiles(DECILES)) == 9
 
     def test_explicit_and_round_robin_interleave_deterministically(self, items):
         """Explicit placement bypasses the cursor: for a fixed seed, mixing
