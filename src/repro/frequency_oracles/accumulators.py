@@ -84,48 +84,6 @@ def checked_state_count(value, what: str, lower: int = 0) -> int:
     return count
 
 
-def _checked_state(
-    shapes: Dict[str, Tuple[int, ...]], state: Mapping[str, np.ndarray]
-) -> Tuple[int, Dict[str, np.ndarray]]:
-    """Validate an accumulator :meth:`~OracleAccumulator.state_dict` against
-    the statistic ``shapes``; returns the user count and float64 arrays.
-
-    Raises :class:`~repro.exceptions.ConfigurationError` on a missing or
-    extra key, a non-numeric dtype, a wrong shape, a non-finite entry or a
-    non-integer user count.
-    """
-    if not isinstance(state, Mapping):
-        raise ConfigurationError("accumulator state must be a mapping of arrays")
-    state = dict(state)
-    if "n_users" not in state:
-        raise ConfigurationError("accumulator state is missing 'n_users'")
-    n_users = checked_state_count(state.pop("n_users"), "n_users")
-    if set(state) != set(shapes):
-        raise ConfigurationError(
-            f"accumulator state keys {sorted(state)} do not match the "
-            f"expected statistic {sorted(shapes)}"
-        )
-    loaded = {}
-    for key, shape in shapes.items():
-        value = np.asarray(state[key])
-        if value.dtype.kind not in "biuf" or not np.can_cast(
-            value.dtype, np.float64, "same_kind"
-        ):
-            raise ConfigurationError(
-                f"statistic {key!r} has dtype {value.dtype}, expected float64"
-            )
-        if value.shape != tuple(shape):
-            raise ConfigurationError(
-                f"statistic {key!r} has shape {value.shape}, expected "
-                f"{tuple(shape)} for this configuration"
-            )
-        value = value.astype(np.float64)
-        if not np.all(np.isfinite(value)):
-            raise ConfigurationError(f"statistic {key!r} holds non-finite values")
-        loaded[key] = value
-    return n_users, loaded
-
-
 class OracleAccumulator(abc.ABC):
     """Mergeable aggregation state of one frequency oracle.
 
@@ -141,24 +99,6 @@ class OracleAccumulator(abc.ABC):
         self._load_statistic_arrays(
             {key: np.zeros(shape) for key, shape in self.statistic_shapes(oracle).items()}
         )
-
-    @classmethod
-    def from_state_dict(
-        cls, oracle: "FrequencyOracle", state: Mapping[str, np.ndarray]
-    ) -> "OracleAccumulator":
-        """A new accumulator of ``oracle`` holding a :meth:`state_dict`.
-
-        The stored arrays are checked against :meth:`statistic_shapes`
-        before any statistic is allocated, so a snapshot whose header
-        claims a larger domain than its arrays hold fails with
-        :class:`~repro.exceptions.ConfigurationError` at the size of its
-        arrays, not of the claimed domain.
-        """
-        n_users, arrays = _checked_state(cls.statistic_shapes(oracle), state)
-        accumulator = cls(oracle)
-        accumulator._load_statistic_arrays(arrays)
-        accumulator._n_users = n_users
-        return accumulator
 
     # ------------------------------------------------------------------
     # Introspection
@@ -252,10 +192,10 @@ class OracleAccumulator(abc.ABC):
     def state_dict(self) -> Dict[str, np.ndarray]:
         """The full mutable state as named arrays (plus the user count).
 
-        The returned dictionary, fed back through :meth:`load_state_dict` on
-        an identically configured accumulator, reproduces the estimates
-        bit-for-bit.  Used by :mod:`repro.persist` for snapshots and crash
-        recovery.
+        The returned dictionary, fed back through
+        :meth:`FrequencyOracle.restore_accumulator` of an identically
+        configured oracle, reproduces the estimates bit-for-bit.  Used by
+        :mod:`repro.persist` for snapshots and crash recovery.
         """
         state: Dict[str, np.ndarray] = {
             "n_users": np.asarray(self._n_users, dtype=np.int64)
@@ -267,14 +207,44 @@ class OracleAccumulator(abc.ABC):
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> "OracleAccumulator":
         """Replace this accumulator's state with a :meth:`state_dict`.
 
-        Arrays are validated against this accumulator's configuration: a
-        wrong shape (e.g. a snapshot taken over a different domain size), a
-        non-numeric dtype, a non-finite entry or a non-integer user count
-        raises :class:`~repro.exceptions.ConfigurationError` without
-        modifying the accumulator.
+        Arrays are validated against the oracle's :meth:`statistic_shapes`,
+        not the arrays held, before anything is installed: a wrong shape
+        (e.g. a snapshot taken over a different domain size), a non-numeric
+        dtype, a non-finite entry or a non-integer user count raises
+        :class:`~repro.exceptions.ConfigurationError` without modifying the
+        accumulator.
         """
-        n_users, arrays = _checked_state(self.statistic_shapes(self._oracle), state)
-        self._load_statistic_arrays(arrays)
+        if not isinstance(state, Mapping):
+            raise ConfigurationError("accumulator state must be a mapping of arrays")
+        state = dict(state)
+        if "n_users" not in state:
+            raise ConfigurationError("accumulator state is missing 'n_users'")
+        n_users = checked_state_count(state.pop("n_users"), "n_users")
+        shapes = self.statistic_shapes(self._oracle)
+        if set(state) != set(shapes):
+            raise ConfigurationError(
+                f"accumulator state keys {sorted(state)} do not match the "
+                f"expected statistic {sorted(shapes)}"
+            )
+        loaded = {}
+        for key, shape in shapes.items():
+            value = np.asarray(state[key])
+            if value.dtype.kind not in "biuf" or not np.can_cast(
+                value.dtype, np.float64, "same_kind"
+            ):
+                raise ConfigurationError(
+                    f"statistic {key!r} has dtype {value.dtype}, expected float64"
+                )
+            if value.shape != tuple(shape):
+                raise ConfigurationError(
+                    f"statistic {key!r} has shape {value.shape}, expected "
+                    f"{tuple(shape)} for this configuration"
+                )
+            value = value.astype(np.float64)
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"statistic {key!r} holds non-finite values")
+            loaded[key] = value
+        self._load_statistic_arrays(loaded)
         self._n_users = n_users
         return self
 

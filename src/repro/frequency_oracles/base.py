@@ -170,9 +170,17 @@ class FrequencyOracle(abc.ABC):
         """An accumulator holding a saved :meth:`OracleAccumulator.state_dict`.
 
         ``state`` is checked against this oracle's statistic shapes before
-        any statistic is allocated (:meth:`OracleAccumulator.from_state_dict`).
+        any statistic is allocated: a header that claims a larger domain
+        than its arrays hold fails with
+        :class:`~repro.exceptions.ConfigurationError` at the size of the
+        arrays, not of the claimed domain.
         """
-        return self._accumulator_class().from_state_dict(self, state)
+        accumulator_class = self._accumulator_class()
+        # Skip __init__'s zero-filled statistic; load_state_dict installs
+        # the checked arrays in its place.
+        accumulator = accumulator_class.__new__(accumulator_class)
+        accumulator._oracle = self
+        return accumulator.load_state_dict(state)
 
     def _accumulator_class(self) -> Type[OracleAccumulator]:
         if self.accumulator_class is None:

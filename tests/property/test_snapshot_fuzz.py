@@ -360,3 +360,18 @@ def test_claimed_domain_is_not_allocated_before_the_check():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_restore_holds_one_copy_of_the_statistic():
+    oracle = make_oracle("oue", epsilon=EPSILON, domain_size=2**20)
+    state = oracle.accumulator().state_dict()
+    tracemalloc.start()
+    try:
+        restored = oracle.restore_accumulator(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert restored.n_users == 0
+    # The checked 8 MiB float64 copy and its 1 MiB finiteness mask; no
+    # zero-filled statistic is built only to be replaced.
+    assert peak < 12 * 2**20

@@ -138,9 +138,9 @@ class TestAccumulatorRoundTrip:
         state = accumulator.state_dict()
         state["ones"] = np.zeros(DOMAIN + 1)
         with pytest.raises(ConfigurationError):
-            oracle.accumulator().load_state_dict(state)
+            oracle.restore_accumulator(state)
         with pytest.raises(ConfigurationError):
-            oracle.accumulator().load_state_dict({"bogus": np.zeros(DOMAIN)})
+            oracle.restore_accumulator({"bogus": np.zeros(DOMAIN)})
 
 
 class TestMechanismRoundTrip:

@@ -1,9 +1,10 @@
 """One read path: every scalar read surface is a one-row batched call.
 
 ``answer_range`` / ``answer_prefix`` are row 0 of ``answer_ranges`` on a
-one-row batch, and ``answer_box`` is row 0 of ``answer_boxes``: one query gets one float, bit for bit, whatever the
-surface, and the scalar call shares the batch's cache entry.  The shared
-gate refuses non-integer bounds instead of truncating them.
+one-row batch, and ``answer_box`` is row 0 of ``answer_boxes``: one query
+gets one float, bit for bit, whatever the surface, and the scalar call
+shares the batch's cache entry.  The shared gate refuses non-integer
+bounds instead of truncating them.
 """
 
 import numpy as np
