@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, InvalidQueryError
 from repro.privacy.budget import exp_epsilon
 
@@ -49,34 +51,40 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer scalar.  Bools are
+    refused, as :func:`repro.core.base.integer_queries` refuses them."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_users(n_users: int) -> int:
-    if not isinstance(n_users, int) or n_users < 1:
+    if not _is_integer(n_users) or n_users < 1:
         raise ConfigurationError(f"n_users must be a positive integer, got {n_users!r}")
-    return n_users
+    return int(n_users)
 
 
 def _check_domain(domain_size: int) -> int:
-    if not isinstance(domain_size, int) or domain_size < 2:
+    if not _is_integer(domain_size) or domain_size < 2:
         raise ConfigurationError(
             f"domain size must be an integer >= 2, got {domain_size!r}"
         )
-    return domain_size
+    return int(domain_size)
 
 
 def _check_branching(branching: int) -> int:
-    if not isinstance(branching, int) or branching < 2:
+    if not _is_integer(branching) or branching < 2:
         raise ConfigurationError(
             f"branching factor must be an integer >= 2, got {branching!r}"
         )
-    return branching
+    return int(branching)
 
 
 def _check_range_length(range_length: int, domain_size: int) -> int:
-    if not isinstance(range_length, int) or not 1 <= range_length <= domain_size:
+    if not _is_integer(range_length) or not 1 <= range_length <= domain_size:
         raise InvalidQueryError(
             f"range length must be in [1, {domain_size}], got {range_length!r}"
         )
-    return range_length
+    return int(range_length)
 
 
 def frequency_oracle_variance(epsilon: float, n_users: int) -> float:
@@ -196,8 +204,9 @@ def grid_nd_box_variance(
     domain_size = _check_domain(domain_size)
     branching = _check_branching(branching)
     per_axis_length = _check_range_length(per_axis_length, domain_size)
-    if not isinstance(dims, (int,)) or isinstance(dims, bool) or dims < 1:
+    if not _is_integer(dims) or dims < 1:
         raise ConfigurationError(f"dims must be a positive integer, got {dims!r}")
+    dims = int(dims)
     height = max(1, math.ceil(round(math.log(domain_size, branching), 10)))
     alpha = (
         math.ceil(round(math.log(per_axis_length, branching), 10)) + 1

@@ -1,17 +1,18 @@
-"""Abstract interface shared by every range-query mechanism.
+"""The one base class of every range-query mechanism.
 
 A mechanism's lifecycle has two phases:
 
-1. **Collection** — the private inputs of ``N`` users are turned into noisy
-   aggregate state.  Two one-shot entry points exist: :meth:`fit_items` (an
+1. **Collection** — every user reports one *label* (a tree level, a tuple
+   of per-axis levels, or the flat mechanism's single leaf level) through
+   that label's frequency oracle, and the aggregator sums the oracle
+   statistics per label in mergeable accumulators.  :meth:`fit_items` (an
    array of individual user items, supporting both ``per_user`` and
-   ``aggregate`` simulation) and :meth:`fit_counts` (exact per-item counts,
-   ``aggregate`` simulation only).  Mechanisms backed by mergeable oracle
-   accumulators additionally support *incremental* collection
-   (:meth:`partial_fit`, callable any number of times) and *shard
-   combination* (:meth:`merge_from`, folding another instance's accumulated
-   state into this one) — the substrate of
-   :class:`repro.streaming.ShardedCollector`.
+   ``aggregate`` simulation) and :meth:`fit_counts` (exact per-item counts)
+   reset the accumulators and collect one population; :meth:`partial_fit`
+   adds one more batch on top of them, any number of times;
+   :meth:`merge_from` folds another instance's accumulators into this one
+   — the substrate of :class:`repro.streaming.ShardedCollector`; and
+   :meth:`state_dict` / :meth:`load_state_dict` snapshot them.
 2. **Query answering** — once fitted, :meth:`answer_ranges`,
    :meth:`answer_range`, :meth:`answer_prefix`,
    :meth:`estimate_frequencies`, :meth:`estimate_cdf` and :meth:`quantile`
@@ -31,27 +32,18 @@ of ``k`` times, and the answers are bit-identical to refreshing after every
 batch because the estimates are a deterministic function of the accumulated
 statistics (no randomness is consumed by a refresh).
 
-Subclasses implement :meth:`_collect` (store aggregate state) and
+A subclass calls ``_init_labels`` with one oracle per label, in label
+order, and implements four hooks: ``_accumulate_per_user`` (run the local
+protocol, e.g. draw each user's label and fold the groups of
+``_group_by_label``), ``_accumulate_aggregate`` (fold each label's share
+of the counts, e.g. as split by ``_thinned``), :meth:`_refresh_estimates`
+(rebuild the queryable estimates from the accumulators) and
 :meth:`_range_answers` (answer a validated ``(n, 2)`` ``int64`` batch of
-ranges, every row independently); the base class provides the one
-validation gate (:func:`validate_queries`), the answer
-cache, the scalar surfaces, workload evaluation and the quantile search.
-Accumulator-backed subclasses additionally implement
-:meth:`_refresh_estimates` and call :meth:`_mark_dirty` from every path
-that mutates their sufficient statistics without refreshing.
-
-:class:`LevelSampledMechanism` is the skeleton of the hierarchical
-histograms, the Haar wavelet and the N-d grids, whose users each sample one
-*label* (a tree level, or a tuple of per-axis levels) and report through
-that label's oracle.  It owns the label-keyed accumulators, the per-label
-user counts, collection, merging and snapshots.  A subclass calls
-``_init_labels`` with one oracle per label, in label order; implements
-``_accumulate_per_user`` (draw each user's label, fold the groups of
-``_group_by_label``) and ``_accumulate_aggregate`` (fold each label's share
-of the counts as split by ``_thinned``); and implements
-:meth:`_refresh_estimates` and the read paths.  A subclass whose users
-report several labels (HH budget splitting) also overrides ``_accumulate``
-and ``_label_counts_fit``.
+ranges, every row independently).  A subclass whose users report several
+labels (HH budget splitting) also overrides ``_accumulate`` and
+``_label_counts_fit``.  The base class provides the one validation gate
+(:func:`validate_queries`), the answer cache, the scalar surfaces,
+workload evaluation and the quantile search.
 """
 
 from __future__ import annotations
@@ -84,7 +76,6 @@ from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 
 __all__ = [
-    "LevelSampledMechanism",
     "RangeQueryMechanism",
     "SIMULATION_MODES",
     "integer_queries",
@@ -296,10 +287,8 @@ class RangeQueryMechanism(abc.ABC):
 
     def _mark_dirty(self) -> None:
         """Record a statistics mutation: estimates are stale until the next
-        :meth:`materialize`.  Accumulator-backed subclasses call this from
-        ``_collect`` and ``load_state_dict``; the base class calls it for
-        ``partial_fit`` and ``merge_from`` (which only ever succeed on
-        mechanisms with accumulator support)."""
+        :meth:`materialize`.  Called by every collection entry point,
+        :meth:`merge_from` and :meth:`load_state_dict`."""
         self._ingest_generation += 1
 
     def _mark_clean(self) -> None:
@@ -398,6 +387,37 @@ class RangeQueryMechanism(abc.ABC):
         return answers
 
     # ------------------------------------------------------------------
+    # Labels
+    # ------------------------------------------------------------------
+    def _init_labels(self, oracles: Mapping[Hashable, Any]) -> None:
+        """Declare the labels, in label order, with one oracle each."""
+        self._oracles = dict(oracles)
+        self._labels = list(self._oracles)
+        self._accumulators: Optional[dict] = None
+        self._label_user_counts: Optional[np.ndarray] = None
+
+    def _init_level_probabilities(
+        self, probabilities: Optional[Sequence[float]], n_levels: int
+    ) -> None:
+        """Set the level-sampling distribution
+        (:func:`normalize_level_probabilities`), keeping the argument as
+        given (``None`` for uniform) for the snapshot config.  Normalizing
+        an already normalized array can move its last bit, so only the
+        original argument rebuilds the identical array on restore."""
+        self._level_probabilities = normalize_level_probabilities(probabilities, n_levels)
+        self._level_probabilities_config = (
+            None
+            if probabilities is None
+            else np.asarray(probabilities, dtype=np.float64).tolist()
+        )
+
+    def _user_counts(self) -> Optional[np.ndarray]:
+        """A copy of the per-label user counts (``None`` unfitted)."""
+        if self._label_user_counts is None:
+            return None
+        return self._label_user_counts.copy()
+
+    # ------------------------------------------------------------------
     # Collection phase
     # ------------------------------------------------------------------
     def fit_items(
@@ -407,6 +427,8 @@ class RangeQueryMechanism(abc.ABC):
         mode: str = "aggregate",
     ) -> "RangeQueryMechanism":
         """Collect the population given each user's private item.
+
+        Any previously collected state is discarded.
 
         Parameters
         ----------
@@ -418,14 +440,15 @@ class RangeQueryMechanism(abc.ABC):
         mode:
             ``"per_user"`` runs the actual local protocol for every user;
             ``"aggregate"`` samples the aggregator's view directly (much
-            faster, statistically equivalent — see the oracle docstrings).
+            faster, statistically equivalent — see the accumulators'
+            ``_add_simulated`` docstrings).
         """
         items = self._validate_items(items)
         self._check_mode(mode)
         rng = as_generator(random_state)
-        self._collect(
-            items=items, counts=self._counts_for(items, mode), rng=rng, mode=mode
-        )
+        self._reset_accumulators()
+        self._accumulate(items, self._counts_for(items, mode), rng, mode)
+        self._mark_dirty()
         self._n_users = int(items.shape[0])
         return self
 
@@ -452,16 +475,13 @@ class RangeQueryMechanism(abc.ABC):
         across batches: repeating the same integer seed replays the same
         randomness for every batch, so the noise adds coherently instead of
         cancelling.
-
-        Raises :class:`~repro.exceptions.ConfigurationError` for mechanisms
-        without accumulator support.
         """
         items = self._validate_items(items)
         self._check_mode(mode)
         rng = as_generator(random_state)
-        self._partial_collect(
-            items=items, counts=self._counts_for(items, mode), rng=rng, mode=mode
-        )
+        if self._accumulators is None:
+            self._reset_accumulators()
+        self._accumulate(items, self._counts_for(items, mode), rng, mode)
         self._mark_dirty()
         self._n_users = (self._n_users or 0) + int(items.shape[0])
         return self
@@ -496,9 +516,8 @@ class RangeQueryMechanism(abc.ABC):
         removed.)
 
         Raises :class:`~repro.exceptions.ConfigurationError` when the
-        configurations differ or the mechanism has no accumulator support,
-        and :class:`~repro.exceptions.NotFittedError` when ``other`` has not
-        collected anything.
+        configurations differ, and :class:`~repro.exceptions.NotFittedError`
+        when ``other`` has not collected anything.
         """
         if type(other) is not type(self):
             raise ConfigurationError(
@@ -511,7 +530,11 @@ class RangeQueryMechanism(abc.ABC):
             )
         if not other.is_fitted:
             raise NotFittedError("merge_from requires a fitted source mechanism")
-        self._merge_state(other)
+        if self._accumulators is None:
+            self._reset_accumulators()
+        for label in self._labels:
+            self._accumulators[label].merge(other._accumulators[label])
+        self._label_user_counts += other._label_user_counts
         self._mark_dirty()
         self._n_users = (self._n_users or 0) + int(other._n_users)
         return self
@@ -524,8 +547,9 @@ class RangeQueryMechanism(abc.ABC):
     ) -> "RangeQueryMechanism":
         """Collect the population given exact per-item counts.
 
-        ``mode="per_user"`` is also accepted: the counts are expanded into an
-        explicit item vector first (costs ``O(N)`` memory).
+        Any previously collected state is discarded.  ``mode="per_user"``
+        is also accepted: the counts are expanded into an explicit item
+        vector first (costs ``O(N)`` memory).
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1 or counts.shape[0] != self._domain_size:
@@ -539,67 +563,110 @@ class RangeQueryMechanism(abc.ABC):
         items = None
         if mode == "per_user":
             items = np.repeat(np.arange(self._domain_size, dtype=np.int64), counts)
-        self._collect(items=items, counts=counts, rng=rng, mode=mode)
+        self._reset_accumulators()
+        self._accumulate(items, counts, rng, mode)
+        self._mark_dirty()
         self._n_users = int(counts.sum())
         return self
 
-    @abc.abstractmethod
-    def _collect(
+    def _reset_accumulators(self) -> None:
+        self._accumulators = {
+            label: oracle.accumulator() for label, oracle in self._oracles.items()
+        }
+        self._label_user_counts = np.zeros(len(self._labels), dtype=np.int64)
+
+    def _accumulate(
         self,
         items: Optional[np.ndarray],
         counts: Optional[np.ndarray],
         rng: np.random.Generator,
         mode: str,
     ) -> None:
-        """Store the mechanism's aggregate state for the given population.
+        """Fold one batch into the accumulators and the per-label counts.
 
-        ``items`` is guaranteed to be present when ``mode == "per_user"``;
-        ``counts`` is guaranteed to be present when ``mode == "aggregate"``
-        (and always from :meth:`fit_counts`) — the per-user protocol paths
-        never consume counts, so the item-fit entry points skip building
-        them.  One-shot semantics: any previously accumulated state is
-        discarded.  Accumulator-backed implementations only touch
-        sufficient statistics and call :meth:`_mark_dirty`; implementations
-        that build their estimates eagerly (no :meth:`_refresh_estimates`)
-        simply never mark dirty.
+        ``items`` is present when ``mode == "per_user"`` and ``counts``
+        when ``mode == "aggregate"``: the per-user protocol paths never
+        consume counts, so the item-fit entry points skip building them.
         """
+        if mode == "per_user":
+            self._accumulate_per_user(items, rng)
+        else:
+            self._accumulate_aggregate(counts, rng)
 
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: Optional[np.ndarray],
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        """Accumulate one batch on top of the existing state (streaming hook).
+    @abc.abstractmethod
+    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Run the local protocol: each user's report is folded into her
+        label's accumulator, and her label's user count grows by one."""
 
-        Mechanisms backed by oracle accumulators override this; the default
-        refuses so that one-shot-only mechanisms keep a precise error.
+    @abc.abstractmethod
+    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample the aggregator's view: fold each label's share of the
+        per-item counts into its accumulator and its user count."""
+
+    def _group_by_label(
+        self, items: np.ndarray, assignments: np.ndarray
+    ) -> Tuple[np.ndarray, List[Tuple[Hashable, slice]]]:
+        """Group a per-user batch by each user's sampled label index.
+
+        Records the users per label and returns ``(ordered, groups)``: the
+        items reordered by one stable ``argsort`` of the assignments, and
+        ``(label, slice)`` for every label that received users, in label
+        order.  ``ordered[slice]`` is exactly ``items[assignments ==
+        index]``, the same users in batch order, so the per-label protocol
+        runs consume the generator as one mask scan per label would.
         """
-        raise ConfigurationError(
-            f"{self.name} does not support incremental collection"
-        )
+        counts = np.bincount(assignments, minlength=len(self._labels))
+        self._label_user_counts += counts
+        ordered = items[np.argsort(assignments, kind="stable")]
+        stops = np.cumsum(counts).tolist()
+        groups = [
+            (self._labels[index], slice(stops[index] - int(counts[index]), stops[index]))
+            for index in np.flatnonzero(counts).tolist()
+        ]
+        return ordered, groups
 
-    def _merge_state(self, other: "RangeQueryMechanism") -> None:
-        """Fold ``other``'s accumulated statistics into this mechanism's.
+    def _thinned(
+        self, counts: np.ndarray, probabilities: np.ndarray, rng: np.random.Generator
+    ) -> Iterator[Tuple[Hashable, np.ndarray]]:
+        """Split per-item counts across the labels, one label at a time.
 
-        Called by :meth:`merge_from` after the configuration check; ``self``
-        may be unfitted (treat as empty).  Must only update the sufficient
-        statistics — :meth:`merge_from` marks the estimates dirty and
-        :meth:`materialize` rebuilds them on the next read.  Default refuses.
+        A multinomial split realised as sequential binomial thinning (the
+        last label takes what remains): the exact distribution of how
+        label sampling partitions the users, and splits of separate
+        batches add up to the split of their union, which is what makes
+        the aggregate paths incremental.  Records the users per label and
+        yields ``(label, label_counts)`` for every label that received
+        users, in label order.  A label's binomial is drawn only when the
+        caller asks for the next label, so the draws interleave with the
+        caller's per-label noise exactly as one loop doing both would.
         """
-        raise ConfigurationError(f"{self.name} does not support state merging")
+        remaining = counts
+        remaining_probability = 1.0
+        last = len(self._labels) - 1
+        for index, (label, probability) in enumerate(zip(self._labels, probabilities)):
+            if index == last:
+                label_counts = remaining
+            else:
+                share = 0.0 if remaining_probability <= 0 else min(
+                    1.0, probability / remaining_probability
+                )
+                label_counts = rng.binomial(remaining, share)
+                remaining = remaining - label_counts
+                remaining_probability -= probability
+            users = int(label_counts.sum())
+            self._label_user_counts[index] += users
+            if users:
+                yield label, label_counts
 
+    @abc.abstractmethod
     def _refresh_estimates(self) -> None:
         """Rebuild the queryable estimates from the accumulated statistics.
 
-        Implemented by every mechanism that implements :meth:`_merge_state`.
         Must be a pure function of the sufficient statistics (no randomness,
         no statistic mutation) — that determinism is what makes lazy and
         eager materialization bit-identical.  Only ever called through
         :meth:`materialize`, which handles the generation bookkeeping.
         """
-        raise ConfigurationError(f"{self.name} does not support state merging")
 
     def _merge_signature(self) -> tuple:
         """Configuration fingerprint deciding :meth:`merge_from` compatibility.
@@ -614,37 +681,99 @@ class RangeQueryMechanism(abc.ABC):
     # Persistence (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Nested ``{str: array-or-dict}`` snapshot of the collected state.
+        """Nested ``{str: array-or-dict}`` snapshot of the collected state:
+        ``n_users``, and once fitted ``level_user_counts`` and
+        ``accumulators/<label>/...``.
 
         ``n_users`` is encoded as ``-1`` when the mechanism is unfitted so
-        that empty shards can be checkpointed too.  Implemented by every
-        accumulator-backed mechanism; the default refuses.
+        that empty shards can be checkpointed too.
         """
-        raise ConfigurationError(f"{self.name} does not support state snapshots")
+        state = {
+            "n_users": np.asarray(
+                -1 if self._n_users is None else int(self._n_users), dtype=np.int64
+            )
+        }
+        if self._accumulators is not None:
+            state["level_user_counts"] = self._label_user_counts.copy()
+            state["accumulators"] = {
+                str(label): accumulator.state_dict()
+                for label, accumulator in self._accumulators.items()
+            }
+        return state
 
     def load_state_dict(self, state: dict) -> "RangeQueryMechanism":
         """Replace the collected state with a :meth:`state_dict`.
 
         The mechanism must be configured identically to the one that
         produced the state (``load`` callers verify the merge signature
-        first; shape checks here catch the rest).  Only the sufficient
-        statistics are restored — the queryable estimates are rebuilt
-        lazily on the first read and equal the snapshotted mechanism's
-        bit-for-bit (a snapshot taken dirty and one taken materialized hold
-        the same statistics, so round-trips are bit-exact either way).
+        first; the checks here catch the rest).  Everything is validated
+        before any state is touched: a fitted ``n_users`` needs stored
+        accumulators, the label set must match, each accumulator's arrays
+        must fit its oracle, each label's count must equal its
+        accumulator's users, and the counts must account for ``n_users``
+        (:meth:`_label_counts_fit`).  Only the sufficient statistics are
+        restored — the queryable estimates are rebuilt lazily on the first
+        read and equal the snapshotted mechanism's bit-for-bit.
         """
-        raise ConfigurationError(f"{self.name} does not support state snapshots")
-
-    def _pack_n_users(self) -> np.ndarray:
-        return np.asarray(-1 if self._n_users is None else int(self._n_users), dtype=np.int64)
-
-    def _unpack_n_users(self, state: dict) -> Optional[int]:
         if not isinstance(state, Mapping):
             raise ConfigurationError("mechanism state must be a mapping of arrays")
         if "n_users" not in state:
             raise ConfigurationError("mechanism state is missing 'n_users'")
         n_users = checked_state_count(state["n_users"], "snapshotted n_users", lower=-1)
-        return None if n_users == -1 else n_users
+        if "accumulators" not in state:
+            if n_users != -1:
+                raise ConfigurationError(
+                    f"snapshot of a fitted mechanism ({n_users} users) holds no accumulators"
+                )
+            self._accumulators = None
+            self._label_user_counts = None
+            self._mark_clean()
+            self._n_users = None
+            return self
+        stored = state["accumulators"]
+        expected = {str(label) for label in self._labels}
+        if not isinstance(stored, Mapping):
+            raise ConfigurationError("snapshot accumulators must be a mapping of levels")
+        if set(stored) != expected:
+            raise ConfigurationError(
+                f"snapshot holds levels {sorted(stored)}, this mechanism has "
+                f"{sorted(expected)}"
+            )
+        if "level_user_counts" not in state:
+            raise ConfigurationError(
+                "snapshot with accumulators is missing level_user_counts"
+            )
+        counts = np.asarray(state["level_user_counts"])
+        if counts.shape != (len(self._labels),) or counts.dtype.kind not in "iu":
+            raise ConfigurationError(
+                "snapshot level_user_counts must hold one integer per level"
+            )
+        accumulators = {
+            label: self._oracles[label].restore_accumulator(stored[str(label)])
+            for label in self._labels
+        }
+        # Accumulator user counts are validated non-negative integers, so
+        # this exact comparison also rejects negative or wrapped counts.
+        if counts.tolist() != [accumulator.n_users for accumulator in accumulators.values()]:
+            raise ConfigurationError(
+                "snapshot level_user_counts disagree with the users its "
+                "accumulators hold"
+            )
+        n_users = None if n_users == -1 else n_users
+        if not self._label_counts_fit(counts, n_users):
+            raise ConfigurationError(
+                f"snapshot level_user_counts do not account for its {n_users} users"
+            )
+        self._accumulators = accumulators
+        self._label_user_counts = counts.astype(np.int64)
+        self._mark_dirty()
+        self._n_users = n_users
+        return self
+
+    def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
+        """Whether per-label user counts account for ``n_users`` users who
+        each report exactly one label."""
+        return sum(counts.tolist()) == n_users
 
     # ------------------------------------------------------------------
     # Query answering
@@ -785,224 +914,3 @@ class RangeQueryMechanism(abc.ABC):
             f"{type(self).__name__}(epsilon={self.epsilon:.4g}, "
             f"domain_size={self.domain_size}, fitted={self.is_fitted})"
         )
-
-
-class LevelSampledMechanism(RangeQueryMechanism):
-    """Base of the mechanisms whose users each report one sampled label
-    (see the module docstring for the subclass contract)."""
-
-    def _init_labels(self, oracles: Mapping[Hashable, Any]) -> None:
-        """Declare the labels, in label order, with one oracle each."""
-        self._oracles = dict(oracles)
-        self._labels = list(self._oracles)
-        self._accumulators: Optional[dict] = None
-        self._label_user_counts: Optional[np.ndarray] = None
-
-    def _init_level_probabilities(
-        self, probabilities: Optional[Sequence[float]], n_levels: int
-    ) -> None:
-        """Set the level-sampling distribution
-        (:func:`normalize_level_probabilities`), keeping the argument as
-        given (``None`` for uniform) for the snapshot config.  Normalizing
-        an already normalized array can move its last bit, so only the
-        original argument rebuilds the identical array on restore."""
-        self._level_probabilities = normalize_level_probabilities(probabilities, n_levels)
-        self._level_probabilities_config = (
-            None
-            if probabilities is None
-            else np.asarray(probabilities, dtype=np.float64).tolist()
-        )
-
-    def _user_counts(self) -> Optional[np.ndarray]:
-        """A copy of the per-label user counts (``None`` unfitted)."""
-        if self._label_user_counts is None:
-            return None
-        return self._label_user_counts.copy()
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def _reset_accumulators(self) -> None:
-        self._accumulators = {
-            label: oracle.accumulator() for label, oracle in self._oracles.items()
-        }
-        self._label_user_counts = np.zeros(len(self._labels), dtype=np.int64)
-
-    def _collect(
-        self,
-        items: Optional[np.ndarray],
-        counts: Optional[np.ndarray],
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        self._reset_accumulators()
-        self._accumulate(items, counts, rng, mode)
-        self._mark_dirty()
-
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: Optional[np.ndarray],
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        self._accumulate(items, counts, rng, mode)
-
-    def _accumulate(
-        self,
-        items: Optional[np.ndarray],
-        counts: Optional[np.ndarray],
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        """Fold one batch into the accumulators and the per-label counts."""
-        if mode == "per_user":
-            self._accumulate_per_user(items, rng)
-        else:
-            self._accumulate_aggregate(counts, rng)
-
-    @abc.abstractmethod
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Run the local protocol: each user draws a label and her report
-        is folded into that label's accumulator."""
-
-    @abc.abstractmethod
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Sample the aggregator's view: split the per-item counts across
-        the labels with :meth:`_thinned` and fold each label's share."""
-
-    def _group_by_label(
-        self, items: np.ndarray, assignments: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[Hashable, slice]]]:
-        """Group a per-user batch by each user's sampled label index.
-
-        Records the users per label and returns ``(ordered, groups)``: the
-        items reordered by one stable ``argsort`` of the assignments, and
-        ``(label, slice)`` for every label that received users, in label
-        order.  ``ordered[slice]`` is exactly ``items[assignments ==
-        index]``, the same users in batch order, so the per-label protocol
-        runs consume the generator as one mask scan per label would.
-        """
-        counts = np.bincount(assignments, minlength=len(self._labels))
-        self._label_user_counts += counts
-        ordered = items[np.argsort(assignments, kind="stable")]
-        stops = np.cumsum(counts).tolist()
-        groups = [
-            (self._labels[index], slice(stops[index] - int(counts[index]), stops[index]))
-            for index in np.flatnonzero(counts).tolist()
-        ]
-        return ordered, groups
-
-    def _thinned(
-        self, counts: np.ndarray, probabilities: np.ndarray, rng: np.random.Generator
-    ) -> Iterator[Tuple[Hashable, np.ndarray]]:
-        """Split per-item counts across the labels, one label at a time.
-
-        A multinomial split realised as sequential binomial thinning (the
-        last label takes what remains): the exact distribution of how
-        label sampling partitions the users, and splits of separate
-        batches add up to the split of their union, which is what makes
-        the aggregate paths incremental.  Records the users per label and
-        yields ``(label, label_counts)`` for every label that received
-        users, in label order.  A label's binomial is drawn only when the
-        caller asks for the next label, so the draws interleave with the
-        caller's per-label noise exactly as one loop doing both would.
-        """
-        remaining = counts
-        remaining_probability = 1.0
-        last = len(self._labels) - 1
-        for index, (label, probability) in enumerate(zip(self._labels, probabilities)):
-            if index == last:
-                label_counts = remaining
-            else:
-                share = 0.0 if remaining_probability <= 0 else min(
-                    1.0, probability / remaining_probability
-                )
-                label_counts = rng.binomial(remaining, share)
-                remaining = remaining - label_counts
-                remaining_probability -= probability
-            users = int(label_counts.sum())
-            self._label_user_counts[index] += users
-            if users:
-                yield label, label_counts
-
-    def _merge_state(self, other: "LevelSampledMechanism") -> None:
-        if self._accumulators is None:
-            self._reset_accumulators()
-        for label in self._labels:
-            self._accumulators[label].merge(other._accumulators[label])
-        self._label_user_counts += other._label_user_counts
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        state = {"n_users": self._pack_n_users()}
-        if self._accumulators is not None:
-            state["level_user_counts"] = self._label_user_counts.copy()
-            state["accumulators"] = {
-                str(label): accumulator.state_dict()
-                for label, accumulator in self._accumulators.items()
-            }
-        return state
-
-    def load_state_dict(self, state: dict) -> "LevelSampledMechanism":
-        """Replace the collected state with a :meth:`state_dict`.
-
-        Everything is validated before any state is touched: the label
-        set, each accumulator's arrays, and the user counts.  Each label's
-        count must equal its accumulator's users, and the counts must
-        account for ``n_users`` (:meth:`_label_counts_fit`).
-        """
-        n_users = self._unpack_n_users(state)
-        if "accumulators" not in state:
-            self._accumulators = None
-            self._label_user_counts = None
-            self._mark_clean()
-            self._n_users = n_users
-            return self
-        stored = state["accumulators"]
-        expected = {str(label) for label in self._labels}
-        if not isinstance(stored, Mapping):
-            raise ConfigurationError("snapshot accumulators must be a mapping of levels")
-        if set(stored) != expected:
-            raise ConfigurationError(
-                f"snapshot holds levels {sorted(stored)}, this mechanism has "
-                f"{sorted(expected)}"
-            )
-        if "level_user_counts" not in state:
-            raise ConfigurationError(
-                "snapshot with accumulators is missing level_user_counts"
-            )
-        counts = np.asarray(state["level_user_counts"])
-        if counts.shape != (len(self._labels),) or counts.dtype.kind not in "iu":
-            raise ConfigurationError(
-                "snapshot level_user_counts must hold one integer per level"
-            )
-        accumulators = {
-            label: self._oracles[label].restore_accumulator(stored[str(label)])
-            for label in self._labels
-        }
-        # Accumulator user counts are validated non-negative integers, so
-        # this exact comparison also rejects negative or wrapped counts.
-        if counts.tolist() != [accumulator.n_users for accumulator in accumulators.values()]:
-            raise ConfigurationError(
-                "snapshot level_user_counts disagree with the users its "
-                "accumulators hold"
-            )
-        if not self._label_counts_fit(counts, n_users):
-            raise ConfigurationError(
-                f"snapshot level_user_counts do not account for its {n_users} users"
-            )
-        self._accumulators = accumulators
-        self._label_user_counts = counts.astype(np.int64)
-        self._mark_dirty()
-        self._n_users = n_users
-        return self
-
-    def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
-        """Whether per-label user counts account for ``n_users`` users who
-        each report exactly one label."""
-        return sum(counts.tolist()) == n_users

@@ -16,14 +16,20 @@ from typing import Optional
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
-from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.registry import make_oracle
 
 __all__ = ["FlatMechanism"]
 
+#: The one label: the leaf level of a ``B = D`` tree.
+_LEAVES = 1
+
 
 class FlatMechanism(RangeQueryMechanism):
     """Sum-of-point-queries range mechanism.
+
+    Every user reports her item through one frequency oracle over the
+    whole domain: the one-label case of the collection skeleton, with no
+    label draw.
 
     Parameters
     ----------
@@ -49,7 +55,7 @@ class FlatMechanism(RangeQueryMechanism):
         super().__init__(epsilon, domain_size, name=name or f"Flat{oracle.upper()}")
         self._oracle_kwargs = dict(oracle_kwargs)
         self._oracle = make_oracle(oracle, epsilon=epsilon, domain_size=domain_size, **oracle_kwargs)
-        self._accumulator: Optional[OracleAccumulator] = None
+        self._init_labels({_LEAVES: self._oracle})
         self._frequencies: Optional[np.ndarray] = None
         self._prefix: Optional[np.ndarray] = None
 
@@ -61,73 +67,22 @@ class FlatMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _collect(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        self._accumulator = self._oracle.accumulator()
-        self._accumulate_batch(items, counts, rng, mode)
-        self._mark_dirty()
+    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
+        self._label_user_counts[0] += items.shape[0]
+        self._accumulators[_LEAVES]._add_items(items, rng)
 
-    def _partial_collect(
-        self,
-        items: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if self._accumulator is None:
-            self._accumulator = self._oracle.accumulator()
-        self._accumulate_batch(items, counts, rng, mode)
-
-    def _accumulate_batch(
-        self,
-        items: Optional[np.ndarray],
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        mode: str,
-    ) -> None:
-        if mode == "per_user":
-            self._accumulator._add_items(items, rng)
-        else:
-            self._accumulator.add_counts(counts, rng)
+    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        self._label_user_counts[0] += int(counts.sum())
+        self._accumulators[_LEAVES].add_counts(counts, rng)
 
     def _refresh_estimates(self) -> None:
-        self._frequencies = np.asarray(self._accumulator.estimate(), dtype=np.float64)
+        self._frequencies = np.asarray(
+            self._accumulators[_LEAVES].estimate(), dtype=np.float64
+        )
         self._prefix = np.concatenate([[0.0], np.cumsum(self._frequencies)])
-
-    def _merge_state(self, other: "FlatMechanism") -> None:
-        if self._accumulator is None:
-            self._accumulator = self._oracle.accumulator()
-        self._accumulator.merge(other._accumulator)
 
     def _merge_signature(self) -> tuple:
         return super()._merge_signature() + (self._oracle.merge_signature(),)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        state = {"n_users": self._pack_n_users()}
-        if self._accumulator is not None:
-            state["accumulator"] = self._accumulator.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> "FlatMechanism":
-        n_users = self._unpack_n_users(state)
-        if "accumulator" in state:
-            self._accumulator = self._oracle.restore_accumulator(state["accumulator"])
-            self._mark_dirty()
-        else:
-            self._accumulator = None
-            self._frequencies = None
-            self._prefix = None
-            self._mark_clean()
-        self._n_users = n_users
-        return self
 
     # ------------------------------------------------------------------
     # Query answering
@@ -149,5 +104,8 @@ class FlatMechanism(RangeQueryMechanism):
 
     def per_query_variance(self, range_length: int) -> float:
         """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1)."""
+        from repro.analysis.variance import _check_range_length
+
         self._require_fitted()
+        range_length = _check_range_length(range_length, self._domain_size)
         return range_length * self._oracle.theoretical_variance(self.n_users)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import LevelSampledMechanism
+from repro.core.base import RangeQueryMechanism
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
@@ -41,7 +41,7 @@ __all__ = ["HierarchicalHistogramMechanism"]
 _BUDGET_STRATEGIES = ("sampling", "splitting")
 
 
-class HierarchicalHistogramMechanism(LevelSampledMechanism):
+class HierarchicalHistogramMechanism(RangeQueryMechanism):
     """The ``HH_B`` framework instantiated with a pluggable frequency oracle.
 
     Parameters

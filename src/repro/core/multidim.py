@@ -48,11 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    LevelSampledMechanism,
-    RangeQueryMechanism,
-    validate_queries,
-)
+from repro.core.base import RangeQueryMechanism, validate_queries
 from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
@@ -111,7 +107,7 @@ def validate_points(points: np.ndarray, dims: int, side: int) -> np.ndarray:
     return points.astype(np.int64, copy=False)
 
 
-class HierarchicalGridND(LevelSampledMechanism):
+class HierarchicalGridND(RangeQueryMechanism):
     """LDP box-query mechanism over a ``d``-dimensional grid domain.
 
     Parameters
@@ -609,18 +605,13 @@ class HierarchicalGridND(LevelSampledMechanism):
         sketches the multi-dimensional analysis; this is the 1-D eq. (1)
         argument applied per axis.
         """
-        self._require_fitted()
-        if (
-            not isinstance(per_axis_length, (int, np.integer))
-            or not 1 <= per_axis_length <= self._side
-        ):
-            raise InvalidQueryError("per_axis_length outside the domain")
         from repro.analysis.variance import grid_nd_box_variance
 
+        self._require_fitted()
         return grid_nd_box_variance(
             epsilon=self.epsilon,
             n_users=int(self._n_users),
-            per_axis_length=int(per_axis_length),
+            per_axis_length=per_axis_length,
             domain_size=self._side,
             branching=self.branching,
             dims=self._dims,

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import LevelSampledMechanism
+from repro.core.base import RangeQueryMechanism
 from repro.frequency_oracles.hadamard import (
     HadamardRandomizedResponse,
     dyadic_estimates,
@@ -49,7 +49,7 @@ def _next_power_of_two(value: int) -> int:
     return power
 
 
-class HaarWaveletMechanism(LevelSampledMechanism):
+class HaarWaveletMechanism(RangeQueryMechanism):
     """The ``HaarHRR`` range-query mechanism.
 
     Parameters

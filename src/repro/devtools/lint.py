@@ -30,9 +30,9 @@ LDP-R004  Asyncio discipline: no blocking calls inside ``async def``; no
           discarded ``create_task`` handles; no discarded
           ``gather(..., return_exceptions=True)`` results.
 LDP-R005  Persist coverage: ``state_dict`` and ``load_state_dict`` come in
-          pairs, and every concrete mechanism that snapshots state (its own
-          ``state_dict`` or an inherited one) is registered with a persist
-          config kind.
+          pairs, and every concrete mechanism (every non-abstract subclass
+          of ``RangeQueryMechanism``, whose snapshot hooks it inherits) is
+          registered with a persist config kind.
 LDP-R006  Exception discipline: library raises use ``repro.exceptions``
           types, not bare ``ValueError``/``RuntimeError``/``Exception``.
 LDP-R008  One HTTP transport: nothing imports ``http.client`` or
@@ -78,8 +78,9 @@ RULES: Dict[str, str] = {
     "through the accumulator hook, never encode_batch)",
     "LDP-R004": "async code never blocks the event loop or discards task "
     "handles / gathered exceptions",
-    "LDP-R005": "state_dict/load_state_dict come in pairs and mechanisms "
-    "are registered with a persist config kind",
+    "LDP-R005": "state_dict/load_state_dict come in pairs and every "
+    "concrete RangeQueryMechanism subclass is registered with a persist "
+    "config kind",
     "LDP-R006": "query/ingest paths raise repro.exceptions types, not bare "
     "ValueError/RuntimeError/Exception",
     "LDP-R008": "one HTTP transport: no http.client or urllib.request "
@@ -563,34 +564,31 @@ def _check_persist_coverage(ctx: _FileContext, facts: _ProjectFacts) -> Iterator
 def _check_persist_registration(facts: _ProjectFacts) -> Iterator[Finding]:
     if not facts.has_persist_registry:
         return
-    # A mechanism snapshots state when it, or a mechanism class between it
-    # and the root, defines state_dict (the root's default only refuses).
-    snapshots: Dict[str, bool] = {}
-    frontier = [(_MECHANISM_BASE, False)]
+    # The root mechanism snapshots its collected state, so every concrete
+    # mechanism below it does.
     children: Dict[str, List[str]] = {}
     for info in facts.classes.values():
         for base in info.bases:
             children.setdefault(base, []).append(info.name)
+    mechanisms: Set[str] = set()
+    frontier = [_MECHANISM_BASE]
     while frontier:
-        base, inherited = frontier.pop()
-        for child in children.get(base, ()):
-            snapshotting = inherited or facts.classes[child].defines_state_dict
-            if child not in snapshots or (snapshotting and not snapshots[child]):
-                snapshots[child] = snapshotting
-                frontier.append((child, snapshotting))
-    for name in sorted(snapshots):
+        for child in children.get(frontier.pop(), ()):
+            if child not in mechanisms:
+                mechanisms.add(child)
+                frontier.append(child)
+    for name in sorted(mechanisms):
         info = facts.classes[name]
-        if info.is_abstract or not snapshots[name]:
+        if info.is_abstract or name in facts.persist_registry_names:
             continue
-        if name not in facts.persist_registry_names:
-            yield Finding(
-                "LDP-R005",
-                info.path,
-                info.line,
-                0,
-                f"mechanism {name} snapshots state but is not registered "
-                "with a persist config kind (repro/persist/snapshots.py)",
-            )
+        yield Finding(
+            "LDP-R005",
+            info.path,
+            info.line,
+            0,
+            f"mechanism {name} snapshots state but is not registered "
+            "with a persist config kind (repro/persist/snapshots.py)",
+        )
 
 
 def _check_exception_discipline(ctx: _FileContext) -> Iterator[Finding]:

@@ -5,8 +5,10 @@ Every oracle implements the same two-sided protocol:
 * the **user side** (:meth:`~repro.frequency_oracles.base.FrequencyOracle.encode`)
   turns a private item into a randomized report satisfying ``epsilon``-LDP;
 * the **aggregator side**
-  (:meth:`~repro.frequency_oracles.base.FrequencyOracle.aggregate`) collects
-  the reports and produces an unbiased estimate of the fraction of users
+  (:meth:`~repro.frequency_oracles.base.FrequencyOracle.accumulator`) is a
+  mergeable :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
+  over the oracle's sufficient statistic: it collects the reports, and its
+  ``estimate`` produces an unbiased estimate of the fraction of users
   holding each item.
 
 Implemented oracles:
@@ -19,12 +21,11 @@ Implemented oracles:
 :class:`HadamardRandomizedResponse`     HRR [Cormode et al. 2018; Nguyen et al. 2016]
 ============================  =============================================
 
-Each oracle also provides ``simulate_aggregate``, a statistically equivalent
+Every accumulator also provides ``add_counts``, a statistically equivalent
 fast path that samples the aggregator's noisy view directly from the true
 per-item counts — the trick the paper itself uses to scale OUE to very large
-domains — and ``accumulator()``, a mergeable
-:class:`~repro.frequency_oracles.accumulators.OracleAccumulator` over the
-oracle's sufficient statistic for incremental / sharded collection.
+domains.  Accumulators merge, so the same statistic serves one-shot,
+incremental and sharded collection.
 """
 
 from repro.frequency_oracles.accumulators import OracleAccumulator

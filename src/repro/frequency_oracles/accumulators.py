@@ -16,11 +16,9 @@ The laws the accumulators satisfy (and the tests verify):
 * **merge-linearity** — ``merge`` is associative and commutative, and the
   merged estimate equals the user-count-weighted average of the parts'
   estimates;
-* **one-shot equivalence** — accumulating a population in several batches
-  follows exactly the same distribution as the one-shot
-  ``aggregate`` / ``simulate_aggregate`` paths (which are themselves
-  implemented on top of the accumulators, so the one-shot path *is* a
-  single-batch accumulation).
+* **batch equivalence** — accumulating a population in several batches
+  follows exactly the same distribution as accumulating it in one, so a
+  one-shot fit *is* a single-batch accumulation.
 
 This is what makes sharded and streaming collection possible: shards
 accumulate independently and a reducer merges their statistics, with no
@@ -154,8 +152,8 @@ class OracleAccumulator(abc.ABC):
 
         Samples the statistic's increment directly, with the same
         distribution as encoding and adding the corresponding population
-        (see each oracle's ``simulate_aggregate`` docstring for the exact
-        vs. marginal guarantees).
+        (see each subclass's :meth:`_add_simulated` for the exact vs.
+        approximate guarantees).
         """
         counts = self._oracle._check_counts(true_counts)
         rng = as_generator(random_state)
@@ -283,7 +281,8 @@ class OracleAccumulator(abc.ABC):
 
     @abc.abstractmethod
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Sample the statistic increment for an aggregate-mode batch."""
+        """Sample the statistic increment for an aggregate-mode batch; each
+        subclass says how faithful its sample is."""
 
     @abc.abstractmethod
     def _merge_statistic(self, other: "OracleAccumulator") -> None:

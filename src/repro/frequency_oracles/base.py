@@ -7,37 +7,32 @@ estimates whose per-item variance is (asymptotically)
 ``V_F = 4 e^eps / (N (e^eps - 1)^2)`` — the quantity the range-query error
 analysis of Section 4 is expressed in.
 
-Four execution paths are exposed:
-
-``encode`` / ``encode_batch`` + ``aggregate``
-    The real protocol: users perturb locally, the aggregator decodes.
-``estimate_from_users``
-    Convenience wrapper running both halves on a vector of private items.
-``simulate_aggregate``
-    Samples the aggregator's noisy view directly from the exact per-item
-    counts.  The sampled estimates follow the same distribution as the real
-    protocol (exactly for the unary oracles, marginally for the others — see
-    each oracle's docstring), which lets experiments scale to millions of
-    users without materialising per-user reports.
-``accumulator``
-    Returns a mergeable :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
-    holding the oracle's sufficient statistic, for incremental / sharded
-    collection.  ``aggregate`` and ``simulate_aggregate`` are implemented on
-    top of it, so the one-shot paths are single-batch accumulations.
+An oracle is the user side of the protocol (``encode`` /
+``encode_batch``: each user perturbs her item locally) plus the factory of
+its aggregator side: :meth:`FrequencyOracle.accumulator` returns a
+mergeable :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
+holding the oracle's sufficient statistic, and every decode goes through
+it.  The accumulator takes real reports (``add``), runs the protocol for a
+batch of private items (``add_items``) or samples the aggregator's noisy
+view directly from exact per-item counts (``add_counts``) — the fast path
+that lets experiments scale to millions of users without materialising
+per-user reports (exact for the unary oracles and HRR, approximate for the
+others; see each accumulator's ``_add_simulated``) — and decodes with
+``estimate``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Type
+from typing import Any, Dict, Mapping, Type
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InvalidDomainError, InvalidQueryError
+from repro.exceptions import InvalidDomainError, InvalidQueryError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.privacy.budget import PrivacyBudget
-from repro.privacy.randomness import RandomState, as_generator
+from repro.privacy.randomness import RandomState
 
 __all__ = ["FrequencyOracle", "OracleReports"]
 
@@ -134,37 +129,17 @@ class FrequencyOracle(abc.ABC):
     # ------------------------------------------------------------------
     # Aggregator side
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def aggregate(self, reports: OracleReports) -> np.ndarray:
-        """Decode a batch of reports into unbiased frequency estimates.
-
-        Returns a length-``D`` float vector estimating the *fraction* of
-        users holding each item.  Entries may be negative or exceed one —
-        unbiasedness, not feasibility, is the contract (Section 3.2).
-        """
-
-    @abc.abstractmethod
-    def simulate_aggregate(
-        self,
-        true_counts: np.ndarray,
-        random_state: RandomState = None,
-    ) -> np.ndarray:
-        """Sample frequency estimates directly from exact per-item counts.
-
-        ``true_counts`` is a length-``D`` integer vector whose sum is the
-        population size ``N``.
-        """
-
-    # ------------------------------------------------------------------
-    # Incremental aggregation
-    # ------------------------------------------------------------------
-    #: The accumulator class over this oracle's sufficient statistic.
-    #: ``None`` lets a third-party oracle without one still collect one-shot.
-    accumulator_class: Optional[Type[OracleAccumulator]] = None
+    #: The accumulator class over this oracle's sufficient statistic.  Every
+    #: oracle sets it: :func:`~repro.frequency_oracles.registry.register_oracle`
+    #: refuses a class without one.
+    accumulator_class: Type[OracleAccumulator]
 
     def accumulator(self) -> OracleAccumulator:
-        """Fresh mergeable accumulator over this oracle's sufficient statistic."""
-        return self._accumulator_class()(self)
+        """Fresh mergeable accumulator over this oracle's sufficient
+        statistic: the aggregator side of the protocol, whose
+        :meth:`~repro.frequency_oracles.accumulators.OracleAccumulator.estimate`
+        decodes unbiased frequency estimates."""
+        return self.accumulator_class(self)
 
     def restore_accumulator(self, state: Mapping[str, Any]) -> OracleAccumulator:
         """An accumulator holding a saved :meth:`OracleAccumulator.state_dict`.
@@ -175,19 +150,12 @@ class FrequencyOracle(abc.ABC):
         :class:`~repro.exceptions.ConfigurationError` at the size of the
         arrays, not of the claimed domain.
         """
-        accumulator_class = self._accumulator_class()
+        accumulator_class = self.accumulator_class
         # Skip __init__'s zero-filled statistic; load_state_dict installs
         # the checked arrays in its place.
         accumulator = accumulator_class.__new__(accumulator_class)
         accumulator._oracle = self
         return accumulator.load_state_dict(state)
-
-    def _accumulator_class(self) -> Type[OracleAccumulator]:
-        if self.accumulator_class is None:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not provide a mergeable accumulator"
-            )
-        return self.accumulator_class
 
     def merge_signature(self) -> tuple:
         """Configuration fingerprint deciding accumulator compatibility.
@@ -212,17 +180,6 @@ class FrequencyOracle(abc.ABC):
             "epsilon": float(self.epsilon),
             "domain_size": int(self._domain_size),
         }
-
-    # ------------------------------------------------------------------
-    # Convenience wrappers
-    # ------------------------------------------------------------------
-    def estimate_from_users(
-        self, values: np.ndarray, random_state: RandomState = None
-    ) -> np.ndarray:
-        """Run the full protocol on a vector of private items."""
-        rng = as_generator(random_state)
-        reports = self.encode_batch(np.asarray(values), rng)
-        return self.aggregate(reports)
 
     def theoretical_variance(self, n_users: int) -> float:
         """Closed-form variance of one frequency estimate with ``n_users``.

@@ -154,9 +154,17 @@ class HadamardAccumulator(OracleAccumulator):
         self._fold_codes(oracle._perturbed_codes(keys, rng))
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        # HRR couples the sampled index with the user's item, so there is no
-        # per-item closed form; the counts are runs of items 0..D-1, and the
-        # exact batched protocol runs on their expansion.
+        """Exact: the vectorised per-user protocol, driven by the counts.
+
+        HRR reports couple the sampled index with the user's item, so there
+        is no per-item closed-form aggregate to sample from; instead the
+        counts are taken as runs of the items ``0..D-1`` and the exact
+        batched protocol runs on their expansion (:meth:`_add_runs`): one
+        ``np.repeat`` into a narrow dtype, the index draws read straight
+        from the generator's words, one popcount and one unweighted
+        ``bincount`` — a constant number of ``O(N)`` NumPy passes, the
+        same random draws as encoding every user.
+        """
         self._add_runs(
             np.arange(self._oracle.domain_size, dtype=np.int64), counts, rng
         )
@@ -177,6 +185,9 @@ class HadamardAccumulator(OracleAccumulator):
         return self._sums * oracle.padded_size / (self._n_users * oracle.unbiasing_factor)
 
     def estimate(self) -> np.ndarray:
+        """Unbiased estimates of every Hadamard coefficient of the
+        population's mean (signed) indicator vector, inverted in
+        ``O(D log D)``."""
         oracle = self._oracle
         if self._n_users == 0:
             return np.zeros(oracle.domain_size)
@@ -354,32 +365,6 @@ class HadamardRandomizedResponse(FrequencyOracle):
     # ------------------------------------------------------------------
     #: Mergeable accumulator over the per-index coefficient sums.
     accumulator_class = HadamardAccumulator
-
-    def aggregate(self, reports: OracleReports) -> np.ndarray:
-        """Decode reports into (possibly signed) frequency estimates.
-
-        Computes an unbiased estimate of every Hadamard coefficient of the
-        population's mean (signed) indicator vector, then inverts the
-        transform in ``O(D log D)``.
-        """
-        return self.accumulator().add(reports).estimate()
-
-    def simulate_aggregate(
-        self, true_counts: np.ndarray, random_state: RandomState = None
-    ) -> np.ndarray:
-        """Fast path: vectorised per-user protocol driven by the counts.
-
-        HRR reports couple the sampled index with the user's item, so there
-        is no per-item closed-form aggregate to sample from; instead the
-        counts are taken as runs of the items ``0..D-1`` and the exact
-        batched protocol runs on their expansion
-        (:meth:`HadamardAccumulator.add_runs`): one ``np.repeat`` into a
-        narrow dtype, the index draws read straight from the generator's
-        words, one popcount and one unweighted ``bincount`` — a constant
-        number of ``O(N)`` NumPy passes, the same random draws as
-        encoding every user.  Exact, not approximate.
-        """
-        return self.accumulator().add_counts(true_counts, random_state).estimate()
 
     def theoretical_variance(self, n_users: int) -> float:
         """``4 p (1 - p) / (N (2p - 1)^2) = 4 e^eps / (N (e^eps - 1)^2)``."""

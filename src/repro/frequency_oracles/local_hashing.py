@@ -138,6 +138,16 @@ class LocalHashingAccumulator(OracleAccumulator):
         )
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample the marginal support counts: only the per-item marginals
+        match the real protocol.
+
+        The support count of item ``j`` is ``Bino(c_j, p)`` from users who
+        hold ``j`` plus ``Bino(N - c_j, 1/g)`` from everyone else (a
+        universal hash collides with probability ``1/g``).  Cross-item
+        correlations induced by shared hash functions are not reproduced,
+        but per-item marginals — and hence the variance the experiments
+        measure — are.
+        """
         n_users = int(counts.sum())
         self._support += rng.binomial(counts, self._oracle.p) + rng.binomial(
             n_users - counts, self._oracle.q
@@ -252,29 +262,6 @@ class OptimalLocalHashing(FrequencyOracle):
         config = super().config_dict()
         config["hash_range"] = self._hash_range
         return config
-
-    def aggregate(self, reports: OracleReports) -> np.ndarray:
-        """Decode reports by crediting the support set of every report.
-
-        The cost is ``O(N * D)``: for every user the aggregator hashes every
-        domain item with that user's hash function.  The loop is blocked over
-        users to keep the intermediate matrix bounded.
-        """
-        return self.accumulator().add(reports).estimate()
-
-    def simulate_aggregate(
-        self, true_counts: np.ndarray, random_state: RandomState = None
-    ) -> np.ndarray:
-        """Fast path sampling the marginal support counts.
-
-        The support count of item ``j`` is ``Bino(c_j, p)`` from users who
-        hold ``j`` plus ``Bino(N - c_j, 1/g)`` from everyone else (a
-        universal hash collides with probability ``1/g``).  Cross-item
-        correlations induced by shared hash functions are not reproduced,
-        but per-item marginals — and hence the variance the experiments
-        measure — are.
-        """
-        return self.accumulator().add_counts(true_counts, random_state).estimate()
 
     def _unbias(self, support: np.ndarray, n_users: int) -> np.ndarray:
         if n_users == 0:

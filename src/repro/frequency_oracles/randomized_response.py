@@ -91,6 +91,15 @@ class DirectEncodingAccumulator(OracleAccumulator):
         self._noisy_counts += np.bincount(reported, minlength=domain_size).astype(np.float64)
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample the noisy item counts: approximate, to ``O(1/k)`` per item.
+
+        Users keeping their value contribute a binomial to their own item;
+        lying users are spread multinomially over the whole domain.  The
+        real protocol excludes a liar's own item, so this is an
+        approximation whose error is ``O(1/k)`` per item; the per-user path
+        (:meth:`_add_items`) is exact and is what the equivalence tests
+        compare against.
+        """
         oracle = self._oracle
         kept = rng.binomial(counts, oracle.p)
         liars = int((counts - kept).sum())
@@ -172,23 +181,6 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
     # ------------------------------------------------------------------
     #: Mergeable accumulator over the reported-symbol histogram.
     accumulator_class = DirectEncodingAccumulator
-
-    def aggregate(self, reports: OracleReports) -> np.ndarray:
-        return self.accumulator().add(reports).estimate()
-
-    def simulate_aggregate(
-        self, true_counts: np.ndarray, random_state: RandomState = None
-    ) -> np.ndarray:
-        """Sample the aggregator's noisy item counts from the true counts.
-
-        Users keeping their value contribute a binomial to their own item;
-        lying users are spread multinomially over the whole domain.  The
-        real protocol excludes a liar's own item, so this fast path is an
-        approximation whose error is ``O(1/k)`` per item; the per-user path
-        (:meth:`encode_batch` + :meth:`aggregate`) is exact and is what the
-        equivalence tests compare against.
-        """
-        return self.accumulator().add_counts(true_counts, random_state).estimate()
 
     def _unbias(self, noisy_counts: np.ndarray, n_users: int) -> np.ndarray:
         if n_users == 0:

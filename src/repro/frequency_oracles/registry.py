@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from repro.exceptions import ConfigurationError
+from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.base import FrequencyOracle
 from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
 from repro.frequency_oracles.local_hashing import OptimalLocalHashing
@@ -32,11 +33,22 @@ def register_oracle(oracle_class: Type[FrequencyOracle]) -> Type[FrequencyOracle
     """Register a custom oracle class under its ``name`` attribute.
 
     May be used as a class decorator by downstream users adding their own
-    primitives to the hierarchical histogram framework.
+    primitives to the hierarchical histogram framework.  The class must set
+    ``accumulator_class`` to an
+    :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
+    subclass: every mechanism collects and decodes through it.
     """
     name = getattr(oracle_class, "name", None)
     if not name or not isinstance(name, str):
         raise ConfigurationError("oracle classes must define a non-empty `name`")
+    accumulator_class = getattr(oracle_class, "accumulator_class", None)
+    if not (
+        isinstance(accumulator_class, type) and issubclass(accumulator_class, OracleAccumulator)
+    ):
+        raise ConfigurationError(
+            f"oracle class {oracle_class.__name__} must set accumulator_class "
+            "to an OracleAccumulator subclass"
+        )
     _REGISTRY[name] = oracle_class
     return oracle_class
 

@@ -12,8 +12,8 @@ length ``D`` and flips every bit independently:
 
 Because the bit flips are independent across positions, the aggregator's
 noisy count of each item is exactly the sum of two binomials — which is what
-``simulate_aggregate`` samples, making the fast path *statistically
-identical* to the per-user protocol (this is the simulation trick described
+:meth:`UnaryAccumulator._add_simulated` samples, making the fast path
+*statistically identical* to the per-user protocol (this is the simulation trick described
 in Section 5 of the paper).
 
 Report payloads come in two interchangeable layouts:
@@ -135,6 +135,8 @@ class UnaryAccumulator(OracleAccumulator):
         self._ones += bits.sum(axis=0).astype(np.float64)
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Exact: the noisy count of item ``j`` is ``Bino(c_j, p) +
+        Bino(N - c_j, q)``, the distribution of the column sum itself."""
         n_users = int(counts.sum())
         self._ones += rng.binomial(counts, self._oracle.p) + rng.binomial(
             n_users - counts, self._oracle.q
@@ -208,15 +210,6 @@ class _UnaryEncodingOracle(FrequencyOracle):
     # ------------------------------------------------------------------
     #: Mergeable accumulator over the per-item "1"-bit column sums.
     accumulator_class = UnaryAccumulator
-
-    def aggregate(self, reports: OracleReports) -> np.ndarray:
-        return self.accumulator().add(reports).estimate()
-
-    def simulate_aggregate(
-        self, true_counts: np.ndarray, random_state: RandomState = None
-    ) -> np.ndarray:
-        """Exact fast path: noisy count = Bino(c_j, p) + Bino(N - c_j, q)."""
-        return self.accumulator().add_counts(true_counts, random_state).estimate()
 
     def _unbias(self, ones: np.ndarray, n_users: int) -> np.ndarray:
         if n_users == 0:

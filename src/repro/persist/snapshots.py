@@ -8,8 +8,8 @@ The public surface is four symmetric functions —
   an analyst keeping a fitted mechanism use);
 
 — accepting any :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
-or accumulator-backed :class:`~repro.core.base.RangeQueryMechanism` (flat,
-hierarchical histogram, Haar wavelet).  A snapshot carries three layers:
+or :class:`~repro.core.base.RangeQueryMechanism` (flat, hierarchical
+histogram, Haar wavelet, N-d grid).  A snapshot carries three layers:
 
 1. the container framing (magic, format version — :mod:`repro.persist.format`);
 2. a JSON schema header: what kind of object, the configuration needed to
@@ -126,10 +126,10 @@ def _check_signature(stored: Any, live: Any, what: str) -> None:
 def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
     """JSON-serialisable constructor description of a mechanism.
 
-    Covers the three accumulator-backed families; raises
+    Covers the registered mechanism families; raises
     :class:`~repro.exceptions.ConfigurationError` for anything else (such
-    mechanisms can still be snapshotted template-only if they implement
-    ``state_dict``, but they cannot be rebuilt from the header).
+    mechanisms can still be snapshotted template-only, but they cannot be
+    rebuilt from the header).
     """
     if isinstance(mechanism, FlatMechanism):
         return {

@@ -18,11 +18,10 @@ underneath it:
   (``add`` / ``add_counts`` / ``merge`` / ``estimate``) over its sufficient
   statistic — column sums for OUE/SUE, support tallies for OLH, symbol
   histograms for GRR, coefficient sums for HRR;
-* every accumulator-backed
-  :class:`~repro.core.base.RangeQueryMechanism` (flat, hierarchical
-  histograms, Haar wavelets) exposes incremental collection
-  (:meth:`~repro.core.base.RangeQueryMechanism.partial_fit`) and shard
-  combination (:meth:`~repro.core.base.RangeQueryMechanism.merge_from`).
+* every :class:`~repro.core.base.RangeQueryMechanism` (flat,
+  hierarchical histograms, Haar wavelets, N-d grids) exposes incremental
+  collection (:meth:`~repro.core.base.RangeQueryMechanism.partial_fit`)
+  and shard combination (:meth:`~repro.core.base.RangeQueryMechanism.merge_from`).
 
 :class:`ShardedCollector` ties the layers together: it fans report batches
 round-robin across ``K`` simulated shards, each accumulating independently

@@ -79,7 +79,7 @@ def test_simulated_estimates_are_unbiased(oracle_class, seed):
     true = np.array([0.35, 0.2, 0.15, 0.1, 0.08, 0.06, 0.04, 0.02])
     counts = (true * 20_000).astype(int)
     estimates = np.mean(
-        [oracle.simulate_aggregate(counts, rng) for _ in range(25)], axis=0
+        [oracle.accumulator().add_counts(counts, rng).estimate() for _ in range(25)], axis=0
     )
     np.testing.assert_allclose(estimates, counts / counts.sum(), atol=0.03)
 
@@ -95,7 +95,7 @@ def test_estimates_sum_to_approximately_one(epsilon, seed):
     n_users = 50_000
     oracle = OptimizedUnaryEncoding(epsilon, domain)
     counts = rng.multinomial(n_users, np.full(domain, 1 / domain))
-    estimates = oracle.simulate_aggregate(counts, rng)
+    estimates = oracle.accumulator().add_counts(counts, rng).estimate()
     # The sum of the 32 (nearly independent) unbiased estimates has standard
     # deviation ~sqrt(domain * V_F); a fixed tolerance is far too tight at
     # the low-epsilon end of the strategy, so bound at six sigma instead.

@@ -320,6 +320,41 @@ def test_inconsistent_checkpoint_shard_is_rejected(case):
         ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
 
 
+def _without_accumulators(arrays, prefix=""):
+    """Drop a (shard's) accumulators and per-label user counts, keeping
+    its fitted ``n_users``."""
+    for key in list(arrays):
+        if key.startswith(prefix + "accumulator") or key == prefix + "level_user_counts":
+            del arrays[key]
+
+
+# A fitted snapshot stripped of its accumulators used to restore as a
+# fitted mechanism with no state, whose first read failed with TypeError.
+@pytest.mark.parametrize("spec", ["flat_oue", "hhc_4", "haar", "grid2d_2"])
+def test_fitted_snapshot_without_accumulators_is_rejected(spec):
+    template = _fitted(spec)
+    header, arrays = _unpacked(snapshots.to_bytes(template))
+    _without_accumulators(arrays)
+    assert sorted(arrays) == ["n_users"]
+    corrupted = _container(header, arrays)
+    answers = template.estimate_frequencies().copy()
+    with pytest.raises(ConfigurationError, match="holds no accumulators"):
+        snapshots.from_bytes(corrupted)
+    with pytest.raises(ConfigurationError, match="holds no accumulators"):
+        snapshots.from_bytes(corrupted, template=template)
+    assert template.n_users == 3000
+    assert np.array_equal(template.estimate_frequencies(), answers)
+
+
+def test_checkpoint_shard_without_accumulators_is_rejected():
+    header, arrays = _unpacked(_checkpoint())
+    _without_accumulators(arrays, prefix="shard1/")
+    assert int(arrays["shard1/n_users"]) > 0
+    assert not any(key.startswith("shard1/") and key != "shard1/n_users" for key in arrays)
+    with pytest.raises(ConfigurationError, match="holds no accumulators"):
+        ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
+
+
 def _claiming(kind, domain_size):
     """A small ``flat_oue`` snapshot of ``kind`` whose header claims
     ``domain_size``; its arrays still hold the ``DOMAIN``-sized statistic."""

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, InvalidQueryError
@@ -10,6 +11,7 @@ from repro.analysis.variance import (
     flat_range_variance,
     frequency_oracle_variance,
     grid2d_rectangle_variance,
+    grid_nd_box_variance,
     haar_range_variance,
     hh_average_variance,
     hh_consistent_range_variance,
@@ -140,3 +142,36 @@ class TestOptimalBranching:
 
     def test_consistency_increases_optimal_branching(self):
         assert optimal_branching_factor_consistent() > optimal_branching_factor()
+
+
+class TestIntegerArguments:
+    """The bounds take NumPy integers (a calibration sweep feeds them
+    ``np.int64`` lengths) and refuse bools, as the query gate does."""
+
+    def test_numpy_integers_match_python_integers(self):
+        assert hh_consistent_range_variance(1.0, 10_000, np.int64(5), 64, 4) == (
+            hh_consistent_range_variance(1.0, 10_000, 5, 64, 4)
+        )
+        assert hh_range_variance(
+            1.0, np.int32(10_000), np.uint16(5), np.int64(64), np.int8(4)
+        ) == hh_range_variance(1.0, 10_000, 5, 64, 4)
+        assert flat_range_variance(1.0, 1000, np.int64(7), 64) == (
+            flat_range_variance(1.0, 1000, 7, 64)
+        )
+        assert grid_nd_box_variance(1.0, 1000, 3, 16, 2, dims=np.int64(3)) == (
+            grid_nd_box_variance(1.0, 1000, 3, 16, 2, dims=3)
+        )
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_bools_are_refused(self, flag):
+        with pytest.raises(InvalidQueryError):
+            hh_range_variance(1.0, 1000, flag, 64, 4)
+        with pytest.raises(ConfigurationError):
+            frequency_oracle_variance(1.0, flag)
+        with pytest.raises(ConfigurationError):
+            grid_nd_box_variance(1.0, 1000, 3, 16, 2, dims=flag)
+
+    @pytest.mark.parametrize("length", [np.int64(0), np.int64(65), np.float64(5.0)])
+    def test_out_of_range_or_float_lengths_are_refused(self, length):
+        with pytest.raises(InvalidQueryError):
+            hh_consistent_range_variance(1.0, 1000, length, 64, 4)

@@ -1,10 +1,14 @@
 """Unit tests for the flat range-query mechanism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.flat import FlatMechanism
-from repro.exceptions import InvalidQueryError, NotFittedError
+from repro.exceptions import ConfigurationError, InvalidQueryError, NotFittedError
+from repro.persist import snapshots
+from repro.persist.format import unpack_snapshot
 
 
 class TestLifecycle:
@@ -118,3 +122,57 @@ class TestAnswers:
         mechanism = FlatMechanism(1.0, 2)
         mechanism.fit_items(np.array([True, False, True]), random_state=0)
         assert mechanism.n_users == 3
+
+    @pytest.mark.parametrize("length", [0, -1, 65, 1000, np.int64(65), True, 2.0])
+    def test_per_query_variance_refuses_lengths_outside_the_domain(self, length, small_counts):
+        mechanism = FlatMechanism(1.0, 64)
+        mechanism.fit_counts(small_counts, random_state=0)
+        with pytest.raises(InvalidQueryError, match=r"range length must be in \[1, 64\]"):
+            mechanism.per_query_variance(length)
+
+    def test_per_query_variance_takes_numpy_lengths(self, small_counts):
+        mechanism = FlatMechanism(1.0, 64)
+        mechanism.fit_counts(small_counts, random_state=0)
+        assert mechanism.per_query_variance(np.int64(5)) == mechanism.per_query_variance(5)
+        assert mechanism.per_query_variance(64) == 64 * mechanism.per_query_variance(1)
+
+
+OLD_LAYOUT_SNAPSHOT = Path(__file__).with_name("flat_oue_accumulator_layout.snap")
+
+
+class TestOneLabelSkeleton:
+    """Flat is the one-label case of the collection skeleton: its state is
+    one label's accumulator plus that label's user count, snapshotted in the
+    label-keyed layout every mechanism shares."""
+
+    def test_level_sampled_base_class_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.core.base import LevelSampledMechanism  # noqa: F401
+
+    def test_flat_has_no_level_user_counts(self):
+        mechanism = FlatMechanism(1.0, 8).fit_items(np.arange(8), random_state=0)
+        assert not hasattr(mechanism, "level_user_counts")
+
+    @pytest.mark.parametrize("mode", ["aggregate", "per_user"])
+    def test_snapshot_holds_one_label(self, mode):
+        mechanism = FlatMechanism(1.0, 8).fit_items(np.arange(8), random_state=0, mode=mode)
+        mechanism.partial_fit(np.arange(5), random_state=1, mode=mode)
+        state = mechanism.state_dict()
+        assert sorted(state) == ["accumulators", "level_user_counts", "n_users"]
+        assert list(state["accumulators"]) == ["1"]
+        assert state["level_user_counts"].tolist() == [13]
+        assert int(state["accumulators"]["1"]["n_users"]) == int(state["n_users"]) == 13
+
+    def test_fitted_single_accumulator_layout_is_refused(self):
+        data = OLD_LAYOUT_SNAPSHOT.read_bytes()
+        header, arrays = unpack_snapshot(data)
+        assert header["config"]["kind"] == "flat"
+        assert sorted(arrays) == ["accumulator/n_users", "accumulator/ones", "n_users"]
+        with pytest.raises(ConfigurationError, match="holds no accumulators"):
+            snapshots.from_bytes(data)
+        template = FlatMechanism(1.1, 64).fit_items(np.arange(64), random_state=0)
+        answers = template.estimate_frequencies()
+        with pytest.raises(ConfigurationError):
+            snapshots.from_bytes(data, template=template)
+        assert template.n_users == 64
+        np.testing.assert_array_equal(template.estimate_frequencies(), answers)

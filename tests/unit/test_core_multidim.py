@@ -254,8 +254,10 @@ class TestAnswers:
     def test_variance_bound_positive(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
         assert grid.theoretical_variance_bound(4) > 0
-        with pytest.raises(InvalidQueryError):
-            grid.theoretical_variance_bound(0)
+        assert grid.theoretical_variance_bound(np.int64(4)) == grid.theoretical_variance_bound(4)
+        for length in (0, 17, True, 4.0):
+            with pytest.raises(InvalidQueryError):
+                grid.theoretical_variance_bound(length)
 
     def test_variance_bound_depends_on_query_size(self, grid_points, rng):
         """The bound must grow with the per-axis run count, not be constant."""

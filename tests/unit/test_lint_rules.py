@@ -517,6 +517,27 @@ class TestPersistCoverageR005:
         assert rules_of(findings) == ["LDP-R005"]
         assert "ForgottenMechanism" in findings[0].message
 
+    def test_root_snapshot_hooks_need_registration(self, tmp_path):
+        # Every mechanism inherits the root's state_dict, so a subclass
+        # with no hooks of its own still snapshots and must be registered.
+        mech = tmp_path / "repro" / "core" / "mech.py"
+        mech.parent.mkdir(parents=True)
+        mech.write_text(
+            textwrap.dedent(
+                """
+                class Bare(RangeQueryMechanism):
+                    pass
+                """
+            ),
+            encoding="utf-8",
+        )
+        snap = tmp_path / "repro" / "persist" / "snapshots.py"
+        snap.parent.mkdir(parents=True)
+        snap.write_text("REGISTRY = {}\n", encoding="utf-8")
+        findings, _ = lintmod.lint_paths([tmp_path])
+        assert rules_of(findings) == ["LDP-R005"]
+        assert "mechanism Bare snapshots state" in findings[0].message
+
     def test_abstract_mechanisms_need_no_registration(self, tmp_path):
         mech = tmp_path / "repro" / "core" / "mech.py"
         mech.parent.mkdir(parents=True)

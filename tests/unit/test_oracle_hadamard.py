@@ -70,7 +70,7 @@ class TestAggregation:
         true = np.array([0.35, 0.25, 0.15, 0.1, 0.05, 0.05, 0.03, 0.02])
         counts = (true * 40_000).astype(int)
         estimates = np.mean(
-            [oracle.simulate_aggregate(counts, rng) for _ in range(15)], axis=0
+            [oracle.accumulator().add_counts(counts, rng).estimate() for _ in range(15)], axis=0
         )
         np.testing.assert_allclose(estimates, counts / counts.sum(), atol=0.02)
 
@@ -82,13 +82,13 @@ class TestAggregation:
         values = np.ones(40_000, dtype=int)
         signs = np.where(np.arange(40_000) % 2 == 0, 1, -1)
         reports = oracle.encode_batch(values, rng, signs=signs)
-        estimates = oracle.aggregate(reports)
+        estimates = oracle.accumulator().add(reports).estimate()
         np.testing.assert_allclose(estimates, np.zeros(domain), atol=0.05)
 
     def test_padded_domain_estimates_have_original_length(self, rng):
         oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=10)
         counts = np.full(10, 1000)
-        estimates = oracle.simulate_aggregate(counts, rng)
+        estimates = oracle.accumulator().add_counts(counts, rng).estimate()
         assert estimates.shape == (10,)
 
     def test_empty_population(self):
@@ -99,13 +99,15 @@ class TestAggregation:
             payload={"indices": np.array([], dtype=int), "values": np.array([], dtype=int)},
             n_users=0,
         )
-        np.testing.assert_array_equal(oracle.aggregate(reports), np.zeros(8))
+        np.testing.assert_array_equal(oracle.accumulator().add(reports).estimate(), np.zeros(8))
 
     def test_empirical_variance_matches_theory(self, rng):
         oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=8)
         counts = np.array([4000, 2000, 1000, 800, 700, 600, 500, 400])
         n_users = int(counts.sum())
-        samples = np.array([oracle.simulate_aggregate(counts, rng)[0] for _ in range(300)])
+        samples = np.array(
+            [oracle.accumulator().add_counts(counts, rng).estimate()[0] for _ in range(300)]
+        )
         assert samples.var() == pytest.approx(oracle.theoretical_variance(n_users), rel=0.35)
 
 

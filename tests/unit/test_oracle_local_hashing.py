@@ -70,7 +70,7 @@ class TestOptimalLocalHashing:
         true[2], true[9] = 0.6, 0.4
         items = np.repeat(np.arange(domain), (true * 5000).astype(int))
         estimates = np.mean(
-            [oracle.estimate_from_users(items, rng) for _ in range(8)], axis=0
+            [oracle.accumulator().add_items(items, rng).estimate() for _ in range(8)], axis=0
         )
         assert estimates[2] == pytest.approx(0.6, abs=0.08)
         assert estimates[9] == pytest.approx(0.4, abs=0.08)
@@ -79,7 +79,7 @@ class TestOptimalLocalHashing:
         domain = 64
         oracle = OptimalLocalHashing(epsilon=1.1, domain_size=domain)
         counts = rng.multinomial(200_000, np.full(domain, 1 / domain))
-        estimates = oracle.simulate_aggregate(counts, rng)
+        estimates = oracle.accumulator().add_counts(counts, rng).estimate()
         np.testing.assert_allclose(estimates, counts / counts.sum(), atol=0.02)
 
     def test_theoretical_variance_matches_oue(self):
@@ -95,7 +95,7 @@ class TestOptimalLocalHashing:
     def test_empty_population(self, rng):
         oracle = OptimalLocalHashing(epsilon=1.0, domain_size=8)
         np.testing.assert_array_equal(
-            oracle.simulate_aggregate(np.zeros(8, dtype=int), rng), np.zeros(8)
+            oracle.accumulator().add_counts(np.zeros(8, dtype=int), rng).estimate(), np.zeros(8)
         )
 
 

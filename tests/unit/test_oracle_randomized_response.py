@@ -69,7 +69,7 @@ class TestGeneralizedRandomizedResponse:
         true = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
         items = np.repeat(np.arange(domain), (true * 20_000).astype(int))
         estimates = np.mean(
-            [oracle.estimate_from_users(items, rng) for _ in range(10)], axis=0
+            [oracle.accumulator().add_items(items, rng).estimate() for _ in range(10)], axis=0
         )
         np.testing.assert_allclose(estimates, true, atol=0.03)
 
@@ -77,7 +77,7 @@ class TestGeneralizedRandomizedResponse:
         domain = 10
         oracle = GeneralizedRandomizedResponse(epsilon=2.0, domain_size=domain)
         counts = rng.multinomial(50_000, np.full(domain, 0.1))
-        estimates = oracle.simulate_aggregate(counts, rng)
+        estimates = oracle.accumulator().add_counts(counts, rng).estimate()
         np.testing.assert_allclose(estimates, counts / counts.sum(), atol=0.05)
 
     def test_variance_grows_with_domain(self):
@@ -88,7 +88,7 @@ class TestGeneralizedRandomizedResponse:
     def test_empty_population(self, rng):
         oracle = GeneralizedRandomizedResponse(epsilon=1.0, domain_size=4)
         np.testing.assert_array_equal(
-            oracle.simulate_aggregate(np.zeros(4, dtype=int), rng), np.zeros(4)
+            oracle.accumulator().add_counts(np.zeros(4, dtype=int), rng).estimate(), np.zeros(4)
         )
 
 

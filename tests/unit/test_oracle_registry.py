@@ -49,3 +49,30 @@ class TestRegistry:
 
         with pytest.raises(ConfigurationError):
             register_oracle(Anonymous)
+
+    def test_register_requires_an_accumulator(self):
+        from repro.frequency_oracles.unary import OptimizedUnaryEncoding
+
+        class NoAccumulator(OptimizedUnaryEncoding):
+            name = "no-accumulator-test-oracle"
+            accumulator_class = None
+
+        class NotAnAccumulator(OptimizedUnaryEncoding):
+            name = "not-an-accumulator-test-oracle"
+            accumulator_class = dict
+
+        for oracle_class in (NoAccumulator, NotAnAccumulator):
+            with pytest.raises(ConfigurationError, match="accumulator_class"):
+                register_oracle(oracle_class)
+            assert oracle_class.name not in available_oracles()
+
+
+class TestOneDecodePath:
+    """Oracles decode only through their accumulators: the one-shot
+    wrappers over them are gone."""
+
+    @pytest.mark.parametrize("name", ["oue", "sue", "grr", "hrr", "olh"])
+    @pytest.mark.parametrize("attribute", ["aggregate", "simulate_aggregate", "estimate_from_users"])
+    def test_wrapper_is_gone(self, name, attribute):
+        assert not hasattr(make_oracle(name, epsilon=1.0, domain_size=8), attribute)
+        assert not hasattr(FrequencyOracle, attribute)

@@ -166,7 +166,7 @@ class TestAggregation:
         true = np.array([0.5, 0.2, 0.1, 0.1, 0.05, 0.05, 0.0, 0.0])
         counts = (true * 20_000).astype(int)
         estimates = np.mean(
-            [oracle.simulate_aggregate(counts, rng) for _ in range(20)], axis=0
+            [oracle.accumulator().add_counts(counts, rng).estimate() for _ in range(20)], axis=0
         )
         np.testing.assert_allclose(estimates, true, atol=0.02)
 
@@ -175,8 +175,8 @@ class TestAggregation:
         oracle = OptimizedUnaryEncoding(epsilon=1.2, domain_size=domain)
         counts = np.array([4000, 2000, 1000, 500, 400, 100])
         items = np.repeat(np.arange(domain), counts)
-        per_user = oracle.estimate_from_users(items, rng)
-        aggregate = oracle.simulate_aggregate(counts, rng)
+        per_user = oracle.accumulator().add_items(items, rng).estimate()
+        aggregate = oracle.accumulator().add_counts(counts, rng).estimate()
         # Both are unbiased estimates of the same frequencies with the same
         # variance; they should agree within a few standard deviations.
         tolerance = 6 * np.sqrt(oracle.theoretical_variance(int(counts.sum())))
@@ -187,17 +187,17 @@ class TestAggregation:
 
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=10)
         with pytest.raises(ValueError):
-            oracle.aggregate(OracleReports(payload={"bits": np.zeros((5, 3))}, n_users=5))
+            oracle.accumulator().add(OracleReports(payload={"bits": np.zeros((5, 3))}, n_users=5))
 
     def test_empty_population(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=5)
-        estimates = oracle.simulate_aggregate(np.zeros(5, dtype=int), rng)
+        estimates = oracle.accumulator().add_counts(np.zeros(5, dtype=int), rng).estimate()
         np.testing.assert_array_equal(estimates, np.zeros(5))
 
     def test_estimates_sum_close_to_one(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=2.0, domain_size=64)
         counts = rng.multinomial(100_000, np.full(64, 1 / 64))
-        estimates = oracle.simulate_aggregate(counts, rng)
+        estimates = oracle.accumulator().add_counts(counts, rng).estimate()
         assert estimates.sum() == pytest.approx(1.0, abs=0.1)
 
     def test_empirical_variance_matches_theory(self, rng):
@@ -206,7 +206,9 @@ class TestAggregation:
         oracle = OptimizedUnaryEncoding(epsilon=1.1, domain_size=4)
         counts = np.array([5000, 3000, 1500, 500])
         n_users = int(counts.sum())
-        samples = np.array([oracle.simulate_aggregate(counts, rng)[3] for _ in range(300)])
+        samples = np.array(
+            [oracle.accumulator().add_counts(counts, rng).estimate()[3] for _ in range(300)]
+        )
         observed = samples.var()
         expected = oracle.theoretical_variance(n_users)
         assert observed == pytest.approx(expected, rel=0.35)

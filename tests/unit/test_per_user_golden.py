@@ -22,7 +22,9 @@ digest and its snapshot arrays unchanged, so the snapshot layout
 (``accumulators/<label>`` plus ``level_user_counts``) stays readable.
 
 Run ``PYTHONPATH=src python tests/unit/test_per_user_golden.py`` to print
-the current digests.
+the current digests, and add ``--write-snapshots`` to store a snapshot for
+every case of :data:`SNAPSHOT_CASES` the fixture does not hold yet (stored
+snapshots are never rewritten).
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ SNAPSHOT_CASES = {
     "haar": ("haar", 64),
     "grid2d_2": ("grid2d_2", 8),
     "grid3d_2": ("grid3d_2", 4),
+    "flat_oue": ("flat_oue", 64),
 }
 
 
@@ -225,8 +228,12 @@ if __name__ == "__main__":
     import sys
 
     if sys.argv[1:] == ["--write-snapshots"]:
-        fixture = {}
+        # Only the missing cases are written: a stored snapshot pins the
+        # code that wrote it, and rewriting it would pin nothing.
+        fixture = json.loads(SNAPSHOT_PATH.read_text()) if SNAPSHOT_PATH.exists() else {}
         for key in SNAPSHOT_CASES:
+            if key in fixture:
+                continue
             data = write_snapshot(key)
             fixture[key] = {
                 "snapshot": base64.b64encode(data).decode("ascii"),

@@ -137,30 +137,6 @@ class TestMergeFrom:
         assert lazy.is_materialized
         assert lazy.materialization_count == 1
 
-    def test_unsupported_mechanism_raises_configuration_error(self):
-        from repro.core.base import RangeQueryMechanism
-
-        class OneShotOnly(RangeQueryMechanism):
-            """Minimal mechanism without accumulator support."""
-
-            def _collect(self, items, counts, rng, mode):
-                self._fractions = counts / max(1, counts.sum())
-
-            def _range_answers(self, queries):
-                prefix = np.concatenate([[0.0], np.cumsum(self._fractions)])
-                return self._prefix_ranges(queries, prefix)
-
-        a = OneShotOnly(1.0, DOMAIN).fit_counts(
-            np.ones(DOMAIN, dtype=np.int64), random_state=0
-        )
-        b = OneShotOnly(1.0, DOMAIN).fit_counts(
-            np.ones(DOMAIN, dtype=np.int64), random_state=1
-        )
-        with pytest.raises(ConfigurationError):
-            a.merge_from(b)
-        with pytest.raises(ConfigurationError):
-            a.partial_fit(np.zeros(10, dtype=np.int64))
-
 
 class TestShardedCollector:
     def test_round_robin_routing(self, items):
