@@ -659,7 +659,7 @@ def _is_abstract_class(node: ast.ClassDef) -> bool:
     return False
 
 
-def _collect_facts(contexts: Sequence[_FileContext]) -> _ProjectFacts:
+def _project_facts(contexts: Sequence[_FileContext]) -> _ProjectFacts:
     facts = _ProjectFacts()
     for ctx in contexts:
         for node in ast.walk(ctx.tree):
@@ -768,7 +768,7 @@ def lint_paths(
         if ctx is not None:
             contexts.append(ctx)
 
-    facts = _collect_facts(contexts)
+    facts = _project_facts(contexts)
     by_display = {ctx.display: ctx for ctx in contexts}
     for ctx in contexts:
         findings.extend(_check_rng_hygiene(ctx))

@@ -268,8 +268,10 @@ class OracleAccumulator(abc.ABC):
         """Decode the statistic into unbiased per-item frequency estimates.
 
         Returns a length-``D`` float vector (all zeros before any users have
-        been accumulated); may be called repeatedly and does not consume the
-        statistic.
+        been accumulated) estimating the *fraction* of users holding each
+        item; may be called repeatedly and does not consume the statistic.
+        Entries may be negative or exceed one — unbiasedness, not
+        feasibility, is the contract (Section 3.2).
         """
 
     # ------------------------------------------------------------------

@@ -72,7 +72,9 @@ class TestOneDecodePath:
     wrappers over them are gone."""
 
     @pytest.mark.parametrize("name", ["oue", "sue", "grr", "hrr", "olh"])
-    @pytest.mark.parametrize("attribute", ["aggregate", "simulate_aggregate", "estimate_from_users"])
+    @pytest.mark.parametrize(
+        "attribute", ["aggregate", "simulate_aggregate", "estimate_from_users"]
+    )
     def test_wrapper_is_gone(self, name, attribute):
         assert not hasattr(make_oracle(name, epsilon=1.0, domain_size=8), attribute)
         assert not hasattr(FrequencyOracle, attribute)
