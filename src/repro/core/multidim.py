@@ -152,7 +152,8 @@ class HierarchicalGridND(RangeQueryMechanism):
             )
         side = int(domain_size)
         dims = int(dims)
-        if side**dims > _MAX_FLAT_DOMAIN:
+        # side >= 2, so more than 62 axes overflow before the power is taken.
+        if dims >= _MAX_FLAT_DOMAIN.bit_length() or side**dims > _MAX_FLAT_DOMAIN:
             raise InvalidDomainError(
                 f"flattened domain {side}^{dims} exceeds the int64-addressable "
                 "item space; reduce the side length or the dimensionality"

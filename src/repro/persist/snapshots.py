@@ -50,6 +50,7 @@ from repro.exceptions import ConfigurationError, ReproError
 from repro.frequency_oracles.accumulators import OracleAccumulator
 from repro.frequency_oracles.base import FrequencyOracle
 from repro.frequency_oracles.registry import make_oracle
+from repro.hierarchy.tree import DomainTree
 from repro.persist.format import (
     flatten_arrays,
     nest_arrays,
@@ -255,6 +256,37 @@ def _mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
     raise ConfigurationError(f"unknown mechanism config kind {kind!r}")
 
 
+def _check_grid_level_count(config: Any, state: Dict[str, Any]) -> None:
+    """Refuse a fitted grid snapshot whose header implies other level tuples
+    than its arrays hold, before the grid is built.
+
+    A grid of ``d`` axes builds one oracle per level tuple, ``h^d`` of them
+    (``h`` levels per axis), so a small snapshot whose header claims many
+    axes would cost time and memory exponential in ``d`` before
+    :meth:`~repro.core.base.RangeQueryMechanism.load_state_dict` compared
+    anything.  Here the count is arithmetic on the header.  A malformed
+    config is left to the constructor, which refuses it.
+    """
+    stored = state.get("accumulators")
+    if not isinstance(config, dict) or not isinstance(stored, dict):
+        return
+    kind = config.get("kind")
+    if kind not in ("grid2d", "gridnd"):
+        return
+    side, branching = config.get("domain_size"), config.get("branching", 2)
+    dims = 2 if kind == "grid2d" else config.get("dims")
+    if not all(type(value) is int for value in (side, branching, dims)):
+        return
+    if side < 2 or branching < 2 or not 1 <= dims <= 62:
+        return
+    height = DomainTree(side, branching).height
+    if height**dims != len(stored):
+        raise ConfigurationError(
+            f"grid header implies {height}^{dims} level tuples, the snapshot "
+            f"holds {len(stored)}"
+        )
+
+
 def resolve_mechanism(
     mechanism: Union[str, RangeQueryMechanism],
     epsilon: Optional[float] = None,
@@ -385,6 +417,7 @@ def from_bytes(
                     "snapshot has no rebuild configuration; pass the "
                     "mechanism instance to restore into as template="
                 )
+            _check_grid_level_count(config, state)
             mechanism = mechanism_from_config(config)
         elif isinstance(template, RangeQueryMechanism):
             mechanism = template

@@ -12,11 +12,13 @@ restores it through a public entry point.  Two things must hold:
 
 Header integers and floats are kept small: the fuzz probes types and
 values.  Resource exhaustion is pinned by explicit cases at the end: a
-header that claims a huge ``domain_size`` over small arrays.
+header that claims a huge ``domain_size``, or a grid with many axes, over
+small arrays.
 """
 
 import json
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -395,6 +397,29 @@ def test_claimed_domain_is_not_allocated_before_the_check():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# A grid builds one oracle per level tuple, h^dims of them.  A 7 KB
+# grid3d_2 snapshot whose header claimed 13 axes used to build 8,192
+# tuples (~1 s, ~10 MiB) before the restore refused it, and one claiming
+# 10^9 axes computed 4^(10^9) first; both are now refused from the header.
+@pytest.mark.parametrize("dims", [13, 10**9])
+def test_header_claiming_many_axes_is_refused_before_building(dims):
+    header, arrays = _unpacked(snapshots.to_bytes(_fitted("grid3d_2")))
+    header["config"]["dims"] = dims
+    snapshot = _container(header, arrays)
+    started = time.perf_counter()
+    with pytest.raises(ReproError):
+        snapshots.from_bytes(snapshot)
+    assert time.perf_counter() - started < 0.1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ReproError):
+            snapshots.from_bytes(snapshot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_restore_holds_one_copy_of_the_statistic():
