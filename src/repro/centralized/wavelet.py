@@ -29,16 +29,9 @@ from repro.exceptions import InvalidDomainError, InvalidQueryError, NotFittedErr
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 from repro.transforms.haar import haar_forward, haar_inverse, haar_range_weights
-from repro.transforms.hadamard import is_power_of_two
+from repro.transforms.hadamard import next_power_of_two
 
 __all__ = ["PriveletWavelet"]
-
-
-def _next_power_of_two(value: int) -> int:
-    power = 1
-    while power < value:
-        power <<= 1
-    return power
 
 
 class PriveletWavelet:
@@ -51,11 +44,7 @@ class PriveletWavelet:
                 f"domain size must be an integer >= 2, got {domain_size!r}"
             )
         self._domain_size = int(domain_size)
-        self._padded_size = (
-            self._domain_size
-            if is_power_of_two(self._domain_size)
-            else _next_power_of_two(self._domain_size)
-        )
+        self._padded_size = next_power_of_two(self._domain_size)
         self._height = self._padded_size.bit_length() - 1
         self._coefficients: Optional[np.ndarray] = None
         self._frequencies: Optional[np.ndarray] = None

@@ -37,16 +37,9 @@ from repro.frequency_oracles.hadamard import (
 )
 from repro.privacy.randomness import categorical
 from repro.transforms.haar import haar_inverse, haar_range_weights
-from repro.transforms.hadamard import is_power_of_two
+from repro.transforms.hadamard import next_power_of_two
 
 __all__ = ["HaarWaveletMechanism"]
-
-
-def _next_power_of_two(value: int) -> int:
-    power = 1
-    while power < value:
-        power <<= 1
-    return power
 
 
 class HaarWaveletMechanism(RangeQueryMechanism):
@@ -73,13 +66,7 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(epsilon, domain_size, name=name or "HaarHRR")
-        self._padded_size = (
-            int(domain_size)
-            if is_power_of_two(int(domain_size))
-            else _next_power_of_two(int(domain_size))
-        )
-        if self._padded_size < 2:
-            self._padded_size = 2
+        self._padded_size = max(2, next_power_of_two(domain_size))
         self._height = self._padded_size.bit_length() - 1
         self._init_level_probabilities(level_probabilities, self._height)
         # One HRR oracle per level, over that level's coefficient positions.

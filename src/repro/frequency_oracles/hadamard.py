@@ -33,7 +33,7 @@ from repro.transforms.hadamard import (
     dyadic_fast_walsh_hadamard_transform,
     hadamard_entry,
     inverse_fast_walsh_hadamard_transform,
-    is_power_of_two,
+    next_power_of_two,
 )
 
 __all__ = ["HadamardAccumulator", "HadamardRandomizedResponse", "dyadic_estimates"]
@@ -221,13 +221,6 @@ def dyadic_estimates(accumulators: Sequence[HadamardAccumulator]) -> np.ndarray:
     return estimates
 
 
-def _next_power_of_two(value: int) -> int:
-    power = 1
-    while power < value:
-        power <<= 1
-    return power
-
-
 class HadamardRandomizedResponse(FrequencyOracle):
     """HRR frequency oracle.
 
@@ -247,11 +240,7 @@ class HadamardRandomizedResponse(FrequencyOracle):
 
     def __init__(self, epsilon: float, domain_size: int) -> None:
         super().__init__(epsilon, domain_size)
-        self._padded_size = (
-            int(domain_size)
-            if is_power_of_two(int(domain_size))
-            else _next_power_of_two(int(domain_size))
-        )
+        self._padded_size = next_power_of_two(domain_size)
         self._keep_probability = binary_rr_probability(epsilon)
         self._index_bits = self._padded_size.bit_length() - 1
         #: Narrowest unsigned dtype holding a user's key or code (< 2 D').

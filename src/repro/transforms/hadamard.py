@@ -36,6 +36,7 @@ from repro.exceptions import InvalidDomainError
 
 __all__ = [
     "is_power_of_two",
+    "next_power_of_two",
     "hadamard_matrix",
     "hadamard_entry",
     "hadamard_entries",
@@ -48,6 +49,12 @@ __all__ = [
 def is_power_of_two(value: int) -> bool:
     """Return ``True`` if ``value`` is a positive power of two."""
     return isinstance(value, (int, np.integer)) and value > 0 and (value & (value - 1)) == 0
+
+
+def next_power_of_two(value: int) -> int:
+    """The smallest power of two ``>= value`` (``value`` itself when it is
+    one; ``1`` for ``value <= 1``)."""
+    return 1 << max(0, int(value) - 1).bit_length()
 
 
 def _require_power_of_two(size: int) -> int:

@@ -11,6 +11,7 @@ from repro.transforms.hadamard import (
     hadamard_matrix,
     inverse_fast_walsh_hadamard_transform,
     is_power_of_two,
+    next_power_of_two,
 )
 
 
@@ -22,6 +23,17 @@ class TestIsPowerOfTwo:
     @pytest.mark.parametrize("value", [0, -2, 3, 6, 12, 1000])
     def test_non_powers(self, value):
         assert not is_power_of_two(value)
+
+
+class TestNextPowerOfTwo:
+    def test_smallest_power_not_below_value(self):
+        for value in range(1, 1 << 12):
+            power = next_power_of_two(value)
+            assert is_power_of_two(power) and power // 2 < value <= power
+
+    @pytest.mark.parametrize("value", [0, 1, np.int64(1)])
+    def test_small_values_give_one(self, value):
+        assert next_power_of_two(value) == 1
 
 
 class TestHadamardMatrix:
