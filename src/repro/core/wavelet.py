@@ -160,20 +160,21 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             self._accumulators[level]._add_keys(ordered[users] >> (level - 1), rng)
 
     def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Aggregate mode: partition the counts across levels, then run the
-        exact (vectorised) HRR protocol per level.
+        """Aggregate mode: partition the counts across levels, then run HRR
+        per level, exact in distribution (per-user mode keeps the per-user
+        stream).
 
         HRR has no closed-form per-item aggregate to sample from, so every
         level's users are expanded — but as runs of ``(block, sign)`` pairs,
         not items: the items of block ``b`` at level ``l`` are the left
         half (sign ``+1``) then the right half (sign ``-1``), so summing the
         level's counts over each half gives run lengths whose expansion
-        (:meth:`HadamardAccumulator.add_runs`) is exactly the per-user
-        sequence of the expanded items, in the same order.  ``add_runs``
-        carries each run's sign in bit 0 of its repeated key, so the
-        expansion is one narrow array (at most two bytes per user while
-        ``D' <= 2^16``), and folds the users' reports into the sums with one
-        unweighted ``bincount``.
+        (:meth:`HadamardAccumulator.add_runs`) holds the users of the
+        expanded items, in the same order.  ``add_runs`` carries each run's
+        sign in bit 0 of its repeated key, so the expansion is one narrow
+        array (at most two bytes per user while ``D' <= 2^16``); each user
+        draws its index, and the randomized-response flips are one binomial
+        count per (index, sign) cell.
         """
         padded_counts = np.zeros(self._padded_size, dtype=np.int64)
         padded_counts[: self._domain_size] = counts

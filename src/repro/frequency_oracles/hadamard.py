@@ -78,8 +78,7 @@ class HadamardAccumulator(OracleAccumulator):
     def _fold_codes(self, codes: np.ndarray) -> None:
         """Add reports coded as ``2 * index + [value == +1]`` to the sums.
 
-        Codes fold where they are generated: :meth:`add_runs` (aggregate
-        fits) and :meth:`_add_keys` (per-user writes) pass the output of
+        The per-user fold: :meth:`_add_keys` passes the output of
         :meth:`HadamardRandomizedResponse._perturbed_codes` straight here,
         with no report arrays in between.  One unweighted ``bincount``
         tallies both values of every index; ``+1`` tallies minus ``-1``
@@ -118,18 +117,19 @@ class HadamardAccumulator(OracleAccumulator):
     ) -> "HadamardAccumulator":
         """Accumulate ``counts[k]`` users holding ``signs[k] * e_{values[k]}``.
 
-        Run ``k``'s users come before run ``k + 1``'s, and each user runs
-        the exact batched protocol (:meth:`HadamardRandomizedResponse.encode_batch`
-        on the expanded arrays, with the same random draws).  Only the
-        run arrays are validated — ``O(runs)``, not ``O(users)`` — because
-        the expanded reports are generated here and need no re-checking.
-        Each run's sign rides in bit 0 of its key (see
-        :meth:`HadamardRandomizedResponse._perturbed_codes`), so a single
+        Exact in distribution; per-user mode keeps the per-user stream.
+        Every user draws its Hadamard index as in
+        :meth:`HadamardRandomizedResponse.encode_batch` (run ``k``'s users
+        before run ``k + 1``'s), but the randomized-response flips are
+        drawn per cell, not per user (:meth:`_add_runs`).  Only the run
+        arrays are validated — ``O(runs)``, not ``O(users)`` — because the
+        expanded users are generated here and need no re-checking.  Each
+        run's sign rides in bit 0 of its key (see
+        :meth:`HadamardRandomizedResponse._true_codes`), so a single
         ``np.repeat`` expands values and signs together, in the narrowest
         unsigned dtype holding ``2 D'`` (two bytes per user up to
         ``D' = 2^15``); the user's code takes the same width.  The largest
-        ``O(N)`` buffers are the float64 uniforms of the flips and
-        ``bincount``'s intp copy of the codes.
+        ``O(N)`` buffer is ``bincount``'s intp copy of the codes.
         """
         oracle = self._oracle
         values = oracle._check_values(values)
@@ -149,21 +149,33 @@ class HadamardAccumulator(OracleAccumulator):
         rng: np.random.Generator,
         negative: Optional[np.ndarray] = None,
     ) -> None:
+        """Fold the runs' users with one binomial flip count per cell.
+
+        The users' true codes ``2 j + [true sign is +1]`` are tallied with
+        one unweighted ``bincount``.  Each user's flip is an independent
+        Bernoulli(``1 - p``) draw, so the flips of the ``T`` users in a
+        cell number exactly Binomial(``T``, ``1 - p``): one
+        ``rng.binomial`` over the ``2 D'`` cells replaces ``N`` uniforms.
+        A flipped ``+1`` user reports ``-1`` and vice versa, so each cell
+        nets ``T - 2 F`` and index ``j`` gains ``(T+ - 2 F+) - (T- - 2 F-)``,
+        exact integer arithmetic.
+        """
         oracle = self._oracle
         keys = np.repeat(oracle._keys(values, negative), counts)
-        self._fold_codes(oracle._perturbed_codes(keys, rng))
+        tallies = np.bincount(oracle._true_codes(keys, rng), minlength=2 * oracle.padded_size)
+        tallies -= 2 * rng.binomial(tallies, 1.0 - oracle.keep_probability)
+        self._sums += tallies[1::2] - tallies[0::2]
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Exact: the vectorised per-user protocol, driven by the counts.
+        """Exact in distribution; per-user mode keeps the per-user stream.
 
         HRR reports couple the sampled index with the user's item, so there
         is no per-item closed-form aggregate to sample from; instead the
-        counts are taken as runs of the items ``0..D-1`` and the exact
-        batched protocol runs on their expansion (:meth:`_add_runs`): one
-        ``np.repeat`` into a narrow dtype, the index draws read straight
-        from the generator's words, one popcount and one unweighted
-        ``bincount`` — a constant number of ``O(N)`` NumPy passes, the
-        same random draws as encoding every user.
+        counts are taken as runs of the items ``0..D-1`` and expanded
+        (:meth:`_add_runs`): one ``np.repeat`` into a narrow dtype, the
+        index draws read straight from the generator's words, one popcount
+        and one unweighted ``bincount``, then one binomial flip count per
+        (index, sign) cell — the per-cell simulation the unary oracles use.
         """
         self._add_runs(
             np.arange(self._oracle.domain_size, dtype=np.int64), counts, rng
@@ -325,28 +337,34 @@ class HadamardRandomizedResponse(FrequencyOracle):
             keys |= negative
         return keys
 
-    def _perturbed_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Run HRR for the users with ``keys``; return ``2 j + [reported +1]``.
+    def _true_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw the users' indices; return ``2 j + [true coefficient +1]``.
 
         Draws every user's index ``j`` (the values of
         ``rng.integers(0, D', size=n)``, via
-        :func:`~repro.privacy.randomness.power_of_two_integers`), then the
-        randomized-response flips from ``rng.random(n)``.  The code
+        :func:`~repro.privacy.randomness.power_of_two_integers`).  The code
         ``2 j + 1`` carries a ``1`` in bit 0 to meet the key's sign bit, so
         one ``np.bitwise_count`` of ``key & code`` is ``<v, j>`` plus the
-        sign: the parity of the reported ``-1``.  The flip is XORed into
-        that parity, which then clears bit 0 of the code where the report
-        is ``-1``.  ``keys`` is overwritten; codes share its dtype.
+        sign: the parity of a true ``-1``, which then clears bit 0 of the
+        code.  ``keys`` is overwritten; codes share its dtype.
         """
-        n_users = keys.shape[0]
-        codes = power_of_two_integers(rng, self._index_bits, n_users, keys.dtype)
+        codes = power_of_two_integers(rng, self._index_bits, keys.shape[0], keys.dtype)
         codes <<= 1
         codes |= 1
         keys &= codes
         parities = np.bitwise_count(keys)
-        parities ^= rng.random(n_users) >= self._keep_probability
         parities &= 1
         codes ^= parities
+        return codes
+
+    def _perturbed_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Run HRR per user for ``keys``; return ``2 j + [reported +1]``.
+
+        The per-user protocol: :meth:`_true_codes`, then one flip per user
+        from ``rng.random(n)``, XORed into bit 0.  ``keys`` is overwritten.
+        """
+        codes = self._true_codes(keys, rng)
+        codes ^= rng.random(keys.shape[0]) >= self._keep_probability
         return codes
 
     # ------------------------------------------------------------------

@@ -19,16 +19,30 @@ def dataset(request):
     return expected_counts(probabilities, N_USERS)
 
 
+#: Seeds of the decile test, fixed before any result was looked at.
+DECILE_SEEDS = range(40)
+#: Over seeds 0-59 the worst cell (``hhc_2``, centred) misses the per-seed
+#: thresholds below on 6; at that rate (10%) more than 10 misses in 40
+#: seeds has probability 0.15%.  An HRR oracle unbiased with the keep
+#: probability of eps / 2 passes 21 and 9 of the 40 Haar seeds.
+MIN_DECILE_PASSES = 30
+
+
 @pytest.mark.parametrize("spec", ["hhc_2", "hhc_4", "haar"])
 def test_decile_quantile_error_is_small(spec, dataset):
     # The paper's headline observation (Section 5.5): the *quantile error*
     # stays small even where the value error spikes in sparse regions.
-    mechanism = mechanism_from_spec(spec, epsilon=EPSILON, domain_size=DOMAIN)
-    mechanism.fit_counts(dataset, random_state=42)
-    returned = estimate_quantiles(mechanism, DECILES)
-    errors = quantile_errors(dataset, DECILES, returned)
-    assert errors["quantile_error"].max() < 0.08
-    assert errors["quantile_error"].mean() < 0.03
+    # One seed's draw may miss the thresholds by chance, so the test asks
+    # that most seeds of a fixed set meet them.
+    misses = []
+    for seed in DECILE_SEEDS:
+        mechanism = mechanism_from_spec(spec, epsilon=EPSILON, domain_size=DOMAIN)
+        mechanism.fit_counts(dataset, random_state=seed)
+        returned = estimate_quantiles(mechanism, DECILES)
+        errors = quantile_errors(dataset, DECILES, returned)["quantile_error"]
+        if not (errors.max() < 0.08 and errors.mean() < 0.03):
+            misses.append(seed)
+    assert len(DECILE_SEEDS) - len(misses) >= MIN_DECILE_PASSES, misses
 
 
 @pytest.mark.parametrize("spec", ["hhc_4", "haar"])

@@ -2,11 +2,15 @@
 
 ``HadamardAccumulator.add_runs`` (the Haar and tree aggregate fits) must
 leave exactly the sums, and the generator exactly in the state, of the
-straightforward path it stands for: expand the runs to one item per user,
-run the batched HRR protocol on the expansion and add each report's ``+-1``
-with a weighted ``bincount``.  The reference below is a test-local copy of
-that path.  The sampled domains reach ``D' = 2^17``, past every width the
-accumulator may pick for its per-user arrays.
+straightforward per-cell simulation it stands for: expand the runs to one
+item per user, draw each user's Hadamard index, tally the users' true
+``(index, sign)`` cells with one ``bincount`` and draw each cell's
+randomized-response flips as one binomial count.  The reference below is a
+test-local copy of that path.  (That the per-cell flips are the per-user
+protocol in distribution is checked statistically in
+``tests/unit/test_oracle_hadamard.py``.)  The sampled domains reach
+``D' = 2^17``, past every width the accumulator may pick for its per-user
+arrays.
 """
 
 import numpy as np
@@ -23,16 +27,17 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def reference_add_runs(oracle, sums, values, counts, rng, signs=None):
-    """Expand → encode each user → weighted ``bincount``, as one batch."""
+    """Expand → index draw → true codes → ``bincount`` → per-cell binomial."""
     users = np.repeat(np.asarray(values, dtype=np.int64), counts)
-    n_users = users.shape[0]
-    indices = rng.integers(0, oracle.padded_size, size=n_users)
-    parities = np.bitwise_count(users & indices) & 1
+    indices = rng.integers(0, oracle.padded_size, size=users.shape[0])
+    negative = (np.bitwise_count(users & indices) & 1).astype(np.int64)
     if signs is not None:
-        parities ^= np.repeat(np.asarray(signs) < 0, counts)
-    parities ^= rng.random(n_users) >= oracle.keep_probability
-    reported = 1 - 2 * parities.astype(np.int64)
-    return sums + np.bincount(indices, weights=reported, minlength=oracle.padded_size)
+        negative ^= np.repeat(np.asarray(signs) < 0, counts)
+    tallies = np.bincount(2 * indices + 1 - negative, minlength=2 * oracle.padded_size)
+    flips = rng.binomial(tallies, 1.0 - oracle.keep_probability)
+    plus = tallies[1::2] - 2 * flips[1::2]
+    minus = tallies[0::2] - 2 * flips[0::2]
+    return sums + (plus - minus)
 
 
 @st.composite
@@ -53,7 +58,7 @@ def run_batches(draw):
     seed=seeds,
 )
 @settings(max_examples=150, deadline=None)
-def test_add_runs_matches_expanded_weighted_bincount(batch, epsilon, start, seed):
+def test_add_runs_matches_per_cell_reference(batch, epsilon, start, seed):
     domain, values, counts, signs = batch
     oracle = HadamardRandomizedResponse(epsilon=epsilon, domain_size=domain)
     starting = np.random.default_rng(seed ^ 0x5EED)

@@ -1,12 +1,16 @@
 """Golden digests pinning the HRR encode/decode paths bit-for-bit.
 
 The HRR oracle, the Haar wavelet mechanism built on it and the fast
-Walsh–Hadamard transform are optimised for speed under one invariant:
-every random draw and every floating-point operation happens in the same
-order as in the straightforward reference implementation, so estimates
-are bit-identical.  These sha256 digests were captured from that reference
-implementation; any change to the random stream, the report payloads or
-the float arithmetic changes a digest.
+Walsh–Hadamard transform are optimised for speed.  Per-user mode keeps the
+per-user stream: every random draw and every floating-point operation
+happens in the same order as in the straightforward reference
+implementation, so its estimates are bit-identical to that reference, from
+which the ``per_user`` digests were captured.  Aggregate mode is exact in
+distribution, not in draws: each user draws its Hadamard index, but the
+randomized-response flips are drawn as one binomial count per
+(index, sign) cell, so the ``aggregate`` digests pin that stream.  Any
+change to the random stream, the report payloads or the float arithmetic
+changes a digest.
 
 Run ``PYTHONPATH=src python tests/unit/test_hrr_golden.py`` to print the
 current digests (for re-pinning after a deliberate, documented change).
@@ -79,14 +83,14 @@ def fwht_digest() -> str:
 
 GOLDEN = {
     ("haar", 3, "per_user"): "30c95106f307d41d6ca8f7397803e7e6cc4cea8b562cb65f0ab7f63e66f2b178",
-    ("haar", 3, "aggregate"): "e4b7f8e838de724ff678644b3f3291d0d07fa58e3f97cc7d4ce127950fb2062f",
+    ("haar", 3, "aggregate"): "34352a0f068325a9855cb20b5672c537f9961c0e04e4161faf53308f83778c2c",
     ("haar", 1000, "per_user"): "f046e1cb2ed93c48088bd7bb7371ecb5b44abd15a46a31e7dea6d87fad166e01",
-    ("haar", 1000, "aggregate"): "57ab128be84ff24eba973897974fd2735c2a91f7a0ca5019adb9a0aa270b8103",
+    ("haar", 1000, "aggregate"): "66d7feca84995340ca72eb0b066c92bf00b7915be6ac2915a2bda7ba0e6c9fbf",
     ("haar", 1024, "per_user"): "c507df0b7e6e7401d67280c0050bd114bb7278bf81508d51afb5d2b3a40dd2ea",
-    ("haar", 1024, "aggregate"): "a1ca83dc2145e171f2853e3ce5f2eff79c63677702b80bbc14e377f4a985bead",
+    ("haar", 1024, "aggregate"): "0cdc0cfdcfcd01518148adc2a8a7967445fade72ca4b0fbe23f54edd9ce6db77",
     ("haar", 16384, "per_user"): "81843de93a3a6455b5556212b94d1913fa65d3b1474cdcf542b3ec852e13b982",
-    ("haar", 16384, "aggregate"): "f51fee4f18bd8f418d53b7b191066ed976e553039f79937ac713cbdf93aefe15",
-    ("hhc_4_hrr",): "7e9cf7bb0a0ae4dcbbe8de1e1898641317c86a3ee4acc858faf7a47f6afb929c",
+    ("haar", 16384, "aggregate"): "a6b850bbee0f660815d501a367745c30a2e0a3c15d2825d5831aa74a8eaa6a3b",
+    ("hhc_4_hrr",): "3a06d1aea51a7cbcf8dca45477aaac261a3613ad9ebf22542afe963a09ca9cfc",
     ("encode_batch",): "cd651f685749d95221258d7cd752d5d3f2f320dec68906ebdebadbb284c5bf86",
     ("fwht",): "221d9b9869285679bd08b5467151ced2f32ee001ba38b5d116f90149a1a6ff7f",
 }

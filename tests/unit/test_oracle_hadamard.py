@@ -102,13 +102,42 @@ class TestAggregation:
         np.testing.assert_array_equal(oracle.accumulator().add(reports).estimate(), np.zeros(8))
 
     def test_empirical_variance_matches_theory(self, rng):
+        # With the counts fixed, user u adds phi[v][j_u] y_u / (2p - 1) to
+        # item v's estimate: its square is always 1 / (2p - 1)^2 and its
+        # mean is [u holds v], so item v's exact variance is
+        # (1 / (2p - 1)^2 - f_v) / N.  The sample variance of R draws has
+        # a relative SE of sqrt(2 / (R - 1)).
         oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=8)
         counts = np.array([4000, 2000, 1000, 800, 700, 600, 500, 400])
         n_users = int(counts.sum())
+        draws = 1000
         samples = np.array(
-            [oracle.accumulator().add_counts(counts, rng).estimate()[0] for _ in range(300)]
+            [oracle.accumulator().add_counts(counts, rng).estimate() for _ in range(draws)]
         )
-        assert samples.var() == pytest.approx(oracle.theoretical_variance(n_users), rel=0.35)
+        exact = (1.0 / oracle.unbiasing_factor**2 - counts / n_users) / n_users
+        relative_error = samples.var(axis=0, ddof=1) / exact - 1.0
+        assert np.all(np.abs(relative_error) <= 4.0 * np.sqrt(2.0 / (draws - 1)))
+
+
+class TestAggregateMatchesPerUser:
+    def test_coefficient_sums_match_per_user_path(self):
+        # Flat HRR over a padded domain (D = 5, D' = 8): aggregate mode
+        # (``add_counts``: per-cell binomial flips) and per-user mode
+        # (``add_items``: one flip per user) over disjoint seed sets.
+        oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=5)
+        counts = np.array([200, 0, 100, 60, 40])
+        items = np.repeat(np.arange(5), counts)
+        draws = 500
+        aggregate = np.array(
+            [coefficient_sums(oracle.accumulator().add_counts(counts, seed)) for seed in range(draws)]
+        )
+        per_user = np.array(
+            [
+                coefficient_sums(oracle.accumulator().add_items(items, seed))
+                for seed in range(draws, 2 * draws)
+            ]
+        )
+        assert_same_moments(aggregate, per_user)
 
 
 class TestReportValidation:
@@ -179,19 +208,53 @@ class TestReportValidation:
         assert accumulator.n_users == 102
 
 
+def assert_same_moments(first: np.ndarray, second: np.ndarray, z: float = 4.0) -> None:
+    """Every column of two independent sample sets: equal means and equal
+    variances within ``z`` standard errors of the difference."""
+    draws = first.shape[0]
+    mean_gap = first.mean(axis=0) - second.mean(axis=0)
+    mean_se = np.sqrt((first.var(axis=0, ddof=1) + second.var(axis=0, ddof=1)) / draws)
+    assert np.all(np.abs(mean_gap) <= z * mean_se)
+    first_squares = (first - first.mean(axis=0)) ** 2
+    second_squares = (second - second.mean(axis=0)) ** 2
+    variance_gap = first_squares.mean(axis=0) - second_squares.mean(axis=0)
+    variance_se = np.sqrt(
+        (first_squares.var(axis=0, ddof=1) + second_squares.var(axis=0, ddof=1)) / draws
+    )
+    assert np.all(np.abs(variance_gap) <= z * variance_se)
+
+
+def coefficient_sums(accumulator) -> np.ndarray:
+    return accumulator.state_dict()["sums"]
+
+
 class TestRunExpansion:
+    """``add_runs`` draws each user's index but one binomial flip count per
+    (index, sign) cell: the same distribution as encoding every user."""
+
     def test_runs_match_expanded_encode_batch(self):
         oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=16)
         values = np.array([0, 3, 3, 9])
-        counts = np.array([5, 0, 7, 2])
+        counts = np.array([50, 0, 70, 20])
         signs = np.array([1, -1, -1, 1])
-        via_runs = oracle.accumulator().add_runs(values, counts, 11, signs=signs)
-        reports = oracle.encode_batch(
-            np.repeat(values, counts), 11, signs=np.repeat(signs, counts)
+        users, user_signs = np.repeat(values, counts), np.repeat(signs, counts)
+        draws = 400
+        via_runs = np.array(
+            [
+                coefficient_sums(oracle.accumulator().add_runs(values, counts, seed, signs=signs))
+                for seed in range(draws)
+            ]
         )
-        via_batch = oracle.accumulator().add(reports)
-        np.testing.assert_array_equal(via_runs.estimate(), via_batch.estimate())
-        assert via_runs.n_users == via_batch.n_users == 14
+        via_batch = np.array(
+            [
+                coefficient_sums(
+                    oracle.accumulator().add(oracle.encode_batch(users, seed, signs=user_signs))
+                )
+                for seed in range(draws, 2 * draws)
+            ]
+        )
+        assert_same_moments(via_runs, via_batch)
+        assert oracle.accumulator().add_runs(values, counts, 0, signs=signs).n_users == 140
 
     @pytest.mark.parametrize(
         "values, counts, signs",

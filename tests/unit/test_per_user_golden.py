@@ -180,7 +180,7 @@ LIFECYCLE_GOLDEN = {
     ('hh_4_splitting', 'per_user'): '5cc30c40f3596fe35ebdc2a6ba2d0e78ec6bd2715327faf9d0ae4914bafaa256',
     ('hh_4_skewed_levels', 'aggregate'): '4ba2e5e4f56d3948cdcc231c4711078726b6c21ef01602b68081cfe284dbd250',
     ('hh_4_skewed_levels', 'per_user'): '51ddb2e76bb1b9062c6b79447f5fb3d357f5394753ce0342a07652ded4fa35c7',
-    ('haar_skewed_levels', 'aggregate'): 'f1d38fb546702404830dd95e28b52cdeb00aeeec140c6fd105f615c9929eda22',
+    ('haar_skewed_levels', 'aggregate'): '433df1e3c26d37827234dc3d0bd1497ac8e262ec9f51469fe924589536a30281',
     ('haar_skewed_levels', 'per_user'): 'c5ec29ef6fc7f9f745bdcff8949372e9e1b7883849dd91c72280a3342f8adf8c',
     ('flat_oue', 'aggregate'): '04b6682697111e10649962811f1b04494ac2a13d39ed3e39e9083b5806c200ba',
     ('flat_oue', 'per_user'): '0d903ab9e597bcf3f28f0fe0cefb42474d6eee080586c8a133f0c5260bfea70c',
