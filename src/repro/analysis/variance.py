@@ -7,7 +7,9 @@ consistency (e.g. monotonicity in ``epsilon`` and the optimal branching
 factors derived in Sections 4.4 and 4.5).
 
 Summary of the expressions implemented (``V_F`` is the frequency-oracle
-variance ``4 e^eps / (N (e^eps - 1)^2)``):
+variance ``4 e^eps / (N (e^eps - 1)^2)``, the zero-frequency variance of
+OUE and OLH; HRR's is ``1 / N`` more, see
+:meth:`~repro.frequency_oracles.hadamard.HadamardRandomizedResponse.theoretical_variance`):
 
 =====================================  =========================================
 Flat method, range of length ``r``      ``r * V_F``                       (Fact 1)

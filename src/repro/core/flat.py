@@ -103,7 +103,8 @@ class FlatMechanism(RangeQueryMechanism):
         return self._prefix[1:].copy()
 
     def per_query_variance(self, range_length: int) -> float:
-        """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1)."""
+        """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1),
+        with the oracle's own ``V_F`` (``oracle.theoretical_variance``)."""
         from repro.analysis.variance import _check_range_length
 
         self._require_fitted()

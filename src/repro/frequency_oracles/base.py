@@ -185,7 +185,7 @@ class FrequencyOracle(abc.ABC):
         """Closed-form variance of one frequency estimate with ``n_users``.
 
         The default is the common bound ``4 e^eps / (N (e^eps - 1)^2)``
-        shared by OUE, OLH and HRR; oracles with a different expression
+        shared by OUE and OLH; oracles with a different expression
         override this.
         """
         if n_users <= 0:

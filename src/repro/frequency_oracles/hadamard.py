@@ -374,8 +374,15 @@ class HadamardRandomizedResponse(FrequencyOracle):
     accumulator_class = HadamardAccumulator
 
     def theoretical_variance(self, n_users: int) -> float:
-        """``4 p (1 - p) / (N (2p - 1)^2) = 4 e^eps / (N (e^eps - 1)^2)``."""
+        """``1 / (N (2p - 1)^2) = ((e^eps + 1) / (e^eps - 1))^2 / N``.
+
+        A user adds ``phi[v][j] y / (2p - 1)`` to item ``v``'s estimate,
+        whose square is ``1 / (2p - 1)^2`` whichever index ``j`` it drew,
+        so an item of frequency ``f`` has variance ``(1 / (2p - 1)^2 - f) /
+        N``; this is its ``f = 0`` value.  It is ``1 / N`` above OUE's
+        ``4 e^eps / (N (e^eps - 1)^2)``, the ``V_F`` of
+        :mod:`repro.analysis.variance`.
+        """
         if n_users <= 0:
             raise InvalidQueryError(f"n_users must be positive, got {n_users!r}")
-        p = self._keep_probability
-        return 4.0 * p * (1.0 - p) / (n_users * (2.0 * p - 1.0) ** 2)
+        return 1.0 / (n_users * self.unbiasing_factor**2)

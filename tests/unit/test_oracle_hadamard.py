@@ -19,10 +19,15 @@ class TestConfiguration:
         assert oracle.domain_size == 100
 
     def test_variance_formula(self):
+        # Every report is +-1 / (2p - 1) whichever index it sampled, so a
+        # zero-frequency item's estimate has variance ((e^eps + 1) /
+        # (e^eps - 1))^2 / N: 1 / N above OUE's 4 e^eps / (N (e^eps - 1)^2).
         epsilon = 1.1
         oracle = HadamardRandomizedResponse(epsilon=epsilon, domain_size=64)
-        expected = 4 * np.exp(epsilon) / (1000 * (np.exp(epsilon) - 1) ** 2)
+        expected = ((np.exp(epsilon) + 1) / (np.exp(epsilon) - 1)) ** 2 / 1000
         assert oracle.theoretical_variance(1000) == pytest.approx(expected)
+        oue_variance = 4 * np.exp(epsilon) / (1000 * (np.exp(epsilon) - 1) ** 2)
+        assert oracle.theoretical_variance(1000) == pytest.approx(oue_variance + 1 / 1000)
 
 
 class TestEncoding:
