@@ -277,6 +277,8 @@ def _check_grid_level_count(config: Any, state: Dict[str, Any]) -> None:
     dims = 2 if kind == "grid2d" else config.get("dims")
     if not all(type(value) is int for value in (side, branching, dims)):
         return
+    # Past 62 axes the constructor refuses the flattened domain at once;
+    # below, h^d is a small integer.
     if side < 2 or branching < 2 or not 1 <= dims <= 62:
         return
     height = DomainTree(side, branching).height

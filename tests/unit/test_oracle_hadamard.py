@@ -124,27 +124,6 @@ class TestAggregation:
         assert np.all(np.abs(relative_error) <= 4.0 * np.sqrt(2.0 / (draws - 1)))
 
 
-class TestAggregateMatchesPerUser:
-    def test_coefficient_sums_match_per_user_path(self):
-        # Flat HRR over a padded domain (D = 5, D' = 8): aggregate mode
-        # (``add_counts``: per-cell binomial flips) and per-user mode
-        # (``add_items``: one flip per user) over disjoint seed sets.
-        oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=5)
-        counts = np.array([200, 0, 100, 60, 40])
-        items = np.repeat(np.arange(5), counts)
-        draws = 500
-        aggregate = np.array(
-            [coefficient_sums(oracle.accumulator().add_counts(counts, seed)) for seed in range(draws)]
-        )
-        per_user = np.array(
-            [
-                coefficient_sums(oracle.accumulator().add_items(items, seed))
-                for seed in range(draws, 2 * draws)
-            ]
-        )
-        assert_same_moments(aggregate, per_user)
-
-
 class TestReportValidation:
     """``add`` rejects malformed reports with a typed error and leaves the
     accumulator exactly as it was."""
@@ -231,6 +210,27 @@ def assert_same_moments(first: np.ndarray, second: np.ndarray, z: float = 4.0) -
 
 def coefficient_sums(accumulator) -> np.ndarray:
     return accumulator.state_dict()["sums"]
+
+
+class TestAggregateMatchesPerUser:
+    def test_coefficient_sums_match_per_user_path(self):
+        # Flat HRR over a padded domain (D = 5, D' = 8): aggregate mode
+        # (``add_counts``: per-cell binomial flips) and per-user mode
+        # (``add_items``: one flip per user) over disjoint seed sets.
+        oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=5)
+        counts = np.array([200, 0, 100, 60, 40])
+        items = np.repeat(np.arange(5), counts)
+        draws = 500
+        aggregate = np.array(
+            [coefficient_sums(oracle.accumulator().add_counts(counts, seed)) for seed in range(draws)]
+        )
+        per_user = np.array(
+            [
+                coefficient_sums(oracle.accumulator().add_items(items, seed))
+                for seed in range(draws, 2 * draws)
+            ]
+        )
+        assert_same_moments(aggregate, per_user)
 
 
 class TestRunExpansion:
