@@ -16,7 +16,8 @@ LDP-R001  RNG hygiene: no legacy ``np.random`` global-state calls and no
           hard-coded ``default_rng(<literal>)`` seeds in library code
           (``experiments``/``data`` are exempt — they *own* their seeds);
           raw generator words (``.random_raw``) are read nowhere but the
-          audited ``repro/privacy/randomness.py``, with no exempt dirs.
+          audited ``repro/privacy/randomness.py`` (``power_of_two_integers``
+          and ``fair_binomial``), with no exempt dirs.
 LDP-R002  Epsilon flow: raw ``exp(epsilon)`` arithmetic is confined to
           ``repro.privacy``; constructors that accept ``epsilon`` must
           validate it (``validate_epsilon``/``PrivacyBudget``) or forward
@@ -95,8 +96,10 @@ PARSE_RULE = "LDP-R000"
 #: not part of the query/ingest surface; devtools is the linter itself).
 EXEMPT_LIBRARY_DIRS = frozenset({"experiments", "data", "devtools"})
 
-#: The one module allowed to read raw bit-generator words (LDP-R001): it
-#: reproduces numpy's draws exactly and is pinned by property tests.
+#: The one module allowed to read raw bit-generator words (LDP-R001): its
+#: helpers reproduce numpy's draws exactly (``power_of_two_integers``) or
+#: read a documented bit stream (``fair_binomial``), each pinned by
+#: property tests.
 RAW_WORDS_MODULE = ("privacy", "randomness.py")
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*)\])?", re.IGNORECASE)
@@ -282,7 +285,8 @@ def _check_rng_hygiene(ctx: _FileContext) -> Iterator[Finding]:
                     node.col_offset,
                     "raw generator words ('random_raw') outside "
                     "repro/privacy/randomness.py — draw through its audited "
-                    "helpers so the numpy stream stays bit-identical",
+                    "helpers (power_of_two_integers, fair_binomial) so "
+                    "every stream they read stays pinned by its tests",
                 )
     if _is_exempt(ctx, EXEMPT_LIBRARY_DIRS):
         return

@@ -28,7 +28,13 @@ from repro.exceptions import ConfigurationError, InvalidQueryError
 from repro.frequency_oracles.accumulators import OracleAccumulator, checked_report_symbols
 from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 from repro.privacy.mechanisms import binary_rr_probability
-from repro.privacy.randomness import RandomState, as_generator, power_of_two_integers
+from repro.privacy.randomness import (
+    COUNT_SPACE_USERS_PER_BIT,
+    RandomState,
+    as_generator,
+    fair_binomial,
+    power_of_two_integers,
+)
 from repro.transforms.hadamard import (
     dyadic_fast_walsh_hadamard_transform,
     hadamard_entry,
@@ -118,18 +124,11 @@ class HadamardAccumulator(OracleAccumulator):
         """Accumulate ``counts[k]`` users holding ``signs[k] * e_{values[k]}``.
 
         Exact in distribution; per-user mode keeps the per-user stream.
-        Every user draws its Hadamard index as in
-        :meth:`HadamardRandomizedResponse.encode_batch` (run ``k``'s users
-        before run ``k + 1``'s), but the randomized-response flips are
-        drawn per cell, not per user (:meth:`_add_runs`).  Only the run
-        arrays are validated — ``O(runs)``, not ``O(users)`` — because the
-        expanded users are generated here and need no re-checking.  Each
-        run's sign rides in bit 0 of its key (see
-        :meth:`HadamardRandomizedResponse._true_codes`), so a single
-        ``np.repeat`` expands values and signs together, in the narrowest
-        unsigned dtype holding ``2 D'`` (two bytes per user up to
-        ``D' = 2^15``); the user's code takes the same width.  The largest
-        ``O(N)`` buffer is ``bincount``'s intp copy of the codes.
+        The users' indices and flips are sampled by :meth:`_add_runs`.
+        Only the run arrays are validated — ``O(runs)``, not ``O(users)``
+        — because the users are simulated here and need no re-checking.
+        Each run's sign rides in bit 0 of its key (see
+        :meth:`HadamardRandomizedResponse._keys`).
         """
         oracle = self._oracle
         values = oracle._check_values(values)
@@ -137,32 +136,44 @@ class HadamardAccumulator(OracleAccumulator):
         if counts.shape != values.shape or (counts.size and counts.min() < 0):
             raise InvalidQueryError("counts must be non-negative, one per run")
         negative = None if signs is None else oracle._negative_mask(signs, values.shape[0])
-        rng = as_generator(random_state)
-        self._add_runs(values, counts, rng, negative)
+        self._add_runs(oracle._keys(values, negative), counts, as_generator(random_state))
         self._n_users += int(counts.sum())
         return self
 
-    def _add_runs(
-        self,
-        values: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-        negative: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fold the runs' users with one binomial flip count per cell.
+    def _add_runs(self, keys: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Fold ``counts[k]`` users keyed ``keys[k]``, sampling their
+        statistic per cell.
 
-        The users' true codes ``2 j + [true sign is +1]`` are tallied with
-        one unweighted ``bincount``.  Each user's flip is an independent
-        Bernoulli(``1 - p``) draw, so the flips of the ``T`` users in a
-        cell number exactly Binomial(``T``, ``1 - p``): one
-        ``rng.binomial`` over the ``2 D'`` cells replaces ``N`` uniforms.
-        A flipped ``+1`` user reports ``-1`` and vice versa, so each cell
-        nets ``T - 2 F`` and index ``j`` gains ``(T+ - 2 F+) - (T- - 2 F-)``,
-        exact integer arithmetic.
+        First the users' true codes ``2 j + [true sign is +1]`` are
+        tallied, by whichever way is cheaper for the batch's size:
+
+        * in count space (:meth:`HadamardRandomizedResponse._true_tallies`)
+          when the batch holds at least ``log2 D' * (fixed + per_index *
+          D')`` users
+          (:data:`~repro.privacy.randomness.COUNT_SPACE_USERS_PER_BIT`,
+          the measured crossover): ``log2 D'`` passes over the ``2 D'``
+          cells, each reading ``N / 64`` raw words, and no per-user array;
+        * otherwise per user: the runs are expanded in order with one
+          ``np.repeat`` (two bytes per user up to ``D' = 2^15``), each
+          user draws its index (:meth:`HadamardRandomizedResponse._true_codes`)
+          and one unweighted ``bincount`` tallies the codes; its intp
+          copy of the codes is the largest buffer, ``8 N`` bytes.
+
+        Then each user's flip is an independent Bernoulli(``1 - p``)
+        draw, so the flips of the ``T`` users in a cell number exactly
+        Binomial(``T``, ``1 - p``): one ``rng.binomial`` over the
+        ``2 D'`` cells.  A flipped ``+1`` user reports ``-1`` and vice
+        versa, so each cell nets ``T - 2 F`` and index ``j`` gains
+        ``(T+ - 2 F+) - (T- - 2 F-)``, exact integer arithmetic.
         """
         oracle = self._oracle
-        keys = np.repeat(oracle._keys(values, negative), counts)
-        tallies = np.bincount(oracle._true_codes(keys, rng), minlength=2 * oracle.padded_size)
+        cells = 2 * oracle.padded_size
+        if counts.sum() >= oracle._count_space_min_users:
+            key_tallies = np.bincount(keys, weights=counts, minlength=cells)
+            tallies = oracle._true_tallies(key_tallies.astype(np.int64), rng)
+        else:
+            codes = oracle._true_codes(np.repeat(keys, counts), rng)
+            tallies = np.bincount(codes, minlength=cells)
         tallies -= 2 * rng.binomial(tallies, 1.0 - oracle.keep_probability)
         self._sums += tallies[1::2] - tallies[0::2]
 
@@ -171,15 +182,16 @@ class HadamardAccumulator(OracleAccumulator):
 
         HRR reports couple the sampled index with the user's item, so there
         is no per-item closed-form aggregate to sample from; instead the
-        counts are taken as runs of the items ``0..D-1`` and expanded
-        (:meth:`_add_runs`): one ``np.repeat`` into a narrow dtype, the
-        index draws read straight from the generator's words, one popcount
-        and one unweighted ``bincount``, then one binomial flip count per
-        (index, sign) cell — the per-cell simulation the unary oracles use.
+        counts are taken as runs of the items ``0..D-1``
+        (:meth:`_add_runs`): the indices are sampled in count space for
+        a large batch or drawn per user for a small one, then the flips
+        are one binomial count per (index, sign) cell — the per-cell
+        simulation the unary oracles use.
         """
-        self._add_runs(
-            np.arange(self._oracle.domain_size, dtype=np.int64), counts, rng
-        )
+        oracle = self._oracle
+        # The keys 2 v of the items v = 0..D-1, all with sign +1.
+        keys = np.arange(0, 2 * oracle.domain_size, 2, dtype=oracle._code_dtype)
+        self._add_runs(keys, counts, rng)
 
     def _merge_statistic(self, other: "HadamardAccumulator") -> None:
         self._sums += other._sums
@@ -257,6 +269,9 @@ class HadamardRandomizedResponse(FrequencyOracle):
         self._index_bits = self._padded_size.bit_length() - 1
         #: Narrowest unsigned dtype holding a user's key or code (< 2 D').
         self._code_dtype = np.min_scalar_type(2 * self._padded_size - 1)
+        fixed, per_index = COUNT_SPACE_USERS_PER_BIT
+        #: Batch size from which aggregate mode samples in count space.
+        self._count_space_min_users = self._index_bits * (fixed + per_index * self._padded_size)
 
     @property
     def padded_size(self) -> int:
@@ -356,6 +371,36 @@ class HadamardRandomizedResponse(FrequencyOracle):
         parities &= 1
         codes ^= parities
         return codes
+
+    def _true_tallies(self, key_tallies: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Count-space :meth:`_true_codes`: the tallies of the users' true
+        codes, sampled from the int64 tallies of their keys
+        ``2 v + [input negated]`` with no per-user array.
+
+        A cell holds (the index bits drawn so far, the item bits not yet
+        met, a parity bit), ``2 D'`` cells in all.  Index bit by index
+        bit, low bit first, the ``n`` users of every cell draw that bit
+        of their index: Binomial(``n``, 1/2) of them draw a ``1``
+        (:func:`~repro.privacy.randomness.fair_binomial`, one call per
+        bit) and the rest a ``0``.  A ``1`` meeting a ``1`` bit of the
+        item flips the parity, and the cells of the two item bits merge.
+        The parity starts as ``[input +1]``, so after ``log2 D'`` stages
+        cell ``2 j + b`` counts the users of index ``j`` whose true
+        coefficient ``(-1)^(<v, j> + negated)`` is ``+1`` iff ``b``: the
+        code tallies of independent uniform indices, exact in
+        distribution, in ``log2 D'`` passes over the cells.
+        """
+        state = np.ascontiguousarray(key_tallies.reshape(-1, 2)[:, ::-1])
+        for bit in range(self._index_bits):
+            # (higher bits, this item/index bit, lower index bits, parity)
+            cells = state.reshape(-1, 2, 1 << bit, 2)
+            ones = fair_binomial(rng, cells)
+            zeros = cells - ones
+            state = np.empty_like(cells)
+            np.add(zeros[:, 0], zeros[:, 1], out=state[:, 0])
+            np.add(ones[:, 0, :, 0], ones[:, 1, :, 1], out=state[:, 1, :, 0])
+            np.add(ones[:, 0, :, 1], ones[:, 1, :, 0], out=state[:, 1, :, 1])
+        return state.reshape(-1)
 
     def _perturbed_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Run HRR per user for ``keys``; return ``2 j + [reported +1]``.

@@ -21,6 +21,7 @@ __all__ = [
     "as_generator",
     "as_seed_sequence",
     "categorical",
+    "fair_binomial",
     "power_of_two_integers",
     "spawn_generators",
 ]
@@ -49,6 +50,16 @@ def as_generator(random_state: RandomState = None) -> np.random.Generator:
 #: microseconds, which only larger draws win back.
 RAW_WORDS_MIN_SIZE = 1024
 
+#: ``(fixed, per index)`` users per index bit from which HRR's aggregate
+#: fold samples its users' Hadamard indices in count space
+#: (:func:`fair_binomial` per index bit) instead of drawing them one by
+#: one: the threshold for ``D'`` indices is
+#: ``log2 D' * (fixed + per index * D')`` users.  Fitted to the measured
+#: crossover (2-core x86 VM, ``benchmarks/bench_hrr_count_space.py``
+#: prints the table): one stage costs ~30 µs plus ~20 ns per cell of
+#: ``2 D'``, one user drawn on its own ~7 ns.
+COUNT_SPACE_USERS_PER_BIT = (6000, 4)
+
 
 def power_of_two_integers(
     rng: np.random.Generator, bits: int, size: int, dtype: DTypeLike = np.int64
@@ -67,10 +78,11 @@ def power_of_two_integers(
     left exactly as numpy leaves it.
 
     Any other bit generator, ``bits`` outside ``1..31``, or fewer than
-    :data:`RAW_WORDS_MIN_SIZE` values delegates to ``rng.integers``.  The state is read, advanced and written back in
-    separate steps, so another thread must not draw from ``rng`` meanwhile.
-    This is the one place in the library that reads generator words
-    directly (lint rule LDP-R001).
+    :data:`RAW_WORDS_MIN_SIZE` values delegates to ``rng.integers``.  The
+    state is read, advanced and written back in separate steps, so another
+    thread must not draw from ``rng`` meanwhile.  This module is the one
+    place in the library that reads generator words directly (lint rule
+    LDP-R001): here and in :func:`fair_binomial`.
     """
     bit_generator = rng.bit_generator
     if (
@@ -95,6 +107,44 @@ def power_of_two_integers(
         state["uinteger"] = int(raw[-1] >> np.uint64(32))
     bit_generator.state = state
     return out
+
+
+def fair_binomial(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """A Binomial(``counts[k]``, 1/2) draw for every entry, as int64.
+
+    Each draw is the popcount of ``counts[k]`` fresh raw PCG64 bits: the
+    entries, in C order, read consecutive bits of
+    ``rng.bit_generator.random_raw(ceil(counts.sum() / 64))``, low bit of
+    each word first, and the unread rest of the last word is dropped, so
+    successive calls read disjoint words.  Exact, since each bit is a fair
+    coin; the cost is a few passes over the entries plus one over the
+    ``counts.sum() / 64`` words, however large each count is (16,384
+    entries below 30: 0.3–0.5 ms here, 2.2–2.4 ms through
+    ``rng.binomial``, on a 2-core x86 VM).  PCG64's parked half-word (see
+    :func:`power_of_two_integers`) is neither read nor disturbed.
+    ``counts`` must be a non-negative int64 array.  Any other bit
+    generator draws ``rng.binomial(counts, 0.5)``.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return rng.binomial(counts, 0.5)
+    ends = np.add.accumulate(counts.reshape(-1))
+    n_words = (int(ends[-1]) + 63) >> 6 if ends.size else 0
+    # A zero word past the end serves the counts that end on a word boundary.
+    words = np.zeros(n_words + 1, dtype=np.uint64)
+    words[:n_words] = bit_generator.random_raw(n_words)
+    # The ones among the first e bits: those up to the end of e's word,
+    # less those of that word at or above e.
+    through = np.add.accumulate(np.bitwise_count(words), dtype=np.int64)
+    word_index = ends >> 6
+    high = words[word_index]
+    high >>= ends.view(np.uint64) & np.uint64(63)
+    below = through[word_index]
+    below -= np.bitwise_count(high)
+    draws = np.empty_like(below)
+    draws[:1] = below[:1]
+    np.subtract(below[1:], below[:-1], out=draws[1:])
+    return draws.reshape(counts.shape)
 
 
 def categorical(

@@ -1,16 +1,27 @@
-"""Property test pinning HRR's run-length aggregate path bit for bit.
+"""Property tests pinning HRR's run-length aggregate path bit for bit.
 
-``HadamardAccumulator.add_runs`` (the Haar and tree aggregate fits) must
-leave exactly the sums, and the generator exactly in the state, of the
-straightforward per-cell simulation it stands for: expand the runs to one
-item per user, draw each user's Hadamard index, tally the users' true
-``(index, sign)`` cells with one ``bincount`` and draw each cell's
-randomized-response flips as one binomial count.  The reference below is a
-test-local copy of that path.  (That the per-cell flips are the per-user
-protocol in distribution is checked statistically in
-``tests/unit/test_oracle_hadamard.py``.)  The sampled domains reach
+``HadamardAccumulator.add_runs`` (the Haar and tree aggregate fits) takes
+one of two paths, chosen by the batch's user count against the oracle's
+count-space threshold, and each must leave exactly the sums, and the
+generator exactly in the state, of a straightforward test-local
+reference:
+
+* below the threshold, the per-cell simulation: expand the runs to one
+  item per user, draw each user's Hadamard index, tally the users' true
+  ``(index, sign)`` cells with one ``bincount`` and draw each cell's
+  randomized-response flips as one binomial count;
+* at or above it, the count-space simulation: tally the users' keys,
+  then for each index bit, low bit first, split every cell's users by the
+  next bits of the raw PCG64 stream (a ``1`` bit is an index bit of
+  ``1``; one fresh run of words per stage) and move them to their child
+  cells by index arithmetic, then the same per-cell flips.
+
+(That both paths are the per-user protocol in distribution is checked
+statistically in ``tests/unit/test_oracle_hadamard.py`` and
+``benchmarks/bench_hrr_count_space.py``.)  The per-user domains reach
 ``D' = 2^17``, past every width the accumulator may pick for its per-user
-arrays.
+arrays; the count-space domains stop at ``D' = 2^14``, whose threshold is
+a million users.
 """
 
 import numpy as np
@@ -23,30 +34,82 @@ from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
 DOMAINS = (
     1, 2, 3, 1000, 1024, 1025, 2**14 - 5, 2**14, 2**14 + 3, 2**15, 2**15 + 1, 2**16, 2**17 - 7
 )
+#: Domains whose count-space threshold a test batch can reach cheaply.
+COUNT_SPACE_DOMAINS = (1, 2, 3, 5, 16, 100, 1024, 2**14 - 5)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def reference_add_runs(oracle, sums, values, counts, rng, signs=None):
-    """Expand → index draw → true codes → ``bincount`` → per-cell binomial."""
-    users = np.repeat(np.asarray(values, dtype=np.int64), counts)
-    indices = rng.integers(0, oracle.padded_size, size=users.shape[0])
-    negative = (np.bitwise_count(users & indices) & 1).astype(np.int64)
-    if signs is not None:
-        negative ^= np.repeat(np.asarray(signs) < 0, counts)
-    tallies = np.bincount(2 * indices + 1 - negative, minlength=2 * oracle.padded_size)
+def per_cell_flips(oracle, sums, tallies, rng):
+    """Add true-code tallies ``2 j + [true sign +1]`` with per-cell flips."""
     flips = rng.binomial(tallies, 1.0 - oracle.keep_probability)
     plus = tallies[1::2] - 2 * flips[1::2]
     minus = tallies[0::2] - 2 * flips[0::2]
     return sums + (plus - minus)
 
 
+def reference_per_user(oracle, values, counts, negative, rng):
+    """Expand → index draw → true codes → ``bincount``."""
+    users = np.repeat(values, counts)
+    indices = rng.integers(0, oracle.padded_size, size=users.shape[0])
+    parity = (np.bitwise_count(users & indices) & 1).astype(np.int64)
+    parity ^= np.repeat(negative, counts)
+    return np.bincount(2 * indices + 1 - parity, minlength=2 * oracle.padded_size)
+
+
+def raw_bits(rng, n_bits):
+    """The next ``n_bits`` bits of the stream, in fresh words, low bit first."""
+    words = rng.bit_generator.random_raw(-(-n_bits // 64)).astype("<u8")
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n_bits]
+
+
+def reference_count_space(oracle, values, counts, negative, rng):
+    """Key tallies → one stage per index bit → true-code tallies."""
+    cells = 2 * oracle.padded_size
+    # Cell 2 x + b: x holds the index bits drawn so far and the item bits
+    # not yet met; b is [coefficient +1] so far, i.e. [input +1].
+    state = np.bincount(2 * values + 1 - negative, weights=counts, minlength=cells)
+    state = state.astype(np.int64)
+    x, positive = np.arange(cells) >> 1, np.arange(cells) & 1
+    for bit in range(oracle.padded_size.bit_length() - 1):
+        taken = np.concatenate([[0], np.cumsum(raw_bits(rng, int(state.sum())))])
+        ends = np.cumsum(state)
+        ones = taken[ends] - taken[ends - state]
+        item_bit = (x >> bit) & 1
+        to_zero = 2 * (x & ~(1 << bit)) + positive
+        to_one = 2 * (x | (1 << bit)) + (positive ^ item_bit)
+        state = np.bincount(to_zero, weights=state - ones, minlength=cells) + np.bincount(
+            to_one, weights=ones, minlength=cells
+        )
+        state = state.astype(np.int64)
+    return state
+
+
+def reference_add_runs(oracle, sums, values, counts, rng, signs=None):
+    values = np.asarray(values, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    negative = np.zeros_like(values) if signs is None else (np.asarray(signs) < 0).astype(np.int64)
+    if counts.sum() >= oracle._count_space_min_users:
+        tallies = reference_count_space(oracle, values, counts, negative, rng)
+    else:
+        tallies = reference_per_user(oracle, values, counts, negative, rng)
+    return per_cell_flips(oracle, sums, tallies, rng)
+
+
 @st.composite
 def run_batches(draw):
-    domain = draw(st.sampled_from(DOMAINS))
+    """Small runs over any domain, or runs scaled past the count-space
+    threshold over a domain where that is cheap."""
+    count_space = draw(st.booleans())
+    domain = draw(st.sampled_from(COUNT_SPACE_DOMAINS if count_space else DOMAINS))
     value = st.one_of(st.just(domain - 1), st.integers(min_value=0, max_value=domain - 1))
-    values = draw(st.lists(value, max_size=12))
+    values = draw(st.lists(value, min_size=int(count_space), max_size=12))
     per_run = {"min_size": len(values), "max_size": len(values)}
     counts = draw(st.lists(st.integers(min_value=0, max_value=40), **per_run))
+    if count_space:
+        threshold = HadamardRandomizedResponse(1.0, domain)._count_space_min_users
+        counts[draw(st.integers(0, len(values) - 1))] += 1
+        scale = max(1, -(-threshold // sum(counts)))
+        counts = [count * draw(st.integers(scale, 2 * scale)) for count in counts]
     signs = draw(st.one_of(st.none(), st.lists(st.sampled_from([-1, 1]), **per_run)))
     return domain, values, counts, signs
 
@@ -58,7 +121,7 @@ def run_batches(draw):
     seed=seeds,
 )
 @settings(max_examples=150, deadline=None)
-def test_add_runs_matches_per_cell_reference(batch, epsilon, start, seed):
+def test_add_runs_matches_reference_on_either_path(batch, epsilon, start, seed):
     domain, values, counts, signs = batch
     oracle = HadamardRandomizedResponse(epsilon=epsilon, domain_size=domain)
     starting = np.random.default_rng(seed ^ 0x5EED)
@@ -85,12 +148,20 @@ def test_add_runs_matches_per_cell_reference(batch, epsilon, start, seed):
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
-@given(domain=st.sampled_from(DOMAINS), seed=seeds, n_batches=st.integers(1, 3))
+@given(
+    domain=st.sampled_from(COUNT_SPACE_DOMAINS),
+    count_space=st.booleans(),
+    seed=seeds,
+    n_batches=st.integers(1, 3),
+)
 @settings(max_examples=40, deadline=None)
-def test_successive_add_runs_share_one_stream(domain, seed, n_batches):
+def test_successive_add_runs_share_one_stream(domain, count_space, seed, n_batches):
     oracle = HadamardRandomizedResponse(epsilon=0.7, domain_size=domain)
     values = np.arange(min(domain, 9), dtype=np.int64)
     counts = (values % 4) * 3 + 1
+    if count_space:
+        counts *= max(1, -(-oracle._count_space_min_users // int(counts.sum())))
+    assert (counts.sum() >= oracle._count_space_min_users) == count_space or domain == 1
     signs = 1 - 2 * (values & 1)
     expected_rng = np.random.default_rng(seed)
     expected = np.zeros(oracle.padded_size)

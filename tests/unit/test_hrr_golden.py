@@ -6,11 +6,15 @@ per-user stream: every random draw and every floating-point operation
 happens in the same order as in the straightforward reference
 implementation, so its estimates are bit-identical to that reference, from
 which the ``per_user`` digests were captured.  Aggregate mode is exact in
-distribution, not in draws: each user draws its Hadamard index, but the
+distribution, not in draws: a small batch draws each user's Hadamard
+index, a large one samples the indices in count space, and the
 randomized-response flips are drawn as one binomial count per
-(index, sign) cell, so the ``aggregate`` digests pin that stream.  Any
-change to the random stream, the report payloads or the float arithmetic
-changes a digest.
+(index, sign) cell, so the ``aggregate`` digests pin that stream.  The
+``haar`` aggregate fits below mostly take the per-user index draw (only
+``D = 3`` has levels past the count-space threshold); the
+``count_space`` digests pin fits of ``2^20`` users, every level of which
+is sampled in count space.  Any change to the random stream, the report
+payloads or the float arithmetic changes a digest.
 
 Run ``PYTHONPATH=src python tests/unit/test_hrr_golden.py`` to print the
 current digests (for re-pinning after a deliberate, documented change).
@@ -25,12 +29,13 @@ import pytest
 
 from repro.core.factory import mechanism_from_spec
 from repro.core.wavelet import HaarWaveletMechanism
-from repro.data.synthetic import cauchy_probabilities
+from repro.data.synthetic import cauchy_probabilities, expected_counts
 from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
 from repro.transforms.hadamard import fast_walsh_hadamard_transform
 
 HAAR_DOMAINS = (3, 1000, 1024, 16384)
 MODES = ("per_user", "aggregate")
+COUNT_SPACE_SPECS = ("haar", "flat_hrr")
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -63,6 +68,14 @@ def tree_hrr_digest() -> str:
     return _digest(mechanism.estimate_frequencies())
 
 
+def count_space_digest(spec: str) -> str:
+    mechanism = mechanism_from_spec(spec, epsilon=1.1, domain_size=1024)
+    rng = np.random.default_rng(2024)
+    mechanism.fit_counts(expected_counts(cauchy_probabilities(1024), 1 << 20), rng)
+    mechanism.partial_fit(_items(1024, 300_000, 11), rng)
+    return _digest(mechanism.estimate_frequencies())
+
+
 def encode_batch_digest() -> str:
     oracle = HadamardRandomizedResponse(epsilon=0.7, domain_size=1000)
     rng = np.random.default_rng(42)
@@ -83,7 +96,7 @@ def fwht_digest() -> str:
 
 GOLDEN = {
     ("haar", 3, "per_user"): "30c95106f307d41d6ca8f7397803e7e6cc4cea8b562cb65f0ab7f63e66f2b178",
-    ("haar", 3, "aggregate"): "34352a0f068325a9855cb20b5672c537f9961c0e04e4161faf53308f83778c2c",
+    ("haar", 3, "aggregate"): "d71df7be8dc76a2fdd06372c4df64536d941890a6f10376a6f28a225757c4b17",
     ("haar", 1000, "per_user"): "f046e1cb2ed93c48088bd7bb7371ecb5b44abd15a46a31e7dea6d87fad166e01",
     ("haar", 1000, "aggregate"): "66d7feca84995340ca72eb0b066c92bf00b7915be6ac2915a2bda7ba0e6c9fbf",
     ("haar", 1024, "per_user"): "c507df0b7e6e7401d67280c0050bd114bb7278bf81508d51afb5d2b3a40dd2ea",
@@ -91,6 +104,8 @@ GOLDEN = {
     ("haar", 16384, "per_user"): "81843de93a3a6455b5556212b94d1913fa65d3b1474cdcf542b3ec852e13b982",
     ("haar", 16384, "aggregate"): "a6b850bbee0f660815d501a367745c30a2e0a3c15d2825d5831aa74a8eaa6a3b",
     ("hhc_4_hrr",): "3a06d1aea51a7cbcf8dca45477aaac261a3613ad9ebf22542afe963a09ca9cfc",
+    ("count_space", "haar"): "789e00d1e3e52b1807e60633f741d2a40a0cbeee8fe0e510f7a68b43559321b7",
+    ("count_space", "flat_hrr"): "8592d1ede628eadd8b87ab78c367b87e0402257c7c609db0dab12b2d75a50533",
     ("encode_batch",): "cd651f685749d95221258d7cd752d5d3f2f320dec68906ebdebadbb284c5bf86",
     ("fwht",): "221d9b9869285679bd08b5467151ced2f32ee001ba38b5d116f90149a1a6ff7f",
 }
@@ -103,6 +118,8 @@ def current_digests() -> dict:
         for mode in MODES
     }
     digests[("hhc_4_hrr",)] = tree_hrr_digest()
+    for spec in COUNT_SPACE_SPECS:
+        digests[("count_space", spec)] = count_space_digest(spec)
     digests[("encode_batch",)] = encode_batch_digest()
     digests[("fwht",)] = fwht_digest()
     return digests
@@ -116,6 +133,11 @@ def test_haar_estimates_and_coefficients_match_golden(domain, mode):
 
 def test_tree_hrr_estimates_match_golden():
     assert tree_hrr_digest() == GOLDEN[("hhc_4_hrr",)]
+
+
+@pytest.mark.parametrize("spec", COUNT_SPACE_SPECS)
+def test_count_space_fits_match_golden(spec):
+    assert count_space_digest(spec) == GOLDEN[("count_space", spec)]
 
 
 def test_signed_encode_batch_payload_matches_golden():

@@ -213,12 +213,17 @@ def coefficient_sums(accumulator) -> np.ndarray:
 
 
 class TestAggregateMatchesPerUser:
-    def test_coefficient_sums_match_per_user_path(self):
+    @pytest.mark.parametrize(
+        "scale, count_space", [(1, False), (60, True)], ids=["index_per_user", "count_space"]
+    )
+    def test_coefficient_sums_match_per_user_path(self, scale, count_space):
         # Flat HRR over a padded domain (D = 5, D' = 8): aggregate mode
-        # (``add_counts``: per-cell binomial flips) and per-user mode
-        # (``add_items``: one flip per user) over disjoint seed sets.
+        # (``add_counts``) and per-user mode (``add_items``: one index and
+        # one flip per user) over disjoint seed sets.  400 users take the
+        # aggregate per-user index draw, 24,000 the count-space sampler.
         oracle = HadamardRandomizedResponse(epsilon=1.1, domain_size=5)
-        counts = np.array([200, 0, 100, 60, 40])
+        counts = np.array([200, 0, 100, 60, 40]) * scale
+        assert (counts.sum() >= oracle._count_space_min_users) == count_space
         items = np.repeat(np.arange(5), counts)
         draws = 500
         aggregate = np.array(
@@ -234,7 +239,8 @@ class TestAggregateMatchesPerUser:
 
 
 class TestRunExpansion:
-    """``add_runs`` draws each user's index but one binomial flip count per
+    """``add_runs`` draws each user's index (or, for a large batch,
+    samples the indices in count space) and one binomial flip count per
     (index, sign) cell: the same distribution as encoding every user."""
 
     def test_runs_match_expanded_encode_batch(self):
