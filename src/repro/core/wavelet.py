@@ -164,27 +164,27 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         per level, exact in distribution (per-user mode keeps the per-user
         stream).
 
-        HRR has no closed-form per-item aggregate to sample from, so every
-        level's users are expanded — but as runs of ``(block, sign)`` pairs,
-        not items: the items of block ``b`` at level ``l`` are the left
-        half (sign ``+1``) then the right half (sign ``-1``), so summing the
-        level's counts over each half gives run lengths whose expansion
-        (:meth:`HadamardAccumulator.add_runs`) holds the users of the
-        expanded items, in the same order.  ``add_runs`` carries each run's
-        sign in bit 0 of its repeated key, so the expansion is one narrow
-        array (at most two bytes per user while ``D' <= 2^16``); each user
-        draws its index, and the randomized-response flips are one binomial
-        count per (index, sign) cell.
+        The thinning runs over the batch's *support* (items with non-zero
+        count), as the hierarchical mechanisms' does, so a small batch
+        costs O(nnz · h), not O(D · h).  HRR has no closed-form per-item
+        aggregate to sample from, so each level's users are handed to
+        :meth:`HadamardAccumulator.add_runs` as runs of ``(block, sign)``
+        pairs: pair ``item >> (l - 1)`` is block ``item >> l``'s left half
+        (sign ``+1``) or right half (sign ``-1``), so one weighted
+        ``bincount`` of the support gives the run lengths, and the pairs
+        that received users are the runs, in order.  ``add_runs`` samples
+        the users' Hadamard indices in count space for a large level and
+        draws them per user for a small one; the randomized-response flips
+        are one binomial count per (index, sign) cell.
         """
-        padded_counts = np.zeros(self._padded_size, dtype=np.int64)
-        padded_counts[: self._domain_size] = counts
+        support = np.flatnonzero(counts)
         for level, level_counts in self._thinned(
-            padded_counts, self._level_probabilities, rng
+            counts[support], self._level_probabilities, rng
         ):
-            pair_counts = level_counts.reshape(-1, 2, 1 << (level - 1)).sum(axis=2).ravel()
-            pairs = np.arange(pair_counts.shape[0], dtype=np.int64)
+            pair_counts = np.bincount(support >> (level - 1), weights=level_counts)
+            pairs = np.flatnonzero(pair_counts)
             self._accumulators[level].add_runs(
-                pairs >> 1, pair_counts, rng, signs=1 - 2 * (pairs & 1)
+                pairs >> 1, pair_counts[pairs], rng, signs=1 - 2 * (pairs & 1)
             )
 
     # ------------------------------------------------------------------
