@@ -42,6 +42,7 @@ from repro.persist.format import (
     write_atomic,
 )
 from repro.persist.snapshots import (
+    _check_grid_level_count,
     build_from_header,
     mechanism_config,
     mechanism_from_config,
@@ -382,10 +383,15 @@ class ShardedCollector:
         for field in ("n_shards", "config"):
             if field not in header:
                 raise ConfigurationError(f"collector checkpoint is missing {field!r}")
+        states = nest_arrays(flat)
+        # Refuse a grid config that implies other level tuples than the
+        # stored shards hold before the prototype below builds them all.
+        for key, shard_state in states.items():
+            if key.startswith("shard") and isinstance(shard_state, dict):
+                _check_grid_level_count(header["config"], shard_state)
         collector = build_from_header(
             lambda: cls._from_header(header), "collector checkpoint header"
         )
-        states = nest_arrays(flat)
         shards = []
         for index in range(len(collector._generators)):
             shard = mechanism_from_config(collector._config)

@@ -422,6 +422,33 @@ def test_header_claiming_many_axes_is_refused_before_building(dims):
     assert peak < 2**20
 
 
+# The collector's checkpoint header carries the same grid config, and its
+# prototype used to build every claimed level tuple before any shard was
+# compared (a 13-axis claim over a grid3d_2 checkpoint: 8,192 tuples).
+def test_checkpoint_claiming_many_axes_is_refused_before_building():
+    collector = ShardedCollector(
+        "grid3d_2", epsilon=EPSILON, domain_size=GRID_SIDE, n_shards=2, random_state=4
+    )
+    for batch in np.array_split(np.random.default_rng(5).integers(0, GRID_SIDE, (600, 3)), 2):
+        collector.submit_points(batch)
+    header, arrays = _unpacked(collector.checkpoint_bytes())
+    header["config"]["dims"] = 13
+    checkpoint = _container(header, arrays)
+    for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
+        started = time.perf_counter()
+        with pytest.raises(ConfigurationError):
+            restore(checkpoint)
+        assert time.perf_counter() - started < 0.1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError):
+                restore(checkpoint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def test_restore_holds_one_copy_of_the_statistic():
     oracle = make_oracle("oue", epsilon=EPSILON, domain_size=2**20)
     state = oracle.accumulator().state_dict()
