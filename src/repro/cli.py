@@ -584,7 +584,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=2, help="shard count")
     parser.add_argument("--seed", type=int, default=20190630, help="random seed")
     parser.add_argument(
-        "--queue-size", type=int, default=8, help="per-shard queue capacity"
+        "--queue-size",
+        type=int,
+        default=8,
+        help="ingest queue capacity per shard (batches)",
     )
     parser.add_argument(
         "--readonly",
@@ -651,9 +654,9 @@ def _serve_main(argv: Sequence[str]) -> int:
         )
         while not shutdown.wait(timeout=3600):
             pass
-        print("shutting down (draining queues)...", flush=True)
+        print("shutting down (draining the ingest queue)...", flush=True)
     except KeyboardInterrupt:
-        print("shutting down (draining queues)...", flush=True)
+        print("shutting down (draining the ingest queue)...", flush=True)
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)

@@ -67,6 +67,12 @@ LevelTuple = Tuple[int, ...]
 #: risking int64 overflow in the flatten / unflatten arithmetic.
 _MAX_FLAT_DOMAIN = 1 << 62
 
+#: Most level tuples ``h^d`` a grid builds, one oracle each.  The largest
+#: grid the tests, benchmarks and perfbench workloads build has 5^3 = 125
+#: (side 32, three axes, B = 2); a header claiming many axes is refused by
+#: this arithmetic before any tuple exists.
+_MAX_LEVEL_TUPLES = 1 << 10
+
 #: Gathered prefix-sum entries per chunk of ``answer_boxes``: a batch is
 #: answered in chunks of ``max(1, _GATHER_ENTRIES // (h^d 4^d))`` queries,
 #: which bounds the gather's index and value temporaries (~0.5 MB each).
@@ -158,12 +164,19 @@ class HierarchicalGridND(RangeQueryMechanism):
                 f"flattened domain {side}^{dims} exceeds the int64-addressable "
                 "item space; reduce the side length or the dimensionality"
             )
+        tree = DomainTree(side, branching)
+        if tree.height**dims > _MAX_LEVEL_TUPLES:
+            raise InvalidDomainError(
+                f"a side-{side} grid over {dims} axes has {tree.height}^{dims} "
+                f"level tuples, more than {_MAX_LEVEL_TUPLES}; reduce the side "
+                "length or the dimensionality, or raise the branching factor"
+            )
         default_name = f"Grid{dims}D{str(oracle).upper()}_B{branching}"
         # The base class owns the flattened row-major domain of D^d cells.
         super().__init__(epsilon, side**dims, name=name or default_name)
         self._side = side
         self._dims = dims
-        self._tree = DomainTree(side, branching)
+        self._tree = tree
         self._oracle_name = str(oracle)
         self._oracle_kwargs = dict(oracle_kwargs)
         # itertools.product enumerates the first axis slowest — for d = 2

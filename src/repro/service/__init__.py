@@ -8,9 +8,10 @@ that tier, layered on :mod:`repro.streaming` (mergeable shards) and
 :mod:`repro.persist` (durable shard state):
 
 * :class:`IngestionService` — an ``asyncio`` service with one bounded
-  queue + worker per shard; concurrent producers ``await submit(batch)``,
-  each batch goes to the collector's next round-robin shard, and producers
-  slow down automatically when aggregation falls behind.
+  ingest queue and one worker; concurrent producers ``await
+  submit(batch)``, each batch is placed on the collector's next
+  round-robin shard, and producers slow down automatically when
+  aggregation falls behind.
 * :class:`ReproHttpServer` / :class:`HttpServerThread` — the HTTP front
   (``python -m repro serve``), with :class:`ServiceClient` as its client.
 * :func:`run_ingestion` — synchronous driver: fans a list of batches
@@ -19,7 +20,7 @@ that tier, layered on :mod:`repro.streaming` (mergeable shards) and
   collector's ``reduce()`` afterwards for the merged mechanism.
 
 None of it changes the estimates' distribution: every path feeds the same
-mergeable accumulators, so producer count, shard count and queue sizes are
+mergeable accumulators, so producer count, shard count and queue size are
 pure operational knobs.
 
 Example
@@ -43,12 +44,7 @@ Example
 
 from repro.service.client import ServiceClient, ServiceResponse
 from repro.service.http import HttpServerThread, ReproHttpServer
-from repro.service.ingestion import (
-    IngestionReport,
-    IngestionService,
-    ShardQueueStats,
-    run_ingestion,
-)
+from repro.service.ingestion import IngestionReport, IngestionService, run_ingestion
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -70,7 +66,6 @@ __all__ = [
     "ReproHttpServer",
     "ServiceClient",
     "ServiceResponse",
-    "ShardQueueStats",
     "render_ingestion_stats",
     "run_ingestion",
 ]

@@ -5,18 +5,19 @@ only — no web framework, because the surface is four routes and the repo's
 rule is stdlib + numpy:
 
 * ``POST /v1/batches`` — JSON ``{"items": [...], "mode"?, "epsilon"?,
-  "domain_size"?}``; queued on the next round-robin shard of the
-  :class:`~repro.service.IngestionService` via the non-blocking
-  :meth:`~repro.service.IngestionService.try_submit` path and answered
-  ``202 {"accepted", "shard"}``.  A full shard queue surfaces as ``503``
-  with a ``Retry-After`` hint instead of parking the remote producer.
+  "domain_size"?}``; placed on the next round-robin shard and queued on
+  the :class:`~repro.service.IngestionService`'s one ingest queue via the
+  non-blocking :meth:`~repro.service.IngestionService.try_submit` path,
+  answered ``202 {"accepted", "shard"}``.  A full queue surfaces as
+  ``503`` with a ``Retry-After`` hint instead of parking the remote
+  producer.
 * ``POST /v1/points`` — JSON ``{"points": [[x, y], ...]}`` for grid
-  mechanisms; the collector's mechanism flattens to row-major items before
-  a round-robin decision is spent.  Both submit endpoints also accept a
-  raw ``application/x-npy`` body (the batch array itself, no JSON
-  envelope) — the binary fast path that skips JSON encode/decode.  Either
-  way a batch must hold integers: JSON floats and bools get a 400 instead
-  of being truncated.
+  mechanisms; :meth:`~repro.streaming.ShardedCollector.flatten_points`
+  flattens them to row-major items before a round-robin decision is
+  spent.  Both submit endpoints also accept a raw ``application/x-npy``
+  body (the batch array itself, no JSON envelope) — the binary fast path
+  that skips JSON encode/decode.  Either way a batch must hold integers:
+  JSON floats and bools get a 400 instead of being truncated.
 * ``POST /v1/query`` — JSON ``{"boxes": [[a1, b1, ...], ...]}`` or
   ``{"ranges": [[a, b], ...]}``; answered from the service's reduced +
   materialized read view (rebuilt only when the collector's generation
@@ -81,9 +82,9 @@ __all__ = ["HttpServerThread", "ReproHttpServer"]
 #: rendered as JSON stays well under this.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
-#: Retry hint (seconds) attached to every 503.  Small on purpose: queues
-#: are short and drain in milliseconds; the value is a pacing nudge, not
-#: an outage estimate.
+#: Retry hint (seconds) attached to every 503.  Small on purpose: the
+#: queue is short and drains in milliseconds; the value is a pacing nudge,
+#: not an outage estimate.
 RETRY_AFTER_SECONDS = 1
 
 _JSON = "application/json"
@@ -537,17 +538,9 @@ class ReproHttpServer:
                 )
             mode = payload.get("mode")
 
-        collector = self._service.collector
         try:
             if points:
-                flatten = getattr(collector.shards[0], "flatten_points", None)
-                if flatten is None:
-                    return _HttpResponse.error(
-                        400,
-                        "the served mechanism has no grid point surface; "
-                        "POST flattened items to /v1/batches instead",
-                    )
-                batch = flatten(batch)
+                batch = self._service.collector.flatten_points(batch)
             shard = self._service.try_submit(batch, mode=mode)
         except ServiceOverloadedError as error:
             return _HttpResponse.error(
@@ -716,7 +709,7 @@ class HttpServerThread:
     The synchronous world's handle on the network tier: tests, benchmarks
     and the CLI construct one, call :meth:`start` (which blocks until the
     port is bound, resolving ``port=0``), talk to ``http://host:port`` and
-    finally :meth:`stop` — which drains the queues before tearing down, so
+    finally :meth:`stop` — which drains the queue before tearing down, so
     :meth:`reduce` afterwards sees every accepted batch.
     """
 
@@ -814,8 +807,8 @@ class HttpServerThread:
     def reduce(self):
         """Merge the shards into one queryable mechanism.
 
-        Only valid after :meth:`stop` (queues drained, loop parked) — the
-        collector must not be touched concurrently with its workers.
+        Only valid after :meth:`stop` (queue drained, loop parked) — the
+        collector must not be touched concurrently with its worker.
         """
         if self._thread is not None:
             raise ConfigurationError("stop() the server before reducing")

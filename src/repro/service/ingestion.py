@@ -2,27 +2,29 @@
 
 :class:`IngestionService` turns :class:`~repro.streaming.ShardedCollector`
 into a concurrent service: any number of ``asyncio`` producers submit
-report batches, each batch goes to the collector's next round-robin shard,
-and one worker task per shard drains that shard's queue in arrival order.
-The moving parts:
+report batches, each batch is placed on the collector's next round-robin
+shard, and one worker task absorbs the batches in placement order.  The
+moving parts:
 
-* **per-shard worker queues** — each shard owns a bounded
-  :class:`asyncio.Queue`; ordering *within a shard* is preserved, which is
-  what keeps a fixed-seed run reproducible per shard;
+* **one ingest queue** — a bounded :class:`asyncio.Queue` of
+  ``n_shards * queue_size`` batches in front of one worker.  Absorbing is
+  synchronous on the event loop, so more queues or workers would buy no
+  parallelism; one FIFO keeps every shard's batches in placement order,
+  which is what keeps a fixed-seed run reproducible per shard;
 * **backpressure** — ``submit`` awaits queue capacity, so producers slow
   down instead of buffering unboundedly when aggregation falls behind;
   ``try_submit`` refuses instead (the HTTP front's 503);
 * **a read view** — :meth:`IngestionService.refresh_query_view` drains the
-  queues, reduces and materializes once per generation change.
+  queue, reduces and materializes once per generation change.
 
 Accuracy is untouched by any of it: the service feeds the same
 ``partial_fit`` path as synchronous collection, so the reduced estimates
 follow the one-shot distribution regardless of producer count or queue
-sizes.
+size.
 
 :func:`run_ingestion` is the synchronous convenience wrapper (CLI,
 benchmarks): it spins up the service, fans a list of batches across ``P``
-simulated producers, waits for the queues to drain and returns a throughput
+simulated producers, waits for the queue to drain and returns a throughput
 report.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,8 +42,7 @@ from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE
 from repro.exceptions import ConfigurationError, ServiceOverloadedError
 from repro.streaming.sharded import ShardedCollector
 
-__all__ = ["IngestionReport", "IngestionService", "ShardQueueStats", "run_ingestion"]
-
+__all__ = ["IngestionReport", "IngestionService", "run_ingestion"]
 
 @dataclass
 class _Job:
@@ -53,18 +54,6 @@ class _Job:
 
 
 @dataclass
-class ShardQueueStats:
-    """Per-shard ingestion counters (updated on the event-loop thread)."""
-
-    batches: int = 0
-    users: int = 0
-    queue_peak: int = 0
-    #: Batches bounced by the non-blocking path because this shard's queue
-    #: was full — the backpressure signal the HTTP front turns into 503s.
-    rejected: int = 0
-
-
-@dataclass
 class IngestionReport:
     """Outcome of one :func:`run_ingestion` sweep."""
 
@@ -73,7 +62,6 @@ class IngestionReport:
     n_producers: int
     n_shards: int
     seconds: float
-    shard_stats: List[ShardQueueStats] = field(default_factory=list)
 
     @property
     def users_per_second(self) -> float:
@@ -91,8 +79,9 @@ class IngestionService:
         ``submit`` calls may be mixed in (e.g. replaying a backlog) as long
         as they happen on the event-loop thread.
     queue_size:
-        Capacity of each shard's queue; ``submit`` blocks (asynchronously)
-        when the target shard is this far behind — the backpressure knob.
+        Queue capacity per shard: the one ingest queue holds
+        ``collector.n_shards * queue_size`` batches, and ``submit`` blocks
+        (asynchronously) while it is full — the backpressure knob.
     query_cache_size:
         Entry bound of the answer cache installed on each materialized
         :meth:`query_view` (``0`` disables caching — every query recomputes).
@@ -103,7 +92,7 @@ class IngestionService:
             await asyncio.gather(*(produce(service) for _ in range(8)))
         mechanism = collector.reduce()
 
-    (exiting the context drains the queues before stopping the workers).
+    (exiting the context drains the queue before stopping the worker).
     """
 
     def __init__(
@@ -126,7 +115,7 @@ class IngestionService:
                 f"got {query_cache_size!r}"
             )
         self._collector = collector
-        self._queue_size = int(queue_size)
+        self._capacity = collector.n_shards * int(queue_size)
         self._query_cache_size = int(query_cache_size)
         # Read-serving state: the latest reduced + materialized view of the
         # sharded statistics, keyed by the collector's generation signature
@@ -137,15 +126,18 @@ class IngestionService:
         # Counters folded in from retired views so the service's cache
         # hit/miss/eviction totals stay monotone across view rebuilds.
         self._retired_cache_counters = {"hits": 0, "misses": 0, "evictions": 0}
-        self._queues: Optional[List[asyncio.Queue]] = None
-        self._workers: List[asyncio.Task] = []
+        self._queue: Optional[asyncio.Queue] = None
+        self._worker_task: Optional[asyncio.Task] = None
         self._errors: List[BaseException] = []
-        self._stats = [ShardQueueStats() for _ in range(collector.n_shards)]
         self._submitted_batches = 0
         self._submitted_users = 0
+        self._absorbed_batches = 0
+        self._absorbed_users = 0
+        self._rejected_batches = 0
         self._rejected_users = 0
+        self._queue_peak = 0
         # Blocking submitters parked on a full queue: the read view's drain
-        # loop waits for them, so no batch is still travelling to a queue.
+        # loop waits for them, so no batch is still travelling to the queue.
         self._pending_puts = 0
 
     # ------------------------------------------------------------------
@@ -157,12 +149,7 @@ class IngestionService:
 
     @property
     def started(self) -> bool:
-        return self._queues is not None
-
-    @property
-    def shard_stats(self) -> List[ShardQueueStats]:
-        """Per-shard counters (batches, users, queue high-water mark)."""
-        return list(self._stats)
+        return self._queue is not None
 
     @property
     def n_submitted_users(self) -> int:
@@ -173,136 +160,89 @@ class IngestionService:
         return self._submitted_batches
 
     def stats(self) -> dict:
-        """Queue and ingest counters, one JSON-ready dictionary.
+        """Queue, ingest and read-view counters, one flat JSON-ready dict.
 
-        The metrics-export surface of the service (ROADMAP "queue metrics
-        export"): submission totals, per-shard absorption counters, live
-        queue depths and high-water marks, and the lazy-materialization
-        counters of every shard mechanism — ``ingest_generation`` (batches
-        absorbed into the statistics), ``materializations_performed``
+        The source of every ``/metrics`` ingestion family: submission,
+        absorption and rejection totals, the queue's capacity, live depth
+        and high-water mark, and the lazy-materialization counters summed
+        over the shard mechanisms — ``materializations_performed``
         (estimate rebuilds that actually ran) and
         ``materializations_deferred`` (rebuilds the lazy read-path saved
-        compared to refreshing after every batch).  Safe to call at any
-        point of the lifecycle, including before :meth:`start` and while
-        producers are running (counters are updated on the event-loop
-        thread; a concurrent snapshot may be one batch stale, never torn
-        mid-shard).
+        compared to refreshing after every batch) — plus the read view's
+        build count and answer-cache counters.  Per-shard freshness is
+        :meth:`~repro.streaming.ShardedCollector.generation_signature`.
+        Safe to call at any point of the lifecycle, including before
+        :meth:`start` and while producers are running (counters are
+        updated on the event-loop thread, so a snapshot is never torn).
         """
-        per_shard = []
-        for index, shard in enumerate(self._collector.shards):
-            stat = self._stats[index]
-            queue = self._queues[index] if self._queues is not None else None
-            ingest = int(getattr(shard, "ingest_generation", 0))
-            performed = int(getattr(shard, "materialization_count", 0))
-            per_shard.append(
-                {
-                    "shard": index,
-                    "batches": int(stat.batches),
-                    "users": int(stat.users),
-                    "rejected": int(stat.rejected),
-                    "queue_depth": queue.qsize() if queue is not None else 0,
-                    "queue_peak": int(stat.queue_peak),
-                    "ingest_generation": ingest,
-                    "materializations_performed": performed,
-                    "materializations_deferred": max(0, ingest - performed),
-                }
-            )
-        absorbed_batches = sum(entry["batches"] for entry in per_shard)
-        absorbed_users = sum(entry["users"] for entry in per_shard)
+        shards = self._collector.shards
+        performed = [shard.materialization_count for shard in shards]
+        deferred = sum(
+            max(0, shard.ingest_generation - done)
+            for shard, done in zip(shards, performed)
+        )
+        view = self._query_view
+        cache = (
+            view.answer_cache_stats()
+            if view is not None
+            else {"hits": 0, "misses": 0, "evictions": 0, "size": 0,
+                  "maxsize": self._query_cache_size}
+        )
+        retired = self._retired_cache_counters
         return {
             "started": self.started,
             "n_shards": self._collector.n_shards,
-            "queue_size": int(self._queue_size),
-            "submitted_batches": int(self._submitted_batches),
-            "submitted_users": int(self._submitted_users),
-            "absorbed_batches": absorbed_batches,
-            "absorbed_users": absorbed_users,
-            "queue_depths": [entry["queue_depth"] for entry in per_shard],
-            "queue_peaks": [entry["queue_peak"] for entry in per_shard],
-            "materializations_performed": sum(
-                entry["materializations_performed"] for entry in per_shard
-            ),
-            "materializations_deferred": sum(
-                entry["materializations_deferred"] for entry in per_shard
-            ),
-            "totals": {
-                "submitted_batches": int(self._submitted_batches),
-                "submitted_users": int(self._submitted_users),
-                "absorbed_batches": absorbed_batches,
-                "absorbed_users": absorbed_users,
-                "rejected_batches": sum(entry["rejected"] for entry in per_shard),
-                "rejected_users": int(self._rejected_users),
-            },
-            "query": self._query_stats(),
-            "per_shard": per_shard,
-        }
-
-    def _query_stats(self) -> dict:
-        """Read-serving counters: views built plus the answer-cache
-        counters, accumulated across view rebuilds so they stay monotone
-        (a generation bump retires the old view's cache; its hit/miss
-        history must not vanish from the service's counters)."""
-        view = self._query_view
-        if view is not None:
-            cache = view.answer_cache_stats()
-            for key, value in self._retired_cache_counters.items():
-                cache[key] += value
-        else:
-            cache = {
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-                "size": 0,
-                "maxsize": int(self._query_cache_size),
-            }
-        return {
-            "views_built": int(self._query_views_built),
-            "view_generation": (
-                int(getattr(view, "ingest_generation", 0)) if view is not None else 0
-            ),
-            "answer_cache": cache,
+            "queue_capacity": self._capacity,
+            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "queue_peak": self._queue_peak,
+            "submitted_batches": self._submitted_batches,
+            "submitted_users": self._submitted_users,
+            "absorbed_batches": self._absorbed_batches,
+            "absorbed_users": self._absorbed_users,
+            "rejected_batches": self._rejected_batches,
+            "rejected_users": self._rejected_users,
+            "materializations_performed": sum(performed),
+            "materializations_deferred": deferred,
+            "views_built": self._query_views_built,
+            "view_generation": view.ingest_generation if view is not None else 0,
+            # Accumulated across view rebuilds so they stay monotone (a
+            # generation bump retires the old view's cache, not its history).
+            "cache_hits": cache["hits"] + retired["hits"],
+            "cache_misses": cache["misses"] + retired["misses"],
+            "cache_evictions": cache["evictions"] + retired["evictions"],
+            "cache_size": cache["size"],
+            "cache_capacity": cache["maxsize"],
         }
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "IngestionService":
-        """Create the shard queues and spawn one worker task per shard."""
+        """Create the ingest queue and spawn its worker task."""
         if self.started:
             raise ConfigurationError("ingestion service is already started")
-        self._queues = [
-            asyncio.Queue(maxsize=self._queue_size)
-            for _ in range(self._collector.n_shards)
-        ]
-        self._workers = [
-            asyncio.create_task(self._worker(shard), name=f"repro-shard-{shard}")
-            for shard in range(self._collector.n_shards)
-        ]
+        self._queue = asyncio.Queue(maxsize=self._capacity)
+        self._worker_task = asyncio.create_task(self._worker(), name="repro-ingest")
         return self
 
     async def stop(self) -> None:
-        """Cancel the workers (no draining).
+        """Cancel the worker (no draining).
 
-        A worker task is only ever supposed to end via cancellation; any
-        other exception that killed one (a bug in the queue plumbing, a
-        corrupted job) is collected here and re-raised after cleanup —
-        previously those results were gathered and silently discarded
-        (lint rule LDP-R004), so a dead shard looked like a clean stop.
+        The worker task is only ever supposed to end via cancellation; any
+        other exception that killed it (a bug in the queue plumbing, a
+        corrupted job) is collected here and re-raised after cleanup, so a
+        dead worker never looks like a clean stop (lint rule LDP-R004).
         """
-        for task in self._workers:
-            task.cancel()
-        results = await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        self._queues = None
-        failures = [
-            result
-            for result in results
-            if isinstance(result, BaseException)
-            and not isinstance(result, asyncio.CancelledError)
-        ]
-        if failures:
-            self._errors.extend(failures)
-            raise failures[0]
+        task, self._worker_task, self._queue = self._worker_task, None, None
+        if task is None:
+            return
+        task.cancel()
+        (result,) = await asyncio.gather(task, return_exceptions=True)
+        if isinstance(result, BaseException) and not isinstance(
+            result, asyncio.CancelledError
+        ):
+            self._errors.append(result)
+            raise result
 
     async def join(self) -> None:
         """Wait until every queued batch has been aggregated.
@@ -310,7 +250,7 @@ class IngestionService:
         Re-raises the first worker error, if any batch failed.
         """
         self._require_started()
-        await asyncio.gather(*(queue.join() for queue in self._queues))
+        await self._queue.join()
         self._raise_pending_error()
 
     async def __aenter__(self) -> "IngestionService":
@@ -327,7 +267,7 @@ class IngestionService:
     # Producing
     # ------------------------------------------------------------------
     async def submit(self, items: np.ndarray, mode: Optional[str] = None) -> int:
-        """Enqueue one batch on the next round-robin shard, awaiting
+        """Enqueue one batch for the next round-robin shard, awaiting
         capacity.
 
         Returns the shard index the batch went to.  Many producers may call
@@ -340,52 +280,41 @@ class IngestionService:
         # decision.
         items = self._collector.validate_batch(items, mode=mode)
         shard = self._collector.next_shard()
-        queue = self._queues[shard]
         self._pending_puts += 1
         try:
-            await queue.put(_Job(items=items, shard=shard, mode=mode))
+            await self._queue.put(_Job(items=items, shard=shard, mode=mode))
         finally:
             self._pending_puts -= 1
-        stats = self._stats[shard]
-        stats.queue_peak = max(stats.queue_peak, queue.qsize())
-        self._submitted_batches += 1
-        self._submitted_users += int(items.shape[0]) if items.ndim else 0
+        self._accepted(items)
         return shard
 
     def try_submit(self, items: np.ndarray, mode: Optional[str] = None) -> int:
-        """Enqueue one batch on the next round-robin shard *without
+        """Enqueue one batch for the next round-robin shard *without
         waiting* for capacity.
 
         The network front's variant of :meth:`submit`: where producers
         inside the process can simply be slowed down by an ``await``, a
         remote producer must instead be *told* to back off.  When the
-        shard's queue is full the batch is dropped, the shard's
-        ``rejected`` counter increments, and
-        :class:`~repro.exceptions.ServiceOverloadedError` is raised — the
-        HTTP layer maps it to ``503`` + ``Retry-After``.  The round-robin
-        decision stays spent: it is placement history, and a retry goes to
-        the next shard.  Synchronous (no ``await``), so it can only be
-        called from the event-loop thread.
+        queue is full the batch is dropped, the ``rejected`` counters
+        increment, and :class:`~repro.exceptions.ServiceOverloadedError`
+        is raised — the HTTP layer maps it to ``503`` + ``Retry-After``.
+        The round-robin decision stays spent: it is placement history, and
+        a retry goes to the next shard.  Synchronous (no ``await``), so it
+        can only be called from the event-loop thread.
         """
         self._require_started()
         self._raise_pending_error()
         items = self._collector.validate_batch(items, mode=mode)
-        n_items = int(items.shape[0])
         shard = self._collector.next_shard()
-        queue = self._queues[shard]
         try:
-            queue.put_nowait(_Job(items=items, shard=shard, mode=mode))
+            self._queue.put_nowait(_Job(items=items, shard=shard, mode=mode))
         except asyncio.QueueFull:
-            self._stats[shard].rejected += 1
-            self._rejected_users += n_items
+            self._rejected_batches += 1
+            self._rejected_users += int(items.shape[0])
             raise ServiceOverloadedError(
-                f"shard {shard} queue is full ({queue.maxsize} batches); "
-                "retry later"
+                f"ingest queue is full ({self._capacity} batches); retry later"
             ) from None
-        stats = self._stats[shard]
-        stats.queue_peak = max(stats.queue_peak, queue.qsize())
-        self._submitted_batches += 1
-        self._submitted_users += n_items
+        self._accepted(items)
         return shard
 
     async def submit_points(
@@ -395,24 +324,23 @@ class IngestionService:
 
         The async counterpart of
         :meth:`~repro.streaming.ShardedCollector.submit_points`: points are
-        validated (column count against the grid mechanism's
-        dimensionality, integer dtype, bounds) and flattened *before* a
+        validated and flattened by
+        :meth:`~repro.streaming.ShardedCollector.flatten_points` *before* a
         round-robin decision is spent, then follow the normal :meth:`submit`
         path (backpressure included).
         """
-        flatten = getattr(self._collector.shards[0], "flatten_points", None)
-        if flatten is None:
-            raise ConfigurationError(
-                "the collector's mechanism has no grid point surface; "
-                "submit flattened items with submit() instead"
-            )
-        return await self.submit(flatten(points), mode=mode)
+        return await self.submit(self._collector.flatten_points(points), mode=mode)
+
+    def _accepted(self, items: np.ndarray) -> None:
+        self._queue_peak = max(self._queue_peak, self._queue.qsize())
+        self._submitted_batches += 1
+        self._submitted_users += int(items.shape[0])
 
     # ------------------------------------------------------------------
     # Reduction
     # ------------------------------------------------------------------
     def reduce(self) -> RangeQueryMechanism:
-        """Merge the shards into one queryable mechanism (queues must be
+        """Merge the shards into one queryable mechanism (the queue must be
         drained first — call :meth:`join` or exit the context manager)."""
         return self._collector.reduce()
 
@@ -435,7 +363,7 @@ class IngestionService:
         The read side of the service: returns the cached view as long as
         the collector's :meth:`~repro.streaming.ShardedCollector
         .generation_signature` is unchanged (O(shards) integer compares per
-        request); otherwise drains the shard queues to a generation
+        request); otherwise drains the ingest queue to a generation
         boundary, reduces, materializes the estimates off the per-query
         path and installs a fresh answer cache of ``query_cache_size``
         entries.  Reads therefore see every batch that was *absorbed* when
@@ -452,13 +380,11 @@ class IngestionService:
             return self._query_view
         # Drain to a generation boundary before the synchronous reduce: a
         # queue.join() only returns once every in-flight absorb has called
-        # task_done, so no worker can be mutating a shard's statistics
+        # task_done, so the worker cannot be mutating a shard's statistics
         # while reduce() reads them.
         while True:
-            await asyncio.gather(*(queue.join() for queue in self._queues))
-            if self._pending_puts == 0 and all(
-                queue.qsize() == 0 for queue in self._queues
-            ):
+            await self._queue.join()
+            if self._pending_puts == 0 and self._queue.empty():
                 break
             await asyncio.sleep(0)
         self._raise_pending_error()
@@ -488,19 +414,15 @@ class IngestionService:
         if self._errors:
             raise self._errors[0]
 
-    async def _worker(self, shard: int) -> None:
-        queue = self._queues[shard]
+    async def _worker(self) -> None:
+        queue = self._queue
         while True:
             job = await queue.get()
             try:
-                self._collector.submit(job.items, shard=shard, mode=job.mode)
-                stats = self._stats[shard]
-                stats.batches += 1
-                stats.users += int(job.items.shape[0])
-            except asyncio.CancelledError:  # pragma: no cover - stop() path
-                queue.task_done()
-                raise
-            except BaseException as error:  # noqa: BLE001 - reported via join()
+                self._collector.submit(job.items, shard=job.shard, mode=job.mode)
+                self._absorbed_batches += 1
+                self._absorbed_users += int(job.items.shape[0])
+            except Exception as error:  # noqa: BLE001 - reported via join()
                 self._errors.append(error)
             finally:
                 queue.task_done()
@@ -557,7 +479,6 @@ def run_ingestion(
                 )
             )
             await service.join()
-            stats = service.shard_stats
         seconds = time.perf_counter() - start
         return IngestionReport(
             n_batches=len(batches),
@@ -565,7 +486,6 @@ def run_ingestion(
             n_producers=int(n_producers),
             n_shards=collector.n_shards,
             seconds=seconds,
-            shard_stats=stats,
         )
 
     return asyncio.run(_main())

@@ -15,8 +15,8 @@ Two layers live here:
   a registry for its request counters and latency histogram.
 * **Stats mapping** — :func:`ingestion_stats_lines` turns one
   :meth:`IngestionService.stats() <repro.service.IngestionService.stats>`
-  snapshot into metric families: monotonic totals become counters, live
-  queue state becomes gauges with a ``shard`` label.
+  snapshot into one unlabeled family per stats key, from one table:
+  monotonic totals are counters, live queue and cache state are gauges.
 
 Everything renders deterministically (insertion order, stable label
 order), so tests can assert on exact output.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -301,144 +301,63 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # IngestionService.stats() -> metric families
 # ----------------------------------------------------------------------
+#: One unlabeled family per ``IngestionService.stats()`` key:
+#: ``(family, type, help, stats key)``, in exposition order.
+_INGESTION_FAMILIES: Tuple[Tuple[str, str, str, str], ...] = (
+    ("repro_ingest_up", "gauge",
+     "Whether the ingestion service is started.", "started"),
+    ("repro_ingest_shards", "gauge", "Collector shard count.", "n_shards"),
+    ("repro_ingest_queue_capacity", "gauge",
+     "Ingest queue capacity (batches).", "queue_capacity"),
+    ("repro_ingest_queue_depth", "gauge",
+     "Live ingest queue depth (batches).", "queue_depth"),
+    ("repro_ingest_queue_peak", "gauge",
+     "Ingest queue high-water mark (batches).", "queue_peak"),
+    ("repro_ingest_submitted_batches_total", "counter",
+     "Batches accepted for queueing since service creation.", "submitted_batches"),
+    ("repro_ingest_submitted_users_total", "counter",
+     "User reports accepted for queueing since service creation.", "submitted_users"),
+    ("repro_ingest_absorbed_batches_total", "counter",
+     "Batches folded into shard statistics.", "absorbed_batches"),
+    ("repro_ingest_absorbed_users_total", "counter",
+     "User reports folded into shard statistics.", "absorbed_users"),
+    ("repro_ingest_rejected_batches_total", "counter",
+     "Batches bounced with backpressure (full ingest queue).", "rejected_batches"),
+    ("repro_ingest_rejected_users_total", "counter",
+     "User reports bounced with backpressure.", "rejected_users"),
+    ("repro_ingest_materializations_total", "counter",
+     "Estimate rebuilds actually performed across live shards.",
+     "materializations_performed"),
+    ("repro_query_views_built_total", "counter",
+     "Reduced+materialized read views built (one per generation change).",
+     "views_built"),
+    ("repro_query_cache_hits_total", "counter",
+     "Answer-cache hits on the live read view.", "cache_hits"),
+    ("repro_query_cache_misses_total", "counter",
+     "Answer-cache misses on the live read view.", "cache_misses"),
+    ("repro_query_cache_evictions_total", "counter",
+     "Answer-cache LRU evictions on the live read view.", "cache_evictions"),
+    ("repro_query_cache_size", "gauge",
+     "Live answer-cache entry count.", "cache_size"),
+    ("repro_query_cache_capacity", "gauge",
+     "Answer-cache entry bound (0 disables caching).", "cache_capacity"),
+)
+
+
 def ingestion_stats_lines(stats: Mapping[str, object]) -> List[str]:
     """Render one ``IngestionService.stats()`` snapshot as exposition lines.
 
-    Monotonic service totals map to counters; live queue/shard state maps
-    to gauges labelled by shard index.  Stateless by design: the service's
-    stats dictionary *is* the state, so rendering twice never double-counts.
+    One sample per ``_INGESTION_FAMILIES`` row; a key missing from the
+    snapshot renders as 0.  Stateless by design: the service's stats
+    dictionary *is* the state, so rendering twice never double-counts.
     """
-    totals = dict(stats.get("totals") or {})
-    per_shard = list(stats.get("per_shard") or [])
-
-    def counter(name: str, help: str, value: object) -> Iterable[str]:
-        return [
-            f"# HELP {name} {help}",
-            f"# TYPE {name} counter",
-            _sample_line(name, {}, float(value)),  # type: ignore[arg-type]
-        ]
-
     lines: List[str] = []
-    lines += [
-        "# HELP repro_ingest_up Whether the ingestion service is started.",
-        "# TYPE repro_ingest_up gauge",
-        _sample_line("repro_ingest_up", {}, 1 if stats.get("started") else 0),
-        "# HELP repro_ingest_shards Current shard count.",
-        "# TYPE repro_ingest_shards gauge",
-        _sample_line("repro_ingest_shards", {}, int(stats.get("n_shards", 0))),
-        "# HELP repro_ingest_queue_capacity Per-shard queue capacity (batches).",
-        "# TYPE repro_ingest_queue_capacity gauge",
-        _sample_line(
-            "repro_ingest_queue_capacity", {}, int(stats.get("queue_size", 0))
-        ),
-    ]
-    lines += counter(
-        "repro_ingest_submitted_batches_total",
-        "Batches accepted for queueing since service creation.",
-        totals.get("submitted_batches", 0),
-    )
-    lines += counter(
-        "repro_ingest_submitted_users_total",
-        "User reports accepted for queueing since service creation.",
-        totals.get("submitted_users", 0),
-    )
-    lines += counter(
-        "repro_ingest_absorbed_batches_total",
-        "Batches folded into shard statistics.",
-        totals.get("absorbed_batches", 0),
-    )
-    lines += counter(
-        "repro_ingest_absorbed_users_total",
-        "User reports folded into shard statistics.",
-        totals.get("absorbed_users", 0),
-    )
-    lines += counter(
-        "repro_ingest_rejected_batches_total",
-        "Batches bounced with backpressure (full shard queue).",
-        totals.get("rejected_batches", 0),
-    )
-    lines += counter(
-        "repro_ingest_rejected_users_total",
-        "User reports bounced with backpressure.",
-        totals.get("rejected_users", 0),
-    )
-    lines += counter(
-        "repro_ingest_materializations_total",
-        "Estimate rebuilds actually performed across live shards.",
-        stats.get("materializations_performed", 0),
-    )
-
-    # Read-serving families: tolerate snapshots without a "query" section
-    # (pre-read-path services, synthetic test dicts) by rendering zeros.
-    query = dict(stats.get("query") or {})
-    answer_cache = dict(query.get("answer_cache") or {})
-    lines += counter(
-        "repro_query_views_built_total",
-        "Reduced+materialized read views built (one per generation change).",
-        query.get("views_built", 0),
-    )
-    lines += counter(
-        "repro_query_cache_hits_total",
-        "Answer-cache hits on the live read view.",
-        answer_cache.get("hits", 0),
-    )
-    lines += counter(
-        "repro_query_cache_misses_total",
-        "Answer-cache misses on the live read view.",
-        answer_cache.get("misses", 0),
-    )
-    lines += counter(
-        "repro_query_cache_evictions_total",
-        "Answer-cache LRU evictions on the live read view.",
-        answer_cache.get("evictions", 0),
-    )
-    lines += [
-        "# HELP repro_query_cache_size Live answer-cache entry count.",
-        "# TYPE repro_query_cache_size gauge",
-        _sample_line(
-            "repro_query_cache_size", {}, int(answer_cache.get("size", 0))
-        ),
-        "# HELP repro_query_cache_capacity Answer-cache entry bound "
-        "(0 disables caching).",
-        "# TYPE repro_query_cache_capacity gauge",
-        _sample_line(
-            "repro_query_cache_capacity", {}, int(answer_cache.get("maxsize", 0))
-        ),
-    ]
-
-    gauge_specs = [
-        (
-            "repro_ingest_queue_depth",
-            "Live queue depth (batches) per shard.",
-            "queue_depth",
-        ),
-        (
-            "repro_ingest_queue_peak",
-            "Queue high-water mark (batches) per shard.",
-            "queue_peak",
-        ),
-        (
-            "repro_ingest_shard_batches",
-            "Batches absorbed by each shard.",
-            "batches",
-        ),
-        (
-            "repro_ingest_shard_users",
-            "User reports absorbed by each shard.",
-            "users",
-        ),
-        (
-            "repro_ingest_shard_rejected",
-            "Batches bounced off each shard's full queue.",
-            "rejected",
-        ),
-    ]
-    for name, help_text, field in gauge_specs:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        for entry in per_shard:
-            labels = {"shard": str(entry.get("shard"))}
-            lines.append(_sample_line(name, labels, float(entry.get(field, 0))))
+    for name, kind, help_text, key in _INGESTION_FAMILIES:
+        lines += [
+            f"# HELP {name} {help_text}",
+            f"# TYPE {name} {kind}",
+            _sample_line(name, {}, stats.get(key, 0)),  # type: ignore[arg-type]
+        ]
     return lines
 
 

@@ -217,8 +217,8 @@ class ShardedCollector:
         """Consume one round-robin decision: the shard of the next batch.
 
         :meth:`submit` calls it for un-pinned batches; the async ingestion
-        service calls it to pick a queue and then submits with
-        ``shard=<returned index>``.
+        service calls it when it queues a batch, and its worker then submits
+        with ``shard=<returned index>``.
         """
         shard = self._cursor % len(self._shards)
         self._cursor = (shard + 1) % len(self._shards)
@@ -253,8 +253,8 @@ class ShardedCollector:
             # The cursor never moves back, so the batch must prove itself
             # valid first.  Explicit-shard submissions touch no placement
             # state and already hit partial_fit's own validation, so they
-            # skip the extra scan (this is also the path the async workers
-            # use after validating at submit time).
+            # skip the extra scan (this is also the path the async worker
+            # takes after validating at submit time).
             items = self.validate_batch(items, mode=mode)
             index = self.next_shard()
         else:
@@ -285,13 +285,23 @@ class ShardedCollector:
         coordinates rejected, bounds checked — and flattened to row-major
         items by the mechanism itself, then submitted like any other batch.
         """
+        return self.submit(self.flatten_points(points), shard=shard, mode=mode)
+
+    def flatten_points(self, points: np.ndarray) -> np.ndarray:
+        """Validate ``(n, d)`` grid points and flatten them to row-major items.
+
+        The one point gate of the ingest paths (:meth:`submit_points`, the
+        async service and ``/v1/points``): raises
+        :class:`~repro.exceptions.ConfigurationError` when the collector's
+        mechanism is not a grid.
+        """
         flatten = getattr(self._shards[0], "flatten_points", None)
         if flatten is None:
             raise ConfigurationError(
                 f"mechanism {self._spec!r} has no grid point surface; "
-                "submit flattened items with submit() instead"
+                "submit flattened items instead"
             )
-        return self.submit(flatten(points), shard=shard, mode=mode)
+        return flatten(points)
 
     def extend(self, batches: Iterable[np.ndarray]) -> "ShardedCollector":
         """Submit a stream of batches round-robin."""

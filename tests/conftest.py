@@ -37,11 +37,11 @@ def medium_counts() -> np.ndarray:
 
 
 @pytest.fixture
-def parked_workers(monkeypatch) -> Iterator[threading.Event]:
-    """Hold every ingestion worker before it takes its first batch.
+def parked_worker(monkeypatch) -> Iterator[threading.Event]:
+    """Hold the ingestion worker before it takes its first batch.
 
-    Until the returned event is set, accepted batches stay in the shard
-    queues while the event loop keeps answering requests, so a small queue
+    Until the returned event is set, accepted batches stay in the ingest
+    queue while the event loop keeps answering requests, so a small queue
     fills and the next non-blocking submission bounces deterministically.
     Set the event before the service drains (a ``with`` server's exit).
     """
@@ -50,10 +50,10 @@ def parked_workers(monkeypatch) -> Iterator[threading.Event]:
     release = threading.Event()
     original = IngestionService._worker
 
-    async def parked(self, shard):
+    async def parked(self):
         while not release.is_set():
             await asyncio.sleep(0.005)
-        await original(self, shard)
+        await original(self)
 
     monkeypatch.setattr(IngestionService, "_worker", parked)
     yield release

@@ -375,8 +375,8 @@ def reference(connection, method, path, body=None, headers=None):
 
 def wait_absorbed(server):
     for _ in range(500):
-        totals = server.stats()["totals"]
-        if totals["absorbed_batches"] == totals["submitted_batches"]:
+        stats = server.stats()
+        if stats["absorbed_batches"] == stats["submitted_batches"]:
             return
         time.sleep(0.01)
     raise AssertionError("batches were not absorbed in time")
@@ -425,9 +425,9 @@ class TestEquivalenceWithHttpClient:
             reference_connection.close()
         assert statuses == {200, 202, 400, 404, 405, 409}
 
-    def test_backpressure_503_matches(self, parked_workers):
+    def test_backpressure_503_matches(self, parked_worker):
         collector = make_collector()
-        release = parked_workers
+        release = parked_worker
         body = b'{"items":[1,2,3]}'
         try:
             with HttpServerThread(collector, queue_size=1) as server:

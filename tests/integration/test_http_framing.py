@@ -97,12 +97,11 @@ def quiesce(server, attempts=500):
     rejected request must not move."""
     for _ in range(attempts):
         stats = server.stats()
-        totals = stats["totals"]
-        if totals["absorbed_batches"] == totals["submitted_batches"]:
+        if stats["absorbed_batches"] == stats["submitted_batches"]:
             return (
-                totals["submitted_batches"],
-                totals["absorbed_users"],
-                tuple(shard["ingest_generation"] for shard in stats["per_shard"]),
+                stats["submitted_batches"],
+                stats["absorbed_users"],
+                server.service.collector.generation_signature(),
             )
         time.sleep(0.01)
     raise AssertionError("accepted batches were not absorbed in time")

@@ -54,7 +54,7 @@ def raw_request(server, method, path, body=None, headers=None):
 def wait_absorbed(server, n_batches, attempts=200):
     for _ in range(attempts):
         stats = server.stats()
-        if stats["totals"]["absorbed_batches"] >= n_batches:
+        if stats["absorbed_batches"] >= n_batches:
             return stats
         time.sleep(0.01)
     raise AssertionError("batches were not absorbed in time")
@@ -126,7 +126,7 @@ class TestRangeQueries:
                 )
                 stats = server.stats()
         assert second_generation > first_generation
-        assert stats["query"]["views_built"] >= 2
+        assert stats["views_built"] >= 2
 
 
 class TestBoxQueries:
@@ -307,7 +307,7 @@ class TestErrorPaths:
         for status, message in before_data + with_data:
             assert status == 400
             assert "query bounds must be integers" in message
-        assert stats["query"]["views_built"] == 0
+        assert stats["views_built"] == 0
 
     def test_spec_mismatch_on_query_is_409(self, rng):
         with HttpServerThread(make_collector(seed=47)) as server:
@@ -334,9 +334,8 @@ class TestQueryMetrics:
         assert "repro_query_cache_hits_total 1" in text
         assert "repro_query_cache_misses_total 1" in text
         assert "repro_query_cache_capacity" in text
-        cache = stats["query"]["answer_cache"]
-        assert cache["hits"] == 1
-        assert cache["misses"] == 1
+        assert stats["cache_hits"] == 1
+        assert stats["cache_misses"] == 1
 
     def test_query_cache_size_zero_disables_server_side(self, rng):
         with HttpServerThread(make_collector(seed=49), query_cache_size=0) as server:
@@ -345,6 +344,5 @@ class TestQueryMetrics:
                 client.query_ranges([[0, 15]])
                 client.query_ranges([[0, 15]])
                 stats = server.stats()
-        cache = stats["query"]["answer_cache"]
-        assert cache["hits"] == 0
-        assert cache["maxsize"] == 0
+        assert stats["cache_hits"] == 0
+        assert stats["cache_capacity"] == 0

@@ -47,13 +47,27 @@ def stats_after_absorbing(server, n_batches, attempts=200):
     still be in flight toward its shard)."""
     for _ in range(attempts):
         stats = server.stats()
-        if stats["totals"]["absorbed_batches"] >= n_batches:
+        if stats["absorbed_batches"] >= n_batches:
             return stats
         time.sleep(0.01)
     raise AssertionError(
-        f"service absorbed {stats['totals']['absorbed_batches']} of "
+        f"service absorbed {stats['absorbed_batches']} of "
         f"{n_batches} accepted batches"
     )
+
+
+def shard_state(collector):
+    """Every shard's ``(ingest_generation, n_users)``: what a refused batch
+    must leave unmoved."""
+    return [(shard.ingest_generation, shard.n_users) for shard in collector.shards]
+
+
+def absorbed_users(client):
+    """``repro_ingest_absorbed_users_total`` as ``/metrics`` reports it."""
+    for line in client.metrics().splitlines():
+        if line.startswith("repro_ingest_absorbed_users_total "):
+            return int(line.split()[1])
+    raise AssertionError("no repro_ingest_absorbed_users_total sample")
 
 
 def raw_request(server, method, path, body=None, headers=None):
@@ -89,8 +103,8 @@ class TestHappyPath:
                     assert response.status == 202
                     assert response.json() == {"accepted": 500, "shard": index % 2}
             stats = server.stats()
-        assert stats["totals"]["absorbed_batches"] == 6
-        assert stats["totals"]["absorbed_users"] == 3000
+        assert stats["absorbed_batches"] == 6
+        assert stats["absorbed_users"] == 3000
         estimate = server.reduce().estimate_frequencies()
         assert estimate.shape == (DOMAIN,)
 
@@ -104,7 +118,7 @@ class TestHappyPath:
                 response = client.post_points(points)
                 assert response.status == 202
             stats = server.stats()
-        assert stats["totals"]["absorbed_users"] == 800
+        assert stats["absorbed_users"] == 800
         server.reduce()  # merged grid must materialise cleanly
 
     def test_matching_spec_claims_are_accepted(self, rng):
@@ -212,6 +226,7 @@ class TestErrorPaths:
             with ServiceClient(*server.address) as client:
                 assert client.post_points([[1, 2]]).json()["shard"] == 0
                 before = stats_after_absorbing(server, 1)
+                shards_before = shard_state(collector)
                 status, _, body = raw_request(
                     server, "POST", path, body=json.dumps(payload).encode()
                 )
@@ -219,12 +234,10 @@ class TestErrorPaths:
                 assert b"must be an array of integers" in body
                 assert b"quer" not in body
                 after = server.stats()
+                shards_after = shard_state(collector)
                 assert client.post_points([[3, 4]]).json()["shard"] == 1
-        assert after["totals"] == before["totals"]
-        for field in ("ingest_generation", "users", "batches"):
-            assert [entry[field] for entry in after["per_shard"]] == [
-                entry[field] for entry in before["per_shard"]
-            ]
+        assert after == before
+        assert shards_after == shards_before
 
     def test_unknown_path_404_wrong_method_405(self):
         with HttpServerThread(make_collector()) as server:
@@ -242,13 +255,13 @@ class TestErrorPaths:
 
 
 class TestBackpressure:
-    def test_overload_is_503_with_retry_after(self, rng, parked_workers):
+    def test_overload_is_503_with_retry_after(self, rng, parked_worker):
         """Deterministic overload: the workers are parked while the event
         loop keeps answering, a 1-slot queue fills, and the next batch must
         bounce with 503 + Retry-After.  Releasing the workers drains the
         queue and the same batch goes through on retry."""
         collector = make_collector(n_shards=1)
-        release = parked_workers
+        release = parked_worker
         batch = rng.integers(0, DOMAIN, size=100)
         server = HttpServerThread(collector, queue_size=1)
         try:
@@ -277,15 +290,43 @@ class TestBackpressure:
             release.set()  # never leave the worker parked on failure
         # The retrying client may catch one more 503 racing the drain, so
         # the rejection count is a floor, not an exact figure.
-        rejections = stats["totals"]["rejected_batches"]
+        rejections = stats["rejected_batches"]
         assert rejections >= 1
-        assert stats["totals"]["rejected_users"] == 100 * rejections
-        assert stats["totals"]["absorbed_batches"] == accepted
-        assert stats["per_shard"][0]["rejected"] == rejections
+        assert stats["rejected_users"] == 100 * rejections
+        assert stats["absorbed_batches"] == accepted
 
-    def test_retrying_client_gives_up_eventually(self, rng, parked_workers):
+    def test_full_queue_is_503_and_moves_no_shard(self, rng, parked_worker):
+        """The one ingest queue takes exactly ``n_shards * queue_size``
+        batches; the next POST is a 503 that leaves every shard's
+        generation and user count, and the absorbed-users counter, where
+        they were."""
+        collector = make_collector(n_shards=3, seed=31)
+        release = parked_worker
+        batches = [rng.integers(0, DOMAIN, size=40) for _ in range(7)]
+        server = HttpServerThread(collector, queue_size=2)
+        try:
+            with server:
+                with ServiceClient(*server.address) as client:
+                    for batch in batches[:6]:
+                        assert client.post_batch(batch).status == 202
+                    shards, absorbed = shard_state(collector), absorbed_users(client)
+                    refused = client.post_batch(batches[6])
+                    assert refused.status == 503
+                    assert "6 batches" in refused.json()["error"]
+                    assert shard_state(collector) == shards
+                    assert absorbed_users(client) == absorbed == 0
+                    release.set()
+                    stats = stats_after_absorbing(server, 6)
+                    assert absorbed_users(client) == 6 * 40
+        finally:
+            release.set()
+        assert stats["rejected_batches"] == 1
+        assert stats["queue_peak"] == stats["queue_capacity"] == 6
+        assert collector.n_users == 6 * 40
+
+    def test_retrying_client_gives_up_eventually(self, rng, parked_worker):
         collector = make_collector(n_shards=1)
-        release = parked_workers
+        release = parked_worker
         batch = rng.integers(0, DOMAIN, size=50)
         server = HttpServerThread(collector, queue_size=1)
         try:
@@ -306,12 +347,14 @@ class TestBackpressure:
 
 
 class TestStaticShardsOverHttp:
-    def test_http_run_reduces_bit_identically_to_pinned_replay(self, rng):
-        """The acceptance contract over the wire: a 2-shard run driven over
-        HTTP reduces bit-identically to an in-process collector with the
-        same seed, every batch pinned to the shard its 202 reported."""
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_http_run_reduces_bit_identically_to_pinned_replay(self, rng, n_shards):
+        """The acceptance contract over the wire: a K-shard run driven over
+        HTTP through the one ingest queue reduces bit-identically to an
+        in-process collector with the same seed, every batch pinned to the
+        shard its 202 reported."""
         batches = [rng.integers(0, DOMAIN, size=400) for _ in range(18)]
-        collector = make_collector(n_shards=2, seed=29)
+        collector = make_collector(n_shards=n_shards, seed=29)
         server = HttpServerThread(collector, queue_size=8)
         placements = []
         with server:
@@ -322,10 +365,10 @@ class TestStaticShardsOverHttp:
                     placements.append(response.json()["shard"])
             final = server.stats()
 
-        assert final["totals"]["absorbed_batches"] == len(batches)
-        assert placements == [index % 2 for index in range(len(batches))]
+        assert final["absorbed_batches"] == len(batches)
+        assert placements == [index % n_shards for index in range(len(batches))]
 
-        replay = make_collector(n_shards=2, seed=29)
+        replay = make_collector(n_shards=n_shards, seed=29)
         for batch, shard in zip(batches, placements):
             replay.submit(batch, shard=shard)
         assert np.array_equal(

@@ -399,27 +399,36 @@ def test_claimed_domain_is_not_allocated_before_the_check():
     assert peak < 16 * 2**20
 
 
+def _refused_before_building(restore, data, error=ReproError):
+    """``restore(data)`` raises ``error`` within 0.1 s and a 1 MiB peak."""
+    started = time.perf_counter()
+    with pytest.raises(error):
+        restore(data)
+    assert time.perf_counter() - started < 0.1
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            restore(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _claiming_dims(snapshot, dims):
+    header, arrays = _unpacked(snapshot)
+    header["config"]["dims"] = dims
+    return _container(header, arrays)
+
+
 # A grid builds one oracle per level tuple, h^dims of them.  A 7 KB
 # grid3d_2 snapshot whose header claimed 13 axes used to build 8,192
 # tuples (~1 s, ~10 MiB) before the restore refused it, and one claiming
 # 10^9 axes computed 4^(10^9) first; both are now refused from the header.
 @pytest.mark.parametrize("dims", [13, 10**9])
 def test_header_claiming_many_axes_is_refused_before_building(dims):
-    header, arrays = _unpacked(snapshots.to_bytes(_fitted("grid3d_2")))
-    header["config"]["dims"] = dims
-    snapshot = _container(header, arrays)
-    started = time.perf_counter()
-    with pytest.raises(ReproError):
-        snapshots.from_bytes(snapshot)
-    assert time.perf_counter() - started < 0.1
-    tracemalloc.start()
-    try:
-        with pytest.raises(ReproError):
-            snapshots.from_bytes(snapshot)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    snapshot = _claiming_dims(snapshots.to_bytes(_fitted("grid3d_2")), dims)
+    _refused_before_building(snapshots.from_bytes, snapshot)
 
 
 # The collector's checkpoint header carries the same grid config, and its
@@ -431,22 +440,30 @@ def test_checkpoint_claiming_many_axes_is_refused_before_building():
     )
     for batch in np.array_split(np.random.default_rng(5).integers(0, GRID_SIDE, (600, 3)), 2):
         collector.submit_points(batch)
-    header, arrays = _unpacked(collector.checkpoint_bytes())
-    header["config"]["dims"] = 13
-    checkpoint = _container(header, arrays)
+    checkpoint = _claiming_dims(collector.checkpoint_bytes(), 13)
     for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
-        started = time.perf_counter()
-        with pytest.raises(ConfigurationError):
-            restore(checkpoint)
-        assert time.perf_counter() - started < 0.1
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError):
-                restore(checkpoint)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        _refused_before_building(restore, checkpoint, ConfigurationError)
+
+
+# An unfitted grid stores no level tuples to compare the header with: a
+# ~600-byte side-4 header claiming 13 axes built all 8,192 tuples (~0.75 s,
+# ~10 MiB) before anything refused it, and so did the prototype of a
+# checkpoint whose shards are all unfitted.  The grid's cap on h^dims now
+# refuses both from the header's arithmetic.
+def test_unfitted_grid_header_claiming_many_axes_is_refused_before_building():
+    unfitted = mechanism_from_spec("grid3d_2", epsilon=EPSILON, domain_size=GRID_SIDE)
+    _refused_before_building(
+        snapshots.from_bytes, _claiming_dims(snapshots.to_bytes(unfitted), 13)
+    )
+
+
+def test_unfitted_checkpoint_claiming_many_axes_is_refused_before_building():
+    collector = ShardedCollector(
+        "grid3d_2", epsilon=EPSILON, domain_size=GRID_SIDE, n_shards=2, random_state=4
+    )
+    checkpoint = _claiming_dims(collector.checkpoint_bytes(), 13)
+    for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
+        _refused_before_building(restore, checkpoint)
 
 
 def test_restore_holds_one_copy_of_the_statistic():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.multidim import HierarchicalGrid2D
+from repro.core.multidim import _MAX_LEVEL_TUPLES, HierarchicalGrid2D, HierarchicalGridND
 from repro.exceptions import (
     ConfigurationError,
     InvalidDomainError,
@@ -32,6 +32,17 @@ class TestConfiguration:
     def test_invalid_domain(self):
         with pytest.raises(InvalidDomainError):
             HierarchicalGrid2D(1.0, 1)
+
+    def test_level_tuple_cap_is_pinned(self):
+        """``h^d`` level tuples are capped at 1,024 before any is built.
+        The largest grid a test, benchmark or perfbench workload builds
+        has 5^3 = 125 tuples (side 32 over three axes, B = 2; perfbench's
+        dashboard grid is side 64 over two axes, 6^2 = 36)."""
+        assert _MAX_LEVEL_TUPLES == 1024
+        assert len(HierarchicalGridND(1.0, 32, dims=3)._tuples) == 125
+        assert len(HierarchicalGridND(1.0, 4, dims=10)._tuples) == 1024
+        with pytest.raises(InvalidDomainError, match="2\\^11 level tuples"):
+            HierarchicalGridND(1.0, 4, dims=11)
 
     def test_not_fitted(self):
         grid = HierarchicalGrid2D(1.0, 16)

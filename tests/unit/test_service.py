@@ -11,7 +11,12 @@ from repro.exceptions import (
     InvalidQueryError,
     ServiceOverloadedError,
 )
-from repro.service import IngestionService, ServiceClient, run_ingestion
+from repro.service import (
+    IngestionService,
+    ServiceClient,
+    render_ingestion_stats,
+    run_ingestion,
+)
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
@@ -119,18 +124,20 @@ class TestIngestionService:
         assert [shard.n_users for shard in collector.shards] == expected
 
     def test_backpressure_bounds_queue_depth(self, items):
+        """The one queue holds ``n_shards * queue_size`` batches; a blocking
+        producer waits for room instead of growing it."""
         collector = make_collector()
         batches = np.array_split(items, 32)
 
         async def scenario():
             async with IngestionService(collector, queue_size=2) as service:
-                for batch in batches:
-                    await service.submit(batch)
-            return service.shard_stats
+                await asyncio.gather(*(service.submit(batch) for batch in batches))
+            return service.stats()
 
         stats = asyncio.run(scenario())
-        assert sum(s.batches for s in stats) == len(batches)
-        assert all(s.queue_peak <= 2 for s in stats)
+        assert stats["absorbed_batches"] == len(batches)
+        assert stats["queue_capacity"] == collector.n_shards * 2
+        assert stats["queue_peak"] == collector.n_shards * 2
 
     def test_stats_carry_no_kernel_backend(self):
         # One kernel implementation: no backend identity to report.
@@ -140,11 +147,12 @@ class TestIngestionService:
         collector = make_collector(spec="hhc_4")
         service = IngestionService(collector)
 
-        # Safe before start: no queues yet, all counters zero.
+        # Safe before start: no queue yet, all counters zero.
         idle = service.stats()
         assert idle["started"] is False
         assert idle["submitted_batches"] == 0
-        assert idle["queue_depths"] == [0] * collector.n_shards
+        assert idle["queue_depth"] == 0
+        assert idle["queue_capacity"] == collector.n_shards * 8
         assert idle["materializations_performed"] == 0
 
         batches = np.array_split(items, 12)
@@ -167,12 +175,11 @@ class TestIngestionService:
         # shard's generation and not a single materialization ran.
         assert stats["materializations_performed"] == 0
         assert stats["materializations_deferred"] == len(batches)
-        assert sum(
-            entry["ingest_generation"] for entry in stats["per_shard"]
-        ) == len(batches)
-        for entry in stats["per_shard"]:
-            assert entry["queue_depth"] == 0  # drained by join()
-            assert entry["queue_peak"] <= 4
+        assert sum(collector.generation_signature()) == len(batches)
+        assert stats["queue_depth"] == 0  # drained by join()
+        assert 1 <= stats["queue_peak"] <= collector.n_shards * 4
+        # One flat dictionary: no per-shard list, no second copy of totals.
+        assert all(not isinstance(value, (dict, list)) for value in stats.values())
 
         # Reading the reduced mechanism does not touch the shards ...
         collector.reduce().estimate_frequencies()
@@ -201,18 +208,18 @@ class TestIngestionService:
         assert collector.next_shard() == 0
 
     def test_try_submit_bounces_a_full_queue(self, items):
-        """With no await between submissions the workers never run, so a
-        1-slot queue per shard fills deterministically; the bounced batch
-        still spends its round-robin decision."""
+        """With no await between submissions the worker never runs, so the
+        queue fills deterministically at ``n_shards * queue_size``
+        batches; a bounced batch still spends its round-robin decision."""
         collector = make_collector(n_shards=2)
 
         async def scenario():
             async with IngestionService(collector, queue_size=1) as service:
                 assert service.try_submit(items[:10]) == 0
                 assert service.try_submit(items[10:20]) == 1
-                with pytest.raises(ServiceOverloadedError, match="shard 0"):
+                with pytest.raises(ServiceOverloadedError, match="2 batches"):
                     service.try_submit(items[20:50])
-                with pytest.raises(ServiceOverloadedError, match="shard 1"):
+                with pytest.raises(ServiceOverloadedError, match="retry later"):
                     service.try_submit(items[50:60])
                 stats = service.stats()
                 await service.join()
@@ -220,11 +227,58 @@ class TestIngestionService:
             return stats
 
         stats = asyncio.run(scenario())
-        assert [entry["rejected"] for entry in stats["per_shard"]] == [1, 1]
-        assert stats["totals"]["rejected_batches"] == 2
-        assert stats["totals"]["rejected_users"] == 40
+        assert stats["rejected_batches"] == 2
+        assert stats["rejected_users"] == 40
         assert stats["submitted_batches"] == 2
+        assert stats["queue_depth"] == stats["queue_peak"] == 2
         assert collector.n_batches == 3
+
+    @pytest.mark.parametrize("n_shards, queue_size", [(1, 3), (3, 2)])
+    def test_full_queue_refuses_the_next_batch_and_absorbs_nothing(
+        self, items, n_shards, queue_size
+    ):
+        """The one queue takes exactly ``n_shards * queue_size`` batches;
+        the next ``try_submit`` is refused without touching any shard or
+        the absorbed-users counter, and the refused batch never lands."""
+        collector = make_collector(n_shards=n_shards)
+        capacity = n_shards * queue_size
+        batches = np.array_split(items[: 100 * (capacity + 3)], capacity + 3)
+
+        def shard_state():
+            return [(s.ingest_generation, s.n_users) for s in collector.shards]
+
+        def absorbed_line(service):
+            return next(
+                line for line in render_ingestion_stats(service.stats()).splitlines()
+                if line.startswith("repro_ingest_absorbed_users_total ")
+            )
+
+        async def scenario():
+            async with IngestionService(collector, queue_size=queue_size) as service:
+                # Absorb two batches first, so "unchanged" is not all zeros.
+                await service.submit(batches[0])
+                await service.submit(batches[1])
+                await service.join()
+                for batch in batches[2 : 2 + capacity]:
+                    service.try_submit(batch)
+                assert service.stats()["queue_depth"] == capacity
+                shards, absorbed = shard_state(), absorbed_line(service)
+                with pytest.raises(ServiceOverloadedError):
+                    service.try_submit(batches[-1])
+                assert shard_state() == shards
+                assert absorbed_line(service) == absorbed
+                assert absorbed == (
+                    "repro_ingest_absorbed_users_total "
+                    f"{batches[0].size + batches[1].size}"
+                )
+            return service.stats()
+
+        stats = asyncio.run(scenario())
+        accepted = batches[: 2 + capacity]
+        assert stats["rejected_batches"] == 1
+        assert stats["rejected_users"] == batches[-1].size
+        assert stats["absorbed_batches"] == len(accepted)
+        assert collector.n_users == sum(batch.size for batch in accepted)
 
     def test_worker_errors_surface_on_join(self, items, monkeypatch):
         """A batch failing *inside* a shard worker is re-raised on drain."""
@@ -242,31 +296,30 @@ class TestIngestionService:
         with pytest.raises(InvalidQueryError, match="shard died"):
             asyncio.run(scenario())
 
-    def test_stop_surfaces_dead_worker_exceptions(self, items):
+    def test_stop_surfaces_dead_worker_exceptions(self, items, monkeypatch):
         """Regression: stop() used to gather worker results with
         ``return_exceptions=True`` and discard them, so a worker task that
         died of anything but cancellation looked like a clean shutdown.
         stop() must complete the teardown and then re-raise the failure."""
         collector = make_collector()
-        boom = RuntimeError("shard worker died")
+        boom = RuntimeError("ingest worker died")
 
-        async def dying_worker():
+        async def dying_worker(self):
             raise boom
+
+        # Simulate a worker task killed by a plumbing bug (not by a bad
+        # batch, which the worker catches and reports via join()).
+        monkeypatch.setattr(IngestionService, "_worker", dying_worker)
 
         async def scenario():
             service = await IngestionService(collector).start()
-            # Simulate a worker task killed by a plumbing bug (not by a bad
-            # batch, which the workers catch and report via join()).
-            service._workers.append(
-                asyncio.get_running_loop().create_task(dying_worker())
-            )
             await asyncio.sleep(0)  # let the dying task reach its exception
-            with pytest.raises(RuntimeError, match="shard worker died"):
+            with pytest.raises(RuntimeError, match="ingest worker died"):
                 await service.stop()
             # Teardown still completed, and the failure is kept for
             # post-mortem inspection alongside batch errors.
             assert not service.started
-            assert service._workers == []
+            assert service._worker_task is None
             assert boom in service._errors
 
         asyncio.run(scenario())
@@ -306,7 +359,7 @@ class TestIngestionService:
             asyncio.run(scenario())
         service = holder["service"]
         assert not service.started
-        assert service._workers == []
+        assert service._worker_task is None
 
 
 class TestRunIngestion:

@@ -143,22 +143,19 @@ class TestIngestionStatsRendering:
         return {
             "started": True,
             "n_shards": 2,
-            "queue_size": 8,
+            "queue_capacity": 16,
+            "queue_depth": 1,
+            "queue_peak": 3,
+            "submitted_batches": 10,
+            "submitted_users": 5000,
+            "absorbed_batches": 9,
+            "absorbed_users": 4500,
+            "rejected_batches": 1,
+            "rejected_users": 500,
             "materializations_performed": 3,
-            "totals": {
-                "submitted_batches": 10,
-                "submitted_users": 5000,
-                "absorbed_batches": 9,
-                "absorbed_users": 4500,
-                "rejected_batches": 1,
-                "rejected_users": 500,
-            },
-            "per_shard": [
-                {"shard": 0, "batches": 5, "users": 2500,
-                 "rejected": 1, "queue_depth": 0, "queue_peak": 2},
-                {"shard": 1, "batches": 4, "users": 2000,
-                 "rejected": 0, "queue_depth": 1, "queue_peak": 3},
-            ],
+            "views_built": 2,
+            "cache_hits": 5,
+            "cache_misses": 2,
         }
 
     def test_rendering_is_valid_and_complete(self):
@@ -166,16 +163,33 @@ class TestIngestionStatsRendering:
         assert_valid_exposition(text)
         assert "repro_ingest_up 1" in text
         assert "repro_ingest_shards 2" in text
+        assert "repro_ingest_queue_capacity 16" in text
+        assert "repro_ingest_queue_depth 1" in text
+        assert "repro_ingest_queue_peak 3" in text
         assert "repro_ingest_absorbed_users_total 4500" in text
         assert "repro_ingest_rejected_batches_total 1" in text
-        assert 'repro_ingest_queue_depth{shard="1"} 1' in text
-        assert 'repro_ingest_shard_rejected{shard="0"} 1' in text
-        # Shard sets no longer grow or shrink, so the scaling families and
-        # the per-shard stream label are gone.
-        for removed in ("repro_ingest_scale_events_total",
+        assert "repro_ingest_materializations_total 3" in text
+        assert "repro_query_views_built_total 2" in text
+        assert "repro_query_cache_hits_total 5" in text
+        assert "repro_query_cache_misses_total 2" in text
+        # One queue in front of the shards: no series carries a shard
+        # label, and the per-shard families are gone.  Shard sets no longer
+        # grow or shrink either, so the scaling families and the per-shard
+        # stream label are gone too.
+        for removed in ("shard=", "repro_ingest_shard_",
+                        "repro_ingest_scale_events_total",
                         "repro_ingest_streams_spawned_total",
                         "repro_ingest_scaling", "stream="):
             assert removed not in text
+
+    def test_every_family_is_one_typed_sample(self):
+        lines = ingestion_stats_lines(self.stats())
+        assert len(lines) % 3 == 0
+        for help_line, type_line, sample in zip(lines[::3], lines[1::3], lines[2::3]):
+            name = help_line.split(" ")[2]
+            assert type_line.split(" ")[2:] in ([name, "counter"], [name, "gauge"])
+            assert type_line.endswith("counter") == name.endswith("_total")
+            assert sample.split(" ")[0] == name
 
     def test_no_kernel_backend_gauge(self):
         # Even a stale stats dict that still carries the field renders no

@@ -1,5 +1,7 @@
 """Unit tests for the streaming subsystem (ShardedCollector + mechanism API)."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.wavelet import HaarWaveletMechanism
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.service import IngestionService
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
@@ -309,9 +312,23 @@ class TestShardedCollector:
         assert collector.generation_signature() == after_one
 
     def test_submit_points_requires_a_grid_mechanism(self, items):
+        """``flatten_points`` is the one point gate: it, the collector's
+        ``submit_points`` and the async service's refuse a non-grid
+        mechanism alike, spending no round-robin decision."""
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=0)
-        with pytest.raises(ConfigurationError, match="grid point surface"):
-            collector.submit_points(np.zeros((4, 2), dtype=np.int64))
+        points = np.zeros((4, 2), dtype=np.int64)
+
+        async def through_the_service():
+            async with IngestionService(collector) as service:
+                await service.submit_points(points)
+
+        for submit in (
+            collector.flatten_points,
+            collector.submit_points,
+            lambda points: asyncio.run(through_the_service()),
+        ):
+            with pytest.raises(ConfigurationError, match="grid point surface"):
+                submit(points)
         assert collector.n_batches == 0
         assert collector.next_shard() == 0
 
