@@ -351,7 +351,7 @@ def _crash_recovery_report(build, submit, estimate, batches, checkpoint_path) ->
     exact = bool(np.array_equal(expected, actual))
     return (
         f"Crash recovery | checkpoint after {half}/{len(batches)} batches -> {path}\n"
-        f"restored shards resumed the uninterrupted run bit-for-bit: {exact}"
+        f"restored collector resumed the uninterrupted run bit-for-bit: {exact}"
     )
 
 
@@ -568,8 +568,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "and /v1/points feed a sharded LDP collector, POST /v1/query and "
             "/v1/quantiles answer over the live state, GET /metrics serves "
             "Prometheus text.  Batches go round-robin across a fixed set of "
-            "shards; merging is exact, so the shard count never changes an "
-            "estimate."
+            "shards, random streams that all fold into one accumulated state, "
+            "so the shard count never changes an estimate's distribution."
         ),
     )
     parser.add_argument("--host", type=str, default="127.0.0.1", help="bind address")
@@ -581,7 +581,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--epsilon", type=float, default=1.1, help="privacy budget")
     parser.add_argument("--domain", type=int, default=1 << 10, help="domain size D")
-    parser.add_argument("--shards", type=int, default=2, help="shard count")
+    parser.add_argument(
+        "--shards", type=int, default=2, help="shard count (round-robin random streams)"
+    )
     parser.add_argument("--seed", type=int, default=20190630, help="random seed")
     parser.add_argument(
         "--queue-size",

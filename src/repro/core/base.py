@@ -265,8 +265,7 @@ class RangeQueryMechanism(abc.ABC):
 
         Under lazy materialization this stays far below
         :attr:`ingest_generation` on streaming workloads; the difference is
-        the number of reconstructions the laziness saved (the ``deferred``
-        counter exported by :meth:`repro.service.IngestionService.stats`).
+        the number of reconstructions the laziness saved.
         """
         return self._n_materializations
 

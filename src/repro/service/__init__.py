@@ -2,10 +2,10 @@
 
 The paper's collection model is a fleet of millions of one-shot reporters;
 a deployed pipeline also needs the *server side* of that fleet: many
-producers submitting report batches concurrently, shards absorbing them
-under backpressure, and state that survives a restart.  This package is
-that tier, layered on :mod:`repro.streaming` (mergeable shards) and
-:mod:`repro.persist` (durable shard state):
+producers submitting report batches concurrently, one accumulated state
+absorbing them under backpressure, and state that survives a restart.
+This package is that tier, layered on :mod:`repro.streaming` (mergeable
+accumulators) and :mod:`repro.persist` (durable collector state):
 
 * :class:`IngestionService` — an ``asyncio`` service with one bounded
   ingest queue and one worker; concurrent producers ``await

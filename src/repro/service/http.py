@@ -20,9 +20,9 @@ rule is stdlib + numpy:
   JSON floats and bools get a 400 instead of being truncated.
 * ``POST /v1/query`` — JSON ``{"boxes": [[a1, b1, ...], ...]}`` or
   ``{"ranges": [[a, b], ...]}``; answered from the service's reduced +
-  materialized read view (rebuilt only when the collector's generation
-  signature moves) with concurrent requests micro-batched through
-  :class:`~repro.service.query.QueryCoalescer`.  ``Accept:
+  materialized read view (rebuilt only when the collector's
+  ``ingest_generation`` moves) with concurrent requests micro-batched
+  through :class:`~repro.service.query.QueryCoalescer`.  ``Accept:
   application/x-npy`` negotiates a binary response body.
 * ``POST /v1/quantiles`` — JSON ``{"phis": [0.5, ...]}``, same view and
   content negotiation.
@@ -617,7 +617,10 @@ class ReproHttpServer:
         return payload, None
 
     async def _query_view(self):
-        """``(view, None)`` or ``(None, error response)``.
+        """``(view, generation, None)`` or ``(None, 0, error response)``.
+
+        ``generation`` is the collector's ingest generation the view was
+        built at, read before any later await can rebuild the view.
 
         ``NotFittedError`` maps to 409: the request is valid but conflicts
         with the server's current state (nothing collected yet) — the
@@ -626,10 +629,10 @@ class ReproHttpServer:
         try:
             view = await self._service.refresh_query_view()
         except NotFittedError as error:
-            return None, _HttpResponse.error(409, str(error))
+            return None, 0, _HttpResponse.error(409, str(error))
         except ReproError as error:
-            return None, _HttpResponse.error(400, str(error))
-        return view, None
+            return None, 0, _HttpResponse.error(400, str(error))
+        return view, self._service.view_generation, None
 
     async def _handle_query(self, request: _HttpRequest) -> _HttpResponse:
         payload, error = self._decode_query_payload(request)
@@ -649,7 +652,7 @@ class ReproHttpServer:
             )
         except InvalidQueryError as error:
             return _HttpResponse.error(400, str(error))
-        view, error = await self._query_view()
+        view, generation, error = await self._query_view()
         if error is not None:
             return error
         if raw_boxes is not None and getattr(view, "answer_boxes", None) is None:
@@ -666,7 +669,7 @@ class ReproHttpServer:
         except ReproError as error:
             return _HttpResponse.error(400, str(error))
         return self._answers_response(
-            request, np.asarray(answers, dtype=np.float64), view.ingest_generation
+            request, np.asarray(answers, dtype=np.float64), generation
         )
 
     async def _handle_quantiles(self, request: _HttpRequest) -> _HttpResponse:
@@ -680,14 +683,13 @@ class ReproHttpServer:
             phis = [float(phi) for phi in np.asarray(raw, dtype=np.float64).reshape(-1)]
         except (TypeError, ValueError, OverflowError):
             return _HttpResponse.error(400, "'phis' must be an array of numbers")
-        view, error = await self._query_view()
+        view, generation, error = await self._query_view()
         if error is not None:
             return error
         try:
             values = view.quantiles(phis)
         except ReproError as error:
             return _HttpResponse.error(400, str(error))
-        generation = view.ingest_generation
         if self._wants_npy(request):
             buffer = io.BytesIO()
             np.save(buffer, np.asarray(values, dtype=np.int64), allow_pickle=False)
@@ -805,7 +807,7 @@ class HttpServerThread:
         return future.result(timeout=10.0)
 
     def reduce(self):
-        """Merge the shards into one queryable mechanism.
+        """Merge the collected state into one queryable mechanism.
 
         Only valid after :meth:`stop` (queue drained, loop parked) — the
         collector must not be touched concurrently with its worker.

@@ -3,8 +3,8 @@
 :class:`IngestionService` turns :class:`~repro.streaming.ShardedCollector`
 into a concurrent service: any number of ``asyncio`` producers submit
 report batches, each batch is placed on the collector's next round-robin
-shard, and one worker task absorbs the batches in placement order.  The
-moving parts:
+shard, and one worker task folds the batches, in placement order, into the
+collector's one accumulated state.  The moving parts:
 
 * **one ingest queue** — a bounded :class:`asyncio.Queue` of
   ``n_shards * queue_size`` batches in front of one worker.  Absorbing is
@@ -15,7 +15,8 @@ moving parts:
   down instead of buffering unboundedly when aggregation falls behind;
   ``try_submit`` refuses instead (the HTTP front's 503);
 * **a read view** — :meth:`IngestionService.refresh_query_view` drains the
-  queue, reduces and materializes once per generation change.
+  queue, reduces and materializes once per change of the collector's
+  ``ingest_generation``.
 
 Accuracy is untouched by any of it: the service feeds the same
 ``partial_fit`` path as synchronous collection, so the reduced estimates
@@ -74,17 +75,17 @@ class IngestionService:
     Parameters
     ----------
     collector:
-        The sharded collector that owns the mechanisms, random streams and
-        round-robin cursor.  The service never bypasses it, so synchronous
-        ``submit`` calls may be mixed in (e.g. replaying a backlog) as long
-        as they happen on the event-loop thread.
+        The collector that owns the accumulated state, the shards' random
+        streams and the round-robin cursor.  The service never bypasses
+        it, so synchronous ``submit`` calls may be mixed in (e.g. replaying
+        a backlog) as long as they happen on the event-loop thread.
     queue_size:
         Queue capacity per shard: the one ingest queue holds
         ``collector.n_shards * queue_size`` batches, and ``submit`` blocks
         (asynchronously) while it is full — the backpressure knob.
     query_cache_size:
-        Entry bound of the answer cache installed on each materialized
-        :meth:`query_view` (``0`` disables caching — every query recomputes).
+        Entry bound of the answer cache installed on each materialized read
+        view (``0`` disables caching — every query recomputes).
 
     Use as an async context manager::
 
@@ -118,10 +119,10 @@ class IngestionService:
         self._capacity = collector.n_shards * int(queue_size)
         self._query_cache_size = int(query_cache_size)
         # Read-serving state: the latest reduced + materialized view of the
-        # sharded statistics, keyed by the collector's generation signature
+        # collected statistics, keyed by the collector's ingest generation
         # so a new batch forces a rebuild on the next read.
         self._query_view: Optional[RangeQueryMechanism] = None
-        self._query_view_signature: Optional[tuple] = None
+        self._view_generation = 0
         self._query_views_built = 0
         # Counters folded in from retired views so the service's cache
         # hit/miss/eviction totals stay monotone across view rebuilds.
@@ -152,35 +153,22 @@ class IngestionService:
         return self._queue is not None
 
     @property
-    def n_submitted_users(self) -> int:
-        return self._submitted_users
-
-    @property
-    def n_submitted_batches(self) -> int:
-        return self._submitted_batches
+    def view_generation(self) -> int:
+        """The collector's ``ingest_generation`` when the current read view
+        was built (``0`` before the first read)."""
+        return self._view_generation
 
     def stats(self) -> dict:
         """Queue, ingest and read-view counters, one flat JSON-ready dict.
 
         The source of every ``/metrics`` ingestion family: submission,
         absorption and rejection totals, the queue's capacity, live depth
-        and high-water mark, and the lazy-materialization counters summed
-        over the shard mechanisms — ``materializations_performed``
-        (estimate rebuilds that actually ran) and
-        ``materializations_deferred`` (rebuilds the lazy read-path saved
-        compared to refreshing after every batch) — plus the read view's
-        build count and answer-cache counters.  Per-shard freshness is
-        :meth:`~repro.streaming.ShardedCollector.generation_signature`.
-        Safe to call at any point of the lifecycle, including before
-        :meth:`start` and while producers are running (counters are
-        updated on the event-loop thread, so a snapshot is never torn).
+        and high-water mark, the read view's build count and generation,
+        and its answer-cache counters.  Safe to call at any point of the
+        lifecycle, including before :meth:`start` and while producers are
+        running (counters are updated on the event-loop thread, so a
+        snapshot is never torn).
         """
-        shards = self._collector.shards
-        performed = [shard.materialization_count for shard in shards]
-        deferred = sum(
-            max(0, shard.ingest_generation - done)
-            for shard, done in zip(shards, performed)
-        )
         view = self._query_view
         cache = (
             view.answer_cache_stats()
@@ -201,10 +189,8 @@ class IngestionService:
             "absorbed_users": self._absorbed_users,
             "rejected_batches": self._rejected_batches,
             "rejected_users": self._rejected_users,
-            "materializations_performed": sum(performed),
-            "materializations_deferred": deferred,
             "views_built": self._query_views_built,
-            "view_generation": view.ingest_generation if view is not None else 0,
+            "view_generation": self._view_generation,
             # Accumulated across view rebuilds so they stay monotone (a
             # generation bump retires the old view's cache, not its history).
             "cache_hits": cache["hits"] + retired["hits"],
@@ -337,58 +323,39 @@ class IngestionService:
         self._submitted_users += int(items.shape[0])
 
     # ------------------------------------------------------------------
-    # Reduction
-    # ------------------------------------------------------------------
-    def reduce(self) -> RangeQueryMechanism:
-        """Merge the shards into one queryable mechanism (the queue must be
-        drained first — call :meth:`join` or exit the context manager)."""
-        return self._collector.reduce()
-
-    # ------------------------------------------------------------------
     # Read serving
     # ------------------------------------------------------------------
-    @property
-    def query_view(self) -> Optional[RangeQueryMechanism]:
-        """The latest built read view (``None`` before the first read)."""
-        return self._query_view
-
-    @property
-    def query_views_built(self) -> int:
-        """Reduced+materialized views built so far (cache-miss counter)."""
-        return self._query_views_built
-
     async def refresh_query_view(self) -> RangeQueryMechanism:
-        """A reduced, materialized, answer-cached view of the live shards.
+        """A reduced, materialized, answer-cached view of the live state.
 
         The read side of the service: returns the cached view as long as
-        the collector's :meth:`~repro.streaming.ShardedCollector
-        .generation_signature` is unchanged (O(shards) integer compares per
-        request); otherwise drains the ingest queue to a generation
-        boundary, reduces, materializes the estimates off the per-query
-        path and installs a fresh answer cache of ``query_cache_size``
+        the collector's ``ingest_generation`` is unchanged (one integer
+        compare per request); otherwise drains the ingest queue to a
+        generation boundary, reduces, materializes the estimates off the
+        per-query path and installs a fresh answer cache of ``query_cache_size``
         entries.  Reads therefore see every batch that was *absorbed* when
         the view was built — the same freshness contract ``reduce()`` on a
         live collection offers — while repeated queries between writes stay
         O(1) cache hits.
 
-        Raises :class:`~repro.exceptions.NotFittedError` while no shard has
-        absorbed anything yet.
+        Raises :class:`~repro.exceptions.NotFittedError` while nothing has
+        been absorbed yet.
         """
         self._require_started()
-        signature = self._collector.generation_signature()
-        if self._query_view is not None and signature == self._query_view_signature:
+        generation = self._collector.ingest_generation
+        if self._query_view is not None and generation == self._view_generation:
             return self._query_view
         # Drain to a generation boundary before the synchronous reduce: a
         # queue.join() only returns once every in-flight absorb has called
-        # task_done, so the worker cannot be mutating a shard's statistics
-        # while reduce() reads them.
+        # task_done, so the worker cannot be mutating the statistics while
+        # reduce() reads them.
         while True:
             await self._queue.join()
             if self._pending_puts == 0 and self._queue.empty():
                 break
             await asyncio.sleep(0)
         self._raise_pending_error()
-        signature = self._collector.generation_signature()
+        generation = self._collector.ingest_generation
         view = self._collector.reduce()
         view.set_answer_cache_size(self._query_cache_size)
         view.materialize()
@@ -397,7 +364,7 @@ class IngestionService:
             for key in self._retired_cache_counters:
                 self._retired_cache_counters[key] += int(retired[key])
         self._query_view = view
-        self._query_view_signature = signature
+        self._view_generation = generation
         self._query_views_built += 1
         return view
 

@@ -318,16 +318,13 @@ _INGESTION_FAMILIES: Tuple[Tuple[str, str, str, str], ...] = (
     ("repro_ingest_submitted_users_total", "counter",
      "User reports accepted for queueing since service creation.", "submitted_users"),
     ("repro_ingest_absorbed_batches_total", "counter",
-     "Batches folded into shard statistics.", "absorbed_batches"),
+     "Batches folded into the collected statistics.", "absorbed_batches"),
     ("repro_ingest_absorbed_users_total", "counter",
-     "User reports folded into shard statistics.", "absorbed_users"),
+     "User reports folded into the collected statistics.", "absorbed_users"),
     ("repro_ingest_rejected_batches_total", "counter",
      "Batches bounced with backpressure (full ingest queue).", "rejected_batches"),
     ("repro_ingest_rejected_users_total", "counter",
      "User reports bounced with backpressure.", "rejected_users"),
-    ("repro_ingest_materializations_total", "counter",
-     "Estimate rebuilds actually performed across live shards.",
-     "materializations_performed"),
     ("repro_query_views_built_total", "counter",
      "Reduced+materialized read views built (one per generation change).",
      "views_built"),

@@ -23,10 +23,12 @@ underneath it:
   collection (:meth:`~repro.core.base.RangeQueryMechanism.partial_fit`)
   and shard combination (:meth:`~repro.core.base.RangeQueryMechanism.merge_from`).
 
-:class:`ShardedCollector` ties the layers together: it fans report batches
-round-robin across ``K`` simulated shards, each accumulating independently
-with its own random stream, and reduces them into a single queryable
-mechanism.
+:class:`ShardedCollector` ties the layers together: it places report
+batches round-robin on ``K`` shards, which are independent random streams,
+folds every batch into one accumulated mechanism with its shard's stream,
+and reduces that state into a fresh queryable mechanism.  Because the
+statistics are exact sums, the one state equals the merge of ``K``
+per-shard states bit for bit.
 
 Example
 -------
@@ -42,8 +44,8 @@ Example
 >>> answer = mechanism.answer_range(100, 500)
 
 Privacy note: sharding changes nothing about the guarantee — each user still
-sends exactly one ``epsilon``-LDP report; only the aggregator's bookkeeping
-is distributed.
+sends exactly one ``epsilon``-LDP report; shards only choose the random
+stream that simulates it.
 
 Beyond this module: :meth:`ShardedCollector.checkpoint` /
 :meth:`~ShardedCollector.restore` give crash recovery through

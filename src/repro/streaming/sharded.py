@@ -1,21 +1,24 @@
-"""Fan report batches across simulated shards and reduce them.
+"""Collect report batches over round-robin random streams into one state.
 
 :class:`ShardedCollector` models the ingestion tier of a deployed LDP
-pipeline: ``K`` shards each own one mechanism instance and an independent
-random stream, report batches go to shards round-robin (or to a shard the
-caller names), and a reduce step merges the shards' sufficient statistics
-into one queryable mechanism.  Because accumulator merging is exact (sums
-of sums), the reduced estimates follow the same distribution as a one-shot
-fit of the whole population — the shard a batch lands on is invisible to
-accuracy.
+pipeline: ``K`` shards are ``K`` independent random streams, report
+batches go to them round-robin (or to a shard the caller names), and every
+batch is folded into **one** accumulated mechanism with its shard's
+stream.  Accumulator statistics are integer-valued sums, and no draw
+depends on what was accumulated before, so the one state equals the sum of
+``K`` per-shard states bit for bit — the shard a batch lands on decides
+only which stream perturbs it, never the estimates' distribution.  A
+reduce step copies the state into a fresh queryable mechanism.
 
-Durability: :meth:`checkpoint` captures the complete collector state —
-every shard's sufficient statistic, every shard's random-generator state,
+Durability: :meth:`checkpoint` captures the complete collector state — the
+accumulated sufficient statistic, every shard's random-generator state,
 the round-robin cursor and the batch counter — in one :mod:`repro.persist`
 container.  :meth:`restore` rebuilds a collector that continues
 *bit-for-bit* where the checkpoint left off: feeding it the remaining
 batches produces exactly the reduced estimates an uninterrupted run would
 have produced, which is the crash-recovery contract the tests verify.
+Checkpoints of releases that kept one mechanism per shard (``shard<i>/``
+array groups) still restore: their groups merge on load.
 
 Determinism contract (for a fixed ``random_state``): batches submitted with
 an explicit ``shard=`` index do not consult or advance the round-robin
@@ -28,7 +31,7 @@ on the ordered batches that landed on it.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 import numpy as np
 
@@ -54,6 +57,8 @@ __all__ = ["ShardedCollector"]
 
 #: The one placement policy; checkpoints record it under ``router.name``.
 ROUND_ROBIN = "round-robin"
+#: Array group of the accumulated state in a checkpoint.
+STATE_GROUP = "state"
 
 
 def _check_router(router: Optional[str]) -> None:
@@ -85,7 +90,7 @@ def _generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
 
 
 class ShardedCollector:
-    """Collect an LDP population across ``K`` independent shards.
+    """Collect an LDP population over ``K`` round-robin random streams.
 
     Parameters
     ----------
@@ -93,14 +98,14 @@ class ShardedCollector:
         Mechanism specification string (see
         :func:`repro.core.factory.mechanism_from_spec`) or a prebuilt
         :class:`~repro.core.base.RangeQueryMechanism` used as a
-        configuration template; every shard gets its own identically
-        configured instance either way.
+        configuration template; the collector accumulates into its own
+        identically configured instance either way.
     epsilon, domain_size:
-        Standard mechanism parameters, shared by all shards.  Optional when
-        ``mechanism`` is a prebuilt instance (taken from it); if given they
-        must agree with the instance.
+        Standard mechanism parameters.  Optional when ``mechanism`` is a
+        prebuilt instance (taken from it); if given they must agree with
+        the instance.
     n_shards:
-        Number of simulated shards ``K >= 1``.
+        Number of shards ``K >= 1``, i.e. of random streams.
     random_state:
         Seed for the whole collection; shard ``i`` draws from spawn child
         ``i`` of it, so results are reproducible for a fixed seed and batch
@@ -112,7 +117,7 @@ class ShardedCollector:
         ``None`` or ``"round-robin"``, the only placement policy; anything
         else raises :class:`~repro.exceptions.ConfigurationError`.
     mechanism_kwargs:
-        Extra keyword arguments forwarded to every shard's constructor
+        Extra keyword arguments forwarded to the mechanism's constructor
         (spec-built collectors only).
     """
 
@@ -132,6 +137,7 @@ class ShardedCollector:
                 f"n_shards must be a positive integer, got {n_shards!r}"
             )
         _check_router(router)
+        RangeQueryMechanism._check_mode(mode)
         prototype = resolve_mechanism(
             mechanism,
             epsilon=epsilon,
@@ -148,9 +154,7 @@ class ShardedCollector:
         self._domain_size = int(prototype.domain_size)
         self._mode = str(mode)
         self._cursor = 0
-        self._shards: List[RangeQueryMechanism] = [
-            self._fresh_mechanism() for _ in range(int(n_shards))
-        ]
+        self._state = self._fresh_mechanism()
         self._generators = [
             np.random.default_rng(child)
             for child in as_seed_sequence(random_state).spawn(int(n_shards))
@@ -165,38 +169,43 @@ class ShardedCollector:
     # ------------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        """Number of shards ``K``."""
-        return len(self._shards)
-
-    @property
-    def shards(self) -> List[RangeQueryMechanism]:
-        """The per-shard mechanism instances (mutated by :meth:`submit`)."""
-        return list(self._shards)
+        """Number of shards ``K`` (random streams)."""
+        return len(self._generators)
 
     @property
     def epsilon(self) -> float:
-        """Privacy budget shared by every shard (the served spec's epsilon)."""
+        """Privacy budget of the collected reports (the served spec's epsilon)."""
         return self._epsilon
 
     @property
     def domain_size(self) -> int:
-        """Domain size shared by every shard."""
+        """Domain size of the collected items."""
         return self._domain_size
 
     @property
     def spec(self) -> str:
-        """The mechanism specification string the shards were built from."""
+        """The mechanism specification string the collector was built from."""
         return self._spec
 
     @property
     def n_users(self) -> int:
-        """Total number of users accumulated across all shards."""
-        return sum(shard.n_users or 0 for shard in self._shards)
+        """Total number of users accumulated so far."""
+        return self._state.n_users or 0
 
     @property
     def n_batches(self) -> int:
         """Number of batches submitted so far."""
         return self._n_batches
+
+    @property
+    def ingest_generation(self) -> int:
+        """Statistics mutations of the accumulated state (monotone).
+
+        Equal at two points exactly when no batch was absorbed in between,
+        so a cached :meth:`reduce` result keyed by it is fresh by
+        construction.  Cheap, so read paths may poll it per request.
+        """
+        return self._state.ingest_generation
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -204,11 +213,11 @@ class ShardedCollector:
     def validate_batch(self, items: np.ndarray, mode: Optional[str] = None) -> np.ndarray:
         """Validate a batch *before* a round-robin decision is spent on it.
 
-        The cursor never moves back, so a batch that the mechanisms would
+        The cursor never moves back, so a batch that the mechanism would
         reject must fail here first — otherwise a stream of bad batches
         would skew placement without contributing a single user.
         """
-        items = self._shards[0]._validate_items(items)
+        items = self._state._validate_items(items)
         if mode is not None:
             RangeQueryMechanism._check_mode(mode)
         return items
@@ -220,8 +229,8 @@ class ShardedCollector:
         service calls it when it queues a batch, and its worker then submits
         with ``shard=<returned index>``.
         """
-        shard = self._cursor % len(self._shards)
-        self._cursor = (shard + 1) % len(self._shards)
+        shard = self._cursor % len(self._generators)
+        self._cursor = (shard + 1) % len(self._generators)
         return shard
 
     def submit(
@@ -230,7 +239,7 @@ class ShardedCollector:
         shard: Optional[int] = None,
         mode: Optional[str] = None,
     ) -> int:
-        """Place one batch of users on a shard and accumulate it.
+        """Accumulate one batch of users with a shard's random stream.
 
         Parameters
         ----------
@@ -239,8 +248,9 @@ class ShardedCollector:
             must appear in exactly one submitted batch overall — the usual
             one-report-per-user LDP accounting.
         shard:
-            Target shard index; when omitted the batch goes round-robin.
-            Explicit indices do not advance the round-robin cursor.
+            Shard whose stream perturbs the batch; when omitted the batch
+            goes round-robin.  Explicit indices do not advance the
+            round-robin cursor.
         mode:
             Override of the collector's default simulation mode.
 
@@ -259,11 +269,12 @@ class ShardedCollector:
             index = self.next_shard()
         else:
             index = int(shard)
-            if not 0 <= index < len(self._shards):
+            if not 0 <= index < len(self._generators):
                 raise ConfigurationError(
-                    f"shard index {shard!r} out of range for {len(self._shards)} shards"
+                    f"shard index {shard!r} out of range for "
+                    f"{len(self._generators)} shards"
                 )
-        self._shards[index].partial_fit(
+        self._state.partial_fit(
             items,
             random_state=self._generators[index],
             mode=self._mode if mode is None else mode,
@@ -277,7 +288,7 @@ class ShardedCollector:
         shard: Optional[int] = None,
         mode: Optional[str] = None,
     ) -> int:
-        """Place one batch of ``(n, d)`` coordinate points on a shard.
+        """Accumulate one batch of ``(n, d)`` coordinate points.
 
         Only available when the collector's mechanism has a grid surface
         (e.g. a ``grid2d`` or ``grid3d_4`` spec): the points are validated —
@@ -295,7 +306,7 @@ class ShardedCollector:
         :class:`~repro.exceptions.ConfigurationError` when the collector's
         mechanism is not a grid.
         """
-        flatten = getattr(self._shards[0], "flatten_points", None)
+        flatten = getattr(self._state, "flatten_points", None)
         if flatten is None:
             raise ConfigurationError(
                 f"mechanism {self._spec!r} has no grid point surface; "
@@ -312,23 +323,10 @@ class ShardedCollector:
     # ------------------------------------------------------------------
     # Reduction
     # ------------------------------------------------------------------
-    def generation_signature(self) -> tuple:
-        """Fingerprint of the collected state a :meth:`reduce` would see.
-
-        Each shard's monotone ``ingest_generation``: two signatures are
-        equal exactly when no batch has been absorbed in between, so a
-        cached ``reduce()`` result keyed by this tuple is fresh by
-        construction.  Cheap (no statistics are touched), so read paths may
-        poll it per request.
-        """
-        return tuple(
-            int(getattr(shard, "ingest_generation", 0)) for shard in self._shards
-        )
-
     def reduce(self) -> RangeQueryMechanism:
-        """Merge all fitted shards into one fresh queryable mechanism.
+        """Merge the accumulated state into one fresh queryable mechanism.
 
-        The shards keep their state, so ingestion may continue and
+        The collector keeps its state, so ingestion may continue and
         :meth:`reduce` may be called again later — the streaming analytics
         pattern of querying a live collection.
 
@@ -338,13 +336,9 @@ class ShardedCollector:
         :meth:`~repro.core.base.RangeQueryMechanism.materialize` on the
         result to move that one-time cost off the first read.
         """
-        fitted = [shard for shard in self._shards if shard.is_fitted]
-        if not fitted:
-            raise NotFittedError("no shard has collected any reports yet")
-        reduced = self._fresh_mechanism()
-        for shard in fitted:
-            reduced.merge_from(shard)
-        return reduced
+        if not self._state.is_fitted:
+            raise NotFittedError("the collector has not collected any reports yet")
+        return self._fresh_mechanism().merge_from(self._state)
 
     # ------------------------------------------------------------------
     # Durability
@@ -353,8 +347,9 @@ class ShardedCollector:
         """Serialise the full collector state into one snapshot container.
 
         Captures everything a resumed run needs to be indistinguishable
-        from an uninterrupted one: shard statistics, shard random streams,
-        the round-robin cursor and the batch counter.
+        from an uninterrupted one: the accumulated statistics (one
+        ``state/`` array group, whatever ``K`` is), every shard's random
+        stream, the round-robin cursor and the batch counter.
         """
         header = {
             "kind": "collector",
@@ -366,10 +361,9 @@ class ShardedCollector:
             "router": {"name": ROUND_ROBIN, "state": {"cursor": int(self._cursor)}},
             "generators": [_generator_state(gen) for gen in self._generators],
         }
-        arrays = {}
-        for index, shard in enumerate(self._shards):
-            arrays[f"shard{index}"] = shard.state_dict()
-        return pack_snapshot(header, flatten_arrays(arrays))
+        return pack_snapshot(
+            header, flatten_arrays({STATE_GROUP: self._state.state_dict()})
+        )
 
     def checkpoint(self, path: Union[str, Path]) -> Path:
         """Write :meth:`checkpoint_bytes` to ``path`` atomically."""
@@ -385,7 +379,12 @@ class ShardedCollector:
         cls, header: Dict[str, Any], flat: Dict[str, np.ndarray]
     ) -> "ShardedCollector":
         """Restore from an already-unpacked container (single-parse path
-        shared with :func:`repro.persist.from_bytes`)."""
+        shared with :func:`repro.persist.from_bytes`).
+
+        A checkpoint holds either one ``state/`` group or, written by a
+        release that kept one mechanism per shard, one ``shard<i>/`` group
+        per shard; those groups are each validated and then merged.
+        """
         if header.get("kind") != "collector":
             raise ConfigurationError(
                 f"expected a collector checkpoint, got kind {header.get('kind')!r}"
@@ -394,28 +393,32 @@ class ShardedCollector:
             if field not in header:
                 raise ConfigurationError(f"collector checkpoint is missing {field!r}")
         states = nest_arrays(flat)
+        legacy = any(key.startswith("shard") for key in states)
+        if legacy and STATE_GROUP in states:
+            raise ConfigurationError(
+                "collector checkpoint mixes a state group with per-shard groups"
+            )
         # Refuse a grid config that implies other level tuples than the
-        # stored shards hold before the prototype below builds them all.
-        for key, shard_state in states.items():
-            if key.startswith("shard") and isinstance(shard_state, dict):
-                _check_grid_level_count(header["config"], shard_state)
+        # stored groups hold before the mechanism below builds them all.
+        for group in states.values():
+            if isinstance(group, dict):
+                _check_grid_level_count(header["config"], group)
         collector = build_from_header(
             lambda: cls._from_header(header), "collector checkpoint header"
         )
-        shards = []
-        for index in range(len(collector._generators)):
-            shard = mechanism_from_config(collector._config)
-            shard_state = states.get(f"shard{index}")
-            if shard_state is None:
-                raise ConfigurationError(f"checkpoint is missing shard {index}")
-            shard.load_state_dict(shard_state)
-            shards.append(shard)
-        collector._shards = shards
+        for index in range(collector.n_shards if legacy else 1):
+            name = f"shard{index}" if legacy else STATE_GROUP
+            if name not in states:
+                raise ConfigurationError(f"checkpoint is missing its {name}/ arrays")
+            group = collector._fresh_mechanism().load_state_dict(states[name])
+            if group.is_fitted:
+                collector._state.merge_from(group)
         return collector
 
     @classmethod
     def _from_header(cls, header: Dict[str, Any]) -> "ShardedCollector":
-        """Everything but the shards, from a checkpoint's JSON header.
+        """Everything but the accumulated statistics, from a checkpoint's
+        JSON header.
 
         Fields written by older releases for shard-set growth
         (``stream_ids``, ``streams_spawned``, ``seed_sequence``) are not
@@ -434,13 +437,15 @@ class ShardedCollector:
             )
         router_info = header.get("router", {})
         _check_router(router_info.get("name"))
+        mode = header.get("mode", "aggregate")
+        RangeQueryMechanism._check_mode(mode)
         collector = cls.__new__(cls)
         collector._spec = str(header.get("spec", "mechanism"))
         collector._config = dict(header["config"])
-        prototype = mechanism_from_config(collector._config)
-        collector._epsilon = float(prototype.epsilon)
-        collector._domain_size = int(prototype.domain_size)
-        collector._mode = str(header.get("mode", "aggregate"))
+        collector._state = collector._fresh_mechanism()
+        collector._epsilon = float(collector._state.epsilon)
+        collector._domain_size = int(collector._state.domain_size)
+        collector._mode = str(mode)
         collector._cursor = int(router_info.get("state", {}).get("cursor", 0))
         collector._n_batches = int(header.get("n_batches", 0))
         collector._generators = [

@@ -101,7 +101,7 @@ def quiesce(server, attempts=500):
             return (
                 stats["submitted_batches"],
                 stats["absorbed_users"],
-                server.service.collector.generation_signature(),
+                server.service.collector.ingest_generation,
             )
         time.sleep(0.01)
     raise AssertionError("accepted batches were not absorbed in time")

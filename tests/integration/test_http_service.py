@@ -57,9 +57,9 @@ def stats_after_absorbing(server, n_batches, attempts=200):
 
 
 def shard_state(collector):
-    """Every shard's ``(ingest_generation, n_users)``: what a refused batch
-    must leave unmoved."""
-    return [(shard.ingest_generation, shard.n_users) for shard in collector.shards]
+    """The collector's ``(ingest_generation, n_users)``: what a refused
+    batch must leave unmoved."""
+    return collector.ingest_generation, collector.n_users
 
 
 def absorbed_users(client):
@@ -220,7 +220,7 @@ class TestErrorPaths:
     ):
         """JSON floats and bools are refused, not truncated to integers:
         the batch gets a 400 before a round-robin decision is spent, and
-        no shard's generation or user count moves."""
+        the collector's generation and user count do not move."""
         collector = make_collector(spec="grid2d_2", domain=8)
         with HttpServerThread(collector) as server:
             with ServiceClient(*server.address) as client:
@@ -297,7 +297,7 @@ class TestBackpressure:
 
     def test_full_queue_is_503_and_moves_no_shard(self, rng, parked_worker):
         """The one ingest queue takes exactly ``n_shards * queue_size``
-        batches; the next POST is a 503 that leaves every shard's
+        batches; the next POST is a 503 that leaves the collector's
         generation and user count, and the absorbed-users counter, where
         they were."""
         collector = make_collector(n_shards=3, seed=31)

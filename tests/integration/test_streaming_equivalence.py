@@ -104,20 +104,29 @@ class TestShardCountInvariance:
             assert means[n_shards] > 0.5 * baseline
 
     def test_merged_equals_weighted_shards_exactly(self, population):
-        """The reduce step is algebra, not estimation: exact linearity."""
+        """The reduce step is algebra, not estimation: exact linearity.
+        Per-shard mechanisms fed each shard's batches with its stream
+        (spawn child ``i`` of the seed) average, weighted by users, to the
+        collector's estimates."""
         items, _ = population
         collector = ShardedCollector(
             "flat_oue", epsilon=EPSILON, domain_size=DOMAIN, n_shards=3, random_state=5
         )
-        collector.extend(np.array_split(items, 6))
+        shards = [
+            mechanism_from_spec("flat_oue", epsilon=EPSILON, domain_size=DOMAIN)
+            for _ in range(3)
+        ]
+        streams = [
+            np.random.default_rng(child) for child in np.random.SeedSequence(5).spawn(3)
+        ]
+        for batch in np.array_split(items, 6):
+            shard = collector.submit(batch)
+            shards[shard].partial_fit(batch, random_state=streams[shard])
         merged = collector.reduce()
-        total = sum(shard.n_users for shard in collector.shards)
+        assert sum(shard.n_users for shard in shards) == collector.n_users
         expected = (
-            sum(
-                shard.n_users * shard.estimate_frequencies()
-                for shard in collector.shards
-            )
-            / total
+            sum(shard.n_users * shard.estimate_frequencies() for shard in shards)
+            / collector.n_users
         )
         np.testing.assert_allclose(merged.estimate_frequencies(), expected, atol=1e-12)
 

@@ -16,10 +16,12 @@ header that claims a huge ``domain_size``, or a grid with many axes, over
 small arrays.
 """
 
+import base64
 import json
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,28 @@ def _checkpoint(spec="hhc_4"):
     for batch in np.array_split(np.random.default_rng(5).integers(0, DOMAIN, 2000), 3):
         collector.submit(batch)
     return collector.checkpoint_bytes()
+
+
+#: Checkpoints in the per-shard layout (``shard<i>/`` groups) that releases
+#: keeping one mechanism per shard wrote; restore still reads them.
+LEGACY_CHECKPOINTS = Path(__file__).parents[1] / "unit" / "collector_checkpoints.json"
+
+
+def _legacy_checkpoint():
+    """A stored 2-shard ``hhc_4`` checkpoint in the per-shard layout."""
+    stored = json.loads(LEGACY_CHECKPOINTS.read_text())["aggregate"]
+    return base64.b64decode(stored["checkpoint"])
+
+
+def _as_legacy(checkpoint):
+    """``checkpoint`` in the per-shard layout: the ``state/`` group as
+    ``shard0/`` and every other shard unfitted, as a per-shard release
+    wrote a run whose batches all landed on shard 0."""
+    header, arrays = unpack_snapshot(checkpoint)
+    legacy = {"shard0" + key[len("state"):]: value for key, value in arrays.items()}
+    for index in range(1, header["n_shards"]):
+        legacy[f"shard{index}/n_users"] = np.int64(-1)
+    return pack_snapshot(header, legacy)
 
 
 def _unpacked(snapshot):
@@ -209,9 +233,10 @@ def test_accumulator_restore_is_typed_and_leaves_template_untouched(data, name):
 @FUZZ
 @given(data=st.data())
 def test_collector_checkpoint_restore_is_typed(data):
-    corrupted = _corrupt(data, _checkpoint())
-    _restore(lambda: ShardedCollector.from_checkpoint_bytes(corrupted))
-    _restore(lambda: snapshots.from_bytes(corrupted))
+    for checkpoint in (_checkpoint(), _legacy_checkpoint()):
+        corrupted = _corrupt(data, checkpoint)
+        _restore(lambda: ShardedCollector.from_checkpoint_bytes(corrupted))
+        _restore(lambda: snapshots.from_bytes(corrupted))
 
 
 # The malformed inputs that once raised builtin errors or were silently
@@ -314,12 +339,22 @@ def test_inconsistent_user_counts_are_rejected(spec, case):
     assert np.array_equal(template.estimate_frequencies(), answers)
 
 
+#: ``(checkpoint, prefix of one of its array groups)``: the one-state
+#: layout and each shard group of the per-shard layout.
+CHECKPOINT_GROUPS = (
+    (_checkpoint, "state/"),
+    (_legacy_checkpoint, "shard0/"),
+    (_legacy_checkpoint, "shard1/"),
+)
+
+
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_COUNTS))
 def test_inconsistent_checkpoint_shard_is_rejected(case):
-    header, arrays = _unpacked(_checkpoint())
-    INCONSISTENT_COUNTS[case](arrays, prefix="shard0/")
-    with pytest.raises(ConfigurationError):
-        ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
+    for checkpoint, prefix in CHECKPOINT_GROUPS:
+        header, arrays = _unpacked(checkpoint())
+        INCONSISTENT_COUNTS[case](arrays, prefix=prefix)
+        with pytest.raises(ConfigurationError):
+            ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
 
 
 def _without_accumulators(arrays, prefix=""):
@@ -349,12 +384,15 @@ def test_fitted_snapshot_without_accumulators_is_rejected(spec):
 
 
 def test_checkpoint_shard_without_accumulators_is_rejected():
-    header, arrays = _unpacked(_checkpoint())
-    _without_accumulators(arrays, prefix="shard1/")
-    assert int(arrays["shard1/n_users"]) > 0
-    assert not any(key.startswith("shard1/") and key != "shard1/n_users" for key in arrays)
-    with pytest.raises(ConfigurationError, match="holds no accumulators"):
-        ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
+    for checkpoint, prefix in CHECKPOINT_GROUPS:
+        header, arrays = _unpacked(checkpoint())
+        _without_accumulators(arrays, prefix=prefix)
+        assert int(arrays[prefix + "n_users"]) > 0
+        assert not any(
+            key.startswith(prefix) and key != prefix + "n_users" for key in arrays
+        )
+        with pytest.raises(ConfigurationError, match="holds no accumulators"):
+            ShardedCollector.from_checkpoint_bytes(_container(header, arrays))
 
 
 def _claiming(kind, domain_size):
@@ -370,7 +408,10 @@ def _claiming(kind, domain_size):
         claimed = mechanism_from_spec("flat_oue", epsilon=EPSILON, domain_size=domain_size)
         header, _ = _unpacked(snapshots.to_bytes(claimed))
         return _container(header, arrays)
-    _, arrays = _unpacked(_checkpoint("flat_oue"))
+    checkpoint = _checkpoint("flat_oue")
+    if kind == "legacy-collector":
+        checkpoint = _as_legacy(checkpoint)
+    _, arrays = _unpacked(checkpoint)
     claimed = ShardedCollector(
         "flat_oue", epsilon=EPSILON, domain_size=domain_size, n_shards=2, random_state=4
     )
@@ -381,7 +422,9 @@ def _claiming(kind, domain_size):
 # The stored arrays are compared with the configuration before any
 # statistic is allocated, so a header claiming a huge domain fails at the
 # size of the arrays it carries.
-@pytest.mark.parametrize("kind", ["mechanism", "accumulator", "collector"])
+@pytest.mark.parametrize(
+    "kind", ["mechanism", "accumulator", "collector", "legacy-collector"]
+)
 def test_huge_claimed_domain_is_a_configuration_error(kind):
     with pytest.raises(ConfigurationError):
         snapshots.from_bytes(_claiming(kind, 2**40))
@@ -440,9 +483,10 @@ def test_checkpoint_claiming_many_axes_is_refused_before_building():
     )
     for batch in np.array_split(np.random.default_rng(5).integers(0, GRID_SIDE, (600, 3)), 2):
         collector.submit_points(batch)
-    checkpoint = _claiming_dims(collector.checkpoint_bytes(), 13)
-    for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
-        _refused_before_building(restore, checkpoint, ConfigurationError)
+    for checkpoint in (collector.checkpoint_bytes(), _as_legacy(collector.checkpoint_bytes())):
+        checkpoint = _claiming_dims(checkpoint, 13)
+        for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
+            _refused_before_building(restore, checkpoint, ConfigurationError)
 
 
 # An unfitted grid stores no level tuples to compare the header with: a
@@ -461,9 +505,10 @@ def test_unfitted_checkpoint_claiming_many_axes_is_refused_before_building():
     collector = ShardedCollector(
         "grid3d_2", epsilon=EPSILON, domain_size=GRID_SIDE, n_shards=2, random_state=4
     )
-    checkpoint = _claiming_dims(collector.checkpoint_bytes(), 13)
-    for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
-        _refused_before_building(restore, checkpoint)
+    for checkpoint in (collector.checkpoint_bytes(), _as_legacy(collector.checkpoint_bytes())):
+        checkpoint = _claiming_dims(checkpoint, 13)
+        for restore in (ShardedCollector.from_checkpoint_bytes, snapshots.from_bytes):
+            _refused_before_building(restore, checkpoint)
 
 
 def test_restore_holds_one_copy_of_the_statistic():

@@ -116,12 +116,18 @@ class TestIngestionService:
             async with IngestionService(collector) as service:
                 return [await service.submit(batch) for batch in batches]
 
-        assert asyncio.run(scenario()) == [i % n_shards for i in range(7)]
-        expected = [
-            sum(batch.size for batch in batches[shard::n_shards])
-            for shard in range(n_shards)
-        ]
-        assert [shard.n_users for shard in collector.shards] == expected
+        placements = asyncio.run(scenario())
+        assert placements == [i % n_shards for i in range(7)]
+        # Each batch was absorbed with its placement's stream: a pinned
+        # synchronous replay reduces bit for bit like the service's run.
+        replay = make_collector(n_shards=n_shards)
+        for batch, shard in zip(batches, placements):
+            replay.submit(batch, shard=shard)
+        assert collector.n_users == sum(batch.size for batch in batches)
+        np.testing.assert_array_equal(
+            collector.reduce().estimate_frequencies(),
+            replay.reduce().estimate_frequencies(),
+        )
 
     def test_backpressure_bounds_queue_depth(self, items):
         """The one queue holds ``n_shards * queue_size`` batches; a blocking
@@ -143,7 +149,7 @@ class TestIngestionService:
         # One kernel implementation: no backend identity to report.
         assert "kernel_backend" not in IngestionService(make_collector()).stats()
 
-    def test_stats_exposes_queue_and_materialization_counters(self, items):
+    def test_stats_exposes_queue_and_view_counters(self, items):
         collector = make_collector(spec="hhc_4")
         service = IngestionService(collector)
 
@@ -153,7 +159,7 @@ class TestIngestionService:
         assert idle["submitted_batches"] == 0
         assert idle["queue_depth"] == 0
         assert idle["queue_capacity"] == collector.n_shards * 8
-        assert idle["materializations_performed"] == 0
+        assert idle["views_built"] == idle["view_generation"] == 0
 
         batches = np.array_split(items, 12)
 
@@ -171,24 +177,48 @@ class TestIngestionService:
         assert stats["submitted_users"] == items.size
         assert stats["absorbed_batches"] == len(batches)
         assert stats["absorbed_users"] == items.size
-        # Ingestion is pure accumulation: every absorbed batch bumped a
-        # shard's generation and not a single materialization ran.
-        assert stats["materializations_performed"] == 0
-        assert stats["materializations_deferred"] == len(batches)
-        assert sum(collector.generation_signature()) == len(batches)
+        # Ingestion is pure accumulation: every absorbed batch bumped the
+        # collector's generation, and no read view was built.
+        assert collector.ingest_generation == len(batches)
+        assert stats["views_built"] == 0
+        assert not any(key.startswith("materializations") for key in stats)
         assert stats["queue_depth"] == 0  # drained by join()
         assert 1 <= stats["queue_peak"] <= collector.n_shards * 4
         # One flat dictionary: no per-shard list, no second copy of totals.
         assert all(not isinstance(value, (dict, list)) for value in stats.values())
 
-        # Reading the reduced mechanism does not touch the shards ...
+        # Reading a reduced mechanism leaves the collector's state alone.
         collector.reduce().estimate_frequencies()
-        after = service.stats()
-        assert after["materializations_performed"] == 0
-        # ... but reading a shard directly is counted.
-        shard = next(s for s in collector.shards if s.is_fitted)
-        shard.estimate_frequencies()
-        assert service.stats()["materializations_performed"] == 1
+        assert collector.ingest_generation == len(batches)
+
+    def test_read_view_is_keyed_on_the_collector_generation(self, items):
+        """One view per ingest generation: reads between writes reuse it,
+        and ``view_generation`` names the generation it was built at."""
+        collector = make_collector(spec="hhc_4")
+        batches = np.array_split(items[:3000], 3)
+
+        async def scenario():
+            async with IngestionService(collector) as service:
+                await service.submit(batches[0])
+                await service.submit(batches[1])
+                await service.join()
+                first = await service.refresh_query_view()
+                assert await service.refresh_query_view() is first
+                assert service.view_generation == collector.ingest_generation == 2
+                await service.submit(batches[2])
+                await service.join()
+                second = await service.refresh_query_view()
+                assert second is not first
+                assert service.view_generation == 3
+                return service.stats(), first, second
+
+        stats, first, second = asyncio.run(scenario())
+        assert stats["views_built"] == 2
+        assert stats["view_generation"] == 3
+        assert first.n_users == batches[0].size + batches[1].size
+        np.testing.assert_array_equal(
+            second.estimate_frequencies(), collector.reduce().estimate_frequencies()
+        )
 
     def test_invalid_batch_rejected_at_submit_without_placement(self, items):
         """Validation precedes placement: a bad batch spends no round-robin
@@ -245,7 +275,7 @@ class TestIngestionService:
         batches = np.array_split(items[: 100 * (capacity + 3)], capacity + 3)
 
         def shard_state():
-            return [(s.ingest_generation, s.n_users) for s in collector.shards]
+            return collector.ingest_generation, collector.n_users
 
         def absorbed_line(service):
             return next(
@@ -281,19 +311,19 @@ class TestIngestionService:
         assert collector.n_users == sum(batch.size for batch in accepted)
 
     def test_worker_errors_surface_on_join(self, items, monkeypatch):
-        """A batch failing *inside* a shard worker is re-raised on drain."""
+        """A batch failing *inside* the worker is re-raised on drain."""
         collector = make_collector()
         monkeypatch.setattr(
-            collector.shards[0],
-            "partial_fit",
-            lambda *a, **k: (_ for _ in ()).throw(InvalidQueryError("shard died")),
+            collector,
+            "submit",
+            lambda *a, **k: (_ for _ in ()).throw(InvalidQueryError("absorb failed")),
         )
 
         async def scenario():
             async with IngestionService(collector) as service:
-                await service.submit(items[:100])  # routed to shard 0
+                await service.submit(items[:100])
 
-        with pytest.raises(InvalidQueryError, match="shard died"):
+        with pytest.raises(InvalidQueryError, match="absorb failed"):
             asyncio.run(scenario())
 
     def test_stop_surfaces_dead_worker_exceptions(self, items, monkeypatch):
@@ -343,9 +373,9 @@ class TestIngestionService:
         """A failing drain must still tear the service down (no task leak)."""
         collector = make_collector()
         monkeypatch.setattr(
-            collector.shards[0],
-            "partial_fit",
-            lambda *a, **k: (_ for _ in ()).throw(InvalidQueryError("shard died")),
+            collector,
+            "submit",
+            lambda *a, **k: (_ for _ in ()).throw(InvalidQueryError("absorb failed")),
         )
         holder = {}
 

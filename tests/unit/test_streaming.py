@@ -9,11 +9,26 @@ from repro import DECILES
 from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.core.wavelet import HaarWaveletMechanism
+from repro.core.factory import mechanism_from_spec
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.persist.format import pack_snapshot, unpack_snapshot
+from repro.persist.snapshots import mechanism_config, mechanism_from_config
 from repro.service import IngestionService
 from repro.streaming import ShardedCollector
 
 DOMAIN = 64
+
+
+def _spawned(seed, n_shards):
+    """The collector's per-shard generators: spawn children of the seed."""
+    return [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(n_shards)
+    ]
+
+
+def _generator_states(collector):
+    return unpack_snapshot(collector.checkpoint_bytes())[0]["generators"]
 
 
 @pytest.fixture
@@ -150,10 +165,19 @@ class TestShardedCollector:
         assert collector.n_users == items.size
 
     def test_explicit_shard_routing(self, items):
+        """A pinned batch is perturbed by its shard's stream: spawn child
+        ``2`` of the seed, and no other shard's generator moves."""
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=4, random_state=0)
+        before = _generator_states(collector)
         assert collector.submit(items, shard=2) == 2
-        assert collector.shards[2].is_fitted
-        assert not collector.shards[0].is_fitted
+        after = _generator_states(collector)
+        assert [a == b for a, b in zip(before, after)] == [True, True, False, True]
+        expected = FlatMechanism(1.0, DOMAIN).partial_fit(
+            items, random_state=_spawned(0, 4)[2]
+        )
+        np.testing.assert_array_equal(
+            collector.reduce().estimate_frequencies(), expected.estimate_frequencies()
+        )
 
     def test_invalid_shard_index(self, items):
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=0)
@@ -241,11 +265,11 @@ class TestShardedCollector:
         for collector in (small, large):
             collector.submit(batches[0], shard=0)
             collector.submit(batches[1], shard=1)
-        for index in (0, 1):
-            np.testing.assert_array_equal(
-                small.shards[index].estimate_frequencies(),
-                large.shards[index].estimate_frequencies(),
-            )
+        np.testing.assert_array_equal(
+            small.reduce().estimate_frequencies(),
+            large.reduce().estimate_frequencies(),
+        )
+        assert _generator_states(small) == _generator_states(large)[:2]
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
     def test_next_shard_cycles_through_every_shard(self, n_shards):
@@ -282,7 +306,9 @@ class TestShardedCollector:
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
         with pytest.raises(ConfigurationError, match="out of range"):
             collector.submit(items[:100], shard=-1)
-        assert not any(shard.is_fitted for shard in collector.shards)
+        assert collector.n_users == collector.ingest_generation == 0
+        with pytest.raises(NotFittedError):
+            collector.reduce()
 
     def test_shard_count_is_invisible_when_every_batch_lands_on_shard_zero(
         self, items
@@ -300,16 +326,19 @@ class TestShardedCollector:
             wide.reduce().estimate_frequencies(),
         )
 
-    def test_generation_signature_moves_only_on_ingest(self, items):
+    def test_ingest_generation_moves_only_on_ingest(self, items):
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=3, random_state=0)
-        empty = collector.generation_signature()
-        assert len(empty) == 3
+        assert collector.ingest_generation == 0
         collector.submit(items[:1000], shard=1)
-        after_one = collector.generation_signature()
-        assert after_one[0] == empty[0] and after_one[2] == empty[2]
-        assert after_one[1] != empty[1]
+        collector.submit(items[1000:2000])
+        assert collector.ingest_generation == 2
         collector.reduce().estimate_frequencies()
-        assert collector.generation_signature() == after_one
+        assert collector.ingest_generation == 2
+
+    @pytest.mark.parametrize("mode", ["turbo", ["x"]], ids=["unknown", "list"])
+    def test_unknown_default_mode_is_refused_at_construction(self, mode):
+        with pytest.raises(ConfigurationError, match="mode"):
+            ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, mode=mode)
 
     def test_submit_points_requires_a_grid_mechanism(self, items):
         """``flatten_points`` is the one point gate: it, the collector's
@@ -414,12 +443,33 @@ class TestCollectorCheckpoint:
             (position + step) % 3 for step in range(3)
         ]
 
-    def test_checkpoint_preserves_unfitted_shards(self, items):
+    def test_unfitted_checkpoint_restores_and_resumes(self, items):
         collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=4, random_state=2)
-        collector.submit(items[:1000])  # only shard 0 fitted
         restored = ShardedCollector.from_checkpoint_bytes(collector.checkpoint_bytes())
-        fitted = [shard.is_fitted for shard in restored.shards]
-        assert fitted == [True, False, False, False]
+        assert restored.n_users == 0
+        with pytest.raises(NotFittedError):
+            restored.reduce()
+        for resumed in (collector, restored):
+            resumed.submit(items[:1000])
+        np.testing.assert_array_equal(
+            restored.reduce().estimate_frequencies(),
+            collector.reduce().estimate_frequencies(),
+        )
+
+    def test_checkpoint_layout_does_not_grow_with_the_shard_count(self, items):
+        """One ``state/`` group whatever ``K`` is: the arrays' keys and
+        shapes match at K = 1 and K = 4, only the generator list grows."""
+        layouts = {}
+        for n_shards in (1, 4):
+            collector = ShardedCollector(
+                "hhc_4", 1.0, DOMAIN, n_shards=n_shards, random_state=2
+            )
+            collector.extend(np.array_split(items[:5000], 6))
+            header, arrays = unpack_snapshot(collector.checkpoint_bytes())
+            assert len(header["generators"]) == n_shards
+            layouts[n_shards] = {key: value.shape for key, value in arrays.items()}
+        assert layouts[1] == layouts[4]
+        assert all(key.startswith("state/") for key in layouts[1])
 
     def test_mechanism_snapshot_rejected_as_checkpoint(self, items):
         from repro import persist
@@ -460,8 +510,6 @@ class TestCollectorCheckpoint:
 
 def _tampered_checkpoint(mutate, drop_array=None):
     """A 2-shard checkpoint whose header ``mutate`` edited in place."""
-    from repro.persist.format import pack_snapshot, unpack_snapshot
-
     collector = ShardedCollector("flat", 1.0, DOMAIN, n_shards=2, random_state=5)
     collector.submit(np.arange(DOMAIN))
     header, arrays = unpack_snapshot(collector.checkpoint_bytes())
@@ -496,20 +544,92 @@ class TestCheckpointHeaderValidation:
              "malformed"),
             (lambda h: h["router"]["state"].update(cursor="next"), "malformed"),
             (lambda h: h.update(kind="mechanism"), "collector"),
+            (lambda h: h.update(mode="turbo"), "mode"),
+            (lambda h: h.update(mode=["x"]), "mode"),
         ],
         ids=[
             "no-n_shards", "no-config", "too-few-generators",
             "generator-missing", "non-integer-n_shards", "zero-shards",
             "unknown-bit-generator",
             "not-a-bit-generator", "state-of-another-bit-generator",
-            "non-integer-cursor", "wrong-kind",
+            "non-integer-cursor", "wrong-kind", "unknown-mode", "list-mode",
         ],
     )
     def test_malformed_header_is_a_configuration_error(self, mutate, match):
         with pytest.raises(ConfigurationError, match=match):
             ShardedCollector.from_checkpoint_bytes(_tampered_checkpoint(mutate))
 
-    def test_missing_shard_arrays_are_named(self):
-        data = _tampered_checkpoint(lambda header: None, drop_array="shard1")
-        with pytest.raises(ConfigurationError, match="missing shard 1"):
+    def test_missing_state_arrays_are_named(self):
+        data = _tampered_checkpoint(lambda header: None, drop_array="state/")
+        with pytest.raises(ConfigurationError, match="missing its state/ arrays"):
             ShardedCollector.from_checkpoint_bytes(data)
+
+
+REFERENCE_SPECS = [
+    "flat_oue", "flat_hrr", "flat_olh", "flat_grr",
+    "hh_4", "hhc_4", "haar", "grid2d_2", "grid3d_2",
+]
+GRID_SIDE = 4
+
+
+class TestOneStateMatchesShardReference:
+    """The collector's one accumulated state reduces exactly like ``K``
+    per-shard mechanisms, each fed its shard's batches with the collector's
+    spawn child ``i``, merged into a fresh mechanism: the statistics are
+    integer-valued sums and no draw depends on accumulated state."""
+
+    @staticmethod
+    def _reference(config, n_shards, seed, mode, placed):
+        shards = [mechanism_from_config(config) for _ in range(n_shards)]
+        generators = _spawned(seed, n_shards)
+        for items, shard in placed:
+            shards[shard].partial_fit(items, random_state=generators[shard], mode=mode)
+        reduced = mechanism_from_config(config)
+        for shard in shards:
+            if shard.is_fitted:
+                reduced.merge_from(shard)
+        return reduced
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["aggregate", "per_user"])
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_reduce_is_bit_identical_to_merged_shards(self, spec, mode, n_shards):
+        grid = spec.startswith("grid")
+        dims = 3 if spec.startswith("grid3d") else 2
+        domain = GRID_SIDE if grid else DOMAIN
+        collector = ShardedCollector(
+            spec, 1.1, domain, n_shards=n_shards, random_state=19, mode=mode
+        )
+        rng = np.random.default_rng(23)
+        placed = []
+        sizes = [37, 400, 1, 650, 55, 913, 300]
+        pins = [None, n_shards - 1, None, 0, None, None, 1 % n_shards]
+        for size, pin in zip(sizes, pins):
+            if grid:
+                points = rng.integers(0, GRID_SIDE, size=(size, dims))
+                shard = collector.submit_points(points, shard=pin)
+                items = collector.flatten_points(points)
+            else:
+                items = rng.integers(0, DOMAIN, size=size)
+                shard = collector.submit(items, shard=pin)
+            assert pin is None or shard == pin
+            placed.append((items, shard))
+
+        reduced = collector.reduce()
+        config = mechanism_config(mechanism_from_spec(spec, epsilon=1.1, domain_size=domain))
+        reference = self._reference(config, n_shards, 19, mode, placed)
+        assert reduced.n_users == reference.n_users == collector.n_users == sum(sizes)
+        np.testing.assert_array_equal(
+            reduced.state_dict()["level_user_counts"],
+            reference.state_dict()["level_user_counts"],
+        )
+        np.testing.assert_array_equal(
+            reduced.estimate_frequencies(), reference.estimate_frequencies()
+        )
+        if grid:
+            queries = np.array([[0, GRID_SIDE - 1] * dims, [1, 2] * dims])
+            answer = lambda mechanism: mechanism.answer_boxes(queries)  # noqa: E731
+        else:
+            queries = np.array([[0, DOMAIN - 1], [3, 32], [5, 5], [21, 62]])
+            answer = lambda mechanism: mechanism.answer_ranges(queries)  # noqa: E731
+        np.testing.assert_array_equal(answer(reduced), answer(reference))
