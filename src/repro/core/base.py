@@ -52,6 +52,8 @@ import abc
 from typing import (
     Any,
     Callable,
+    Dict,
+    FrozenSet,
     Hashable,
     Iterator,
     List,
@@ -215,6 +217,24 @@ class RangeQueryMechanism(abc.ABC):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    #: The class's name in :mod:`repro.persist` headers (``None``: restore
+    #: into a template only).
+    config_kind: Optional[str] = None
+    #: :meth:`config_dict` keys a stored config may omit (the default applies).
+    config_optional: FrozenSet[str] = frozenset({"name", "oracle_kwargs"})
+
+    def config_dict(self) -> Dict[str, Any]:
+        """JSON-serialisable constructor keywords reproducing this mechanism
+        (a ``**oracle_kwargs`` catch-all as one ``oracle_kwargs`` mapping),
+        which :mod:`repro.persist` stores under :attr:`config_kind`.
+        Subclasses extend it with their own options.
+        """
+        return {
+            "epsilon": float(self.epsilon),
+            "domain_size": int(self.domain_size),
+            "name": self._name,
+        }
+
     @property
     def epsilon(self) -> float:
         """Per-report privacy budget."""
@@ -909,7 +929,7 @@ class RangeQueryMechanism(abc.ABC):
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(epsilon={self.epsilon:.4g}, "
-            f"domain_size={self.domain_size}, fitted={self.is_fitted})"
+        options = "".join(
+            f"{key}={value!r}, " for key, value in self.config_dict().items()
         )
+        return f"{type(self).__name__}({options}fitted={self.is_fitted})"

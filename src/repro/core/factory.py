@@ -12,14 +12,15 @@ strings modelled on the paper's naming:
 ``"hh_8_hrr"`` / ``"hhc_8_hrr"``  HH with the HRR oracle (``TreeHRR[CI]``)
 ``"hhc_16_olh"``            HH with the OLH oracle (``TreeOLHCI``)
 ``"haar"`` / ``"haar_hrr"``  :class:`HaarWaveletMechanism` (``HaarHRR``)
-``"grid2d"`` / ``"grid2d_2"``  :class:`HierarchicalGrid2D`, per-axis ``B = 2``,
+``"grid3d"`` / ``"gridnd"``  :class:`HierarchicalGridND`, per-axis ``B = 2``,
                             OUE oracle (Section 6; ``domain_size`` is the
-                            grid *side length*)
-``"grid2d_4_hrr"``          the 2-D grid with ``B = 4`` and the HRR oracle
-``"gridnd"`` / ``"grid3d"``  :class:`HierarchicalGridND` (``gridnd`` takes
-                            ``dims`` from kwargs, default 2; ``grid<d>d``
-                            encodes it in the spec)
+                            grid *side length*; ``grid<d>d`` encodes ``d``
+                            in the spec and wins over a ``dims`` kwarg,
+                            ``gridnd`` takes ``dims`` from kwargs, default 2)
 ``"grid3d_4_hrr"``          the 3-D grid with ``B = 4`` and the HRR oracle
+``"grid2d"`` / ``"grid2d_4_hrr"``  any grid spec at ``d = 2`` builds
+                            :class:`HierarchicalGrid2D`, the 2-D grid's
+                            own class (its persist identity)
 ``"auto"`` / ``"auto_3d"``  planner-chosen spec: :func:`repro.planner.plan`
                             ranks the candidate families by their
                             closed-form variance bounds for the workload in
@@ -48,12 +49,7 @@ _HH_PATTERN = re.compile(
 )
 _FLAT_PATTERN = re.compile(r"^flat(?:[_-](?P<oracle>[a-z]+))?$")
 _HAAR_PATTERN = re.compile(r"^haar(?:[_-]hrr)?$")
-_GRID2D_PATTERN = re.compile(
-    r"^grid2d(?:[_-](?P<branching>\d+))?(?:[_-](?P<oracle>[a-z]+))?$"
-)
-# Checked after _GRID2D_PATTERN so "grid2d..." keeps constructing the 2-D
-# class (its historical persist identity).
-_GRIDND_PATTERN = re.compile(
+_GRID_PATTERN = re.compile(
     r"^grid(?:nd|(?P<dims>\d+)d)(?:[_-](?P<branching>\d+))?(?:[_-](?P<oracle>[a-z]+))?$"
 )
 _AUTO_PATTERN = re.compile(r"^auto(?:[_-](?P<dims>\d+)d)?$")
@@ -75,44 +71,21 @@ def mechanism_from_spec(
         return FlatMechanism(epsilon, domain_size, oracle=oracle, name=spec, **kwargs)
     if _HAAR_PATTERN.match(token):
         return HaarWaveletMechanism(epsilon, domain_size, name=spec, **kwargs)
-    grid_match = _GRID2D_PATTERN.match(token)
+    grid_match = _GRID_PATTERN.match(token)
     if grid_match:
-        branching = int(grid_match.group("branching") or 2)
-        oracle = grid_match.group("oracle") or "oue"
-        return HierarchicalGrid2D(
-            epsilon,
-            domain_size,
-            branching=branching,
-            oracle=oracle,
+        dims = int(grid_match.group("dims") or kwargs.pop("dims", 2))
+        kwargs.pop("dims", None)  # spec digit wins over a redundant kwarg
+        options = dict(
+            branching=int(grid_match.group("branching") or 2),
+            oracle=grid_match.group("oracle") or "oue",
             name=spec,
             **kwargs,
         )
-    gridnd_match = _GRIDND_PATTERN.match(token)
-    if gridnd_match:
-        dims = int(gridnd_match.group("dims") or kwargs.pop("dims", 2))
-        kwargs.pop("dims", None)  # spec digit wins over a redundant kwarg
-        branching = int(gridnd_match.group("branching") or 2)
-        oracle = gridnd_match.group("oracle") or "oue"
         if dims == 2:
             # The 2-D grid keeps its own class (historical persist
             # identity) whichever spelling names it.
-            return HierarchicalGrid2D(
-                epsilon,
-                domain_size,
-                branching=branching,
-                oracle=oracle,
-                name=spec,
-                **kwargs,
-            )
-        return HierarchicalGridND(
-            epsilon,
-            domain_size,
-            dims=dims,
-            branching=branching,
-            oracle=oracle,
-            name=spec,
-            **kwargs,
-        )
+            return HierarchicalGrid2D(epsilon, domain_size, **options)
+        return HierarchicalGridND(epsilon, domain_size, dims=dims, **options)
     auto_match = _AUTO_PATTERN.match(token)
     if auto_match:
         # Planned spec: rank the candidate configurations by closed-form

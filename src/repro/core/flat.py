@@ -11,7 +11,7 @@ end of the branching-factor axis.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -58,6 +58,14 @@ class FlatMechanism(RangeQueryMechanism):
         self._init_labels({_LEAVES: self._oracle})
         self._frequencies: Optional[np.ndarray] = None
         self._prefix: Optional[np.ndarray] = None
+
+    config_kind = "flat"
+
+    def config_dict(self) -> Dict[str, Any]:
+        config = super().config_dict()
+        config["oracle"] = self._oracle.name
+        config["oracle_kwargs"] = dict(self._oracle_kwargs)
+        return config
 
     @property
     def oracle(self):

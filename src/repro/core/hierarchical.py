@@ -24,7 +24,7 @@ justifies the paper's choice of level *sampling*.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,21 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    config_kind = "hierarchical"
+    config_optional = frozenset({"name", "oracle_kwargs", "level_probabilities", "budget_strategy"})
+
+    def config_dict(self) -> Dict[str, Any]:
+        config = super().config_dict()
+        config.update(
+            branching=int(self.branching),
+            oracle=self._oracle_name,
+            consistency=bool(self._consistency),
+            level_probabilities=self._level_probabilities_config,
+            budget_strategy=self._budget_strategy,
+            oracle_kwargs=dict(self._oracle_kwargs),
+        )
+        return config
+
     @property
     def tree(self) -> DomainTree:
         """The domain tree geometry."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,6 +229,19 @@ class HierarchicalGridND(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    config_kind = "gridnd"
+    config_optional = frozenset({"name", "oracle_kwargs", "branching", "oracle"})
+
+    def config_dict(self) -> Dict[str, Any]:
+        config = super().config_dict()  # domain_size: the side length
+        config.update(
+            dims=self._dims,
+            branching=int(self.branching),
+            oracle=self._oracle_name,
+            oracle_kwargs=dict(self._oracle_kwargs),
+        )
+        return config
+
     def _cells_at(self, levels: LevelTuple) -> int:
         """Number of grid cells of the resolution grid at a level tuple."""
         cells = 1
@@ -631,13 +644,6 @@ class HierarchicalGridND(RangeQueryMechanism):
             dims=self._dims,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(epsilon={self.epsilon:.4g}, "
-            f"domain_size={self._side}, dims={self._dims}, "
-            f"branching={self.branching}, fitted={self.is_fitted})"
-        )
-
 
 class HierarchicalGrid2D(HierarchicalGridND):
     """:class:`HierarchicalGridND` at ``d = 2``, kept for its persist identity.
@@ -671,6 +677,13 @@ class HierarchicalGrid2D(HierarchicalGridND):
             **oracle_kwargs,
         )
 
+    config_kind = "grid2d"
+
+    def config_dict(self) -> Dict[str, Any]:
+        config = super().config_dict()
+        del config["dims"]  # not a constructor keyword: d = 2 is the class
+        return config
+
     def _merge_signature(self) -> tuple:
         # Kept verbatim from before the ND refactor (no dims component) so
         # pre-existing grid2d snapshots and checkpoints stay compatible.
@@ -679,10 +692,4 @@ class HierarchicalGrid2D(HierarchicalGridND):
             self._oracle_name,
             self.branching,
             tuple(sorted(self._oracle_kwargs.items())),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HierarchicalGrid2D(epsilon={self.epsilon:.4g}, domain_size={self._side}, "
-            f"branching={self.branching}, fitted={self.is_fitted})"
         )

@@ -26,7 +26,7 @@ the paper bounds the variance of *any* range query by ``log2^2(D) V_F / 2``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,14 @@ class HaarWaveletMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    config_kind = "haar"
+    config_optional = frozenset({"name", "level_probabilities"})
+
+    def config_dict(self) -> Dict[str, Any]:
+        config = super().config_dict()
+        config["level_probabilities"] = self._level_probabilities_config
+        return config
+
     @property
     def padded_size(self) -> int:
         """Power-of-two size of the Haar tree actually used."""

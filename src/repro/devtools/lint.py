@@ -33,7 +33,10 @@ LDP-R004  Asyncio discipline: no blocking calls inside ``async def``; no
 LDP-R005  Persist coverage: ``state_dict`` and ``load_state_dict`` come in
           pairs, and every concrete mechanism (every non-abstract subclass
           of ``RangeQueryMechanism``, whose snapshot hooks it inherits) is
-          registered with a persist config kind.
+          listed in persist's kind table: a module-level dict (display or
+          comprehension) in ``repro/persist/snapshots.py``.  A class only
+          mentioned elsewhere there (an import, an ``isinstance``) is not
+          registered.
 LDP-R006  Exception discipline: library raises use ``repro.exceptions``
           types, not bare ``ValueError``/``RuntimeError``/``Exception``.
 LDP-R008  One HTTP transport: nothing imports ``http.client`` or
@@ -80,8 +83,8 @@ RULES: Dict[str, str] = {
     "LDP-R004": "async code never blocks the event loop or discards task "
     "handles / gathered exceptions",
     "LDP-R005": "state_dict/load_state_dict come in pairs and every "
-    "concrete RangeQueryMechanism subclass is registered with a persist "
-    "config kind",
+    "concrete RangeQueryMechanism subclass is listed in persist's kind "
+    "table",
     "LDP-R006": "query/ingest paths raise repro.exceptions types, not bare "
     "ValueError/RuntimeError/Exception",
     "LDP-R008": "one HTTP transport: no http.client or urllib.request "
@@ -591,7 +594,8 @@ def _check_persist_registration(facts: _ProjectFacts) -> Iterator[Finding]:
             info.line,
             0,
             f"mechanism {name} snapshots state but is not registered "
-            "with a persist config kind (repro/persist/snapshots.py)",
+            "with a persist config kind (list it in the kind table of "
+            "repro/persist/snapshots.py)",
         )
 
 
@@ -691,11 +695,16 @@ def _project_facts(contexts: Sequence[_FileContext]) -> _ProjectFacts:
                 )
         if ctx.parts[-2:] == ("persist", "snapshots.py"):
             facts.has_persist_registry = True
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Name):
-                    facts.persist_registry_names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    facts.persist_registry_names.add(node.attr)
+            # The kind table: module-level dicts (displays or comprehensions).
+            for statement in ctx.tree.body:
+                if isinstance(statement, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    statement.value, (ast.Dict, ast.DictComp)
+                ):
+                    for node in ast.walk(statement.value):
+                        if isinstance(node, ast.Name):
+                            facts.persist_registry_names.add(node.id)
+                        elif isinstance(node, ast.Attribute):
+                            facts.persist_registry_names.add(node.attr)
     return facts
 
 

@@ -16,6 +16,14 @@ histogram, Haar wavelet, N-d grid).  A snapshot carries three layers:
    rebuild it from scratch, and its *merge signature*;
 3. the sufficient-statistic arrays, bit-exact.
 
+A mechanism describes itself: its class names its header ``config_kind``
+and its :meth:`~repro.core.base.RangeQueryMechanism.config_dict` returns
+its constructor keywords.  This module holds no per-class code, only the
+one ``kind -> class`` table :data:`MECHANISM_KINDS`; rebuilding is a table
+lookup plus a constructor call.  A stored configuration holds exactly the
+constructor's keywords: only the class's ``config_optional`` keys may be
+absent, and an unknown key is refused.
+
 Snapshots interact cleanly with lazy estimate materialization: only the
 sufficient statistics are serialised, so saving a *dirty* mechanism (one
 with batches absorbed but estimates not yet rebuilt) neither forces a
@@ -35,9 +43,11 @@ which is the compatibility gate that makes restored state safe to
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, TypeVar, Union
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -60,6 +70,7 @@ from repro.persist.format import (
 )
 
 __all__ = [
+    "MECHANISM_KINDS",
     "build_from_header",
     "from_bytes",
     "load",
@@ -124,136 +135,77 @@ def _check_signature(stored: Any, live: Any, what: str) -> None:
 # ----------------------------------------------------------------------
 # Mechanism configuration (rebuild-from-scratch support)
 # ----------------------------------------------------------------------
-def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
-    """JSON-serialisable constructor description of a mechanism.
-
-    Covers the registered mechanism families; raises
-    :class:`~repro.exceptions.ConfigurationError` for anything else (such
-    mechanisms can still be snapshotted template-only, but they cannot be
-    rebuilt from the header).
-    """
-    if isinstance(mechanism, FlatMechanism):
-        return {
-            "kind": "flat",
-            "epsilon": float(mechanism.epsilon),
-            "domain_size": int(mechanism.domain_size),
-            "oracle": mechanism.oracle.name,
-            "oracle_kwargs": dict(mechanism._oracle_kwargs),
-            "name": mechanism._name,
-        }
-    if isinstance(mechanism, HierarchicalHistogramMechanism):
-        return {
-            "kind": "hierarchical",
-            "epsilon": float(mechanism.epsilon),
-            "domain_size": int(mechanism.domain_size),
-            "branching": int(mechanism.branching),
-            "oracle": mechanism._oracle_name,
-            "consistency": bool(mechanism.consistency),
-            "budget_strategy": mechanism.budget_strategy,
-            "level_probabilities": mechanism._level_probabilities_config,
-            "oracle_kwargs": dict(mechanism._oracle_kwargs),
-            "name": mechanism._name,
-        }
-    if isinstance(mechanism, HaarWaveletMechanism):
-        return {
-            "kind": "haar",
-            "epsilon": float(mechanism.epsilon),
-            "domain_size": int(mechanism.domain_size),
-            "level_probabilities": mechanism._level_probabilities_config,
-            "name": mechanism._name,
-        }
-    if isinstance(mechanism, HierarchicalGrid2D):
-        # The d = 2 specialization keeps the historical "grid2d" kind (no
-        # dims field) so pre-refactor snapshots stay byte-compatible.
-        return {
-            "kind": "grid2d",
-            "epsilon": float(mechanism.epsilon),
-            "domain_size": int(mechanism.domain_size),  # grid side length
-            "branching": int(mechanism.branching),
-            "oracle": mechanism._oracle_name,
-            "oracle_kwargs": dict(mechanism._oracle_kwargs),
-            "name": mechanism._name,
-        }
-    if isinstance(mechanism, HierarchicalGridND):
-        return {
-            "kind": "gridnd",
-            "epsilon": float(mechanism.epsilon),
-            "domain_size": int(mechanism.domain_size),  # grid side length
-            "dims": int(mechanism.dims),
-            "branching": int(mechanism.branching),
-            "oracle": mechanism._oracle_name,
-            "oracle_kwargs": dict(mechanism._oracle_kwargs),
-            "name": mechanism._name,
-        }
-    raise ConfigurationError(
-        f"{type(mechanism).__name__} has no snapshot configuration; "
-        "pass an explicit template when restoring"
+#: The mechanism families a header can rebuild, by their ``config_kind``.
+MECHANISM_KINDS: Dict[str, type] = {
+    cls.config_kind: cls
+    for cls in (
+        FlatMechanism,
+        HierarchicalHistogramMechanism,
+        HaarWaveletMechanism,
+        HierarchicalGrid2D,
+        HierarchicalGridND,
     )
+}
 
 
-def mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
+@functools.lru_cache(maxsize=None)
+def _config_keys(cls: type) -> FrozenSet[str]:
+    """The keys of a ``cls`` config: its constructor's parameter names (the
+    ``**oracle_kwargs`` catch-all is one ``oracle_kwargs`` mapping)."""
+    return frozenset(inspect.signature(cls).parameters)
+
+
+def mechanism_config(mechanism: RangeQueryMechanism) -> Dict[str, Any]:
+    """JSON-serialisable constructor description of a mechanism: its
+    ``config_kind`` plus its
+    :meth:`~repro.core.base.RangeQueryMechanism.config_dict`.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` for a mechanism
+    whose kind is not in :data:`MECHANISM_KINDS` (such mechanisms can still
+    be snapshotted template-only, but they cannot be rebuilt from the
+    header).
+    """
+    if mechanism.config_kind not in MECHANISM_KINDS:
+        raise ConfigurationError(
+            f"{type(mechanism).__name__} has no snapshot configuration; "
+            "pass an explicit template when restoring"
+        )
+    return {"kind": mechanism.config_kind, **mechanism.config_dict()}
+
+
+def mechanism_from_config(config: Mapping[str, Any]) -> RangeQueryMechanism:
     """Rebuild an unfitted mechanism from :func:`mechanism_config` output.
 
-    ``config`` may come from an untrusted snapshot header: anything that is
-    not a well-formed configuration raises
-    :class:`~repro.exceptions.ConfigurationError`.
+    ``config`` may come from an untrusted snapshot header: an unknown kind,
+    a missing or unknown key, or a value the constructor refuses raises
+    :class:`~repro.exceptions.ConfigurationError`.  Only the class's
+    ``config_optional`` keys may be absent.
     """
-    return build_from_header(lambda: _mechanism_from_config(dict(config)), "mechanism config")
+    cls, options = _checked_config(config)
+    oracle_kwargs = options.pop("oracle_kwargs", {})
+    return build_from_header(lambda: cls(**options, **oracle_kwargs), "mechanism config")
 
 
-def _mechanism_from_config(config: Dict[str, Any]) -> RangeQueryMechanism:
-    kind = config.pop("kind", None)
-    name = config.pop("name", None)
-    try:
-        if kind == "flat":
-            return FlatMechanism(
-                epsilon=config["epsilon"],
-                domain_size=config["domain_size"],
-                oracle=config["oracle"],
-                name=name,
-                **config.get("oracle_kwargs", {}),
-            )
-        if kind == "hierarchical":
-            return HierarchicalHistogramMechanism(
-                epsilon=config["epsilon"],
-                domain_size=config["domain_size"],
-                branching=config["branching"],
-                oracle=config["oracle"],
-                consistency=config["consistency"],
-                level_probabilities=config.get("level_probabilities"),
-                budget_strategy=config.get("budget_strategy", "sampling"),
-                name=name,
-                **config.get("oracle_kwargs", {}),
-            )
-        if kind == "haar":
-            return HaarWaveletMechanism(
-                epsilon=config["epsilon"],
-                domain_size=config["domain_size"],
-                level_probabilities=config.get("level_probabilities"),
-                name=name,
-            )
-        if kind == "grid2d":
-            return HierarchicalGrid2D(
-                epsilon=config["epsilon"],
-                domain_size=config["domain_size"],
-                branching=config.get("branching", 2),
-                oracle=config.get("oracle", "oue"),
-                name=name,
-                **config.get("oracle_kwargs", {}),
-            )
-        if kind == "gridnd":
-            return HierarchicalGridND(
-                epsilon=config["epsilon"],
-                domain_size=config["domain_size"],
-                dims=config["dims"],
-                branching=config.get("branching", 2),
-                oracle=config.get("oracle", "oue"),
-                name=name,
-                **config.get("oracle_kwargs", {}),
-            )
-    except KeyError as error:
-        raise ConfigurationError(f"mechanism config is missing {error}")
-    raise ConfigurationError(f"unknown mechanism config kind {kind!r}")
+def _checked_config(config: Any) -> Tuple[type, Dict[str, Any]]:
+    """The class a config names and its constructor options, once the
+    config holds exactly that class's keys."""
+    if not isinstance(config, Mapping):
+        raise ConfigurationError(
+            f"mechanism config must be a mapping, got {type(config).__name__}"
+        )
+    options = dict(config)
+    kind = options.pop("kind", None)
+    cls = MECHANISM_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigurationError(f"unknown mechanism config kind {kind!r}")
+    keys = _config_keys(cls)
+    if keys - cls.config_optional - options.keys() or options.keys() - keys:
+        raise ConfigurationError(
+            f"a {kind} mechanism config holds {sorted(keys)}, of which only "
+            f"{sorted(cls.config_optional & keys)} may be absent; got "
+            f"{sorted(map(str, options))}"
+        )
+    return cls, options
 
 
 def _check_grid_level_count(config: Any, state: Dict[str, Any]) -> None:
@@ -264,17 +216,17 @@ def _check_grid_level_count(config: Any, state: Dict[str, Any]) -> None:
     (``h`` levels per axis), so a small snapshot whose header claims many
     axes would cost time and memory exponential in ``d`` before
     :meth:`~repro.core.base.RangeQueryMechanism.load_state_dict` compared
-    anything.  Here the count is arithmetic on the header.  A malformed
-    config is left to the constructor, which refuses it.
+    anything.  Here the count is arithmetic on the header.  A value of the
+    wrong type or range is left to the constructor, which refuses it.
     """
     stored = state.get("accumulators")
-    if not isinstance(config, dict) or not isinstance(stored, dict):
+    if not isinstance(stored, dict):
         return
-    kind = config.get("kind")
-    if kind not in ("grid2d", "gridnd"):
+    cls, options = _checked_config(config)
+    if not issubclass(cls, HierarchicalGridND):
         return
-    side, branching = config.get("domain_size"), config.get("branching", 2)
-    dims = 2 if kind == "grid2d" else config.get("dims")
+    side, branching = options["domain_size"], options.get("branching", 2)
+    dims = options.get("dims", 2)  # the 2-D grid's config has no dims key
     if not all(type(value) is int for value in (side, branching, dims)):
         return
     # Past 62 axes the constructor refuses the flattened domain at once;
@@ -355,10 +307,8 @@ def to_bytes(obj: Snapshotable) -> bytes:
             "mechanism_class": type(obj).__name__,
             "signature": normalize_signature(obj._merge_signature()),
         }
-        try:
+        if obj.config_kind in MECHANISM_KINDS:  # else template-only restore
             header["config"] = mechanism_config(obj)
-        except ConfigurationError:
-            pass  # template-only restore remains possible
         arrays = flatten_arrays(obj.state_dict())
         return pack_snapshot(header, arrays)
     raise ConfigurationError(

@@ -9,7 +9,7 @@ avoids the legacy ``numpy.random.RandomState`` global state.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Union
+from typing import List, Union
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -201,7 +201,3 @@ def spawn_generators(random_state: RandomState, count: int) -> List[np.random.Ge
     seq = as_seed_sequence(random_state)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
-
-def iter_generators(random_state: RandomState, count: int) -> Iterable[np.random.Generator]:
-    """Generator-yielding variant of :func:`spawn_generators`."""
-    yield from spawn_generators(random_state, count)

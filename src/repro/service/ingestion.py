@@ -329,21 +329,26 @@ class IngestionService:
         """A reduced, materialized, answer-cached view of the live state.
 
         The read side of the service: returns the cached view as long as
-        the collector's ``ingest_generation`` is unchanged (one integer
-        compare per request); otherwise drains the ingest queue to a
-        generation boundary, reduces, materializes the estimates off the
-        per-query path and installs a fresh answer cache of ``query_cache_size``
-        entries.  Reads therefore see every batch that was *absorbed* when
-        the view was built — the same freshness contract ``reduce()`` on a
-        live collection offers — while repeated queries between writes stay
-        O(1) cache hits.
+        the collector's ``ingest_generation`` is unchanged and no accepted
+        batch is still queued (a few integer compares per request);
+        otherwise drains the ingest queue to a generation boundary,
+        reduces, materializes the estimates off the per-query path and
+        installs a fresh answer cache of ``query_cache_size`` entries.
+        Reads therefore see every batch that was *accepted* (whose
+        ``submit`` returned) before the read — the same freshness contract
+        ``reduce()`` on a live collection offers — while repeated queries
+        between writes stay O(1) cache hits.
 
         Raises :class:`~repro.exceptions.NotFittedError` while nothing has
         been absorbed yet.
         """
         self._require_started()
-        generation = self._collector.ingest_generation
-        if self._query_view is not None and generation == self._view_generation:
+        if (
+            self._query_view is not None
+            and self._collector.ingest_generation == self._view_generation
+            and self._queue.empty()
+            and self._pending_puts == 0
+        ):
             return self._query_view
         # Drain to a generation boundary before the synchronous reduce: a
         # queue.join() only returns once every in-flight absorb has called

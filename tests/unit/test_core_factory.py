@@ -45,6 +45,12 @@ class TestSpecParser:
         assert grid._oracle_name == "hrr"
         assert mechanism_from_spec("grid2d", 1.0, 32).branching == 2
 
+    def test_grid_spec_digit_wins_over_dims_kwarg(self):
+        grid = mechanism_from_spec("grid2d", 1.0, 16, dims=3)
+        assert type(grid) is HierarchicalGrid2D
+        assert grid.dims == 2
+        assert grid.flat_domain_size == 16**2
+
     def test_consistency_flag(self):
         assert not mechanism_from_spec("hh_4", 1.0, 64).consistency
         assert mechanism_from_spec("hhc_4", 1.0, 64).consistency

@@ -473,12 +473,31 @@ class TestPersistCoverageR005:
         findings, _ = self._write_tree(
             tmp_path,
             """
+            MECHANISM_KINDS = {
+                cls.config_kind: cls for cls in (SomeOtherMechanism, ShinyMechanism)
+            }
+            """,
+        )
+        assert findings == []
+
+    def test_mechanism_only_mentioned_outside_the_kind_table_flagged(self, tmp_path):
+        # An import and an isinstance ladder name the class, but only the
+        # module-level kind table registers it.
+        findings, _ = self._write_tree(
+            tmp_path,
+            """
+            from repro.core.mech import ShinyMechanism
+
+            MECHANISM_KINDS = {"other": SomeOtherMechanism}
+
             def mechanism_config(mechanism):
                 if isinstance(mechanism, ShinyMechanism):
                     return {"kind": "shiny"}
             """,
         )
-        assert findings == []
+        assert rules_of(findings) == ["LDP-R005"]
+        assert "ShinyMechanism" in findings[0].message
+        assert "kind table" in findings[0].message
 
     def test_inherited_snapshot_hooks_need_registration(self, tmp_path):
         mech = tmp_path / "repro" / "core" / "mech.py"

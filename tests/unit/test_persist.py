@@ -1,5 +1,7 @@
 """Unit tests for repro.persist: snapshot round-trips and compatibility gates."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import persist
 from repro.core.factory import mechanism_from_spec
 from repro.core.flat import FlatMechanism
 from repro.core.hierarchical import HierarchicalHistogramMechanism
+from repro.core.multidim import HierarchicalGridND
 from repro.core.wavelet import HaarWaveletMechanism
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.registry import available_oracles, make_oracle
@@ -267,20 +270,74 @@ class TestMechanismConfig:
                 EPSILON, DOMAIN, branching=8, oracle="hrr", consistency=False
             ),
             lambda: HaarWaveletMechanism(EPSILON, DOMAIN),
+            lambda: mechanism_from_spec("grid2d", EPSILON, 8),
+            lambda: mechanism_from_spec("grid3d", EPSILON, 8),
+            lambda: HierarchicalGridND(EPSILON, 8, dims=2),
+            lambda: HierarchicalHistogramMechanism(
+                EPSILON,
+                DOMAIN,
+                branching=4,
+                budget_strategy="splitting",
+                level_probabilities=[0.5, 0.25, 0.25],
+                name="split",
+            ),
+            lambda: HaarWaveletMechanism(
+                EPSILON, DOMAIN, level_probabilities=[1, 1, 2, 2, 3, 3]
+            ),
         ],
     )
     def test_config_round_trip_preserves_signature(self, factory):
         mechanism = factory()
-        clone = persist.mechanism_from_config(persist.mechanism_config(mechanism))
+        config = persist.mechanism_config(mechanism)
+        clone = persist.mechanism_from_config(config)
         assert clone is not mechanism
+        assert type(clone) is type(mechanism)
         assert not clone.is_fitted
+        assert persist.mechanism_config(clone) == config
         assert persist.normalize_signature(
             clone._merge_signature()
         ) == persist.normalize_signature(mechanism._merge_signature())
 
-    def test_unknown_config_kind_rejected(self):
+    @pytest.mark.parametrize("kind", sorted(persist.snapshots.MECHANISM_KINDS))
+    def test_config_keys_are_the_constructor_keywords(self, kind):
+        cls = persist.snapshots.MECHANISM_KINDS[kind]
+        assert cls.config_kind == kind
+        keys = set(inspect.signature(cls).parameters)
+        assert cls.config_optional <= keys
+        assert set(cls(EPSILON, 8).config_dict()) == keys
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "quantum", "epsilon": 1.0, "domain_size": 8},
+            {"epsilon": 1.0, "domain_size": 8},
+            ["kind", "haar"],
+            "haar",
+            {"kind": "hierarchical", "epsilon": 1.0, "domain_size": 8,
+             "branching": 2, "oracle": "oue"},
+            {"kind": "flat", "epsilon": 1.0, "domain_size": 8},
+            {"kind": "gridnd", "epsilon": 1.0, "domain_size": 8},
+            {"kind": "haar", "epsilon": 1.0, "domain_size": 8, "colour": "red"},
+            {"kind": "grid2d", "epsilon": 1.0, "domain_size": 8, "dims": 3},
+            {"kind": "flat", "epsilon": 1.0, "domain_size": 8, "oracle": "oue",
+             "oracle_kwargs": {"domain_size": 4}},
+        ],
+        ids=[
+            "unknown-kind",
+            "missing-kind",
+            "list",
+            "string",
+            "hh-without-consistency",
+            "flat-without-oracle",
+            "gridnd-without-dims",
+            "extra-key",
+            "grid2d-with-dims",
+            "oracle-kwarg-names-a-parameter",
+        ],
+    )
+    def test_unknown_config_kind_rejected(self, config):
         with pytest.raises(ConfigurationError):
-            persist.mechanism_from_config({"kind": "quantum"})
+            persist.mechanism_from_config(config)
 
     def test_snapshot_of_unsupported_object_rejected(self):
         with pytest.raises(ConfigurationError):

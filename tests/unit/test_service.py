@@ -205,8 +205,8 @@ class TestIngestionService:
                 first = await service.refresh_query_view()
                 assert await service.refresh_query_view() is first
                 assert service.view_generation == collector.ingest_generation == 2
+                # The accepted batch is still queued: the read drains it.
                 await service.submit(batches[2])
-                await service.join()
                 second = await service.refresh_query_view()
                 assert second is not first
                 assert service.view_generation == 3
