@@ -90,7 +90,8 @@ def _check_range_length(range_length: int, domain_size: int) -> int:
 
 
 def frequency_oracle_variance(epsilon: float, n_users: int) -> float:
-    """``V_F = 4 e^eps / (N (e^eps - 1)^2)`` shared by OUE, OLH and HRR."""
+    """``V_F = 4 e^eps / (N (e^eps - 1)^2)``, the zero-frequency variance
+    of OUE and OLH; HRR's is ``V_F + 1 / N``."""
     n_users = _check_users(n_users)
     e = exp_epsilon(epsilon)
     return 4.0 * e / (n_users * (e - 1.0) ** 2)

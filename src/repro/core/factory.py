@@ -62,15 +62,19 @@ def mechanism_from_spec(
 
     See the module docstring for the accepted grammar.  Additional keyword
     arguments are forwarded to the constructor, so e.g. custom level
-    probabilities can still be injected for spec-built mechanisms.
+    probabilities can still be injected for spec-built mechanisms.  A
+    keyword that repeats an option the spec already sets (``branching``,
+    ``oracle``, ``consistency``, ``name``) raises
+    :class:`~repro.exceptions.ConfigurationError`; only a grid's ``dims``
+    is silently overridden by the spec's digit.
     """
     token = str(spec).strip().lower()
     flat_match = _FLAT_PATTERN.match(token)
     if flat_match:
         oracle = flat_match.group("oracle") or "oue"
-        return FlatMechanism(epsilon, domain_size, oracle=oracle, name=spec, **kwargs)
+        return _build(FlatMechanism, spec, epsilon, domain_size, kwargs, oracle=oracle)
     if _HAAR_PATTERN.match(token):
-        return HaarWaveletMechanism(epsilon, domain_size, name=spec, **kwargs)
+        return _build(HaarWaveletMechanism, spec, epsilon, domain_size, kwargs)
     grid_match = _GRID_PATTERN.match(token)
     if grid_match:
         dims = int(grid_match.group("dims") or kwargs.pop("dims", 2))
@@ -78,14 +82,14 @@ def mechanism_from_spec(
         options = dict(
             branching=int(grid_match.group("branching") or 2),
             oracle=grid_match.group("oracle") or "oue",
-            name=spec,
-            **kwargs,
         )
         if dims == 2:
             # The 2-D grid keeps its own class (historical persist
             # identity) whichever spelling names it.
-            return HierarchicalGrid2D(epsilon, domain_size, **options)
-        return HierarchicalGridND(epsilon, domain_size, dims=dims, **options)
+            return _build(HierarchicalGrid2D, spec, epsilon, domain_size, kwargs, **options)
+        return _build(
+            HierarchicalGridND, spec, epsilon, domain_size, kwargs, dims=dims, **options
+        )
     auto_match = _AUTO_PATTERN.match(token)
     if auto_match:
         # Planned spec: rank the candidate configurations by closed-form
@@ -113,17 +117,32 @@ def mechanism_from_spec(
         branching = int(hh_match.group("branching"))
         oracle = hh_match.group("oracle") or "oue"
         consistency = hh_match.group("consistent") == "c"
-        return HierarchicalHistogramMechanism(
+        return _build(
+            HierarchicalHistogramMechanism,
+            spec,
             epsilon,
             domain_size,
+            kwargs,
             branching=branching,
             oracle=oracle,
             consistency=consistency,
-            name=spec,
-            **kwargs,
         )
     raise ConfigurationError(
         f"could not parse mechanism specification {spec!r}; "
         "expected e.g. 'flat_oue', 'hhc_4', 'hh_16_hrr', 'haar', 'grid2d_2', "
         "'grid3d_4' or 'auto'"
     )
+
+
+def _build(mechanism_class, spec, epsilon, domain_size, kwargs, **spec_options):
+    """Construct ``mechanism_class`` named ``spec`` from the options the spec
+    encodes plus the caller's ``kwargs``, refusing a keyword that repeats
+    one of the spec's options."""
+    spec_options["name"] = spec
+    repeated = sorted(set(spec_options) & set(kwargs))
+    if repeated:
+        raise ConfigurationError(
+            f"mechanism spec {spec!r} already sets {', '.join(repeated)}; "
+            "drop the keyword or change the spec"
+        )
+    return mechanism_class(epsilon, domain_size, **spec_options, **kwargs)

@@ -93,17 +93,16 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         self._consistency = bool(consistency)
         self._budget_strategy = budget_strategy
         self._init_level_probabilities(level_probabilities, self._tree.height)
-        # Per-level oracles: the report budget depends on the strategy.
-        per_level_epsilon = (
-            self.epsilon
-            if budget_strategy == "sampling"
-            else self.epsilon / self._tree.height
-        )
+        # Per-level oracles: a sampled user spends the whole budget on her
+        # one level; a splitting user spends an equal share on every level.
+        budget = self._budget
+        if budget_strategy == "splitting":
+            budget = budget.split(self._tree.height)
         self._init_labels(
             {
                 level: make_oracle(
                     self._oracle_name,
-                    epsilon=per_level_epsilon,
+                    epsilon=budget.epsilon,
                     domain_size=self._tree.nodes_at_level(level),
                     **self._oracle_kwargs,
                 )

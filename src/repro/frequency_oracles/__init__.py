@@ -2,8 +2,9 @@
 
 Every oracle implements the same two-sided protocol:
 
-* the **user side** (:meth:`~repro.frequency_oracles.base.FrequencyOracle.encode`)
-  turns a private item into a randomized report satisfying ``epsilon``-LDP;
+* the **user side** (:meth:`~repro.frequency_oracles.base.FrequencyOracle.encode_batch`)
+  turns each user's private item into a randomized report satisfying
+  ``epsilon``-LDP;
 * the **aggregator side**
   (:meth:`~repro.frequency_oracles.base.FrequencyOracle.accumulator`) is a
   mergeable :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
@@ -28,8 +29,8 @@ domains.  Accumulators merge, so the same statistic serves one-shot,
 incremental and sharded collection.
 """
 
-from repro.frequency_oracles.accumulators import OracleAccumulator
-from repro.frequency_oracles.base import FrequencyOracle, OracleReports
+from repro.frequency_oracles.accumulators import OracleAccumulator, SupportAccumulator
+from repro.frequency_oracles.base import FrequencyOracle, OracleReports, PureOracle
 from repro.frequency_oracles.hadamard import HadamardAccumulator, HadamardRandomizedResponse
 from repro.frequency_oracles.local_hashing import (
     LocalHashingAccumulator,
@@ -37,7 +38,6 @@ from repro.frequency_oracles.local_hashing import (
     UniversalHashFamily,
 )
 from repro.frequency_oracles.randomized_response import (
-    BinaryRandomizedResponse,
     DirectEncodingAccumulator,
     GeneralizedRandomizedResponse,
 )
@@ -52,7 +52,8 @@ __all__ = [
     "FrequencyOracle",
     "OracleReports",
     "OracleAccumulator",
-    "BinaryRandomizedResponse",
+    "PureOracle",
+    "SupportAccumulator",
     "GeneralizedRandomizedResponse",
     "DirectEncodingAccumulator",
     "SymmetricUnaryEncoding",

@@ -28,7 +28,7 @@ report matrices ever materialised.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping
 
 import numpy as np
 
@@ -38,7 +38,12 @@ from repro.privacy.randomness import RandomState, as_generator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.frequency_oracles.base import FrequencyOracle, OracleReports
 
-__all__ = ["OracleAccumulator", "checked_report_symbols", "checked_state_count"]
+__all__ = [
+    "OracleAccumulator",
+    "SupportAccumulator",
+    "checked_report_symbols",
+    "checked_state_count",
+]
 
 
 def checked_report_symbols(
@@ -86,17 +91,24 @@ class OracleAccumulator(abc.ABC):
     """Mergeable aggregation state of one frequency oracle.
 
     Obtained from :meth:`FrequencyOracle.accumulator`; concrete subclasses
-    live next to their oracle and define the sufficient statistic: float64
-    arrays whose shapes :meth:`statistic_shapes` names.  All mutating
-    methods return ``self`` so calls can be chained.
+    live next to their oracle and say how reports feed the sufficient
+    statistic: one float64 vector of :meth:`statistic_size` entries,
+    stored under :attr:`statistic_key`.  All mutating methods return
+    ``self`` so calls can be chained.
     """
+
+    #: Stable schema name of the statistic vector in :meth:`state_dict`.
+    statistic_key: str
 
     def __init__(self, oracle: "FrequencyOracle") -> None:
         self._oracle = oracle
         self._n_users = 0
-        self._load_statistic_arrays(
-            {key: np.zeros(shape) for key, shape in self.statistic_shapes(oracle).items()}
-        )
+        self._statistic = np.zeros(self.statistic_size(oracle))
+
+    @staticmethod
+    def statistic_size(oracle: "FrequencyOracle") -> int:
+        """Length of the statistic vector for ``oracle``: one entry per item."""
+        return oracle.domain_size
 
     # ------------------------------------------------------------------
     # Introspection
@@ -180,7 +192,7 @@ class OracleAccumulator(abc.ABC):
                 f"cannot merge accumulators of differently configured oracles: "
                 f"{mine} != {theirs}"
             )
-        self._merge_statistic(other)
+        self._statistic += other._statistic
         self._n_users += other._n_users
         return self
 
@@ -188,27 +200,27 @@ class OracleAccumulator(abc.ABC):
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """The full mutable state as named arrays (plus the user count).
+        """The full mutable state: the user count and a copy of the
+        statistic vector under :attr:`statistic_key`.
 
         The returned dictionary, fed back through
         :meth:`FrequencyOracle.restore_accumulator` of an identically
         configured oracle, reproduces the estimates bit-for-bit.  Used by
         :mod:`repro.persist` for snapshots and crash recovery.
         """
-        state: Dict[str, np.ndarray] = {
-            "n_users": np.asarray(self._n_users, dtype=np.int64)
+        return {
+            "n_users": np.asarray(self._n_users, dtype=np.int64),
+            self.statistic_key: self._statistic.copy(),
         }
-        for key, value in self._statistic_arrays().items():
-            state[key] = np.array(value, copy=True)
-        return state
 
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> "OracleAccumulator":
         """Replace this accumulator's state with a :meth:`state_dict`.
 
-        Arrays are validated against the oracle's :meth:`statistic_shapes`,
-        not the arrays held, before anything is installed: a wrong shape
-        (e.g. a snapshot taken over a different domain size), a non-numeric
-        dtype, a non-finite entry or a non-integer user count raises
+        The statistic is validated against the oracle's
+        :meth:`statistic_size`, not the vector held, before anything is
+        installed: a wrong shape (e.g. a snapshot taken over a different
+        domain size), a non-numeric dtype, a non-finite entry or a
+        non-integer user count raises
         :class:`~repro.exceptions.ConfigurationError` without modifying the
         accumulator.
         """
@@ -218,50 +230,34 @@ class OracleAccumulator(abc.ABC):
         if "n_users" not in state:
             raise ConfigurationError("accumulator state is missing 'n_users'")
         n_users = checked_state_count(state.pop("n_users"), "n_users")
-        shapes = self.statistic_shapes(self._oracle)
-        if set(state) != set(shapes):
+        key = self.statistic_key
+        if set(state) != {key}:
             raise ConfigurationError(
                 f"accumulator state keys {sorted(state)} do not match the "
-                f"expected statistic {sorted(shapes)}"
+                f"expected statistic {[key]}"
             )
-        loaded = {}
-        for key, shape in shapes.items():
-            value = np.asarray(state[key])
-            if value.dtype.kind not in "biuf" or not np.can_cast(
-                value.dtype, np.float64, "same_kind"
-            ):
-                raise ConfigurationError(
-                    f"statistic {key!r} has dtype {value.dtype}, expected float64"
-                )
-            if value.shape != tuple(shape):
-                raise ConfigurationError(
-                    f"statistic {key!r} has shape {value.shape}, expected "
-                    f"{tuple(shape)} for this configuration"
-                )
-            value = value.astype(np.float64)
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"statistic {key!r} holds non-finite values")
-            loaded[key] = value
-        self._load_statistic_arrays(loaded)
+        value = np.asarray(state[key])
+        if value.dtype.kind not in "biuf" or not np.can_cast(
+            value.dtype, np.float64, "same_kind"
+        ):
+            raise ConfigurationError(
+                f"statistic {key!r} has dtype {value.dtype}, expected float64"
+            )
+        shape = (self.statistic_size(self._oracle),)
+        if value.shape != shape:
+            raise ConfigurationError(
+                f"statistic {key!r} has shape {value.shape}, expected "
+                f"{shape} for this configuration"
+            )
+        value = value.astype(np.float64)
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"statistic {key!r} holds non-finite values")
+        self._statistic = value
         self._n_users = n_users
         return self
 
-    @staticmethod
-    @abc.abstractmethod
-    def statistic_shapes(oracle: "FrequencyOracle") -> Dict[str, Tuple[int, ...]]:
-        """Shape of every float64 statistic array for ``oracle``, keyed by
-        the stable schema names of :meth:`_statistic_arrays`."""
-
-    @abc.abstractmethod
-    def _statistic_arrays(self) -> Dict[str, np.ndarray]:
-        """The sufficient-statistic arrays, keyed by stable schema names."""
-
-    @abc.abstractmethod
-    def _load_statistic_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Install validated statistic arrays (shapes/dtypes already checked)."""
-
     # ------------------------------------------------------------------
-    # Decoding
+    # Subclass hooks
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def estimate(self) -> np.ndarray:
@@ -274,9 +270,6 @@ class OracleAccumulator(abc.ABC):
         feasibility, is the contract (Section 3.2).
         """
 
-    # ------------------------------------------------------------------
-    # Subclass hooks
-    # ------------------------------------------------------------------
     @abc.abstractmethod
     def _add_reports(self, reports: "OracleReports") -> None:
         """Fold a validated batch of reports into the statistic."""
@@ -286,12 +279,42 @@ class OracleAccumulator(abc.ABC):
         """Sample the statistic increment for an aggregate-mode batch; each
         subclass says how faithful its sample is."""
 
-    @abc.abstractmethod
-    def _merge_statistic(self, other: "OracleAccumulator") -> None:
-        """Add a compatible accumulator's statistic to this one."""
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(oracle={type(self._oracle).__name__}, "
             f"n_users={self._n_users})"
         )
+
+
+class SupportAccumulator(OracleAccumulator):
+    """Sufficient statistic of a pure oracle: per-item support counts.
+
+    A report of a :class:`~repro.frequency_oracles.base.PureOracle`
+    supports its user's item with probability ``p`` and any other item
+    with probability ``q``: item ``j``, held by ``c_j`` of ``N`` users,
+    collects ``Bino(c_j, p) + Bino(N - c_j, q)`` support, and
+    ``(support / N - q) / (p - q)`` estimates its frequency without bias.
+    Subclasses say how a report batch adds support.
+    """
+
+    def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample every item's support as ``Bino(c_j, p) + Bino(N - c_j, q)``.
+
+        The per-item marginal of the real protocol; exact for the unary
+        encodings, whose bits are independent.  For OLH it does not
+        reproduce the cross-item correlation of shared hash functions, but
+        the per-item marginals — and hence the variance the experiments
+        measure — match.
+        """
+        oracle = self._oracle
+        n_users = int(counts.sum())
+        self._statistic += rng.binomial(counts, oracle.p) + rng.binomial(
+            n_users - counts, oracle.q
+        )
+
+    def estimate(self) -> np.ndarray:
+        oracle = self._oracle
+        if self._n_users == 0:
+            return np.zeros(oracle.domain_size)
+        observed = self._statistic / float(self._n_users)
+        return (observed - oracle.q) / (oracle.p - oracle.q)

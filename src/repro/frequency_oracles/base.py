@@ -3,19 +3,20 @@
 A frequency oracle answers *point queries*: given reports from ``N`` users,
 estimate the fraction ``theta[z]`` of users holding each item ``z`` of a
 discrete domain of size ``D``.  All oracles in this package produce unbiased
-estimates whose per-item variance is (asymptotically)
-``V_F = 4 e^eps / (N (e^eps - 1)^2)`` — the quantity the range-query error
-analysis of Section 4 is expressed in.
+estimates.  The range-query error analysis of Section 4 is expressed in
+their per-item variance: ``V_F = 4 e^eps / (N (e^eps - 1)^2)`` for OUE and
+OLH, ``V_F + 1 / N`` for HRR and ``q (1 - q) / (N (p - q)^2)`` for SUE and
+GRR (see each oracle's ``theoretical_variance``).
 
-An oracle is the user side of the protocol (``encode`` /
-``encode_batch``: each user perturbs her item locally) plus the factory of
-its aggregator side: :meth:`FrequencyOracle.accumulator` returns a
-mergeable :class:`~repro.frequency_oracles.accumulators.OracleAccumulator`
-holding the oracle's sufficient statistic, and every decode goes through
-it.  The accumulator takes real reports (``add``), runs the protocol for a
-batch of private items (``add_items``) or samples the aggregator's noisy
-view directly from exact per-item counts (``add_counts``) — the fast path
-that lets experiments scale to millions of users without materialising
+An oracle is the user side of the protocol (``encode_batch``: each user
+perturbs her item locally) plus the factory of its aggregator side:
+:meth:`FrequencyOracle.accumulator` returns a mergeable
+:class:`~repro.frequency_oracles.accumulators.OracleAccumulator` holding
+the oracle's sufficient statistic, and every decode goes through it.  The
+accumulator takes real reports (``add``), runs the protocol for a batch of
+private items (``add_items``) or samples the aggregator's noisy view
+directly from exact per-item counts (``add_counts``) — the fast path that
+lets experiments scale to millions of users without materialising
 per-user reports (exact for the unary oracles and HRR, approximate for the
 others; see each accumulator's ``_add_simulated``) — and decodes with
 ``estimate``.
@@ -30,11 +31,12 @@ from typing import Any, Dict, Mapping, Type
 import numpy as np
 
 from repro.exceptions import InvalidDomainError, InvalidQueryError
-from repro.frequency_oracles.accumulators import OracleAccumulator
+from repro.frequency_oracles.accumulators import OracleAccumulator, SupportAccumulator
 from repro.privacy.budget import PrivacyBudget
+from repro.privacy.mechanisms import PerturbationProbabilities
 from repro.privacy.randomness import RandomState
 
-__all__ = ["FrequencyOracle", "OracleReports"]
+__all__ = ["FrequencyOracle", "OracleReports", "PureOracle"]
 
 
 @dataclass
@@ -101,10 +103,6 @@ class FrequencyOracle(abc.ABC):
         return self._budget.epsilon
 
     @property
-    def budget(self) -> PrivacyBudget:
-        return self._budget
-
-    @property
     def domain_size(self) -> int:
         """Number of items ``D`` the oracle estimates frequencies over."""
         return self._domain_size
@@ -113,18 +111,16 @@ class FrequencyOracle(abc.ABC):
     # User side
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def encode(self, value: int, random_state: RandomState = None) -> Dict[str, Any]:
-        """Perturb one user's item into a single report.
-
-        The report is a plain dictionary so it can be serialised directly;
-        its keys are oracle-specific and documented per subclass.
-        """
-
-    @abc.abstractmethod
     def encode_batch(
         self, values: np.ndarray, random_state: RandomState = None
     ) -> OracleReports:
-        """Vectorised :meth:`encode` for a whole population of users."""
+        """Perturb every user's item into one report batch.
+
+        The payload holds plain arrays, one entry per user along the
+        leading axis, so it can be serialised directly; its keys are
+        oracle-specific and documented per subclass.  A single user's
+        report is a one-row batch.
+        """
 
     # ------------------------------------------------------------------
     # Aggregator side
@@ -184,9 +180,10 @@ class FrequencyOracle(abc.ABC):
     def theoretical_variance(self, n_users: int) -> float:
         """Closed-form variance of one frequency estimate with ``n_users``.
 
-        The default is the common bound ``4 e^eps / (N (e^eps - 1)^2)``
-        shared by OUE and OLH; oracles with a different expression
-        override this.
+        The default is the canonical ``V_F = 4 e^eps / (N (e^eps - 1)^2)``;
+        oracles with a different expression override this.  Raises
+        :class:`~repro.exceptions.InvalidQueryError` unless ``n_users`` is
+        positive.
         """
         if n_users <= 0:
             raise InvalidQueryError(f"n_users must be positive, got {n_users!r}")
@@ -196,13 +193,6 @@ class FrequencyOracle(abc.ABC):
     # ------------------------------------------------------------------
     # Validation helpers shared by subclasses
     # ------------------------------------------------------------------
-    def _check_value(self, value: int) -> int:
-        if not isinstance(value, (int, np.integer)) or not 0 <= value < self._domain_size:
-            raise InvalidQueryError(
-                f"item must be in [0, {self._domain_size}), got {value!r}"
-            )
-        return int(value)
-
     def _check_values(self, values: np.ndarray) -> np.ndarray:
         array = np.asarray(values)
         if array.ndim != 1:
@@ -228,3 +218,42 @@ class FrequencyOracle(abc.ABC):
             f"{type(self).__name__}(epsilon={self.epsilon:.4g}, "
             f"domain_size={self.domain_size})"
         )
+
+
+class PureOracle(FrequencyOracle):
+    """A *pure* protocol (Wang et al., "Locally Differentially Private
+    Protocols for Frequency Estimation", USENIX Security 2017): OUE, SUE,
+    OLH and GRR.
+
+    A report supports its user's own item with probability ``p`` and any
+    other item with probability ``q`` (for OLH: ``q = 1/g``, the collision
+    rate of a universal hash).  Subclasses set ``_probabilities`` from
+    :mod:`repro.privacy.mechanisms` in their constructor and an
+    ``accumulator_class`` deriving from
+    :class:`~repro.frequency_oracles.accumulators.SupportAccumulator`,
+    which holds the support counts, samples their simulated batch and
+    decodes ``(support / N - q) / (p - q)``.
+    """
+
+    _probabilities: PerturbationProbabilities
+    accumulator_class: Type[SupportAccumulator]
+
+    @property
+    def p(self) -> float:
+        """Probability that a report supports its user's own item."""
+        return self._probabilities.p
+
+    @property
+    def q(self) -> float:
+        """Probability that a report supports any other given item."""
+        return self._probabilities.q
+
+    def theoretical_variance(self, n_users: int) -> float:
+        """Small-frequency variance ``q (1 - q) / (N (p - q)^2)``.
+
+        For OUE this equals the canonical ``4 e^eps / (N (e^eps - 1)^2)``.
+        """
+        if n_users <= 0:
+            raise InvalidQueryError(f"n_users must be positive, got {n_users!r}")
+        p, q = self.p, self.q
+        return q * (1.0 - q) / (n_users * (p - q) ** 2)

@@ -9,8 +9,11 @@ bit ``phi[v][j]`` with binary randomized response, and reports the pair
 The aggregator sums the unbiased per-report coefficient estimates, divides by
 the number of users (after re-weighting for the ``1/D`` sampling rate) and
 applies the inverse Hadamard transform to recover frequency estimates for
-every item.  The per-item variance equals ``4 e^eps / (N (e^eps - 1)^2)``,
-the same as OUE and OLH.
+every item.  Every report adds ``+-1 / (2p - 1)`` to every item's
+estimate, whichever index it sampled, so a zero-frequency item's variance
+is ``1 / (N (2p - 1)^2)``: ``V_F + 1 / N``, one ``1 / N`` above the
+``V_F = 4 e^eps / (N (e^eps - 1)^2)`` of OUE and OLH (see
+:meth:`HadamardRandomizedResponse.theoretical_variance`).
 
 This oracle additionally supports *signed* one-hot inputs ``s * e_v`` with
 ``s`` in ``{-1, +1}``, which is exactly what the Haar wavelet mechanism
@@ -20,7 +23,7 @@ coefficients, so the same perturbation and decoding apply unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from repro.privacy.randomness import (
 )
 from repro.transforms.hadamard import (
     dyadic_fast_walsh_hadamard_transform,
-    hadamard_entry,
     inverse_fast_walsh_hadamard_transform,
     next_power_of_two,
 )
@@ -53,9 +55,11 @@ class HadamardAccumulator(OracleAccumulator):
     determine the decoded estimates, and sums from shards simply add.
     """
 
+    statistic_key = "sums"
+
     @staticmethod
-    def statistic_shapes(oracle: "HadamardRandomizedResponse") -> dict:
-        return {"sums": (oracle.padded_size,)}
+    def statistic_size(oracle: "HadamardRandomizedResponse") -> int:
+        return oracle.padded_size
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process, so every field is
@@ -77,7 +81,7 @@ class HadamardAccumulator(OracleAccumulator):
 
     def _fold(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add validated reports (int64 indices, +-1 values) to the sums."""
-        self._sums += np.bincount(
+        self._statistic += np.bincount(
             indices, weights=values, minlength=self._oracle.padded_size
         )
 
@@ -94,7 +98,7 @@ class HadamardAccumulator(OracleAccumulator):
         cheaper of the two.)
         """
         tallies = np.bincount(codes, minlength=2 * self._oracle.padded_size)
-        self._sums += tallies[1::2] - tallies[0::2]
+        self._statistic += tallies[1::2] - tallies[0::2]
 
     def _add_items(self, values: np.ndarray, rng: np.random.Generator) -> None:
         self._add_keys(values << 1, rng)
@@ -175,7 +179,7 @@ class HadamardAccumulator(OracleAccumulator):
             codes = oracle._true_codes(np.repeat(keys, counts), rng)
             tallies = np.bincount(codes, minlength=cells)
         tallies -= 2 * rng.binomial(tallies, 1.0 - oracle.keep_probability)
-        self._sums += tallies[1::2] - tallies[0::2]
+        self._statistic += tallies[1::2] - tallies[0::2]
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         """Exact in distribution; per-user mode keeps the per-user stream.
@@ -193,20 +197,11 @@ class HadamardAccumulator(OracleAccumulator):
         keys = np.arange(0, 2 * oracle.domain_size, 2, dtype=oracle._code_dtype)
         self._add_runs(keys, counts, rng)
 
-    def _merge_statistic(self, other: "HadamardAccumulator") -> None:
-        self._sums += other._sums
-
-    def _statistic_arrays(self) -> dict:
-        return {"sums": self._sums}
-
-    def _load_statistic_arrays(self, arrays: dict) -> None:
-        self._sums = arrays["sums"]
-
     def _coefficient_estimates(self) -> np.ndarray:
         # Each coefficient was sampled with probability 1/D', so the sum over
         # the users that picked index j estimates N/D' * (2p-1) * C_j.
         oracle = self._oracle
-        return self._sums * oracle.padded_size / (self._n_users * oracle.unbiasing_factor)
+        return self._statistic * oracle.padded_size / (self._n_users * oracle.unbiasing_factor)
 
     def estimate(self) -> np.ndarray:
         """Unbiased estimates of every Hadamard coefficient of the
@@ -248,7 +243,9 @@ def dyadic_estimates(accumulators: Sequence[HadamardAccumulator]) -> np.ndarray:
 class HadamardRandomizedResponse(FrequencyOracle):
     """HRR frequency oracle.
 
-    Report layout (:meth:`encode`): ``{"index": int, "value": -1 or +1}``.
+    Report layout (:meth:`encode_batch`): ``{"indices", "values"}``, int64
+    arrays of one entry per user — each user's sampled Hadamard index and
+    her perturbed ``-1`` / ``+1`` coefficient.
 
     Parameters
     ----------
@@ -291,28 +288,25 @@ class HadamardRandomizedResponse(FrequencyOracle):
     # ------------------------------------------------------------------
     # User side
     # ------------------------------------------------------------------
-    def encode(
-        self, value: int, random_state: RandomState = None, sign: int = 1
-    ) -> Dict[str, Any]:
-        value = self._check_value(value)
-        if sign not in (-1, 1):
-            raise InvalidQueryError(f"sign must be -1 or +1, got {sign!r}")
-        rng = as_generator(random_state)
-        index = int(rng.integers(0, self._padded_size))
-        coefficient = sign * hadamard_entry(value, index)
-        if rng.random() >= self._keep_probability:
-            coefficient = -coefficient
-        return {"index": index, "value": coefficient}
-
     def encode_batch(
         self,
         values: np.ndarray,
         random_state: RandomState = None,
         signs: Optional[np.ndarray] = None,
     ) -> OracleReports:
+        """Encode a population, ``signs[i] * e_{values[i]}`` per user (all
+        ``+1`` by default).  Works in the narrow code dtype and emits int64
+        indices and int64 ``+-1`` values."""
         values = self._check_values(values)
         negative = None if signs is None else self._negative_mask(signs, values.shape[0])
-        return self._encode(values, negative, as_generator(random_state))
+        codes = self._perturbed_codes(self._keys(values, negative), as_generator(random_state))
+        reported = np.bitwise_and(codes, 1, dtype=np.int64)
+        reported <<= 1
+        reported -= 1
+        return OracleReports(
+            payload={"indices": np.right_shift(codes, 1, dtype=np.int64), "values": reported},
+            n_users=values.shape[0],
+        )
 
     @staticmethod
     def _negative_mask(signs: np.ndarray, n_users: int) -> np.ndarray:
@@ -322,26 +316,6 @@ class HadamardRandomizedResponse(FrequencyOracle):
         if not np.all(np.abs(signs) == 1):
             raise InvalidQueryError("signs must be -1 or +1")
         return signs < 0
-
-    def _encode(
-        self,
-        values: np.ndarray,
-        negative: Optional[np.ndarray],
-        rng: np.random.Generator,
-    ) -> OracleReports:
-        """The batched protocol on validated int64 ``values``.
-
-        ``negative`` marks users whose input is ``-e_v``.  Works in the
-        narrow code dtype and emits int64 indices and int64 ``+-1`` values.
-        """
-        codes = self._perturbed_codes(self._keys(values, negative), rng)
-        reported = np.bitwise_and(codes, 1, dtype=np.int64)
-        reported <<= 1
-        reported -= 1
-        return OracleReports(
-            payload={"indices": np.right_shift(codes, 1, dtype=np.int64), "values": reported},
-            n_users=values.shape[0],
-        )
 
     def _keys(self, values: np.ndarray, negative: Optional[np.ndarray]) -> np.ndarray:
         """``2 v + [input negated]`` in the code dtype: each user's (or

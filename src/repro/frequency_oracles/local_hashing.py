@@ -22,8 +22,9 @@ import numpy as np
 
 from repro import kernels
 from repro.exceptions import ConfigurationError
-from repro.frequency_oracles.accumulators import OracleAccumulator, checked_report_symbols
-from repro.frequency_oracles.base import FrequencyOracle, OracleReports
+from repro.frequency_oracles.accumulators import SupportAccumulator, checked_report_symbols
+from repro.frequency_oracles.base import FrequencyOracle, OracleReports, PureOracle
+from repro.privacy.mechanisms import olh_probabilities
 from repro.privacy.randomness import RandomState, as_generator
 
 __all__ = [
@@ -66,14 +67,6 @@ class UniversalHashFamily:
         self.domain_size = int(domain_size)
         self.hash_range = int(hash_range)
 
-    def sample(self, random_state: RandomState = None) -> Dict[str, int]:
-        """Sample the ``(a, b)`` parameters of one hash function."""
-        rng = as_generator(random_state)
-        return {
-            "a": int(rng.integers(1, _PRIME)),
-            "b": int(rng.integers(0, _PRIME)),
-        }
-
     def sample_batch(self, count: int, random_state: RandomState = None) -> Dict[str, np.ndarray]:
         """Sample ``count`` hash functions as parallel parameter arrays."""
         rng = as_generator(random_state)
@@ -81,12 +74,6 @@ class UniversalHashFamily:
             "a": rng.integers(1, _PRIME, size=count, dtype=np.int64),
             "b": rng.integers(0, _PRIME, size=count, dtype=np.int64),
         }
-
-    def evaluate(self, params: Dict[str, Any], items: np.ndarray) -> np.ndarray:
-        """Evaluate one hash function on an array of items."""
-        items = np.asarray(items, dtype=np.int64)
-        hashed = (params["a"] * items + params["b"]) % _PRIME
-        return (hashed % self.hash_range).astype(np.int64)
 
     def evaluate_pairwise(
         self, a: np.ndarray, b: np.ndarray, items: np.ndarray
@@ -98,7 +85,7 @@ class UniversalHashFamily:
         return (((a * items + b) % _PRIME) % self.hash_range).astype(np.int64)
 
 
-class LocalHashingAccumulator(OracleAccumulator):
+class LocalHashingAccumulator(SupportAccumulator):
     """Sufficient statistic of OLH: per-item support tallies.
 
     A report supports item ``j`` when ``j``'s hash under that report's
@@ -107,9 +94,7 @@ class LocalHashingAccumulator(OracleAccumulator):
     so shards pay it locally and the reducer only adds vectors.
     """
 
-    @staticmethod
-    def statistic_shapes(oracle: "OptimalLocalHashing") -> dict:
-        return {"support": (oracle.domain_size,)}
+    statistic_key = "support"
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process, so every field is
@@ -127,7 +112,7 @@ class LocalHashingAccumulator(OracleAccumulator):
         # intermediate hash/match buffers stay inside the
         # OLH_DECODE_TARGET_BYTES working-set budget.  Support counts are
         # exact integers, so the block size cannot change the estimate.
-        self._support += kernels.olh_decode(
+        self._statistic += kernels.olh_decode(
             a,
             b,
             values,
@@ -137,40 +122,15 @@ class LocalHashingAccumulator(OracleAccumulator):
             OLH_DECODE_TARGET_BYTES,
         )
 
-    def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Sample the marginal support counts: only the per-item marginals
-        match the real protocol.
 
-        The support count of item ``j`` is ``Bino(c_j, p)`` from users who
-        hold ``j`` plus ``Bino(N - c_j, 1/g)`` from everyone else (a
-        universal hash collides with probability ``1/g``).  Cross-item
-        correlations induced by shared hash functions are not reproduced,
-        but per-item marginals — and hence the variance the experiments
-        measure — are.
-        """
-        n_users = int(counts.sum())
-        self._support += rng.binomial(counts, self._oracle.p) + rng.binomial(
-            n_users - counts, self._oracle.q
-        )
-
-    def _merge_statistic(self, other: "LocalHashingAccumulator") -> None:
-        self._support += other._support
-
-    def _statistic_arrays(self) -> dict:
-        return {"support": self._support}
-
-    def _load_statistic_arrays(self, arrays: dict) -> None:
-        self._support = arrays["support"]
-
-    def estimate(self) -> np.ndarray:
-        return self._oracle._unbias(self._support, self._n_users)
-
-
-class OptimalLocalHashing(FrequencyOracle):
+class OptimalLocalHashing(PureOracle):
     """OLH [Wang et al. 2017], Section 3.2 of the paper.
 
-    Report layout (:meth:`encode`): ``{"a": int, "b": int, "value": int}`` —
-    the sampled hash parameters plus the perturbed hashed symbol.
+    Report layout (:meth:`encode_batch`): ``{"a", "b", "values"}``, int64
+    arrays of one entry per user — each user's sampled hash parameters and
+    her perturbed hashed symbol.  ``p`` is the probability of reporting the
+    true hashed symbol and ``q = 1/g`` the support probability of any
+    other item.
 
     Parameters
     ----------
@@ -191,48 +151,18 @@ class OptimalLocalHashing(FrequencyOracle):
         super().__init__(epsilon, domain_size)
         if hash_range is None:
             hash_range = int(round(self._budget.exp_epsilon)) + 1
-        if hash_range < 2:
-            raise ConfigurationError(
-                f"hash range must be at least 2, got {hash_range!r}"
-            )
         self._hash_range = int(hash_range)
         self._family = UniversalHashFamily(self._domain_size, self._hash_range)
-        exp_eps = self._budget.exp_epsilon
-        #: probability of reporting the *true* hashed symbol (GRR over [g])
-        self._p = exp_eps / (exp_eps + self._hash_range - 1)
-        #: support probability of any non-true item in the original domain
-        self._q = 1.0 / self._hash_range
+        self._probabilities = olh_probabilities(epsilon, self._hash_range)
 
     @property
     def hash_range(self) -> int:
         """The size ``g`` of the hashed domain."""
         return self._hash_range
 
-    @property
-    def p(self) -> float:
-        """Probability of reporting the true hashed symbol."""
-        return self._p
-
-    @property
-    def q(self) -> float:
-        """Expected support probability ``1/g`` of a non-true item."""
-        return self._q
-
     # ------------------------------------------------------------------
     # User side
     # ------------------------------------------------------------------
-    def encode(self, value: int, random_state: RandomState = None) -> Dict[str, Any]:
-        value = self._check_value(value)
-        rng = as_generator(random_state)
-        params = self._family.sample(rng)
-        hashed = int(self._family.evaluate(params, np.array([value]))[0])
-        if rng.random() < self._p:
-            reported = hashed
-        else:
-            offset = int(rng.integers(1, self._hash_range))
-            reported = (hashed + offset) % self._hash_range
-        return {"a": params["a"], "b": params["b"], "value": reported}
-
     def encode_batch(
         self, values: np.ndarray, random_state: RandomState = None
     ) -> OracleReports:
@@ -241,7 +171,7 @@ class OptimalLocalHashing(FrequencyOracle):
         n_users = values.shape[0]
         params = self._family.sample_batch(n_users, rng)
         hashed = self._family.evaluate_pairwise(params["a"], params["b"], values)
-        keep = rng.random(n_users) < self._p
+        keep = rng.random(n_users) < self.p
         offsets = rng.integers(1, self._hash_range, size=n_users)
         reported = np.where(keep, hashed, (hashed + offsets) % self._hash_range)
         return OracleReports(
@@ -263,12 +193,8 @@ class OptimalLocalHashing(FrequencyOracle):
         config["hash_range"] = self._hash_range
         return config
 
-    def _unbias(self, support: np.ndarray, n_users: int) -> np.ndarray:
-        if n_users == 0:
-            return np.zeros(self._domain_size)
-        observed = support / float(n_users)
-        return (observed - self._q) / (self._p - self._q)
-
     def theoretical_variance(self, n_users: int) -> float:
-        """``4 e^eps / (N (e^eps - 1)^2)`` at the optimal ``g = e^eps + 1``."""
-        return super().theoretical_variance(n_users)
+        """``4 e^eps / (N (e^eps - 1)^2)``, the closed form at the optimal
+        ``g = e^eps + 1`` (the pure-oracle expression at the rounded ``g``
+        differs slightly)."""
+        return FrequencyOracle.theoretical_variance(self, n_users)

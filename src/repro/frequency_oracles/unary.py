@@ -12,9 +12,10 @@ length ``D`` and flips every bit independently:
 
 Because the bit flips are independent across positions, the aggregator's
 noisy count of each item is exactly the sum of two binomials — which is what
-:meth:`UnaryAccumulator._add_simulated` samples, making the fast path
-*statistically identical* to the per-user protocol (this is the simulation trick described
-in Section 5 of the paper).
+:meth:`~repro.frequency_oracles.accumulators.SupportAccumulator._add_simulated`
+samples, making the fast path *statistically identical* to the per-user
+protocol (this is the simulation trick described in Section 5 of the
+paper).
 
 Report payloads come in two interchangeable layouts:
 
@@ -23,8 +24,8 @@ Report payloads come in two interchangeable layouts:
   bit vector run through :func:`np.packbits`, 8x smaller than the dense
   matrix and decoded by a blocked unpack-and-popcount column sum that never
   materialises the full matrix;
-* **dense**: ``{"bits": uint8 (N, D)}`` — the layout of a single
-  :meth:`~_UnaryEncodingOracle.encode` report, accepted from outside input.
+* **dense**: ``{"bits": uint8 (N, D)}`` — the unpacked bit matrix, which
+  nothing here emits but which is still accepted from outside input.
 
 Both layouts decode to bit-identical column sums, so accumulators (and
 their persisted snapshots) are agnostic to which layout fed them.
@@ -32,14 +33,14 @@ their persisted snapshots) are agnostic to which layout fed them.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Callable
 
 import numpy as np
 
 from repro import kernels
-from repro.exceptions import ConfigurationError, InvalidQueryError
-from repro.frequency_oracles.accumulators import OracleAccumulator
-from repro.frequency_oracles.base import FrequencyOracle, OracleReports
+from repro.exceptions import InvalidQueryError
+from repro.frequency_oracles.accumulators import SupportAccumulator
+from repro.frequency_oracles.base import OracleReports, PureOracle
 from repro.privacy.mechanisms import (
     PerturbationProbabilities,
     oue_probabilities,
@@ -99,7 +100,7 @@ def _checked_bit_rows(rows, n_users: int, top: int, what: str) -> np.ndarray:
     return array
 
 
-class UnaryAccumulator(OracleAccumulator):
+class UnaryAccumulator(SupportAccumulator):
     """Sufficient statistic of a unary encoding: per-item "1"-bit sums.
 
     The noisy count of item ``j`` is the column sum of the reported bit
@@ -107,9 +108,7 @@ class UnaryAccumulator(OracleAccumulator):
     merged shard sums) follow exactly the one-shot distribution.
     """
 
-    @staticmethod
-    def statistic_shapes(oracle: "_UnaryEncodingOracle") -> dict:
-        return {"ones": (oracle.domain_size,)}
+    statistic_key = "ones"
 
     def _add_reports(self, reports: OracleReports) -> None:
         # Reports may come from outside the process: every entry is checked
@@ -125,67 +124,31 @@ class UnaryAccumulator(OracleAccumulator):
                     f"{domain_size}"
                 )
             packed = _checked_bit_rows(payload["packed_bits"], reports.n_users, 255, "packed_bits")
-            self._ones += packed_column_sums(packed, domain_size)
+            self._statistic += packed_column_sums(packed, domain_size)
             return
         bits = _checked_bit_rows(payload["bits"], reports.n_users, 1, "bits")
         if bits.ndim != 2 or bits.shape[1] != domain_size:
             raise InvalidQueryError(
                 f"expected a reports matrix with {domain_size} columns"
             )
-        self._ones += bits.sum(axis=0).astype(np.float64)
-
-    def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Exact: the noisy count of item ``j`` is ``Bino(c_j, p) +
-        Bino(N - c_j, q)``, the distribution of the column sum itself."""
-        n_users = int(counts.sum())
-        self._ones += rng.binomial(counts, self._oracle.p) + rng.binomial(
-            n_users - counts, self._oracle.q
-        )
-
-    def _merge_statistic(self, other: "UnaryAccumulator") -> None:
-        self._ones += other._ones
-
-    def _statistic_arrays(self) -> dict:
-        return {"ones": self._ones}
-
-    def _load_statistic_arrays(self, arrays: dict) -> None:
-        self._ones = arrays["ones"]
-
-    def estimate(self) -> np.ndarray:
-        return self._oracle._unbias(self._ones, self._n_users)
+        self._statistic += bits.sum(axis=0).astype(np.float64)
 
 
-class _UnaryEncodingOracle(FrequencyOracle):
-    """Shared implementation of the two unary encodings."""
+class _UnaryEncodingOracle(PureOracle):
+    """Shared implementation of the two unary encodings: ``p`` is the
+    probability of reporting "1" for the user's own item, ``q`` for any
+    other item."""
+
+    #: The encoding's ``(p, q)`` as a function of epsilon.
+    _probabilities_for: Callable[[float], PerturbationProbabilities]
 
     def __init__(self, epsilon: float, domain_size: int) -> None:
         super().__init__(epsilon, domain_size)
-        self._probabilities = self._make_probabilities(epsilon)
-
-    def _make_probabilities(self, epsilon: float) -> PerturbationProbabilities:
-        raise NotImplementedError
-
-    @property
-    def p(self) -> float:
-        """Probability of reporting "1" for the user's own item."""
-        return self._probabilities.p
-
-    @property
-    def q(self) -> float:
-        """Probability of reporting "1" for any other item."""
-        return self._probabilities.q
+        self._probabilities = self._probabilities_for(epsilon)
 
     # ------------------------------------------------------------------
     # User side
     # ------------------------------------------------------------------
-    def encode(self, value: int, random_state: RandomState = None) -> Dict[str, Any]:
-        """Report layout: ``{"bits": uint8 array of length D}``."""
-        value = self._check_value(value)
-        rng = as_generator(random_state)
-        bits = (rng.random(self._domain_size) < self.q).astype(np.uint8)
-        bits[value] = np.uint8(rng.random() < self.p)
-        return {"bits": bits}
-
     def encode_batch(
         self, values: np.ndarray, random_state: RandomState = None
     ) -> OracleReports:
@@ -211,30 +174,12 @@ class _UnaryEncodingOracle(FrequencyOracle):
     #: Mergeable accumulator over the per-item "1"-bit column sums.
     accumulator_class = UnaryAccumulator
 
-    def _unbias(self, ones: np.ndarray, n_users: int) -> np.ndarray:
-        if n_users == 0:
-            return np.zeros(self._domain_size)
-        observed = ones / float(n_users)
-        return (observed - self.q) / (self.p - self.q)
-
-    def theoretical_variance(self, n_users: int) -> float:
-        """Small-frequency variance ``q (1 - q) / (N (p - q)^2)``.
-
-        For OUE this equals the canonical ``4 e^eps / (N (e^eps - 1)^2)``.
-        """
-        if n_users <= 0:
-            raise ConfigurationError(f"n_users must be positive, got {n_users!r}")
-        p, q = self.p, self.q
-        return q * (1.0 - q) / (n_users * (p - q) ** 2)
-
 
 class SymmetricUnaryEncoding(_UnaryEncodingOracle):
     """Basic RAPPOR: symmetric per-bit randomized response with ``eps/2``."""
 
     name = "sue"
-
-    def _make_probabilities(self, epsilon: float) -> PerturbationProbabilities:
-        return sue_probabilities(epsilon)
+    _probabilities_for = staticmethod(sue_probabilities)
 
 
 class OptimizedUnaryEncoding(_UnaryEncodingOracle):
@@ -245,6 +190,4 @@ class OptimizedUnaryEncoding(_UnaryEncodingOracle):
     """
 
     name = "oue"
-
-    def _make_probabilities(self, epsilon: float) -> PerturbationProbabilities:
-        return oue_probabilities(epsilon)
+    _probabilities_for = staticmethod(oue_probabilities)

@@ -92,14 +92,6 @@ class PrivacyBudget:
         """``exp(epsilon)``, the likelihood-ratio bound of the guarantee."""
         return math.exp(self.epsilon)
 
-    @property
-    def rr_keep_probability(self) -> float:
-        """Probability ``p = e^eps / (1 + e^eps)`` of binary randomized
-        response reporting the true bit.  With the paper's default
-        ``e^eps = 3`` this is ``3/4``."""
-        e = self.exp_epsilon
-        return e / (1.0 + e)
-
     # ------------------------------------------------------------------
     # Composition helpers (used by the budget-splitting ablation)
     # ------------------------------------------------------------------

@@ -4,14 +4,16 @@
 library change that renames what it calls breaks it silently until the
 benchmark's own self-test runs.  These checks import its ``harness`` and
 ``layers`` modules read-only (no bytecode is written next to them) and pin
-three things: the collector its servers and replays build accepts the
+four things: the collector its servers and replays build accepts the
 calls the replays make, every attribute a traced run wraps exists on its
-owner, and ``submit`` reports the shard that absorbed a batch.
+owner, every oracle's ``estimate`` and ``encode_batch`` are among those
+attributes, and ``submit`` reports the shard that absorbed a batch.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -76,3 +78,37 @@ def test_every_traced_attribute_exists_on_its_owner(layers, targets):
         if attribute not in vars(owner)
     ]
     assert missing == []
+
+
+def _resolved_owner(cls, attribute):
+    """The class in ``cls``'s MRO whose ``__dict__`` defines ``attribute``."""
+    return next(base for base in cls.__mro__ if attribute in vars(base))
+
+
+def _concrete_subclasses(cls):
+    found, stack = [], [cls]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if not inspect.isabstract(sub) and sub not in found:
+                found.append(sub)
+    return found
+
+
+def test_every_oracle_estimate_and_encode_is_traced(layers):
+    """perfbench finds these targets through ``cls.__dict__`` of subclasses,
+    so a method hoisted into an abstract base would silently drop its
+    span for every oracle that inherits it."""
+    from repro.frequency_oracles import OracleAccumulator, available_oracles, make_oracle
+
+    traced = {(owner, attribute) for owner, attribute, *_ in layers.library_targets()}
+    untraced = [
+        f"{cls.__name__}.estimate"
+        for cls in _concrete_subclasses(OracleAccumulator)
+        if (_resolved_owner(cls, "estimate"), "estimate") not in traced
+    ]
+    for name in available_oracles():
+        cls = type(make_oracle(name, epsilon=1.0, domain_size=8))
+        if (_resolved_owner(cls, "encode_batch"), "encode_batch") not in traced:
+            untraced.append(f"{cls.__name__}.encode_batch")
+    assert untraced == []

@@ -134,7 +134,7 @@ def test_add_runs_matches_reference_on_either_path(batch, epsilon, start, seed):
     expected = reference_add_runs(oracle, sums, values, counts, expected_rng, signs)
 
     accumulator = oracle.accumulator()
-    accumulator._sums = sums.copy()
+    accumulator._statistic = sums.copy()
     actual_rng = np.random.default_rng(seed)
     accumulator.add_runs(
         np.asarray(values, dtype=np.int64),
@@ -143,7 +143,7 @@ def test_add_runs_matches_reference_on_either_path(batch, epsilon, start, seed):
         signs=None if signs is None else np.asarray(signs),
     )
 
-    assert accumulator._sums.tobytes() == expected.tobytes()
+    assert accumulator._statistic.tobytes() == expected.tobytes()
     assert accumulator.n_users == sum(counts)
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
@@ -170,5 +170,5 @@ def test_successive_add_runs_share_one_stream(domain, count_space, seed, n_batch
     for _ in range(n_batches):
         expected = reference_add_runs(oracle, expected, values, counts, expected_rng, signs)
         accumulator.add_runs(values, counts, actual_rng, signs=signs)
-    assert accumulator._sums.tobytes() == expected.tobytes()
+    assert accumulator._statistic.tobytes() == expected.tobytes()
     assert actual_rng.random() == expected_rng.random()

@@ -69,18 +69,18 @@ def test_trusted_fold_matches_report_round_trip(batch, epsilon, start, seed):
 
     expected_rng = np.random.default_rng(seed)
     expected = oracle.accumulator()
-    expected._sums = sums.copy()
+    expected._statistic = sums.copy()
     expected.add(oracle.encode_batch(values, expected_rng, signs=signs))
 
     actual_rng = np.random.default_rng(seed)
     actual = oracle.accumulator()
-    actual._sums = sums.copy()
+    actual._statistic = sums.copy()
     if signed:
         actual._add_keys((values << 1) | (signs < 0), actual_rng)
     else:
         actual._add_items(values, actual_rng)
 
-    assert_same_sums(actual._sums, expected._sums)
+    assert_same_sums(actual._statistic, expected._statistic)
     assert actual.n_users == expected.n_users == n_users
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
@@ -94,7 +94,7 @@ def test_public_add_items_matches_report_round_trip(domain, n_users, seed):
     expected = oracle.accumulator().add(oracle.encode_batch(values, expected_rng))
     actual_rng = np.random.default_rng(seed)
     actual = oracle.accumulator().add_items(values.tolist(), actual_rng)
-    assert_same_sums(actual._sums, expected._sums)
+    assert_same_sums(actual._statistic, expected._statistic)
     assert actual.n_users == expected.n_users
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
@@ -117,7 +117,7 @@ def test_haar_level_key_is_block_and_sign(height, n_users, seed):
     actual_rng = np.random.default_rng(seed)
     actual = oracle.accumulator()
     actual._add_keys(items >> (level - 1), actual_rng)
-    assert_same_sums(actual._sums, expected._sums)
+    assert_same_sums(actual._statistic, expected._statistic)
     assert actual.n_users == expected.n_users
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 

@@ -51,6 +51,24 @@ class TestSpecParser:
         assert grid.dims == 2
         assert grid.flat_domain_size == 16**2
 
+    @pytest.mark.parametrize(
+        "spec,domain_size,keyword",
+        [
+            ("hhc_4", 64, {"branching": 8}),
+            ("flat_oue", 64, {"oracle": "hrr"}),
+            ("haar", 64, {"name": "x"}),
+            ("grid2d", 16, {"branching": 4}),
+        ],
+    )
+    def test_keyword_repeating_a_spec_option_is_refused(self, spec, domain_size, keyword):
+        (key,) = keyword
+        with pytest.raises(ConfigurationError, match=key):
+            mechanism_from_spec(spec, 1.0, domain_size, **keyword)
+
+    def test_collector_refuses_a_keyword_repeating_a_spec_option(self):
+        with pytest.raises(ConfigurationError, match="branching"):
+            ShardedCollector("hhc_4", 1.0, 64, branching=8)
+
     def test_consistency_flag(self):
         assert not mechanism_from_spec("hh_4", 1.0, 64).consistency
         assert mechanism_from_spec("hhc_4", 1.0, 64).consistency

@@ -75,6 +75,21 @@ class TestConfiguration:
         # Every per-level oracle runs with eps / h = 1.2 / 3.
         assert mechanism._oracles[1].epsilon == pytest.approx(0.4)
 
+    def test_splitting_strategy_uses_the_budget_split(self, monkeypatch):
+        from repro.privacy.budget import PrivacyBudget
+
+        parts = []
+        split = PrivacyBudget.split
+        monkeypatch.setattr(
+            PrivacyBudget, "split", lambda self, n: parts.append(n) or split(self, n)
+        )
+        mechanism = HierarchicalHistogramMechanism(
+            1.1, 64, branching=2, budget_strategy="splitting"
+        )
+        assert parts == [6]
+        expected = PrivacyBudget(1.1).split(6).epsilon
+        assert {oracle.epsilon for oracle in mechanism._oracles.values()} == {expected}
+
 
 class TestCollection:
     def test_not_fitted(self):

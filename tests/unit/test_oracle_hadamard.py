@@ -33,16 +33,17 @@ class TestConfiguration:
 class TestEncoding:
     def test_report_fields(self, rng):
         oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=16)
-        report = oracle.encode(3, rng)
-        assert 0 <= report["index"] < 16
-        assert report["value"] in (-1, 1)
+        reports = oracle.encode_batch(np.array([3]), rng)
+        assert reports.n_users == 1
+        assert 0 <= reports.payload["indices"][0] < 16
+        assert reports.payload["values"][0] in (-1, 1)
 
     def test_signed_encoding(self, rng):
         oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=16)
-        report = oracle.encode(3, rng, sign=-1)
-        assert report["value"] in (-1, 1)
+        reports = oracle.encode_batch(np.array([3]), rng, signs=np.array([-1]))
+        assert reports.payload["values"][0] in (-1, 1)
         with pytest.raises(InvalidQueryError):
-            oracle.encode(3, rng, sign=0)
+            oracle.encode_batch(np.array([3]), rng, signs=np.array([0]))
 
     def test_batch_shapes(self, rng):
         oracle = HadamardRandomizedResponse(epsilon=1.0, domain_size=32)

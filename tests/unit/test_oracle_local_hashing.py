@@ -15,32 +15,37 @@ from repro.frequency_oracles.local_hashing import (
 class TestUniversalHashFamily:
     def test_hash_values_in_range(self, rng):
         family = UniversalHashFamily(domain_size=1000, hash_range=8)
-        params = family.sample(rng)
-        values = family.evaluate(params, np.arange(1000))
+        params = family.sample_batch(1, rng)
+        a, b = np.repeat(params["a"], 1000), np.repeat(params["b"], 1000)
+        values = family.evaluate_pairwise(a, b, np.arange(1000))
         assert values.min() >= 0 and values.max() < 8
 
     def test_collision_probability_close_to_uniform(self, rng):
         family = UniversalHashFamily(domain_size=64, hash_range=4)
-        collisions = 0
         trials = 3000
-        for _ in range(trials):
-            params = family.sample(rng)
-            values = family.evaluate(params, np.array([3, 47]))
-            collisions += int(values[0] == values[1])
-        assert collisions / trials == pytest.approx(0.25, abs=0.04)
+        params = family.sample_batch(trials, rng)
+        first = family.evaluate_pairwise(params["a"], params["b"], np.full(trials, 3))
+        second = family.evaluate_pairwise(params["a"], params["b"], np.full(trials, 47))
+        assert (first == second).mean() == pytest.approx(0.25, abs=0.04)
 
     def test_pairwise_evaluation_matches_single(self, rng):
         family = UniversalHashFamily(domain_size=100, hash_range=6)
         batch = family.sample_batch(50, rng)
         items = rng.integers(0, 100, size=50)
         pairwise = family.evaluate_pairwise(batch["a"], batch["b"], items)
+        # Reference: ((a x + b) mod P) mod g in exact Python integers.
         singles = np.array(
             [
-                family.evaluate({"a": int(a), "b": int(b)}, np.array([item]))[0]
+                ((int(a) * int(item) + int(b)) % _PRIME) % 6
                 for a, b, item in zip(batch["a"], batch["b"], items)
             ]
         )
         np.testing.assert_array_equal(pairwise, singles)
+
+    def test_sampled_parameters_in_range(self, rng):
+        params = UniversalHashFamily(domain_size=100, hash_range=6).sample_batch(500, rng)
+        assert params["a"].min() >= 1 and params["a"].max() < _PRIME
+        assert params["b"].min() >= 0 and params["b"].max() < _PRIME
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
@@ -59,9 +64,10 @@ class TestOptimalLocalHashing:
 
     def test_encode_report_fields(self, rng):
         oracle = OptimalLocalHashing(epsilon=1.0, domain_size=32)
-        report = oracle.encode(5, rng)
-        assert set(report) == {"a", "b", "value"}
-        assert 0 <= report["value"] < oracle.hash_range
+        reports = oracle.encode_batch(np.array([5]), rng)
+        assert reports.n_users == 1
+        assert set(reports.payload) == {"a", "b", "values"}
+        assert 0 <= reports.payload["values"][0] < oracle.hash_range
 
     def test_full_protocol_unbiasedness(self, rng):
         domain = 16

@@ -1,45 +1,11 @@
-"""Unit tests for binary and generalized randomized response."""
+"""Unit tests for generalized randomized response."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidQueryError
 from repro.frequency_oracles.base import OracleReports
-from repro.frequency_oracles.randomized_response import (
-    BinaryRandomizedResponse,
-    GeneralizedRandomizedResponse,
-)
-
-
-class TestBinaryRandomizedResponse:
-    def test_keep_probability(self):
-        rr = BinaryRandomizedResponse(np.log(3.0))
-        assert rr.keep_probability == pytest.approx(0.75)
-        assert rr.unbiasing_factor == pytest.approx(0.5)
-
-    def test_perturb_values_stay_binary(self, rng):
-        rr = BinaryRandomizedResponse(1.0)
-        bits = rng.choice([-1, 1], size=1000)
-        perturbed = rr.perturb(bits, rng)
-        assert set(np.unique(perturbed)) <= {-1, 1}
-
-    def test_perturb_flip_rate(self, rng):
-        rr = BinaryRandomizedResponse(np.log(3.0))
-        bits = np.ones(20_000, dtype=int)
-        perturbed = rr.perturb(bits, rng)
-        keep_rate = (perturbed == 1).mean()
-        assert keep_rate == pytest.approx(0.75, abs=0.02)
-
-    def test_unbias_is_unbiased(self, rng):
-        rr = BinaryRandomizedResponse(1.2)
-        bits = np.ones(50_000, dtype=int)
-        estimates = rr.unbias(rr.perturb(bits, rng))
-        assert estimates.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_perturb_rejects_non_binary(self, rng):
-        rr = BinaryRandomizedResponse(1.0)
-        with pytest.raises(ValueError):
-            rr.perturb(np.array([0, 1]), rng)
+from repro.frequency_oracles.randomized_response import GeneralizedRandomizedResponse
 
 
 class TestGeneralizedRandomizedResponse:
@@ -54,8 +20,10 @@ class TestGeneralizedRandomizedResponse:
 
     def test_encode_single(self, rng):
         oracle = GeneralizedRandomizedResponse(epsilon=1.0, domain_size=5)
-        report = oracle.encode(2, rng)
-        assert 0 <= report["value"] < 5
+        reports = oracle.encode_batch(np.array([2]), rng)
+        assert reports.n_users == 1
+        assert set(reports.payload) == {"values"}
+        assert 0 <= reports.payload["values"][0] < 5
 
     def test_encode_batch_keep_rate(self, rng):
         oracle = GeneralizedRandomizedResponse(epsilon=np.log(9.0), domain_size=4)

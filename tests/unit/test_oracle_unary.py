@@ -14,8 +14,8 @@ from repro.frequency_oracles.unary import (
 
 
 def dense(reports):
-    """The dense ``{"bits"}`` layout of a packed batch: the layout of one
-    ``encode()`` report, which accumulators accept from outside input."""
+    """The dense ``{"bits"}`` layout of a packed batch, which nothing in the
+    library emits but accumulators accept from outside input."""
     payload = reports.payload
     bits = np.unpackbits(payload["packed_bits"], axis=1, count=payload["n_bits"])
     return OracleReports(payload={"bits": bits}, n_users=reports.n_users)
@@ -45,9 +45,12 @@ class TestConfiguration:
 class TestEncoding:
     def test_encode_shape_and_dtype(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=20)
-        report = oracle.encode(3, rng)
-        assert report["bits"].shape == (20,)
-        assert set(np.unique(report["bits"])) <= {0, 1}
+        reports = oracle.encode_batch(np.array([3]), rng)
+        assert reports.n_users == 1
+        assert reports.payload["packed_bits"].shape == (1, 3)  # ceil(20 / 8)
+        bits = dense(reports).payload["bits"]
+        assert bits.shape == (1, 20)
+        assert set(np.unique(bits)) <= {0, 1}
 
     def test_encode_batch_packs_by_default(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=10)
@@ -66,7 +69,9 @@ class TestEncoding:
     def test_encode_rejects_out_of_domain(self, rng):
         oracle = OptimizedUnaryEncoding(epsilon=1.0, domain_size=10)
         with pytest.raises(InvalidQueryError):
-            oracle.encode(10, rng)
+            oracle.encode_batch(np.array([10]), rng)
+        with pytest.raises(InvalidQueryError):
+            oracle.encode_batch(np.array([-1]), rng)
         with pytest.raises(InvalidQueryError):
             oracle.encode_batch(np.array([0, 11]), rng)
 

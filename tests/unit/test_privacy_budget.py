@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import InvalidPrivacyBudgetError
 from repro.privacy.budget import PrivacyBudget, validate_epsilon
+from repro.privacy.mechanisms import binary_rr_probability
 
 
 class TestValidateEpsilon:
@@ -37,7 +38,7 @@ class TestPrivacyBudget:
     def test_rr_keep_probability_default_paper_setting(self):
         # The paper's default e^eps = 3 gives a keep probability of 3/4.
         budget = PrivacyBudget.from_exp_epsilon(3.0)
-        assert budget.rr_keep_probability == pytest.approx(0.75)
+        assert binary_rr_probability(budget.epsilon) == pytest.approx(0.75)
 
     def test_from_exp_epsilon_roundtrip(self):
         budget = PrivacyBudget.from_exp_epsilon(math.exp(0.7))
