@@ -1,10 +1,14 @@
 """Closed-form variance expressions from Section 4 of the paper.
 
 These functions implement, verbatim, the theoretical quantities the paper
-derives; the benchmark ``bench_theory_bounds.py`` checks that measured mean
-squared errors respect them, and the property tests check internal
-consistency (e.g. monotonicity in ``epsilon`` and the optimal branching
-factors derived in Sections 4.4 and 4.5).
+derives, with OUE's ``V_F`` for every oracle; ``bench_theory_bounds.py``
+checks that measured mean squared errors respect them, perfbench's
+``answer_mse_ratio`` divides by them, and the property tests check
+internal consistency (e.g. monotonicity in ``epsilon`` and the optimal
+branching factors derived in Sections 4.4 and 4.5).  The variance of a
+mechanism's own answers, with its own oracle, is
+:meth:`~repro.core.base.RangeQueryMechanism.answer_variances`, which
+:mod:`repro.planner` ranks by.
 
 Summary of the expressions implemented (``V_F`` is the frequency-oracle
 variance ``4 e^eps / (N (e^eps - 1)^2)``, the zero-frequency variance of

@@ -481,10 +481,10 @@ def build_plan_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro plan",
         description=(
-            "Rank mechanism configurations by closed-form variance bound for "
-            "a workload (family x branching factor x oracle) and print the "
-            "winning factory spec. Planning reads no data, so it carries no "
-            "privacy cost."
+            "Rank mechanism configurations (family x branching factor x "
+            "oracle) by their mean answer variance over a workload and print "
+            "the winning factory spec. Planning reads no data, so it carries "
+            "no privacy cost."
         ),
     )
     parser.add_argument(
@@ -501,8 +501,9 @@ def build_plan_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "size of the random workload planned against "
-            "(0 = plan for worst-case full-domain queries)"
+            "size of the random workload planned against, drawn with "
+            "--seed (0 = the planner's default: 1024 random ranges, or "
+            "boxes when --dims > 1, drawn with seed 0)"
         ),
     )
     parser.add_argument("--seed", type=int, default=20190630, help="workload seed")

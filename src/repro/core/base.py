@@ -33,17 +33,19 @@ batch because the estimates are a deterministic function of the accumulated
 statistics (no randomness is consumed by a refresh).
 
 A subclass calls ``_init_labels`` with one oracle per label, in label
-order, and implements four hooks: ``_accumulate_per_user`` (run the local
+order, and implements five hooks: ``_accumulate_per_user`` (run the local
 protocol, e.g. draw each user's label and fold the groups of
 ``_group_by_label``), ``_accumulate_aggregate`` (fold each label's share
 of the counts, e.g. as split by ``_thinned``), :meth:`_refresh_estimates`
-(rebuild the queryable estimates from the accumulators) and
+(rebuild the queryable estimates from the accumulators),
 :meth:`_range_answers` (answer a validated ``(n, 2)`` ``int64`` batch of
-ranges, every row independently).  A subclass whose users report several
-labels (HH budget splitting) also overrides ``_accumulate`` and
-``_label_counts_fit``.  The base class provides the one validation gate
-(:func:`validate_queries`), the answer cache, the scalar surfaces,
-workload evaluation and the quantile search.
+ranges, every row independently) and :meth:`_answer_weights` (the
+squared weights each answer puts on each label's estimates, from which
+:meth:`answer_variances` states every answer's variance).  A subclass
+whose users report several labels (HH budget splitting) also overrides
+``_accumulate`` and ``_label_counts_fit``.  The base class provides the
+one validation gate (:func:`validate_queries`), the answer cache, the
+scalar surfaces, workload evaluation and the quantile search.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.frequency_oracles.accumulators import checked_state_count
+from repro.frequency_oracles.base import integer_array
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
 
@@ -408,10 +411,16 @@ class RangeQueryMechanism(abc.ABC):
     # ------------------------------------------------------------------
     # Labels
     # ------------------------------------------------------------------
-    def _init_labels(self, oracles: Mapping[Hashable, Any]) -> None:
-        """Declare the labels, in label order, with one oracle each."""
+    def _init_labels(
+        self, oracles: Mapping[Hashable, Any], shares: Optional[np.ndarray] = None
+    ) -> None:
+        """Declare the labels, in label order, with one oracle each, and each
+        label's expected share of the users (uniform by default)."""
         self._oracles = dict(oracles)
         self._labels = list(self._oracles)
+        self._label_shares = (
+            np.full(len(self._labels), 1.0 / len(self._labels)) if shares is None else shares
+        )
         self._accumulators: Optional[dict] = None
         self._label_user_counts: Optional[np.ndarray] = None
 
@@ -570,7 +579,7 @@ class RangeQueryMechanism(abc.ABC):
         is also accepted: the counts are expanded into an explicit item
         vector first (costs ``O(N)`` memory).
         """
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = integer_array(counts, "per-item counts").astype(np.int64, copy=False)
         if counts.ndim != 1 or counts.shape[0] != self._domain_size:
             raise InvalidDomainError(
                 f"expected {self._domain_size} per-item counts, got shape {counts.shape}"
@@ -829,6 +838,52 @@ class RangeQueryMechanism(abc.ABC):
             )
         return self.answer_ranges(workload.queries)
 
+    def answer_variances(self, queries: Any, n_users: Optional[int] = None) -> np.ndarray:
+        """Variance of each answer of a query batch (Fact 1, eqs. (1)–(3)).
+
+        ``queries`` has the rows of the class's batched answer surface
+        (``(n, 2)`` ranges; ``(n, 2d)`` boxes for a grid), checked by
+        :func:`validate_queries`.  Every answer is linear in independent
+        per-label oracle estimates, so its variance is ``weights @ v``:
+        ``v[l]`` is label ``l``'s oracle ``theoretical_variance`` at its
+        fitted users, or at ``n_users`` times its share when given (so an
+        unfitted mechanism can be planned), and ``weights[i, l]`` sums the
+        squared weights answer ``i`` puts on label ``l``'s estimates
+        (:meth:`_answer_weights`).  A touched label without users gives
+        ``inf``.  ``v`` is a zero-frequency variance, so OLH and GRR can
+        measure above it at large frequencies.
+        """
+        queries = self._answer_rows(queries)
+        if n_users is None:
+            if not self.is_fitted:
+                raise NotFittedError(f"{self.name} is unfitted; pass n_users= to plan")
+            users = self._label_user_counts
+        elif type(n_users) is not bool and isinstance(n_users, (int, np.integer)) and n_users > 0:
+            users = n_users * self._label_shares
+        else:
+            raise ConfigurationError(f"n_users must be a positive integer, got {n_users!r}")
+        variances = np.array(
+            [
+                oracle.theoretical_variance(count) if count > 0 else np.inf
+                for oracle, count in zip(self._oracles.values(), users.tolist())
+            ]
+        )
+        weights = self._answer_weights(queries)
+        known = np.isfinite(variances)
+        result = weights[:, known] @ variances[known]
+        result[(weights[:, ~known] > 0).any(axis=1)] = np.inf
+        return result
+
+    def _answer_rows(self, queries: Any) -> np.ndarray:
+        """The query rows of the class's batched answer surface, validated:
+        ``(n, 2)`` ranges over the item domain."""
+        return validate_queries(queries, 2, self._domain_size)
+
+    @abc.abstractmethod
+    def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
+        """``(n, labels)`` sums of the squared weights each validated query
+        row's answer puts on each label's oracle estimates."""
+
     def answer_prefix(self, end: int) -> float:
         """Estimated fraction of users with item ``<= end`` (prefix query)."""
         return self.answer_range(0, end)
@@ -896,24 +951,11 @@ class RangeQueryMechanism(abc.ABC):
         self.materialize()
 
     def _validate_items(self, items: np.ndarray) -> np.ndarray:
-        """Validate a per-user item array and return it as ``int64``.
-
-        Non-integer dtypes are rejected outright: silently truncating a
-        float array via ``astype`` would map item 2.9 to 2 without any
-        error, corrupting the collected distribution.
-        """
-        items = np.asarray(items)
+        """Validate a per-user item array (:func:`integer_array`, then the
+        domain bounds) and return it as ``int64``."""
+        items = integer_array(items, "items")
         if items.ndim != 1:
             raise InvalidQueryError("items must be a one-dimensional array")
-        if (
-            items.size
-            and not np.issubdtype(items.dtype, np.integer)
-            and items.dtype != np.bool_  # bools cast to 0/1 without loss
-        ):
-            raise InvalidQueryError(
-                f"items must have an integer dtype, got {items.dtype}; "
-                "round or cast explicitly before collection"
-            )
         if items.size and (items.min() < 0 or items.max() >= self._domain_size):
             raise InvalidQueryError(f"items must be in [0, {self._domain_size})")
         # copy=False: already-int64 batches pass through unchanged (the

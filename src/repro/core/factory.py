@@ -22,8 +22,8 @@ strings modelled on the paper's naming:
                             :class:`HierarchicalGrid2D`, the 2-D grid's
                             own class (its persist identity)
 ``"auto"`` / ``"auto_3d"``  planner-chosen spec: :func:`repro.planner.plan`
-                            ranks the candidate families by their
-                            closed-form variance bounds for the workload in
+                            ranks the candidate families by their mean
+                            answer variance over the workload in
                             ``kwargs`` and instantiates the winner
 =========================  ====================================================
 
@@ -92,8 +92,8 @@ def mechanism_from_spec(
         )
     auto_match = _AUTO_PATTERN.match(token)
     if auto_match:
-        # Planned spec: rank the candidate configurations by closed-form
-        # variance bound and instantiate the winner.  Imported lazily —
+        # Planned spec: rank the candidate configurations by mean answer
+        # variance and instantiate the winner.  Imported lazily —
         # repro.planner sits above core in the layering.
         from repro.planner import plan
 

@@ -110,11 +110,7 @@ class FlatMechanism(RangeQueryMechanism):
         self._require_fitted()
         return self._prefix[1:].copy()
 
-    def per_query_variance(self, range_length: int) -> float:
-        """Theoretical variance ``r * V_F`` of a length-``r`` query (Fact 1),
-        with the oracle's own ``V_F`` (``oracle.theoretical_variance``)."""
-        from repro.analysis.variance import _check_range_length
-
-        self._require_fitted()
-        range_length = _check_range_length(range_length, self._domain_size)
-        return range_length * self._oracle.theoretical_variance(self.n_users)
+    def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
+        """A range sums ``r`` point estimates of the one label: ``r * V_F``
+        (Fact 1)."""
+        return (queries[:, 1:] - queries[:, :1] + 1).astype(np.float64)

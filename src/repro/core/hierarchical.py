@@ -32,7 +32,7 @@ from repro.core.base import RangeQueryMechanism
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
-from repro.hierarchy.decomposition import batched_range_sums
+from repro.hierarchy.decomposition import batched_node_counts, batched_range_sums
 from repro.hierarchy.tree import DomainTree
 from repro.privacy.randomness import categorical
 
@@ -95,9 +95,9 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         self._init_level_probabilities(level_probabilities, self._tree.height)
         # Per-level oracles: a sampled user spends the whole budget on her
         # one level; a splitting user spends an equal share on every level.
-        budget = self._budget
+        budget, shares = self._budget, self._level_probabilities
         if budget_strategy == "splitting":
-            budget = budget.split(self._tree.height)
+            budget, shares = budget.split(self._tree.height), np.ones(self._tree.height)
         self._init_labels(
             {
                 level: make_oracle(
@@ -107,7 +107,8 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
                     **self._oracle_kwargs,
                 )
                 for level in self._tree.levels
-            }
+            },
+            shares,
         )
         self._raw_levels: Optional[List[np.ndarray]] = None
         self._levels: Optional[List[np.ndarray]] = None
@@ -303,19 +304,23 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         leaf_prefix = self._level_prefix[self._tree.height]
         return leaf_prefix[1 : self._domain_size + 1].copy()
 
-    def per_query_variance_bound(self, range_length: int) -> float:
-        """The theoretical bound of eq. (1) / Section 4.5 for this instance."""
-        from repro.analysis.variance import (
-            hh_consistent_range_variance,
-            hh_range_variance,
-        )
-
-        self._require_fitted()
-        bound = hh_consistent_range_variance if self._consistency else hh_range_variance
-        return bound(
-            epsilon=self.epsilon,
-            n_users=self.n_users,
-            range_length=range_length,
-            domain_size=max(2, self._domain_size),
-            branching=self.branching,
-        )
+    def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
+        """Without consistency a level's weight is the range's node count
+        there (eq. (1)).  With it, the answer is the leaf indicator ``q``
+        dotted with ``L x``; ``L``'s linear part, :func:`enforce_consistency`
+        at ``root_value=0.0``, is symmetric and idempotent (a least-squares
+        projection), so level ``l``'s weight is the level-``l`` squared
+        norm of ``L`` applied to ``q`` at the leaves, ~2^20 leaf entries a
+        chunk."""
+        tree = self._tree
+        if not self._consistency:
+            return batched_node_counts(tree, queries[:, 0], queries[:, 1]).T.astype(float)
+        leaves = np.arange(tree.padded_size)[:, None]
+        chunk = max(1, (1 << 20) // tree.padded_size)
+        weights = []
+        for block in np.split(queries, range(chunk, len(queries), chunk)):
+            levels = [np.zeros((tree.nodes_at_level(level), len(block))) for level in tree.levels]
+            levels[-1] = ((leaves >= block[:, 0]) & (leaves <= block[:, 1])).astype(float)
+            projected = enforce_consistency(levels, self.branching, root_value=0.0)
+            weights.append(np.stack([np.sum(level**2, axis=0) for level in projected], axis=1))
+        return np.concatenate(weights)

@@ -17,7 +17,7 @@ The variance of a box query grows as ``log^{2d}_B D``, matching the
 discussion in the paper; Section 6 notes that for higher dimensions coarse
 gridding becomes preferable — :mod:`repro.planner` turns exactly that
 trade-off (mechanism family x branching factor x oracle) into a runtime
-decision from the closed-form bounds.
+decision from each candidate's :meth:`answer_variances`.
 
 Since every level tuple's aggregation is an
 :class:`~repro.frequency_oracles.accumulators.OracleAccumulator` over the
@@ -53,8 +53,9 @@ from repro.exceptions import (
     InvalidDomainError,
     InvalidQueryError,
 )
+from repro.frequency_oracles.base import integer_array
 from repro.frequency_oracles.registry import make_oracle
-from repro.hierarchy.decomposition import batched_axis_runs
+from repro.hierarchy.decomposition import batched_axis_runs, batched_node_counts
 from repro.hierarchy.tree import DomainTree
 from repro.privacy.randomness import RandomState
 
@@ -86,27 +87,15 @@ def validate_points(points: np.ndarray, dims: int, side: int) -> np.ndarray:
     :meth:`HierarchicalGridND.flatten_points` and through it
     :class:`~repro.streaming.ShardedCollector.submit_points`,
     :class:`~repro.service.IngestionService` and the HTTP ``/v1/points``
-    endpoint.  Float coordinates are rejected outright — silently truncating
-    ``[[0.9, 0.2]]`` to ``[[0, 0]]`` would corrupt the collected density
-    without any error (the same hazard
-    :meth:`~repro.core.base.RangeQueryMechanism.fit_items` guards against in
-    one dimension); NaNs are caught by the same dtype gate, and
-    out-of-bounds coordinates are reported against the ``[0, D)^d`` cube.
+    endpoint.  Float coordinates are refused by :func:`integer_array`
+    (``[[0.9, 0.2]]`` is not ``[[0, 0]]``), and out-of-bounds coordinates
+    are reported against the ``[0, D)^d`` cube.
     Returns the points as ``int64`` (no copy when already integral).
     """
-    points = np.asarray(points)
+    points = integer_array(points, "points")
     if points.ndim != 2 or points.shape[1] != dims:
         raise InvalidQueryError(
             f"points must be an (n, {dims}) array of grid coordinates"
-        )
-    if (
-        points.size
-        and not np.issubdtype(points.dtype, np.integer)
-        and points.dtype != np.bool_  # bools cast to 0/1 without loss
-    ):
-        raise InvalidQueryError(
-            f"points must have an integer dtype, got {points.dtype}; "
-            "round or cast explicitly before collection"
         )
     if points.size and (points.min() < 0 or points.max() >= side):
         raise InvalidQueryError(f"points must lie in [0, {side})^{dims}")
@@ -195,9 +184,7 @@ class HierarchicalGridND(RangeQueryMechanism):
                 )
                 for levels in self._tuples
             }
-        )
-        # Level tuples are sampled uniformly.
-        self._tuple_probabilities = np.full(len(self._tuples), 1.0 / len(self._tuples))
+        )  # default shares: level tuples are sampled uniformly
         self._estimates: Optional[Dict[LevelTuple, np.ndarray]] = None
         self._init_prefix_layout()
 
@@ -420,7 +407,7 @@ class HierarchicalGridND(RangeQueryMechanism):
         coordinates = self._split_coordinates(support)
         axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
         for levels, tuple_counts in self._thinned(
-            counts[support], self._tuple_probabilities, rng
+            counts[support], self._label_shares, rng
         ):
             node_counts = np.bincount(
                 self._cell_index(levels, coordinates, axis_nodes),
@@ -493,7 +480,7 @@ class HierarchicalGridND(RangeQueryMechanism):
         small fancy-index calls or ``n`` Python-level run products.
         """
         self._require_fitted()
-        queries = validate_queries(queries, 2 * self._dims, self._side)
+        queries = self._answer_rows(queries)
         if queries.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
         return self._answer_batch("answer_boxes", queries, self._gather_boxes)
@@ -621,28 +608,19 @@ class HierarchicalGridND(RangeQueryMechanism):
         """Flattened row-major leaf estimates (matches single-cell ranges)."""
         return self.estimate_heatmap().reshape(-1)
 
-    def theoretical_variance_bound(self, per_axis_length: int) -> float:
-        """Box-variance bound from the product decomposition.
+    def _answer_rows(self, queries: Any) -> np.ndarray:
+        """Boxes: ``(n, 2d)`` rows of per-axis bounds inside the side."""
+        return validate_queries(queries, 2 * self._dims, self._side)
 
-        An ``r^d`` box decomposes into at most ``2(B - 1)`` runs per axis
-        level over ``alpha = min(h, ceil(log_B r) + 1)`` levels per axis,
-        so at most ``(2(B - 1) alpha)^d`` cells are summed; each cell
-        estimate carries variance ``h^d V_F`` because level-tuple sampling
-        dilutes the population across ``h^d`` tuples.  Section 6 only
-        sketches the multi-dimensional analysis; this is the 1-D eq. (1)
-        argument applied per axis.
-        """
-        from repro.analysis.variance import grid_nd_box_variance
-
-        self._require_fitted()
-        return grid_nd_box_variance(
-            epsilon=self.epsilon,
-            n_users=int(self._n_users),
-            per_axis_length=per_axis_length,
-            domain_size=self._side,
-            branching=self.branching,
-            dims=self._dims,
-        )
+    def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
+        """A box sums the cells of its per-axis run products, so a level
+        tuple's weight is the product of the per-axis node counts at its
+        levels."""
+        weights = np.ones((len(self._tuples), queries.shape[0]))
+        for axis in range(self._dims):
+            counts = batched_node_counts(self._tree, queries[:, 2 * axis], queries[:, 2 * axis + 1])
+            weights *= counts[self._tuple_level_rows[:, axis]]
+        return weights.T
 
 
 class HierarchicalGrid2D(HierarchicalGridND):

@@ -74,7 +74,8 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             {
                 level: HadamardRandomizedResponse(epsilon, self._padded_size >> level)
                 for level in range(1, self._height + 1)
-            }
+            },
+            self._level_probabilities,
         )
         self._coefficients: Optional[np.ndarray] = None
         self._frequencies: Optional[np.ndarray] = None
@@ -235,9 +236,20 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             "answer_ranges", self._range_batch(queries), self._range_answers
         )
 
-    def per_query_variance_bound(self) -> float:
-        """Equation (3): ``log2^2(D) V_F / 2`` independent of the range."""
-        from repro.analysis.variance import haar_range_variance
+    def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
+        """A range puts weight ``(L - R) / 2^{l/2}`` on each level-``l``
+        coefficient (``L``, ``R``: its overlaps with the block's halves, as
+        in :func:`haar_range_weights`), which is an HRR estimate over
+        ``2^{l/2}``; only the at most two boundary blocks have ``L != R``."""
+        starts, ends = queries[:, 0], queries[:, 1]
+        levels = np.arange(1, self._height + 1)[:, None]
+        half = 1 << (levels - 1)
 
-        self._require_fitted()
-        return haar_range_variance(self.epsilon, self.n_users, max(2, self._padded_size))
+        def squared(block: np.ndarray) -> np.ndarray:
+            middle = (block << levels) + half
+            left = np.minimum(ends, middle - 1) - np.maximum(starts, middle - half) + 1
+            right = np.minimum(ends, middle + half - 1) - np.maximum(starts, middle) + 1
+            return ((np.maximum(left, 0) - np.maximum(right, 0)) / 2.0**levels) ** 2
+
+        first, last = starts >> levels, ends >> levels
+        return (squared(first) + np.where(first != last, squared(last), 0.0)).T

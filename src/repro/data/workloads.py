@@ -132,9 +132,8 @@ class BoxWorkload:
     """An immutable batch of axis-aligned box queries over a ``[D]^d`` grid.
 
     The d-dimensional counterpart of :class:`RangeWorkload` and the planning
-    input of :func:`repro.planner.plan`: the per-axis side lengths of its
-    queries drive the closed-form variance bounds the planner ranks
-    candidate configurations by.
+    input of :func:`repro.planner.plan`, which ranks candidate
+    configurations by their mean answer variance over its queries.
 
     Attributes
     ----------

@@ -36,7 +36,22 @@ from repro.privacy.budget import PrivacyBudget
 from repro.privacy.mechanisms import PerturbationProbabilities
 from repro.privacy.randomness import RandomState
 
-__all__ = ["FrequencyOracle", "OracleReports", "PureOracle"]
+__all__ = ["FrequencyOracle", "OracleReports", "PureOracle", "integer_array"]
+
+
+def integer_array(values: Any, what: str) -> np.ndarray:
+    """``values`` as an array, the dtype gate of every collection input.
+
+    Non-integer dtypes raise :class:`~repro.exceptions.InvalidQueryError`
+    instead of truncating (item 2.9 is not item 2, a count of 0.7 is not 0).
+    Bools cast to 0/1 without loss and pass, as do empty arrays."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iub":
+        raise InvalidQueryError(
+            f"{what} must have an integer dtype, got {array.dtype}; "
+            "round or cast explicitly before collection"
+        )
+    return array
 
 
 @dataclass
@@ -194,7 +209,7 @@ class FrequencyOracle(abc.ABC):
     # Validation helpers shared by subclasses
     # ------------------------------------------------------------------
     def _check_values(self, values: np.ndarray) -> np.ndarray:
-        array = np.asarray(values)
+        array = integer_array(values, "items")
         if array.ndim != 1:
             raise InvalidQueryError("expected a one-dimensional array of items")
         if array.size and (array.min() < 0 or array.max() >= self._domain_size):
@@ -204,7 +219,7 @@ class FrequencyOracle(abc.ABC):
         return array.astype(np.int64)
 
     def _check_counts(self, counts: np.ndarray) -> np.ndarray:
-        array = np.asarray(counts, dtype=np.int64)
+        array = integer_array(counts, "per-item counts").astype(np.int64, copy=False)
         if array.ndim != 1 or array.shape[0] != self._domain_size:
             raise InvalidDomainError(
                 f"expected {self._domain_size} per-item counts, got shape {array.shape}"

@@ -44,13 +44,19 @@ def _validate_levels(levels: Sequence[np.ndarray], branching: int) -> List[np.nd
     if not levels:
         raise InvalidDomainError("need at least one level of estimates")
     arrays = [np.asarray(level, dtype=np.float64) for level in levels]
+    trailing = arrays[0].shape[1:]
     for depth, array in enumerate(arrays, start=1):
-        expected = branching**depth
-        if array.ndim != 1 or array.shape[0] != expected:
+        expected = (branching**depth,) + trailing
+        if array.shape != expected:
             raise InvalidDomainError(
-                f"level {depth} must have {expected} entries, got shape {array.shape}"
+                f"level {depth} must have shape {expected}, got {array.shape}"
             )
     return arrays
+
+
+def _child_sums(level: np.ndarray, branching: int) -> np.ndarray:
+    """Sums of each parent's ``B`` consecutive children along axis 0."""
+    return level.reshape(len(level) // branching, branching, *level.shape[1:]).sum(axis=1)
 
 
 def subtree_counts(height_from_leaves: int, branching: int) -> int:
@@ -74,7 +80,9 @@ def enforce_consistency(
     levels:
         Per-level estimate arrays, ``levels[0]`` being level 1 (the ``B``
         children of the root) down to ``levels[-1]`` being the ``B^h``
-        leaves.  All estimates are *fractions* of the population.
+        leaves.  All estimates are *fractions* of the population.  Each
+        level may carry the same trailing axes (e.g. one column per
+        query), which are adjusted independently, column by column.
     branching:
         Tree fan-out ``B``.
     root_value:
@@ -105,7 +113,7 @@ def enforce_consistency(
     averaged[height - 1] = noisy[height - 1].copy()
     for depth in range(height - 2, -1, -1):
         distance = height - depth  # leaves are distance 1
-        child_sums = averaged[depth + 1].reshape(-1, branching).sum(axis=1)
+        child_sums = _child_sums(averaged[depth + 1], branching)
         own_weight = (branching**distance - branching ** (distance - 1)) / (
             branching**distance - 1
         )
@@ -118,13 +126,13 @@ def enforce_consistency(
     # ------------------------------------------------------------------
     adjusted: List[np.ndarray] = [level.copy() for level in averaged]
     if root_value is not None:
-        mismatch = float(root_value) - adjusted[0].sum()
+        mismatch = float(root_value) - adjusted[0].sum(axis=0)
         adjusted[0] = adjusted[0] + mismatch / branching
     for depth in range(1, height):
         parent_values = adjusted[depth - 1]
-        child_sums = averaged[depth].reshape(-1, branching).sum(axis=1)
+        child_sums = _child_sums(averaged[depth], branching)
         corrections = (parent_values - child_sums) / branching
-        adjusted[depth] = averaged[depth] + np.repeat(corrections, branching)
+        adjusted[depth] = averaged[depth] + np.repeat(corrections, branching, axis=0)
     return adjusted
 
 
@@ -159,5 +167,5 @@ def least_squares_consistency(
     result: List[np.ndarray] = []
     for depth in range(1, height + 1):
         block = leaves // branching**depth
-        result.append(fitted_leaves.reshape(-1, block).sum(axis=1))
+        result.append(fitted_leaves.reshape(-1, block, *target.shape[1:]).sum(axis=1))
     return result

@@ -25,7 +25,7 @@ import numpy as np
 from repro import kernels
 from repro.hierarchy.tree import DomainTree
 
-__all__ = ["batched_axis_runs", "batched_range_sums"]
+__all__ = ["batched_axis_runs", "batched_node_counts", "batched_range_sums"]
 
 
 def batched_axis_runs(
@@ -79,6 +79,13 @@ def batched_axis_runs(
         top[0] = np.where(survivors, top[1], top[0])
         top[1, 0] = np.where(survivors, 0, top[1, 0])
     return runs
+
+
+def batched_node_counts(tree: DomainTree, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Nodes per level of many 1-D B-adic decompositions: the ``(h, n)``
+    run lengths of :func:`batched_axis_runs`, summed over both slots."""
+    runs = batched_axis_runs(tree, starts, ends)
+    return (runs[:, :, 1] - runs[:, :, 0]).sum(axis=1)
 
 
 def batched_range_sums(

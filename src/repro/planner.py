@@ -4,13 +4,17 @@ The paper's Figure 4 fixes a workload and sweeps the branching factor
 offline to find the best tree shape; Section 6 adds that for higher
 dimensions the balance tips between hierarchical products and coarse
 grids.  This module turns both analyses into a runtime decision: given a
-workload (range lengths, dimensionality), a population size, a privacy
-budget and a domain shape, :func:`plan` evaluates the **closed-form
-variance bounds** of :mod:`repro.analysis.variance` across mechanism
-family x branching factor ``B`` x frequency oracle and returns a ranked
-:class:`Plan`.  Like bound-driven query optimisation in databases, plans
-are chosen from analytic cost bounds, not measurement — no data is
-collected to plan, so planning is free of privacy cost.
+workload, a population size, a privacy budget and a domain shape,
+:func:`plan` builds every candidate of mechanism family x branching
+factor ``B`` x frequency oracle unfitted and ranks it by the mean of its
+:meth:`~repro.core.base.RangeQueryMechanism.answer_variances` over the
+workload at the expected per-label user counts, and returns a ranked
+:class:`Plan`.  Each candidate's variance comes from its own estimator
+and oracle, so HRR candidates rank above OUE ones by HRR's extra ``1/N``
+per estimate, and ``hhc_*`` candidates by the exact variance after
+consistency.  Like cost-based query optimisation in databases, plans are
+chosen from analytic costs, not measurement — no data is collected to
+plan, so planning is free of privacy cost.
 
 Usage::
 
@@ -20,7 +24,7 @@ Usage::
     workload = BoxWorkload(32, 3, random_boxes(32, 200, dims=3, random_state=1))
     chosen = plan(workload, n_users=200_000, epsilon=1.0)
     mechanism = chosen.mechanism()          # best candidate, ready to fit
-    print(chosen.describe())                # full ranking with bounds
+    print(chosen.describe())                # full ranking with variances
 
 The ``"auto"`` / ``"auto_3d"`` factory specs
 (:func:`repro.core.factory.mechanism_from_spec`) and ``python -m repro
@@ -35,30 +39,21 @@ Candidate spaces
   only family with a native box surface); the branching factor resolves
   the Section 6 hierarchy-vs-coarse-grid trade-off, since large ``B``
   *is* a coarse grid (``B = D`` collapses the tree to one level).
-
-The closed forms share the oracle-independent ``V_F`` (the paper's OUE /
-OLH / HRR bounds coincide asymptotically), so oracle choice breaks ties
-by enumeration order rather than by bound; candidates preserve it so a
-caller with measured per-oracle costs can re-rank.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.analysis.variance import (
-    flat_range_variance,
-    grid_nd_box_variance,
-    haar_range_variance,
-    hh_consistent_range_variance,
-    hh_range_variance,
+from repro.core.factory import mechanism_from_spec
+from repro.data.workloads import (
+    BoxWorkload,
+    RangeWorkload,
+    random_boxes,
+    random_range_queries,
 )
-from repro.data.workloads import BoxWorkload, RangeWorkload
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvalidDomainError
 
 __all__ = ["Plan", "PlanCandidate", "plan"]
 
@@ -66,13 +61,16 @@ __all__ = ["Plan", "PlanCandidate", "plan"]
 #: optima (~4.9 plain, ~9.2 with consistency) plus the binary baseline.
 DEFAULT_BRANCHINGS: Tuple[int, ...] = (2, 4, 5, 8, 16)
 
+#: Size of the seeded random workload planned for when none is given.
+DEFAULT_QUERIES = 1024
+
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One evaluated configuration: a factory spec plus its variance bound.
+    """One evaluated configuration: a factory spec plus its variance.
 
     ``spec`` feeds :func:`repro.core.factory.mechanism_from_spec` directly;
-    ``predicted_variance`` is the workload-averaged closed-form bound the
+    ``predicted_variance`` is the workload-averaged answer variance the
     ranking sorts by (lower is better).
     """
 
@@ -143,43 +141,6 @@ class Plan:
         return "\n".join(lines)
 
 
-def _candidate_lengths(
-    workload: Optional[Union[BoxWorkload, RangeWorkload]],
-    domain_size: int,
-) -> np.ndarray:
-    """Per-query characteristic lengths the bounds are averaged over.
-
-    Boxes use their longest axis (the bounds cover ``r^d`` boxes, so the
-    longest side is the conservative ``r``); with no workload the planner
-    assumes the worst case — full-domain queries.
-    """
-    if workload is None:
-        return np.array([domain_size], dtype=np.int64)
-    if isinstance(workload, BoxWorkload):
-        lengths = np.max(workload.axis_lengths, axis=1)
-    elif isinstance(workload, RangeWorkload):
-        lengths = workload.lengths
-    else:
-        raise ConfigurationError(
-            f"workload must be a BoxWorkload or RangeWorkload, got "
-            f"{type(workload).__name__}"
-        )
-    if lengths.size == 0:
-        return np.array([domain_size], dtype=np.int64)
-    return lengths
-
-
-def _mean_bound(bound, lengths: np.ndarray) -> float:
-    """Average a per-length closed-form bound over the workload lengths.
-
-    Bounds depend on the length only through ``ceil(log_B r)``-style terms,
-    so evaluating unique lengths once keeps planning O(distinct lengths).
-    """
-    unique, counts = np.unique(lengths, return_counts=True)
-    values = np.array([bound(int(length)) for length in unique])
-    return float(np.average(values, weights=counts))
-
-
 def plan(
     workload: Optional[Union[BoxWorkload, RangeWorkload]] = None,
     n_users: int = 0,
@@ -189,17 +150,19 @@ def plan(
     branchings: Sequence[int] = DEFAULT_BRANCHINGS,
     oracles: Sequence[str] = ("oue",),
 ) -> Plan:
-    """Rank mechanism configurations by closed-form variance bound.
+    """Rank mechanism configurations by mean answer variance.
 
     Parameters
     ----------
     workload:
         The queries to plan for — a :class:`~repro.data.workloads.BoxWorkload`
         (d-dimensional) or :class:`~repro.data.workloads.RangeWorkload`
-        (1-D).  ``None`` plans for the worst case (full-domain queries).
+        (1-D).  ``None`` (or an empty workload) plans for
+        ``random_range_queries(D, 1024, random_state=0)``, or
+        ``random_boxes(D, 1024, dims=d, random_state=0)`` for grids.
     n_users:
-        Expected population size ``N`` (the bounds scale as ``1/N``; the
-        ranking is invariant to it but the absolute bounds are not).
+        Expected population size ``N``; each candidate's labels get their
+        expected share of it.
     epsilon:
         Per-user privacy budget.
     domain_size, dims:
@@ -208,13 +171,13 @@ def plan(
     branchings:
         Branching factors to sweep (default brackets the paper's optima).
     oracles:
-        Frequency oracles to enumerate (the closed forms share ``V_F``,
-        so extra oracles add tie-broken-by-order candidates).
+        Frequency oracles to enumerate; each candidate uses its oracle's
+        own per-estimate variance.
 
     Returns
     -------
     Plan
-        All evaluated candidates, best (lowest bound) first.
+        All evaluated candidates, best (lowest mean variance) first.
     """
     if workload is not None:
         if not isinstance(workload, (BoxWorkload, RangeWorkload)):
@@ -240,91 +203,51 @@ def plan(
     domain_size = int(domain_size)
     if dims < 1:
         raise ConfigurationError(f"dims must be a positive integer, got {dims!r}")
-    if not isinstance(n_users, (int, np.integer)) or n_users < 1:
-        raise ConfigurationError(
-            f"n_users must be a positive integer, got {n_users!r}"
-        )
-    n_users = int(n_users)
     branchings = tuple(dict.fromkeys(int(b) for b in branchings))
     if not branchings or any(b < 2 for b in branchings):
         raise ConfigurationError(
             f"branchings must be integers >= 2, got {branchings!r}"
         )
     oracles = tuple(dict.fromkeys(str(o).lower() for o in oracles)) or ("oue",)
-    lengths = _candidate_lengths(workload, domain_size)
-    workload_name = "worst-case" if workload is None else workload.name
+    if workload is None or len(workload) == 0:
+        workload_name = f"default-{DEFAULT_QUERIES}"
+        queries = (
+            random_boxes(domain_size, DEFAULT_QUERIES, dims=dims, random_state=0)
+            if dims > 1
+            else random_range_queries(domain_size, DEFAULT_QUERIES, random_state=0).queries
+        )
+    else:
+        workload_name, queries = workload.name, workload.queries
+
+    specs = []
+    for oracle in oracles:
+        suffix = "" if oracle == "oue" else f"_{oracle}"
+        if dims > 1:
+            specs += [(f"grid{dims}d_{b}{suffix}", "gridnd", b, oracle) for b in branchings]
+            continue
+        specs.append((f"flat{suffix}", "flat", None, oracle))
+        if oracle == "oue":
+            # The Haar mechanism has a fixed HRR-based oracle.
+            specs.append(("haar", "haar", None, "hrr"))
+        for branching in branchings:
+            specs.append((f"hh_{branching}{suffix}", "hh", branching, oracle))
+            specs.append((f"hhc_{branching}{suffix}", "hhc", branching, oracle))
 
     candidates = []
-
-    def add(spec: str, family: str, branching: Optional[int], oracle: str, bound) -> None:
-        candidates.append(
-            PlanCandidate(
-                spec=spec,
-                family=family,
-                dims=dims,
-                branching=branching,
-                oracle=oracle,
-                predicted_variance=_mean_bound(bound, lengths),
-            )
-        )
-
-    if dims == 1:
-        for oracle in oracles:
-            suffix = "" if oracle == "oue" else f"_{oracle}"
-            add(
-                f"flat{suffix}",
-                "flat",
-                None,
-                oracle,
-                lambda r: flat_range_variance(epsilon, n_users, r, domain_size),
-            )
-            if oracle == "oue":
-                # The Haar mechanism has a fixed HRR-based oracle.
-                add(
-                    "haar",
-                    "haar",
-                    None,
-                    "hrr",
-                    lambda r: haar_range_variance(epsilon, n_users, domain_size),
-                )
-            for branching in branchings:
-                add(
-                    f"hh_{branching}{suffix}",
-                    "hh",
-                    branching,
-                    oracle,
-                    lambda r, b=branching: hh_range_variance(
-                        epsilon, n_users, r, domain_size, b
-                    ),
-                )
-                add(
-                    f"hhc_{branching}{suffix}",
-                    "hhc",
-                    branching,
-                    oracle,
-                    lambda r, b=branching: hh_consistent_range_variance(
-                        epsilon, n_users, r, domain_size, b
-                    ),
-                )
-    else:
-        for oracle in oracles:
-            suffix = "" if oracle == "oue" else f"_{oracle}"
-            for branching in branchings:
-                add(
-                    f"grid{dims}d_{branching}{suffix}",
-                    "gridnd",
-                    branching,
-                    oracle,
-                    lambda r, b=branching: grid_nd_box_variance(
-                        epsilon, n_users, r, domain_size, b, dims=dims
-                    ),
-                )
-
+    for spec, family, branching, oracle in specs:
+        try:
+            mechanism = mechanism_from_spec(spec, epsilon, domain_size)
+        except InvalidDomainError:
+            continue  # a shape the class refuses, e.g. too many level tuples
+        variance = float(mechanism.answer_variances(queries, n_users=n_users).mean())
+        candidates.append(PlanCandidate(spec, family, dims, branching, oracle, variance))
+    if not candidates:
+        raise ConfigurationError(f"no candidate can be built for a {domain_size}^{dims} domain")
     ranked = tuple(
         sorted(candidates, key=lambda candidate: candidate.predicted_variance)
     )
     return Plan(
-        n_users=n_users,
+        n_users=int(n_users),
         epsilon=float(epsilon),
         domain_size=domain_size,
         dims=dims,

@@ -26,6 +26,9 @@ DIMS = 3
 EPSILON = 1.4
 N_USERS = 24_000
 N_BATCHES = 6
+#: Box MSE must stay under this multiple of the mean answer variance; one
+#: fit's MSE over the 40 boxes spreads 0.6-1.6x that variance over 40 seeds.
+K = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ class TestShardedIngest:
 
         estimates = reduced.answer_boxes(boxes)
         mse = float(np.mean((estimates - truth) ** 2))
-        assert mse < float(reduced.theoretical_variance_bound(SIDE))
+        assert mse < K * float(np.mean(reduced.answer_variances(boxes)))
         full = reduced.answer_box(((0, SIDE - 1),) * DIMS)
         assert full == pytest.approx(1.0, abs=0.25)
 
@@ -90,7 +93,7 @@ class TestShardedIngest:
         reduced = asyncio.run(run())
         assert reduced.n_users == N_USERS
         mse = float(np.mean((reduced.answer_boxes(boxes) - truth) ** 2))
-        assert mse < float(reduced.theoretical_variance_bound(SIDE))
+        assert mse < K * float(np.mean(reduced.answer_variances(boxes)))
 
 
 class TestPersistRoundTrip:
@@ -159,12 +162,12 @@ class TestPlannerDrivenPipeline:
 
         mechanism.fit_points(points, np.random.default_rng(78))
         mse = float(np.mean((mechanism.answer_boxes(boxes) - truth) ** 2))
-        assert mse < chosen.predicted_variance
-        assert mse < float(mechanism.theoretical_variance_bound(SIDE))
+        assert mse < K * chosen.predicted_variance
+        assert mse < K * float(np.mean(mechanism.answer_variances(boxes)))
 
     def test_planner_pick_beats_worst_candidate(self):
-        """The closed-form ranking's best candidate measures a lower box MSE
-        than its worst one, fitted on the same points with the same seed."""
+        """The planner's best candidate measures a lower box MSE than its
+        worst one, fitted on the same points with the same seed."""
         side, n_users, epsilon = 16, 40_000, 1.1
         points = clustered_grid_points(side, n_users, random_state=21, dims=DIMS)
         boxes = random_boxes(side, 400, dims=DIMS, random_state=22)

@@ -18,6 +18,7 @@ code — it is the externally pinned truth the refactor is held to.
 import numpy as np
 import pytest
 
+from repro.analysis.variance import grid_nd_box_variance
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.data.synthetic import clustered_grid_points
 from repro.data.workloads import random_boxes
@@ -120,7 +121,11 @@ def _run_recipe(make):
     out["interleaved_single"] = a.answer_box(((3, 19), (5, 30)))
     out["interleaved_heat_sum"] = float(np.sum(a.estimate_heatmap()))
     out["interleaved_flat_range"] = a.answer_range(37, 901)
-    out["variance_bound"] = a.theoretical_variance_bound(9)
+    # The grid closed form at the recipe's population, which pins n_users.
+    out["variance_bound"] = grid_nd_box_variance(
+        a.epsilon, a.n_users, 9, a.domain_size, a.branching, dims=a.dims
+    )
+    out["answer_variances"] = a.answer_variances(rects)
     out["heatmap"] = a.estimate_heatmap()
     out["user_counts"] = a.tuple_user_counts
     return out
@@ -166,7 +171,7 @@ class TestGridNDBitIdentity:
     """HierarchicalGridND(dims=2) is the same mechanism as Grid2D."""
 
     @pytest.mark.parametrize(
-        "key", ["oneshot_aggregate", "oneshot_per_user", "interleaved"]
+        "key", ["oneshot_aggregate", "oneshot_per_user", "interleaved", "answer_variances"]
     )
     def test_rectangle_answers_identical(self, recipe_2d, recipe_nd, key):
         assert np.array_equal(recipe_nd[key], recipe_2d[key])

@@ -214,3 +214,39 @@ class TestMain:
         assert "Crash recovery" in output
         assert "bit-for-bit: True" in output
         assert path.exists()
+
+
+class TestPlanCommand:
+    @staticmethod
+    def _chosen_spec(output):
+        line = [row for row in output.splitlines() if row.startswith("chosen spec: ")]
+        assert len(line) == 1, output
+        return line[0].split()[2]
+
+    def test_prints_the_planner_pick_for_a_sampled_workload(self, capsys):
+        from repro.data.workloads import random_range_queries
+        from repro.planner import plan
+
+        code = main(
+            ["plan", "--domain", "64", "--users", "20000", "--queries", "50",
+             "--seed", "5", "--oracles", "oue", "hrr"]
+        )
+        assert code == 0
+        expected = plan(
+            random_range_queries(64, 50, random_state=5),
+            n_users=20000,
+            epsilon=1.1,
+            oracles=("oue", "hrr"),
+        )
+        output = capsys.readouterr().out
+        assert self._chosen_spec(output) == expected.spec
+        for candidate in expected.candidates:
+            assert candidate.spec in output
+
+    def test_default_workload_plans_like_the_library(self, capsys):
+        from repro.planner import plan
+
+        assert main(["plan", "--domain", "8", "--dims", "3", "--users", "24000",
+                     "--epsilon", "1.4", "--branchings", "2", "4"]) == 0
+        expected = plan(n_users=24000, epsilon=1.4, domain_size=8, dims=3, branchings=(2, 4))
+        assert self._chosen_spec(capsys.readouterr().out) == expected.spec

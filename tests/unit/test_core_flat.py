@@ -81,12 +81,13 @@ class TestAnswers:
         with pytest.raises(InvalidQueryError):
             mechanism.answer_ranges(np.array([[0, 64]]))
 
-    def test_per_query_variance_is_linear(self, small_counts):
+    def test_answer_variances_are_linear(self, small_counts):
+        """Fact 1: a length-``r`` range has variance ``r V_F``."""
         mechanism = FlatMechanism(1.0, small_counts.shape[0])
         mechanism.fit_counts(small_counts, random_state=0)
-        assert mechanism.per_query_variance(10) == pytest.approx(
-            10 * mechanism.per_query_variance(1)
-        )
+        short, long = mechanism.answer_variances([[3, 3], [10, 19]])
+        assert long == pytest.approx(10 * short)
+        assert short == mechanism.oracle.theoretical_variance(mechanism.n_users)
 
     def test_per_user_mode(self, rng):
         items = rng.integers(0, 8, size=2000)
@@ -123,18 +124,38 @@ class TestAnswers:
         mechanism.fit_items(np.array([True, False, True]), random_state=0)
         assert mechanism.n_users == 3
 
-    @pytest.mark.parametrize("length", [0, -1, 65, 1000, np.int64(65), True, 2.0])
-    def test_per_query_variance_refuses_lengths_outside_the_domain(self, length, small_counts):
+    @pytest.mark.parametrize(
+        "rows", [[[5, 4]], [[-1, 3]], [[0, 64]], [[0, 1000]], [[0.0, 2.0]], [[True, 3]], [0, 3]]
+    )
+    def test_answer_variances_refuse_rows_outside_the_domain(self, rows, small_counts):
+        """The variance surface shares the answer surface's query gate."""
         mechanism = FlatMechanism(1.0, 64)
         mechanism.fit_counts(small_counts, random_state=0)
-        with pytest.raises(InvalidQueryError, match=r"range length must be in \[1, 64\]"):
-            mechanism.per_query_variance(length)
+        with pytest.raises(InvalidQueryError):
+            mechanism.answer_variances(rows)
+        with pytest.raises(InvalidQueryError):
+            mechanism.answer_ranges(rows)
 
-    def test_per_query_variance_takes_numpy_lengths(self, small_counts):
+    def test_answer_variances_take_numpy_rows(self, small_counts):
         mechanism = FlatMechanism(1.0, 64)
         mechanism.fit_counts(small_counts, random_state=0)
-        assert mechanism.per_query_variance(np.int64(5)) == mechanism.per_query_variance(5)
-        assert mechanism.per_query_variance(64) == 64 * mechanism.per_query_variance(1)
+        rows = np.array([[0, 4], [0, 63], [7, 7]], dtype=np.int32)
+        variances = mechanism.answer_variances(rows)
+        assert np.array_equal(variances, mechanism.answer_variances(rows.tolist()))
+        assert variances[1] == 64 * variances[2]
+
+    def test_answer_variances_at_an_expected_population(self):
+        """Unfitted, the surface needs ``n_users=``; the one label gets
+        every user."""
+        mechanism = FlatMechanism(1.0, 64, oracle="hrr")
+        with pytest.raises(NotFittedError):
+            mechanism.answer_variances([[0, 9]])
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                mechanism.answer_variances([[0, 9]], n_users=bad)
+        assert mechanism.answer_variances([[0, 9]], n_users=1000)[0] == pytest.approx(
+            10 * mechanism.oracle.theoretical_variance(1000)
+        )
 
 
 OLD_LAYOUT_SNAPSHOT = Path(__file__).with_name("flat_oue_accumulator_layout.snap")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.hierarchical import HierarchicalHistogramMechanism
 from repro.exceptions import ConfigurationError, InvalidQueryError, NotFittedError
+from repro.frequency_oracles.registry import make_oracle
 
 
 def per_query_badic_sum(tree, levels, start, end):
@@ -125,6 +126,16 @@ class TestCollection:
         assert any(
             not np.allclose(r, a) for r, a in zip(raw, adjusted)
         ), "consistency should change at least one level"
+
+    def test_fit_counts_refuses_float_counts(self):
+        """Counts of 2.5, 0.7 and 1.9 users are refused, not truncated to
+        a population of 3."""
+        mechanism = HierarchicalHistogramMechanism(1.0, 4, branching=4)
+        with pytest.raises(InvalidQueryError, match="integer dtype"):
+            mechanism.fit_counts([2.5, 0.7, 0, 1.9], random_state=0)
+        assert not mechanism.is_fitted
+        mechanism.fit_counts(np.array([True, False, True, True]), random_state=0)
+        assert mechanism.n_users == 3
 
     def test_per_user_mode_runs(self, rng):
         items = rng.integers(0, 64, size=5000)
@@ -249,10 +260,43 @@ class TestAnswers:
         with pytest.raises(InvalidQueryError):
             mechanism.answer_range(0, 64)
 
-    def test_variance_bound_accessor(self, small_counts):
-        mechanism = HierarchicalHistogramMechanism(1.0, 64, branching=4)
+    def test_answer_variances_accessor(self, small_counts):
+        """Without consistency a range's variance sums ``V_F`` at each
+        level's users over its B-adic nodes (eq. (1)); ``n_users=`` gives
+        each level its expected share."""
+        mechanism = HierarchicalHistogramMechanism(1.0, 64, branching=4, consistency=False)
         mechanism.fit_counts(small_counts, random_state=0)
-        assert mechanism.per_query_variance_bound(16) > 0
+        oracle_variance = make_oracle("oue", 1.0, 4).theoretical_variance
+        users = mechanism.level_user_counts
+        # [1, 18]: leaves 1-3, level-2 nodes 1-3 (items 4-15), leaves 16-18.
+        expected = 6 * oracle_variance(int(users[2])) + 3 * oracle_variance(int(users[1]))
+        assert mechanism.answer_variances([[1, 18]])[0] == pytest.approx(expected)
+        planned = mechanism.answer_variances([[1, 18]], n_users=3000)[0]
+        assert planned == pytest.approx(9 * oracle_variance(1000))
+
+    def test_answer_variances_under_splitting_give_every_level_every_user(self):
+        mechanism = HierarchicalHistogramMechanism(
+            1.0, 64, branching=4, consistency=False, budget_strategy="splitting"
+        )
+        leaf_oracle = make_oracle("oue", 1.0 / 3, 64)
+        assert mechanism.answer_variances([[5, 5]], n_users=3000)[0] == pytest.approx(
+            leaf_oracle.theoretical_variance(3000)
+        )
+
+    def test_answer_variances_are_infinite_on_levels_without_users(self, small_counts):
+        """A touched level without users gives ``inf``; after consistency
+        every range touches every level."""
+        mechanism = HierarchicalHistogramMechanism(
+            1.0, 64, branching=4, consistency=False, level_probabilities=[0, 0, 1]
+        )
+        mechanism.fit_counts(small_counts, random_state=0)
+        point, wide = mechanism.answer_variances([[5, 5], [0, 31]])
+        assert np.isfinite(point) and point > 0
+        assert wide == np.inf
+        consistent = HierarchicalHistogramMechanism(
+            1.0, 64, branching=4, level_probabilities=[0, 0, 1]
+        )
+        assert consistent.answer_variances([[5, 5]], n_users=1000)[0] == np.inf
 
     def test_oracle_choice_changes_primitives(self, small_counts):
         hrr = HierarchicalHistogramMechanism(1.0, 64, branching=4, oracle="hrr")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.multidim import _MAX_LEVEL_TUPLES, HierarchicalGrid2D, HierarchicalGridND
+from repro.frequency_oracles.registry import make_oracle
 from repro.exceptions import (
     ConfigurationError,
     InvalidDomainError,
@@ -262,16 +263,26 @@ class TestAnswers:
             grid.estimate_frequencies(), grid.estimate_heatmap().reshape(-1)
         )
 
-    def test_variance_bound_positive(self, grid_points, rng):
+    def test_answer_variances_take_boxes(self, grid_points, rng):
         grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
-        assert grid.theoretical_variance_bound(4) > 0
-        assert grid.theoretical_variance_bound(np.int64(4)) == grid.theoretical_variance_bound(4)
-        for length in (0, 17, True, 4.0):
+        boxes = np.array([[0, 3, 4, 7], [2, 9, 0, 15]], dtype=np.int32)
+        variances = grid.answer_variances(boxes)
+        assert np.all(variances > 0)
+        assert np.array_equal(variances, grid.answer_variances(boxes.tolist()))
+        for rows in ([[0, 16, 0, 3]], [[0.0, 3.0, 0.0, 3.0]], [[True, 3, 0, 3]], [[0, 3]]):
             with pytest.raises(InvalidQueryError):
-                grid.theoretical_variance_bound(length)
+                grid.answer_variances(rows)
 
-    def test_variance_bound_depends_on_query_size(self, grid_points, rng):
-        """The bound must grow with the per-axis run count, not be constant."""
-        grid = HierarchicalGrid2D(1.0, 16).fit_points(grid_points, rng)
-        bounds = [grid.theoretical_variance_bound(r) for r in (1, 4, 16)]
-        assert bounds[0] < bounds[1] < bounds[2]
+    def test_answer_variances_multiply_per_axis_node_counts(self):
+        """A box sums the cells of its per-axis run products; with every
+        level tuple at the same expected users, its variance is
+        ``V_F(N / h^d)`` times the product of the per-axis node counts."""
+        grid = HierarchicalGrid2D(1.0, 16)  # B = 2, h = 4
+        # Axis nodes: [0, 0] is one leaf; [1, 4] is [1], [2, 3], [4];
+        # [1, 14] is [1], [2, 3], [4, 7], [8, 11], [12, 13], [14].
+        boxes = [[0, 0, 0, 0], [1, 4, 0, 0], [1, 4, 1, 4], [1, 14, 1, 4], [0, 15, 0, 15]]
+        nodes = np.array([1, 3, 9, 18, 4])
+        unit = make_oracle("oue", 1.0, 16).theoretical_variance(1600 / 16)
+        np.testing.assert_allclose(
+            grid.answer_variances(boxes, n_users=1600), nodes * unit, rtol=1e-12
+        )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.wavelet import HaarWaveletMechanism
 from repro.exceptions import ConfigurationError, InvalidQueryError, NotFittedError
+from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
 from repro.transforms.haar import haar_forward
 
 
@@ -116,6 +117,15 @@ class TestAnswers:
         with pytest.raises(InvalidQueryError):
             mechanism.answer_range_via_coefficients(10, 64)
 
-    def test_variance_bound_accessor(self, small_counts):
+    def test_answer_variances_accessor(self, small_counts):
+        """Eq. (3) bounds every range; the full domain is answered exactly
+        by the known scaling coefficient."""
         mechanism = HaarWaveletMechanism(1.0, 64).fit_counts(small_counts, random_state=0)
-        assert mechanism.per_query_variance_bound() > 0
+        variances = mechanism.answer_variances([[0, 63], [0, 31], [5, 40], [7, 7]])
+        assert variances[0] == 0.0
+        assert np.all(variances[1:] > 0)
+        # [0, 31] is the root block's left half: weight (32 / 64)^2 on
+        # level 6's estimate, none elsewhere.
+        assert variances[1] == 0.25 * HadamardRandomizedResponse(1.0, 1).theoretical_variance(
+            int(mechanism.level_user_counts[5])
+        )

@@ -84,6 +84,21 @@ class TestOracleContract:
         assert merged.state_dict()[key].tobytes() == expected.tobytes()
         assert merged.n_users == left.n_users + right.n_users
 
+    def test_float_items_and_counts_are_refused(self, name):
+        """Floats are refused, not truncated: item 2.9 must not become 2,
+        nor a count of 0.7 become 0.  Bools cast to 0/1 without loss."""
+        accumulator = make_oracle(name, epsilon=EPSILON, domain_size=DOMAIN).accumulator()
+        with pytest.raises(InvalidQueryError, match="integer dtype"):
+            accumulator.add_items(np.array([2.9, 7.99]), random_state=0)
+        counts = np.zeros(DOMAIN)
+        counts[:4] = [2.5, 0.7, 0, 1]
+        with pytest.raises(InvalidQueryError, match="integer dtype"):
+            accumulator.add_counts(counts, random_state=0)
+        assert accumulator.n_users == 0
+        accumulator.add_items(np.array([True, False, True]), random_state=0)
+        accumulator.add_counts(np.arange(DOMAIN) < 2, random_state=0)
+        assert accumulator.n_users == 5
+
     @pytest.mark.parametrize("n_users", [0, -1])
     def test_variance_needs_a_positive_population(self, name, n_users):
         oracle = make_oracle(name, epsilon=EPSILON, domain_size=DOMAIN)

@@ -1,20 +1,11 @@
 """Unit tests for repro.planner."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.variance import (
-    flat_range_variance,
-    grid_nd_box_variance,
-    haar_range_variance,
-    hh_consistent_range_variance,
-    hh_range_variance,
-)
 from repro.core.factory import mechanism_from_spec
 from repro.core.multidim import HierarchicalGrid2D, HierarchicalGridND
 from repro.data.workloads import (
     BoxWorkload,
-    RangeWorkload,
     random_boxes,
     random_range_queries,
 )
@@ -24,6 +15,11 @@ from repro.planner import DEFAULT_BRANCHINGS, Plan, PlanCandidate, plan
 
 EPSILON = 1.1
 N_USERS = 50_000
+
+
+def _mean_variance(spec, domain_size, queries):
+    mechanism = mechanism_from_spec(spec, EPSILON, domain_size)
+    return float(mechanism.answer_variances(queries, n_users=N_USERS).mean())
 
 
 @pytest.fixture(scope="module")
@@ -46,78 +42,46 @@ class TestRanking:
         assert chosen.spec == chosen.best.spec
         assert chosen.predicted_variance == chosen.best.predicted_variance
 
-    def test_pick_minimizes_independently_recomputed_bounds(self, box_workload):
-        """The winner's bound equals the minimum over the candidate set when
-        every bound is recomputed from the closed forms directly."""
+    def test_pick_minimizes_independently_recomputed_variances(self, box_workload):
+        """Every candidate's predicted variance is its unfitted mechanism's
+        mean answer variance over the workload, and the winner has the
+        smallest."""
         chosen = plan(box_workload, n_users=N_USERS, epsilon=EPSILON)
-        lengths = np.max(box_workload.axis_lengths, axis=1)
-
-        def bound_for(branching):
-            values = [
-                grid_nd_box_variance(
-                    EPSILON, N_USERS, int(r), 32, branching, dims=3
-                )
-                for r in lengths
-            ]
-            return float(np.mean(values))
-
-        recomputed = {b: bound_for(b) for b in DEFAULT_BRANCHINGS}
-        assert chosen.best.predicted_variance == pytest.approx(
-            min(recomputed.values())
-        )
-        assert recomputed[chosen.best.branching] == pytest.approx(
-            min(recomputed.values())
-        )
-        for candidate in chosen.candidates:
-            assert candidate.predicted_variance == pytest.approx(
-                recomputed[candidate.branching]
-            )
-
-    def test_one_dimensional_pick_minimizes_bounds(self, range_workload):
-        chosen = plan(range_workload, n_users=N_USERS, epsilon=EPSILON)
-        lengths = range_workload.lengths
-
-        def mean(bound):
-            return float(np.mean([bound(int(r)) for r in lengths]))
-
         recomputed = {
-            "flat": mean(
-                lambda r: flat_range_variance(EPSILON, N_USERS, r, 1024)
-            ),
-            "haar": mean(
-                lambda r: haar_range_variance(EPSILON, N_USERS, 1024)
-            ),
+            b: _mean_variance(f"grid3d_{b}", 32, box_workload.queries)
+            for b in DEFAULT_BRANCHINGS
         }
-        for b in DEFAULT_BRANCHINGS:
-            recomputed[f"hh_{b}"] = mean(
-                lambda r: hh_range_variance(EPSILON, N_USERS, r, 1024, b)
-            )
-            recomputed[f"hhc_{b}"] = mean(
-                lambda r: hh_consistent_range_variance(EPSILON, N_USERS, r, 1024, b)
-            )
-        assert chosen.best.predicted_variance == pytest.approx(
-            min(recomputed.values())
-        )
-        assert recomputed[chosen.best.spec] == pytest.approx(
-            min(recomputed.values())
-        )
+        assert chosen.best.predicted_variance == min(recomputed.values())
+        for candidate in chosen.candidates:
+            assert candidate.predicted_variance == recomputed[candidate.branching]
 
-    def test_stable_tie_break_by_enumeration_order(self):
-        """Extra oracles share V_F, so same-family-same-B candidates tie and
-        keep enumeration order (oue listed before the extras)."""
+    def test_one_dimensional_pick_minimizes_variances(self, range_workload):
+        chosen = plan(range_workload, n_users=N_USERS, epsilon=EPSILON)
+        specs = ["flat", "haar"] + [
+            f"{family}_{b}" for b in DEFAULT_BRANCHINGS for family in ("hh", "hhc")
+        ]
+        recomputed = {
+            spec: _mean_variance(spec, 1024, range_workload.queries) for spec in specs
+        }
+        assert {c.spec: c.predicted_variance for c in chosen.candidates} == recomputed
+        assert chosen.best.predicted_variance == min(recomputed.values())
+
+    def test_oracles_rank_by_their_own_variance(self):
+        """OLH's zero-frequency variance is OUE's, so the two tie and keep
+        enumeration order; HRR's is ``1/N`` per estimate more, so it ranks
+        strictly after OUE."""
         chosen = plan(
             n_users=N_USERS,
             epsilon=EPSILON,
             domain_size=16,
             dims=2,
             branchings=(4,),
-            oracles=("oue", "hrr"),
+            oracles=("oue", "hrr", "olh"),
         )
-        assert [c.spec for c in chosen.candidates] == ["grid2d_4", "grid2d_4_hrr"]
-        assert (
-            chosen.candidates[0].predicted_variance
-            == chosen.candidates[1].predicted_variance
-        )
+        assert [c.spec for c in chosen.candidates] == ["grid2d_4", "grid2d_4_olh", "grid2d_4_hrr"]
+        oue, olh, hrr = (c.predicted_variance for c in chosen.candidates)
+        assert olh == pytest.approx(oue, rel=1e-12)
+        assert hrr > oue
 
 
 class TestCandidateSpaces:
@@ -135,16 +99,30 @@ class TestCandidateSpaces:
         hh_specs = {c.spec for c in chosen.candidates if c.family == "hh"}
         assert hh_specs == {f"hh_{b}" for b in DEFAULT_BRANCHINGS}
 
-    def test_worst_case_plans_for_full_domain(self):
-        """With no workload the bounds are evaluated at r = domain_size."""
+    def test_grids_the_class_refuses_are_skipped(self):
+        """Side 1024 over 4 axes: ``B = 2`` would need 10^4 level tuples,
+        more than a grid builds, so only the others are ranked."""
+        chosen = plan(n_users=N_USERS, epsilon=EPSILON, domain_size=1024, dims=4)
+        assert {c.branching for c in chosen.candidates} == {4, 5, 8, 16}
+        with pytest.raises(ConfigurationError, match="no candidate"):
+            plan(n_users=N_USERS, epsilon=EPSILON, domain_size=1024, dims=4, branchings=(2,))
+
+    def test_default_workload_is_seeded_random_queries(self):
+        """With no workload the planner plans for 1024 seeded random boxes
+        (ranges in 1-D), so the full-domain query, which Haar and
+        ``hhc_*`` answer exactly, ranks nothing."""
         chosen = plan(n_users=N_USERS, epsilon=EPSILON, domain_size=64, dims=2)
-        for candidate in chosen.candidates:
-            assert candidate.predicted_variance == pytest.approx(
-                grid_nd_box_variance(
-                    EPSILON, N_USERS, 64, 64, candidate.branching, dims=2
-                )
-            )
-        assert chosen.workload_name == "worst-case"
+        explicit = plan(
+            BoxWorkload(64, 2, random_boxes(64, 1024, dims=2, random_state=0)),
+            n_users=N_USERS,
+            epsilon=EPSILON,
+        )
+        assert chosen.candidates == explicit.candidates
+        assert chosen.workload_name == "default-1024"
+        ranges = plan(n_users=N_USERS, epsilon=EPSILON, domain_size=64)
+        assert ranges.candidates == plan(
+            random_range_queries(64, 1024, random_state=0), n_users=N_USERS, epsilon=EPSILON
+        ).candidates
 
 
 class TestPlanObject:
