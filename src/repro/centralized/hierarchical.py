@@ -122,13 +122,14 @@ class CentralHierarchicalHistogram:
         if self._consistency:
             # The total count is assumed public (standard in this line of
             # work); it anchors the top level exactly like the local case.
-            self._levels = enforce_consistency(
+            levels = enforce_consistency(
                 noisy_levels, self.branching, root_value=float(counts.sum())
             )
         else:
-            self._levels = noisy_levels
+            levels = noisy_levels
+        self._levels = levels
         self._level_prefix = {
-            level: np.concatenate([[0.0], np.cumsum(self._levels[level - 1])])
+            level: np.concatenate([[0.0], np.cumsum(levels[level - 1])])
             for level in self._tree.levels
         }
         return self

@@ -33,19 +33,22 @@ batch because the estimates are a deterministic function of the accumulated
 statistics (no randomness is consumed by a refresh).
 
 A subclass calls ``_init_labels`` with one oracle per label, in label
-order, and implements five hooks: ``_accumulate_per_user`` (run the local
-protocol, e.g. draw each user's label and fold the groups of
-``_group_by_label``), ``_accumulate_aggregate`` (fold each label's share
-of the counts, e.g. as split by ``_thinned``), :meth:`_refresh_estimates`
-(rebuild the queryable estimates from the accumulators),
-:meth:`_range_answers` (answer a validated ``(n, 2)`` ``int64`` batch of
-ranges, every row independently) and :meth:`_answer_weights` (the
+order, and implements :meth:`_refresh_estimates` (rebuild the queryable
+estimates, among them the per-item ``_frequencies`` and their ``_prefix``
+sums that :meth:`estimate_frequencies`, :meth:`estimate_cdf` and the
+default :meth:`_range_answers` read) and :meth:`_answer_weights` (the
 squared weights each answer puts on each label's estimates, from which
-:meth:`answer_variances` states every answer's variance).  A subclass
-whose users report several labels (HH budget splitting) also overrides
-``_accumulate`` and ``_label_counts_fit``.  The base class provides the
-one validation gate (:func:`validate_queries`), the answer cache, the
-scalar surfaces, workload evaluation and the quantile search.
+:meth:`answer_variances` states every answer's variance).  Collection is
+one level-sampled protocol: each user draws a label (:meth:`_draw_labels`)
+and reports the cell holding the item at it (:meth:`_label_cells`); a class
+whose reports are not plain cells (Haar's signed keys) overrides the folds
+:meth:`_fold_users` and :meth:`_fold_counts` instead.  A class whose
+answers are not prefix differences (non-consistent HH, the grid's box
+unions) overrides :meth:`_range_answers`, and one whose users report
+several labels (HH budget splitting) ``_accumulate`` and
+``_label_counts_fit``.  The base class provides the collection skeleton, the one validation gate
+(:func:`validate_queries`), the answer cache, the scalar surfaces,
+workload evaluation and the quantile search.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from repro.exceptions import (
 from repro.frequency_oracles.accumulators import checked_state_count
 from repro.frequency_oracles.base import integer_array
 from repro.privacy.budget import PrivacyBudget
-from repro.privacy.randomness import RandomState, as_generator
+from repro.privacy.randomness import RandomState, as_generator, categorical
 
 __all__ = [
     "RangeQueryMechanism",
@@ -216,6 +219,11 @@ class RangeQueryMechanism(abc.ABC):
         # generation; write paths never touch it — a statistics mutation
         # invalidates every entry for free by bumping the generation.
         self._answer_cache = AnswerCache()
+        # The leaf read path: per-item estimates and their prefix sums
+        # (a leading 0.0, then one entry per item or padded leaf), set by
+        # every _refresh_estimates.
+        self._frequencies: Optional[np.ndarray] = None
+        self._prefix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -475,7 +483,7 @@ class RangeQueryMechanism(abc.ABC):
         self._check_mode(mode)
         rng = as_generator(random_state)
         self._reset_accumulators()
-        self._accumulate(items, self._counts_for(items, mode), rng, mode)
+        self._accumulate(items, None, rng, mode)
         self._mark_dirty()
         self._n_users = int(items.shape[0])
         return self
@@ -509,22 +517,10 @@ class RangeQueryMechanism(abc.ABC):
         rng = as_generator(random_state)
         if self._accumulators is None:
             self._reset_accumulators()
-        self._accumulate(items, self._counts_for(items, mode), rng, mode)
+        self._accumulate(items, None, rng, mode)
         self._mark_dirty()
         self._n_users = (self._n_users or 0) + int(items.shape[0])
         return self
-
-    def _counts_for(self, items: np.ndarray, mode: str) -> Optional[np.ndarray]:
-        """Per-item counts of a batch, or ``None`` when the mode ignores them.
-
-        Only the ``aggregate`` simulation consumes per-item counts; the
-        ``per_user`` protocol paths work from the item array directly, so
-        skipping the ``O(D)`` bincount keeps tiny streaming batches at
-        ``O(batch)`` validation cost.
-        """
-        if mode != "aggregate":
-            return None
-        return np.bincount(items, minlength=self._domain_size)
 
     def merge_from(self, other: "RangeQueryMechanism") -> "RangeQueryMechanism":
         """Fold another (identically configured) instance's state into this one.
@@ -612,51 +608,88 @@ class RangeQueryMechanism(abc.ABC):
     ) -> None:
         """Fold one batch into the accumulators and the per-label counts.
 
-        ``items`` is present when ``mode == "per_user"`` and ``counts``
-        when ``mode == "aggregate"``: the per-user protocol paths never
-        consume counts, so the item-fit entry points skip building them.
+        ``items`` is present when ``mode == "per_user"``; the aggregate
+        path takes per-item ``counts``, binned from ``items`` when not
+        given.  Only it pays that ``O(D)`` ``bincount``, so tiny per-user
+        streaming batches stay at ``O(batch)`` cost.
+
+        Per user: :meth:`_draw_labels`, :meth:`_group_by_label`, then
+        :meth:`_fold_users` per label.  In aggregate, :meth:`_thinned`
+        splits the counts of the batch's *support* (items with a non-zero
+        count) and :meth:`_fold_counts` folds each label's share, so a
+        small streaming batch touches O(nnz · labels) entries and the
+        noise sampling inside ``add_counts`` is the only full-domain work.
         """
         if mode == "per_user":
-            self._accumulate_per_user(items, rng)
+            assignments = self._draw_labels(rng, items.shape[0])
+            for label, users in self._group_by_label(items, assignments):
+                self._fold_users(label, users, rng)
         else:
-            self._accumulate_aggregate(counts, rng)
+            if counts is None:
+                counts = np.bincount(items, minlength=self._domain_size)
+            support = np.flatnonzero(counts)
+            for label, label_counts in self._thinned(counts[support], rng):
+                self._fold_counts(label, support, label_counts, rng)
 
-    @abc.abstractmethod
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Run the local protocol: each user's report is folded into her
-        label's accumulator, and her label's user count grows by one."""
+    def _draw_labels(self, rng: np.random.Generator, n_users: int) -> np.ndarray:
+        """Each user's label index, drawn with
+        :func:`~repro.privacy.randomness.categorical` over the label
+        shares (``rng.choice``'s values and stream)."""
+        return categorical(rng, self._label_shares, n_users)
 
-    @abc.abstractmethod
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Sample the aggregator's view: fold each label's share of the
-        per-item counts into its accumulator and its user count."""
+    def _label_cells(self, label: Hashable, items: np.ndarray) -> np.ndarray:
+        """The cell of each item in ``label``'s oracle domain: what a user
+        reporting ``label`` perturbs.  By default an item is its own cell,
+        as at the flat mechanism's one label."""
+        return items
+
+    def _fold_users(self, label: Hashable, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Run the local protocol for ``label``'s users: their cells go
+        through the accumulator's per-user hook
+        (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`),
+        the report round trip for OUE/OLH/GRR and a direct fold for HRR."""
+        self._accumulators[label]._add_items(self._label_cells(label, items), rng)
+
+    def _fold_counts(
+        self,
+        label: Hashable,
+        support: np.ndarray,
+        counts: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Fold ``label``'s share ``counts`` of the items ``support``: one
+        weighted ``bincount`` into its cells drives the accumulator's
+        simulated-aggregate path."""
+        cells = np.bincount(
+            self._label_cells(label, support),
+            weights=counts,
+            minlength=self._oracles[label].domain_size,
+        ).astype(np.int64)
+        self._accumulators[label].add_counts(cells, rng)
 
     def _group_by_label(
         self, items: np.ndarray, assignments: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[Hashable, slice]]]:
+    ) -> Iterator[Tuple[Hashable, np.ndarray]]:
         """Group a per-user batch by each user's sampled label index.
 
-        Records the users per label and returns ``(ordered, groups)``: the
-        items reordered by one stable ``argsort`` of the assignments, and
-        ``(label, slice)`` for every label that received users, in label
-        order.  ``ordered[slice]`` is exactly ``items[assignments ==
-        index]``, the same users in batch order, so the per-label protocol
-        runs consume the generator as one mask scan per label would.
+        Records the users per label, reorders the items by one stable
+        ``argsort`` of the assignments and yields ``(label, users)`` for
+        every label that received users, in label order.  ``users`` is
+        exactly ``items[assignments == index]``, the same users in batch
+        order, so the per-label protocol runs consume the generator as one
+        mask scan per label would.
         """
         counts = np.bincount(assignments, minlength=len(self._labels))
         self._label_user_counts += counts
         ordered = items[np.argsort(assignments, kind="stable")]
         stops = np.cumsum(counts).tolist()
-        groups = [
-            (self._labels[index], slice(stops[index] - int(counts[index]), stops[index]))
-            for index in np.flatnonzero(counts).tolist()
-        ]
-        return ordered, groups
+        for index in np.flatnonzero(counts).tolist():
+            yield self._labels[index], ordered[stops[index] - int(counts[index]) : stops[index]]
 
     def _thinned(
-        self, counts: np.ndarray, probabilities: np.ndarray, rng: np.random.Generator
+        self, counts: np.ndarray, rng: np.random.Generator
     ) -> Iterator[Tuple[Hashable, np.ndarray]]:
-        """Split per-item counts across the labels, one label at a time.
+        """Split per-item counts across the labels by their shares, one label at a time.
 
         A multinomial split realised as sequential binomial thinning (the
         last label takes what remains): the exact distribution of how
@@ -671,7 +704,7 @@ class RangeQueryMechanism(abc.ABC):
         remaining = counts
         remaining_probability = 1.0
         last = len(self._labels) - 1
-        for index, (label, probability) in enumerate(zip(self._labels, probabilities)):
+        for index, (label, probability) in enumerate(zip(self._labels, self._label_shares)):
             if index == last:
                 label_counts = remaining
             else:
@@ -688,7 +721,8 @@ class RangeQueryMechanism(abc.ABC):
 
     @abc.abstractmethod
     def _refresh_estimates(self) -> None:
-        """Rebuild the queryable estimates from the accumulated statistics.
+        """Rebuild the queryable estimates from the accumulated statistics,
+        ``_frequencies`` and ``_prefix`` among them.
 
         Must be a pure function of the sufficient statistics (no randomness,
         no statistic mutation) — that determinism is what makes lazy and
@@ -824,12 +858,6 @@ class RangeQueryMechanism(abc.ABC):
         self._require_fitted()
         return validate_queries(queries, 2, self._domain_size)
 
-    @staticmethod
-    def _prefix_ranges(queries: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-        """Range answers as differences of one prefix-sum array (O(1) per
-        query)."""
-        return prefix[queries[:, 1] + 1] - prefix[queries[:, 0]]
-
     def answer_workload(self, workload: RangeWorkload) -> np.ndarray:
         """Answer every query of a :class:`~repro.data.workloads.RangeWorkload`."""
         if workload.domain_size != self._domain_size:
@@ -889,21 +917,21 @@ class RangeQueryMechanism(abc.ABC):
         return self.answer_range(0, end)
 
     def estimate_frequencies(self) -> np.ndarray:
-        """Estimated per-item fractions (point queries for every item).
-
-        The default implementation answers one point range per item;
-        subclasses override it with their natural reconstruction.
-        """
+        """Estimated per-item fractions (point queries for every item): the
+        materialized ``_frequencies``."""
         self._require_fitted()
-        return self._range_answers(
-            np.repeat(np.arange(self._domain_size, dtype=np.int64), 2).reshape(-1, 2)
-        )
+        return self._frequencies.copy()
 
     def estimate_cdf(self) -> np.ndarray:
-        """Estimated cumulative distribution ``F(b) = R[0, b]`` for every b."""
+        """Estimated cumulative distribution ``F(b) = R[0, b]`` for every b.
+
+        The materialized ``_prefix`` sums over the item domain, reused
+        instead of re-deriving the CDF: bit-identical to
+        ``cumsum(estimate_frequencies())``, since a prefix of a sequential
+        cumulative sum equals the cumulative sum of the prefix.
+        """
         self._require_fitted()
-        frequencies = self.estimate_frequencies()
-        return np.cumsum(frequencies)
+        return self._prefix[1 : self._domain_size + 1].copy()
 
     def quantile(self, phi: float) -> int:
         """Estimate the ``phi``-quantile from the monotone CDF (Section 4.7).
@@ -922,22 +950,23 @@ class RangeQueryMechanism(abc.ABC):
 
         All quantiles are answered from a single monotone CDF
         reconstruction, so a batch costs no more than one quantile.
+        Targets must be numbers in ``[0, 1]``; strings and bools raise
+        :class:`~repro.exceptions.InvalidQueryError`
+        (:func:`~repro.core.quantiles.quantile_targets`).
         """
-        from repro.core.quantiles import estimate_quantiles
+        from repro.core.quantiles import estimate_quantiles, quantile_targets
 
         self._require_fitted()
-        try:
-            key = ("quantiles", tuple(float(phi) for phi in phis))
-        except (TypeError, ValueError):
-            # Unkeyable targets bypass the cache; estimate_quantiles owns
-            # the precise validation error.
-            return estimate_quantiles(self, phis)
-        return list(self._cached(key, lambda: tuple(estimate_quantiles(self, phis))))
+        targets = quantile_targets(phis)
+        key = ("quantiles", tuple(targets))
+        return list(self._cached(key, lambda: tuple(estimate_quantiles(self, targets))))
 
-    @abc.abstractmethod
     def _range_answers(self, queries: np.ndarray) -> np.ndarray:
         """Answer a validated ``(n, 2)`` ``int64`` batch of ranges (bounds
-        already checked), every row independently of the others."""
+        already checked), every row independently of the others: by
+        default, differences of the materialized prefix sums (O(1) per
+        query)."""
+        return self._prefix[queries[:, 1] + 1] - self._prefix[queries[:, 0]]
 
     # ------------------------------------------------------------------
     # Helpers

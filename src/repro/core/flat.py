@@ -56,8 +56,6 @@ class FlatMechanism(RangeQueryMechanism):
         self._oracle_kwargs = dict(oracle_kwargs)
         self._oracle = make_oracle(oracle, epsilon=epsilon, domain_size=domain_size, **oracle_kwargs)
         self._init_labels({_LEAVES: self._oracle})
-        self._frequencies: Optional[np.ndarray] = None
-        self._prefix: Optional[np.ndarray] = None
 
     config_kind = "flat"
 
@@ -75,13 +73,9 @@ class FlatMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        self._label_user_counts[0] += items.shape[0]
-        self._accumulators[_LEAVES]._add_items(items, rng)
-
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        self._label_user_counts[0] += int(counts.sum())
-        self._accumulators[_LEAVES].add_counts(counts, rng)
+    def _draw_labels(self, rng: np.random.Generator, n_users: int) -> np.ndarray:
+        """Every user reports the one label: no draw."""
+        return np.zeros(n_users, dtype=np.int64)
 
     def _refresh_estimates(self) -> None:
         self._frequencies = np.asarray(
@@ -95,21 +89,6 @@ class FlatMechanism(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
-        """Differences of the materialized prefix sums (O(1) per query)."""
-        return self._prefix_ranges(queries, self._prefix)
-
-    def estimate_frequencies(self) -> np.ndarray:
-        """Per-item estimates straight from the frequency oracle."""
-        self._require_fitted()
-        return self._frequencies.copy()
-
-    def estimate_cdf(self) -> np.ndarray:
-        """The materialized prefix sums, reused instead of re-deriving the
-        CDF from per-item frequencies (bit-identical, zero extra work)."""
-        self._require_fitted()
-        return self._prefix[1:].copy()
-
     def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
         """A range sums ``r`` point estimates of the one label: ``r * V_F``
         (Fact 1)."""

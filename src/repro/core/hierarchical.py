@@ -34,7 +34,6 @@ from repro.frequency_oracles.registry import make_oracle
 from repro.hierarchy.consistency import enforce_consistency
 from repro.hierarchy.decomposition import batched_node_counts, batched_range_sums
 from repro.hierarchy.tree import DomainTree
-from repro.privacy.randomness import categorical
 
 __all__ = ["HierarchicalHistogramMechanism"]
 
@@ -192,60 +191,30 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
         mode: str,
     ) -> None:
         """Under ``splitting`` (the ablation path) every user reports every
-        level with ``eps / h``; ``sampling`` takes the shared path."""
+        level with ``eps / h`` through the same folds; ``sampling`` takes
+        the shared path."""
         if self._budget_strategy == "sampling":
             super()._accumulate(items, counts, rng, mode)
             return
+        if mode == "aggregate" and counts is None:
+            counts = np.bincount(items, minlength=self._domain_size)
         n_users = int(items.shape[0]) if counts is None else int(counts.sum())
         self._label_user_counts += n_users
+        support = None if counts is None else np.flatnonzero(counts)
         for level in self._tree.levels:
             if mode == "per_user":
-                nodes = self._tree.nodes_of_items(level, items)
-                self._accumulators[level]._add_items(nodes, rng)
+                self._fold_users(level, items, rng)
             else:
-                node_counts = self._tree.level_histogram_from_counts(level, counts)
-                self._accumulators[level].add_counts(node_counts.astype(np.int64), rng)
+                self._fold_counts(level, support, counts[support], rng)
 
     def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
         if self._budget_strategy == "splitting":
             return all(count == n_users for count in counts.tolist())
         return super()._label_counts_fit(counts, n_users)
 
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Each user samples one level and runs the real local protocol.
-
-        The level draw is :func:`~repro.privacy.randomness.categorical`
-        (``rng.choice``'s values and stream).  Each level's users go
-        through the accumulator's per-user hook
-        (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`):
-        the report round trip for OUE/OLH/GRR, a direct fold for HRR.
-        """
-        assignments = categorical(rng, self._level_probabilities, items.shape[0])
-        ordered, groups = self._group_by_label(items, assignments)
-        for level, users in groups:
-            nodes = self._tree.nodes_of_items(level, ordered[users])
-            self._accumulators[level]._add_items(nodes, rng)
-
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Each level's share of the counts drives the oracle accumulator's
-        fast simulated-aggregate path.
-
-        The thinning and the node histograms operate on the batch's
-        *support* (items with non-zero count) only — a small streaming batch
-        touches O(nnz · h) entries instead of O(D · h), leaving the
-        per-level noise sampling inside ``add_counts`` as the only
-        full-domain work.
-        """
-        support = np.flatnonzero(counts)
-        for level, level_counts in self._thinned(
-            counts[support], self._level_probabilities, rng
-        ):
-            node_counts = np.bincount(
-                self._tree.nodes_of_items(level, support),
-                weights=level_counts,
-                minlength=self._tree.nodes_at_level(level),
-            ).astype(np.int64)
-            self._accumulators[level].add_counts(node_counts, rng)
+    def _label_cells(self, level: int, items: np.ndarray) -> np.ndarray:
+        """An item's cell at a level is its tree node there."""
+        return self._tree.nodes_of_items(level, items)
 
     def _refresh_estimates(self) -> None:
         raw = [
@@ -261,6 +230,8 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
             level: np.concatenate([[0.0], np.cumsum(self._levels[level - 1])])
             for level in self._tree.levels
         }
+        self._frequencies = self._levels[-1][: self._domain_size]
+        self._prefix = self._level_prefix[self._tree.height]
 
     # ------------------------------------------------------------------
     # Query answering
@@ -284,25 +255,8 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
 
     def _range_answers(self, queries: np.ndarray) -> np.ndarray:
         if self._consistency:
-            return self._prefix_ranges(queries, self._level_prefix[self._tree.height])
+            return super()._range_answers(queries)
         return batched_range_sums(self._tree, self._level_prefix, queries)
-
-    def estimate_frequencies(self) -> np.ndarray:
-        """Leaf-level estimates restricted to the original domain."""
-        self._require_fitted()
-        leaves = self._levels[-1]
-        return leaves[: self._domain_size].copy()
-
-    def estimate_cdf(self) -> np.ndarray:
-        """The materialized leaf prefix sums, sliced to the original domain.
-
-        Bit-identical to ``cumsum(estimate_frequencies())`` (a prefix of a
-        sequential cumulative sum equals the cumulative sum of the prefix)
-        but free: the leaf prefix array already exists for range answering.
-        """
-        self._require_fitted()
-        leaf_prefix = self._level_prefix[self._tree.height]
-        return leaf_prefix[1 : self._domain_size + 1].copy()
 
     def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
         """Without consistency a level's weight is the range's node count

@@ -179,7 +179,7 @@ class HierarchicalGridND(RangeQueryMechanism):
                 levels: make_oracle(
                     self._oracle_name,
                     epsilon=self.epsilon,
-                    domain_size=self._cells_at(levels),
+                    domain_size=math.prod(map(self._tree.nodes_at_level, levels)),
                     **self._oracle_kwargs,
                 )
                 for levels in self._tuples
@@ -187,6 +187,8 @@ class HierarchicalGridND(RangeQueryMechanism):
         )  # default shares: level tuples are sampled uniformly
         self._estimates: Optional[Dict[LevelTuple, np.ndarray]] = None
         self._init_prefix_layout()
+        # _label_cells's (items, per-axis coordinates, per-axis nodes).
+        self._cells_memo: Tuple[Any, Tuple[np.ndarray, ...], dict] = (None, (), {})
 
     def _init_prefix_layout(self) -> None:
         """Where each level tuple's prefix-sum grid lives in one flat buffer.
@@ -228,13 +230,6 @@ class HierarchicalGridND(RangeQueryMechanism):
             oracle_kwargs=dict(self._oracle_kwargs),
         )
         return config
-
-    def _cells_at(self, levels: LevelTuple) -> int:
-        """Number of grid cells of the resolution grid at a level tuple."""
-        cells = 1
-        for level in levels:
-            cells *= self._tree.nodes_at_level(level)
-        return cells
 
     @property
     def domain_size(self) -> int:
@@ -296,22 +291,7 @@ class HierarchicalGridND(RangeQueryMechanism):
         shared :func:`validate_points` gate.
         """
         points = validate_points(points, self._dims, self._side)
-        flat = points[:, 0]
-        for axis in range(1, self._dims):
-            flat = flat * self._side + points[:, axis]
-        return flat
-
-    def _split_coordinates(self, items: np.ndarray) -> List[np.ndarray]:
-        """Row-major items back to per-axis coordinate arrays."""
-        coordinates: List[np.ndarray] = []
-        remainder = items
-        for axis in range(self._dims - 1):
-            stride = self._side ** (self._dims - 1 - axis)
-            coordinate = remainder // stride
-            coordinates.append(coordinate)
-            remainder = remainder - coordinate * stride
-        coordinates.append(remainder)
-        return coordinates
+        return np.ravel_multi_index(tuple(points.T), (self._side,) * self._dims)
 
     # ------------------------------------------------------------------
     # Collection
@@ -350,71 +330,25 @@ class HierarchicalGridND(RangeQueryMechanism):
             self.flatten_points(points), random_state=random_state, mode=mode
         )
 
-    def _cell_index(
-        self,
-        levels: LevelTuple,
-        coordinates: List[np.ndarray],
-        axis_nodes: List[Dict[int, np.ndarray]],
-        users: Optional[slice] = None,
-    ) -> np.ndarray:
-        """Flattened cell indices of the resolution grid at a level tuple.
+    def _draw_labels(self, rng: np.random.Generator, n_users: int) -> np.ndarray:
+        """Each user samples one level tuple uniformly (``rng.integers``)."""
+        return rng.integers(0, len(self._tuples), size=n_users)
 
-        ``axis_nodes[axis][level]`` caches the per-axis node indices of the
-        whole batch (computed from ``coordinates`` on first use, once per
-        axis level); ``users`` (when given) restricts to the users assigned
-        to this tuple.
+    def _label_cells(self, levels: LevelTuple, items: np.ndarray) -> np.ndarray:
+        """Flattened row-major cell indices of row-major items in the
+        resolution grid at a level tuple.  The aggregate fold maps one
+        support array through all ``h^d`` tuples, so the last array's
+        per-axis nodes are kept: split once per batch, not once per tuple.
         """
+        if items is not self._cells_memo[0]:
+            self._cells_memo = (items, np.unravel_index(items, (self._side,) * self._dims), {})
+        _, axes, nodes = self._cells_memo
         cells = 0
         for axis, level in enumerate(levels):
-            nodes = axis_nodes[axis].get(level)
-            if nodes is None:
-                nodes = self._tree.nodes_of_items(level, coordinates[axis])
-                axis_nodes[axis][level] = nodes
-            part = nodes if users is None else nodes[users]
-            cells = cells * self._tree.nodes_at_level(level) + part
+            if (axis, level) not in nodes:
+                nodes[axis, level] = self._tree.nodes_of_items(level, axes[axis])
+            cells = cells * self._tree.nodes_at_level(level) + nodes[axis, level]
         return cells
-
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Each user samples one level tuple and runs the real local protocol.
-
-        Sorting the batch by tuple once makes every tuple's users one
-        contiguous slice; per-axis node indices are computed once per
-        active axis level over the sorted batch, and each tuple's cells go
-        through the accumulator's per-user hook
-        (:meth:`~repro.frequency_oracles.accumulators.OracleAccumulator._add_items`).
-        Only tuples that actually received users are visited, so a tiny
-        streaming batch costs O(active tuples), not O(h^d) mask scans.
-        """
-        assignments = rng.integers(0, len(self._tuples), size=items.shape[0])
-        ordered, groups = self._group_by_label(items, assignments)
-        coordinates = self._split_coordinates(ordered)
-        axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
-        for levels, users in groups:
-            cells = self._cell_index(levels, coordinates, axis_nodes, users)
-            self._accumulators[levels]._add_items(cells, rng)
-
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Each tuple's share of the counts drives the oracle accumulator's
-        simulated-aggregate path.
-
-        The thinning and the per-tuple cell histograms operate on the
-        batch's *support* (cells with non-zero count) only — a small
-        streaming batch costs O(nnz · h^d) entries instead of a padded
-        ``(B^h)^d`` reshape and block-sum per tuple, leaving the per-tuple
-        noise sampling inside ``add_counts`` as the only full-grid work.
-        """
-        support = np.flatnonzero(counts)
-        coordinates = self._split_coordinates(support)
-        axis_nodes: List[Dict[int, np.ndarray]] = [{} for _ in range(self._dims)]
-        for levels, tuple_counts in self._thinned(
-            counts[support], self._label_shares, rng
-        ):
-            node_counts = np.bincount(
-                self._cell_index(levels, coordinates, axis_nodes),
-                weights=tuple_counts,
-                minlength=self._cells_at(levels),
-            ).astype(np.int64)
-            self._accumulators[levels].add_counts(node_counts, rng)
 
     # ------------------------------------------------------------------
     # Merging / estimates
@@ -449,6 +383,9 @@ class HierarchicalGridND(RangeQueryMechanism):
         self._estimates = estimates
         self._prefix_flat = flat
         self._tuple_prefix = prefixes
+        leaves = estimates[(self._tree.height,) * self._dims]
+        self._frequencies = leaves[(slice(None, self._side),) * self._dims].reshape(-1)
+        self._prefix = np.concatenate([[0.0], np.cumsum(self._frequencies)])
 
     # ------------------------------------------------------------------
     # Query answering
@@ -599,14 +536,9 @@ class HierarchicalGridND(RangeQueryMechanism):
 
     def estimate_heatmap(self) -> np.ndarray:
         """Leaf-resolution estimate of the d-dimensional density
-        (a ``D x ... x D`` grid)."""
-        self._require_fitted()
-        leaves = self._estimates[(self._tree.height,) * self._dims]
-        return leaves[(slice(None, self._side),) * self._dims].copy()
-
-    def estimate_frequencies(self) -> np.ndarray:
-        """Flattened row-major leaf estimates (matches single-cell ranges)."""
-        return self.estimate_heatmap().reshape(-1)
+        (a ``D x ... x D`` grid): :meth:`estimate_frequencies`, the
+        flattened row-major leaf estimates, in grid shape."""
+        return self.estimate_frequencies().reshape((self._side,) * self._dims)
 
     def _answer_rows(self, queries: Any) -> np.ndarray:
         """Boxes: ``(n, 2d)`` rows of per-axis bounds inside the side."""

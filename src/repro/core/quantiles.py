@@ -16,7 +16,7 @@ the experiments:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "monotone_cdf",
     "estimate_quantiles",
     "estimate_median",
+    "quantile_targets",
     "DECILES",
 ]
 
@@ -62,6 +63,35 @@ def monotone_cdf(cdf: np.ndarray) -> np.ndarray:
     return np.clip(np.maximum.accumulate(cdf), 0.0, 1.0)
 
 
+def quantile_targets(targets: Any) -> List[float]:
+    """Quantile targets as floats, each a number in ``[0, 1]``.
+
+    The target policy of :func:`estimate_quantiles`,
+    :meth:`~repro.core.base.RangeQueryMechanism.quantiles` and the HTTP
+    ``/v1/quantiles`` decoder.  Strings and bools raise
+    :class:`~repro.exceptions.InvalidQueryError` instead of being cast:
+    ``float("0.5")`` and ``float(True)`` would answer them as ``0.5`` and
+    ``1.0`` without any error.  Integers, such as JSON ``0`` and ``1``,
+    pass.
+    """
+    try:
+        targets = list(targets)
+    except TypeError:
+        raise InvalidQueryError("quantile targets must be a sequence of numbers") from None
+    values = []
+    for target in targets:
+        if isinstance(target, (str, bytes, bool, np.bool_)):
+            raise InvalidQueryError(f"quantile targets must be numbers, got {target!r}")
+        try:
+            value = float(target)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidQueryError(f"quantile targets must be numbers, got {target!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise InvalidQueryError(f"quantile targets must be in [0, 1], got {target!r}")
+        values.append(value)
+    return values
+
+
 def estimate_quantiles(
     mechanism: RangeQueryMechanism,
     targets: Sequence[float] = DECILES,
@@ -72,10 +102,7 @@ def estimate_quantiles(
     Returns, for each target ``phi``, the smallest item whose estimated
     cumulative mass reaches ``phi``.
     """
-    targets = [float(t) for t in targets]
-    for target in targets:
-        if not 0.0 <= target <= 1.0:
-            raise InvalidQueryError(f"quantile targets must be in [0, 1], got {target!r}")
+    targets = quantile_targets(targets)
     cdf = estimate_cdf(mechanism, monotone=monotone)
     items = np.searchsorted(cdf, np.asarray(targets), side="left")
     # Clamp by the CDF's own length: mechanisms whose item domain differs

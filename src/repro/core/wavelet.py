@@ -35,7 +35,6 @@ from repro.frequency_oracles.hadamard import (
     HadamardRandomizedResponse,
     dyadic_estimates,
 )
-from repro.privacy.randomness import categorical
 from repro.transforms.haar import haar_inverse, haar_range_weights
 from repro.transforms.hadamard import next_power_of_two
 
@@ -78,8 +77,6 @@ class HaarWaveletMechanism(RangeQueryMechanism):
             self._level_probabilities,
         )
         self._coefficients: Optional[np.ndarray] = None
-        self._frequencies: Optional[np.ndarray] = None
-        self._prefix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -153,56 +150,47 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         self._frequencies = reconstructed[: self._domain_size]
         self._prefix = np.concatenate([[0.0], np.cumsum(self._frequencies)])
 
-    def _accumulate_per_user(self, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Run the real local protocol with each user sampling a level.
+    def _fold_users(self, level: int, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Run HRR for a level's users.
 
-        The level draw is :func:`~repro.privacy.randomness.categorical`
-        (``rng.choice``'s values and stream).  A level-``l`` user's HRR key
-        is ``item >> (l - 1)``: the block ``item >> l`` in the high bits and
-        the coefficient's sign (set for the block's right half) in bit 0,
-        so :meth:`HadamardAccumulator._add_keys` perturbs and folds the
-        group straight into the level's sums.
+        A level-``l`` user's HRR key is ``item >> (l - 1)``: the block
+        ``item >> l`` in the high bits and the coefficient's sign (set for
+        the block's right half) in bit 0, so
+        :meth:`HadamardAccumulator._add_keys` perturbs and folds the group
+        straight into the level's sums.
         """
-        assignments = categorical(rng, self._level_probabilities, items.shape[0])
-        ordered, groups = self._group_by_label(items, assignments)
-        for level, users in groups:
-            self._accumulators[level]._add_keys(ordered[users] >> (level - 1), rng)
+        self._accumulators[level]._add_keys(items >> (level - 1), rng)
 
-    def _accumulate_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Aggregate mode: partition the counts across levels, then run HRR
-        per level, exact in distribution (per-user mode keeps the per-user
-        stream).
+    def _fold_counts(
+        self,
+        level: int,
+        support: np.ndarray,
+        counts: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Aggregate mode: run HRR on a level's share of the counts, exact
+        in distribution (per-user mode keeps the per-user stream).
 
-        The thinning runs over the batch's *support* (items with non-zero
-        count), as the hierarchical mechanisms' does, so a small batch
-        costs O(nnz · h), not O(D · h).  HRR has no closed-form per-item
-        aggregate to sample from, so each level's users are handed to
-        :meth:`HadamardAccumulator.add_runs` as runs of ``(block, sign)``
-        pairs: pair ``item >> (l - 1)`` is block ``item >> l``'s left half
-        (sign ``+1``) or right half (sign ``-1``), so one weighted
-        ``bincount`` of the support gives the run lengths, and the pairs
-        that received users are the runs, in order.  ``add_runs`` samples
-        the users' Hadamard indices in count space for a large level and
-        draws them per user for a small one; the randomized-response flips
-        are one binomial count per (index, sign) cell.
+        HRR has no closed-form per-item aggregate to sample from, so the
+        level's users are handed to :meth:`HadamardAccumulator.add_runs`
+        as runs of ``(block, sign)`` pairs: pair ``item >> (l - 1)`` is
+        block ``item >> l``'s left half (sign ``+1``) or right half (sign
+        ``-1``), so one weighted ``bincount`` of the support gives the run
+        lengths, and the pairs that received users are the runs, in order.
+        ``add_runs`` samples the users' Hadamard indices in count space
+        for a large level and draws them per user for a small one; the
+        randomized-response flips are one binomial count per (index, sign)
+        cell.
         """
-        support = np.flatnonzero(counts)
-        for level, level_counts in self._thinned(
-            counts[support], self._level_probabilities, rng
-        ):
-            pair_counts = np.bincount(support >> (level - 1), weights=level_counts)
-            pairs = np.flatnonzero(pair_counts)
-            self._accumulators[level].add_runs(
-                pairs >> 1, pair_counts[pairs], rng, signs=1 - 2 * (pairs & 1)
-            )
+        pair_counts = np.bincount(support >> (level - 1), weights=counts)
+        pairs = np.flatnonzero(pair_counts)
+        self._accumulators[level].add_runs(
+            pairs >> 1, pair_counts[pairs], rng, signs=1 - 2 * (pairs & 1)
+        )
 
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def _range_answers(self, queries: np.ndarray) -> np.ndarray:
-        """Differences of the prefix sums of the inverted coefficients."""
-        return self._prefix_ranges(queries, self._prefix)
-
     def answer_range_via_coefficients(self, start: int, end: int) -> float:
         """Answer a range directly in the coefficient basis (Section 4.6).
 
@@ -214,17 +202,6 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         start, end = self._range_batch([[start, end]])[0].tolist()
         indices, weights = haar_range_weights(start, end, self._padded_size)
         return float(np.dot(self._coefficients[indices], weights))
-
-    def estimate_frequencies(self) -> np.ndarray:
-        """Per-item estimates from the inverted coefficient vector."""
-        self._require_fitted()
-        return self._frequencies.copy()
-
-    def estimate_cdf(self) -> np.ndarray:
-        """The materialized prefix sums, reused instead of re-deriving the
-        CDF from the reconstructed frequencies (bit-identical)."""
-        self._require_fitted()
-        return self._prefix[1:].copy()
 
     def answer_ranges(self, queries: np.ndarray) -> np.ndarray:
         """Vectorised evaluation via prefix sums (O(1) per query).

@@ -157,7 +157,23 @@ _READ_SURFACE_CALLS = frozenset(
     }
 )
 
-_ESTIMATE_ATTRS = frozenset({"_frequencies", "_prefix", "_estimates"})
+#: Materialized estimates a write path must not read: the leaf read path's
+#: frequencies and prefix sums, and each mechanism's own reconstructions
+#: (HH's levels and their prefix sums, Haar's coefficients, the grid's
+#: per-tuple grids and prefix buffers).
+_ESTIMATE_ATTRS = frozenset(
+    {
+        "_frequencies",
+        "_prefix",
+        "_estimates",
+        "_levels",
+        "_raw_levels",
+        "_level_prefix",
+        "_coefficients",
+        "_prefix_flat",
+        "_tuple_prefix",
+    }
+)
 
 _BLOCKING_IO_ATTRS = frozenset({"read_text", "write_text", "read_bytes", "write_bytes"})
 

@@ -39,7 +39,7 @@ import json
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -314,20 +314,36 @@ class ServiceClient:
         ``max_sleep`` so tests against millisecond queues stay fast).
         Raises :class:`~repro.exceptions.ServiceOverloadedError` once
         ``max_attempts`` rejections pile up."""
+        return self._retrying(
+            lambda: self.post_batch(items, mode=mode), "batch", max_attempts, max_sleep
+        )
+
+    @staticmethod
+    def _retrying(
+        send: Callable[[], ServiceResponse],
+        what: str,
+        max_attempts: int,
+        max_sleep: float,
+    ) -> ServiceResponse:
+        """The one 503 backpressure loop: ``send()`` until a response is
+        not a 503, sleeping the server's ``Retry-After`` hint (capped at
+        ``max_sleep``) between attempts.  Raises
+        :class:`~repro.exceptions.ServiceOverloadedError` after
+        ``max_attempts`` rejections."""
         if max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be a positive integer, got {max_attempts!r}"
             )
-        response = self.post_batch(items, mode=mode)
+        response = send()
         attempts = 1
         while response.status == 503 and attempts < int(max_attempts):
             hint = response.retry_after if response.retry_after is not None else max_sleep
             time.sleep(min(float(hint), float(max_sleep)))
-            response = self.post_batch(items, mode=mode)
+            response = send()
             attempts += 1
         if response.status == 503:
             raise ServiceOverloadedError(
-                f"batch still rejected after {attempts} attempts"
+                f"{what} still rejected after {attempts} attempts"
             )
         return response
 
@@ -344,22 +360,13 @@ class ServiceClient:
     ) -> ServiceResponse:
         """One query POST with the same keep-alive + one-reconnect +
         ``Retry-After`` discipline as :meth:`post_batch_retrying`."""
-        if max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be a positive integer, got {max_attempts!r}"
-            )
         headers = {"Accept": _NPY} if binary else None
-        response = self._request("POST", path, payload, headers=headers)
-        attempts = 1
-        while response.status == 503 and attempts < int(max_attempts):
-            hint = response.retry_after if response.retry_after is not None else max_sleep
-            time.sleep(min(float(hint), float(max_sleep)))
-            response = self._request("POST", path, payload, headers=headers)
-            attempts += 1
-        if response.status == 503:
-            raise ServiceOverloadedError(
-                f"query still rejected after {attempts} attempts"
-            )
+        response = self._retrying(
+            lambda: self._request("POST", path, payload, headers=headers),
+            "query",
+            max_attempts,
+            max_sleep,
+        )
         if not response.ok:
             try:
                 message = response.json().get("error", response.text)
@@ -411,8 +418,11 @@ class ServiceClient:
         max_attempts: int = 50,
         max_sleep: float = 0.05,
     ) -> List[int]:
-        """``POST /v1/quantiles``; returns one domain item per target."""
-        payload = {"phis": [float(phi) for phi in phis]}
+        """``POST /v1/quantiles``; returns one domain item per target.
+        Targets are sent as their JSON values, as :meth:`query_ranges`
+        sends bounds, not cast to float, so the server refuses a string or
+        bool target (HTTP 400, raised as ``ConfigurationError``)."""
+        payload = {"phis": np.asarray(phis).tolist()}
         response = self._post_query_retrying(
             "/v1/quantiles", payload, binary, max_attempts, max_sleep
         )

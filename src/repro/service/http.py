@@ -25,7 +25,8 @@ rule is stdlib + numpy:
   through :class:`~repro.service.query.QueryCoalescer`.  ``Accept:
   application/x-npy`` negotiates a binary response body.
 * ``POST /v1/quantiles`` — JSON ``{"phis": [0.5, ...]}``, same view and
-  content negotiation.
+  content negotiation; targets must be numbers in ``[0, 1]`` (strings and
+  bools get a 400 before any view refresh).
 * ``GET /healthz`` — liveness JSON.
 * ``GET /metrics`` — Prometheus text exposition (version 0.0.4): the
   service's :meth:`~repro.service.IngestionService.stats` snapshot plus
@@ -61,6 +62,7 @@ import numpy as np
 
 from repro.core.base import integer_queries
 from repro.core.cache import DEFAULT_ANSWER_CACHE_SIZE
+from repro.core.quantiles import quantile_targets
 from repro.exceptions import (
     ConfigurationError,
     InvalidQueryError,
@@ -679,10 +681,12 @@ class ReproHttpServer:
         raw = payload.get("phis")
         if raw is None:
             return _HttpResponse.error(400, "missing required field 'phis'")
-        try:
-            phis = [float(phi) for phi in np.asarray(raw, dtype=np.float64).reshape(-1)]
-        except (TypeError, ValueError, OverflowError):
+        if not isinstance(raw, list):
             return _HttpResponse.error(400, "'phis' must be an array of numbers")
+        try:
+            phis = quantile_targets(raw)
+        except ReproError as error:
+            return _HttpResponse.error(400, str(error))
         view, generation, error = await self._query_view()
         if error is not None:
             return error

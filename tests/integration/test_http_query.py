@@ -309,6 +309,33 @@ class TestErrorPaths:
             assert "query bounds must be integers" in message
         assert stats["views_built"] == 0
 
+    def test_non_numeric_quantile_targets_are_400(self, rng):
+        """String and bool ``phis`` are refused, not cast: the decoder's
+        float64 conversion used to answer ``"0.5"`` as 0.5 and ``true`` as
+        1.0.  JSON integers still pass."""
+        bad = [["0.5"], [True], [0.5, False], [[0.5]], "0.5", {"0.5": 1}, [1.5]]
+
+        def ask(server, phis):
+            status, _, body = raw_request(
+                server, "POST", "/v1/quantiles", body=json.dumps({"phis": phis}).encode()
+            )
+            return status, json.loads(body)
+
+        with HttpServerThread(make_collector(seed=51)) as server:
+            with ServiceClient(*server.address) as client:
+                client.post_batch_retrying(rng.integers(0, DOMAIN, size=200))
+            wait_absorbed(server, 1)
+            refused = [ask(server, phis)[0] for phis in bad]
+            status, body = ask(server, [0, 1, 0.5])
+            with ServiceClient(*server.address) as client:
+                with pytest.raises(ConfigurationError, match="HTTP 400"):
+                    client.query_quantiles(["0.5"])
+                assert client.query_quantiles(np.array([0.0, 1.0, 0.5])) == body["quantiles"]
+        expected = server.reduce().quantiles([0.0, 1.0, 0.5])
+        assert refused == [400] * len(bad)
+        assert status == 200
+        assert body["quantiles"] == expected
+
     def test_spec_mismatch_on_query_is_409(self, rng):
         with HttpServerThread(make_collector(seed=47)) as server:
             with ServiceClient(*server.address) as client:

@@ -11,6 +11,7 @@ from repro.core.quantiles import (
     estimate_median,
     estimate_quantiles,
     monotone_cdf,
+    quantile_targets,
 )
 from repro.exceptions import InvalidQueryError
 
@@ -76,6 +77,25 @@ class TestQuantiles:
     def test_invalid_targets(self, fitted_mechanism):
         with pytest.raises(InvalidQueryError):
             estimate_quantiles(fitted_mechanism, (1.5,))
+
+    @pytest.mark.parametrize(
+        "targets",
+        [["0.5"], [True], [np.bool_(False)], [0.5, "0.9"], "0.5", [None], [[0.5]], 0.5, [10**400]],
+        ids=["str", "bool", "numpy-bool", "mixed", "bare-str", "none", "nested", "scalar", "huge"],
+    )
+    def test_non_numeric_targets_are_refused(self, fitted_mechanism, targets):
+        """``float("0.5")`` and ``float(True)`` used to answer a string
+        target as 0.5 and a bool as 1.0 (``[17]`` and ``[63]`` on a
+        D = 64 ``hhc_4``)."""
+        with pytest.raises(InvalidQueryError):
+            fitted_mechanism.quantiles(targets)
+        with pytest.raises(InvalidQueryError):
+            estimate_quantiles(fitted_mechanism, targets)
+
+    def test_integer_and_numpy_targets_pass(self, fitted_mechanism):
+        expected = estimate_quantiles(fitted_mechanism, (0.0, 1.0, 0.5))
+        assert fitted_mechanism.quantiles([0, 1, np.float32(0.5)]) == expected
+        assert quantile_targets(np.array([0, 1])) == [0.0, 1.0]
 
     def test_binary_search_quantile_matches_cdf_quantile(self, medium_counts):
         # The base-class binary search over prefix queries and the batched

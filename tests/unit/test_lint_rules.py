@@ -230,6 +230,30 @@ class TestWritePathPurityR003:
         )
         assert rules_of(findings) == ["LDP-R003"]
 
+    @pytest.mark.parametrize(
+        "attribute",
+        [
+            "_levels",
+            "_raw_levels",
+            "_level_prefix",
+            "_coefficients",
+            "_prefix_flat",
+            "_tuple_prefix",
+        ],
+    )
+    def test_mechanism_estimate_attribute_read_in_write_path_flagged(self, tmp_path, attribute):
+        findings, _ = lint_source(
+            tmp_path,
+            f"""
+            class Tree:
+                def fit_counts(self, counts):
+                    self._levels = [counts]
+                    return self.{attribute}
+            """,
+        )
+        assert rules_of(findings) == ["LDP-R003"]
+        assert attribute in findings[0].message
+
     def test_estimate_attribute_reset_is_clean(self, tmp_path):
         findings, _ = lint_source(
             tmp_path,
@@ -266,9 +290,9 @@ class TestWritePathPurityR003:
 
     PER_USER_ROUND_TRIP = """
     class Mechanism:
-        def _accumulate_per_user(self, items, rng):
-            oracle = self._oracles[1]
-            self._accumulators[1].add(oracle.encode_batch(items, rng))
+        def _fold_users(self, label, items, rng):
+            oracle = self._oracles[label]
+            self._accumulators[label].add(oracle.encode_batch(items, rng))
     """
 
     def test_encode_batch_in_core_flagged(self, tmp_path):
@@ -283,8 +307,8 @@ class TestWritePathPurityR003:
             tmp_path,
             """
             class Mechanism:
-                def _accumulate_per_user(self, items, rng):
-                    self._accumulators[1]._add_items(items, rng)
+                def _fold_users(self, label, items, rng):
+                    self._accumulators[label]._add_items(items, rng)
             """,
             name="repro/core/mechanism.py",
         )
