@@ -1,18 +1,23 @@
 """Audit of HRR's count-space sampler, and the crossover it switches at.
 
-In aggregate mode :meth:`HadamardAccumulator._add_runs` gets the users'
-true ``(index, sign)`` tallies one of two ways: it draws every user's
-Hadamard index (``_true_codes``), or, from
-``HadamardRandomizedResponse._count_space_min_users`` users on, it samples
-the tallies in count space, one fair-binomial split per index bit
-(``_true_tallies``).  The unit and property tests pin each path bit for
-bit and check the aggregate against per-user mode at one small domain;
-this audit runs more seeds at a few ``(D', N)`` on both sides of the
-threshold, with each path forced, and compares the two samplers' true
-tallies and the coefficient sums they lead to, coordinate by coordinate
-(mean and variance within ``Z`` standard errors, two-sample).
+In aggregate mode :func:`~repro.frequency_oracles.hadamard.sample_level_runs`
+(behind ``HadamardAccumulator.add_runs`` and ``add_counts``, a stack of one
+level, and the Haar fit, all levels at once) gets each level's users' true
+``(index, sign)`` tallies one of two ways: it draws every user's Hadamard index
+(``_true_codes``), or, from ``HadamardRandomizedResponse._count_space_min_users``
+users on, it samples the tallies in count space, one fair-binomial split
+per index bit shared by every such level
+(:func:`~repro.frequency_oracles.hadamard.count_space_tallies`).  The unit
+and property tests pin each path bit for bit and check the aggregate
+against per-user mode at one small domain; this audit runs more seeds at a
+few ``(D', N)`` on both sides of the threshold, with each path forced, and
+compares the two samplers' true tallies and the coefficient sums they lead
+to, coordinate by coordinate (mean and variance within ``Z`` standard
+errors, two-sample).  A second audit compares one multi-level call over a
+stack of levels, some past their threshold and some not, with one call per
+level.
 
-The second test prints the timing table the threshold constant
+The last test prints the timing table the threshold constant
 (:data:`~repro.privacy.randomness.COUNT_SPACE_USERS_PER_BIT`) was fitted
 from: both samplers at a quarter, one and four times the threshold for
 several ``D'``.  It asserts nothing about speed (a CI runner is not the
@@ -27,7 +32,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.reporting import format_table
-from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
+from repro.frequency_oracles.hadamard import (
+    HadamardRandomizedResponse,
+    add_level_runs,
+    count_space_tallies,
+)
 from repro.privacy.randomness import COUNT_SPACE_USERS_PER_BIT
 
 EPSILON = 1.1
@@ -42,7 +51,7 @@ def _true_tallies(oracle, counts, rng, count_space):
     keys = oracle._keys(np.arange(counts.shape[0]), None)
     if count_space:
         key_tallies = np.bincount(keys, weights=counts, minlength=2 * oracle.padded_size)
-        return oracle._true_tallies(key_tallies.astype(np.int64), rng)
+        return count_space_tallies([key_tallies.astype(np.int64)], rng)[0]
     codes = oracle._true_codes(np.repeat(keys, counts), rng)
     return np.bincount(codes, minlength=2 * oracle.padded_size)
 
@@ -77,6 +86,53 @@ def test_count_space_sampler_matches_per_user_draws(padded, n_users, draws):
         results[count_space] = (np.array(tallies), np.array(sums))
     for count_space_sample, per_user_sample in zip(results[True], results[False]):
         _assert_same_moments(count_space_sample, per_user_sample)
+
+
+#: ``(D', N)`` of the stacked levels: 20,000 users at ``D' = 256`` and
+#: 5,000 at ``D' = 4`` stay below their thresholds (56,192 and 12,032 users)
+#: and draw per user; the rest are sampled in count space together.
+STACK = [(256, 20_000), (64, 50_000), (16, 50_000), (4, 5_000), (2, 10_000), (1, 3_000)]
+STACK_DRAWS = 400
+
+
+def _stack_sums(stack, multi_level, rng):
+    """Every level's coefficient sums after one multi-level call, or after
+    one call per level, on a fresh stack of accumulators."""
+    accumulators, keys, counts = [], [], []
+    for oracle, level_counts in stack:
+        # Every item once, the odd ones with a negated input.
+        values = np.arange(oracle.padded_size)
+        accumulators.append(oracle.accumulator())
+        keys.append(oracle._keys(values, (values & 1).astype(bool)))
+        counts.append(level_counts)
+    if multi_level:
+        add_level_runs(accumulators, keys, counts, rng)
+    else:
+        for level in zip(accumulators, keys, counts):
+            add_level_runs(*([part] for part in level), rng)
+    return np.concatenate([accumulator._statistic for accumulator in accumulators])
+
+
+def test_multi_level_call_matches_per_level_calls():
+    stack = []
+    for padded, n_users in STACK:
+        oracle = HadamardRandomizedResponse(EPSILON, padded)
+        counts = np.bincount(
+            np.random.default_rng(padded).integers(0, padded, n_users), minlength=padded
+        )
+        stack.append((oracle, counts))
+    sides = {counts.sum() >= oracle._count_space_min_users for oracle, counts in stack}
+    assert sides == {True, False}
+    samples = {
+        multi_level: np.array(
+            [_stack_sums(stack, multi_level, np.random.default_rng(seed)) for seed in seeds]
+        )
+        for multi_level, seeds in (
+            (True, range(STACK_DRAWS)),
+            (False, range(STACK_DRAWS, 2 * STACK_DRAWS)),
+        )
+    }
+    _assert_same_moments(samples[True], samples[False])
 
 
 def _median_ms(oracle, counts, count_space, repeats=5):

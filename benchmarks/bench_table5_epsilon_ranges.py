@@ -9,10 +9,26 @@ ordering and the epsilon trend are what carries over (EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.figures import table5_epsilon_ranges
 from repro.experiments.reporting import render_results
+
+
+#: Repetitions per cell, at least.  One repetition's MSE spreads by about
+#: half its mean at epsilon = 0.2, so at D = 2^12 and 3 repetitions the
+#: strict-privacy ratio checked below had a standard deviation of 0.16 over
+#: 40 seeds (4 of them over 1.3): it passed or failed by the draw.  At 30
+#: repetitions it was 0.014 (largest 1.08), far inside the 1.3 bound.
+TABLE5_REPETITIONS = 30
+
+
+def _table5_config(bench_config):
+    return dataclasses.replace(
+        bench_config, repetitions=max(bench_config.repetitions, TABLE5_REPETITIONS)
+    )
 
 
 def _check_table5_shape(results) -> None:
@@ -38,7 +54,7 @@ def _check_table5_shape(results) -> None:
 @pytest.mark.benchmark(group="table5")
 def test_table5_small_domain(run_once, bench_config):
     domain = 1 << 8
-    results = run_once(table5_epsilon_ranges, bench_config, domain)
+    results = run_once(table5_epsilon_ranges, _table5_config(bench_config), domain)
     print(f"\n=== Table 5(a) | D = 2^8 | range queries | MSE x 1000 ===")
     print(render_results(results))
     _check_table5_shape(results)
@@ -47,7 +63,7 @@ def test_table5_small_domain(run_once, bench_config):
 @pytest.mark.benchmark(group="table5")
 def test_table5_medium_domain(run_once, bench_config):
     domain = 1 << 12
-    results = run_once(table5_epsilon_ranges, bench_config, domain)
+    results = run_once(table5_epsilon_ranges, _table5_config(bench_config), domain)
     print(f"\n=== Table 5(b) | D = 2^12 | range queries | MSE x 1000 ===")
     print(render_results(results))
     _check_table5_shape(results)

@@ -41,8 +41,10 @@ squared weights each answer puts on each label's estimates, from which
 :meth:`answer_variances` states every answer's variance).  Collection is
 one level-sampled protocol: each user draws a label (:meth:`_draw_labels`)
 and reports the cell holding the item at it (:meth:`_label_cells`); a class
-whose reports are not plain cells (Haar's signed keys) overrides the folds
-:meth:`_fold_users` and :meth:`_fold_counts` instead.  A class whose
+whose labels nest states them finest first (:meth:`_label_chain`), which
+aggregate mode thins along.  A class whose reports are not plain cells
+(Haar's signed keys) overrides the folds :meth:`_fold_users` and
+:meth:`_fold_shares`.  A class whose
 answers are not prefix differences (non-consistent HH, the grid's box
 unions) overrides :meth:`_range_answers`, and one whose users report
 several labels (HH budget splitting) ``_accumulate`` and
@@ -60,6 +62,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -184,6 +187,19 @@ def validate_queries(queries: Any, width: int, size: int) -> np.ndarray:
             f"invalid range [{start}, {end}] for domain of size {size}"
         )
     return queries
+
+
+def _merged_runs(
+    items: np.ndarray, cells: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``counts`` over each run of equal ``cells`` (sorted), keeping the
+    run's first item and cell; runs of one come back as given."""
+    first = np.ones(cells.shape, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if starts.shape[0] == cells.shape[0]:
+        return items, cells, counts
+    return items[starts], cells[starts], np.add.reduceat(counts, starts)
 
 
 class RangeQueryMechanism(abc.ABC):
@@ -616,9 +632,11 @@ class RangeQueryMechanism(abc.ABC):
         Per user: :meth:`_draw_labels`, :meth:`_group_by_label`, then
         :meth:`_fold_users` per label.  In aggregate, :meth:`_thinned`
         splits the counts of the batch's *support* (items with a non-zero
-        count) and :meth:`_fold_counts` folds each label's share, so a
-        small streaming batch touches O(nnz · labels) entries and the
-        noise sampling inside ``add_counts`` is the only full-domain work.
+        count) across the labels, finest label first when the labels nest
+        (:meth:`_label_chain`), and :meth:`_fold_shares` folds each label's
+        share.  A small streaming batch touches O(nnz) entries a label, and
+        the noise sampling inside the accumulators is the only full-domain
+        work.
         """
         if mode == "per_user":
             assignments = self._draw_labels(rng, items.shape[0])
@@ -628,8 +646,7 @@ class RangeQueryMechanism(abc.ABC):
             if counts is None:
                 counts = np.bincount(items, minlength=self._domain_size)
             support = np.flatnonzero(counts)
-            for label, label_counts in self._thinned(counts[support], rng):
-                self._fold_counts(label, support, label_counts, rng)
+            self._fold_shares(self._thinned(support, counts[support], rng), rng)
 
     def _draw_labels(self, rng: np.random.Generator, n_users: int) -> np.ndarray:
         """Each user's label index, drawn with
@@ -643,6 +660,14 @@ class RangeQueryMechanism(abc.ABC):
         as at the flat mechanism's one label."""
         return items
 
+    def _label_chain(self) -> Optional[Sequence[int]]:
+        """The label indices finest first when the labels nest: each
+        label's cells are unions of the previous one's and
+        :meth:`_label_cells` is non-decreasing in the item.  ``None``
+        (the default, the grid's level tuples) thins in label order at
+        item resolution."""
+        return None
+
     def _fold_users(self, label: Hashable, items: np.ndarray, rng: np.random.Generator) -> None:
         """Run the local protocol for ``label``'s users: their cells go
         through the accumulator's per-user hook
@@ -650,22 +675,21 @@ class RangeQueryMechanism(abc.ABC):
         the report round trip for OUE/OLH/GRR and a direct fold for HRR."""
         self._accumulators[label]._add_items(self._label_cells(label, items), rng)
 
-    def _fold_counts(
+    def _fold_shares(
         self,
-        label: Hashable,
-        support: np.ndarray,
-        counts: np.ndarray,
+        shares: Iterable[Tuple[Hashable, np.ndarray, np.ndarray]],
         rng: np.random.Generator,
     ) -> None:
-        """Fold ``label``'s share ``counts`` of the items ``support``: one
-        weighted ``bincount`` into its cells drives the accumulator's
-        simulated-aggregate path."""
-        cells = np.bincount(
-            self._label_cells(label, support),
-            weights=counts,
-            minlength=self._oracles[label].domain_size,
-        ).astype(np.int64)
-        self._accumulators[label].add_counts(cells, rng)
+        """Fold each ``(label, cells, counts)`` share as it arrives:
+        ``counts[k]`` users of ``label`` in cell ``cells[k]`` (cells may
+        repeat), added into the label's cell counts, which drive the
+        accumulator's simulated-aggregate path.  Folding a label before
+        the next is thinned interleaves the draws as one loop doing both
+        would."""
+        for label, cells, counts in shares:
+            cell_counts = np.zeros(self._oracles[label].domain_size, dtype=np.int64)
+            np.add.at(cell_counts, cells, counts)
+            self._accumulators[label].add_counts(cell_counts, rng)
 
     def _group_by_label(
         self, items: np.ndarray, assignments: np.ndarray
@@ -687,25 +711,42 @@ class RangeQueryMechanism(abc.ABC):
             yield self._labels[index], ordered[stops[index] - int(counts[index]) : stops[index]]
 
     def _thinned(
-        self, counts: np.ndarray, rng: np.random.Generator
-    ) -> Iterator[Tuple[Hashable, np.ndarray]]:
-        """Split per-item counts across the labels by their shares, one label at a time.
+        self, support: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+    ) -> Iterator[Tuple[Hashable, np.ndarray, np.ndarray]]:
+        """Split the counts of the sorted items ``support`` across the
+        labels by their shares, one label at a time.
 
         A multinomial split realised as sequential binomial thinning (the
         last label takes what remains): the exact distribution of how
         label sampling partitions the users, and splits of separate
         batches add up to the split of their union, which is what makes
-        the aggregate paths incremental.  Records the users per label and
-        yields ``(label, label_counts)`` for every label that received
-        users, in label order.  A label's binomial is drawn only when the
-        caller asks for the next label, so the draws interleave with the
-        caller's per-label noise exactly as one loop doing both would.
+        the aggregate paths incremental.  Along a :meth:`_label_chain`
+        the finest label is drawn first, and what remains is summed into
+        the next label's cells with one ``np.add.reduceat`` before its
+        draw: its breaks are where :meth:`_label_cells` changes, since
+        the support is sorted and the cell map monotone.  A sum of
+        binomials of one probability is the binomial of the sum, so this
+        is the same split, at O(nnz) a label and with one draw per
+        occupied cell.  Labels that do not nest are thinned in label
+        order at item resolution.
+
+        Records the users per label and yields ``(label, cells, counts)``
+        for every label that received users: ``counts[k]`` of them in
+        cell ``cells[k]`` (distinct cells along a chain).  A label's
+        binomial is drawn only when the caller asks for the next label.
         """
-        remaining = counts
+        chain = self._label_chain()
+        order = range(len(self._labels)) if chain is None else chain
+        items, remaining = support, counts
+        del support, counts  # the remainder alone keeps the batch's counts
         remaining_probability = 1.0
-        last = len(self._labels) - 1
-        for index, (label, probability) in enumerate(zip(self._labels, self._label_shares)):
-            if index == last:
+        last = len(order) - 1
+        for position, index in enumerate(order):
+            label, probability = self._labels[index], self._label_shares[index]
+            cells = self._label_cells(label, items)
+            if chain is not None:
+                items, cells, remaining = _merged_runs(items, cells, remaining)
+            if position == last:
                 label_counts = remaining
             else:
                 share = 0.0 if remaining_probability <= 0 else min(
@@ -717,7 +758,7 @@ class RangeQueryMechanism(abc.ABC):
             users = int(label_counts.sum())
             self._label_user_counts[index] += users
             if users:
-                yield label, label_counts
+                yield label, cells, label_counts
 
     @abc.abstractmethod
     def _refresh_estimates(self) -> None:

@@ -200,12 +200,18 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
             counts = np.bincount(items, minlength=self._domain_size)
         n_users = int(items.shape[0]) if counts is None else int(counts.sum())
         self._label_user_counts += n_users
-        support = None if counts is None else np.flatnonzero(counts)
-        for level in self._tree.levels:
-            if mode == "per_user":
+        if mode == "per_user":
+            for level in self._tree.levels:
                 self._fold_users(level, items, rng)
-            else:
-                self._fold_counts(level, support, counts[support], rng)
+        else:
+            support = np.flatnonzero(counts)
+            self._fold_shares(
+                (
+                    (level, self._label_cells(level, support), counts[support])
+                    for level in self._tree.levels
+                ),
+                rng,
+            )
 
     def _label_counts_fit(self, counts: np.ndarray, n_users: Optional[int]) -> bool:
         if self._budget_strategy == "splitting":
@@ -215,6 +221,10 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
     def _label_cells(self, level: int, items: np.ndarray) -> np.ndarray:
         """An item's cell at a level is its tree node there."""
         return self._tree.nodes_of_items(level, items)
+
+    def _label_chain(self) -> range:
+        """A level's nodes are unions of the next level's: leaves first."""
+        return range(self._tree.height - 1, -1, -1)
 
     def _refresh_estimates(self) -> None:
         raw = [

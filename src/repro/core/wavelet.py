@@ -12,6 +12,11 @@ Protocol summary:
   coefficient vector at that level with Hadamard Randomized Response, which
   handles the negative value natively and costs a single bit plus the level
   and Hadamard index;
+* in aggregate simulation the users are split across the levels level 1
+  first (a level's key is the previous level's shifted right once), and
+  all levels' HRR users are sampled together: one count-space stage per
+  index bit over every level that still has it, ``log2 D' - 1`` stages a
+  fit;
 * the aggregator forms unbiased estimates of every Haar coefficient of the
   population's frequency vector and answers range queries as weighted
   combinations of the at most ``2 log2 D`` coefficients whose nodes are cut
@@ -26,13 +31,14 @@ the paper bounds the variance of *any* range query by ``log2^2(D) V_F / 2``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import RangeQueryMechanism
 from repro.frequency_oracles.hadamard import (
     HadamardRandomizedResponse,
+    add_level_runs,
     dyadic_estimates,
 )
 from repro.transforms.haar import haar_inverse, haar_range_weights
@@ -150,42 +156,47 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         self._frequencies = reconstructed[: self._domain_size]
         self._prefix = np.concatenate([[0.0], np.cumsum(self._frequencies)])
 
-    def _fold_users(self, level: int, items: np.ndarray, rng: np.random.Generator) -> None:
-        """Run HRR for a level's users.
-
-        A level-``l`` user's HRR key is ``item >> (l - 1)``: the block
+    def _label_cells(self, level: int, items: np.ndarray) -> np.ndarray:
+        """A level-``l`` user's HRR key ``item >> (l - 1)``: the block
         ``item >> l`` in the high bits and the coefficient's sign (set for
-        the block's right half) in bit 0, so
-        :meth:`HadamardAccumulator._add_keys` perturbs and folds the group
-        straight into the level's sums.
-        """
-        self._accumulators[level]._add_keys(items >> (level - 1), rng)
+        the block's right half) in bit 0."""
+        return items >> (level - 1)
 
-    def _fold_counts(
+    def _label_chain(self) -> range:
+        """Level ``l + 1``'s key is level ``l``'s shifted right once:
+        level 1 first."""
+        return range(self._height)
+
+    def _fold_users(self, level: int, items: np.ndarray, rng: np.random.Generator) -> None:
+        """Run HRR for a level's users: :meth:`HadamardAccumulator._add_keys`
+        perturbs their keys and folds them straight into the level's sums."""
+        self._accumulators[level]._add_keys(self._label_cells(level, items), rng)
+
+    def _fold_shares(
         self,
-        level: int,
-        support: np.ndarray,
-        counts: np.ndarray,
+        shares: Iterable[Tuple[int, np.ndarray, np.ndarray]],
         rng: np.random.Generator,
     ) -> None:
-        """Aggregate mode: run HRR on a level's share of the counts, exact
-        in distribution (per-user mode keeps the per-user stream).
+        """Aggregate mode: run HRR on every level's share of the counts at
+        once, exact in distribution (per-user mode keeps the per-user
+        stream).
 
         HRR has no closed-form per-item aggregate to sample from, so the
-        level's users are handed to :meth:`HadamardAccumulator.add_runs`
-        as runs of ``(block, sign)`` pairs: pair ``item >> (l - 1)`` is
-        block ``item >> l``'s left half (sign ``+1``) or right half (sign
-        ``-1``), so one weighted ``bincount`` of the support gives the run
-        lengths, and the pairs that received users are the runs, in order.
-        ``add_runs`` samples the users' Hadamard indices in count space
-        for a large level and draws them per user for a small one; the
-        randomized-response flips are one binomial count per (index, sign)
-        cell.
+        thinned levels (each a run of users per distinct key) go to
+        :func:`~repro.frequency_oracles.hadamard.add_level_runs` together:
+        the levels large enough for count space share each index bit's
+        stage, ``log2 D' - 1`` stages for the whole fit; smaller levels draw
+        their users' indices per user; the randomized-response flips are
+        one binomial count per (index, sign) cell of every level.
         """
-        pair_counts = np.bincount(support >> (level - 1), weights=counts)
-        pairs = np.flatnonzero(pair_counts)
-        self._accumulators[level].add_runs(
-            pairs >> 1, pair_counts[pairs], rng, signs=1 - 2 * (pairs & 1)
+        levels = list(shares)
+        if not levels:
+            return
+        add_level_runs(
+            [self._accumulators[level] for level, _, _ in levels],
+            [keys for _, keys, _ in levels],
+            [counts for _, _, counts in levels],
+            rng,
         )
 
     # ------------------------------------------------------------------

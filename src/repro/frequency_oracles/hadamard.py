@@ -23,7 +23,7 @@ coefficients, so the same perturbation and decoding apply unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,14 @@ from repro.transforms.hadamard import (
     next_power_of_two,
 )
 
-__all__ = ["HadamardAccumulator", "HadamardRandomizedResponse", "dyadic_estimates"]
+__all__ = [
+    "HadamardAccumulator",
+    "HadamardRandomizedResponse",
+    "add_level_runs",
+    "count_space_tallies",
+    "dyadic_estimates",
+    "sample_level_runs",
+]
 
 
 class HadamardAccumulator(OracleAccumulator):
@@ -128,7 +135,8 @@ class HadamardAccumulator(OracleAccumulator):
         """Accumulate ``counts[k]`` users holding ``signs[k] * e_{values[k]}``.
 
         Exact in distribution; per-user mode keeps the per-user stream.
-        The users' indices and flips are sampled by :meth:`_add_runs`.
+        The users' indices and flips are sampled by :func:`add_level_runs`
+        over a stack of one level.
         Only the run arrays are validated — ``O(runs)``, not ``O(users)``
         — because the users are simulated here and need no re-checking.
         Each run's sign rides in bit 0 of its key (see
@@ -140,46 +148,9 @@ class HadamardAccumulator(OracleAccumulator):
         if counts.shape != values.shape or (counts.size and counts.min() < 0):
             raise InvalidQueryError("counts must be non-negative, one per run")
         negative = None if signs is None else oracle._negative_mask(signs, values.shape[0])
-        self._add_runs(oracle._keys(values, negative), counts, as_generator(random_state))
-        self._n_users += int(counts.sum())
+        keys = oracle._keys(values, negative)
+        add_level_runs([self], [keys], [counts], as_generator(random_state))
         return self
-
-    def _add_runs(self, keys: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Fold ``counts[k]`` users keyed ``keys[k]``, sampling their
-        statistic per cell.
-
-        First the users' true codes ``2 j + [true sign is +1]`` are
-        tallied, by whichever way is cheaper for the batch's size:
-
-        * in count space (:meth:`HadamardRandomizedResponse._true_tallies`)
-          when the batch holds at least ``log2 D' * (fixed + per_index *
-          D')`` users
-          (:data:`~repro.privacy.randomness.COUNT_SPACE_USERS_PER_BIT`,
-          the measured crossover): ``log2 D'`` passes over the ``2 D'``
-          cells, each reading ``N / 64`` raw words, and no per-user array;
-        * otherwise per user: the runs are expanded in order with one
-          ``np.repeat`` (two bytes per user up to ``D' = 2^15``), each
-          user draws its index (:meth:`HadamardRandomizedResponse._true_codes`)
-          and one unweighted ``bincount`` tallies the codes; its intp
-          copy of the codes is the largest buffer, ``8 N`` bytes.
-
-        Then each user's flip is an independent Bernoulli(``1 - p``)
-        draw, so the flips of the ``T`` users in a cell number exactly
-        Binomial(``T``, ``1 - p``): one ``rng.binomial`` over the
-        ``2 D'`` cells.  A flipped ``+1`` user reports ``-1`` and vice
-        versa, so each cell nets ``T - 2 F`` and index ``j`` gains
-        ``(T+ - 2 F+) - (T- - 2 F-)``, exact integer arithmetic.
-        """
-        oracle = self._oracle
-        cells = 2 * oracle.padded_size
-        if counts.sum() >= oracle._count_space_min_users:
-            key_tallies = np.bincount(keys, weights=counts, minlength=cells)
-            tallies = oracle._true_tallies(key_tallies.astype(np.int64), rng)
-        else:
-            codes = oracle._true_codes(np.repeat(keys, counts), rng)
-            tallies = np.bincount(codes, minlength=cells)
-        tallies -= 2 * rng.binomial(tallies, 1.0 - oracle.keep_probability)
-        self._statistic += tallies[1::2] - tallies[0::2]
 
     def _add_simulated(self, counts: np.ndarray, rng: np.random.Generator) -> None:
         """Exact in distribution; per-user mode keeps the per-user stream.
@@ -187,7 +158,8 @@ class HadamardAccumulator(OracleAccumulator):
         HRR reports couple the sampled index with the user's item, so there
         is no per-item closed-form aggregate to sample from; instead the
         counts are taken as runs of the items ``0..D-1``
-        (:meth:`_add_runs`): the indices are sampled in count space for
+        (:func:`sample_level_runs`, the one aggregate HRR path, over a stack
+        of one level): the indices are sampled in count space for
         a large batch or drawn per user for a small one, then the flips
         are one binomial count per (index, sign) cell — the per-cell
         simulation the unary oracles use.
@@ -195,7 +167,7 @@ class HadamardAccumulator(OracleAccumulator):
         oracle = self._oracle
         # The keys 2 v of the items v = 0..D-1, all with sign +1.
         keys = np.arange(0, 2 * oracle.domain_size, 2, dtype=oracle._code_dtype)
-        self._add_runs(keys, counts, rng)
+        sample_level_runs([self], [keys], [counts], rng)
 
     def _coefficient_estimates(self) -> np.ndarray:
         # Each coefficient was sampled with probability 1/D', so the sum over
@@ -238,6 +210,141 @@ def dyadic_estimates(accumulators: Sequence[HadamardAccumulator]) -> np.ndarray:
     for block in blocks:
         estimates[block : 2 * block] /= float(block)
     return estimates
+
+
+def add_level_runs(
+    accumulators: Sequence[HadamardAccumulator],
+    keys: Sequence[np.ndarray],
+    counts: Sequence[np.ndarray],
+    rng: np.random.Generator,
+) -> None:
+    """Fold ``counts[i][k]`` users keyed ``keys[i][k]`` into
+    ``accumulators[i]``: :func:`sample_level_runs` samples their statistic
+    and each level's user count grows by its users.  A Haar fit's levels
+    go through here together, :meth:`HadamardAccumulator.add_runs` as a
+    stack of one."""
+    sample_level_runs(accumulators, keys, counts, rng)
+    for accumulator, level_counts in zip(accumulators, counts):
+        accumulator._n_users += int(level_counts.sum())
+
+
+def sample_level_runs(
+    accumulators: Sequence[HadamardAccumulator],
+    keys: Sequence[np.ndarray],
+    counts: Sequence[np.ndarray],
+    rng: np.random.Generator,
+) -> None:
+    """Add the sampled statistic of ``counts[i][k]`` users keyed
+    ``keys[i][k]`` to ``accumulators[i]``, per cell, leaving the user
+    counts to the caller.
+
+    The aggregate HRR sampler, of one level and of a Haar fit's levels
+    together.  Keys are ``2 v + [input negated]`` (see
+    :meth:`HadamardRandomizedResponse._keys`) and the levels must share one
+    ``epsilon``.  First each level's users' true
+    codes ``2 j + [true sign is +1]`` are tallied, by whichever way is
+    cheaper for that level's size:
+
+    * per user, below the level's ``_count_space_min_users`` (``log2 D' *
+      (fixed + per_index * D')`` users,
+      :data:`~repro.privacy.randomness.COUNT_SPACE_USERS_PER_BIT`, the
+      measured crossover), level by level: the runs are expanded in order
+      with one ``np.repeat`` (two bytes per user up to ``D' = 2^15``), each
+      user draws its index (:meth:`HadamardRandomizedResponse._true_codes`)
+      and one unweighted ``bincount`` tallies the codes;
+    * in count space otherwise, all such levels together
+      (:func:`count_space_tallies`): one stage per index bit of the
+      largest level, each one ``fair_binomial`` call over every unfinished
+      level's cells, and no per-user array.
+
+    Then each user's flip is an independent Bernoulli(``1 - p``) draw, so
+    the flips of the ``T`` users in a cell number exactly Binomial(``T``,
+    ``1 - p``): one ``rng.binomial`` over every level's ``2 D'`` cells.  A
+    flipped ``+1`` user reports ``-1`` and vice versa, so each cell nets
+    ``T - 2 F`` and index ``j`` gains ``(T+ - 2 F+) - (T- - 2 F-)``, exact
+    integer arithmetic.
+    """
+    oracles = [accumulator.oracle for accumulator in accumulators]
+    tallies: List[Optional[np.ndarray]] = []
+    stacked, key_tallies = [], []
+    for oracle, level_keys, level_counts in zip(oracles, keys, counts):
+        cells = 2 * oracle.padded_size
+        if level_counts.sum() >= oracle._count_space_min_users:
+            stacked.append(len(tallies))
+            key_tallies.append(
+                np.bincount(level_keys, weights=level_counts, minlength=cells).astype(np.int64)
+            )
+            tallies.append(None)
+        else:
+            users = np.repeat(level_keys.astype(oracle._code_dtype, copy=False), level_counts)
+            tallies.append(np.bincount(oracle._true_codes(users, rng), minlength=cells))
+    for index, level_tallies in zip(stacked, count_space_tallies(key_tallies, rng)):
+        tallies[index] = level_tallies
+    flat = np.concatenate(tallies)
+    flat -= 2 * rng.binomial(flat, 1.0 - oracles[0].keep_probability)
+    start = 0
+    for accumulator, level_tallies in zip(accumulators, tallies):
+        cells = flat[start : start + level_tallies.shape[0]]
+        start += level_tallies.shape[0]
+        accumulator._statistic += cells[1::2] - cells[0::2]
+
+
+def count_space_tallies(
+    key_tallies: Sequence[np.ndarray], rng: np.random.Generator
+) -> List[np.ndarray]:
+    """Count-space :meth:`~HadamardRandomizedResponse._true_codes` for a
+    stack of levels: the tallies of the users' true codes, sampled from the
+    int64 tallies of their keys ``2 v + [input negated]`` (length ``2 D'``
+    each, ``D'`` a power of two) with no per-user array.
+
+    A cell holds (the index bits drawn so far, the item bits not yet met,
+    a parity bit), ``2 D'`` cells a level.  Index bit by index bit, low
+    bit first, the ``n`` users of every cell draw that bit of their index:
+    Binomial(``n``, 1/2) of them draw a ``1``
+    (:func:`~repro.privacy.randomness.fair_binomial`) and the rest a
+    ``0``.  A ``1`` meeting a ``1`` bit of the item flips the parity, and
+    the cells of the two item bits merge.  The parity starts as ``[input
+    +1]``, so after ``log2 D'`` stages cell ``2 j + b`` counts the users of
+    index ``j`` whose true coefficient ``(-1)^(<v, j> + negated)`` is
+    ``+1`` iff ``b``: the code tallies of independent uniform indices,
+    exact in distribution.
+
+    The levels' states are concatenated, largest first, into one buffer
+    that every stage updates in place.  The stage for index bit ``b`` runs
+    one ``fair_binomial`` call and its sums over every level with more
+    than ``b`` index bits: each such level's block is a whole number of
+    ``(2, 2^b, 2)`` cells, so the reshape never mixes levels, and a
+    finished level drops off the tail.
+    A Haar fit's stack takes as many calls as its largest level has index
+    bits, 9 at ``D = 1024`` instead of one per level and bit, 45; a stack
+    of one is the one-level sampler.  Returns the tallies in the order
+    given.
+    """
+    if not key_tallies:
+        return []
+    order = sorted(range(len(key_tallies)), key=lambda index: -key_tallies[index].shape[0])
+    sizes = [key_tallies[index].shape[0] for index in order]
+    state = np.concatenate([key_tallies[index].reshape(-1, 2)[:, ::-1].ravel() for index in order])
+    tallies: List[Optional[np.ndarray]] = [None] * len(order)
+    active, bit = len(order), 0
+    while True:
+        # Levels with ``bit`` index bits (``2 << bit`` cells) are finished.
+        while active and sizes[active - 1] == 2 << bit:
+            active -= 1
+            end = state.shape[0] - sizes[active]
+            tallies[order[active]], state = state[end:], state[:end]
+        if not active:
+            return tallies
+        # (higher bits, this item/index bit, lower index bits, parity)
+        cells = state.reshape(-1, 2, 1 << bit, 2)
+        ones = fair_binomial(rng, cells)
+        # In place: the zeros of both item bits merge, and a one meeting a
+        # one bit of the item flips the parity.
+        cells -= ones
+        cells[:, 0] += cells[:, 1]
+        np.add(ones[:, 0, :, 0], ones[:, 1, :, 1], out=cells[:, 1, :, 0])
+        np.add(ones[:, 0, :, 1], ones[:, 1, :, 0], out=cells[:, 1, :, 1])
+        bit += 1
 
 
 class HadamardRandomizedResponse(FrequencyOracle):
@@ -345,36 +452,6 @@ class HadamardRandomizedResponse(FrequencyOracle):
         parities &= 1
         codes ^= parities
         return codes
-
-    def _true_tallies(self, key_tallies: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Count-space :meth:`_true_codes`: the tallies of the users' true
-        codes, sampled from the int64 tallies of their keys
-        ``2 v + [input negated]`` with no per-user array.
-
-        A cell holds (the index bits drawn so far, the item bits not yet
-        met, a parity bit), ``2 D'`` cells in all.  Index bit by index
-        bit, low bit first, the ``n`` users of every cell draw that bit
-        of their index: Binomial(``n``, 1/2) of them draw a ``1``
-        (:func:`~repro.privacy.randomness.fair_binomial`, one call per
-        bit) and the rest a ``0``.  A ``1`` meeting a ``1`` bit of the
-        item flips the parity, and the cells of the two item bits merge.
-        The parity starts as ``[input +1]``, so after ``log2 D'`` stages
-        cell ``2 j + b`` counts the users of index ``j`` whose true
-        coefficient ``(-1)^(<v, j> + negated)`` is ``+1`` iff ``b``: the
-        code tallies of independent uniform indices, exact in
-        distribution, in ``log2 D'`` passes over the cells.
-        """
-        state = np.ascontiguousarray(key_tallies.reshape(-1, 2)[:, ::-1])
-        for bit in range(self._index_bits):
-            # (higher bits, this item/index bit, lower index bits, parity)
-            cells = state.reshape(-1, 2, 1 << bit, 2)
-            ones = fair_binomial(rng, cells)
-            zeros = cells - ones
-            state = np.empty_like(cells)
-            np.add(zeros[:, 0], zeros[:, 1], out=state[:, 0])
-            np.add(ones[:, 0, :, 0], ones[:, 1, :, 1], out=state[:, 1, :, 0])
-            np.add(ones[:, 0, :, 1], ones[:, 1, :, 0], out=state[:, 1, :, 1])
-        return state.reshape(-1)
 
     def _perturbed_codes(self, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Run HRR per user for ``keys``; return ``2 j + [reported +1]``.

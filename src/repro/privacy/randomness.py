@@ -109,6 +109,12 @@ def power_of_two_integers(
     return out
 
 
+#: Raw words :func:`fair_binomial` draws and counts at a time (16 KiB, and
+#: as much again for their running popcount), however many users a call
+#: splits.
+FAIR_BINOMIAL_CHUNK_WORDS = 1 << 11
+
+
 def fair_binomial(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """A Binomial(``counts[k]``, 1/2) draw for every entry, as int64.
 
@@ -120,27 +126,40 @@ def fair_binomial(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     coin; the cost is a few passes over the entries plus one over the
     ``counts.sum() / 64`` words, however large each count is (16,384
     entries below 30: 0.3–0.5 ms here, 2.2–2.4 ms through
-    ``rng.binomial``, on a 2-core x86 VM).  PCG64's parked half-word (see
-    :func:`power_of_two_integers`) is neither read nor disturbed.
-    ``counts`` must be a non-negative int64 array.  Any other bit
-    generator draws ``rng.binomial(counts, 0.5)``.
+    ``rng.binomial``, on a 2-core x86 VM).  The words are drawn and
+    counted :data:`FAIR_BINOMIAL_CHUNK_WORDS` at a time with a running
+    popcount, which reads the same words in the same order.  PCG64's
+    parked half-word (see :func:`power_of_two_integers`) is neither read
+    nor disturbed.  ``counts`` must be a non-negative int64 array.  Any
+    other bit generator draws ``rng.binomial(counts, 0.5)``.
     """
     bit_generator = rng.bit_generator
     if type(bit_generator) is not np.random.PCG64:
         return rng.binomial(counts, 0.5)
     ends = np.add.accumulate(counts.reshape(-1))
     n_words = (int(ends[-1]) + 63) >> 6 if ends.size else 0
-    # A zero word past the end serves the counts that end on a word boundary.
-    words = np.zeros(n_words + 1, dtype=np.uint64)
-    words[:n_words] = bit_generator.random_raw(n_words)
-    # The ones among the first e bits: those up to the end of e's word,
-    # less those of that word at or above e.
-    through = np.add.accumulate(np.bitwise_count(words), dtype=np.int64)
-    word_index = ends >> 6
-    high = words[word_index]
-    high >>= ends.view(np.uint64) & np.uint64(63)
-    below = through[word_index]
-    below -= np.bitwise_count(high)
+    # ``below`` overwrites ``ends`` chunk by chunk with the ones among the
+    # first e bits: those through the word of bit e - 1, less those of that
+    # word above bit e - 1.  An e of 0 keeps its 0.
+    below = ends
+    ones_before, first = 0, int(ends.searchsorted(1))
+    for start in range(0, n_words, FAIR_BINOMIAL_CHUNK_WORDS):
+        words = bit_generator.random_raw(min(FAIR_BINOMIAL_CHUNK_WORDS, n_words - start))
+        through = np.bitwise_count(words, out=np.empty(words.shape, dtype=np.int64))
+        through[0] += ones_before
+        np.add.accumulate(through, out=through)
+        ones_before = int(through[-1])
+        stop = (start + words.shape[0]) << 6
+        last = first + int(ends[first:].searchsorted(stop, side="right"))
+        chunk = ends[first:last]
+        chunk -= 1
+        local = chunk >> 6
+        local -= start
+        high = words[local]
+        high >>= chunk.view(np.uint64) & np.uint64(63)
+        high >>= np.uint64(1)
+        np.subtract(through[local], np.bitwise_count(high), out=chunk)
+        first = last
     draws = np.empty_like(below)
     draws[:1] = below[:1]
     np.subtract(below[1:], below[:-1], out=draws[1:])

@@ -58,6 +58,24 @@ _NPY = "application/x-npy"
 MAX_HEAD_BYTES = 64 * 1024
 
 
+def _json_values(values: Any) -> Any:
+    """``values`` as JSON-ready Python values.
+
+    An ``np.ndarray`` takes one ``tolist()``.  A list or tuple is converted
+    entry by entry instead of through ``np.asarray``, which would turn a
+    bool mixed into numbers into a number (``[0.5, True]`` into ``[0.5,
+    1.0]``): the bool reaches the server as a JSON bool, which refuses it
+    with a 400.  A numpy scalar becomes its Python value.
+    """
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    if isinstance(values, (list, tuple, range)):
+        return [_json_values(value) for value in values]
+    if isinstance(values, np.generic):
+        return values.item()
+    return values
+
+
 class _NoResponse(ConnectionError):
     """The connection failed before any byte of the response arrived."""
 
@@ -259,7 +277,7 @@ class ServiceClient:
     ) -> ServiceResponse:
         """``POST /v1/batches``; never raises on HTTP-level rejection —
         inspect ``response.status`` (202 accepted, 503 backpressure...)."""
-        payload: Dict[str, Any] = {"items": np.asarray(items).tolist()}
+        payload: Dict[str, Any] = {"items": _json_values(items)}
         if mode is not None:
             payload["mode"] = mode
         if epsilon is not None:
@@ -291,7 +309,7 @@ class ServiceClient:
                 body=self._npy_bytes(np.asarray(points, dtype=np.int64)),
                 headers={"Content-Type": _NPY},
             )
-        payload: Dict[str, Any] = {"points": np.asarray(points).tolist()}
+        payload: Dict[str, Any] = {"points": _json_values(points)}
         if mode is not None:
             payload["mode"] = mode
         return self._request("POST", "/v1/points", payload)
@@ -387,7 +405,7 @@ class ServiceClient:
         """``POST /v1/query`` with ``(n, 2d)`` per-axis bound rows; returns
         the estimated fractions as a float array.  ``binary=True``
         negotiates an ``application/x-npy`` response body."""
-        payload = {"boxes": np.asarray(boxes).tolist()}
+        payload = {"boxes": _json_values(boxes)}
         response = self._post_query_retrying(
             "/v1/query", payload, binary, max_attempts, max_sleep
         )
@@ -403,7 +421,7 @@ class ServiceClient:
         max_sleep: float = 0.05,
     ) -> np.ndarray:
         """``POST /v1/query`` with ``(n, 2)`` flat-domain range rows."""
-        payload = {"ranges": np.asarray(ranges).tolist()}
+        payload = {"ranges": _json_values(ranges)}
         response = self._post_query_retrying(
             "/v1/query", payload, binary, max_attempts, max_sleep
         )
@@ -421,8 +439,9 @@ class ServiceClient:
         """``POST /v1/quantiles``; returns one domain item per target.
         Targets are sent as their JSON values, as :meth:`query_ranges`
         sends bounds, not cast to float, so the server refuses a string or
-        bool target (HTTP 400, raised as ``ConfigurationError``)."""
-        payload = {"phis": np.asarray(phis).tolist()}
+        bool target, also one among numbers (HTTP 400, raised as
+        ``ConfigurationError``)."""
+        payload = {"phis": _json_values(phis)}
         response = self._post_query_retrying(
             "/v1/quantiles", payload, binary, max_attempts, max_sleep
         )

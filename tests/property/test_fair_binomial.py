@@ -7,12 +7,14 @@ raw PCG64 words, low bit first, and each call starts on a fresh word.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.privacy import randomness
 from repro.privacy.randomness import fair_binomial
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -60,6 +62,35 @@ def test_matches_the_documented_bit_stream(counts, seed, parked, rows):
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
     # The parked half-word is neither read nor disturbed.
     assert actual_rng.integers(0, 2**32) == expected_rng.integers(0, 2**32)
+
+
+@given(counts=counts_lists, seed=seeds, chunk=st.sampled_from([1, 2, 3, 64]))
+@settings(max_examples=100, deadline=None)
+def test_chunked_words_read_the_same_stream(counts, seed, chunk):
+    counts = np.asarray(counts, dtype=np.int64)
+    expected_rng, actual_rng = twins(seed)
+    expected = reference(expected_rng, counts)
+    saved = randomness.FAIR_BINOMIAL_CHUNK_WORDS
+    randomness.FAIR_BINOMIAL_CHUNK_WORDS = chunk
+    try:
+        actual = fair_binomial(actual_rng, counts)
+    finally:
+        randomness.FAIR_BINOMIAL_CHUNK_WORDS = saved
+    assert np.array_equal(actual, expected)
+    assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def test_buffers_do_not_grow_with_the_users():
+    # 2^24 bits are 2^18 words: 2 MiB drawn at once, a few chunks' worth here.
+    counts = np.full(4, 1 << 22, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        draws = fair_binomial(np.random.default_rng(0), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * randomness.FAIR_BINOMIAL_CHUNK_WORDS
+    assert np.all(np.abs(draws - (1 << 21)) < 6 * 2**10)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ written after five batches, together with the digest of the run that went
 on uninterrupted for three more batches.  Each stored checkpoint must
 restore and, fed the same three batches, reach that digest: the checkpoint
 header layout (``router: {name, state: {cursor}}``, per-shard generator
-states) stays readable across releases.
+states) stays readable across releases.  The ``aggregate`` and
+``per_user`` entries also pin the ``restored`` digest of the state right
+after the restore, which no collection change may move; the continuation
+digest moves with the stream of its mode.
 
 The ``aggregate`` and ``per_user`` entries were written while every shard
 kept its own mechanism: their arrays are ``shard<i>/...`` groups, which
@@ -103,6 +106,7 @@ def test_stored_checkpoint_restores_and_continues_bit_identically(mode):
     assert {key.split("/")[0] for key in unpack_snapshot(resaved)[1]} == {"state"}
     for collector in (restored, ShardedCollector.from_checkpoint_bytes(resaved)):
         shard_users = _stored_shard_users(data)
+        assert _digest(collector, shard_users) == stored["restored"]
         _feed(collector, _batches(mode)[BATCHES_BEFORE:], shard_users)
         assert _digest(collector, shard_users) == stored["digest"]
 

@@ -7,13 +7,15 @@ happens in the same order as in the straightforward reference
 implementation, so its estimates are bit-identical to that reference, from
 which the ``per_user`` digests were captured.  Aggregate mode is exact in
 distribution, not in draws: a small batch draws each user's Hadamard
-index, a large one samples the indices in count space, and the
+index, a large one samples the indices in count space (a Haar fit's
+large levels together, one stage per index bit), and the
 randomized-response flips are drawn as one binomial count per
-(index, sign) cell, so the ``aggregate`` digests pin that stream.  The
-``haar`` aggregate fits below mostly take the per-user index draw (only
-``D = 3`` has levels past the count-space threshold); the
-``count_space`` digests pin fits of ``2^20`` users, every level of which
-is sampled in count space.  Any change to the random stream, the report
+(index, sign) cell, so the ``aggregate`` digests pin that stream, and
+the level thinning before it.  The ``haar`` aggregate fits below mostly
+take the per-user index draw (past the count-space threshold are only
+the one-coefficient top levels and ``D = 3``); the ``count_space``
+digests pin fits of ``2^20`` users, every level of which is sampled in
+count space.  Any change to the random stream, the report
 payloads or the float arithmetic changes a digest.
 
 Run ``PYTHONPATH=src python tests/unit/test_hrr_golden.py`` to print the
@@ -98,13 +100,13 @@ GOLDEN = {
     ("haar", 3, "per_user"): "30c95106f307d41d6ca8f7397803e7e6cc4cea8b562cb65f0ab7f63e66f2b178",
     ("haar", 3, "aggregate"): "d71df7be8dc76a2fdd06372c4df64536d941890a6f10376a6f28a225757c4b17",
     ("haar", 1000, "per_user"): "f046e1cb2ed93c48088bd7bb7371ecb5b44abd15a46a31e7dea6d87fad166e01",
-    ("haar", 1000, "aggregate"): "66d7feca84995340ca72eb0b066c92bf00b7915be6ac2915a2bda7ba0e6c9fbf",
+    ("haar", 1000, "aggregate"): "0d7da60d89caf11ceb3dc5063a5bb7f230a28304fe0f7113c294d08d11f77d5a",
     ("haar", 1024, "per_user"): "c507df0b7e6e7401d67280c0050bd114bb7278bf81508d51afb5d2b3a40dd2ea",
-    ("haar", 1024, "aggregate"): "0cdc0cfdcfcd01518148adc2a8a7967445fade72ca4b0fbe23f54edd9ce6db77",
+    ("haar", 1024, "aggregate"): "7ac4b52d4b7f56b37789f8a83e3d04ae84d270f8ad722c5b5df97e67f4c68e33",
     ("haar", 16384, "per_user"): "81843de93a3a6455b5556212b94d1913fa65d3b1474cdcf542b3ec852e13b982",
-    ("haar", 16384, "aggregate"): "a6b850bbee0f660815d501a367745c30a2e0a3c15d2825d5831aa74a8eaa6a3b",
-    ("hhc_4_hrr",): "3a06d1aea51a7cbcf8dca45477aaac261a3613ad9ebf22542afe963a09ca9cfc",
-    ("count_space", "haar"): "789e00d1e3e52b1807e60633f741d2a40a0cbeee8fe0e510f7a68b43559321b7",
+    ("haar", 16384, "aggregate"): "2129899253906eedb357c188cd0f92fbc9e02333139a3be97d7247a98073552e",
+    ("hhc_4_hrr",): "ebadb84d7aab3dccebf4dfecba69a5287753d2b14910eca14d97d7123556aa9c",
+    ("count_space", "haar"): "798f559b7d56582c59a244b400c0ae04b030d3c1c060bcd83c31c5eb0df94a06",
     ("count_space", "flat_hrr"): "8592d1ede628eadd8b87ab78c367b87e0402257c7c609db0dab12b2d75a50533",
     ("encode_batch",): "cd651f685749d95221258d7cd752d5d3f2f320dec68906ebdebadbb284c5bf86",
     ("fwht",): "221d9b9869285679bd08b5467151ced2f32ee001ba38b5d116f90149a1a6ff7f",
