@@ -26,9 +26,10 @@ import numpy as np
 
 from repro.core.base import validate_queries
 from repro.exceptions import InvalidDomainError, InvalidQueryError, NotFittedError
+from repro.hierarchy.decomposition import batched_detail_energies
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.randomness import RandomState, as_generator
-from repro.transforms.haar import haar_forward, haar_inverse, haar_range_weights
+from repro.transforms.haar import haar_forward, haar_inverse
 from repro.transforms.hadamard import next_power_of_two
 
 __all__ = ["PriveletWavelet"]
@@ -146,20 +147,14 @@ class PriveletWavelet:
 
         The answer is a fixed linear combination of independently noised
         coefficients, so its variance is the weighted sum of the per-level
-        Laplace variances ``2 lambda_m^2``.
+        Laplace variances ``2 lambda_m^2``, with squared weights ``r^2 / D'``
+        on the scaling coefficient and each height's detail energy.
         """
         if not 0 <= start <= end < self._domain_size:
             raise InvalidQueryError(f"invalid range [{start}, {end}]")
-        indices, weights = haar_range_weights(start, end, self._padded_size)
-        variance = 0.0
-        for index, weight in zip(indices, weights):
-            if index == 0:
-                height = 0
-            else:
-                # Height m coefficients live at indices [D >> m, D >> (m-1)).
-                height = self._height - (int(index).bit_length() - 1)
-            scale = self.noise_scale(height)
-            variance += float(weight) ** 2 * 2.0 * scale**2
+        energies = batched_detail_energies(2, self._height, np.array([start]), np.array([end]))
+        squared = [(end - start + 1) ** 2 / self._padded_size, *energies[::-1, 0]]
+        variance = sum(2.0 * self.noise_scale(m) ** 2 * w for m, w in enumerate(squared))
         if normalized:
             if not self._n_users:
                 raise NotFittedError("fit_counts must be called before normalization")

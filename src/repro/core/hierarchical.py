@@ -31,8 +31,12 @@ import numpy as np
 from repro.core.base import RangeQueryMechanism
 from repro.exceptions import ConfigurationError
 from repro.frequency_oracles.registry import make_oracle
-from repro.hierarchy.consistency import enforce_consistency
-from repro.hierarchy.decomposition import batched_node_counts, batched_range_sums
+from repro.hierarchy.consistency import enforce_consistency, subtree_counts
+from repro.hierarchy.decomposition import (
+    batched_detail_energies,
+    batched_node_counts,
+    batched_range_sums,
+)
 from repro.hierarchy.tree import DomainTree
 
 __all__ = ["HierarchicalHistogramMechanism"]
@@ -270,21 +274,20 @@ class HierarchicalHistogramMechanism(RangeQueryMechanism):
 
     def _answer_weights(self, queries: np.ndarray) -> np.ndarray:
         """Without consistency a level's weight is the range's node count
-        there (eq. (1)).  With it, the answer is the leaf indicator ``q``
-        dotted with ``L x``; ``L``'s linear part, :func:`enforce_consistency`
-        at ``root_value=0.0``, is symmetric and idempotent (a least-squares
-        projection), so level ``l``'s weight is the level-``l`` squared
-        norm of ``L`` applied to ``q`` at the leaves, ~2^20 leaf entries a
-        chunk."""
+        there (eq. (1)).  With it, the fit is a least-squares projection
+        with a known root, and ``H^T H`` acts on the depth-``k`` detail
+        subspace as ``lambda_k = (B^(h-k+1) - 1) / (B - 1)``.  So
+        ``f* = sum_k P_k H^T x / lambda_k`` and the answer ``q . f*`` is
+        ``x . H g`` with ``g = sum_k P_k q / lambda_k``.  Level ``l``'s node
+        sums keep only the ``k <= l`` terms, constant on its nodes, so level
+        ``l`` gets ``B^(h-l) ||sum_{k<=l} P_k q / lambda_k||^2 = B^(h-l)
+        sum_{k<=l} E_k / lambda_k^2``, ``E_k`` the detail energies of
+        :func:`~repro.hierarchy.decomposition.batched_detail_energies`."""
         tree = self._tree
         if not self._consistency:
             return batched_node_counts(tree, queries[:, 0], queries[:, 1]).T.astype(float)
-        leaves = np.arange(tree.padded_size)[:, None]
-        chunk = max(1, (1 << 20) // tree.padded_size)
-        weights = []
-        for block in np.split(queries, range(chunk, len(queries), chunk)):
-            levels = [np.zeros((tree.nodes_at_level(level), len(block))) for level in tree.levels]
-            levels[-1] = ((leaves >= block[:, 0]) & (leaves <= block[:, 1])).astype(float)
-            projected = enforce_consistency(levels, self.branching, root_value=0.0)
-            weights.append(np.stack([np.sum(level**2, axis=0) for level in projected], axis=1))
-        return np.concatenate(weights)
+        branching, spans = self.branching, range(tree.height, 0, -1)
+        energies = batched_detail_energies(branching, tree.height, queries[:, 0], queries[:, 1])
+        eigenvalues = np.array([subtree_counts(span, branching) for span in spans], float)
+        scales = branching ** (np.array(spans) - 1.0)
+        return (scales[:, None] * np.cumsum(energies / eigenvalues[:, None] ** 2, axis=0)).T

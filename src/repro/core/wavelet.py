@@ -41,6 +41,7 @@ from repro.frequency_oracles.hadamard import (
     add_level_runs,
     dyadic_estimates,
 )
+from repro.hierarchy.decomposition import batched_detail_energies
 from repro.transforms.haar import haar_inverse, haar_range_weights
 from repro.transforms.hadamard import next_power_of_two
 
@@ -187,7 +188,7 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         the levels large enough for count space share each index bit's
         stage, ``log2 D' - 1`` stages for the whole fit; smaller levels draw
         their users' indices per user; the randomized-response flips are
-        one binomial count per (index, sign) cell of every level.
+        one binomial count per occupied (index, sign) cell of every level.
         """
         levels = list(shares)
         if not levels:
@@ -228,16 +229,9 @@ class HaarWaveletMechanism(RangeQueryMechanism):
         """A range puts weight ``(L - R) / 2^{l/2}`` on each level-``l``
         coefficient (``L``, ``R``: its overlaps with the block's halves, as
         in :func:`haar_range_weights`), which is an HRR estimate over
-        ``2^{l/2}``; only the at most two boundary blocks have ``L != R``."""
-        starts, ends = queries[:, 0], queries[:, 1]
-        levels = np.arange(1, self._height + 1)[:, None]
-        half = 1 << (levels - 1)
-
-        def squared(block: np.ndarray) -> np.ndarray:
-            middle = (block << levels) + half
-            left = np.minimum(ends, middle - 1) - np.maximum(starts, middle - half) + 1
-            right = np.minimum(ends, middle + half - 1) - np.maximum(starts, middle) + 1
-            return ((np.maximum(left, 0) - np.maximum(right, 0)) / 2.0**levels) ** 2
-
-        first, last = starts >> levels, ends >> levels
-        return (squared(first) + np.where(first != last, squared(last), 0.0)).T
+        ``2^{l/2}``; the level's squared weights sum to its binary detail
+        energy ``(L - R)^2 / 2^l``
+        (:func:`~repro.hierarchy.decomposition.batched_detail_energies`,
+        level ``l`` at depth ``h - l + 1``) over ``2^l``."""
+        energies = batched_detail_energies(2, self._height, queries[:, 0], queries[:, 1])
+        return (energies[::-1] / 2.0 ** np.arange(1, self._height + 1)[:, None]).T

@@ -259,7 +259,8 @@ def sample_level_runs(
 
     Then each user's flip is an independent Bernoulli(``1 - p``) draw, so
     the flips of the ``T`` users in a cell number exactly Binomial(``T``,
-    ``1 - p``): one ``rng.binomial`` over every level's ``2 D'`` cells.  A
+    ``1 - p``): one ``rng.binomial`` over every level's occupied cells
+    (``Binomial(0, .)`` reads no generator state, so that is every cell).  A
     flipped ``+1`` user reports ``-1`` and vice versa, so each cell nets
     ``T - 2 F`` and index ``j`` gains ``(T+ - 2 F+) - (T- - 2 F-)``, exact
     integer arithmetic.
@@ -281,7 +282,8 @@ def sample_level_runs(
     for index, level_tallies in zip(stacked, count_space_tallies(key_tallies, rng)):
         tallies[index] = level_tallies
     flat = np.concatenate(tallies)
-    flat -= 2 * rng.binomial(flat, 1.0 - oracles[0].keep_probability)
+    occupied = np.flatnonzero(flat)
+    flat[occupied] -= 2 * rng.binomial(flat[occupied], 1.0 - oracles[0].keep_probability)
     start = 0
     for accumulator, level_tallies in zip(accumulators, tallies):
         cells = flat[start : start + level_tallies.shape[0]]

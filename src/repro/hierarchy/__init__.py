@@ -7,7 +7,8 @@
   (Facts 2 and 3): a whole batch of range queries becomes per-level
   contiguous node runs (:func:`batched_axis_runs`), evaluated with
   per-level prefix sums (:func:`batched_range_sums`) or combined per axis
-  into box products.  A single query is a one-row batch.
+  into box products.  A single query is a one-row batch.  Each range's
+  detail energies (:func:`batched_detail_energies`) give answer variances.
 * :mod:`repro.hierarchy.consistency` — the constrained-inference
   post-processing of Section 4.5 (weighted averaging followed by mean
   consistency), plus an exact least-squares reference implementation used to

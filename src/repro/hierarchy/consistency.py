@@ -44,9 +44,8 @@ def _validate_levels(levels: Sequence[np.ndarray], branching: int) -> List[np.nd
     if not levels:
         raise InvalidDomainError("need at least one level of estimates")
     arrays = [np.asarray(level, dtype=np.float64) for level in levels]
-    trailing = arrays[0].shape[1:]
     for depth, array in enumerate(arrays, start=1):
-        expected = (branching**depth,) + trailing
+        expected = (branching**depth,)
         if array.shape != expected:
             raise InvalidDomainError(
                 f"level {depth} must have shape {expected}, got {array.shape}"
@@ -55,15 +54,16 @@ def _validate_levels(levels: Sequence[np.ndarray], branching: int) -> List[np.nd
 
 
 def _child_sums(level: np.ndarray, branching: int) -> np.ndarray:
-    """Sums of each parent's ``B`` consecutive children along axis 0."""
-    return level.reshape(len(level) // branching, branching, *level.shape[1:]).sum(axis=1)
+    """Sums of each parent's ``B`` consecutive children."""
+    return level.reshape(len(level) // branching, branching).sum(axis=1)
 
 
 def subtree_counts(height_from_leaves: int, branching: int) -> int:
     """Number of nodes in a complete subtree of the given height.
 
     ``height_from_leaves = 1`` is a single leaf; ``2`` is a node plus its
-    ``B`` children, and so on.  Used for the weighted-averaging coefficients.
+    ``B`` children, and so on.  For ``h - k + 1`` it is the eigenvalue of
+    ``H^T H`` on the depth-``k`` detail subspace, which ``hhc_*`` weights use.
     """
     return (branching**height_from_leaves - 1) // (branching - 1)
 
@@ -80,9 +80,7 @@ def enforce_consistency(
     levels:
         Per-level estimate arrays, ``levels[0]`` being level 1 (the ``B``
         children of the root) down to ``levels[-1]`` being the ``B^h``
-        leaves.  All estimates are *fractions* of the population.  Each
-        level may carry the same trailing axes (e.g. one column per
-        query), which are adjusted independently, column by column.
+        leaves.  All estimates are *fractions* of the population.
     branching:
         Tree fan-out ``B``.
     root_value:
@@ -126,13 +124,13 @@ def enforce_consistency(
     # ------------------------------------------------------------------
     adjusted: List[np.ndarray] = [level.copy() for level in averaged]
     if root_value is not None:
-        mismatch = float(root_value) - adjusted[0].sum(axis=0)
+        mismatch = float(root_value) - adjusted[0].sum()
         adjusted[0] = adjusted[0] + mismatch / branching
     for depth in range(1, height):
         parent_values = adjusted[depth - 1]
         child_sums = _child_sums(averaged[depth], branching)
         corrections = (parent_values - child_sums) / branching
-        adjusted[depth] = averaged[depth] + np.repeat(corrections, branching, axis=0)
+        adjusted[depth] = averaged[depth] + np.repeat(corrections, branching)
     return adjusted
 
 
@@ -167,5 +165,5 @@ def least_squares_consistency(
     result: List[np.ndarray] = []
     for depth in range(1, height + 1):
         block = leaves // branching**depth
-        result.append(fitted_leaves.reshape(-1, block, *target.shape[1:]).sum(axis=1))
+        result.append(fitted_leaves.reshape(-1, block).sum(axis=1))
     return result

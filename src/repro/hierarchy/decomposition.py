@@ -13,7 +13,9 @@ expressed as *runs*: per tree level, a contiguous span of node indices.
 With per-level prefix sums of the estimates, each run costs O(1) to
 evaluate, so a query costs ``O(B log_B D)`` regardless of its length.  The
 peel itself is :func:`repro.kernels.badic_axis_runs`, run for a whole batch
-at once; a single query is a one-row batch.
+at once; a single query is a one-row batch.  A range's boundary nodes also
+give its detail energies (:func:`batched_detail_energies`), from which the
+consistency and Haar answer variances follow in ``O(h B)`` per query.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ import numpy as np
 from repro import kernels
 from repro.hierarchy.tree import DomainTree
 
-__all__ = ["batched_axis_runs", "batched_node_counts", "batched_range_sums"]
+__all__ = [
+    "batched_axis_runs",
+    "batched_detail_energies",
+    "batched_node_counts",
+    "batched_range_sums",
+]
 
 
 def batched_axis_runs(
@@ -86,6 +93,29 @@ def batched_node_counts(tree: DomainTree, starts: np.ndarray, ends: np.ndarray) 
     run lengths of :func:`batched_axis_runs`, summed over both slots."""
     runs = batched_axis_runs(tree, starts, ends)
     return (runs[:, :, 1] - runs[:, :, 0]).sum(axis=1)
+
+
+def batched_detail_energies(
+    branching: int, height: int, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Row ``k - 1`` of the ``(h, n)`` result is ``E_k``: the squared norm
+    of each range's padded-leaf indicator projected onto the depth-``k``
+    detail subspace (vectors constant on depth-``k`` nodes that sum to zero
+    inside each depth-``k - 1`` node).  A depth-``k - 1`` node the range
+    covers wholly or misses has no detail, so only the at most two holding
+    ``start`` and ``end`` add ``(B sum s_c^2 - (sum s_c)^2) / (B c)`` over
+    their ``B`` child overlaps ``s_c``, ``c = B^(h - k)`` the child size.
+    The numerator is exact ``int64`` arithmetic, so a node whose children
+    the range covers evenly adds exactly ``0.0``."""
+    parents = branching ** np.arange(height, 0, -1, dtype=np.int64)[:, None]
+    bounds = parents // branching * np.arange(branching + 1)[:, None, None]
+    numerators = []
+    for position in (starts, ends):
+        edges = np.clip(position // parents * parents + bounds, starts, ends + 1)
+        overlaps = np.diff(edges, axis=0)
+        numerators.append(branching * (overlaps**2).sum(axis=0) - overlaps.sum(axis=0) ** 2)
+    shared = starts // parents == ends // parents
+    return (numerators[0] + np.where(shared, 0, numerators[1])) / parents
 
 
 def batched_range_sums(

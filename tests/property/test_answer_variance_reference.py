@@ -18,10 +18,13 @@ one query at a time:
 The domains are not powers of the branching factor, so padding is covered.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.factory import mechanism_from_spec
 from repro.data.synthetic import cauchy_probabilities, expected_counts
@@ -63,10 +66,18 @@ def _height(size, branching):
     return height
 
 
+@functools.lru_cache(maxsize=None)
 def _consistency_matrix(branching, height):
+    """The stacked-levels matrix of ``enforce_consistency(., B, 0.0)``:
+    column ``j`` is the map applied to unit vector ``j``, one 1-D call
+    per column."""
     sizes = [branching**depth for depth in range(1, height + 1)]
-    units = np.split(np.eye(sum(sizes)), np.cumsum(sizes)[:-1], axis=0)
-    return np.concatenate(enforce_consistency(units, branching, root_value=0.0), axis=0), sizes
+    bounds = np.cumsum(sizes)[:-1]
+    columns = [
+        np.concatenate(enforce_consistency(np.split(unit, bounds), branching, root_value=0.0))
+        for unit in np.eye(sum(sizes))
+    ]
+    return np.stack(columns, axis=1), sizes
 
 
 def _flat_weights(queries):
@@ -78,8 +89,8 @@ def _hh_weights(queries, branching):
     return np.array([_badic_counts(a, b, branching, height) for a, b in queries], dtype=float)
 
 
-def _hhc_weights(queries, branching):
-    height = _height(DOMAIN, branching)
+def _hhc_weights(queries, branching, domain=DOMAIN):
+    height = _height(domain, branching)
     matrix, sizes = _consistency_matrix(branching, height)
     leaf_rows = matrix[-sizes[-1] :]
     bounds = np.cumsum([0] + sizes)
@@ -129,7 +140,10 @@ RANGE_CASES = [
     ("flat_hrr", "hrr", _flat_weights),
     ("hh_4", "oue", lambda q: _hh_weights(q, 4)),
     ("hhc_2", "oue", lambda q: _hhc_weights(q, 2)),
+    ("hhc_3", "oue", lambda q: _hhc_weights(q, 3)),
     ("hhc_4", "oue", lambda q: _hhc_weights(q, 4)),
+    ("hhc_5", "oue", lambda q: _hhc_weights(q, 5)),
+    ("hhc_8", "oue", lambda q: _hhc_weights(q, 8)),
     ("haar", "hrr", _haar_weights),
 ]
 
@@ -149,6 +163,50 @@ def test_range_variances_match_the_scalar_reference(spec, oracle, weights):
     np.testing.assert_allclose(
         mechanism.answer_variances(RANGES), _reference(expected_weights, oracle, users), rtol=1e-12
     )
+
+
+@st.composite
+def _consistent_cases(draw):
+    branching = draw(st.integers(min_value=2, max_value=8))
+    domain = draw(st.integers(min_value=2, max_value=130))
+    bounds = st.integers(min_value=0, max_value=domain - 1)
+    ranges = draw(st.lists(st.tuples(bounds, bounds), min_size=1, max_size=20))
+    return branching, domain, np.sort(np.array(ranges, dtype=np.int64), axis=1)
+
+
+@given(case=_consistent_cases())
+@settings(max_examples=60, deadline=None)
+def test_consistent_variances_match_the_explicit_matrix(case):
+    """The closed form of ``hhc_B``'s weights against the explicit ``M``,
+    over padded and unpadded domains and every branching factor the
+    planner sweeps.  A range that is the whole padded tree has variance
+    exactly ``0.0`` while ``M`` leaves a squared rounding residue, so an
+    ``atol`` of ``1e-15`` of one estimate's variance forgives that
+    residue; every other range here has at least a quarter of one
+    estimate's variance, far above it."""
+    branching, domain, ranges = case
+    expected_weights = _hhc_weights(ranges, branching, domain)
+    labels = expected_weights.shape[1]
+    mechanism = mechanism_from_spec(f"hhc_{branching}", EPSILON, domain)
+    estimate = make_oracle("oue", EPSILON, 2).theoretical_variance(N_USERS / labels)
+    np.testing.assert_allclose(
+        mechanism.answer_variances(ranges, n_users=N_USERS),
+        _reference(expected_weights, "oue", [N_USERS / labels] * labels),
+        rtol=1e-12,
+        atol=1e-15 * estimate,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, domain",
+    [("hhc_2", 64), ("hhc_3", 81), ("hhc_4", 64), ("hhc_5", 125), ("hhc_8", 64), ("haar", 64)],
+)
+def test_full_domain_range_has_exactly_zero_variance(spec, domain):
+    """At ``D = B^h`` the full range is the known root (the Haar scaling
+    coefficient), so every label's weight, and the variance, is exactly
+    ``0.0``, not a rounding residue."""
+    mechanism = mechanism_from_spec(spec, EPSILON, domain)
+    assert mechanism.answer_variances([[0, domain - 1]], n_users=N_USERS).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("dims, side", [(2, 6), (3, 4)])

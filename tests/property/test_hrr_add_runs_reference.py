@@ -21,14 +21,20 @@ statistically in ``tests/unit/test_oracle_hadamard.py`` and
 ``benchmarks/bench_hrr_count_space.py``.)  The per-user domains reach
 ``D' = 2^17``, past every width the accumulator may pick for its per-user
 arrays; the count-space domains stop at ``D' = 2^14``, whose threshold is
-a million users.
+a million users.  A Haar-shaped stack of levels also pins the flips
+drawn over the occupied cells only to a draw over every cell.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frequency_oracles.hadamard import HadamardRandomizedResponse
+from repro.frequency_oracles.hadamard import (
+    HadamardRandomizedResponse,
+    count_space_tallies,
+    sample_level_runs,
+)
 
 #: Powers of two and their neighbours from D' = 2 to D' = 2^17.
 DOMAINS = (
@@ -172,3 +178,49 @@ def test_successive_add_runs_share_one_stream(domain, count_space, seed, n_batch
         accumulator.add_runs(values, counts, actual_rng, signs=signs)
     assert accumulator._statistic.tobytes() == expected.tobytes()
     assert actual_rng.random() == expected_rng.random()
+
+
+def full_array_stack(accumulators, keys, counts, rng):
+    """The stacked sampler with every cell's flips drawn, empty or not."""
+    oracles = [accumulator.oracle for accumulator in accumulators]
+    tallies, stacked = [], []
+    for oracle, level_keys, level_counts in zip(oracles, keys, counts):
+        cells = 2 * oracle.padded_size
+        if level_counts.sum() >= oracle._count_space_min_users:
+            key_tallies = np.bincount(level_keys, weights=level_counts, minlength=cells)
+            stacked.append((len(tallies), key_tallies.astype(np.int64)))
+            tallies.append(None)
+        else:
+            codes = oracle._true_codes(np.repeat(level_keys, level_counts), rng)
+            tallies.append(np.bincount(codes, minlength=cells))
+    sampled = count_space_tallies([key_tallies for _, key_tallies in stacked], rng)
+    for (index, _), level_tallies in zip(stacked, sampled):
+        tallies[index] = level_tallies
+    flip = 1.0 - oracles[0].keep_probability
+    for accumulator, level_tallies in zip(accumulators, tallies):
+        level_tallies = level_tallies - 2 * rng.binomial(level_tallies, flip)
+        accumulator._statistic += level_tallies[1::2] - level_tallies[0::2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stack_flips_over_occupied_cells_match_a_full_array_draw(seed):
+    """500 users over the 14 Haar levels of ``D = 16384``: most cells are
+    empty, and skipping them leaves every sum and the generator as a
+    draw over all ``2 D'`` cells of every level would."""
+    rng = np.random.default_rng(seed)
+    oracles = [HadamardRandomizedResponse(1.1, 16384 >> level) for level in range(1, 15)]
+    users = np.bincount(rng.integers(0, len(oracles), size=500), minlength=len(oracles))
+    keys, counts = [], []
+    for oracle, level_users in zip(oracles, users):
+        items = rng.integers(0, oracle.domain_size, size=level_users)
+        negative = rng.integers(0, 2, size=level_users).astype(oracle._code_dtype)
+        keys.append(oracle._keys(items, negative))
+        counts.append(np.ones(level_users, dtype=np.int64))
+    actual = [oracle.accumulator() for oracle in oracles]
+    expected = [oracle.accumulator() for oracle in oracles]
+    actual_rng, expected_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+    sample_level_runs(actual, keys, counts, actual_rng)
+    full_array_stack(expected, keys, counts, expected_rng)
+    for left, right in zip(actual, expected):
+        assert left._statistic.tobytes() == right._statistic.tobytes()
+    assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
